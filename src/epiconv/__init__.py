@@ -13,7 +13,6 @@ from .extgrid import (
     ExtGridFn,
     affine_max,
     bh_membership,
-    bh_membership_bruteforce,
     contains,
     domain_from_config,
     halfspace,
@@ -32,12 +31,10 @@ from .transforms import (
     dual_norm,
     dual_norm_sampled,
     legendre_1d,
-    legendre_1d_bruteforce,
     legendre_nd,
     power_cost_conjugate,
 )
 from .hopflax import (
-    HopfLaxParams,
     InfConvResult,
     counterexample_pair,
     counterexample_table,
@@ -47,7 +44,6 @@ from .hopflax import (
     hopflax_pointwise,
     infconv,
     is_grid_convex,
-    lipschitz_growth_fit,
     semigroup_residual,
 )
 from .quadrature import QuadSpec, integrate_boundary, integrate_epigraph, integrate_gridfn

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .extgrid import INF, EpigraphDomain, ExtGridFn
+from .extgrid import INF, EpigraphDomain, ExtGridFn, weight_P
 from .fields import ScalarField
 from .hopflax import hopflax_apply, hopflax_pointwise
 from .quadrature import (
@@ -38,6 +38,7 @@ from .quadrature import (
     integrate_gridfn,
     power_tail_bound,
 )
+from .transforms import _sphere_directions
 
 __all__ = [
     "BBLParams",
@@ -169,14 +170,14 @@ def _grid_tail_K(f_pow: np.ndarray, axes, alpha: float) -> float:
     return best
 
 
-def _bbl_gap_once(g: ExtGridFn, W: ExtGridFn, params: BBLParams, method: str):
+def _bbl_gap_once(g: ExtGridFn, W: ExtGridFn, params: BBLParams):
     a, n, h = params.a, params.n, params.h
     gs, _ = _normalize_grid(g, a)
     Ws, _ = _normalize_grid(W, a)
     if h == 0.0:
         Q = gs
     else:
-        Q = hopflax_apply(gs, Ws, h, method=method).values
+        Q = hopflax_apply(gs, Ws, h).values
     lhs = (1.0 + h) ** (a - n) * integrate_gridfn(Q, lambda v: _neg_power(v, 1.0 - a))
     rhs_g = integrate_gridfn(gs, lambda v: _neg_power(v, 1.0 - a))
     rhs_W = integrate_gridfn(Ws, lambda v: _neg_power(v, 1.0 - a))
@@ -188,7 +189,6 @@ def bbl_gap(
     W: ExtGridFn,
     params: BBLParams,
     gamma: float | None = None,
-    method: str = "auto",
     estimate: bool = True,
 ) -> GapReport:
     """Gap of the dynamical inequality on the supplied grids.
@@ -200,13 +200,13 @@ def bbl_gap(
     exactly zero.
     """
     a, n, h = params.a, params.n, params.h
-    lhs, rhs, (gs, Ws, Q) = _bbl_gap_once(g, W, params, method)
+    lhs, rhs, (gs, Ws, Q) = _bbl_gap_once(g, W, params)
     gap = lhs - rhs
 
     err = 0.0
     tail = 0.0
     if estimate and h > 0.0:
-        lhs_c, rhs_c, _ = _bbl_gap_once(_decimate(g), _decimate(W), params, method)
+        lhs_c, rhs_c, _ = _bbl_gap_once(_decimate(g), _decimate(W), params)
         err = 1.5 * abs((lhs - rhs) - (lhs_c - rhs_c))
         gam = gamma if gamma is not None else params.q
         if gam is not None:
@@ -229,17 +229,16 @@ def bbl_gap(
 
 
 def _boundary_integrand(
-    g: ScalarField, domain: EpigraphDomain, a: float, weighted: bool
+    f: ScalarField, domain: EpigraphDomain, expo: float, weighted: bool
 ) -> Callable:
+    """x1 -> f(x1, phi(x1))^expo on the boundary, times P(x1) when weighted."""
+
     def fn(x1):
         x1 = np.asarray(x1, dtype=float)
         pts = np.concatenate([x1, domain.phi(x1)[..., None]], axis=-1)
-        vals = g(pts) ** (1.0 - a)
+        vals = f(pts) ** expo
         if weighted:
-            # one-sided subgradients at ridge points; exact for the closed
-            # domain family (Euler's relation gives P = 1 on every cone piece)
-            P = 1.0 + domain.phi(x1) - np.sum(x1 * domain.grad_phi(x1), axis=-1)
-            vals = vals * P
+            vals = vals * weight_P(domain, x1)
         return vals
 
     return fn
@@ -282,7 +281,7 @@ def derived_gap(
     )
     bdecay = boundary_decay if boundary_decay is not None else alpha
     T3, e3, _ = integrate_boundary(
-        _boundary_integrand(g, domain, a, weighted=True),
+        _boundary_integrand(g, domain, 1.0 - a, weighted=True),
         domain.n - 1,
         spec,
         decay=bdecay,
@@ -363,15 +362,15 @@ def appendix_limit_residual(
         lambda p: W.conjugate(g.gradient(p)) / g(p) ** a, domain, qspec, decay=alpha
     )[0]
     limit_ii, el2, _ = integrate_boundary(
-        _boundary_integrand(g, domain, a, weighted=False), domain.n - 1, spec,
+        _boundary_integrand(g, domain, 1.0 - a, weighted=False), domain.n - 1, spec,
         decay=alpha, estimate=True,
     )
 
     def sliver_rate(x1):
+        # the sliver between B_h and Omega_h opens at rate x1.grad phi - phi = 1 - P
         x1 = np.asarray(x1, dtype=float)
         pts = np.concatenate([x1, domain.phi(x1)[..., None]], axis=-1)
-        rate = np.sum(x1 * domain.grad_phi(x1), axis=-1) - domain.phi(x1)
-        return g(pts) ** (1.0 - a) * rate
+        return g(pts) ** (1.0 - a) * (1.0 - weight_P(domain, x1))
 
     if domain.kind in ("halfspace", "cone", "affine_max"):
         limit_iii = 0.0
@@ -474,25 +473,29 @@ class AdmissibilityReport:
 
 
 def _sample_fan(n: int, count: int, r_max: float = 1e3, seed: int = 0) -> np.ndarray:
-    """Deterministic radial fan: golden-angle directions times log-spaced radii."""
+    """Deterministic radial fan: sphere directions times log-spaced radii."""
     per_dir = 24
     ndirs = max(4, count // per_dir)
-    if n == 2:
-        th = np.linspace(0.0, 2.0 * np.pi, ndirs, endpoint=False)
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    elif n == 3:
-        i = np.arange(ndirs)
-        golden = (1.0 + 5.0 ** 0.5) / 2.0
-        z = 1.0 - 2.0 * (i + 0.5) / ndirs
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        th = 2.0 * np.pi * i / golden
-        dirs = np.stack([r * np.cos(th), r * np.sin(th), z], axis=-1)
+    if n in (2, 3):
+        dirs = _sphere_directions(n, ndirs)
     else:
         rng = np.random.default_rng(seed)
         dirs = rng.normal(size=(ndirs, n))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     radii = np.geomspace(1e-2, r_max, per_dir)
     return (dirs[:, None, :] * radii[None, :, None]).reshape(-1, n)
+
+
+def _boundary_growth(domain: EpigraphDomain, growth_R: float, sample_count: int = 2000):
+    """Largest |x1 . grad phi| / ||(x1, phi)|| over a fan beyond radius growth_R,
+    with the x1 that attains it."""
+    fan = _sample_fan(domain.n - 1, sample_count)
+    far = fan[np.linalg.norm(fan, axis=-1) > growth_R]
+    num = np.abs(np.sum(far * domain.grad_phi(far), axis=-1))
+    den = np.sqrt(np.linalg.norm(far, axis=-1) ** 2 + domain.phi(far) ** 2)
+    ratio = num / den
+    k = int(np.argmax(ratio))
+    return float(ratio[k]), tuple(float(v) for v in far[k])
 
 
 def admissibility_report(
@@ -548,19 +551,10 @@ def admissibility_report(
     gradg = np.linalg.norm(g.gradient(onG), axis=-1)
     conditions.append(upper_bound_check("C4", gradg, 1.0 + rG ** (gamma - 1.0), adm.A4))
 
-    fan1 = _sample_fan(n - 1, sample_count, r_max=1e3)
-    far = fan1[np.linalg.norm(fan1, axis=-1) > adm.growth_R]
-    num = np.abs(np.sum(far * domain.grad_phi(far), axis=-1))
-    den = np.sqrt(np.linalg.norm(far, axis=-1) ** 2 + domain.phi(far) ** 2)
-    ratio = num / den
-    k = int(np.argmax(ratio))
-    fitted = float(ratio[k])
+    fitted, witness = _boundary_growth(domain, adm.growth_R, sample_count)
     ok = fitted <= adm.growth_C * (1.0 + 1e-9)
     conditions.append(
-        ConditionReport(
-            "phi_growth", bool(ok), fitted, tuple(float(v) for v in far[k]),
-            adm.growth_C - fitted,
-        )
+        ConditionReport("phi_growth", bool(ok), fitted, witness, adm.growth_C - fitted)
     )
     return AdmissibilityReport(conditions, gamma)
 
@@ -595,7 +589,6 @@ def equivalence_scan(
     n: int,
     h_grid: Sequence[float],
     W_conjugate: Callable | None = None,
-    method: str = "auto",
 ) -> EquivalenceScan:
     """The curve h -> int Q_h(g)^(-n) under int g^(-n) = int W^(-n) = 1.
 
@@ -621,7 +614,7 @@ def equivalence_scan(
         if h == 0.0:
             Q = gs
         else:
-            Q = hopflax_apply(gs, Ws, h, method=method).values
+            Q = hopflax_apply(gs, Ws, h).values
         phis.append(integrate_gridfn(Q, lambda v: _neg_power(v, -float(n))))
 
     pos = [h for h in hs if h > 0]
@@ -659,7 +652,7 @@ def equivalence_scan(
     hmax = hs[-1]
     gs_c, _ = _normalize_grid(_decimate(g), float(n))
     Ws_c, _ = _normalize_grid(_decimate(W), float(n))
-    Qc = hopflax_apply(gs_c, Ws_c, hmax, method=method).values if hmax > 0 else gs_c
+    Qc = hopflax_apply(gs_c, Ws_c, hmax).values if hmax > 0 else gs_c
     phi_c = integrate_gridfn(Qc, lambda v: _neg_power(v, -float(n)))
     err = 1.5 * abs(phis[-1] - phi_c)
     deriv_err = err / pos[0] if pos else err

@@ -35,7 +35,6 @@ __all__ = [
     "domain_from_config",
     "contains",
     "bh_membership",
-    "bh_membership_bruteforce",
     "is_cone",
     "weight_P",
     "sample_grid",
@@ -400,30 +399,6 @@ def bh_membership(domain: EpigraphDomain, x, h: float):
     """
     res = domain.bh_contains(x, h)
     return bool(res.ravel()[0]) if np.asarray(x).ndim == 1 else res
-
-
-def bh_membership_bruteforce(
-    domain: EpigraphDomain,
-    x,
-    h: float,
-    y_box: Sequence[Sequence[float]],
-    y_resolution: Sequence[int],
-) -> bool:
-    """Search a y-grid over Omega_1 for a witness with x - h*y in Omega.
-
-    This is the defining membership test for B_h and the only oracle when the
-    closed form is not available; it is grid-limited, so expect one cell of
-    slack near the boundary.
-    """
-    x = np.asarray(x, dtype=float)
-    axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(y_box, y_resolution)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    ys = np.stack([m.ravel() for m in mesh], axis=-1)
-    ys = ys[domain.contains(ys, 1.0)]
-    if ys.size == 0:
-        return False
-    cand = x[None, :] - h * ys
-    return bool(domain.contains(cand, 0.0).any())
 
 
 @dataclass

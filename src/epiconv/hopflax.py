@@ -2,11 +2,8 @@
 
 Two discretizations live here. ``infconv`` is the exact lattice min-plus
 convolution of two grid functions with shared spacing; no interpolation is
-involved and every finite output node records an attaining argmin. The
-reference implementation is the exhaustive double loop; a divide-and-conquer
-path over the totally monotone argmin structure accelerates the 1D case when
-the second factor carries a grid-convexity certificate, and matches the
-reference bit for bit.
+involved and every finite output node records an attaining argmin, the
+smallest flat index among ties.
 
 ``hopflax_apply`` evaluates Q_h(g)(x) = min_y g(x - h*y) + h*W(y) with y
 running over the cost grid and g evaluated by multilinear interpolation at the
@@ -27,7 +24,6 @@ from .extgrid import INF, EpigraphDomain, ExtGridFn
 
 __all__ = [
     "InfConvResult",
-    "HopfLaxParams",
     "infconv",
     "hopflax_apply",
     "hopflax_pointwise",
@@ -35,12 +31,13 @@ __all__ = [
     "hj_difference_quotient",
     "domain_sum_check",
     "is_grid_convex",
-    "lipschitz_growth_fit",
     "counterexample_pair",
     "counterexample_table",
 ]
 
 _SNAP = 1e-9
+# stage-1 stride of the twostage path, in cost-grid nodes per axis
+_COARSE_STRIDE = 4
 
 
 @dataclass
@@ -48,26 +45,6 @@ class InfConvResult:
     values: ExtGridFn
     argmin: np.ndarray  # flat index into the y-grid, -1 where the value is +inf
     empty: bool = False
-
-
-@dataclass(frozen=True)
-class HopfLaxParams:
-    """Time parameters h = t/(1-t); both representations are cross-checked."""
-
-    h: float
-    s: float = 0.0
-    t: float | None = None
-
-    def __post_init__(self):
-        if self.h < 0:
-            raise ValueError("h must be nonnegative")
-        if not 0.0 <= self.s <= self.h:
-            raise ValueError("s must lie in [0, h]")
-        if self.t is not None:
-            if not 0.0 <= self.t < 1.0:
-                raise ValueError("t must lie in [0, 1)")
-            if abs(self.h - self.t / (1.0 - self.t)) > 1e-12 * max(1.0, self.h):
-                raise ValueError("h and t disagree: h must equal t/(1-t)")
 
 
 def _check_same_spacing(f: ExtGridFn, g: ExtGridFn):
@@ -126,71 +103,17 @@ def _infconv_reference(fv: np.ndarray, gv: np.ndarray):
     return out, arg
 
 
-def _infconv_1d_dc(fv: np.ndarray, gv: np.ndarray):
-    """Divide and conquer over the monotone argmin map, g grid-convex.
-
-    Evaluates the same float expressions as the reference and scans candidate
-    ranges left to right with a strict comparison, so the leftmost argmin and
-    the output values agree with the reference bit for bit.
-    """
-    nf, ng = fv.shape[0], gv.shape[0]
-    nout = nf + ng - 1
-    out = np.full(nout, INF)
-    arg = np.full(nout, -1, dtype=np.int64)
-
-    def best_in(k: int, jlo: int, jhi: int):
-        lo = max(jlo, k - ng + 1, 0)
-        hi = min(jhi, k, nf - 1)
-        bv, bj = INF, -1
-        for j in range(lo, hi + 1):
-            fj = fv[j]
-            if not np.isfinite(fj):
-                continue
-            c = fj + gv[k - j]
-            if c < bv:
-                bv, bj = c, j
-        return bv, bj
-
-    def solve(klo: int, khi: int, jlo: int, jhi: int):
-        if klo > khi:
-            return
-        k = (klo + khi) // 2
-        bv, bj = best_in(k, jlo, jhi)
-        out[k] = bv
-        arg[k] = bj
-        jmid = bj if bj >= 0 else (jlo + jhi) // 2
-        solve(klo, k - 1, jlo, jmid)
-        solve(k + 1, khi, jmid, jhi)
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 4 * nout + 100))
-    try:
-        solve(0, nout - 1, 0, nf - 1)
-    finally:
-        sys.setrecursionlimit(old)
-    return out, arg
-
-
-def infconv(f: ExtGridFn, g: ExtGridFn, method: str = "auto") -> InfConvResult:
+def infconv(f: ExtGridFn, g: ExtGridFn) -> InfConvResult:
     """Discrete (f box g)(x) = min_y f(y) + g(x - y) on the index-sum grid.
 
     The output box is the Minkowski sum of the operand boxes at the shared
-    spacing. method ``reference`` forces the exhaustive loop; ``auto`` uses the
-    1D divide-and-conquer path when g is grid-convex.
+    spacing.
     """
     _check_same_spacing(f, g)
     box = tuple(
         (flo + glo, fhi + ghi) for (flo, fhi), (glo, ghi) in zip(f.box, g.box)
     )
-    if method not in ("auto", "reference", "dc"):
-        raise ValueError(f"unknown method {method!r}")
-    use_dc = f.dim == 1 and method != "reference" and (method == "dc" or is_grid_convex(g))
-    if use_dc:
-        vals, arg = _infconv_1d_dc(f.values, g.values)
-    else:
-        vals, arg = _infconv_reference(f.values, g.values)
+    vals, arg = _infconv_reference(f.values, g.values)
     empty = not np.isfinite(vals).any()
     return InfConvResult(ExtGridFn(box, vals), arg, empty)
 
@@ -277,19 +200,21 @@ def hopflax_apply(
     out_box: Sequence[Sequence[float]] | None = None,
     out_resolution: Sequence[int] | None = None,
     method: str = "auto",
-    coarse_stride: int = 4,
 ) -> InfConvResult:
     """Q_h(g)(x) = min over cost-grid nodes y of g(x - h*y) + h*W(y).
 
-    The output grid defaults to g's box plus h times W's box at g's spacing.
-    Ties in the minimum go to the smallest flat y index. method ``exact``
-    scans every finite y node; ``twostage`` runs a strided scan followed by a
-    windowed local search and requires a grid-convex g (it is exact for the
-    convex fixtures and asserted against the exact path in tests); ``auto``
-    picks twostage only for large certified-convex problems.
+    The output grid defaults to g's box plus h times W's box at g's spacing;
+    out_box and out_resolution replace it together. Ties in the minimum go to
+    the smallest flat y index. method ``exact`` scans every finite y node;
+    ``twostage`` runs a strided scan followed by a windowed local search and
+    requires a grid-convex g (it is exact for the convex fixtures and asserted
+    against the exact path in tests); ``auto`` picks twostage only for large
+    certified-convex problems.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
+    if (out_box is None) != (out_resolution is None):
+        raise ValueError("out_box and out_resolution must be given together")
     if h == 0.0:
         # identity by convention; no y is involved, so no argmin is recorded
         arg = np.full(g.resolution, -1, dtype=np.int64)
@@ -297,7 +222,7 @@ def hopflax_apply(
     if g.dim != W.dim:
         raise ValueError("g and W must share dimension")
 
-    if out_box is None or out_resolution is None:
+    if out_box is None:
         box, axes = _default_out_grid(g, W, h)
     else:
         box = tuple((float(lo), float(hi)) for lo, hi in out_box)
@@ -320,7 +245,7 @@ def hopflax_apply(
     if method == "exact":
         vals, arg = _hopflax_exact(g, W, h, axes, shape, y_idx)
     elif method == "twostage":
-        vals, arg = _hopflax_twostage(g, W, h, axes, shape, coarse_stride)
+        vals, arg = _hopflax_twostage(g, W, h, axes, shape)
     else:
         raise ValueError(f"unknown method {method!r}")
     empty = not np.isfinite(vals).any()
@@ -343,14 +268,14 @@ def _hopflax_exact(g, W, h, axes, shape, y_idx):
     return vals, arg
 
 
-def _hopflax_twostage(g, W, h, axes, shape, stride):
+def _hopflax_twostage(g, W, h, axes, shape):
     w_axes = W.axes
     wres = W.resolution
     finite_w = np.isfinite(W.values)
 
     # stage 1: strided scan with the cheap shifted-slice interpolation
     strided = np.argwhere(finite_w)
-    keep = np.all(strided % stride == 0, axis=1)
+    keep = np.all(strided % _COARSE_STRIDE == 0, axis=1)
     strided = strided[keep]
     vals = np.full(shape, INF)
     arg = np.full(shape, -1, dtype=np.int64)
@@ -384,7 +309,7 @@ def _hopflax_twostage(g, W, h, axes, shape, stride):
             np.meshgrid(*([np.arange(-2, 3)] * g.dim), indexing="ij"), axis=-1
         ).reshape(-1, g.dim)
         rows = np.arange(npts)
-        level = stride
+        level = _COARSE_STRIDE
         while level > 0:
             step_idx = (level + 1) // 2 if level > 2 else 1
             off = unit * step_idx  # (25, dim) in index units
@@ -543,7 +468,6 @@ def semigroup_residual(
     W: ExtGridFn,
     h: float,
     s: float,
-    method: str = "auto",
 ) -> float:
     """max over common finite nodes of |Q_h(g) - Q_{h-s}(Q_s(g))|.
 
@@ -552,12 +476,11 @@ def semigroup_residual(
     """
     if not 0.0 <= s <= h:
         raise ValueError("need 0 <= s <= h")
-    full = hopflax_apply(g, W, h, method=method)
-    inner = hopflax_apply(g, W, s, method=method)
+    full = hopflax_apply(g, W, h)
+    inner = hopflax_apply(g, W, s)
     outer = hopflax_apply(
         inner.values, W, h - s,
         out_box=full.values.box, out_resolution=full.values.resolution,
-        method=method,
     )
     both = full.values.finite_mask & outer.values.finite_mask
     if not both.any():
@@ -642,33 +565,6 @@ def domain_sum_check(f: ExtGridFn, g: ExtGridFn, result: InfConvResult | None = 
         return True, None
     diff = np.argwhere(expected != actual)
     return False, tuple(diff[0])
-
-
-def lipschitz_growth_fit(
-    g: ExtGridFn, W: ExtGridFn, h_values: Sequence[float], method: str = "auto"
-) -> float:
-    """Fitted Lipschitz constant of h -> Q_h(g) over the given h values.
-
-    An experiment hook: the fitted constant is reported and expected to stay
-    bounded under refinement for locally Lipschitz g and convex coercive W,
-    but no specific value is asserted anywhere.
-    """
-    hs = sorted(float(h) for h in h_values)
-    if len(hs) < 2:
-        raise ValueError("need at least two h values")
-    results = []
-    box, axes = _default_out_grid(g, W, max(hs))
-    res = tuple(len(ax) for ax in axes)
-    for h in hs:
-        results.append(hopflax_apply(g, W, h, out_box=box, out_resolution=res, method=method))
-    best = 0.0
-    for (h0, r0), (h1, r1) in zip(zip(hs, results), zip(hs[1:], results[1:])):
-        both = r0.values.finite_mask & r1.values.finite_mask
-        if not both.any():
-            continue
-        num = np.max(np.abs(r1.values.values[both] - r0.values.values[both]))
-        best = max(best, float(num) / (h1 - h0))
-    return best
 
 
 def counterexample_pair(step: float = 0.25) -> tuple[ExtGridFn, ExtGridFn]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .bblcheck import BBLParams
+from .bblcheck import BBLParams, _boundary_growth, _boundary_integrand
 from .extgrid import EpigraphDomain, sample_grid
 from .fields import ScalarField
 from .quadrature import QuadSpec, integrate_boundary, integrate_epigraph
@@ -334,17 +334,8 @@ def _trace_integrals(
     qt = params.q_trace
     fdec = f.decay
 
-    def boundary_fn(x1):
-        x1 = np.asarray(x1, dtype=float)
-        pts = np.concatenate([x1, domain.phi(x1)[..., None]], axis=-1)
-        vals = f(pts) ** qt
-        if weighted:
-            P = 1.0 + domain.phi(x1) - np.sum(x1 * domain.grad_phi(x1), axis=-1)
-            vals = vals * P
-        return vals
-
     bdry, e_b, _ = integrate_boundary(
-        boundary_fn, domain.n - 1, spec,
+        _boundary_integrand(f, domain, qt, weighted), domain.n - 1, spec,
         decay=(fdec * qt if fdec else None), estimate=True,
     )
     grad_term, e_g, _ = integrate_epigraph(
@@ -427,18 +418,6 @@ def trace_gn_check(
     )
 
 
-def _growth_gate(domain: EpigraphDomain, growth_C: float, growth_R: float):
-    from .bblcheck import _sample_fan
-
-    fan = _sample_fan(domain.n - 1, 2000)
-    far = fan[np.linalg.norm(fan, axis=-1) > growth_R]
-    num = np.abs(np.sum(far * domain.grad_phi(far), axis=-1))
-    den = np.sqrt(np.linalg.norm(far, axis=-1) ** 2 + domain.phi(far) ** 2)
-    ratio = num / den
-    k = int(np.argmax(ratio))
-    return float(ratio[k]), tuple(float(v) for v in far[k])
-
-
 def weighted_trace_check(
     f: ScalarField | ExtremalSpec,
     params: BBLParams,
@@ -459,7 +438,7 @@ def weighted_trace_check(
     larger constant (the paraboloid fits only C -> 2) are refused with the
     fitted ratio as witness unless the caller raises the budget.
     """
-    fitted, witness = _growth_gate(domain, growth_C, growth_R)
+    fitted, witness = _boundary_growth(domain, growth_R)
     if fitted > growth_C * (1.0 + 1e-9):
         raise DomainRejectionError(
             f"growth condition failed: fitted ratio {fitted:.4f} exceeds budget "
@@ -582,11 +561,12 @@ def approx_family(
                 raise ValueError("normalizer search diverged")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if mass(mid) < 1.0:
+            m_mid = mass(mid)
+            if m_mid < 1.0:
                 lo = mid
             else:
                 hi = mid
-            if abs(mass(mid) - 1.0) <= tol:
+            if abs(m_mid - 1.0) <= tol:
                 break
         C_eps = 0.5 * (lo + hi)
 

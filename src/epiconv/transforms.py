@@ -25,7 +25,6 @@ __all__ = [
     "NormSpec",
     "ConjugateResult",
     "legendre_1d",
-    "legendre_1d_bruteforce",
     "legendre_nd",
     "default_dual_box",
     "dual_norm",
@@ -119,6 +118,22 @@ def dual_norm(norm: NormSpec, y) -> float | np.ndarray:
     return val
 
 
+def _sphere_directions(n: int, count: int) -> np.ndarray:
+    """count deterministic unit vectors in R^n: uniform angles on the circle
+    for n = 2, a golden-spiral (Fibonacci) sphere for n = 3."""
+    if n == 2:
+        th = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+        return np.stack([np.cos(th), np.sin(th)], axis=-1)
+    if n == 3:
+        i = np.arange(count)
+        golden = (1.0 + 5.0 ** 0.5) / 2.0
+        z = 1.0 - 2.0 * (i + 0.5) / count
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        th = 2.0 * np.pi * i / golden
+        return np.stack([r * np.cos(th), r * np.sin(th), z], axis=-1)
+    raise ValueError("deterministic sphere directions support n in {2, 3}")
+
+
 def dual_norm_sampled(norm: NormSpec, y, directions: int = 4096):
     """Lower bound for the dual norm by sampling unit vectors, with a gap estimate.
 
@@ -130,20 +145,8 @@ def dual_norm_sampled(norm: NormSpec, y, directions: int = 4096):
     single = y.ndim == 1
     ys = y[None, :] if single else y.reshape(-1, y.shape[-1])
     n = ys.shape[-1]
-    if n == 2:
-        th = np.linspace(0.0, 2.0 * np.pi, directions, endpoint=False)
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        delta = 2.0 * np.pi / directions
-    elif n == 3:
-        i = np.arange(directions)
-        golden = (1.0 + 5.0 ** 0.5) / 2.0
-        z = 1.0 - 2.0 * (i + 0.5) / directions
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        th = 2.0 * np.pi * i / golden
-        dirs = np.stack([r * np.cos(th), r * np.sin(th), z], axis=-1)
-        delta = np.sqrt(4.0 * np.pi / directions)
-    else:
-        raise ValueError("sampled dual norms support n in {2, 3}")
+    dirs = _sphere_directions(n, directions)
+    delta = 2.0 * np.pi / directions if n == 2 else np.sqrt(4.0 * np.pi / directions)
     units = dirs / norm(dirs)[:, None]
     vals = units @ ys.T
     best = vals.max(axis=0)
@@ -152,26 +155,6 @@ def dual_norm_sampled(norm: NormSpec, y, directions: int = 4096):
     if single:
         return float(best[0]), float(gap[0])
     return best.reshape(y.shape[:-1]), gap.reshape(y.shape[:-1])
-
-
-def legendre_1d_bruteforce(xs: np.ndarray, vals: np.ndarray, slopes: np.ndarray):
-    """Exhaustive discrete conjugate, the reference the fast path must match.
-
-    Ties in the max are broken toward the smallest sample index.
-    """
-    xs = np.asarray(xs, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    slopes = np.asarray(slopes, dtype=float)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        raise ValueError("conjugate of an improper function (all samples +inf)")
-    xf = xs[finite]
-    vf = vals[finite]
-    idx_map = np.flatnonzero(finite)
-    cand = slopes[:, None] * xf[None, :] - vf[None, :]
-    arg = np.argmax(cand, axis=1)  # argmax returns the first (smallest) maximizer
-    out = cand[np.arange(len(slopes)), arg]
-    return out, idx_map[arg]
 
 
 def _lower_hull(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -194,10 +177,10 @@ def _lower_hull(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
 def legendre_1d(xs: np.ndarray, vals: np.ndarray, slopes: np.ndarray):
     """Discrete conjugate g(y) = max_i (x_i*y - f_i) by the hull walk.
 
-    Returns (values, argmax indices). Matches
-    :func:`legendre_1d_bruteforce` exactly, including the smallest-index tie
-    break: the hull walk only locates the crossing, the winning value is then
-    taken by a float scan of a window around it.
+    Returns (values, argmax indices). Matches the exhaustive scan exactly,
+    including the smallest-index tie break: the hull walk only locates the
+    crossing, the winning value is then taken by a float scan of a window
+    around it.
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.asarray(vals, dtype=float)

@@ -56,20 +56,27 @@ def brute_conjugate_nd(axes, vals, dual_axes):
 
 
 def naive_infconv(fv, gv):
-    """Scalar triple loop min-plus convolution."""
+    """Scalar triple loop min-plus convolution.
+
+    Returns (values, argmin) with the argmin the smallest flat f-index that
+    attains the minimum, -1 where the value is +inf.
+    """
     out_shape = tuple(a + b - 1 for a, b in zip(fv.shape, gv.shape))
     out = np.full(out_shape, np.inf)
+    arg = np.full(out_shape, -1, dtype=np.int64)
     for km in np.ndindex(*out_shape):
         best = np.inf
-        for jm in np.ndindex(*fv.shape):
+        best_j = -1
+        for jflat, jm in enumerate(np.ndindex(*fv.shape)):
             im = tuple(k - j for k, j in zip(km, jm))
             if any(i < 0 or i >= m for i, m in zip(im, gv.shape)):
                 continue
             c = fv[jm] + gv[im]
             if c < best:
-                best = c
+                best, best_j = c, jflat
         out[km] = best
-    return out
+        arg[km] = best_j
+    return out, arg
 
 
 def bilinear_scalar(axes, vals, point, snap=1e-9):
@@ -125,6 +132,23 @@ def naive_hopflax(g_axes, g_vals, w_axes, w_vals, h, out_axes):
                 best = c
         out[km] = best
     return out
+
+
+def bh_membership_bruteforce(domain, x, h, y_box, y_resolution):
+    """Search a y-grid over Omega_1 for a witness with x - h*y in Omega.
+
+    This is the defining membership test for B_h; it is grid-limited, so
+    expect one cell of slack near the boundary.
+    """
+    x = np.asarray(x, dtype=float)
+    axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(y_box, y_resolution)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    ys = np.stack([m.ravel() for m in mesh], axis=-1)
+    ys = ys[domain.contains(ys, 1.0)]
+    if ys.size == 0:
+        return False
+    cand = x[None, :] - h * ys
+    return bool(domain.contains(cand, 0.0).any())
 
 
 def polar_cone_moment(alpha: float, phi_of_dir, n_theta: int = 400001) -> float:

@@ -179,7 +179,7 @@ class TestAppendixSplit:
         assert all(a > b for a, b in zip(res, res[1:]))
         assert all(r["term_iii"] == 0.0 for r in recs)
         bdry, _ = integrate_boundary(
-            _boundary_integrand(g, halfplane, 2.0, weighted=False), 1, spec, decay=3.0
+            _boundary_integrand(g, halfplane, -1.0, weighted=False), 1, spec, decay=3.0
         )
         r001 = recs[-1]
         assert abs(r001["term_ii"] - bdry) <= 0.02 * bdry

@@ -10,7 +10,6 @@ from epiconv import (
     ExtGridFn,
     affine_max,
     bh_membership,
-    bh_membership_bruteforce,
     contains,
     domain_from_config,
     halfspace,
@@ -22,6 +21,7 @@ from epiconv import (
     weight_P,
     write_gridfn,
 )
+from oracles import bh_membership_bruteforce
 
 
 def test_inf_absorbs_addition_and_min():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from epiconv import (
     INF,
     ExtGridFn,
-    HopfLaxParams,
     counterexample_pair,
     counterexample_table,
     domain_sum_check,
@@ -18,7 +17,6 @@ from epiconv import (
     hopflax_pointwise,
     infconv,
     is_grid_convex,
-    lipschitz_growth_fit,
     norm_cone,
     quadratic_field,
     sample_grid,
@@ -31,17 +29,6 @@ from oracles import naive_hopflax, naive_infconv, richardson_limit
 
 def grid1d(lo, hi, vals):
     return ExtGridFn([(lo, hi)], np.asarray(vals, dtype=float))
-
-
-class TestHopfLaxParams:
-    def test_h_t_consistency(self):
-        HopfLaxParams(h=1.0, t=0.5)
-        with pytest.raises(ValueError, match="t/\\(1-t\\)"):
-            HopfLaxParams(h=1.0, t=0.4)
-
-    def test_s_range(self):
-        with pytest.raises(ValueError):
-            HopfLaxParams(h=0.5, s=0.6)
 
 
 class TestInfconv:
@@ -66,9 +53,10 @@ class TestInfconv:
         fv[0, 1] = INF
         f = ExtGridFn([(0, 0.3), (0, 0.4)], fv)
         g = ExtGridFn([(0, 0.2), (0, 0.3)], gv)
-        res = infconv(f, g, method="reference")
-        want = naive_infconv(fv, gv)
+        res = infconv(f, g)
+        want, warg = naive_infconv(fv, gv)
         np.testing.assert_array_equal(res.values.values, want)
+        np.testing.assert_array_equal(res.argmin, warg)
 
     def test_spacing_mismatch_rejected(self):
         f = grid1d(0, 1, [0.0, 1.0, 2.0])
@@ -76,7 +64,9 @@ class TestInfconv:
         with pytest.raises(ValueError, match="spacing"):
             infconv(f, g)
 
-    def test_dc_bit_identical_to_reference(self):
+    def test_matches_naive_1d_bit_for_bit(self):
+        # values and smallest-index argmins, for grid-convex and non-convex g;
+        # the floored pair makes ties common
         rng = np.random.default_rng(0)
         for trial in range(30):
             nf, ng = rng.integers(4, 40, 2)
@@ -86,13 +76,16 @@ class TestInfconv:
                 fv[0] = 1.0
             slopes = np.sort(rng.uniform(-1, 1, ng - 1))
             gv = np.concatenate([[0.0], np.cumsum(slopes)])
-            f = grid1d(0, (nf - 1) * 0.1, fv)
+            bumped = gv.copy()
+            bumped[ng // 2] += 2.0
             g = grid1d(0, (ng - 1) * 0.1, gv)
             assert is_grid_convex(g)
-            a = infconv(f, g, method="reference")
-            b = infconv(f, g, method="dc")
-            np.testing.assert_array_equal(a.values.values, b.values.values)
-            np.testing.assert_array_equal(a.argmin, b.argmin)
+            assert not is_grid_convex(grid1d(0, (ng - 1) * 0.1, bumped))
+            for fa, ga in ((fv, gv), (fv, bumped), (np.floor(fv), np.floor(bumped))):
+                res = infconv(grid1d(0, (nf - 1) * 0.1, fa), grid1d(0, (ng - 1) * 0.1, ga))
+                want, warg = naive_infconv(fa, ga)
+                np.testing.assert_array_equal(res.values.values, want)
+                np.testing.assert_array_equal(res.argmin, warg)
 
     def test_argmin_attains_values(self):
         rng = np.random.default_rng(5)
@@ -260,6 +253,13 @@ class TestHopfLaxApply:
             cand = _shift_interp_candidates(g, axes, 0.5 * y) + 0.5 * W.values[jm]
             assert cand[tuple(km)] == res.values.values[tuple(km)]
 
+    @pytest.mark.parametrize("half", ["out_box", "out_resolution"])
+    def test_half_output_grid_rejected(self, half):
+        g = quadratic_grid(1, 11)
+        given = {"out_box": [(-1, 1), (-1, 1)], "out_resolution": [11, 11]}
+        with pytest.raises(ValueError, match="together"):
+            hopflax_apply(g, g, 0.5, **{half: given[half]})
+
     def test_empty_intersection_flagged(self):
         g = ExtGridFn([(0, 1), (0, 1)], np.full((3, 3), INF))
         W = quadratic_grid(1, 5)
@@ -304,6 +304,11 @@ class TestSemigroup:
         g = quadratic_grid(1.5, 31, offset=1.0)
         assert semigroup_residual(g, g, 0.6, 0.0) == 0.0
         assert semigroup_residual(g, g, 0.6, 0.6) == 0.0
+
+    def test_s_out_of_range_rejected(self):
+        g = quadratic_grid(1.5, 31, offset=1.0)
+        with pytest.raises(ValueError):
+            semigroup_residual(g, g, 0.5, 0.6)
 
     def test_nonconvex_cost_recorded_not_asserted(self):
         xs = np.linspace(-2, 2, 41)
@@ -385,11 +390,3 @@ class TestPointwise:
         want = (1 + 0.5) * quad(pts / 1.5)
         np.testing.assert_allclose(got, want, atol=1e-8)
 
-
-def test_lipschitz_growth_hook():
-    g = quadratic_grid(2, 41, offset=1.0)
-    fitted_coarse = lipschitz_growth_fit(g, g, [0.2, 0.4, 0.6])
-    g_fine = quadratic_grid(2, 81, offset=1.0)
-    fitted_fine = lipschitz_growth_fit(g_fine, g_fine, [0.2, 0.4, 0.6])
-    assert np.isfinite(fitted_coarse) and np.isfinite(fitted_fine)
-    assert fitted_fine <= 1.5 * fitted_coarse + 0.1

@@ -349,6 +349,27 @@ class TestApproxFamily:
         assert rep.get("C3").passed and rep.get("C3").fitted > 0
         assert rep.get("C4").passed and np.isfinite(rep.get("C4").fitted)
 
+    def test_bisection_integrates_each_mass_once(
+        self, normalized_bump, halfplane, mid_quad, monkeypatch
+    ):
+        import epiconv.sharpconst as sc
+
+        f, params = normalized_bump
+        masses = []
+        integrate = sc.integrate_epigraph
+
+        def counting(*args, **kwargs):
+            out = integrate(*args, **kwargs)
+            masses.append(out[0])
+            return out
+
+        monkeypatch.setattr(sc, "integrate_epigraph", counting)
+        _, ceps = approx_family(f, 0.05, params, halfplane, mid_quad, gamma=3.5)
+        # mass(0), the bracket doublings and one call per bisection step,
+        # each at a different normalizer
+        assert 3 <= len(masses) == len(set(masses))
+        assert 0.0 < ceps < 1.0
+
     def test_grid_samples_returned(self, normalized_bump, halfplane, mid_quad):
         f, params = normalized_bump
         feps, ceps, grid = approx_family(

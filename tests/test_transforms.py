@@ -13,7 +13,6 @@ from epiconv import (
     dual_norm,
     dual_norm_sampled,
     legendre_1d,
-    legendre_1d_bruteforce,
     legendre_nd,
     power_cost_conjugate,
 )
