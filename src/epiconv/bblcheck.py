@@ -476,7 +476,10 @@ def _sample_fan(n: int, count: int, r_max: float = 1e3, seed: int = 0) -> np.nda
     """Deterministic radial fan: sphere directions times log-spaced radii."""
     per_dir = 24
     ndirs = max(4, count // per_dir)
-    if n in (2, 3):
+    if n == 1:
+        # the two unit vectors, the positive one first as in the seeded draw
+        dirs = np.array([[1.0], [-1.0]])
+    elif n in (2, 3):
         dirs = _sphere_directions(n, ndirs)
     else:
         rng = np.random.default_rng(seed)

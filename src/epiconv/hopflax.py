@@ -10,11 +10,19 @@ running over the cost grid and g evaluated by multilinear interpolation at the
 off-grid points x - h*y. Interpolation is conservative: a cell with a +inf
 corner evaluates to +inf, so the discrete operator stays an upper bound of the
 continuum one and inequality directions are preserved. h = 0 returns g
-unchanged rather than dividing by h.
+(interpolated onto a requested output grid) rather than dividing by h.
+
+The output grid shares g's spacing, so the points x - h*y of one cost node y
+all sit at the same fractional offset from g's lattice. The candidate kernel
+interpolates g once per offset over g's own lattice, and then each y costs one
+slice of that lattice plus h*W(y), taken over the output nodes y can reach.
+The exact path runs the kernel over every finite y, the twostage path over a
+strided subset before its local refinement.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,6 +46,9 @@ __all__ = [
 _SNAP = 1e-9
 # stage-1 stride of the twostage path, in cost-grid nodes per axis
 _COARSE_STRIDE = 4
+# most interpolated lattices of g the candidate kernel keeps at once (16 are
+# 1.7 MB for a 161 x 81 g)
+_LATTICE_CACHE = 16
 
 
 @dataclass
@@ -118,65 +129,122 @@ def infconv(f: ExtGridFn, g: ExtGridFn) -> InfConvResult:
     return InfConvResult(ExtGridFn(box, vals), arg, empty)
 
 
-def _shift_interp_candidates(g: ExtGridFn, out_axes, shift: np.ndarray, snap=_SNAP):
-    """g interpolated at (x - shift) for every node x of the output grid.
+def _axis_tables(g: ExtGridFn, W: ExtGridFn, h: float, out_axes, snap=_SNAP):
+    """Per axis d and cost index y_d: None when no output node x has x - h*y
+    inside g's box along d, else (output slice, lattice slice, fraction).
 
-    The output grid shares g's spacing, so the fractional offset is constant
-    and interpolation reduces to a weighted sum of shifted slices. Cells with
-    a +inf corner, and points beyond g's box, come back +inf. Offsets within
-    snap of a gridline collapse to the single node, matching
+    Output node k on axis d reads g at index lattice point base + k + frac,
+    for the k with 0 <= k + base (+ 1 when frac > 0) <= mg - 1. Offsets
+    within snap of a gridline collapse to the single node, matching
     :meth:`ExtGridFn.interpolate`.
     """
-    import itertools
-
-    shape = tuple(len(ax) for ax in out_axes)
-    base = []
-    fracs = []
-    k_lo = []
-    k_hi = []
+    tables = []
     for d in range(g.dim):
         step = g.spacing[d] if g.spacing[d] > 0 else 1.0
-        off = (out_axes[d][0] - shift[d] - g.box[d][0]) / step
-        b = int(np.floor(off + snap))
-        fr = off - b
-        if fr < snap:
-            fr = 0.0
-        elif fr > 1.0 - snap:
-            b += 1
-            fr = 0.0
-        base.append(b)
-        fracs.append(fr)
-        top = 1 if fr > 0.0 else 0
-        # valid output indices: 0 <= k + b (+ top) <= mg - 1 for every corner
-        k_lo.append(max(0, -b))
-        k_hi.append(min(shape[d] - 1, g.resolution[d] - 1 - b - top))
+        off = (out_axes[d][0] - h * W.axes[d] - g.box[d][0]) / step
+        base = np.floor(off + snap)
+        frac = off - base
+        low = frac < snap
+        high = ~low & (frac > 1.0 - snap)
+        base[high] += 1
+        frac[low | high] = 0.0
+        base = base.astype(np.int64)
+        k_lo = np.maximum(0, -base)
+        k_hi = np.minimum(len(out_axes[d]) - 1, g.resolution[d] - 1 - base - (frac > 0.0))
+        tables.append([
+            None if lo > hi else (slice(lo, hi + 1), slice(b + lo, b + hi + 1), fr)
+            for b, fr, lo, hi in zip(base.tolist(), frac.tolist(), k_lo.tolist(), k_hi.tolist())
+        ])
+    return tables
 
-    out = np.full(shape, INF)
-    if any(lo > hi for lo, hi in zip(k_lo, k_hi)):
-        return out
-    region = tuple(slice(lo, hi + 1) for lo, hi in zip(k_lo, k_hi))
-    inner_shape = tuple(hi - lo + 1 for lo, hi in zip(k_lo, k_hi))
-    acc = np.zeros(inner_shape)
-    infmask = np.zeros(inner_shape, dtype=bool)
-    corners = [(0,) if fr == 0.0 else (0, 1) for fr in fracs]
+
+def _interp_lattice(g0: np.ndarray, cell_inf: np.ndarray | None, fracs) -> np.ndarray:
+    """g interpolated at i + fracs for every index i whose cell lies in g.
+
+    g0 is g with its non-finite nodes zeroed; cell_inf (from
+    :func:`_cell_inf`) marks the cells with a non-finite corner, which come
+    back +inf. Corners are summed in a fixed order, so every lattice value is
+    one fixed float expression. Each fraction lies in (snap, 1 - snap), so
+    every corner weight is positive and no corner is ever dropped.
+    """
+    corners = [(0, 1) if fr > 0.0 else (0,) for fr in fracs]
+    shape = tuple(m - len(c) + 1 for m, c in zip(g0.shape, corners))
+    acc = np.zeros(shape)
     for corner in itertools.product(*corners):
         w = 1.0
-        src = []
-        for d, c in enumerate(corner):
-            fr = fracs[d]
-            if len(corners[d]) == 2:
+        for fr, c, options in zip(fracs, corner, corners):
+            if len(options) == 2:
                 w *= fr if c else 1.0 - fr
-            lo = base[d] + c + k_lo[d]
-            src.append(slice(lo, lo + inner_shape[d]))
-        if w == 0.0:
+        acc += g0[tuple(slice(c, c + m) for c, m in zip(corner, shape))] * w
+    if cell_inf is not None:
+        acc[cell_inf] = INF
+    return acc
+
+
+def _cell_inf(ginf: np.ndarray, tops) -> np.ndarray | None:
+    """Cells spanning tops[d] + 1 nodes per axis that have a marked corner,
+    or None when there is none."""
+    shape = tuple(m - t for m, t in zip(ginf.shape, tops))
+    out = np.zeros(shape, dtype=bool)
+    for corner in itertools.product(*[range(t + 1) for t in tops]):
+        out |= ginf[tuple(slice(c, c + m) for c, m in zip(corner, shape))]
+    return out if out.any() else None
+
+
+def _scan_candidates(g: ExtGridFn, W: ExtGridFn, h: float, out_axes, y_idx: np.ndarray):
+    """min over the cost nodes y_idx of g(x - h*y) + h*W(y) on the output grid.
+
+    The output grid shares g's spacing, so for each y the candidates are one
+    slice of the lattice of g interpolated at y's fractional offset, plus
+    h*W(y), over the output nodes whose point x - h*y lies in g's box (all
+    others are +inf and never win). While the leading indices of y stay
+    fixed, the last _LATTICE_CACHE lattices built are kept by fraction.
+    y_idx must be in ascending flat order: a later y replaces the incumbent
+    only when strictly smaller, so ties go to the smallest flat index.
+    Returns (values, argmin), +inf and -1 where no y has a finite candidate.
+    """
+    shape = tuple(len(ax) for ax in out_axes)
+    vals = np.full(shape, INF)
+    arg = np.full(shape, -1, dtype=np.int64)
+    if y_idx.shape[0] == 0:
+        return vals, arg
+    *lead_tables, last_table = _axis_tables(g, W, h, out_axes)
+    ginf = ~np.isfinite(g.values)
+    g0 = np.where(ginf, 0.0, g.values)
+    cell_inf = {}
+    hw = (h * W.values).ravel()
+    flat = np.ravel_multi_index(tuple(y_idx.T), W.resolution)
+    leads = y_idx[:, :-1]
+    starts = np.flatnonzero(np.any(leads[1:] != leads[:-1], axis=1)) + 1
+    for start, stop in zip([0] + starts.tolist(), starts.tolist() + [len(y_idx)]):
+        lead = [table[i] for table, i in zip(lead_tables, leads[start].tolist())]
+        if None in lead:
             continue
-        block = g.values[tuple(src)]
-        sub_inf = ~np.isfinite(block)
-        acc += np.where(sub_inf, 0.0, block) * w
-        infmask |= sub_inf
-    acc[infmask] = INF
-    out[region] = acc
-    return out
+        lead_region = tuple(e[0] for e in lead)
+        lead_src = tuple(e[1] for e in lead)
+        lead_fracs = tuple(e[2] for e in lead)
+        lattices = {}
+        for i, jflat in zip(y_idx[start:stop, -1].tolist(), flat[start:stop].tolist()):
+            entry = last_table[i]
+            if entry is None:
+                continue
+            region, src, fr = entry
+            lattice = lattices.get(fr)
+            if lattice is None:
+                fracs = lead_fracs + (fr,)
+                tops = tuple(int(f > 0.0) for f in fracs)
+                if tops not in cell_inf:
+                    cell_inf[tops] = _cell_inf(ginf, tops)
+                if len(lattices) == _LATTICE_CACHE:
+                    del lattices[next(iter(lattices))]
+                lattice = lattices[fr] = _interp_lattice(g0, cell_inf[tops], fracs)
+            cand = lattice[lead_src + (src,)] + hw[jflat]
+            out = lead_region + (region,)
+            incumbent = vals[out]
+            better = cand < incumbent
+            np.copyto(incumbent, cand, where=better)
+            arg[out][better] = jflat
+    return vals, arg
 
 
 def _default_out_grid(g: ExtGridFn, W: ExtGridFn, h: float):
@@ -215,18 +283,23 @@ def hopflax_apply(
         raise ValueError("h must be nonnegative")
     if (out_box is None) != (out_resolution is None):
         raise ValueError("out_box and out_resolution must be given together")
+    if out_box is not None:
+        box = tuple((float(lo), float(hi)) for lo, hi in out_box)
+        axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(box, out_resolution)]
     if h == 0.0:
-        # identity by convention; no y is involved, so no argmin is recorded
-        arg = np.full(g.resolution, -1, dtype=np.int64)
-        return InfConvResult(ExtGridFn(g.box, g.values.copy()), arg, not g.finite_mask.any())
+        # identity by convention, interpolated onto a requested grid; no y is
+        # involved, so no argmin is recorded
+        if out_box is None:
+            box, vals = g.box, g.values.copy()
+        else:
+            vals = g.interpolate(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+        arg = np.full(vals.shape, -1, dtype=np.int64)
+        return InfConvResult(ExtGridFn(box, vals), arg, not np.isfinite(vals).any())
     if g.dim != W.dim:
         raise ValueError("g and W must share dimension")
 
     if out_box is None:
         box, axes = _default_out_grid(g, W, h)
-    else:
-        box = tuple((float(lo), float(hi)) for lo, hi in out_box)
-        axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(box, out_resolution)]
     shape = tuple(len(ax) for ax in axes)
 
     y_idx = np.argwhere(np.isfinite(W.values))
@@ -243,7 +316,7 @@ def hopflax_apply(
         )
 
     if method == "exact":
-        vals, arg = _hopflax_exact(g, W, h, axes, shape, y_idx)
+        vals, arg = _hopflax_exact(g, W, h, axes, y_idx)
     elif method == "twostage":
         vals, arg = _hopflax_twostage(g, W, h, axes, shape)
     else:
@@ -252,20 +325,10 @@ def hopflax_apply(
     return InfConvResult(ExtGridFn(box, vals), arg, empty)
 
 
-def _hopflax_exact(g, W, h, axes, shape, y_idx):
-    vals = np.full(shape, INF)
-    arg = np.full(shape, -1, dtype=np.int64)
-    w_axes = W.axes
-    for j in range(y_idx.shape[0]):
-        multi = tuple(y_idx[j])
-        y = np.array([w_axes[d][multi[d]] for d in range(W.dim)])
-        cand = _shift_interp_candidates(g, axes, h * y)
-        cand = cand + h * W.values[multi]
-        better = cand < vals
-        if better.any():
-            vals = np.where(better, cand, vals)
-            arg[better] = int(np.ravel_multi_index(multi, W.resolution))
-    return vals, arg
+def _hopflax_exact(g, W, h, axes, y_idx):
+    # its own entry point, so a trace tells the exact path from twostage,
+    # whose stage 1 runs the same kernel
+    return _scan_candidates(g, W, h, axes, y_idx)
 
 
 def _hopflax_twostage(g, W, h, axes, shape):
@@ -273,20 +336,10 @@ def _hopflax_twostage(g, W, h, axes, shape):
     wres = W.resolution
     finite_w = np.isfinite(W.values)
 
-    # stage 1: strided scan with the cheap shifted-slice interpolation
+    # stage 1: strided scan with the lattice-slice candidates
     strided = np.argwhere(finite_w)
     keep = np.all(strided % _COARSE_STRIDE == 0, axis=1)
-    strided = strided[keep]
-    vals = np.full(shape, INF)
-    arg = np.full(shape, -1, dtype=np.int64)
-    for row in strided:
-        multi = tuple(row)
-        y = np.array([w_axes[d][multi[d]] for d in range(W.dim)])
-        cand = _shift_interp_candidates(g, axes, h * y) + h * W.values[multi]
-        better = cand < vals
-        if better.any():
-            vals = np.where(better, cand, vals)
-            arg[better] = int(np.ravel_multi_index(multi, wres))
+    vals, arg = _scan_candidates(g, W, h, axes, strided[keep])
 
     # stage 2: halving refinement around the strided argmin. At each level the
     # incumbent of a convex objective sampled at stride s is within s of the

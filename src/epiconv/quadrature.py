@@ -74,6 +74,10 @@ def power_tail_bound(K: float, alpha: float, R: float, n: int) -> float:
     return K * sphere_area(n) * R ** (n - alpha) / (alpha - n)
 
 
+# most grid nodes one integrand call of integrate_epigraph evaluates
+_BLOCK_NODES = 2**17
+
+
 def _trap_weights(m: int) -> np.ndarray:
     w = np.ones(m)
     if m > 1:
@@ -176,48 +180,48 @@ def integrate_epigraph(
         # first full gridline strictly above the column's lower limit
         j0 = np.searchsorted(x2_nodes, lo_a, side="right")
         j0 = np.minimum(j0, len(x2_nodes) - 1)
-
-        # regular trapezoid over [x2_nodes[j0], d2]: build a weight matrix
-        m2 = len(x2_nodes)
-        cols = len(idx)
-        jj = np.arange(m2)[None, :]
-        inside = jj >= j0[:, None]
-        wcol = np.where(inside, dx2, 0.0)
-        first = jj == j0[:, None]
-        last = jj == (m2 - 1)
-        wcol = np.where(first | (inside & last), 0.5 * dx2, wcol)
-        single = (j0 == m2 - 1)[:, None] & last
-        wcol = np.where(single, 0.0, wcol)
-
-        pts = np.concatenate(
-            [
-                np.repeat(x1_pts[idx], m2, axis=0),
-                np.tile(x2_nodes, cols)[:, None],
-            ],
-            axis=1,
-        )
-        need = inside.ravel()
-        vals = np.zeros(cols * m2)
-        if need.any():
-            vals[need] = np.asarray(fn(pts[need]), dtype=float)
-        vals = vals.reshape(cols, m2)
-        col_sum = np.sum(wcol * vals, axis=1)
-
-        # partial cell from the exact boundary up to the first gridline
         gap = x2_nodes[j0] - lo_a
         part = gap > 1e-14 * max(1.0, abs(d2))
-        if part.any():
-            pidx = np.flatnonzero(part)
-            bpts = np.concatenate([x1_pts[idx][pidx], lo_a[pidx][:, None]], axis=1)
-            fb = np.asarray(fn(bpts), dtype=float)
-            ftop = vals[pidx, j0[pidx]]
-            col_sum[pidx] += 0.5 * gap[pidx] * (fb + ftop)
+
+        # columns in blocks of at most _BLOCK_NODES grid nodes, so memory
+        # stays bounded on fine shells; each column's sum is one full-row sum
+        # and the shell total one sum over all columns, whatever the blocking
+        m2 = len(x2_nodes)
+        per_block = max(1, _BLOCK_NODES // m2)
+        col_sum = np.empty(len(idx))
+        for c0 in range(0, len(idx), per_block):
+            cols = slice(c0, c0 + per_block)
+            jb = j0[cols]
+            x1b = x1_pts[idx[cols]]
+            rows = np.arange(len(jb))
+            # regular trapezoid over [x2_nodes[j0], d2] as a weight matrix
+            wcol = (np.arange(m2)[None, :] >= jb[:, None]) * dx2
+            wcol[rows, jb] = 0.5 * dx2
+            wcol[:, -1] = np.where(jb == m2 - 1, 0.0, 0.5 * dx2)
+
+            # the nodes j >= j0 of each column, in row-major order
+            counts = m2 - jb
+            starts = np.cumsum(counts) - counts
+            r = np.repeat(rows, counts)
+            j = np.arange(int(counts.sum())) - np.repeat(starts - jb, counts)
+            pts = np.concatenate([x1b[r], x2_nodes[j][:, None]], axis=1)
+            fv = np.asarray(fn(pts), dtype=float)
+            vals = np.zeros((len(jb), m2))
+            vals[r, j] = fv
+            sums = np.sum(wcol * vals, axis=1)
+
+            # partial cell from the exact boundary up to the first gridline
+            pb = np.flatnonzero(part[cols])
+            if pb.size:
+                bpts = np.concatenate([x1b[pb], lo_a[cols][pb][:, None]], axis=1)
+                fb = np.asarray(fn(bpts), dtype=float)
+                sums[pb] += 0.5 * gap[cols][pb] * (fb + vals[pb, jb[pb]])
+            col_sum[cols] = sums
+
+            if decay is not None and level == spec.levels:
+                tail_K = max(tail_K, _fit_tail_K(pts, fv, decay))
 
         total += float(np.sum(w1[idx] * col_sum))
-
-        if decay is not None and level == spec.levels:
-            samp = pts[need]
-            tail_K = max(tail_K, _fit_tail_K(samp, vals.ravel()[need], decay))
 
     tail = power_tail_bound(tail_K, decay, R, n) if decay is not None else 0.0
     return total, tail

@@ -2,14 +2,25 @@
 
 Everything here stays deliberately naive: explicit loops, closed forms from
 polar coordinates, and scalar interpolation, so that agreement with the
-library is evidence and not tautology.
+library is evidence and not tautology. The two ``*_reference`` functions are
+earlier, straightforward library implementations kept verbatim, so that the
+faster code that replaced them can be held to the same bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
+
+from epiconv.quadrature import (
+    _axis_nodes,
+    _fit_tail_K,
+    _shell_boxes,
+    _trap_weights,
+    power_tail_bound,
+)
 
 
 def brute_conjugate_1d(xs, vals, slopes):
@@ -189,3 +200,157 @@ def richardson_limit(hs, vals):
         level = nxt
         xs = xs[1:]
     return level[0]
+
+
+def _shift_interp_candidates(g, out_axes, shift, snap=1e-9):
+    """g interpolated at (x - shift) for every node x of the output grid,
+    +inf outside g's box and in cells with a +inf corner."""
+    shape = tuple(len(ax) for ax in out_axes)
+    base = []
+    fracs = []
+    k_lo = []
+    k_hi = []
+    for d in range(g.dim):
+        step = g.spacing[d] if g.spacing[d] > 0 else 1.0
+        off = (out_axes[d][0] - shift[d] - g.box[d][0]) / step
+        b = int(np.floor(off + snap))
+        fr = off - b
+        if fr < snap:
+            fr = 0.0
+        elif fr > 1.0 - snap:
+            b += 1
+            fr = 0.0
+        base.append(b)
+        fracs.append(fr)
+        top = 1 if fr > 0.0 else 0
+        k_lo.append(max(0, -b))
+        k_hi.append(min(shape[d] - 1, g.resolution[d] - 1 - b - top))
+
+    out = np.full(shape, np.inf)
+    if any(lo > hi for lo, hi in zip(k_lo, k_hi)):
+        return out
+    region = tuple(slice(lo, hi + 1) for lo, hi in zip(k_lo, k_hi))
+    inner_shape = tuple(hi - lo + 1 for lo, hi in zip(k_lo, k_hi))
+    acc = np.zeros(inner_shape)
+    infmask = np.zeros(inner_shape, dtype=bool)
+    corners = [(0,) if fr == 0.0 else (0, 1) for fr in fracs]
+    for corner in itertools.product(*corners):
+        w = 1.0
+        src = []
+        for d, c in enumerate(corner):
+            fr = fracs[d]
+            if len(corners[d]) == 2:
+                w *= fr if c else 1.0 - fr
+            lo = base[d] + c + k_lo[d]
+            src.append(slice(lo, lo + inner_shape[d]))
+        if w == 0.0:
+            continue
+        block = g.values[tuple(src)]
+        sub_inf = ~np.isfinite(block)
+        acc += np.where(sub_inf, 0.0, block) * w
+        infmask |= sub_inf
+    acc[infmask] = np.inf
+    out[region] = acc
+    return out
+
+
+def exact_hopflax_reference(g, W, h, out_axes):
+    """Hopf-Lax by one full output-grid candidate array per finite cost node,
+    in ascending flat order, a strictly smaller candidate replacing the
+    incumbent. Returns (values, argmin) on the grid of out_axes."""
+    shape = tuple(len(ax) for ax in out_axes)
+    vals = np.full(shape, np.inf)
+    arg = np.full(shape, -1, dtype=np.int64)
+    w_axes = W.axes
+    for multi in map(tuple, np.argwhere(np.isfinite(W.values))):
+        y = np.array([w_axes[d][multi[d]] for d in range(W.dim)])
+        cand = _shift_interp_candidates(g, out_axes, h * y)
+        cand = cand + h * W.values[multi]
+        better = cand < vals
+        if better.any():
+            vals = np.where(better, cand, vals)
+            arg[better] = int(np.ravel_multi_index(multi, W.resolution))
+    return vals, arg
+
+
+def integrate_epigraph_reference(fn, domain, spec, shift=0.0, decay=None):
+    """Graded trapezoid over the shifted epigraph with every column's nodes
+    evaluated in one integrand call per shell slab. Returns (value, tail)."""
+    n = domain.n
+    total = 0.0
+    tail_K = 0.0
+    R = spec.outer_radius
+    for level, box in _shell_boxes(spec, n):
+        dxk = spec.dx * spec.growth ** level
+        x1_axes = [_axis_nodes(lo, hi, dxk) for lo, hi in box[:-1]]
+        c2, d2 = box[-1]
+        x2_nodes = _axis_nodes(c2, d2, dxk)
+        dx2 = x2_nodes[1] - x2_nodes[0]
+        mesh = np.meshgrid(*x1_axes, indexing="ij") if x1_axes else []
+        x1_pts = (
+            np.stack([m.ravel() for m in mesh], axis=-1)
+            if mesh
+            else np.zeros((1, 0))
+        )
+        if x1_axes:
+            wlist = [_trap_weights(len(ax)) * (ax[1] - ax[0]) for ax in x1_axes]
+            w1 = wlist[0]
+            for wd in wlist[1:]:
+                w1 = np.multiply.outer(w1, wd)
+            w1 = w1.ravel()
+        else:
+            w1 = np.ones(1)
+
+        lower = domain.phi(x1_pts) + shift
+        lo_eff = np.maximum(lower, c2)
+        active = lo_eff < d2 - 1e-15 * max(1.0, abs(d2))
+        if not active.any():
+            continue
+        idx = np.flatnonzero(active)
+        lo_a = lo_eff[idx]
+
+        j0 = np.searchsorted(x2_nodes, lo_a, side="right")
+        j0 = np.minimum(j0, len(x2_nodes) - 1)
+
+        m2 = len(x2_nodes)
+        cols = len(idx)
+        jj = np.arange(m2)[None, :]
+        inside = jj >= j0[:, None]
+        wcol = np.where(inside, dx2, 0.0)
+        first = jj == j0[:, None]
+        last = jj == (m2 - 1)
+        wcol = np.where(first | (inside & last), 0.5 * dx2, wcol)
+        single = (j0 == m2 - 1)[:, None] & last
+        wcol = np.where(single, 0.0, wcol)
+
+        pts = np.concatenate(
+            [
+                np.repeat(x1_pts[idx], m2, axis=0),
+                np.tile(x2_nodes, cols)[:, None],
+            ],
+            axis=1,
+        )
+        need = inside.ravel()
+        vals = np.zeros(cols * m2)
+        if need.any():
+            vals[need] = np.asarray(fn(pts[need]), dtype=float)
+        vals = vals.reshape(cols, m2)
+        col_sum = np.sum(wcol * vals, axis=1)
+
+        gap = x2_nodes[j0] - lo_a
+        part = gap > 1e-14 * max(1.0, abs(d2))
+        if part.any():
+            pidx = np.flatnonzero(part)
+            bpts = np.concatenate([x1_pts[idx][pidx], lo_a[pidx][:, None]], axis=1)
+            fb = np.asarray(fn(bpts), dtype=float)
+            ftop = vals[pidx, j0[pidx]]
+            col_sum[pidx] += 0.5 * gap[pidx] * (fb + ftop)
+
+        total += float(np.sum(w1[idx] * col_sum))
+
+        if decay is not None and level == spec.levels:
+            samp = pts[need]
+            tail_K = max(tail_K, _fit_tail_K(samp, vals.ravel()[need], decay))
+
+    tail = power_tail_bound(tail_K, decay, R, n) if decay is not None else 0.0
+    return total, tail

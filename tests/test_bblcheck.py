@@ -29,7 +29,7 @@ from epiconv import (
 )
 from epiconv.bblcheck import _normalize_grid
 from epiconv.quadrature import integrate_boundary, integrate_gridfn
-from epiconv.bblcheck import _boundary_integrand
+from epiconv.bblcheck import _boundary_integrand, _sample_fan
 
 E2 = np.array([0.0, 1.0])
 
@@ -197,6 +197,13 @@ class TestAppendixSplit:
         by_h = {r["h"]: r for r in recs}
         assert by_h[0.25]["term_iii"] > 0.1
         assert abs(by_h[0.1]["residual"]) > abs(by_h[0.025]["residual"])
+
+
+def test_sample_fan_1d_has_no_duplicates():
+    fan = _sample_fan(1, 2000)
+    assert len(np.unique(fan, axis=0)) == len(fan)
+    # both half lines, the positive one first
+    assert (fan[: len(fan) // 2] > 0).all() and (fan[len(fan) // 2 :] < 0).all()
 
 
 class TestAdmissibility:

@@ -24,7 +24,7 @@ from epiconv import (
 )
 from epiconv.fields import power_cost_field, shifted_field
 from epiconv.transforms import NormSpec
-from oracles import naive_hopflax, naive_infconv, richardson_limit
+from oracles import exact_hopflax_reference, naive_hopflax, naive_infconv, richardson_limit
 
 
 def grid1d(lo, hi, vals):
@@ -164,11 +164,75 @@ def quadratic_grid(L, m, offset=0.0, curvature=1.0, dim=2):
     return ExtGridFn([(-L, L)] * dim, vals)
 
 
+def _bump(g, centre, amplitude):
+    mesh = np.stack(np.meshgrid(*g.axes, indexing="ij"), axis=-1)
+    bump = amplitude * np.exp(-4.0 * np.sum((mesh - centre) ** 2, axis=-1))
+    return ExtGridFn(g.box, g.values + bump)
+
+
+def _cone_cut(g):
+    # +inf below the cone x2 >= |x1|
+    mesh = np.stack(np.meshgrid(*g.axes, indexing="ij"), axis=-1)
+    return ExtGridFn(g.box, np.where(mesh[..., 1] >= np.abs(mesh[..., 0]), g.values, INF))
+
+
+EXACT_FIXTURES = {
+    "convex": lambda: (quadratic_grid(2, 21, offset=0.5), quadratic_grid(2, 17), None),
+    "bump": lambda: (
+        _bump(quadratic_grid(2, 21, offset=0.5), [0.3, -0.2], 1.5), quadratic_grid(2, 17), None
+    ),
+    "cone": lambda: (_cone_cut(quadratic_grid(2, 21, offset=0.5)), quadratic_grid(2, 17), None),
+    "floored": lambda: (
+        ExtGridFn([(-2, 2)] * 2, np.floor(2 * quadratic_grid(2, 21).values) / 2),
+        ExtGridFn([(-2, 2)] * 2, np.floor(quadratic_grid(2, 17).values)),
+        None,
+    ),
+    "1d": lambda: (
+        _bump(quadratic_grid(3, 61, dim=1), [0.5], 1.0), quadratic_grid(2, 41, dim=1), None
+    ),
+    "3d": lambda: (quadratic_grid(1.5, 9, offset=0.5, dim=3), quadratic_grid(1, 7, dim=3), None),
+    "out_box": lambda: (
+        _bump(quadratic_grid(2, 21, offset=0.5), [0.3, -0.2], 1.5),
+        quadratic_grid(2, 17),
+        ([(-1.3, 2.1), (-2.45, 0.75)], [31, 19]),
+    ),
+}
+
+
+@pytest.mark.parametrize("h", [0.1, 0.25, 0.5, 1.0])
+@pytest.mark.parametrize("fixture", sorted(EXACT_FIXTURES))
+def test_exact_bit_identical_to_reference(fixture, h):
+    # values and smallest-index argmins equal the per-y full-grid scan byte
+    # for byte
+    g, W, grid = EXACT_FIXTURES[fixture]()
+    kw = {} if grid is None else {"out_box": grid[0], "out_resolution": grid[1]}
+    res = hopflax_apply(g, W, h, method="exact", **kw)
+    want, warg = exact_hopflax_reference(g, W, h, res.values.axes)
+    assert res.values.values.tobytes() == want.tobytes()
+    assert res.argmin.tobytes() == warg.tobytes()
+    if grid is not None:
+        assert res.values.box == tuple(grid[0]) and res.values.resolution == tuple(grid[1])
+
+
 class TestHopfLaxApply:
     def test_h_zero_identity(self):
         g = quadratic_grid(2, 21)
         res = hopflax_apply(g, g, 0.0)
         np.testing.assert_array_equal(res.values.values, g.values)
+        assert res.values.box == g.box
+        assert (res.argmin == -1).all()
+
+    def test_h_zero_on_requested_grid(self):
+        g = _cone_cut(quadratic_grid(1, 5))
+        box, shape = [(-3.0, 3.0), (-0.5, 1.0)], (13, 7)
+        res = hopflax_apply(g, g, 0.0, out_box=box, out_resolution=shape)
+        assert res.values.box == tuple(box) and res.values.resolution == shape
+        nodes = res.values.nodes()
+        np.testing.assert_array_equal(res.values.values, g.interpolate(nodes))
+        # outside g's box and in cells with a +inf corner the value is +inf
+        assert np.isinf(res.values.values[np.abs(nodes[..., 0]) > 1]).all()
+        assert res.values.finite_mask.any()
+        assert res.argmin.shape == shape and (res.argmin == -1).all()
 
     def test_matches_naive_on_small_grids(self):
         rng = np.random.default_rng(3)
@@ -236,8 +300,6 @@ class TestHopfLaxApply:
             assert (res.values.values[m] <= cand[m] + 1e-12).all()
 
     def test_argmin_attains(self):
-        from epiconv.hopflax import _shift_interp_candidates
-
         g = quadratic_grid(2, 21, offset=0.5)
         W = quadratic_grid(2, 21)
         res = hopflax_apply(g, W, 0.5, method="exact")
@@ -247,10 +309,13 @@ class TestHopfLaxApply:
         for km in fin[rng.integers(0, len(fin), 50)]:
             jflat = res.argmin[tuple(km)]
             assert jflat >= 0
-            jm = np.unravel_index(jflat, W.resolution)
-            y = np.array([W.axes[d][jm[d]] for d in range(2)])
-            # recompute through the same evaluation path: exact equality
-            cand = _shift_interp_candidates(g, axes, 0.5 * y) + 0.5 * W.values[jm]
+            # the reference scan over the argmin node alone recomputes its
+            # candidate with the same float expression: exact equality
+            only = np.full(W.values.size, INF)
+            only[jflat] = W.values.ravel()[jflat]
+            cand, _ = exact_hopflax_reference(
+                g, ExtGridFn(W.box, only.reshape(W.resolution)), 0.5, axes
+            )
             assert cand[tuple(km)] == res.values.values[tuple(km)]
 
     @pytest.mark.parametrize("half", ["out_box", "out_resolution"])

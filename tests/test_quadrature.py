@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from epiconv import ExtGridFn, QuadSpec, halfspace, integrate_boundary, integrate_epigraph, integrate_gridfn, norm_cone
+from epiconv import quadrature
+from epiconv.extgrid import paraboloid
 from epiconv.quadrature import power_tail_bound, sphere_area
-from oracles import halfplane_moment, halfspace3_moment, polar_cone_moment
+from oracles import (
+    halfplane_moment,
+    halfspace3_moment,
+    integrate_epigraph_reference,
+    polar_cone_moment,
+)
 
 E2 = np.array([0.0, 1.0])
 
@@ -119,3 +126,27 @@ def test_monotone_in_aperture(halfplane):
         v, _ = integrate_epigraph(moment_integrand(4.0, E2), dom, spec, decay=4.0)
         vals.append(v)
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("block", [None, 1000])
+@pytest.mark.parametrize("domain", ["cone", "halfspace", "paraboloid"])
+def test_column_blocks_bit_identical(domain, block, monkeypatch):
+    # the blocked columns reproduce the one-call-per-slab sums and tail fit
+    # exactly, and no integrand call exceeds the block size
+    dom = {"cone": norm_cone(2, 1.0), "halfspace": halfspace(2), "paraboloid": paraboloid(2)}[domain]
+    if block is not None:
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", block)
+    spec = QuadSpec(half_width=5.0, dx=0.01, levels=3)
+    f = moment_integrand(4.5, E2)
+    sizes = []
+
+    def spy(p):
+        sizes.append(len(p))
+        return f(p)
+
+    got = integrate_epigraph(spy, dom, spec, shift=0.3, decay=4.5)
+    assert got == integrate_epigraph_reference(f, dom, spec, shift=0.3, decay=4.5)
+    assert max(sizes) <= quadrature._BLOCK_NODES
+    if block is not None:
+        # more calls than two per slab: the columns really were split
+        assert len(sizes) > 2 * (1 + 4 * spec.levels)
