@@ -51,7 +51,6 @@ from .fields import (
     ScalarField,
     bump_field,
     multiply_bump,
-    normalize_neg_power,
     power_cost_field,
     quadratic_field,
     shifted_field,

@@ -188,16 +188,14 @@ def bbl_gap(
     g: ExtGridFn,
     W: ExtGridFn,
     params: BBLParams,
-    gamma: float | None = None,
     estimate: bool = True,
 ) -> GapReport:
     """Gap of the dynamical inequality on the supplied grids.
 
     The error estimate is 1.5 times the difference against a run on the
     decimated (every other node) grids, plus power-tail bounds for the three
-    integrals using the decay exponent gamma*(a-1); gamma defaults to
-    params.q. At h = 0 both sides are the same quadrature and the gap is
-    exactly zero.
+    integrals using the decay exponent q*(a-1) when params.q is set. At h = 0
+    both sides are the same quadrature and the gap is exactly zero.
     """
     a, n, h = params.a, params.n, params.h
     lhs, rhs, (gs, Ws, Q) = _bbl_gap_once(g, W, params)
@@ -208,9 +206,8 @@ def bbl_gap(
     if estimate and h > 0.0:
         lhs_c, rhs_c, _ = _bbl_gap_once(_decimate(g), _decimate(W), params)
         err = 1.5 * abs((lhs - rhs) - (lhs_c - rhs_c))
-        gam = gamma if gamma is not None else params.q
-        if gam is not None:
-            alpha = gam * (a - 1.0)
+        if params.q is not None:
+            alpha = params.q * (a - 1.0)
             for grid, fac in ((Q, (1.0 + h) ** (a - n)), (gs, 1.0), (Ws, h)):
                 K = _grid_tail_K(_neg_power(grid.values, 1.0 - a), grid.axes, alpha)
                 R = min(min(abs(lo), abs(hi)) for lo, hi in grid.box[:-1])
@@ -250,8 +247,6 @@ def derived_gap(
     params: BBLParams,
     domain: EpigraphDomain,
     spec: QuadSpec,
-    gamma: float | None = None,
-    boundary_decay: float | None = None,
     adm=None,
 ) -> GapReport:
     """Gap of the differentiated inequality
@@ -260,14 +255,14 @@ def derived_gap(
 
     with the boundary term weighted by P(x1) = 1 + phi - x1.grad phi (P = 1 on
     cones). W must carry an analytic conjugate (power costs do); g needs a
-    gradient. An admissibility violation attaches a warning, it does not stop
-    the computation.
+    gradient. Tail bounds use the decay exponent q*(a-1), q = 2 when unset. An
+    admissibility violation attaches a warning, it does not stop the
+    computation.
     """
     a, n = params.a, params.n
     if W.conjugate is None:
         raise ValueError("W must provide a conjugate callable")
-    gam = gamma if gamma is not None else (params.q or 2.0)
-    alpha = gam * (a - 1.0)
+    alpha = (params.q or 2.0) * (a - 1.0)
 
     T1, e1, _ = integrate_epigraph(
         lambda p: g(p) ** (1.0 - a), domain, spec, decay=alpha, estimate=True
@@ -279,12 +274,11 @@ def derived_gap(
         decay=alpha,
         estimate=True,
     )
-    bdecay = boundary_decay if boundary_decay is not None else alpha
     T3, e3, _ = integrate_boundary(
         _boundary_integrand(g, domain, 1.0 - a, weighted=True),
         domain.n - 1,
         spec,
-        decay=bdecay,
+        decay=alpha,
         estimate=True,
     )
     B, eB, _ = integrate_epigraph(
@@ -331,9 +325,6 @@ def appendix_limit_residual(
     domain: EpigraphDomain,
     h_list: Sequence[float],
     spec: QuadSpec,
-    y_box=None,
-    y_resolution=None,
-    gamma: float | None = None,
     quotient_spec: QuadSpec | None = None,
 ) -> list[dict]:
     """Three-way split of the difference quotient for each h.
@@ -341,8 +332,9 @@ def appendix_limit_residual(
     Returns one record per h with term_i, term_ii, term_iii, their sum, the
     limit expression (a-1) int W*(grad g)/g^a - int g^(1-a) P, and the
     residual. Q_h(g) is evaluated pointwise from the analytic pair so the
-    small-h quotients are not polluted by grid interpolation. On cones the
-    strip B_h minus Omega_h is empty and term_iii is exactly zero.
+    small-h quotients are not polluted by grid interpolation. Tail bounds use
+    the decay exponent q*(a-1), q = 2 when unset. On cones the strip B_h minus
+    Omega_h is empty and term_iii is exactly zero.
 
     Term (i) sweeps a zoom minimization over every quadrature node, which is
     the expensive part; quotient_spec (default: spec) lets callers run it on
@@ -350,8 +342,7 @@ def appendix_limit_residual(
     for every h, so the residual trend in h survives a coarse choice.
     """
     a = params.a
-    gam = gamma if gamma is not None else (params.q or 2.0)
-    alpha = gam * (a - 1.0)
+    alpha = (params.q or 2.0) * (a - 1.0)
     if W.conjugate is None:
         raise ValueError("W must provide a conjugate callable")
     qspec = quotient_spec if quotient_spec is not None else spec
@@ -380,8 +371,7 @@ def appendix_limit_residual(
 
     def q_pointwise(pts, h):
         return hopflax_pointwise(
-            g.fn, W.fn, h, pts, y_box, y_resolution,
-            g_domain=domain, W_domain=domain, W_shift=1.0, zoom_iters=10,
+            g.fn, W.fn, h, pts, g_domain=domain, W_domain=domain, zoom_iters=10
         )
 
     records = []
@@ -472,8 +462,13 @@ class AdmissibilityReport:
         raise KeyError(name)
 
 
-def _sample_fan(n: int, count: int, r_max: float = 1e3, seed: int = 0) -> np.ndarray:
-    """Deterministic radial fan: sphere directions times log-spaced radii."""
+# points in each radial fan of the admissibility and boundary growth checks
+_FAN_COUNT = 2000
+
+
+def _sample_fan(n: int, count: int) -> np.ndarray:
+    """Deterministic radial fan: sphere directions times log-spaced radii
+    from 1e-2 to 1e3."""
     per_dir = 24
     ndirs = max(4, count // per_dir)
     if n == 1:
@@ -482,18 +477,18 @@ def _sample_fan(n: int, count: int, r_max: float = 1e3, seed: int = 0) -> np.nda
     elif n in (2, 3):
         dirs = _sphere_directions(n, ndirs)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         dirs = rng.normal(size=(ndirs, n))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    radii = np.geomspace(1e-2, r_max, per_dir)
+    radii = np.geomspace(1e-2, 1e3, per_dir)
     return (dirs[:, None, :] * radii[None, :, None]).reshape(-1, n)
 
 
-def _boundary_growth(domain: EpigraphDomain, growth_R: float, sample_count: int = 2000):
-    """Largest |x1 . grad phi| / ||(x1, phi)|| over a fan beyond radius growth_R,
+def _boundary_growth(domain: EpigraphDomain):
+    """Largest |x1 . grad phi| / ||(x1, phi)|| over a fan beyond radius 1,
     with the x1 that attains it."""
-    fan = _sample_fan(domain.n - 1, sample_count)
-    far = fan[np.linalg.norm(fan, axis=-1) > growth_R]
+    fan = _sample_fan(domain.n - 1, _FAN_COUNT)
+    far = fan[np.linalg.norm(fan, axis=-1) > 1.0]
     num = np.abs(np.sum(far * domain.grad_phi(far), axis=-1))
     den = np.sqrt(np.linalg.norm(far, axis=-1) ** 2 + domain.phi(far) ** 2)
     ratio = num / den
@@ -507,7 +502,6 @@ def admissibility_report(
     adm,
     params: BBLParams,
     domain: EpigraphDomain,
-    sample_count: int = 2000,
     fit_constants: bool = True,
 ) -> AdmissibilityReport:
     """Growth-envelope checks on deterministic radial fans up to radius 1e3.
@@ -528,7 +522,7 @@ def admissibility_report(
         ConditionReport("C0", bool(c0_ok), gamma, None, gamma - max(a / (n - 1.0), 1.0))
     )
 
-    fan = _sample_fan(n, sample_count)
+    fan = _sample_fan(n, _FAN_COUNT)
     onW = fan[domain.contains(fan, 1.0)]
     onG = fan[domain.contains(fan, 0.0)]
 
@@ -554,7 +548,7 @@ def admissibility_report(
     gradg = np.linalg.norm(g.gradient(onG), axis=-1)
     conditions.append(upper_bound_check("C4", gradg, 1.0 + rG ** (gamma - 1.0), adm.A4))
 
-    fitted, witness = _boundary_growth(domain, adm.growth_R, sample_count)
+    fitted, witness = _boundary_growth(domain)
     ok = fitted <= adm.growth_C * (1.0 + 1e-9)
     conditions.append(
         ConditionReport("phi_growth", bool(ok), fitted, witness, adm.growth_C - fitted)
@@ -591,15 +585,14 @@ def equivalence_scan(
     W: ExtGridFn,
     n: int,
     h_grid: Sequence[float],
-    W_conjugate: Callable | None = None,
+    W_conjugate: Callable,
 ) -> EquivalenceScan:
     """The curve h -> int Q_h(g)^(-n) under int g^(-n) = int W^(-n) = 1.
 
     phi(0) is 1 by construction (same quadrature as the normalization); the
     forward derivative at 0 is Richardson-extrapolated from the two smallest
-    positive h values and compared with n * int W*(grad g)/g^(n+1). Pass an
-    analytic conjugate for W when available; otherwise the discrete sup over
-    W's own grid is used.
+    positive h values and compared with n * int W*(grad g)/g^(n+1), where
+    W_conjugate is the analytic conjugate of the unnormalized W.
     """
     hs = sorted(float(h) for h in h_grid)
     if hs[0] != 0.0:
@@ -607,10 +600,6 @@ def equivalence_scan(
     gs, Sg = _normalize_grid(g, float(n))
     Ws, SW = _normalize_grid(W, float(n))
     cW = SW ** (1.0 / float(n))
-    if W_conjugate is not None:
-        base_conj = W_conjugate
-        # conjugate of the rescaled cost: (c W)*(y) = c W*(y / c)
-        W_conjugate = lambda y: cW * np.asarray(base_conj(np.asarray(y) / cW), dtype=float)
 
     phis = []
     for h in hs:
@@ -633,18 +622,8 @@ def equivalence_scan(
 
     grad = _grid_gradient(gs)
     finite = gs.finite_mask
-    pts_grad = grad[finite]
-    if W_conjugate is not None:
-        conj_vals = np.asarray(W_conjugate(pts_grad), dtype=float)
-    else:
-        wfin = Ws.finite_mask
-        ynodes = np.stack(np.meshgrid(*Ws.axes, indexing="ij"), axis=-1)[wfin]
-        wvals = Ws.values[wfin]
-        conj_vals = np.empty(pts_grad.shape[0])
-        chunk = max(1, int(4_000_000 / max(len(wvals), 1)))
-        for i0 in range(0, pts_grad.shape[0], chunk):
-            blk = pts_grad[i0 : i0 + chunk]
-            conj_vals[i0 : i0 + chunk] = np.max(blk @ ynodes.T - wvals[None, :], axis=1)
+    # conjugate of the rescaled cost: (c W)*(y) = c W*(y / c)
+    conj_vals = cW * np.asarray(W_conjugate(grad[finite] / cW), dtype=float)
     integrand = np.zeros(gs.resolution)
     integrand[finite] = conj_vals / gs.values[finite] ** (n + 1.0)
     carrier = ExtGridFn(gs.box, np.where(finite, integrand, INF))

@@ -64,7 +64,6 @@ class ExperimentConfig:
     a: float
     p: float | None
     h_list: list[float]
-    eps_list: list[float]
     fixture: dict
     checks: list[str]
     quad: QuadSpec
@@ -107,7 +106,6 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
         a=float(params.get("a", n)),
         p=(float(params["p"]) if "p" in params else None),
         h_list=[float(h) for h in params.get("h_list", [0.25, 0.5])],
-        eps_list=[float(e) for e in params.get("eps_list", [0.1, 0.05, 0.01])],
         fixture=doc.get("fixture", {"kind": "extremal"}),
         checks=list(checks),
         quad=QuadSpec(

@@ -44,6 +44,7 @@ __all__ = [
 
 INF = np.inf
 
+# fractional grid offsets within _SNAP of a gridline snap onto it
 _SNAP = 1e-9
 
 
@@ -123,13 +124,13 @@ class ExtGridFn:
             raise ValueError("scaling factor must be positive")
         return ExtGridFn(self.box, c * self.values)
 
-    def interpolate(self, points, snap: float = _SNAP) -> np.ndarray:
+    def interpolate(self, points) -> np.ndarray:
         """Multilinear interpolation, conservative near the domain boundary.
 
         A query inside a cell that has any +inf corner (with nonzero weight)
         evaluates to +inf, so interpolated values never dip below the sampled
         envelope of the essential domain. Queries outside the box are +inf.
-        Fractional offsets within ``snap`` of a gridline drop the zero-weight
+        Fractional offsets within ``_SNAP`` of a gridline drop the zero-weight
         corners, so node-exact queries return node values.
         """
         pts = _as_points(points, self.dim)
@@ -142,15 +143,15 @@ class ExtGridFn:
             lo, hi = self.box[d]
             m = self.resolution[d]
             if m == 1:
-                outside |= np.abs(flat[:, d] - lo) > snap * max(1.0, abs(lo))
+                outside |= np.abs(flat[:, d] - lo) > _SNAP * max(1.0, abs(lo))
                 continue
             step = self.spacing[d]
             t = (flat[:, d] - lo) / step
-            outside |= (t < -snap) | (t > m - 1 + snap)
+            outside |= (t < -_SNAP) | (t > m - 1 + _SNAP)
             i = np.clip(np.floor(t).astype(np.int64), 0, m - 2)
             f = np.clip(t - i, 0.0, 1.0)
-            f[f < snap] = 0.0
-            f[f > 1.0 - snap] = 1.0
+            f[f < _SNAP] = 0.0
+            f[f > 1.0 - _SNAP] = 1.0
             base[:, d] = i
             frac[:, d] = f
 
@@ -190,8 +191,8 @@ class AdmissibilityParams:
 
     gamma is the common growth exponent; A1..A4 bound the cost from below and
     above and the test function and its gradient from below/above; growth_C
-    and growth_R parameterize the boundary-slope condition
-    |x1 . grad phi(x1)| <= growth_C * ||(x1, phi(x1))|| for ||x1|| > growth_R.
+    bounds the boundary slope,
+    |x1 . grad phi(x1)| <= growth_C * ||(x1, phi(x1))|| for ||x1|| > 1.
     """
 
     gamma: float
@@ -200,12 +201,11 @@ class AdmissibilityParams:
     A3: float = 1.0
     A4: float = 1.0
     growth_C: float = 1.0
-    growth_R: float = 1.0
 
     def __post_init__(self):
         if not self.gamma > 1:
             raise ValueError("gamma must exceed 1")
-        for name in ("A1", "A2", "A3", "A4", "growth_C", "growth_R"):
+        for name in ("A1", "A2", "A3", "A4", "growth_C"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -412,17 +412,17 @@ def is_cone(
     domain: EpigraphDomain,
     sample_count: int = 200,
     tol: float = 1e-8,
-    seed: int = 0,
 ) -> ConeCheck:
     """Sampled test for positive homogeneity of phi.
 
     Checks phi(t*x1) = t*phi(x1) on random (t, x1) and the shift inequality
-    phi((x1-y1)/h) >= (phi(x1)-phi(y1))/h on random (x1, y1, h); returns the
-    worst violation and its witness triple when the test fails.
+    phi((x1-y1)/h) >= (phi(x1)-phi(y1))/h on random (x1, y1, h), both drawn
+    from a generator seeded with 0; returns the worst violation and its
+    witness triple when the test fails.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     nm1 = domain.n - 1
     worst = 0.0
     witness = None

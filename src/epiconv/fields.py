@@ -13,8 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from .extgrid import EpigraphDomain
-from .quadrature import QuadSpec, integrate_epigraph
 from .transforms import NormSpec, power_cost_conjugate
 
 __all__ = [
@@ -24,7 +22,6 @@ __all__ = [
     "quadratic_field",
     "bump_field",
     "multiply_bump",
-    "normalize_neg_power",
 ]
 
 
@@ -111,23 +108,19 @@ def shifted_field(field: ScalarField, shift: np.ndarray) -> ScalarField:
     return out
 
 
-def quadratic_field(offset: float = 1.0, curvature: float = 1.0, center=None) -> ScalarField:
-    """offset + curvature * ||x - center||^2 / 2, everywhere finite and convex."""
+def quadratic_field(offset: float = 1.0, curvature: float = 1.0) -> ScalarField:
+    """offset + curvature * ||x||^2 / 2, everywhere finite and convex."""
 
     def fn(x):
         x = np.asarray(x, dtype=float)
-        c = np.zeros(x.shape[-1]) if center is None else np.asarray(center, dtype=float)
-        return offset + 0.5 * curvature * np.sum((x - c) ** 2, axis=-1)
+        return offset + 0.5 * curvature * np.sum(x**2, axis=-1)
 
     def grad(x):
-        x = np.asarray(x, dtype=float)
-        c = np.zeros(x.shape[-1]) if center is None else np.asarray(center, dtype=float)
-        return curvature * (x - c)
+        return curvature * np.asarray(x, dtype=float)
 
     def conj(y):
         y = np.asarray(y, dtype=float)
-        c = np.zeros(y.shape[-1]) if center is None else np.asarray(center, dtype=float)
-        return np.sum(y * y, axis=-1) / (2.0 * curvature) + y @ c - offset
+        return np.sum(y * y, axis=-1) / (2.0 * curvature) - offset
 
     return ScalarField(fn, grad, name="quadratic", conjugate=conj)
 
@@ -164,27 +157,3 @@ def multiply_bump(field: ScalarField, center, radius: float, amplitude: float) -
         return gf * (1.0 + b(x))[..., None] + f[..., None] * b.gradient(x)
 
     return replace(field, fn=fn, grad=grad, name=f"{field.name}*(1+bump)")
-
-
-def normalize_neg_power(
-    field: ScalarField,
-    a: float,
-    domain: EpigraphDomain,
-    spec: QuadSpec,
-    shift: float = 0.0,
-    decay: float | None = None,
-):
-    """Scale c*field so the integral of (c*field)^(-a) over the shifted domain is 1.
-
-    (c f)^(-a) integrates to c^(-a) times the integral of f^(-a), so
-    c = S^(1/a) with S the computed integral. Returns (scaled field, S).
-    """
-    if not a > 0:
-        raise ValueError("a must be positive")
-    dec = decay if decay is not None else (None if field.decay is None else field.decay * a)
-    S, _tail = integrate_epigraph(
-        lambda p: np.asarray(field(p), dtype=float) ** (-a), domain, spec, shift=shift, decay=dec
-    )
-    if not np.isfinite(S) or S <= 0:
-        raise ValueError(f"cannot normalize: integral of field^-a is {S}")
-    return field.scaled(S ** (1.0 / a)), S

@@ -12,12 +12,14 @@ corner evaluates to +inf, so the discrete operator stays an upper bound of the
 continuum one and inequality directions are preserved. h = 0 returns g
 (interpolated onto a requested output grid) rather than dividing by h.
 
-The output grid shares g's spacing, so the points x - h*y of one cost node y
-all sit at the same fractional offset from g's lattice. The candidate kernel
-interpolates g once per offset over g's own lattice, and then each y costs one
-slice of that lattice plus h*W(y), taken over the output nodes y can reach.
-The exact path runs the kernel over every finite y, the twostage path over a
-strided subset before its local refinement.
+The output grid shares g's spacing (any other is rejected), so the points
+x - h*y of one cost node y all sit at the same fractional offset from g's
+lattice. The candidate kernel interpolates g once per offset over g's own
+lattice, and then each y costs one slice of that lattice plus h*W(y), taken
+over the output nodes y can reach. The exact path runs the kernel over every
+finite y. Above _TWOSTAGE_MIN_CANDIDATES (output, cost) node pairs, a g and W
+that both pass the convexity certificate take the twostage path instead: the
+kernel over a strided subset of y, then a local refinement.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .extgrid import INF, EpigraphDomain, ExtGridFn
+from .extgrid import _SNAP, INF, EpigraphDomain, ExtGridFn
 
 __all__ = [
     "InfConvResult",
@@ -43,7 +45,9 @@ __all__ = [
     "counterexample_table",
 ]
 
-_SNAP = 1e-9
+# output x cost node pairs above which a certified-convex problem takes the
+# twostage path
+_TWOSTAGE_MIN_CANDIDATES = 4e8
 # stage-1 stride of the twostage path, in cost-grid nodes per axis
 _COARSE_STRIDE = 4
 # most interpolated lattices of g the candidate kernel keeps at once (16 are
@@ -58,19 +62,23 @@ class InfConvResult:
     empty: bool = False
 
 
+def _same_step(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+
 def _check_same_spacing(f: ExtGridFn, g: ExtGridFn):
     if f.dim != g.dim:
         raise ValueError("operands must share dimension")
     for d, (a, b) in enumerate(zip(f.spacing, g.spacing)):
-        if abs(a - b) > 1e-9 * max(1.0, abs(a), abs(b)):
+        if not _same_step(a, b):
             raise ValueError(f"axis {d}: grid spacings differ ({a} vs {b})")
 
 
-def is_grid_convex(f: ExtGridFn, tol: float = 1e-12) -> bool:
-    """Certificate used to gate accelerated paths.
+def is_grid_convex(f: ExtGridFn) -> bool:
+    """Certificate that gates the twostage Hopf-Lax path.
 
     Along each axis the finite nodes of every line must be contiguous and the
-    second differences nonnegative (up to tol times the value scale).
+    second differences nonnegative (up to 1e-12 times the value scale).
     """
     scale = 1.0
     finite_vals = f.values[f.finite_mask]
@@ -87,7 +95,7 @@ def is_grid_convex(f: ExtGridFn, tol: float = 1e-12) -> bool:
                 return False
             if idx.size >= 3:
                 seg = line[idx[0] : idx[-1] + 1]
-                if np.any(seg[:-2] - 2.0 * seg[1:-1] + seg[2:] < -tol * scale):
+                if np.any(seg[:-2] - 2.0 * seg[1:-1] + seg[2:] < -1e-12 * scale):
                     return False
     return True
 
@@ -129,23 +137,23 @@ def infconv(f: ExtGridFn, g: ExtGridFn) -> InfConvResult:
     return InfConvResult(ExtGridFn(box, vals), arg, empty)
 
 
-def _axis_tables(g: ExtGridFn, W: ExtGridFn, h: float, out_axes, snap=_SNAP):
+def _axis_tables(g: ExtGridFn, W: ExtGridFn, h: float, out_axes):
     """Per axis d and cost index y_d: None when no output node x has x - h*y
     inside g's box along d, else (output slice, lattice slice, fraction).
 
     Output node k on axis d reads g at index lattice point base + k + frac,
     for the k with 0 <= k + base (+ 1 when frac > 0) <= mg - 1. Offsets
-    within snap of a gridline collapse to the single node, matching
+    within _SNAP of a gridline collapse to the single node, exactly as in
     :meth:`ExtGridFn.interpolate`.
     """
     tables = []
     for d in range(g.dim):
         step = g.spacing[d] if g.spacing[d] > 0 else 1.0
         off = (out_axes[d][0] - h * W.axes[d] - g.box[d][0]) / step
-        base = np.floor(off + snap)
+        base = np.floor(off + _SNAP)
         frac = off - base
-        low = frac < snap
-        high = ~low & (frac > 1.0 - snap)
+        low = frac < _SNAP
+        high = ~low & (frac > 1.0 - _SNAP)
         base[high] += 1
         frac[low | high] = 0.0
         base = base.astype(np.int64)
@@ -164,7 +172,7 @@ def _interp_lattice(g0: np.ndarray, cell_inf: np.ndarray | None, fracs) -> np.nd
     g0 is g with its non-finite nodes zeroed; cell_inf (from
     :func:`_cell_inf`) marks the cells with a non-finite corner, which come
     back +inf. Corners are summed in a fixed order, so every lattice value is
-    one fixed float expression. Each fraction lies in (snap, 1 - snap), so
+    one fixed float expression. Each fraction lies in (_SNAP, 1 - _SNAP), so
     every corner weight is positive and no corner is ever dropped.
     """
     corners = [(0, 1) if fr > 0.0 else (0,) for fr in fracs]
@@ -267,23 +275,25 @@ def hopflax_apply(
     h: float,
     out_box: Sequence[Sequence[float]] | None = None,
     out_resolution: Sequence[int] | None = None,
-    method: str = "auto",
 ) -> InfConvResult:
     """Q_h(g)(x) = min over cost-grid nodes y of g(x - h*y) + h*W(y).
 
     The output grid defaults to g's box plus h times W's box at g's spacing;
-    out_box and out_resolution replace it together. Ties in the minimum go to
-    the smallest flat y index. method ``exact`` scans every finite y node;
-    ``twostage`` runs a strided scan followed by a windowed local search and
-    requires a grid-convex g (it is exact for the convex fixtures and asserted
-    against the exact path in tests); ``auto`` picks twostage only for large
-    certified-convex problems.
+    out_box and out_resolution replace it together, one entry per axis, and
+    for h > 0 at g's spacing on every axis of more than one node. Ties in the
+    minimum go to the smallest flat y index. The exact path scans every finite
+    y node. Above _TWOSTAGE_MIN_CANDIDATES (output, cost) node pairs with g
+    and W both grid-convex, the twostage path runs a strided scan followed by
+    a windowed local search; it is exact for the convex fixtures and asserted
+    against the exact path in tests.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
     if (out_box is None) != (out_resolution is None):
         raise ValueError("out_box and out_resolution must be given together")
     if out_box is not None:
+        if len(out_box) != g.dim or len(out_resolution) != g.dim:
+            raise ValueError(f"out_box and out_resolution need {g.dim} entries")
         box = tuple((float(lo), float(hi)) for lo, hi in out_box)
         axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(box, out_resolution)]
     if h == 0.0:
@@ -300,6 +310,11 @@ def hopflax_apply(
 
     if out_box is None:
         box, axes = _default_out_grid(g, W, h)
+    # the candidate kernel places output node k at axes[d][0] + k * g's step
+    for d, ax in enumerate(axes):
+        step = g.spacing[d] if g.spacing[d] > 0 else 1.0
+        if len(ax) > 1 and not _same_step(ax[1] - ax[0], step):
+            raise ValueError(f"axis {d}: output spacing differs from g's {step}")
     shape = tuple(len(ax) for ax in axes)
 
     y_idx = np.argwhere(np.isfinite(W.values))
@@ -307,20 +322,11 @@ def hopflax_apply(
         vals = np.full(shape, INF)
         return InfConvResult(ExtGridFn(box, vals), np.full(shape, -1, dtype=np.int64), True)
 
-    nx = int(np.prod(shape))
-    ny = y_idx.shape[0]
-    if method == "auto":
-        big = nx * ny > 4e8
-        method = (
-            "twostage" if big and is_grid_convex(g) and is_grid_convex(W) else "exact"
-        )
-
-    if method == "exact":
-        vals, arg = _hopflax_exact(g, W, h, axes, y_idx)
-    elif method == "twostage":
+    big = int(np.prod(shape)) * y_idx.shape[0] > _TWOSTAGE_MIN_CANDIDATES
+    if big and is_grid_convex(g) and is_grid_convex(W):
         vals, arg = _hopflax_twostage(g, W, h, axes, shape)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        vals, arg = _hopflax_exact(g, W, h, axes, y_idx)
     empty = not np.isfinite(vals).any()
     return InfConvResult(ExtGridFn(box, vals), arg, empty)
 
@@ -410,18 +416,16 @@ def hopflax_pointwise(
     y_resolution: Sequence[int] | None = None,
     g_domain: EpigraphDomain | None = None,
     W_domain: EpigraphDomain | None = None,
-    W_shift: float = 1.0,
     zoom_iters: int = 14,
-    zoom_shrink: float = 0.45,
-    y_scale: float = 4.0,
 ) -> np.ndarray:
     """Q_h(g) at arbitrary points from analytic g and W, batched.
 
     A coarse scan over candidate y values seeds a zooming local grid search
-    (5 points per axis per iteration) with domain membership enforced by
-    +inf. With y_box given, the scan covers that fixed grid; by default each
-    point scans a box centered at x + e whose half width is
-    y_scale * (1 + ||x||), matching the growth-envelope localization of the
+    (5 points per axis per iteration, the width shrinking by 0.45 each time)
+    with domain membership enforced by +inf: g_domain at height 0 and
+    W_domain shifted up by e. With y_box given, the scan covers that fixed
+    grid; by default each point scans a box centered at x + e whose half width
+    is 4 * (1 + ||x||), matching the growth-envelope localization of the
     minimizer, so far-out quadrature nodes are not silently truncated. The
     result is deterministic and accurate to roughly the squared final zoom
     width for smooth interior minima, which is what the small-h difference
@@ -455,7 +459,7 @@ def hopflax_pointwise(
         ).reshape(-1, n)
         ncand = unit.shape[0]
     shift_e = np.zeros(n)
-    shift_e[-1] = W_shift
+    shift_e[-1] = 1.0
 
     out = np.empty(pts_all.shape[0])
     chunk = max(1, int(2_000_000 / max(ncand, 1)))
@@ -472,7 +476,7 @@ def hopflax_pointwise(
             wv = np.asarray(W_fn(y.reshape(-1, n)), dtype=float).reshape(y.shape[:2])
             if W_domain is not None:
                 wv = np.where(
-                    W_domain.contains(y.reshape(-1, n), W_shift).reshape(y.shape[:2]),
+                    W_domain.contains(y.reshape(-1, n), 1.0).reshape(y.shape[:2]),
                     wv,
                     INF,
                 )
@@ -483,16 +487,16 @@ def hopflax_pointwise(
             centers = mesh[np.argmin(coarse, axis=1)]
             width = np.broadcast_to(width0, pts.shape).copy()
         else:
-            radius = y_scale * (1.0 + np.linalg.norm(pts, axis=-1))
+            radius = 4.0 * (1.0 + np.linalg.norm(pts, axis=-1))
             cand = pts[:, None, :] + shift_e + unit[None, :, :] * radius[:, None, None]
             if W_domain is not None:
                 # guaranteed-feasible seeds for boundary points, where the
                 # feasible slice is too thin for a blind scan: the support-set
                 # witness y1 = x1/(1+h) at the shifted boundary height, and
-                # the scaling witness (x + shift*e)/(1+h)
+                # the scaling witness (x + e)/(1+h)
                 y1w = pts[:, :-1] / (1.0 + h)
                 anchor1 = np.concatenate(
-                    [y1w, (W_shift + W_domain.phi(y1w))[:, None]], axis=1
+                    [y1w, (1.0 + W_domain.phi(y1w))[:, None]], axis=1
                 )
                 anchor2 = (pts + shift_e) / (1.0 + h)
                 cand = np.concatenate(
@@ -511,7 +515,7 @@ def hopflax_pointwise(
             improve = cbest < best
             best = np.where(improve, cbest, best)
             centers = np.where(improve[:, None], cand[np.arange(len(k)), k], centers)
-            width = width * zoom_shrink
+            width = width * 0.45
         out[i0 : i0 + chunk] = best
     return out
 
@@ -551,7 +555,6 @@ def hj_difference_quotient(
     y_box: Sequence[Sequence[float]],
     y_resolution: Sequence[int],
     g_domain: EpigraphDomain | None = None,
-    W_domain: EpigraphDomain | None = None,
 ):
     """Difference quotients (Q_h(g)(x) - g(x)) / h against -W*(grad g(x)).
 
@@ -574,8 +577,7 @@ def hj_difference_quotient(
     quot = np.empty((pts.shape[0], len(hs)))
     for k, h in enumerate(hs):
         q = hopflax_pointwise(
-            g_fn, W_fn, h, pts, y_box, y_resolution,
-            g_domain=g_domain, W_domain=W_domain,
+            g_fn, W_fn, h, pts, y_box, y_resolution, g_domain=g_domain
         )
         quot[:, k] = (q - g0) / h
 

@@ -38,24 +38,23 @@ class QuadSpec:
     """Graded-box quadrature parameters.
 
     half_width: core box half width (the core is [-L, L]^n).
-    dx: node spacing on the core; shell k uses dx * growth^k.
+    dx: node spacing on the core; shell k uses dx * 2^k.
     levels: number of doubling shells beyond the core.
     """
 
     half_width: float
     dx: float
     levels: int = 0
-    growth: float = 2.0
 
     def __post_init__(self):
         if not (self.half_width > 0 and self.dx > 0):
             raise ValueError("half_width and dx must be positive")
-        if self.levels < 0 or self.growth <= 1:
-            raise ValueError("levels must be >= 0 and growth > 1")
+        if self.levels < 0:
+            raise ValueError("levels must be >= 0")
 
     @property
     def outer_radius(self) -> float:
-        return self.half_width * self.growth ** self.levels
+        return self.half_width * 2.0 ** self.levels
 
     def refined(self, extend: bool = True) -> "QuadSpec":
         """Half the spacing; optionally one more shell."""
@@ -94,8 +93,8 @@ def _shell_boxes(spec: QuadSpec, n: int):
     L = spec.half_width
     yield 0, [(-L, L)] * n
     for k in range(1, spec.levels + 1):
-        inner = L * spec.growth ** (k - 1)
-        outer = L * spec.growth ** k
+        inner = L * 2.0 ** (k - 1)
+        outer = L * 2.0 ** k
         # slab decomposition: axis d carries |x_d| in (inner, outer],
         # axes before d stay within inner, axes after d within outer
         for d in range(n):
@@ -149,7 +148,7 @@ def integrate_epigraph(
     tail_K = 0.0
     R = spec.outer_radius
     for level, box in _shell_boxes(spec, n):
-        dxk = spec.dx * spec.growth ** level
+        dxk = spec.dx * 2.0 ** level
         x1_axes = [_axis_nodes(lo, hi, dxk) for lo, hi in box[:-1]]
         c2, d2 = box[-1]
         x2_nodes = _axis_nodes(c2, d2, dxk)
@@ -246,7 +245,7 @@ def integrate_boundary(
     total = 0.0
     tail_K = 0.0
     for level, box in _shell_boxes(spec, dim):
-        dxk = spec.dx * spec.growth ** level
+        dxk = spec.dx * 2.0 ** level
         axes = [_axis_nodes(lo, hi, dxk) for lo, hi in box]
         wlist = [_trap_weights(len(ax)) * (ax[1] - ax[0]) for ax in axes]
         w = wlist[0]

@@ -151,7 +151,6 @@ def i_alpha(
     norm: NormSpec,
     alpha: float,
     spec: QuadSpec,
-    estimate: bool = True,
 ):
     """Moment integral int_Omega ||x + e||^(-alpha) dx with its error budget.
 
@@ -167,11 +166,8 @@ def i_alpha(
     def fn(p):
         return norm(np.asarray(p, dtype=float) + e) ** (-alpha)
 
-    if estimate:
-        val, err, _tail = integrate_epigraph(fn, domain, spec, decay=alpha, estimate=True)
-        return val, err
-    val, tail = integrate_epigraph(fn, domain, spec, decay=alpha)
-    return val, tail
+    val, err, _tail = integrate_epigraph(fn, domain, spec, decay=alpha, estimate=True)
+    return val, err
 
 
 def normalize_power_cost(
@@ -292,16 +288,15 @@ def gradient_norm_claim_check(
     gamma: float,
     norm: NormSpec,
     sample_count: int = 200,
-    seed: int = 0,
-    fd_step: float = 1e-6,
 ) -> float:
     """Max residual of ||grad(||x||^gamma)||_* = |gamma| ||x||^(gamma-1).
 
     The gradient side is taken by central finite differences of the scalar
-    map, its dual norm by the closed-form dual; samples too close to a
+    map (step 1e-6 * (1 + |x_d|)), its dual norm by the closed-form dual;
+    samples, drawn from a generator seeded with 0, that lie too close to a
     non-differentiability of the norm are redrawn.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = 2
     worst = 0.0
     count = 0
@@ -314,7 +309,7 @@ def gradient_norm_claim_check(
         grad = np.zeros(n)
         for d in range(n):
             ed = np.zeros(n)
-            ed[d] = fd_step * (1.0 + abs(x[d]))
+            ed[d] = 1e-6 * (1.0 + abs(x[d]))
             grad[d] = (norm(x + ed) ** gamma - norm(x - ed) ** gamma) / (2.0 * ed[d])
         lhs = dual_norm(norm, grad)
         rhs = abs(gamma) * r ** (gamma - 1.0)
@@ -426,7 +421,6 @@ def weighted_trace_check(
     spec: QuadSpec,
     constants: SharpConstants | None = None,
     growth_C: float = 1.0,
-    growth_R: float = 1.0,
 ) -> TraceReport:
     """Weighted trace inequality on a convex epigraph, power form:
 
@@ -434,11 +428,11 @@ def weighted_trace_check(
 
     with P(x) = 1 + phi - x.grad phi allowed to go negative. The domain must
     satisfy the boundary growth gate |x1.grad phi| <= growth_C ||(x1, phi)||
-    far out; every cone meets growth_C = 1 exactly, and domains needing a
-    larger constant (the paraboloid fits only C -> 2) are refused with the
-    fitted ratio as witness unless the caller raises the budget.
+    for ||x1|| > 1; every cone meets growth_C = 1 exactly, and domains
+    needing a larger constant (the paraboloid fits only C -> 2) are refused
+    with the fitted ratio as witness unless the caller raises the budget.
     """
-    fitted, witness = _boundary_growth(domain, growth_R)
+    fitted, witness = _boundary_growth(domain)
     if fitted > growth_C * (1.0 + 1e-9):
         raise DomainRejectionError(
             f"growth condition failed: fitted ratio {fitted:.4f} exceeds budget "
@@ -514,15 +508,14 @@ def approx_family(
     gamma: float | None = None,
     grid_box=None,
     grid_resolution=None,
-    tol: float = 1e-6,
 ):
     """f_eps = eps ||x+e||^(-gamma(a-p)/p) + C_eps f with unit q-power mass.
 
-    C_eps solves int f_eps^(ap/(a-p)) = 1 by monotone bisection; it does not
-    exist when eps is too large (the tail term alone already overshoots) and
-    that case is rejected. As eps decreases to 0, C_eps increases strictly
-    toward 1. Returns (field, C_eps) or (field, C_eps, grid samples) when a
-    grid box is supplied.
+    C_eps solves int f_eps^(ap/(a-p)) = 1 by monotone bisection, stopped once
+    a midpoint's mass is within 1e-6 of 1; it does not exist when eps is too
+    large (the tail term alone already overshoots) and that case is rejected.
+    As eps decreases to 0, C_eps increases strictly toward 1. Returns
+    (field, C_eps) or (field, C_eps, grid samples) when a grid box is supplied.
     """
     a, p, n = params.a, params.p, params.n
     if gamma is None:
@@ -566,7 +559,7 @@ def approx_family(
                 lo = mid
             else:
                 hi = mid
-            if abs(m_mid - 1.0) <= tol:
+            if abs(m_mid - 1.0) <= 1e-6:
                 break
         C_eps = 0.5 * (lo + hi)
 

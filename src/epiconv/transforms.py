@@ -134,19 +134,19 @@ def _sphere_directions(n: int, count: int) -> np.ndarray:
     raise ValueError("deterministic sphere directions support n in {2, 3}")
 
 
-def dual_norm_sampled(norm: NormSpec, y, directions: int = 4096):
+def dual_norm_sampled(norm: NormSpec, y):
     """Lower bound for the dual norm by sampling unit vectors, with a gap estimate.
 
-    Directions are deterministic (uniform angles in 2D, a Fibonacci sphere in
-    3D); the gap estimate combines the change from halving the sample count
-    with the angular mesh bound ||y||_2 * delta.
+    The 4096 directions are deterministic (uniform angles in 2D, a Fibonacci
+    sphere in 3D); the gap estimate combines the change from halving the
+    sample count with the angular mesh bound ||y||_2 * delta.
     """
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     ys = y[None, :] if single else y.reshape(-1, y.shape[-1])
     n = ys.shape[-1]
-    dirs = _sphere_directions(n, directions)
-    delta = 2.0 * np.pi / directions if n == 2 else np.sqrt(4.0 * np.pi / directions)
+    dirs = _sphere_directions(n, 4096)
+    delta = 2.0 * np.pi / 4096 if n == 2 else np.sqrt(4.0 * np.pi / 4096)
     units = dirs / norm(dirs)[:, None]
     vals = units @ ys.T
     best = vals.max(axis=0)
@@ -216,8 +216,9 @@ def legendre_1d(xs: np.ndarray, vals: np.ndarray, slopes: np.ndarray):
     return out, arg
 
 
-def default_dual_box(f: ExtGridFn, pad: float = 0.1):
-    """Slope ranges from the finite differences of the primal samples, padded.
+def default_dual_box(f: ExtGridFn):
+    """Slope ranges from the finite differences of the primal samples, padded
+    by a tenth of their span on each side.
 
     Slopes outside the sampled difference range are never attained by the
     discrete sup, so this box loses nothing.
@@ -233,7 +234,7 @@ def default_dual_box(f: ExtGridFn, pad: float = 0.1):
         else:
             lo, hi = float(diffs.min()), float(diffs.max())
         span = max(hi - lo, 1e-12)
-        box.append((lo - pad * span, hi + pad * span))
+        box.append((lo - 0.1 * span, hi + 0.1 * span))
     return tuple(box)
 
 
@@ -241,7 +242,6 @@ def default_dual_box(f: ExtGridFn, pad: float = 0.1):
 class ConjugateResult:
     values: ExtGridFn
     dual_box: tuple
-    argmax: np.ndarray | None = None
 
 
 def legendre_nd(

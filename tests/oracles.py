@@ -281,7 +281,7 @@ def integrate_epigraph_reference(fn, domain, spec, shift=0.0, decay=None):
     tail_K = 0.0
     R = spec.outer_radius
     for level, box in _shell_boxes(spec, n):
-        dxk = spec.dx * spec.growth ** level
+        dxk = spec.dx * 2.0 ** level
         x1_axes = [_axis_nodes(lo, hi, dxk) for lo, hi in box[:-1]]
         c2, d2 = box[-1]
         x2_nodes = _axis_nodes(c2, d2, dxk)

@@ -286,7 +286,7 @@ def test_c07_cone_dichotomy(hopflax_cost):
         dx = 0.05
         gg = sample_grid(dom, [(-2, 2), (0.0, 4.0)], [81, 81], g)
         WW = sample_grid(dom, [(-2, 2), (1.0, 5.0)], [81, 81], W, h=1.0)
-        Q = hopflax_apply(gg, WW, h, method="exact")
+        Q = hopflax_apply(gg, WW, h)
         axes = Q.values.axes
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         window = (np.abs(mesh[..., 0]) <= 1.5) & (mesh[..., 1] <= 3.0)

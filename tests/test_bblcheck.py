@@ -220,16 +220,22 @@ class TestAdmissibility:
         g = shifted_field(W, E2)
         adm = AdmissibilityParams(gamma=3.0)
         rep = admissibility_report(g, W, adm, BBLParams(n=2, a=2.0, p=1.5), halfplane)
+        c1, c2 = rep.get("C1"), rep.get("C2")
         c3, c4 = rep.get("C3"), rep.get("C4")
         assert c3.passed and c3.fitted > 0
         assert c4.passed and np.isfinite(c4.fitted)
         # re-verify with the fitted constants enforced
         adm2 = AdmissibilityParams(
-            gamma=3.0, A3=c3.fitted * 0.99, A4=c4.fitted * 1.01
+            gamma=3.0,
+            A1=c1.fitted * 0.99,
+            A2=c2.fitted * 1.01,
+            A3=c3.fitted * 0.99,
+            A4=c4.fitted * 1.01,
         )
         rep2 = admissibility_report(
             g, W, adm2, BBLParams(n=2, a=2.0, p=1.5), halfplane, fit_constants=False
         )
+        assert rep2.get("C1").passed and rep2.get("C2").passed
         assert rep2.get("C3").passed and rep2.get("C4").passed
 
     def test_growth_condition_dichotomy(self, halfplane, unit_cone):

@@ -22,6 +22,7 @@ from epiconv import (
     sample_grid,
     semigroup_residual,
 )
+from epiconv import hopflax
 from epiconv.fields import power_cost_field, shifted_field
 from epiconv.transforms import NormSpec
 from oracles import exact_hopflax_reference, naive_hopflax, naive_infconv, richardson_limit
@@ -194,7 +195,7 @@ EXACT_FIXTURES = {
     "out_box": lambda: (
         _bump(quadratic_grid(2, 21, offset=0.5), [0.3, -0.2], 1.5),
         quadratic_grid(2, 17),
-        ([(-1.3, 2.1), (-2.45, 0.75)], [31, 19]),
+        ([(-1.3, 2.1), (-2.45, 0.75)], [18, 17]),
     ),
 }
 
@@ -206,12 +207,44 @@ def test_exact_bit_identical_to_reference(fixture, h):
     # for byte
     g, W, grid = EXACT_FIXTURES[fixture]()
     kw = {} if grid is None else {"out_box": grid[0], "out_resolution": grid[1]}
-    res = hopflax_apply(g, W, h, method="exact", **kw)
+    res = hopflax_apply(g, W, h, **kw)
     want, warg = exact_hopflax_reference(g, W, h, res.values.axes)
     assert res.values.values.tobytes() == want.tobytes()
     assert res.argmin.tobytes() == warg.tobytes()
     if grid is not None:
         assert res.values.box == tuple(grid[0]) and res.values.resolution == tuple(grid[1])
+
+
+@pytest.fixture
+def taken(monkeypatch):
+    """The Hopf-Lax paths hopflax_apply runs, in call order."""
+    calls = []
+    for path in ("exact", "twostage"):
+        name = f"_hopflax_{path}"
+
+        def spy(*args, _orig=getattr(hopflax, name), _path=path):
+            calls.append(_path)
+            return _orig(*args)
+
+        monkeypatch.setattr(hopflax, name, spy)
+    return calls
+
+
+class TestPathGate:
+    def test_convex_problem_above_threshold_takes_twostage(self, taken, monkeypatch):
+        g, W = quadratic_grid(2, 21, offset=0.5), quadratic_grid(2, 17)
+        assert is_grid_convex(g) and is_grid_convex(W)
+        hopflax_apply(g, W, 0.5)
+        monkeypatch.setattr(hopflax, "_TWOSTAGE_MIN_CANDIDATES", 0)
+        hopflax_apply(g, W, 0.5)
+        assert taken == ["exact", "twostage"]
+
+    def test_bumped_problem_takes_exact(self, taken, monkeypatch):
+        g = _bump(quadratic_grid(2, 21, offset=0.5), [0.3, -0.2], 1.5)
+        assert not is_grid_convex(g)
+        monkeypatch.setattr(hopflax, "_TWOSTAGE_MIN_CANDIDATES", 0)
+        hopflax_apply(g, quadratic_grid(2, 17), 0.5)
+        assert taken == ["exact"]
 
 
 class TestHopfLaxApply:
@@ -244,7 +277,7 @@ class TestHopfLaxApply:
                 axis=-1,
             )
             W = ExtGridFn([(-1, 1), (-1, 1)], Wv)
-            res = hopflax_apply(g, W, 0.5, method="exact")
+            res = hopflax_apply(g, W, 0.5)
             want = naive_hopflax(g.axes, gv, W.axes, Wv, 0.5, res.values.axes)
             np.testing.assert_allclose(res.values.values, want, rtol=0, atol=1e-12)
 
@@ -260,10 +293,12 @@ class TestHopfLaxApply:
             err = np.max(np.abs(res.values.values[window] - closed[window]))
             assert err <= 5 * 0.1
 
-    def test_twostage_matches_exact_on_convex_fixture(self):
+    def test_twostage_matches_exact_on_convex_fixture(self, taken, monkeypatch):
         g = quadratic_grid(3, 61, offset=1.0)
-        a = hopflax_apply(g, g, 0.5, method="exact")
-        b = hopflax_apply(g, g, 0.5, method="twostage")
+        a = hopflax_apply(g, g, 0.5)
+        monkeypatch.setattr(hopflax, "_TWOSTAGE_MIN_CANDIDATES", 0)
+        b = hopflax_apply(g, g, 0.5)
+        assert taken == ["exact", "twostage"]
         assert np.array_equal(a.values.finite_mask, b.values.finite_mask)
         m = a.values.finite_mask
         np.testing.assert_allclose(
@@ -278,8 +313,8 @@ class TestHopfLaxApply:
         g1 = ExtGridFn(box, g1v)
         g2 = ExtGridFn(box, g2v)
         W = quadratic_grid(1, 12)
-        r1 = hopflax_apply(g1, W, 0.3, method="exact")
-        r2 = hopflax_apply(g2, W, 0.3, method="exact")
+        r1 = hopflax_apply(g1, W, 0.3)
+        r2 = hopflax_apply(g2, W, 0.3)
         m = r1.values.finite_mask
         assert (r1.values.values[m] <= r2.values.values[m] + 1e-15).all()
 
@@ -287,7 +322,7 @@ class TestHopfLaxApply:
         g = quadratic_grid(2, 25, offset=0.5)
         W = quadratic_grid(2, 25)
         h = 0.4
-        res = hopflax_apply(g, W, h, method="exact")
+        res = hopflax_apply(g, W, h)
         rng = np.random.default_rng(2)
         for _ in range(3):
             jm = tuple(rng.integers(0, 25, 2))
@@ -302,7 +337,7 @@ class TestHopfLaxApply:
     def test_argmin_attains(self):
         g = quadratic_grid(2, 21, offset=0.5)
         W = quadratic_grid(2, 21)
-        res = hopflax_apply(g, W, 0.5, method="exact")
+        res = hopflax_apply(g, W, 0.5)
         fin = np.argwhere(res.values.finite_mask)
         axes = res.values.axes
         rng = np.random.default_rng(0)
@@ -325,6 +360,26 @@ class TestHopfLaxApply:
         with pytest.raises(ValueError, match="together"):
             hopflax_apply(g, g, 0.5, **{half: given[half]})
 
+    @pytest.mark.parametrize("twostage", [False, True])
+    def test_output_spacing_other_than_g_rejected(self, twostage, taken, monkeypatch):
+        # both paths read g's lattice at the first output node's offset and
+        # step by g's spacing, so any other output spacing would be misread
+        if twostage:
+            monkeypatch.setattr(hopflax, "_TWOSTAGE_MIN_CANDIDATES", 0)
+        xs = np.linspace(-1, 1, 21)
+        g, W = grid1d(-1, 1, xs**2 / 2 + 1), grid1d(-1, 1, xs**2 / 2)
+        with pytest.raises(ValueError, match="spacing"):
+            hopflax_apply(g, W, 0.5, out_box=[(-1, 1)], out_resolution=[11])
+        assert taken == []
+
+    @pytest.mark.parametrize("h", [0.0, 0.5])
+    def test_output_grid_of_other_dimension_rejected(self, h):
+        g = quadratic_grid(1, 11)
+        with pytest.raises(ValueError, match="entries"):
+            hopflax_apply(g, g, h, out_box=[(-1, 1)], out_resolution=[11])
+        with pytest.raises(ValueError, match="entries"):
+            hopflax_apply(g, g, h, out_box=[(-1, 1), (-1, 1)], out_resolution=[11])
+
     def test_empty_intersection_flagged(self):
         g = ExtGridFn([(0, 1), (0, 1)], np.full((3, 3), INF))
         W = quadratic_grid(1, 5)
@@ -341,7 +396,7 @@ class TestHopfLaxApply:
         gg = sample_grid(cone, [(-3, 3), (0, 4)], [61, 41], g)
         WW = sample_grid(cone, [(-3, 3), (1, 5)], [61, 41], W, h=1.0)
         h = 0.5
-        res = hopflax_apply(gg, WW, h, method="exact")
+        res = hopflax_apply(gg, WW, h)
         axes = res.values.axes
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         window = (np.abs(mesh[..., 0]) <= 2.5) & (mesh[..., 1] <= 3.5)
@@ -440,7 +495,7 @@ class TestPointwise:
     def test_matches_grid_operator(self):
         quad = quadratic_field(offset=1.0, curvature=1.0)
         g = quadratic_grid(3, 121, offset=1.0)
-        res = hopflax_apply(g, g, 0.5, method="exact")
+        res = hopflax_apply(g, g, 0.5)
         pts = np.array([[0.3, 0.4], [-0.8, 0.1], [1.0, -1.0]])
         direct = hopflax_pointwise(
             quad.fn, quad.fn, 0.5, pts, y_box=[(-3, 3)] * 2, y_resolution=[31, 31]

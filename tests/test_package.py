@@ -1,7 +1,9 @@
-"""Guards against leftovers: dangling exports, scipy imports, global state."""
+"""Guards against leftovers: dangling exports, scipy imports, global state,
+options no caller sets."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 import epiconv
 
 SRC = Path(epiconv.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 MODULES = sorted(f"epiconv.{m.name}" for m in pkgutil.iter_modules([str(SRC)]))
 
 
@@ -48,3 +51,81 @@ def test_no_scipy_and_no_recursion_limit(path):
         if isinstance(node, ast.alias):
             name = node.name
         assert name != "setrecursionlimit", f"{path.name} uses sys.setrecursionlimit"
+
+
+def _defaulted_parameters():
+    """(owner, parameter name) -> (position or None, name a call uses) for
+    every parameter with a default of every function, class constructor and
+    public method that a module's __all__ names."""
+    found = {}
+    for name in MODULES:
+        mod = importlib.import_module(name)
+        for attr in getattr(mod, "__all__", []):
+            obj = getattr(mod, attr)
+            # (name a call uses, qualified name, function, leading params to skip)
+            targets = []
+            if inspect.isclass(obj):
+                targets.append((obj.__name__, obj.__qualname__, obj, 0))
+                for meth, fn in vars(obj).items():
+                    skip = 0 if isinstance(fn, staticmethod) else 1
+                    fn = getattr(fn, "__func__", fn)
+                    if not meth.startswith("_") and inspect.isfunction(fn):
+                        targets.append((meth, f"{obj.__qualname__}.{meth}", fn, skip))
+            elif inspect.isfunction(obj):
+                targets.append((obj.__name__, obj.__qualname__, obj, 0))
+            for call_name, qualname, fn, skip in targets:
+                params = list(inspect.signature(fn).parameters.values())[skip:]
+                for i, prm in enumerate(params):
+                    if prm.default is prm.empty:
+                        continue
+                    positional = prm.kind in (prm.POSITIONAL_ONLY, prm.POSITIONAL_OR_KEYWORD)
+                    key = (f"{obj.__module__}.{qualname}", prm.name)
+                    found[key] = (i if positional else None, call_name)
+    return found
+
+
+def _calls():
+    """(callee name, positional argument count, keyword names) of every call
+    in the package, the tests and the benchmark, import aliases resolved. A
+    starred positional argument counts as passing every later position."""
+    calls = []
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            alias = {
+                a.asname: a.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for a in node.names
+                if a.asname
+            }
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                if isinstance(node.func, ast.Name):
+                    callee = alias.get(node.func.id, node.func.id)
+                elif isinstance(node.func, ast.Attribute):
+                    callee = node.func.attr
+                else:
+                    continue
+                npos = len(node.args)
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    npos = float("inf")
+                calls.append((callee, npos, {kw.arg for kw in node.keywords if kw.arg}))
+    return calls
+
+
+def test_every_public_option_is_set_by_some_caller():
+    # an option no call sets has a single value in use, so it belongs in the
+    # code as a constant; the scope is the public API, the callers are the
+    # package, the tests and the benchmark
+    calls = _calls()
+    unused = [
+        f"{owner}({param}=)"
+        for (owner, param), (pos, call_name) in sorted(_defaulted_parameters().items())
+        if not any(
+            callee == call_name and (param in kws or (pos is not None and pos < npos))
+            for callee, npos, kws in calls
+        )
+    ]
+    assert not unused, f"{len(unused)} defaulted parameters no call sets: {unused}"
