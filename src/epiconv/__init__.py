@@ -36,9 +36,6 @@ from .transforms import (
 )
 from .hopflax import (
     InfConvResult,
-    counterexample_pair,
-    counterexample_table,
-    domain_sum_check,
     hj_difference_quotient,
     hopflax_apply,
     hopflax_pointwise,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .extgrid import INF, EpigraphDomain, ExtGridFn, weight_P
 from .fields import ScalarField
-from .hopflax import hopflax_apply, hopflax_pointwise
+from .hopflax import _richardson, hopflax_apply, hopflax_pointwise
 from .quadrature import (
     QuadSpec,
     integrate_boundary,
@@ -333,8 +333,9 @@ def appendix_limit_residual(
     limit expression (a-1) int W*(grad g)/g^a - int g^(1-a) P, and the
     residual. Q_h(g) is evaluated pointwise from the analytic pair so the
     small-h quotients are not polluted by grid interpolation. Tail bounds use
-    the decay exponent q*(a-1), q = 2 when unset. On cones the strip B_h minus
-    Omega_h is empty and term_iii is exactly zero.
+    the decay exponent q*(a-1), q = 2 when unset. Term (iii) is integrated
+    on every domain; on cones the strip B_h minus Omega_h is empty, so it
+    comes out exactly zero.
 
     Term (i) sweeps a zoom minimization over every quadrature node, which is
     the expensive part; quotient_spec (default: spec) lets callers run it on
@@ -363,10 +364,7 @@ def appendix_limit_residual(
         pts = np.concatenate([x1, domain.phi(x1)[..., None]], axis=-1)
         return g(pts) ** (1.0 - a) * (1.0 - weight_P(domain, x1))
 
-    if domain.kind in ("halfspace", "cone", "affine_max"):
-        limit_iii = 0.0
-    else:
-        limit_iii = integrate_boundary(sliver_rate, domain.n - 1, qspec, decay=alpha)[0]
+    limit_iii = integrate_boundary(sliver_rate, domain.n - 1, qspec, decay=alpha)[0]
     limit = limit_i - limit_ii + limit_iii
 
     def q_pointwise(pts, h):
@@ -409,10 +407,7 @@ def appendix_limit_residual(
             out = np.sum(wts * vals, axis=-1) / _h
             return np.where(thin, 0.0, out)
 
-        if domain.kind in ("halfspace", "cone", "affine_max"):
-            term_iii, eiii = 0.0, 0.0
-        else:
-            term_iii, eiii = integrate_boundary(fn_iii, domain.n - 1, qspec, decay=alpha)
+        term_iii, eiii = integrate_boundary(fn_iii, domain.n - 1, qspec, decay=alpha)
 
         total = term_i - term_ii + term_iii
         residual = (term_i - limit_i) - (term_ii - limit_ii) + (term_iii - limit_iii)
@@ -614,7 +609,7 @@ def equivalence_scan(
         h1, h2 = pos[0], pos[1]
         f1 = (phis[hs.index(h1)] - phis[0]) / h1
         f2 = (phis[hs.index(h2)] - phis[0]) / h2
-        fd = (h2 * f1 - h1 * f2) / (h2 - h1)
+        fd = _richardson(h2, f2, h1, f1)
     elif len(pos) == 1:
         fd = (phis[hs.index(pos[0])] - phis[0]) / pos[0]
     else:

@@ -170,9 +170,6 @@ def _fixture_field(cfg: ExperimentConfig):
             radius=float(cfg.fixture.get("radius", 1.0)),
             amplitude=float(cfg.fixture.get("amplitude", 1.0)),
         )
-    if kind == "grid_file":
-        grid = eg.read_gridfn(cfg.fixture["path"])
-        return grid
     raise ConfigError(f"unknown fixture kind {kind!r}")
 
 

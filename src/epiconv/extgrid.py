@@ -3,8 +3,8 @@
 Sampled functions live on axis-aligned uniform tensor grids and take values in
 (-inf, +inf], with ``numpy.inf`` marking points outside the essential domain.
 +inf is a real value here, not a mask, so min-plus algebra stays total:
-``inf + v = inf`` and ``min(inf, v) = v`` by IEEE semantics. NaN never enters a
-stored grid.
+``inf + v = inf`` and ``min(inf, v) = v`` by IEEE semantics. Neither NaN nor
+-inf ever enters a stored grid.
 
 Domains are epigraphs Omega = {(x1, x2) : x2 >= phi(x1)} of a convex phi with
 phi(0) = 0, supplied analytically from a small closed family so that shifted
@@ -67,8 +67,8 @@ class ExtGridFn:
 
     def __init__(self, box: Sequence[Sequence[float]], values: np.ndarray):
         vals = np.asarray(values, dtype=float)
-        if np.isnan(vals).any():
-            raise ValueError("grid values must not contain NaN")
+        if not (vals > -INF).all():
+            raise ValueError("grid values must not contain NaN or -inf")
         if vals.ndim != len(box):
             raise ValueError(
                 f"box has {len(box)} axes but values have {vals.ndim} dimensions"

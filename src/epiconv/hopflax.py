@@ -1,9 +1,4 @@
-"""Infimal convolution and the Hopf-Lax operator on grids.
-
-Two discretizations live here. ``infconv`` is the exact lattice min-plus
-convolution of two grid functions with shared spacing; no interpolation is
-involved and every finite output node records an attaining argmin, the
-smallest flat index among ties.
+"""Infimal convolution and the Hopf-Lax operator on grids, on one kernel.
 
 ``hopflax_apply`` evaluates Q_h(g)(x) = min_y g(x - h*y) + h*W(y) with y
 running over the cost grid and g evaluated by multilinear interpolation at the
@@ -20,6 +15,11 @@ over the output nodes y can reach. The exact path runs the kernel over every
 finite y. Above _TWOSTAGE_MIN_CANDIDATES (output, cost) node pairs, a g and W
 that both pass the convexity certificate take the twostage path instead: the
 kernel over a strided subset of y, then a local refinement.
+
+``infconv`` is Q_1 with the cost on g's own lattice: the exact min-plus
+convolution of two grid functions with shared spacing. It runs the same kernel
+with every offset zero, so no interpolation is involved; each finite output
+node records an attaining argmin, the smallest flat index among ties.
 """
 
 from __future__ import annotations
@@ -39,10 +39,7 @@ __all__ = [
     "hopflax_pointwise",
     "semigroup_residual",
     "hj_difference_quotient",
-    "domain_sum_check",
     "is_grid_convex",
-    "counterexample_pair",
-    "counterexample_table",
 ]
 
 # output x cost node pairs above which a certified-convex problem takes the
@@ -100,28 +97,6 @@ def is_grid_convex(f: ExtGridFn) -> bool:
     return True
 
 
-def _infconv_reference(fv: np.ndarray, gv: np.ndarray):
-    """Exhaustive min-plus convolution; argmin is the smallest flat f-index."""
-    out_shape = tuple(a + b - 1 for a, b in zip(fv.shape, gv.shape))
-    out = np.full(out_shape, INF)
-    arg = np.full(out_shape, -1, dtype=np.int64)
-    it = np.ndindex(*fv.shape)
-    for j_multi in it:
-        fj = fv[j_multi]
-        if not np.isfinite(fj):
-            continue
-        sl = tuple(slice(j, j + m) for j, m in zip(j_multi, gv.shape))
-        cand = fj + gv
-        better = cand < out[sl]
-        if better.any():
-            out[sl] = np.where(better, cand, out[sl])
-            jflat = int(np.ravel_multi_index(j_multi, fv.shape))
-            arg_sl = arg[sl]
-            arg_sl[better] = jflat
-            arg[sl] = arg_sl
-    return out, arg
-
-
 def infconv(f: ExtGridFn, g: ExtGridFn) -> InfConvResult:
     """Discrete (f box g)(x) = min_y f(y) + g(x - y) on the index-sum grid.
 
@@ -132,7 +107,14 @@ def infconv(f: ExtGridFn, g: ExtGridFn) -> InfConvResult:
     box = tuple(
         (flo + glo, fhi + ghi) for (flo, fhi), (glo, ghi) in zip(f.box, g.box)
     )
-    vals, arg = _infconv_reference(f.values, g.values)
+    # f's node j reaches output nodes j .. j + m_g - 1 with all of g, at no
+    # fractional offset
+    tables = [
+        [(slice(j, j + m), slice(0, m), 0.0) for j in range(mf)]
+        for mf, m in zip(f.resolution, g.resolution)
+    ]
+    shape = tuple(a + b - 1 for a, b in zip(f.resolution, g.resolution))
+    vals, arg = _scan_candidates(g, f.values.ravel(), tables, shape, f.domain_indices)
     empty = not np.isfinite(vals).any()
     return InfConvResult(ExtGridFn(box, vals), arg, empty)
 
@@ -199,29 +181,30 @@ def _cell_inf(ginf: np.ndarray, tops) -> np.ndarray | None:
     return out if out.any() else None
 
 
-def _scan_candidates(g: ExtGridFn, W: ExtGridFn, h: float, out_axes, y_idx: np.ndarray):
-    """min over the cost nodes y_idx of g(x - h*y) + h*W(y) on the output grid.
+def _scan_candidates(g: ExtGridFn, weights: np.ndarray, tables, shape, y_idx: np.ndarray):
+    """min over the cost nodes y_idx of g at y's offset plus weights[y].
 
-    The output grid shares g's spacing, so for each y the candidates are one
-    slice of the lattice of g interpolated at y's fractional offset, plus
-    h*W(y), over the output nodes whose point x - h*y lies in g's box (all
-    others are +inf and never win). While the leading indices of y stay
-    fixed, the last _LATTICE_CACHE lattices built are kept by fraction.
-    y_idx must be in ascending flat order: a later y replaces the incumbent
-    only when strictly smaller, so ties go to the smallest flat index.
-    Returns (values, argmin), +inf and -1 where no y has a finite candidate.
+    weights is the cost flattened (h*W for Hopf-Lax, f for infconv), and
+    tables[d][y_d] is None (y reaches no output node along axis d) or
+    (output slice, lattice slice, fraction), as :func:`_axis_tables` builds
+    them. For each y the candidates are one slice of the lattice of g
+    interpolated at y's fractional offset, plus weights[y], over the output
+    nodes its entries name (all others are +inf and never win). While the
+    leading indices of y stay fixed, the last _LATTICE_CACHE lattices built
+    are kept by fraction. y_idx must be in ascending flat order: a later y
+    replaces the incumbent only when strictly smaller, so ties go to the
+    smallest flat index. Returns (values, argmin) of the given shape, +inf
+    and -1 where no y has a finite candidate.
     """
-    shape = tuple(len(ax) for ax in out_axes)
     vals = np.full(shape, INF)
     arg = np.full(shape, -1, dtype=np.int64)
     if y_idx.shape[0] == 0:
         return vals, arg
-    *lead_tables, last_table = _axis_tables(g, W, h, out_axes)
+    *lead_tables, last_table = tables
     ginf = ~np.isfinite(g.values)
     g0 = np.where(ginf, 0.0, g.values)
     cell_inf = {}
-    hw = (h * W.values).ravel()
-    flat = np.ravel_multi_index(tuple(y_idx.T), W.resolution)
+    flat = np.ravel_multi_index(tuple(y_idx.T), tuple(len(t) for t in tables))
     leads = y_idx[:, :-1]
     starts = np.flatnonzero(np.any(leads[1:] != leads[:-1], axis=1)) + 1
     for start, stop in zip([0] + starts.tolist(), starts.tolist() + [len(y_idx)]):
@@ -246,7 +229,7 @@ def _scan_candidates(g: ExtGridFn, W: ExtGridFn, h: float, out_axes, y_idx: np.n
                 if len(lattices) == _LATTICE_CACHE:
                     del lattices[next(iter(lattices))]
                 lattice = lattices[fr] = _interp_lattice(g0, cell_inf[tops], fracs)
-            cand = lattice[lead_src + (src,)] + hw[jflat]
+            cand = lattice[lead_src + (src,)] + weights[jflat]
             out = lead_region + (region,)
             incumbent = vals[out]
             better = cand < incumbent
@@ -326,15 +309,16 @@ def hopflax_apply(
     if big and is_grid_convex(g) and is_grid_convex(W):
         vals, arg = _hopflax_twostage(g, W, h, axes, shape)
     else:
-        vals, arg = _hopflax_exact(g, W, h, axes, y_idx)
+        vals, arg = _hopflax_exact(g, W, h, axes, shape, y_idx)
     empty = not np.isfinite(vals).any()
     return InfConvResult(ExtGridFn(box, vals), arg, empty)
 
 
-def _hopflax_exact(g, W, h, axes, y_idx):
+def _hopflax_exact(g, W, h, axes, shape, y_idx):
     # its own entry point, so a trace tells the exact path from twostage,
     # whose stage 1 runs the same kernel
-    return _scan_candidates(g, W, h, axes, y_idx)
+    tables = _axis_tables(g, W, h, axes)
+    return _scan_candidates(g, (h * W.values).ravel(), tables, shape, y_idx)
 
 
 def _hopflax_twostage(g, W, h, axes, shape):
@@ -345,7 +329,8 @@ def _hopflax_twostage(g, W, h, axes, shape):
     # stage 1: strided scan with the lattice-slice candidates
     strided = np.argwhere(finite_w)
     keep = np.all(strided % _COARSE_STRIDE == 0, axis=1)
-    vals, arg = _scan_candidates(g, W, h, axes, strided[keep])
+    tables = _axis_tables(g, W, h, axes)
+    vals, arg = _scan_candidates(g, (h * W.values).ravel(), tables, shape, strided[keep])
 
     # stage 2: halving refinement around the strided argmin. At each level the
     # incumbent of a convex objective sampled at stride s is within s of the
@@ -545,6 +530,12 @@ def semigroup_residual(
     return float(np.max(np.abs(full.values.values[both] - outer.values.values[both])))
 
 
+def _richardson(h_big, q_big, h_small, q_small):
+    """First-order Richardson extrapolation to h = 0 of quotients q = L + c*h
+    taken at two steps h_big > h_small."""
+    return (h_big * q_small - h_small * q_big) / (h_big - h_small)
+
+
 def hj_difference_quotient(
     g_fn: Callable,
     grad_g: Callable,
@@ -582,80 +573,15 @@ def hj_difference_quotient(
         quot[:, k] = (q - g0) / h
 
     # iterated first-order Richardson over the (not necessarily dyadic) h list
-    table = [quot[:, k] for k in range(len(hs))]
-    ratios = hs
-    level = list(table)
-    xs = list(ratios)
-    for m in range(1, len(hs)):
-        nxt = []
-        for k in range(len(level) - 1):
-            h0, h1 = xs[k], xs[k + 1]
-            nxt.append((h0 * level[k + 1] - h1 * level[k]) / (h0 - h1))
-        level = nxt
+    level = [quot[:, k] for k in range(len(hs))]
+    xs = list(hs)
+    for _ in range(1, len(hs)):
+        level = [
+            _richardson(xs[k], level[k], xs[k + 1], level[k + 1])
+            for k in range(len(level) - 1)
+        ]
         xs = xs[1:]
     limit = level[0]
     ref = -np.asarray(W_conjugate(np.asarray(grad_g(pts), dtype=float)), dtype=float)
     deviation = np.abs(limit - ref)
     return quot, limit, ref, deviation
-
-
-def domain_sum_check(f: ExtGridFn, g: ExtGridFn, result: InfConvResult | None = None):
-    """Does dom(f box g) equal dom f + dom g as index sets?
-
-    Returns (ok, witness); the witness is an output index in the symmetric
-    difference when the sets disagree (they should not, for exact lattice
-    min-plus with total +inf algebra).
-    """
-    if result is None:
-        result = infconv(f, g)
-    fi = f.domain_indices
-    gi = g.domain_indices
-    out_shape = result.values.resolution
-    expected = np.zeros(out_shape, dtype=bool)
-    if fi.size and gi.size:
-        sums = (fi[:, None, :] + gi[None, :, :]).reshape(-1, f.dim)
-        expected[tuple(sums.T)] = True
-    actual = result.values.finite_mask
-    if np.array_equal(expected, actual):
-        return True, None
-    diff = np.argwhere(expected != actual)
-    return False, tuple(diff[0])
-
-
-def counterexample_pair(step: float = 0.25) -> tuple[ExtGridFn, ExtGridFn]:
-    """The discontinuous inf-convolution fixture on a lattice of spacing step.
-
-    f is 1 on the horizontal segment [0,1]x{0} and 1-x2 on the vertical
-    segment {0}x[0,1]; g is the indicator (value 0) of the vertical segment
-    {0}x[0,1]. Their min-plus convolution has the closed piecewise form of
-    :func:`counterexample_table` and is discontinuous at the left edge of the
-    unit square.
-    """
-    m = int(round(1.0 / step)) + 1
-    big = 2 * m - 1  # covers [0, 2]
-    xs = np.linspace(0.0, 2.0, big)
-    fv = np.full((big, big), INF)
-    gv = np.full((big, big), INF)
-    for i, x1 in enumerate(xs):
-        for j, x2 in enumerate(xs):
-            if x2 == 0.0 and 0.0 <= x1 <= 1.0:
-                fv[i, j] = 1.0
-            if x1 == 0.0 and 0.0 <= x2 <= 1.0:
-                fv[i, j] = min(fv[i, j], 1.0 - x2)
-                gv[i, j] = 0.0
-    box = ((0.0, 2.0), (0.0, 2.0))
-    return ExtGridFn(box, fv), ExtGridFn(box, gv)
-
-
-def counterexample_table(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Closed form of the fixture's inf-convolution, +inf off its domain."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    out = np.full(np.broadcast_shapes(x1.shape, x2.shape), INF)
-    sq = (x1 > 0) & (x1 <= 1.0) & (x2 >= 0.0) & (x2 <= 1.0)
-    out[sq] = 1.0
-    left = (x1 == 0.0) & (x2 >= 0.0) & (x2 <= 1.0)
-    out = np.where(left, 1.0 - x2, out)
-    upper = (x1 == 0.0) & (x2 >= 1.0) & (x2 <= 2.0)
-    out = np.where(upper, 0.0, out)
-    return out

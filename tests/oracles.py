@@ -2,7 +2,8 @@
 
 Everything here stays deliberately naive: explicit loops, closed forms from
 polar coordinates, and scalar interpolation, so that agreement with the
-library is evidence and not tautology. The two ``*_reference`` functions are
+library is evidence and not tautology. The discontinuous inf-convolution
+fixture and its closed form live here too, next to the domain-sum check. The two ``*_reference`` functions are
 earlier, straightforward library implementations kept verbatim, so that the
 faster code that replaced them can be held to the same bits.
 """
@@ -14,6 +15,8 @@ import math
 
 import numpy as np
 
+from epiconv.extgrid import INF, ExtGridFn
+from epiconv.hopflax import InfConvResult, infconv
 from epiconv.quadrature import (
     _axis_nodes,
     _fit_tail_K,
@@ -88,6 +91,68 @@ def naive_infconv(fv, gv):
         out[km] = best
         arg[km] = best_j
     return out, arg
+
+
+def domain_sum_check(f: ExtGridFn, g: ExtGridFn, result: InfConvResult | None = None):
+    """Does dom(f box g) equal dom f + dom g as index sets?
+
+    Returns (ok, witness); the witness is an output index in the symmetric
+    difference when the sets disagree (they should not, for exact lattice
+    min-plus with total +inf algebra).
+    """
+    if result is None:
+        result = infconv(f, g)
+    fi = f.domain_indices
+    gi = g.domain_indices
+    out_shape = result.values.resolution
+    expected = np.zeros(out_shape, dtype=bool)
+    if fi.size and gi.size:
+        sums = (fi[:, None, :] + gi[None, :, :]).reshape(-1, f.dim)
+        expected[tuple(sums.T)] = True
+    actual = result.values.finite_mask
+    if np.array_equal(expected, actual):
+        return True, None
+    diff = np.argwhere(expected != actual)
+    return False, tuple(diff[0])
+
+
+def counterexample_pair(step: float = 0.25) -> tuple[ExtGridFn, ExtGridFn]:
+    """The discontinuous inf-convolution fixture on a lattice of spacing step.
+
+    f is 1 on the horizontal segment [0,1]x{0} and 1-x2 on the vertical
+    segment {0}x[0,1]; g is the indicator (value 0) of the vertical segment
+    {0}x[0,1]. Their min-plus convolution has the closed piecewise form of
+    :func:`counterexample_table` and is discontinuous at the left edge of the
+    unit square.
+    """
+    m = int(round(1.0 / step)) + 1
+    big = 2 * m - 1  # covers [0, 2]
+    xs = np.linspace(0.0, 2.0, big)
+    fv = np.full((big, big), INF)
+    gv = np.full((big, big), INF)
+    for i, x1 in enumerate(xs):
+        for j, x2 in enumerate(xs):
+            if x2 == 0.0 and 0.0 <= x1 <= 1.0:
+                fv[i, j] = 1.0
+            if x1 == 0.0 and 0.0 <= x2 <= 1.0:
+                fv[i, j] = min(fv[i, j], 1.0 - x2)
+                gv[i, j] = 0.0
+    box = ((0.0, 2.0), (0.0, 2.0))
+    return ExtGridFn(box, fv), ExtGridFn(box, gv)
+
+
+def counterexample_table(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Closed form of the fixture's inf-convolution, +inf off its domain."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    out = np.full(np.broadcast_shapes(x1.shape, x2.shape), INF)
+    sq = (x1 > 0) & (x1 <= 1.0) & (x2 >= 0.0) & (x2 <= 1.0)
+    out[sq] = 1.0
+    left = (x1 == 0.0) & (x2 >= 0.0) & (x2 <= 1.0)
+    out = np.where(left, 1.0 - x2, out)
+    upper = (x1 == 0.0) & (x2 >= 1.0) & (x2 <= 2.0)
+    out = np.where(upper, 0.0, out)
+    return out
 
 
 def bilinear_scalar(axes, vals, point, snap=1e-9):

@@ -22,8 +22,6 @@ from epiconv import (
     appendix_limit_residual,
     bbl_gap,
     bump_field,
-    counterexample_pair,
-    counterexample_table,
     extremal_f,
     gns_constants,
     halfspace,
@@ -49,7 +47,14 @@ from epiconv import cli
 from epiconv.fields import multiply_bump
 from epiconv.quadrature import integrate_boundary
 from epiconv.bblcheck import _boundary_integrand
-from oracles import brute_conjugate_1d, brute_conjugate_nd, halfplane_moment, polar_cone_moment
+from oracles import (
+    brute_conjugate_1d,
+    brute_conjugate_nd,
+    counterexample_pair,
+    counterexample_table,
+    halfplane_moment,
+    polar_cone_moment,
+)
 
 E2 = np.array([0.0, 1.0])
 EUCLID = NormSpec("euclidean")

@@ -8,6 +8,7 @@ import pytest
 from epiconv import (
     AdmissibilityParams,
     BBLParams,
+    EpigraphDomain,
     ExtGridFn,
     QuadSpec,
     admissibility_report,
@@ -197,6 +198,22 @@ class TestAppendixSplit:
         by_h = {r["h"]: r for r in recs}
         assert by_h[0.25]["term_iii"] > 0.1
         assert abs(by_h[0.1]["residual"]) > abs(by_h[0.025]["residual"])
+
+
+    def test_third_term_integrated_on_a_mislabelled_cone(self):
+        # negative control: term (iii) is integrated whatever the domain's
+        # kind, so a paraboloid declared a cone gets its positive sliver term
+        par = paraboloid(2)
+        fake = EpigraphDomain(2, par.phi, par.grad_phi, kind="cone")
+        spec = QuadSpec(half_width=4.0, dx=0.05, levels=4)
+        C = normalize_power_cost(fake, NormSpec("euclidean"), 3.0, 2.0, spec)
+        W = power_cost_field(C, 3.0, NormSpec("euclidean"))
+        g = shifted_field(W, E2)
+        (rec,) = appendix_limit_residual(
+            g, W, BBLParams(n=2, a=2.0, p=1.5), fake, [0.25], spec,
+            quotient_spec=QuadSpec(half_width=3.0, dx=0.1, levels=4),
+        )
+        assert rec["term_iii"] > 0.1
 
 
 def test_sample_fan_1d_has_no_duplicates():

@@ -88,6 +88,17 @@ class TestRunAndReport:
         report = cli.run(path)
         assert len(report.results) == 2
 
+    def test_unknown_fixture_is_check_error(self, tmp_path):
+        # grid fixtures are not a kind: no check can use one, so the checks
+        # that read the fixture report an error and the run still finishes
+        doc = dict(BASE, checks=["trace_gn", "constants"], fixture={"kind": "grid_file"})
+        out = tmp_path / "r.json"
+        report = cli.run(write_config(tmp_path, doc), str(out))
+        status = {r["check"]: r["result"]["status"] for r in report.results}
+        assert status == {"trace_gn": "error", "constants": "pass"}
+        assert "unknown fixture kind 'grid_file'" in report.results[0]["result"]["message"]
+        assert len(json.loads(out.read_text())["results"]) == 2
+
     def test_report_write_is_atomic(self, tmp_path):
         path = write_config(tmp_path, BASE)
         out = tmp_path / "r.json"

@@ -35,6 +35,13 @@ def test_gridfn_rejects_nan():
         ExtGridFn([(0, 1)], np.array([0.0, np.nan]))
 
 
+def test_gridfn_rejects_negative_infinity():
+    # the value range is (-inf, +inf]; min-plus kernels treat every
+    # non-finite node as +inf
+    with pytest.raises(ValueError, match="-inf"):
+        ExtGridFn([(0, 1)], np.array([-INF, 1.0, 2.0]))
+
+
 def test_gridfn_values_are_frozen():
     f = ExtGridFn([(0, 1)], np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
@@ -251,6 +258,13 @@ def test_grid_file_roundtrip(tmp_path):
     g = read_gridfn(path)
     assert g.box == f.box
     np.testing.assert_array_equal(g.values, f.values)
+
+
+def test_grid_file_with_negative_infinity_rejected(tmp_path):
+    path = tmp_path / "f.grid"
+    path.write_text('{"box": [[0, 1]], "dim": 1, "resolution": [3]}\n1.0,-inf,inf\n')
+    with pytest.raises(ValueError, match="-inf"):
+        read_gridfn(path)
 
 
 def test_domain_config_parsing():

@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 from epiconv import (
     INF,
     ExtGridFn,
-    counterexample_pair,
-    counterexample_table,
-    domain_sum_check,
     halfspace,
     hj_difference_quotient,
     hopflax_apply,
@@ -25,7 +22,15 @@ from epiconv import (
 from epiconv import hopflax
 from epiconv.fields import power_cost_field, shifted_field
 from epiconv.transforms import NormSpec
-from oracles import exact_hopflax_reference, naive_hopflax, naive_infconv, richardson_limit
+from oracles import (
+    counterexample_pair,
+    counterexample_table,
+    domain_sum_check,
+    exact_hopflax_reference,
+    naive_hopflax,
+    naive_infconv,
+    richardson_limit,
+)
 
 
 def grid1d(lo, hi, vals):
@@ -115,6 +120,50 @@ class TestInfconv:
             for j in range(nf):
                 if 0 <= k - j < ng:
                     assert res.values.values[k] <= fv[j] + gv[k - j]
+
+    def test_is_hopflax_at_h_one(self):
+        # Q_1(g) with the cost f on g's lattice is exactly f box g, argmins
+        # included
+        rng = np.random.default_rng(8)
+        fv = np.floor(rng.uniform(0, 4, size=(5, 4)))
+        gv = np.floor(rng.uniform(0, 4, size=(4, 6)))
+        fv[1, 2] = gv[0, 0] = gv[3, 1] = INF
+        f = ExtGridFn([(0, 0.4), (-0.3, 0)], fv)
+        g = ExtGridFn([(1, 1.3), (0, 0.5)], gv)
+        res = infconv(f, g)
+        q1 = hopflax_apply(g, f, 1.0)
+        np.testing.assert_array_equal(q1.values.values, res.values.values)
+        np.testing.assert_array_equal(q1.argmin, res.argmin)
+
+    def test_far_offset_boxes(self):
+        # only indices enter the convolution, so boxes far from the origin
+        # change the output box and nothing else
+        rng = np.random.default_rng(9)
+        fv = rng.uniform(0, 2, size=(6, 5))
+        gv = rng.uniform(0, 2, size=(4, 7))
+        fv[2, 3] = INF
+        far = 3.3e7
+        f = ExtGridFn([(far, far + 0.5), (-far, -far + 0.4)], fv)
+        g = ExtGridFn([(1.0, 1.3), (far, far + 0.6)], gv)
+        res = infconv(f, g)
+        want, warg = naive_infconv(fv, gv)
+        assert res.values.values.tobytes() == want.tobytes()
+        assert res.argmin.tobytes() == warg.tobytes()
+        np.testing.assert_allclose(res.values.box, [(far + 1.0, far + 1.8), (0.0, 1.0)], atol=1e-6)
+
+    def test_never_takes_a_hopflax_path(self, taken, monkeypatch):
+        # grid-convex operands with the twostage threshold at 0: infconv still
+        # runs the exact min-plus scan, bit for bit
+        f, g = quadratic_grid(2, 9, offset=0.5), quadratic_grid(1.5, 7)
+        assert is_grid_convex(f) and is_grid_convex(g)
+        before = infconv(f, g)
+        monkeypatch.setattr(hopflax, "_TWOSTAGE_MIN_CANDIDATES", 0)
+        res = infconv(f, g)
+        assert taken == []
+        want, warg = naive_infconv(f.values, g.values)
+        for out in (before, res):
+            assert out.values.values.tobytes() == want.tobytes()
+            assert out.argmin.tobytes() == warg.tobytes()
 
     def test_counterexample_table_exact(self):
         f, g = counterexample_pair(0.25)
