@@ -1,10 +1,12 @@
 """Discrete Legendre-Fenchel transforms, dual norms, and the power-cost conjugate.
 
-The 1D conjugate is computed by the linear-time convex-hull walk (LLT): only
-lower-hull vertices of the sample graph can attain the sup, and the attaining
-vertex index is nondecreasing in the slope. The walk is finished with a small
-windowed float scan so the output maxima agree bit for bit with the exhaustive
-reference, smallest index winning ties.
+The 1D conjugate is computed by the convex-hull walk (LLT): only lower-hull
+vertices of the sample graph can attain the sup, and the attaining vertex is
+the one where the hull edge slopes cross the dual slope. Each slope finds that
+crossing by a binary search of the running maximum of the edge slopes, and a
+float scan of the five hull vertices around it takes the maximum, so the
+output agrees bit for bit with the exhaustive reference, smallest index
+winning ties.
 
 Conjugates are taken on bounded boxes. Restricting the sup to a box is the
 same as adding the box's indicator to the function, which can only raise the
@@ -159,6 +161,8 @@ def dual_norm_sampled(norm: NormSpec, y):
 
 def _lower_hull(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Indices of the lower convex hull of the finite sample graph."""
+    # Python floats do the same IEEE double arithmetic as numpy scalars, faster
+    xs, vals = xs.tolist(), vals.tolist()
     hull: list[int] = []
     for i in range(len(xs)):
         while len(hull) >= 2:
@@ -178,15 +182,21 @@ def legendre_1d(xs: np.ndarray, vals: np.ndarray, slopes: np.ndarray):
     """Discrete conjugate g(y) = max_i (x_i*y - f_i) by the hull walk.
 
     Returns (values, argmax indices). Matches the exhaustive scan exactly,
-    including the smallest-index tie break: the hull walk only locates the
-    crossing, the winning value is then taken by a float scan of a window
-    around it.
+    including the smallest-index tie break: a binary search of the running
+    maximum of the hull edge slopes finds the first edge steeper than each
+    slope (the running maximum keeps this well defined when rounding makes
+    the edge slopes non-monotone), and a float scan of the five hull vertices
+    around it takes the winning value.
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.asarray(vals, dtype=float)
     slopes = np.asarray(slopes, dtype=float)
     if np.any(np.diff(xs) <= 0):
         raise ValueError("sample abscissae must be strictly increasing")
+    if not (vals > -INF).all():
+        raise ValueError("samples must not contain NaN or -inf")
+    if not np.isfinite(slopes).all():
+        raise ValueError("slopes must be finite")
     finite = np.isfinite(vals)
     if not finite.any():
         raise ValueError("conjugate of an improper function (all samples +inf)")
@@ -194,26 +204,15 @@ def legendre_1d(xs: np.ndarray, vals: np.ndarray, slopes: np.ndarray):
     xf = xs[finite]
     vf = vals[finite]
     hull = _lower_hull(xf, vf)
-    hx = xf[hull]
-    hv = vf[hull]
-    edge = np.diff(hv) / np.diff(hx) if len(hull) > 1 else np.empty(0)
-
-    order = np.argsort(slopes, kind="stable")
-    out = np.empty(len(slopes))
-    arg = np.empty(len(slopes), dtype=np.int64)
-    j = 0
-    for k in order:
-        y = slopes[k]
-        while j < len(edge) and edge[j] <= y:
-            j += 1
-        lo = max(0, j - 2)
-        hi = min(len(hull), j + 3)
-        window = hull[lo:hi]
-        cand = xf[window] * y - vf[window]
-        b = int(np.argmax(cand))
-        out[k] = cand[b]
-        arg[k] = idx_map[window[b]]
-    return out, arg
+    edge = np.diff(vf[hull]) / np.diff(xf[hull])
+    j = np.searchsorted(np.maximum.accumulate(edge), slopes, side="right")
+    # hull positions j-2 .. j+2, clipped to the hull: a clipped slot repeats
+    # a vertex of the window, so the first maximum lands on the same vertex
+    window = hull[np.clip(j[:, None] + np.arange(-2, 3), 0, len(hull) - 1)]
+    cand = xf[window] * slopes[:, None] - vf[window]
+    rows = np.arange(len(slopes))
+    b = np.argmax(cand, axis=1)
+    return cand[rows, b], idx_map[window[rows, b]]
 
 
 def default_dual_box(f: ExtGridFn):
@@ -261,6 +260,8 @@ def legendre_nd(
         dual_box = default_dual_box(f)
     if dual_resolution is None:
         dual_resolution = f.resolution
+    if len(dual_box) != f.dim or len(dual_resolution) != f.dim:
+        raise ValueError(f"dual_box and dual_resolution need {f.dim} entries")
     dual_axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(dual_box, dual_resolution)]
 
     work = f.values

@@ -3,9 +3,10 @@
 Everything here stays deliberately naive: explicit loops, closed forms from
 polar coordinates, and scalar interpolation, so that agreement with the
 library is evidence and not tautology. The discontinuous inf-convolution
-fixture and its closed form live here too, next to the domain-sum check. The two ``*_reference`` functions are
-earlier, straightforward library implementations kept verbatim, so that the
-faster code that replaced them can be held to the same bits.
+fixture and its closed form live here too, next to the domain-sum check. The
+``*_reference`` functions are earlier, straightforward library implementations
+kept verbatim, so that the faster code that replaced them can be held to the
+same bits.
 """
 
 from __future__ import annotations
@@ -41,6 +42,65 @@ def brute_conjugate_1d(xs, vals, slopes):
                 best, bi = c, i
         out[k] = best
         arg[k] = bi
+    return out, arg
+
+
+def _lower_hull_reference(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Indices of the lower convex hull of the finite sample graph."""
+    hull: list[int] = []
+    for i in range(len(xs)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            # keep b only if it lies strictly below chord a-i
+            lhs = (vals[b] - vals[a]) * (xs[i] - xs[a])
+            rhs = (vals[i] - vals[a]) * (xs[b] - xs[a])
+            if lhs >= rhs:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return np.asarray(hull, dtype=np.int64)
+
+
+def legendre_1d_reference(xs: np.ndarray, vals: np.ndarray, slopes: np.ndarray):
+    """Discrete conjugate g(y) = max_i (x_i*y - f_i) by the hull walk.
+
+    Returns (values, argmax indices). Matches the exhaustive scan exactly,
+    including the smallest-index tie break: the hull walk only locates the
+    crossing, the winning value is then taken by a float scan of a window
+    around it.
+    """
+    xs = np.asarray(xs, dtype=float)
+    vals = np.asarray(vals, dtype=float)
+    slopes = np.asarray(slopes, dtype=float)
+    if np.any(np.diff(xs) <= 0):
+        raise ValueError("sample abscissae must be strictly increasing")
+    finite = np.isfinite(vals)
+    if not finite.any():
+        raise ValueError("conjugate of an improper function (all samples +inf)")
+    idx_map = np.flatnonzero(finite)
+    xf = xs[finite]
+    vf = vals[finite]
+    hull = _lower_hull_reference(xf, vf)
+    hx = xf[hull]
+    hv = vf[hull]
+    edge = np.diff(hv) / np.diff(hx) if len(hull) > 1 else np.empty(0)
+
+    order = np.argsort(slopes, kind="stable")
+    out = np.empty(len(slopes))
+    arg = np.empty(len(slopes), dtype=np.int64)
+    j = 0
+    for k in order:
+        y = slopes[k]
+        while j < len(edge) and edge[j] <= y:
+            j += 1
+        lo = max(0, j - 2)
+        hi = min(len(hull), j + 3)
+        window = hull[lo:hi]
+        cand = xf[window] * y - vf[window]
+        b = int(np.argmax(cand))
+        out[k] = cand[b]
+        arg[k] = idx_map[window[b]]
     return out, arg
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epiconv.transforms
 from epiconv import (
     INF,
     ExtGridFn,
@@ -16,7 +17,7 @@ from epiconv import (
     legendre_nd,
     power_cost_conjugate,
 )
-from oracles import brute_conjugate_1d, brute_conjugate_nd
+from oracles import brute_conjugate_1d, brute_conjugate_nd, legendre_1d_reference
 
 
 def random_convex_1d(rng, m):
@@ -75,6 +76,111 @@ class TestLegendre1d:
         with pytest.raises(ValueError, match="increasing"):
             legendre_1d(np.array([0.0, 0.0]), np.array([1.0, 2.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, -INF])
+    def test_nan_or_minus_inf_sample_rejected(self, bad):
+        with pytest.raises(ValueError, match="NaN or -inf"):
+            vals = np.array([0.0, bad, 0.0, 1.0, 2.0])
+            legendre_1d(np.linspace(-1, 1, 5), vals, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, INF, -INF])
+    def test_nonfinite_slope_rejected(self, bad):
+        with pytest.raises(ValueError, match="slopes must be finite"):
+            legendre_1d(np.linspace(-1, 1, 5), np.zeros(5), np.array([0.0, bad]))
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def _line_case(rng, kind):
+    """(xs, vals, slopes) for one line of the given kind."""
+    m = int(rng.integers(2, 60))
+    xs = np.linspace(-1.0, 1.0, m)
+    if kind == "inf_holes":
+        vals = np.where(rng.random(m) < 0.3, INF, xs**2 + rng.uniform(0, 0.1, m))
+        vals[rng.integers(m)] = 0.5
+    elif kind == "floored_ties":
+        vals = np.floor(4 * xs**2) / 4
+    elif kind == "nonconvex":
+        vals = rng.uniform(-2, 2, m)
+    elif kind == "collinear":
+        # rounding makes the hull edge slopes of a line non-monotone
+        vals = 0.3 * xs + 0.1
+    elif kind == "rounded_linear":
+        vals = np.round(0.7 * xs, 3)
+    else:  # single finite sample
+        vals = np.full(m, INF)
+        vals[rng.integers(m)] = rng.uniform(-1, 1)
+    fin = np.isfinite(vals)
+    quotients = np.diff(vals[fin]) / np.diff(xs[fin])
+    slopes = np.concatenate([
+        quotients,  # slopes landing exactly on (rounded) edge slopes
+        rng.uniform(-3, 3, 8),
+        np.round(rng.uniform(-3, 3, 8), 1),
+        [-50.0, 50.0],  # outside every edge slope
+    ])
+    slopes = rng.permutation(np.concatenate([slopes, slopes[:5]]))  # unsorted, repeated
+    return xs, vals, slopes
+
+
+class TestLegendreMatchesReferenceBits:
+    """Values and argmaxes are byte-identical to the per-slope hull walk it
+    replaced (``oracles.legendre_1d_reference``)."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["inf_holes", "floored_ties", "nonconvex", "collinear", "rounded_linear", "single"],
+    )
+    def test_lines(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(60):
+            xs, vals, slopes = _line_case(rng, kind)
+            want = legendre_1d_reference(xs, vals, slopes)
+            assert_same_bits(legendre_1d(xs, vals, slopes), want)
+
+    def test_empty_slopes(self):
+        xs = np.linspace(-1, 1, 7)
+        want = legendre_1d_reference(xs, xs**2, np.empty(0))
+        assert_same_bits(legendre_1d(xs, xs**2, np.empty(0)), want)
+
+    @staticmethod
+    def _assert_nd_same_bits(monkeypatch, f, **kw):
+        got = legendre_nd(f, **kw).values
+        with monkeypatch.context() as m:
+            m.setattr(epiconv.transforms, "legendre_1d", legendre_1d_reference)
+            want = legendre_nd(f, **kw).values
+        assert_same_bits((got.values,), (want.values,))
+        return got
+
+    @pytest.mark.parametrize("shape", [(9, 12), (6, 7, 5)])
+    def test_nd_with_empty_lines(self, monkeypatch, shape):
+        rng = np.random.default_rng(len(shape))
+        vals = np.floor(8 * rng.uniform(0, 1, shape)) / 8
+        vals[rng.random(shape) < 0.2] = INF
+        vals[..., 1] = INF  # the first sweep's lines at last index 1 are empty
+        vals[2] = INF
+        dim = len(shape)
+        f = ExtGridFn([(-1.0, 1.0)] * dim, vals)
+        for half, m in ((3.0, 7), (40.0, 9)):  # the wide box puts slopes past every edge
+            kw = {"dual_box": [(-half, half)] * dim, "dual_resolution": [m] * dim}
+            self._assert_nd_same_bits(monkeypatch, f, **kw)
+
+    def test_conjugates_fixture_201(self, monkeypatch):
+        # x'Ax/2 + c|x1| on 201^2 nodes of [-2, 2]^2, forward and back
+        rng = np.random.default_rng(504)
+        theta = rng.uniform(0.0, np.pi)
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        A = rot @ np.diag(rng.uniform(0.9, 1.2, 2)) @ rot.T
+        xs = np.linspace(-2.0, 2.0, 201)
+        X = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
+        c = rng.uniform(0.4, 0.6)
+        fv = 0.5 * np.einsum("...i,ij,...j->...", X, A, X) + c * np.abs(X[..., 0])
+        f = ExtGridFn([(-2.0, 2.0)] * 2, fv)
+        conj = self._assert_nd_same_bits(monkeypatch, f)
+        self._assert_nd_same_bits(monkeypatch, conj, dual_box=f.box, dual_resolution=f.resolution)
+
 
 class TestLegendreNd:
     def test_euclidean_quadratic_self_dual(self):
@@ -108,6 +214,34 @@ class TestLegendreNd:
             conj = legendre_nd(f, dual_box=[(-2, 2), (-3, 1)], dual_resolution=[7, 6])
             want = brute_conjugate_nd(xs, vals, dual_axes)
             np.testing.assert_array_equal(conj.values.values, want)
+
+    def test_3d_matches_triple_loop_exactly(self):
+        rng = np.random.default_rng(12)
+        shape = (5, 4, 6)
+        box = [(-1.0, 1.0), (-0.5, 1.5), (-2.0, 1.0)]
+        xs = [np.linspace(lo, hi, m) for (lo, hi), m in zip(box, shape)]
+        mesh = np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1)
+        vals = np.sum(rng.uniform(0.3, 1.5, 3) * mesh**2, axis=-1) + rng.uniform(0, 0.3, shape)
+        vals[rng.random(shape) < 0.15] = INF
+        # an empty plane across the first two axes: the middle sweep sees
+        # all-+inf lines and must pass them on through negation
+        vals[:, :, 2] = INF
+        f = ExtGridFn(box, vals)
+        dual_box = [(-2, 2), (-3, 1), (-1, 2)]
+        dual_res = [4, 5, 3]
+        dual_axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(dual_box, dual_res)]
+        conj = legendre_nd(f, dual_box=dual_box, dual_resolution=dual_res)
+        np.testing.assert_array_equal(conj.values.values, brute_conjugate_nd(xs, vals, dual_axes))
+
+    def test_dual_resolution_length_checked(self):
+        f = ExtGridFn([(-1, 1)] * 2, np.zeros((5, 5)))
+        with pytest.raises(ValueError, match="need 2 entries"):
+            legendre_nd(f, dual_box=[(-1, 1)] * 2, dual_resolution=[5, 5, 5])
+
+    def test_dual_box_length_checked(self):
+        f = ExtGridFn([(-1, 1)] * 2, np.zeros((5, 5)))
+        with pytest.raises(ValueError, match="need 2 entries"):
+            legendre_nd(f, dual_box=[(-1, 1)])
 
     def test_conjugate_convex_along_axes(self):
         rng = np.random.default_rng(4)
