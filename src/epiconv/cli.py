@@ -126,10 +126,10 @@ def _bbl_params(cfg: ExperimentConfig, h: float = 0.0) -> bbl.BBLParams:
     return bbl.BBLParams(n=cfg.n, a=cfg.a, p=cfg.p, h=h)
 
 
-def _result(status: str, assertions=None, **data):
-    out = {"status": status, "assertions": assertions or []}
-    out.update(data)
-    return out
+def _result(assertions: list, **data):
+    """A check's result: it passes when every assertion passed."""
+    status = "pass" if all(x["passed"] for x in assertions) else "fail"
+    return {"status": status, "assertions": assertions, **data}
 
 
 def _assert(assertions: list, label: str, ok: bool, detail: str = ""):
@@ -194,8 +194,7 @@ def check_constants(cfg: ExperimentConfig):
     if cst.a == cst.n:
         _assert(a, "theta_is_one_at_a_eq_n", cst.theta == 1.0)
         _assert(a, "D_npa_equals_D_at_a_eq_n", cst.D_npa == cst.D)
-    status = "pass" if all(x["passed"] for x in a) else "fail"
-    return _result(status, a, constants=cst.to_json())
+    return _result(a, constants=cst.to_json())
 
 
 def _assert_trace_ratio(a: list, cfg: ExperimentConfig, rep: sc.TraceReport):
@@ -226,9 +225,8 @@ def check_trace_gn(cfg: ExperimentConfig):
         spec = spec.refined()
         r = sc.trace_gn_check(f, params, cfg.domain, cfg.norm, spec)
         refinement.append({"dx": spec.dx, "abs_ratio_minus_one": abs(r.ratio - 1.0)})
-    status = "pass" if all(x["passed"] for x in a) else "fail"
     out = _result(
-        status, a, report=rep.to_json(),
+        a, report=rep.to_json(),
         params={"n": cfg.n, "a": cfg.a, "p": cfg.p},
         domain=cfg.domain.kind,
     )
@@ -249,14 +247,13 @@ def check_weighted_trace(cfg: ExperimentConfig):
     except sc.DomainRejectionError as ex:
         ok = cfg.expect_rejection
         _assert(a, "growth_gate", ok, f"rejected: fitted {ex.fitted:.4f} at {ex.witness}")
-        return _result("pass" if ok else "fail", a, rejected=True, fitted=ex.fitted)
+        return _result(a, rejected=True, fitted=ex.fitted)
     if cfg.expect_rejection:
         _assert(a, "growth_gate", False, "expected a rejection but the gate passed")
-        return _result("fail", a, rejected=False)
+        return _result(a, rejected=False)
     _assert_trace_ratio(a, cfg, rep)
-    status = "pass" if all(x["passed"] for x in a) else "fail"
     return _result(
-        status, a, report=rep.to_json(),
+        a, report=rep.to_json(),
         params={"n": cfg.n, "a": cfg.a, "p": cfg.p},
         domain=cfg.domain.kind,
     )
@@ -274,8 +271,7 @@ def check_bbl_gap(cfg: ExperimentConfig):
             rep.gap >= -rep.quadrature_error_estimate,
             f"gap {rep.gap:.5f} err {rep.quadrature_error_estimate:.5f}",
         )
-    status = "pass" if all(x["passed"] for x in a) else "fail"
-    return _result(status, a, gap_curve=curve)
+    return _result(a, gap_curve=curve)
 
 
 def check_derived_gap(cfg: ExperimentConfig):
@@ -287,8 +283,7 @@ def check_derived_gap(cfg: ExperimentConfig):
         rep.gap >= -rep.quadrature_error_estimate,
         f"gap {rep.gap:.5f} err {rep.quadrature_error_estimate:.5f}",
     )
-    status = "pass" if all(x["passed"] for x in a) else "fail"
-    return _result(status, a, report=rep.to_json())
+    return _result(a, report=rep.to_json())
 
 
 def check_appendix_limit(cfg: ExperimentConfig):
@@ -312,8 +307,7 @@ def check_appendix_limit(cfg: ExperimentConfig):
     )
     if cfg.domain.kind in ("halfspace", "cone", "affine_max"):
         _assert(a, "third_term_zero_on_cones", all(r["term_iii"] == 0.0 for r in recs))
-    status = "pass" if all(x["passed"] for x in a) else "fail"
-    return _result(status, a, records=recs)
+    return _result(a, records=recs)
 
 
 def check_semigroup(cfg: ExperimentConfig):
@@ -326,8 +320,7 @@ def check_semigroup(cfg: ExperimentConfig):
     res = hl.semigroup_residual(g, g, 0.6, 0.2)
     a = []
     _assert(a, "semigroup_residual", res <= 5 * dx, f"residual {res:.5f} vs 5dx {5*dx:.3f}")
-    status = "pass" if all(x["passed"] for x in a) else "fail"
-    return _result(status, a, residual=res, dx=dx)
+    return _result(a, residual=res, dx=dx)
 
 
 def check_hj_quotient(cfg: ExperimentConfig):
@@ -343,8 +336,7 @@ def check_hj_quotient(cfg: ExperimentConfig):
     scale = np.maximum(1.0, np.abs(ref))
     worst = float(np.max(dev / scale))
     _assert(a, "hj_limit_matches_conjugate", worst <= 0.01, f"max rel dev {worst:.4f}")
-    status = "pass" if all(x["passed"] for x in a) else "fail"
-    return _result(status, a, worst_rel_dev=worst)
+    return _result(a, worst_rel_dev=worst)
 
 
 def check_admissibility(cfg: ExperimentConfig):
@@ -354,11 +346,7 @@ def check_admissibility(cfg: ExperimentConfig):
     a = []
     for cond in rep.conditions:
         _assert(a, f"adm_{cond.name}", cond.passed, f"fitted {cond.fitted:.4g}")
-    status = "pass" if all(x["passed"] for x in a) else "fail"
-    return _result(
-        status, a,
-        fitted={c.name: c.fitted for c in rep.conditions},
-    )
+    return _result(a, fitted={c.name: c.fitted for c in rep.conditions})
 
 
 def check_equivalence_scan(cfg: ExperimentConfig):
@@ -384,9 +372,8 @@ def check_equivalence_scan(cfg: ExperimentConfig):
         scan.derivative_error_estimate,
     )
     _assert(a, "derivative_match", dev <= tol, f"fd {scan.fd_derivative:.4f} int {scan.integral_derivative:.4f}")
-    status = "pass" if all(x["passed"] for x in a) else "fail"
     return _result(
-        status, a,
+        a,
         phi_curve=[{"h": h, "phi": p, "error": scan.error_estimate} for h, p in scan.curve()],
     )
 
@@ -426,7 +413,7 @@ def _run_one(cfg: ExperimentConfig, check: str) -> dict:
     try:
         result = fn(cfg)
     except (ValueError, ConfigError) as ex:
-        result = _result("error", [], message=str(ex))
+        result = {"status": "error", "assertions": [], "message": str(ex)}
     return {"experiment": cfg.name, "check": check, "result": result}
 
 

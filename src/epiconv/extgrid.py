@@ -17,7 +17,9 @@ can be evaluated at off-grid points without interpolation error.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -135,52 +137,34 @@ class ExtGridFn:
         """
         pts = _as_points(points, self.dim)
         flat = pts.reshape(-1, self.dim)
-        npts = flat.shape[0]
-        base = np.zeros((npts, self.dim), dtype=np.int64)
-        frac = np.zeros((npts, self.dim))
-        outside = np.zeros(npts, dtype=bool)
-        for d in range(self.dim):
-            lo, hi = self.box[d]
-            m = self.resolution[d]
+        outside = np.zeros(flat.shape[0], dtype=bool)
+        # per axis, the (flat index offset, weight) pair of each cell corner
+        corners = []
+        for d, ((lo, _), m) in enumerate(zip(self.box, self.resolution)):
+            stride = math.prod(self.resolution[d + 1 :])
             if m == 1:
                 outside |= np.abs(flat[:, d] - lo) > _SNAP * max(1.0, abs(lo))
+                corners.append(((0, 1.0),))
                 continue
-            step = self.spacing[d]
-            t = (flat[:, d] - lo) / step
+            t = (flat[:, d] - lo) / self.spacing[d]
             outside |= (t < -_SNAP) | (t > m - 1 + _SNAP)
             i = np.clip(np.floor(t).astype(np.int64), 0, m - 2)
             f = np.clip(t - i, 0.0, 1.0)
             f[f < _SNAP] = 0.0
             f[f > 1.0 - _SNAP] = 1.0
-            base[:, d] = i
-            frac[:, d] = f
+            corners.append(((i * stride, 1.0 - f), ((i + 1) * stride, f)))
 
-        out = np.zeros(npts)
-        hit_inf = outside.copy()
-        strides = np.array(self.values.strides) // self.values.itemsize
+        # a zero-weight corner adds +-0 to a sum that starts at +0, and only
+        # a corner of positive weight can make the query +inf
         flat_vals = self.values.ravel()
-        base_flat = base @ strides
-        for corner in np.ndindex(*(2,) * self.dim):
-            w = np.ones(npts)
-            off = 0
-            for d, c in enumerate(corner):
-                if self.resolution[d] == 1:
-                    if c == 1:
-                        w *= 0.0
-                    continue
-                w *= frac[:, d] if c else (1.0 - frac[:, d])
-                off += c * strides[d]
-            active = w > 0.0
-            if not active.any():
-                continue
-            v = flat_vals[base_flat[active] + off]
-            vin = np.isfinite(v)
-            contrib = np.zeros(active.sum())
-            contrib[vin] = w[active][vin] * v[vin]
-            out[active] += contrib
-            inf_here = np.zeros(npts, dtype=bool)
-            inf_here[active] = ~vin
-            hit_inf |= inf_here
+        out = np.zeros(flat.shape[0])
+        hit_inf = outside
+        for corner in itertools.product(*corners):
+            w = math.prod(wd for _, wd in corner)
+            v = flat_vals[sum(k for k, _ in corner)]
+            finite = np.isfinite(v)
+            out += w * np.where(finite, v, 0.0)
+            hit_inf |= (w > 0.0) & ~finite
         out[hit_inf] = INF
         return out.reshape(pts.shape[:-1])
 

@@ -14,7 +14,9 @@ lattice, and then each y costs one slice of that lattice plus h*W(y), taken
 over the output nodes y can reach. The exact path runs the kernel over every
 finite y. Above _TWOSTAGE_MIN_CANDIDATES (output, cost) node pairs, a g and W
 that both pass the convexity certificate take the twostage path instead: the
-kernel over a strided subset of y, then a local refinement.
+kernel over a strided subset of y, then a local refinement around each output
+node's strided argmin. The refinement runs over the output nodes in chunks of
+_CHUNK_CANDIDATES candidates, so its memory stays a few MB at any grid size.
 
 ``infconv`` is Q_1 with the cost on g's own lattice: the exact min-plus
 convolution of two grid functions with shared spacing. It runs the same kernel
@@ -47,6 +49,9 @@ __all__ = [
 _TWOSTAGE_MIN_CANDIDATES = 4e8
 # stage-1 stride of the twostage path, in cost-grid nodes per axis
 _COARSE_STRIDE = 4
+# (output node, cost node) candidates per stage-2 chunk of the twostage path;
+# it bounds the chunk's arrays to a few MB
+_CHUNK_CANDIDATES = 2**17
 # most interpolated lattices of g the candidate kernel keeps at once (16 are
 # 1.7 MB for a 161 x 81 g)
 _LATTICE_CACHE = 16
@@ -56,7 +61,11 @@ _LATTICE_CACHE = 16
 class InfConvResult:
     values: ExtGridFn
     argmin: np.ndarray  # flat index into the y-grid, -1 where the value is +inf
-    empty: bool = False
+
+    @property
+    def empty(self) -> bool:
+        """True when no output node is finite."""
+        return not self.values.finite_mask.any()
 
 
 def _same_step(a: float, b: float) -> bool:
@@ -77,23 +86,22 @@ def is_grid_convex(f: ExtGridFn) -> bool:
     Along each axis the finite nodes of every line must be contiguous and the
     second differences nonnegative (up to 1e-12 times the value scale).
     """
+    finite = f.finite_mask
     scale = 1.0
-    finite_vals = f.values[f.finite_mask]
+    finite_vals = f.values[finite]
     if finite_vals.size:
         scale = max(1.0, float(np.abs(finite_vals).max()))
     for d in range(f.dim):
-        v = np.moveaxis(f.values, d, -1)
-        flat = v.reshape(-1, v.shape[-1])
-        for line in flat:
-            idx = np.flatnonzero(np.isfinite(line))
-            if idx.size == 0:
-                continue
-            if idx[-1] - idx[0] != idx.size - 1:
-                return False
-            if idx.size >= 3:
-                seg = line[idx[0] : idx[-1] + 1]
-                if np.any(seg[:-2] - 2.0 * seg[1:-1] + seg[2:] < -1e-12 * scale):
-                    return False
+        fin = np.moveaxis(finite, d, -1)
+        v = np.where(fin, np.moveaxis(f.values, d, -1), 0.0)
+        # a +inf node with finite nodes on both sides breaks its line
+        before = np.logical_or.accumulate(fin, axis=-1)
+        after = np.logical_or.accumulate(fin[..., ::-1], axis=-1)[..., ::-1]
+        if np.any(~fin & before & after):
+            return False
+        triple = fin[..., :-2] & fin[..., 1:-1] & fin[..., 2:]
+        if np.any(triple & (v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:] < -1e-12 * scale)):
+            return False
     return True
 
 
@@ -115,8 +123,7 @@ def infconv(f: ExtGridFn, g: ExtGridFn) -> InfConvResult:
     ]
     shape = tuple(a + b - 1 for a, b in zip(f.resolution, g.resolution))
     vals, arg = _scan_candidates(g, f.values.ravel(), tables, shape, f.domain_indices)
-    empty = not np.isfinite(vals).any()
-    return InfConvResult(ExtGridFn(box, vals), arg, empty)
+    return InfConvResult(ExtGridFn(box, vals), arg)
 
 
 def _axis_tables(g: ExtGridFn, W: ExtGridFn, h: float, out_axes):
@@ -267,8 +274,8 @@ def hopflax_apply(
     minimum go to the smallest flat y index. The exact path scans every finite
     y node. Above _TWOSTAGE_MIN_CANDIDATES (output, cost) node pairs with g
     and W both grid-convex, the twostage path runs a strided scan followed by
-    a windowed local search; it is exact for the convex fixtures and asserted
-    against the exact path in tests.
+    a windowed local search over chunks of output nodes; it is exact for the
+    convex fixtures and asserted against the exact path in tests.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
@@ -287,7 +294,7 @@ def hopflax_apply(
         else:
             vals = g.interpolate(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
         arg = np.full(vals.shape, -1, dtype=np.int64)
-        return InfConvResult(ExtGridFn(box, vals), arg, not np.isfinite(vals).any())
+        return InfConvResult(ExtGridFn(box, vals), arg)
     if g.dim != W.dim:
         raise ValueError("g and W must share dimension")
 
@@ -301,17 +308,12 @@ def hopflax_apply(
     shape = tuple(len(ax) for ax in axes)
 
     y_idx = np.argwhere(np.isfinite(W.values))
-    if y_idx.shape[0] == 0:
-        vals = np.full(shape, INF)
-        return InfConvResult(ExtGridFn(box, vals), np.full(shape, -1, dtype=np.int64), True)
-
     big = int(np.prod(shape)) * y_idx.shape[0] > _TWOSTAGE_MIN_CANDIDATES
     if big and is_grid_convex(g) and is_grid_convex(W):
         vals, arg = _hopflax_twostage(g, W, h, axes, shape)
     else:
         vals, arg = _hopflax_exact(g, W, h, axes, shape, y_idx)
-    empty = not np.isfinite(vals).any()
-    return InfConvResult(ExtGridFn(box, vals), arg, empty)
+    return InfConvResult(ExtGridFn(box, vals), arg)
 
 
 def _hopflax_exact(g, W, h, axes, shape, y_idx):
@@ -322,74 +324,49 @@ def _hopflax_exact(g, W, h, axes, shape, y_idx):
 
 
 def _hopflax_twostage(g, W, h, axes, shape):
-    w_axes = W.axes
-    wres = W.resolution
-    finite_w = np.isfinite(W.values)
-
     # stage 1: strided scan with the lattice-slice candidates
-    strided = np.argwhere(finite_w)
+    strided = np.argwhere(np.isfinite(W.values))
     keep = np.all(strided % _COARSE_STRIDE == 0, axis=1)
     tables = _axis_tables(g, W, h, axes)
     vals, arg = _scan_candidates(g, (h * W.values).ravel(), tables, shape, strided[keep])
 
-    # stage 2: halving refinement around the strided argmin. At each level the
-    # incumbent of a convex objective sampled at stride s is within s of the
-    # optimum, so candidates at stride s/2 within +-2 units cover it.
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g.dim)
-    flat_vals = vals.ravel()
-    flat_arg = arg.ravel()
-    found = flat_arg >= 0
-    if found.any():
-        centers = np.stack(np.unravel_index(flat_arg[found], wres), axis=-1)
-        sub_pts = pts[found]
-        best_v = flat_vals[found].copy()
-        best_a = flat_arg[found].copy()
-        y_step = np.array([ax[1] - ax[0] if len(ax) > 1 else 1.0 for ax in w_axes])
-        y_lo = np.array([ax[0] for ax in w_axes])
-        wres_arr = np.array(wres)
-        w_flatvals = W.values.ravel()
-        npts = sub_pts.shape[0]
-        unit = np.stack(
-            np.meshgrid(*([np.arange(-2, 3)] * g.dim), indexing="ij"), axis=-1
-        ).reshape(-1, g.dim)
-        rows = np.arange(npts)
-        level = _COARSE_STRIDE
-        while level > 0:
-            step_idx = (level + 1) // 2 if level > 2 else 1
-            off = unit * step_idx  # (25, dim) in index units
-            block = max(1, int(1_500_000 / max(npts, 1)))
-            for b0 in range(0, off.shape[0], block):
-                ob = off[b0 : b0 + block]
-                ci = centers[:, None, :] + ob[None, :, :]
-                ok = np.all((ci >= 0) & (ci < wres_arr), axis=2)
-                ci_clip = np.clip(ci, 0, wres_arr - 1)
-                wflat = np.zeros(ci.shape[:2], dtype=np.int64)
-                stride_acc = 1
-                for d in range(g.dim - 1, -1, -1):
-                    wflat += ci_clip[..., d] * stride_acc
-                    stride_acc *= wres[d]
-                wv = w_flatvals[wflat]
-                feas = ok & np.isfinite(wv)
-                y = y_lo + ci_clip * y_step
-                q = sub_pts[:, None, :] - h * y
-                gv = g.interpolate(q.reshape(-1, g.dim)).reshape(q.shape[:2])
-                cand = np.where(feas, gv + h * wv, INF)
-                k = np.argmin(cand, axis=1)
-                cbest = cand[rows, k]
-                better = cbest < best_v
-                best_v[better] = cbest[better]
-                best_a[better] = wflat[rows, k][better]
-            centers = np.stack(np.unravel_index(best_a, wres), axis=-1)
-            if step_idx == 1:
-                break
-            level = step_idx
-        flat_vals[found] = best_v
-        flat_arg[found] = best_a
+    # stage 2: two refinement rounds around the strided argmin, at steps
+    # _COARSE_STRIDE // 2 and 1. The incumbent of a convex objective sampled
+    # at stride s is within s of the optimum, so the 5^d candidates at step
+    # s/2 within +-2 steps cover it. The found output rows go in chunks of
+    # about _CHUNK_CANDIDATES candidates; rows are independent, so the chunks
+    # cannot change a value or an argmin.
+    y_step = np.array([ax[1] - ax[0] if len(ax) > 1 else 1.0 for ax in W.axes])
+    y_lo = np.array([ax[0] for ax in W.axes])
+    unit = np.array(list(itertools.product(range(-2, 3), repeat=g.dim)))
+    found = np.flatnonzero(arg >= 0)
+    chunk = max(1, _CHUNK_CANDIDATES // len(unit))
+    for c0 in range(0, found.size, chunk):
+        rows = found[c0 : c0 + chunk]
+        pts = np.stack([ax[i] for ax, i in zip(axes, np.unravel_index(rows, shape))], -1)
+        best_v = vals.flat[rows]
+        best_a = arg.flat[rows]
+        for step in (_COARSE_STRIDE // 2, 1):
+            centers = np.stack(np.unravel_index(best_a, W.resolution), axis=-1)
+            ci = centers[:, None, :] + step * unit
+            ok = np.all((ci >= 0) & (ci < W.resolution), axis=2)
+            # out-of-range indices are clipped only to read W; ok drops them
+            wflat = np.ravel_multi_index(np.moveaxis(ci, -1, 0), W.resolution, mode="clip")
+            wv = W.values.ravel()[wflat]
+            gv = g.interpolate(pts[:, None, :] - h * (y_lo + ci * y_step))
+            cand = np.where(ok & np.isfinite(wv), gv + h * wv, INF)
+            k = np.argmin(cand, axis=1)[:, None]
+            cbest = np.take_along_axis(cand, k, axis=1)[:, 0]
+            better = cbest < best_v
+            best_v[better] = cbest[better]
+            best_a[better] = np.take_along_axis(wflat, k, axis=1)[better, 0]
+        vals.flat[rows] = best_v
+        arg.flat[rows] = best_a
 
     # Nodes with no strided witness stay +inf; the gate restricts this path to
     # convex-certified inputs where the only candidates lost this way sit in a
     # one-window band along the essential-domain boundary.
-    return flat_vals.reshape(shape), flat_arg.reshape(shape)
+    return vals, arg
 
 
 def hopflax_pointwise(

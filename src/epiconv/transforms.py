@@ -226,7 +226,9 @@ def default_dual_box(f: ExtGridFn):
     for d in range(f.dim):
         v = np.moveaxis(f.values, d, 0)
         step = f.spacing[d] if f.spacing[d] > 0 else 1.0
-        diffs = np.diff(v, axis=0) / step
+        # two adjacent +inf samples differ by NaN, which the filter drops
+        with np.errstate(invalid="ignore"):
+            diffs = np.diff(v, axis=0) / step
         diffs = diffs[np.isfinite(diffs)]
         if diffs.size == 0:
             lo, hi = -1.0, 1.0

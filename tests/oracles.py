@@ -16,8 +16,14 @@ import math
 
 import numpy as np
 
-from epiconv.extgrid import INF, ExtGridFn
-from epiconv.hopflax import InfConvResult, infconv
+from epiconv.extgrid import _SNAP, INF, ExtGridFn
+from epiconv.hopflax import (
+    _COARSE_STRIDE,
+    InfConvResult,
+    _axis_tables,
+    _scan_candidates,
+    infconv,
+)
 from epiconv.quadrature import (
     _axis_nodes,
     _fit_tail_K,
@@ -396,6 +402,156 @@ def exact_hopflax_reference(g, W, h, out_axes):
             vals = np.where(better, cand, vals)
             arg[better] = int(np.ravel_multi_index(multi, W.resolution))
     return vals, arg
+
+
+def interpolate_reference(f: ExtGridFn, points) -> np.ndarray:
+    """ExtGridFn.interpolate as it was, with a compress and scatter per
+    corner, kept verbatim except that self is the argument f, the local f is
+    fr, and the result is flat over the (..., dim) points."""
+    flat = np.asarray(points, dtype=float).reshape(-1, f.dim)
+    npts = flat.shape[0]
+    base = np.zeros((npts, f.dim), dtype=np.int64)
+    frac = np.zeros((npts, f.dim))
+    outside = np.zeros(npts, dtype=bool)
+    for d in range(f.dim):
+        lo, hi = f.box[d]
+        m = f.resolution[d]
+        if m == 1:
+            outside |= np.abs(flat[:, d] - lo) > _SNAP * max(1.0, abs(lo))
+            continue
+        step = f.spacing[d]
+        t = (flat[:, d] - lo) / step
+        outside |= (t < -_SNAP) | (t > m - 1 + _SNAP)
+        i = np.clip(np.floor(t).astype(np.int64), 0, m - 2)
+        fr = np.clip(t - i, 0.0, 1.0)
+        fr[fr < _SNAP] = 0.0
+        fr[fr > 1.0 - _SNAP] = 1.0
+        base[:, d] = i
+        frac[:, d] = fr
+
+    out = np.zeros(npts)
+    hit_inf = outside.copy()
+    strides = np.array(f.values.strides) // f.values.itemsize
+    flat_vals = f.values.ravel()
+    base_flat = base @ strides
+    for corner in np.ndindex(*(2,) * f.dim):
+        w = np.ones(npts)
+        off = 0
+        for d, c in enumerate(corner):
+            if f.resolution[d] == 1:
+                if c == 1:
+                    w *= 0.0
+                continue
+            w *= frac[:, d] if c else (1.0 - frac[:, d])
+            off += c * strides[d]
+        active = w > 0.0
+        if not active.any():
+            continue
+        v = flat_vals[base_flat[active] + off]
+        vin = np.isfinite(v)
+        contrib = np.zeros(active.sum())
+        contrib[vin] = w[active][vin] * v[vin]
+        out[active] += contrib
+        inf_here = np.zeros(npts, dtype=bool)
+        inf_here[active] = ~vin
+        hit_inf |= inf_here
+    out[hit_inf] = INF
+    return out
+
+
+def is_grid_convex_reference(f: ExtGridFn) -> bool:
+    """The convexity certificate as it was, one Python loop per grid line,
+    kept verbatim."""
+    scale = 1.0
+    finite_vals = f.values[f.finite_mask]
+    if finite_vals.size:
+        scale = max(1.0, float(np.abs(finite_vals).max()))
+    for d in range(f.dim):
+        v = np.moveaxis(f.values, d, -1)
+        flat = v.reshape(-1, v.shape[-1])
+        for line in flat:
+            idx = np.flatnonzero(np.isfinite(line))
+            if idx.size == 0:
+                continue
+            if idx[-1] - idx[0] != idx.size - 1:
+                return False
+            if idx.size >= 3:
+                seg = line[idx[0] : idx[-1] + 1]
+                if np.any(seg[:-2] - 2.0 * seg[1:-1] + seg[2:] < -1e-12 * scale):
+                    return False
+    return True
+
+
+def twostage_reference(g, W, h, axes, shape):
+    """The twostage Hopf-Lax path as it was, stage 2 in blocks of offsets
+    over every found output row at once, kept verbatim except that it
+    interpolates with :func:`interpolate_reference`. Returns (values,
+    argmin) on the grid of axes."""
+    w_axes = W.axes
+    wres = W.resolution
+    finite_w = np.isfinite(W.values)
+
+    # stage 1: strided scan with the lattice-slice candidates
+    strided = np.argwhere(finite_w)
+    keep = np.all(strided % _COARSE_STRIDE == 0, axis=1)
+    tables = _axis_tables(g, W, h, axes)
+    vals, arg = _scan_candidates(g, (h * W.values).ravel(), tables, shape, strided[keep])
+
+    # stage 2: halving refinement around the strided argmin. At each level the
+    # incumbent of a convex objective sampled at stride s is within s of the
+    # optimum, so candidates at stride s/2 within +-2 units cover it.
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g.dim)
+    flat_vals = vals.ravel()
+    flat_arg = arg.ravel()
+    found = flat_arg >= 0
+    if found.any():
+        centers = np.stack(np.unravel_index(flat_arg[found], wres), axis=-1)
+        sub_pts = pts[found]
+        best_v = flat_vals[found].copy()
+        best_a = flat_arg[found].copy()
+        y_step = np.array([ax[1] - ax[0] if len(ax) > 1 else 1.0 for ax in w_axes])
+        y_lo = np.array([ax[0] for ax in w_axes])
+        wres_arr = np.array(wres)
+        w_flatvals = W.values.ravel()
+        npts = sub_pts.shape[0]
+        unit = np.stack(
+            np.meshgrid(*([np.arange(-2, 3)] * g.dim), indexing="ij"), axis=-1
+        ).reshape(-1, g.dim)
+        rows = np.arange(npts)
+        level = _COARSE_STRIDE
+        while level > 0:
+            step_idx = (level + 1) // 2 if level > 2 else 1
+            off = unit * step_idx  # (25, dim) in index units
+            block = max(1, int(1_500_000 / max(npts, 1)))
+            for b0 in range(0, off.shape[0], block):
+                ob = off[b0 : b0 + block]
+                ci = centers[:, None, :] + ob[None, :, :]
+                ok = np.all((ci >= 0) & (ci < wres_arr), axis=2)
+                ci_clip = np.clip(ci, 0, wres_arr - 1)
+                wflat = np.zeros(ci.shape[:2], dtype=np.int64)
+                stride_acc = 1
+                for d in range(g.dim - 1, -1, -1):
+                    wflat += ci_clip[..., d] * stride_acc
+                    stride_acc *= wres[d]
+                wv = w_flatvals[wflat]
+                feas = ok & np.isfinite(wv)
+                y = y_lo + ci_clip * y_step
+                q = sub_pts[:, None, :] - h * y
+                gv = interpolate_reference(g, q.reshape(-1, g.dim)).reshape(q.shape[:2])
+                cand = np.where(feas, gv + h * wv, INF)
+                k = np.argmin(cand, axis=1)
+                cbest = cand[rows, k]
+                better = cbest < best_v
+                best_v[better] = cbest[better]
+                best_a[better] = wflat[rows, k][better]
+            centers = np.stack(np.unravel_index(best_a, wres), axis=-1)
+            if step_idx == 1:
+                break
+            level = step_idx
+        flat_vals[found] = best_v
+        flat_arg[found] = best_a
+
+    return flat_vals.reshape(shape), flat_arg.reshape(shape)
 
 
 def integrate_epigraph_reference(fn, domain, spec, shift=0.0, decay=None):

@@ -21,7 +21,7 @@ from epiconv import (
     weight_P,
     write_gridfn,
 )
-from oracles import bh_membership_bruteforce
+from oracles import bh_membership_bruteforce, interpolate_reference
 
 
 def test_inf_absorbs_addition_and_min():
@@ -231,6 +231,46 @@ class TestInterpolation:
         f = ExtGridFn([(0, 1), (0, 1)], vals)
         assert np.isinf(f.interpolate(np.array([0.5, 0.4])))
         assert f.interpolate(np.array([0.5, 0.0])) == 1.0
+
+    @pytest.mark.parametrize(
+        "shape", [(9,), (1,), (7, 6), (1, 6), (6, 1), (5, 1, 4), (4, 3, 5), (1, 1)]
+    )
+    def test_bit_identical_to_reference(self, shape):
+        rng = np.random.default_rng(sum(shape) * 7 + len(shape))
+        lo = rng.uniform(-2, 1, len(shape))
+        box = [(a, a + rng.uniform(0.5, 3)) for a in lo]
+        # floored values with ties, negative ones (zero weights times a
+        # negative value give -0.0), and +inf corners
+        vals = np.floor(rng.uniform(-3, 5, shape) * 2) / 2
+        vals[rng.random(shape) < 0.25] = INF
+        vals.flat[0] = -1.5
+        f = ExtGridFn(box, vals)
+        nodes = f.nodes().reshape(-1, len(shape))
+        span = np.array([hi - a for a, hi in box])
+        pts = np.concatenate([
+            nodes,
+            nodes + rng.choice([-1e-12, 1e-12], size=nodes.shape),
+            # node coordinates on some axes, random ones on the others
+            np.where(
+                rng.random((len(nodes), len(shape))) < 0.5,
+                nodes,
+                lo + span * rng.random((len(nodes), len(shape))),
+            ),
+            # inside the box and up to a tenth of its span outside
+            lo - 0.1 * span + 1.2 * span * rng.random((400, len(shape))),
+        ])
+        got = f.interpolate(pts)
+        assert got.tobytes() == interpolate_reference(f, pts).tobytes()
+        assert np.isfinite(got).any() and np.isinf(got).any()
+
+    def test_non_contiguous_values(self):
+        # the flat index follows the grid's row-major order, not the memory
+        # layout of the array handed in
+        vals = np.arange(12.0).reshape(3, 4)
+        f = ExtGridFn([(0, 3), (0, 2)], vals.T)
+        np.testing.assert_array_equal(f.interpolate(f.nodes()), vals.T)
+        g = ExtGridFn([(0, 3)], np.arange(4.0)[::-1])
+        np.testing.assert_array_equal(g.interpolate(g.nodes()), [3.0, 2.0, 1.0, 0.0])
 
 
 def test_phi_zero_enforced():

@@ -1,5 +1,7 @@
 """Min-plus convolution and Hopf-Lax operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,9 +29,11 @@ from oracles import (
     counterexample_table,
     domain_sum_check,
     exact_hopflax_reference,
+    is_grid_convex_reference,
     naive_hopflax,
     naive_infconv,
     richardson_limit,
+    twostage_reference,
 )
 
 
@@ -296,6 +300,107 @@ class TestPathGate:
         assert taken == ["exact"]
 
 
+def _halfspace_cut(g, level):
+    # +inf below the last coordinate's level
+    mesh = np.stack(np.meshgrid(*g.axes, indexing="ij"), axis=-1)
+    return ExtGridFn(g.box, np.where(mesh[..., -1] >= level, g.values, INF))
+
+
+def _halfspace_pair():
+    # the bbl_gap power-cost pair on boxes that reach below the half-space,
+    # so both grids carry +inf nodes
+    W = power_cost_field(1.6, 3.0, NormSpec("euclidean"))
+    g = shifted_field(W, np.array([0.0, 1.0]))
+    dom = halfspace(2)
+    gg = sample_grid(dom, [(-2, 2), (-0.5, 2)], [41, 26], g)
+    WW = sample_grid(dom, [(-2, 2), (0.5, 3)], [41, 26], W, h=1.0)
+    return gg, WW
+
+
+TWOSTAGE_FIXTURES = {
+    "1d": lambda: (quadratic_grid(3, 61, offset=1.0, dim=1), quadratic_grid(2, 41, dim=1)),
+    "1d_cut": lambda: (
+        _halfspace_cut(quadratic_grid(3, 61, offset=1.0, dim=1), -1.0),
+        quadratic_grid(2, 41, dim=1),
+    ),
+    "2d": lambda: (quadratic_grid(3, 61, offset=1.0), quadratic_grid(3, 61)),
+    "3d": lambda: (quadratic_grid(1.5, 13, offset=0.5, dim=3), quadratic_grid(1.5, 13, dim=3)),
+    "cone": lambda: (_cone_cut(quadratic_grid(2, 41, offset=0.5)), quadratic_grid(2, 33)),
+    "halfspace": _halfspace_pair,
+}
+
+
+@pytest.mark.parametrize("h", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("fixture", sorted(TWOSTAGE_FIXTURES))
+def test_twostage_bit_identical_to_reference(fixture, h, taken, monkeypatch):
+    # values and argmins equal the earlier offset-block implementation byte
+    # for byte; at h = 0.5 and 1 the 2d fixture's found rows span two and
+    # three chunks
+    monkeypatch.setattr(hopflax, "_TWOSTAGE_MIN_CANDIDATES", 0)
+    g, W = TWOSTAGE_FIXTURES[fixture]()
+    res = hopflax_apply(g, W, h)
+    assert taken == ["twostage"]
+    want, warg = twostage_reference(g, W, h, res.values.axes, res.values.resolution)
+    assert res.values.values.tobytes() == want.tobytes()
+    assert res.argmin.tobytes() == warg.tobytes()
+
+
+@pytest.mark.parametrize("bound", [1, 25 * 7 + 3, 10**9])
+def test_twostage_chunk_bound_does_not_change_bits(bound, monkeypatch):
+    monkeypatch.setattr(hopflax, "_TWOSTAGE_MIN_CANDIDATES", 0)
+    monkeypatch.setattr(hopflax, "_CHUNK_CANDIDATES", bound)
+    g, W = _halfspace_pair()
+    res = hopflax_apply(g, W, 0.5)
+    want, warg = twostage_reference(g, W, 0.5, res.values.axes, res.values.resolution)
+    assert res.values.values.tobytes() == want.tobytes()
+    assert res.argmin.tobytes() == warg.tobytes()
+
+
+def test_twostage_memory_is_bounded(taken, monkeypatch):
+    # stage 2 works in chunks of output rows; one block of all rows at once
+    # peaked near 80 MB here
+    monkeypatch.setattr(hopflax, "_TWOSTAGE_MIN_CANDIDATES", 0)
+    g, W = quadratic_grid(4, 81, offset=1.0), quadratic_grid(4, 81)
+    tracemalloc.start()
+    try:
+        hopflax_apply(g, W, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert taken == ["twostage"]
+    assert peak < 40e6, f"twostage peaked at {peak / 1e6:.1f} MB"
+
+
+def _certificate_grid(rng):
+    dim = int(rng.integers(1, 4))
+    shape = tuple(int(m) for m in rng.integers(1, 9, dim))
+    axes = [np.linspace(-1.0, 1.0, m) for m in shape]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    vals = rng.uniform(-0.5, 0.5) + mesh @ rng.uniform(-0.2, 0.2, dim)
+    vals = vals + rng.choice([0.0, 0.1]) * np.sum(mesh**2, axis=-1)
+    # second differences of order -1e-13 to -1e-11 against the 1e-12 * scale
+    # tolerance
+    vals = vals + rng.choice([0.0, 1e-13, 1e-12, 1e-11]) * rng.standard_normal(shape)
+    cut = rng.integers(0, 4)
+    if cut == 1:  # a half-space: every line's finite nodes stay contiguous
+        vals = np.where(mesh[..., -1] >= rng.uniform(-1, 1), vals, INF)
+    elif cut == 2:  # scattered holes, interior gaps included
+        vals = np.where(rng.random(shape) < 0.15, INF, vals)
+    elif cut == 3:
+        vals = np.full(shape, INF)
+    return ExtGridFn([(-1.0, 1.0)] * dim, vals)
+
+
+def test_certificate_matches_reference():
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for _ in range(400):
+        f = _certificate_grid(rng)
+        verdicts.append(is_grid_convex(f))
+        assert verdicts[-1] == is_grid_convex_reference(f), f.values
+    assert 50 < sum(verdicts) < 350
+
+
 class TestHopfLaxApply:
     def test_h_zero_identity(self):
         g = quadratic_grid(2, 21)
@@ -435,6 +540,14 @@ class TestHopfLaxApply:
         res = hopflax_apply(g, W, 0.5)
         assert res.empty
         assert np.isinf(res.values.values).all()
+        # a cost with no finite node reaches no output node
+        res = hopflax_apply(W, ExtGridFn(W.box, np.full((5, 5), INF)), 0.5)
+        assert res.empty and (res.argmin == -1).all()
+        # empty is read from the values, never stored beside them
+        res = hopflax_apply(W, W, 0.5)
+        assert not res.empty
+        with pytest.raises(AttributeError):
+            res.empty = True
 
     def test_cone_domain_matches_omega_h(self):
         cone = norm_cone(2, 1.0)

@@ -392,3 +392,22 @@ def test_default_dual_box_covers_sampled_slopes():
     (lo, hi), = default_dual_box(f)
     diffs = np.diff(xs**2) / (xs[1] - xs[0])
     assert lo < diffs.min() and hi > diffs.max()
+
+
+@pytest.mark.filterwarnings("error")
+def test_default_dual_box_ignores_adjacent_inf_samples():
+    # +inf - +inf between two +inf neighbours must neither warn nor move the
+    # box, which comes from the differences of finite neighbours alone
+    xs, ys = np.linspace(-2, 2, 9), np.linspace(-1, 2, 12)
+    mesh = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+    vals = np.sum(mesh**2, axis=-1) + mesh[..., 0]
+    vals[:, 4:7] = INF
+    f = ExtGridFn([(-2, 2), (-1, 2)], vals)
+    box = default_dual_box(f)
+    for d, step in enumerate(f.spacing):
+        v = np.moveaxis(vals, d, 0)
+        both = np.isfinite(v[1:]) & np.isfinite(v[:-1])
+        diffs = (v[1:][both] - v[:-1][both]) / step
+        span = diffs.max() - diffs.min()
+        assert box[d] == (diffs.min() - 0.1 * span, diffs.max() + 0.1 * span)
+    legendre_nd(f)
