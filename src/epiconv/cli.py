@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -137,9 +138,67 @@ def _assert(assertions: list, label: str, ok: bool, detail: str = ""):
     return ok
 
 
-def _power_pair(cfg: ExperimentConfig):
+class _Shared:
+    """The values the checks of one config share, each computed once.
+
+    ``run_config`` makes one per config. A check asking for a value another
+    check is computing on another thread waits for it. A value whose
+    computation raised ``ValueError`` raises it again in every check that
+    asks for it, so each of them reports the error.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self._lock = threading.Lock()
+        self._entries = {}
+
+    def _get(self, key, compute):
+        with self._lock:
+            entry = self._entries.setdefault(key, [threading.Lock(), None])
+        with entry[0]:
+            if entry[1] is None:
+                try:
+                    entry[1] = (True, compute())
+                except ValueError as ex:
+                    entry[1] = (False, ex)
+        ok, value = entry[1]
+        if not ok:
+            raise value
+        return value
+
+    def moment(self, spec: QuadSpec, alpha: float):
+        """(I_alpha, error) on ``spec``."""
+        cfg = self.cfg
+        return self._get(
+            ("moment", spec, alpha),
+            lambda: sc.i_alpha(cfg.domain, cfg.norm, alpha, spec),
+        )
+
+    def constants(self, spec: QuadSpec) -> sc.SharpConstants:
+        cfg = self.cfg
+        return self._get(
+            ("constants", spec),
+            lambda: sc._gns_constants(
+                _bbl_params(cfg), cfg.domain, cfg.norm, spec,
+                lambda alpha: self.moment(spec, alpha),
+            ),
+        )
+
+    def power_cost(self, q: float) -> float:
+        """C of the power cost, its direct normalization checked once."""
+        cfg = self.cfg
+        return self._get(
+            ("power_cost", q),
+            lambda: sc._normalize_power_cost(
+                cfg.domain, cfg.norm, q, cfg.a, cfg.quad,
+                lambda alpha: self.moment(cfg.quad, alpha),
+            )[0],
+        )
+
+
+def _power_pair(cfg: ExperimentConfig, shared: _Shared):
     q = cfg.p / (cfg.p - 1.0)
-    C = sc.normalize_power_cost(cfg.domain, cfg.norm, q, cfg.a, cfg.quad)
+    C = shared.power_cost(q)
     W = fl.power_cost_field(C, q, cfg.norm)
     e = np.zeros(cfg.n)
     e[-1] = 1.0
@@ -147,8 +206,8 @@ def _power_pair(cfg: ExperimentConfig):
     return g, W, q
 
 
-def _grid_pair(cfg: ExperimentConfig):
-    g, W, q = _power_pair(cfg)
+def _grid_pair(cfg: ExperimentConfig, shared: _Shared):
+    g, W, q = _power_pair(cfg, shared)
     L, dx = cfg.grid_half_width, cfg.grid_dx
     m1 = int(round(2 * L / dx)) + 1
     m2 = int(round(L / dx)) + 1
@@ -173,9 +232,8 @@ def _fixture_field(cfg: ExperimentConfig):
     raise ConfigError(f"unknown fixture kind {kind!r}")
 
 
-def check_constants(cfg: ExperimentConfig):
-    params = _bbl_params(cfg)
-    cst = sc.gns_constants(params, cfg.domain, cfg.norm, cfg.quad)
+def check_constants(cfg: ExperimentConfig, shared: _Shared):
+    cst = shared.constants(cfg.quad)
     a = []
     t = cfg.tolerances
     _assert(a, "uv_conjugate", abs(1 / cst.u + 1 / cst.v - 1) <= t["identity"])
@@ -213,17 +271,23 @@ def _assert_trace_ratio(a: list, cfg: ExperimentConfig, rep: sc.TraceReport):
         )
 
 
-def check_trace_gn(cfg: ExperimentConfig):
+def check_trace_gn(cfg: ExperimentConfig, shared: _Shared):
     params = _bbl_params(cfg)
     a = []
     f = _fixture_field(cfg)
-    rep = sc.trace_gn_check(f, params, cfg.domain, cfg.norm, cfg.quad)
+    rep = sc.trace_gn_check(
+        f, params, cfg.domain, cfg.norm, cfg.quad,
+        constants=lambda: shared.constants(cfg.quad),
+    )
     _assert_trace_ratio(a, cfg, rep)
     refinement = []
     spec = cfg.quad
     for _ in range(int(cfg.raw.get("quadrature", {}).get("refinements", 0))):
         spec = spec.refined()
-        r = sc.trace_gn_check(f, params, cfg.domain, cfg.norm, spec)
+        r = sc.trace_gn_check(
+            f, params, cfg.domain, cfg.norm, spec,
+            constants=lambda: shared.constants(spec),
+        )
         refinement.append({"dx": spec.dx, "abs_ratio_minus_one": abs(r.ratio - 1.0)})
     out = _result(
         a, report=rep.to_json(),
@@ -237,12 +301,13 @@ def check_trace_gn(cfg: ExperimentConfig):
     return out
 
 
-def check_weighted_trace(cfg: ExperimentConfig):
+def check_weighted_trace(cfg: ExperimentConfig, shared: _Shared):
     params = _bbl_params(cfg)
     a = []
     try:
         rep = sc.weighted_trace_check(
-            _fixture_field(cfg), params, cfg.domain, cfg.norm, cfg.quad
+            _fixture_field(cfg), params, cfg.domain, cfg.norm, cfg.quad,
+            constants=lambda: shared.constants(cfg.quad),
         )
     except sc.DomainRejectionError as ex:
         ok = cfg.expect_rejection
@@ -259,8 +324,8 @@ def check_weighted_trace(cfg: ExperimentConfig):
     )
 
 
-def check_bbl_gap(cfg: ExperimentConfig):
-    gg, WW = _grid_pair(cfg)
+def check_bbl_gap(cfg: ExperimentConfig, shared: _Shared):
+    gg, WW = _grid_pair(cfg, shared)
     a = []
     curve = []
     for h in cfg.h_list:
@@ -274,8 +339,8 @@ def check_bbl_gap(cfg: ExperimentConfig):
     return _result(a, gap_curve=curve)
 
 
-def check_derived_gap(cfg: ExperimentConfig):
-    g, W, q = _power_pair(cfg)
+def check_derived_gap(cfg: ExperimentConfig, shared: _Shared):
+    g, W, q = _power_pair(cfg, shared)
     rep = bbl.derived_gap(g, W, _bbl_params(cfg), cfg.domain, cfg.quad)
     a = []
     _assert(
@@ -286,8 +351,8 @@ def check_derived_gap(cfg: ExperimentConfig):
     return _result(a, report=rep.to_json())
 
 
-def check_appendix_limit(cfg: ExperimentConfig):
-    g, W, q = _power_pair(cfg)
+def check_appendix_limit(cfg: ExperimentConfig, shared: _Shared):
+    g, W, q = _power_pair(cfg, shared)
     qspec = QuadSpec(
         half_width=min(cfg.quad.half_width, 4.0), dx=max(cfg.quad.dx, 0.1),
         levels=min(cfg.quad.levels, 5),
@@ -310,7 +375,7 @@ def check_appendix_limit(cfg: ExperimentConfig):
     return _result(a, records=recs)
 
 
-def check_semigroup(cfg: ExperimentConfig):
+def check_semigroup(cfg: ExperimentConfig, shared: _Shared):
     quad = fl.quadratic_field(offset=1.0, curvature=1.0)
     L, dx = 2.0, cfg.grid_dx / 2
     m = int(round(2 * L / dx)) + 1
@@ -323,7 +388,7 @@ def check_semigroup(cfg: ExperimentConfig):
     return _result(a, residual=res, dx=dx)
 
 
-def check_hj_quotient(cfg: ExperimentConfig):
+def check_hj_quotient(cfg: ExperimentConfig, shared: _Shared):
     quad = fl.quadratic_field(offset=1.0, curvature=1.0)
     rng = np.random.default_rng(cfg.seed)
     pts = rng.uniform(-0.9, 0.9, size=(8, cfg.n))
@@ -339,8 +404,8 @@ def check_hj_quotient(cfg: ExperimentConfig):
     return _result(a, worst_rel_dev=worst)
 
 
-def check_admissibility(cfg: ExperimentConfig):
-    g, W, q = _power_pair(cfg)
+def check_admissibility(cfg: ExperimentConfig, shared: _Shared):
+    g, W, q = _power_pair(cfg, shared)
     adm = eg.AdmissibilityParams(gamma=q)
     rep = bbl.admissibility_report(g, W, adm, _bbl_params(cfg), cfg.domain)
     a = []
@@ -349,7 +414,7 @@ def check_admissibility(cfg: ExperimentConfig):
     return _result(a, fitted={c.name: c.fitted for c in rep.conditions})
 
 
-def check_equivalence_scan(cfg: ExperimentConfig):
+def check_equivalence_scan(cfg: ExperimentConfig, shared: _Shared):
     quad = fl.quadratic_field(offset=1.0, curvature=0.5)
     L, dx = 10.0, 0.125
     m = int(round(2 * L / dx)) + 1
@@ -408,17 +473,20 @@ class RunReport:
         return {"seed": self.seed, "results": self.results}
 
 
-def _run_one(cfg: ExperimentConfig, check: str) -> dict:
+def _run_one(cfg: ExperimentConfig, check: str, shared: _Shared) -> dict:
     fn = _CHECK_FNS[check]
     try:
-        result = fn(cfg)
+        result = fn(cfg, shared)
     except (ValueError, ConfigError) as ex:
         result = {"status": "error", "assertions": [], "message": str(ex)}
     return {"experiment": cfg.name, "check": check, "result": result}
 
 
 def run_config(cfg: ExperimentConfig) -> list[dict]:
-    jobs = [(cfg, c) for c in cfg.checks]
+    """The results of the checks of ``cfg``, in declaration order; the
+    checks share the constants they have in common."""
+    shared = _Shared(cfg)
+    jobs = [(cfg, c, shared) for c in cfg.checks]
     workers = int(os.environ.get("EPICONV_THREADS", "1"))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -59,6 +59,21 @@ def _as_points(x, n: int) -> np.ndarray:
     raise ValueError(f"expected points of dimension {n}, got shape {pts.shape}")
 
 
+def _euclidean_norm(x, keepdims: bool = False) -> np.ndarray:
+    """||x||_2 over the last axis, summing the squares axis by axis.
+
+    Gives the bytes of ``np.linalg.norm(x, axis=-1)`` for up to four axes
+    (zeros, infinities, NaN and overflow included) without its slow
+    reduction over a short last axis.
+    """
+    x = np.asarray(x, dtype=float)
+    s = x[..., 0] * x[..., 0]
+    for k in range(1, x.shape[-1]):
+        s = s + x[..., k] * x[..., k]
+    r = np.sqrt(s)
+    return r[..., None] if keepdims else r
+
+
 class ExtGridFn:
     """A function sampled on a uniform tensor grid, valued in (-inf, +inf].
 
@@ -296,16 +311,16 @@ def norm_cone(n: int = 2, slope: float = 1.0) -> EpigraphDomain:
         raise ValueError("slope must be nonnegative")
 
     def phi(x1):
-        return slope * np.linalg.norm(x1, axis=-1)
+        return slope * _euclidean_norm(x1)
 
     def grad(x1):
         x1 = np.asarray(x1, dtype=float)
-        r = np.linalg.norm(x1, axis=-1, keepdims=True)
+        r = _euclidean_norm(x1, keepdims=True)
         safe = np.where(r > 0, r, 1.0)
         return slope * x1 / safe
 
     def smooth(x1):
-        return np.linalg.norm(np.asarray(x1, dtype=float), axis=-1) > 1e-12
+        return _euclidean_norm(x1) > 1e-12
 
     return EpigraphDomain(n, phi, grad, smooth, kind="cone", params={"slope": slope})
 

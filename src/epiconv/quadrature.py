@@ -11,17 +11,23 @@ fitted on the outermost samples; the reported tail term is the resulting
 closed-form bound over the complement of the inscribed ball. Integrals whose
 callers supply no decay exponent report a tail of 0 and are on their own for
 truncation.
+
+An integrand takes an (m, n) array of points and returns their m values, and
+a point's value must not depend on the other points of the call. Both the
+column blocks, which bound the points of one call, and the refinement
+estimate, whose coarse run reads the values the fine run computed at the
+nodes the two grids share, rely on that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .extgrid import EpigraphDomain, ExtGridFn
+from .extgrid import EpigraphDomain, ExtGridFn, _euclidean_norm
 
 __all__ = [
     "QuadSpec",
@@ -115,12 +121,136 @@ def _axis_nodes(lo: float, hi: float, dx: float):
     return np.linspace(lo, hi, m)
 
 
+def _node_map(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """Index of the bit-equal node of ascending ``fine`` for each coarse
+    node, or -1 where there is none."""
+    k = np.minimum(np.searchsorted(fine, coarse), len(fine) - 1)
+    return np.where(fine[k].view(np.uint64) == coarse.view(np.uint64), k, -1)
+
+
+def _mesh_points(axes) -> np.ndarray:
+    """The tensor nodes of ``axes`` in row-major order, one per row."""
+    if not axes:
+        return np.zeros((1, 0))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _tensor_weights(axes) -> np.ndarray:
+    """Tensor trapezoid weights of the nodes of ``axes``, row-major."""
+    w = np.ones(1)
+    for ax in axes:
+        w = np.multiply.outer(w, _trap_weights(len(ax)) * (ax[1] - ax[0]))
+    return w.ravel()
+
+
 def _fit_tail_K(samples_x: np.ndarray, samples_f: np.ndarray, alpha: float) -> float:
-    r = np.linalg.norm(samples_x, axis=-1)
+    r = _euclidean_norm(samples_x)
     ok = (r > 0) & np.isfinite(samples_f)
     if not ok.any():
         return 0.0
     return float(np.max(np.abs(samples_f[ok]) * r[ok] ** alpha))
+
+
+class _Columns(NamedTuple):
+    """The columns of one shell box at one spacing that meet the domain."""
+
+    axes: list  # x1 nodes per axis
+    x2: np.ndarray  # last-axis nodes
+    idx: np.ndarray  # flat x1-mesh index of each column
+    x1: np.ndarray  # (columns, n - 1) base points
+    w1: np.ndarray  # trapezoid weight of each base point
+    lo: np.ndarray  # exact lower limit of each column
+    j0: np.ndarray  # first node strictly above the lower limit
+    gap: np.ndarray  # distance from the lower limit to that node
+    part: np.ndarray  # whether the partial cell below j0 counts
+
+
+def _columns(domain: EpigraphDomain, box, dxk: float, shift: float) -> _Columns:
+    x1_axes = [_axis_nodes(lo, hi, dxk) for lo, hi in box[:-1]]
+    c2, d2 = box[-1]
+    x2 = _axis_nodes(c2, d2, dxk)
+    x1_pts = _mesh_points(x1_axes)
+    lo_eff = np.maximum(domain.phi(x1_pts) + shift, c2)
+    idx = np.flatnonzero(lo_eff < d2 - 1e-15 * max(1.0, abs(d2)))
+    lo_a = lo_eff[idx]
+    j0 = np.minimum(np.searchsorted(x2, lo_a, side="right"), len(x2) - 1)
+    gap = x2[j0] - lo_a
+    part = gap > 1e-14 * max(1.0, abs(d2))
+    w1 = _tensor_weights(x1_axes)[idx]
+    return _Columns(x1_axes, x2, idx, x1_pts[idx], w1, lo_a, j0, gap, part)
+
+
+def _column_map(coarse: _Columns, fine: _Columns) -> np.ndarray:
+    """Position among the fine columns of each coarse column's bit-equal
+    base point, or -1 where there is none."""
+    flat = coarse.idx
+    ok = np.ones(len(flat), dtype=bool)
+    if coarse.axes:
+        sub = np.unravel_index(flat, [len(ax) for ax in coarse.axes])
+        fsub = [_node_map(c, f)[s] for c, f, s in zip(coarse.axes, fine.axes, sub)]
+        ok = np.logical_and.reduce([s >= 0 for s in fsub])
+        flat = np.ravel_multi_index(
+            [np.maximum(s, 0) for s in fsub], [len(ax) for ax in fine.axes]
+        )
+    if not len(fine.idx):
+        return np.full(len(flat), -1)
+    pos = np.minimum(np.searchsorted(fine.idx, flat), len(fine.idx) - 1)
+    return np.where(ok & (fine.idx[pos] == flat), pos, -1)
+
+
+def _column_sums(fn, cols: _Columns, sel, known=None, decay=None):
+    """Trapezoid sums of the columns ``sel`` from the exact lower limit up.
+
+    Each column's sum is one full-row sum, so it does not depend on which
+    other columns share the call. ``known`` = (values, mask, boundary values,
+    boundary mask) supplies node values a finer sweep already has; ``fn``
+    evaluates the rest. Returns (sums, node values, boundary values, tail
+    constant), the last fitted to the evaluated grid nodes when ``decay`` is
+    given and 0 otherwise.
+    """
+    jb = cols.j0[sel]
+    x1b = cols.x1[sel]
+    x2 = cols.x2
+    m2 = len(x2)
+    dx2 = x2[1] - x2[0]
+    rows = np.arange(len(jb))
+    need = np.arange(m2)[None, :] >= jb[:, None]
+    vals = np.zeros((len(jb), m2))
+    fb = np.zeros(len(jb))
+    part = cols.part[sel]
+    bneed = part
+    if known is not None:
+        kvals, kmask, kfb, kpart = known
+        kmask = kmask & need
+        vals[kmask] = kvals[kmask]
+        need &= ~kmask
+        fb[kpart] = kfb[kpart]
+        bneed = part & ~kpart
+    # the needed nodes in row-major order, one coordinate at a time
+    pts = np.empty((np.count_nonzero(need), x1b.shape[1] + 1))
+    for d in range(x1b.shape[1]):
+        pts[:, d] = np.broadcast_to(x1b[:, d, None], need.shape)[need]
+    pts[:, -1] = np.broadcast_to(x2, need.shape)[need]
+    fv = np.asarray(fn(pts), dtype=float) if len(pts) else np.zeros(0)
+    vals[need] = fv
+    tail_K = _fit_tail_K(pts, fv, decay) if decay is not None else 0.0
+    # regular trapezoid over [x2[j0], d2]: weights dx2, halved at both ends
+    # (the single node of a one-node column weighs 0), one full-row sum each
+    wvals = vals * dx2
+    wvals[rows, jb] = (0.5 * dx2) * vals[rows, jb]
+    wvals[:, -1] = np.where(jb == m2 - 1, 0.0, 0.5 * dx2) * vals[:, -1]
+    sums = np.sum(wvals, axis=1)
+
+    # partial cell from the exact boundary up to the first gridline
+    pb = np.flatnonzero(bneed)
+    if pb.size:
+        bpts = np.concatenate([x1b[pb], cols.lo[sel][pb][:, None]], axis=1)
+        fb[pb] = np.asarray(fn(bpts), dtype=float)
+    pb = np.flatnonzero(part)
+    if pb.size:
+        sums[pb] += 0.5 * cols.gap[sel][pb] * (fb[pb] + vals[pb, jb[pb]])
+    return sums, vals, fb, tail_K
 
 
 def integrate_epigraph(
@@ -136,93 +266,61 @@ def integrate_epigraph(
     Returns (value, tail_bound); with estimate=True the value comes from a run
     at half spacing and the returned triple is (value, error_estimate,
     tail_bound), the error estimate being the coarse/fine difference plus the
-    tail bound.
+    tail bound. Both runs share one sweep: the coarse sums read the fine
+    values at the nodes the two grids share, and ``fn`` sees only the coarse
+    nodes that no fine node matches bit for bit.
     """
-    if estimate:
-        coarse, tail_c = integrate_epigraph(fn, domain, spec, shift, decay)
-        fine, tail_f = integrate_epigraph(fn, domain, spec.refined(extend=False), shift, decay)
-        return fine, abs(fine - coarse) + tail_f, tail_f
-
     n = domain.n
-    total = 0.0
-    tail_K = 0.0
-    R = spec.outer_radius
+    fine = spec.refined(extend=False) if estimate else spec
+    total = coarse_total = tail_K = 0.0
     for level, box in _shell_boxes(spec, n):
-        dxk = spec.dx * 2.0 ** level
-        x1_axes = [_axis_nodes(lo, hi, dxk) for lo, hi in box[:-1]]
-        c2, d2 = box[-1]
-        x2_nodes = _axis_nodes(c2, d2, dxk)
-        dx2 = x2_nodes[1] - x2_nodes[0]
-        mesh = np.meshgrid(*x1_axes, indexing="ij") if x1_axes else []
-        x1_pts = (
-            np.stack([m.ravel() for m in mesh], axis=-1)
-            if mesh
-            else np.zeros((1, 0))
-        )
-        if x1_axes:
-            wlist = [_trap_weights(len(ax)) * (ax[1] - ax[0]) for ax in x1_axes]
-            w1 = wlist[0]
-            for wd in wlist[1:]:
-                w1 = np.multiply.outer(w1, wd)
-            w1 = w1.ravel()
+        F = _columns(domain, box, fine.dx * 2.0**level, shift)
+        if estimate:
+            C = _columns(domain, box, spec.dx * 2.0**level, shift)
+            cpos = _column_map(C, F)
+            xmap = _node_map(C.x2, F.x2)
+            csum = np.empty(len(C.idx))
         else:
-            w1 = np.ones(1)
-
-        lower = domain.phi(x1_pts) + shift
-        lo_eff = np.maximum(lower, c2)
-        active = lo_eff < d2 - 1e-15 * max(1.0, abs(d2))
-        if not active.any():
-            continue
-        idx = np.flatnonzero(active)
-        lo_a = lo_eff[idx]
-
-        # first full gridline strictly above the column's lower limit
-        j0 = np.searchsorted(x2_nodes, lo_a, side="right")
-        j0 = np.minimum(j0, len(x2_nodes) - 1)
-        gap = x2_nodes[j0] - lo_a
-        part = gap > 1e-14 * max(1.0, abs(d2))
+            cpos = np.zeros(0, dtype=np.intp)  # no coarse columns to serve
 
         # columns in blocks of at most _BLOCK_NODES grid nodes, so memory
-        # stays bounded on fine shells; each column's sum is one full-row sum
-        # and the shell total one sum over all columns, whatever the blocking
-        m2 = len(x2_nodes)
-        per_block = max(1, _BLOCK_NODES // m2)
-        col_sum = np.empty(len(idx))
-        for c0 in range(0, len(idx), per_block):
-            cols = slice(c0, c0 + per_block)
-            jb = j0[cols]
-            x1b = x1_pts[idx[cols]]
-            rows = np.arange(len(jb))
-            # regular trapezoid over [x2_nodes[j0], d2] as a weight matrix
-            wcol = (np.arange(m2)[None, :] >= jb[:, None]) * dx2
-            wcol[rows, jb] = 0.5 * dx2
-            wcol[:, -1] = np.where(jb == m2 - 1, 0.0, 0.5 * dx2)
+        # stays bounded on fine shells; the shell total is one sum over all
+        # columns, whatever the blocking
+        per_block = max(1, _BLOCK_NODES // len(F.x2))
+        fsum = np.empty(len(F.idx))
+        fit = decay if level == spec.levels else None
+        for c0 in range(0, len(F.idx), per_block):
+            sel = slice(c0, c0 + per_block)
+            fsum[sel], vals, fb, K = _column_sums(fn, F, sel, decay=fit)
+            tail_K = max(tail_K, K)
+            mine = np.flatnonzero((cpos >= c0) & (cpos < c0 + per_block))
+            if mine.size:
+                # the coarse columns based on this block's, read off its values
+                fr = cpos[mine] - c0
+                csum[mine] = _column_sums(fn, C, mine, known=(
+                    vals[fr][:, np.maximum(xmap, 0)],
+                    xmap[None, :] >= F.j0[c0 + fr][:, None],
+                    fb[fr],
+                    F.part[c0 + fr] & (F.lo[c0 + fr] == C.lo[mine]),
+                ))[0]
+            # the next block's sweep need not hold this one's values
+            del vals, fb
 
-            # the nodes j >= j0 of each column, in row-major order
-            counts = m2 - jb
-            starts = np.cumsum(counts) - counts
-            r = np.repeat(rows, counts)
-            j = np.arange(int(counts.sum())) - np.repeat(starts - jb, counts)
-            pts = np.concatenate([x1b[r], x2_nodes[j][:, None]], axis=1)
-            fv = np.asarray(fn(pts), dtype=float)
-            vals = np.zeros((len(jb), m2))
-            vals[r, j] = fv
-            sums = np.sum(wcol * vals, axis=1)
+        if len(F.idx):
+            total += float(np.sum(F.w1 * fsum))
+        if not estimate or not len(C.idx):
+            continue
+        # coarse columns whose base point the fine grid lacks
+        rest = np.flatnonzero(cpos < 0)
+        per_block = max(1, _BLOCK_NODES // len(C.x2))
+        for c0 in range(0, len(rest), per_block):
+            sel = rest[c0 : c0 + per_block]
+            csum[sel] = _column_sums(fn, C, sel)[0]
+        coarse_total += float(np.sum(C.w1 * csum))
 
-            # partial cell from the exact boundary up to the first gridline
-            pb = np.flatnonzero(part[cols])
-            if pb.size:
-                bpts = np.concatenate([x1b[pb], lo_a[cols][pb][:, None]], axis=1)
-                fb = np.asarray(fn(bpts), dtype=float)
-                sums[pb] += 0.5 * gap[cols][pb] * (fb + vals[pb, jb[pb]])
-            col_sum[cols] = sums
-
-            if decay is not None and level == spec.levels:
-                tail_K = max(tail_K, _fit_tail_K(pts, fv, decay))
-
-        total += float(np.sum(w1[idx] * col_sum))
-
-    tail = power_tail_bound(tail_K, decay, R, n) if decay is not None else 0.0
+    tail = power_tail_bound(tail_K, decay, spec.outer_radius, n) if decay is not None else 0.0
+    if estimate:
+        return total, abs(total - coarse_total) + tail, tail
     return total, tail
 
 
@@ -236,32 +334,38 @@ def integrate_boundary(
     """Integral of fn over R^dim by the same graded scheme, no domain cut.
 
     Used for boundary terms parameterized by x1; fn takes (..., dim) arrays.
+    The estimate shares one sweep as in :func:`integrate_epigraph`.
     """
-    if estimate:
-        coarse, tail_c = integrate_boundary(fn, dim, spec, decay)
-        fine, tail_f = integrate_boundary(fn, dim, spec.refined(extend=False), decay)
-        return fine, abs(fine - coarse) + tail_f, tail_f
-
-    total = 0.0
-    tail_K = 0.0
+    fine = spec.refined(extend=False) if estimate else spec
+    total = coarse_total = tail_K = 0.0
     for level, box in _shell_boxes(spec, dim):
-        dxk = spec.dx * 2.0 ** level
-        axes = [_axis_nodes(lo, hi, dxk) for lo, hi in box]
-        wlist = [_trap_weights(len(ax)) * (ax[1] - ax[0]) for ax in axes]
-        w = wlist[0]
-        for wd in wlist[1:]:
-            w = np.multiply.outer(w, wd)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        axes = [_axis_nodes(lo, hi, fine.dx * 2.0**level) for lo, hi in box]
+        pts = _mesh_points(axes)
         vals = np.asarray(fn(pts), dtype=float)
-        total += float(np.sum(w.ravel() * vals))
+        total += float(np.sum(_tensor_weights(axes) * vals))
         if decay is not None and level == spec.levels:
             tail_K = max(tail_K, _fit_tail_K(pts, vals, decay))
+        if not estimate:
+            continue
+        caxes = [_axis_nodes(lo, hi, spec.dx * 2.0**level) for lo, hi in box]
+        maps = [_node_map(c, f) for c, f in zip(caxes, axes)]
+        known = np.ones(1, dtype=bool)
+        for m in maps:
+            known = np.logical_and.outer(known, m >= 0)
+        known = known.ravel()
+        cvals = vals.reshape([len(ax) for ax in axes])[
+            np.ix_(*[np.maximum(m, 0) for m in maps])
+        ].ravel()
+        if not known.all():
+            cvals[~known] = fn(_mesh_points(caxes)[~known])
+        coarse_total += float(np.sum(_tensor_weights(caxes) * cvals))
     tail = (
         power_tail_bound(tail_K, decay, spec.outer_radius, dim)
         if decay is not None
         else 0.0
     )
+    if estimate:
+        return total, abs(total - coarse_total) + tail, tail
     return total, tail
 
 

@@ -20,10 +20,12 @@ is D_npa^(1/q_trace), stored as trace_constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
+
 import numpy as np
 
 from .bblcheck import BBLParams, _boundary_growth, _boundary_integrand
-from .extgrid import EpigraphDomain, sample_grid
+from .extgrid import EpigraphDomain, _euclidean_norm, sample_grid
 from .fields import ScalarField
 from .quadrature import QuadSpec, integrate_boundary, integrate_epigraph
 from .transforms import NormSpec, dual_norm
@@ -170,6 +172,13 @@ def i_alpha(
     return val, err
 
 
+def _power_cost_constant(I_qa: float, q: float, a: float) -> float:
+    """C = q * I_{qa}^(1/a), the scale with int_{Omega_1} (C ||x||^q / q)^(-a) = 1."""
+    if not np.isfinite(I_qa) or I_qa <= 0:
+        raise ValueError(f"divergent or invalid moment integral: {I_qa}")
+    return q * I_qa ** (1.0 / a)
+
+
 def normalize_power_cost(
     domain: EpigraphDomain,
     norm: NormSpec,
@@ -184,12 +193,20 @@ def normalize_power_cost(
     the independent route; its deviation from 1 is returned on request and
     a gross disagreement (beyond 2%) raises.
     """
+    C, residual = _normalize_power_cost(
+        domain, norm, q, a, spec, lambda alpha: i_alpha(domain, norm, alpha, spec)
+    )
+    if return_check:
+        return C, residual
+    return C
+
+
+def _normalize_power_cost(domain, norm, q, a, spec, moment):
+    """(C, residual) of :func:`normalize_power_cost`; ``moment(alpha)`` gives
+    (I_alpha, error) on ``spec``."""
     if not (q > 1 and a > 0):
         raise ValueError("need q > 1 and a > 0")
-    I_qa, err = i_alpha(domain, norm, q * a, spec)
-    if not np.isfinite(I_qa) or I_qa <= 0:
-        raise ValueError(f"divergent or invalid moment integral: {I_qa}")
-    C = q * I_qa ** (1.0 / a)
+    C = _power_cost_constant(moment(q * a)[0], q, a)
 
     def Wpow(p):
         return (C * norm(np.asarray(p, dtype=float)) ** q / q) ** (-a)
@@ -200,9 +217,7 @@ def normalize_power_cost(
         raise ValueError(
             f"normalization cross-check failed: direct integral {direct:.4f} != 1"
         )
-    if return_check:
-        return C, residual
-    return C
+    return C, residual
 
 
 def gns_constants(
@@ -219,13 +234,21 @@ def gns_constants(
     cross-checks. For a > n the scaling optimum lambda* is evaluated on the
     extremal function and is 1 in exact arithmetic.
     """
+    return _gns_constants(
+        params, domain, norm, spec, lambda alpha: i_alpha(domain, norm, alpha, spec)
+    )
+
+
+def _gns_constants(params, domain, norm, spec, moment) -> SharpConstants:
+    """:func:`gns_constants` with ``moment(alpha)`` giving (I_alpha, error)
+    on ``spec``."""
     n, a, p = params.n, params.a, params.p
     if p is None:
         raise ValueError("constants need p")
     q = params.q
-    I_qa, e_qa = i_alpha(domain, norm, q * a, spec)
-    I_qa1, e_qa1 = i_alpha(domain, norm, q * (a - 1.0), spec)
-    C = q * I_qa ** (1.0 / a)
+    I_qa, e_qa = moment(q * a)
+    I_qa1, e_qa1 = moment(q * (a - 1.0))
+    C = _power_cost_constant(I_qa, q, a)
     A = C ** (1.0 - p) * (a - 1.0) / p * (p / (a - p)) ** p
 
     def Wpow(pts):
@@ -357,13 +380,23 @@ def _trace_integrals(
     return bdry, grad_term, fq_term, beta, rels
 
 
+def _resolve_constants(constants, params, domain, norm, spec) -> SharpConstants:
+    """The bundle a trace check was given, fetched from it when it is a
+    callable, computed when there is none."""
+    if constants is None:
+        return gns_constants(params, domain, norm, spec)
+    if callable(constants):
+        return constants()
+    return constants
+
+
 def trace_gn_check(
     f: ScalarField | ExtremalSpec,
     params: BBLParams,
     domain: EpigraphDomain,
     norm: NormSpec,
     spec: QuadSpec,
-    constants: SharpConstants | None = None,
+    constants: SharpConstants | Callable[[], SharpConstants] | None = None,
 ) -> TraceReport:
     """Trace inequality on a convex cone, in Theorem form:
 
@@ -371,7 +404,8 @@ def trace_gn_check(
 
     ratio = lhs/rhs is 1 for the extremal up to the reported quadrature error
     and below 1 otherwise. Non-cone domains are rejected; the weighted check
-    handles those.
+    handles those. ``constants`` may be a zero-argument callable, called only
+    for a domain that passes the gate.
     """
     from .extgrid import is_cone as cone_check
 
@@ -383,8 +417,7 @@ def trace_gn_check(
         )
     if isinstance(f, ExtremalSpec):
         f = f.field()
-    if constants is None:
-        constants = gns_constants(params, domain, norm, spec)
+    constants = _resolve_constants(constants, params, domain, norm, spec)
     theta, qt, p = constants.theta, constants.q_trace, params.p
 
     bdry, grad_term, fq_term, beta, rels = _trace_integrals(
@@ -419,7 +452,7 @@ def weighted_trace_check(
     domain: EpigraphDomain,
     norm: NormSpec,
     spec: QuadSpec,
-    constants: SharpConstants | None = None,
+    constants: SharpConstants | Callable[[], SharpConstants] | None = None,
     growth_C: float = 1.0,
 ) -> TraceReport:
     """Weighted trace inequality on a convex epigraph, power form:
@@ -431,6 +464,8 @@ def weighted_trace_check(
     for ||x1|| > 1; every cone meets growth_C = 1 exactly, and domains
     needing a larger constant (the paraboloid fits only C -> 2) are refused
     with the fitted ratio as witness unless the caller raises the budget.
+    ``constants`` may be a zero-argument callable, called only for a domain
+    that passes the gate.
     """
     fitted, witness = _boundary_growth(domain)
     if fitted > growth_C * (1.0 + 1e-9):
@@ -442,8 +477,7 @@ def weighted_trace_check(
         )
     if isinstance(f, ExtremalSpec):
         f = f.field()
-    if constants is None:
-        constants = gns_constants(params, domain, norm, spec)
+    constants = _resolve_constants(constants, params, domain, norm, spec)
     a, n, p = params.a, params.n, params.p
     u = constants.u
 
@@ -528,7 +562,7 @@ def approx_family(
     tail_exp = gamma * (a - p) / p
 
     def tail_fn(x):
-        return np.linalg.norm(np.asarray(x, dtype=float) + e, axis=-1) ** (-tail_exp)
+        return _euclidean_norm(np.asarray(x, dtype=float) + e) ** (-tail_exp)
 
     def mass(Ceps: float) -> float:
         val, _ = integrate_epigraph(
@@ -573,7 +607,7 @@ def approx_family(
     def grad_eps(x):
         x = np.asarray(x, dtype=float)
         z = x + e
-        r = np.linalg.norm(z, axis=-1)
+        r = _euclidean_norm(z)
         gt = -tail_exp * r[..., None] ** (-tail_exp - 2.0) * z
         gf = f.gradient(x) if base_grad is None else np.asarray(base_grad(x), dtype=float)
         return eps * gt + C_eps * gf

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .extgrid import INF, ExtGridFn
+from .extgrid import INF, ExtGridFn, _euclidean_norm
 
 __all__ = [
     "NormSpec",
@@ -62,7 +62,7 @@ class NormSpec:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "euclidean":
-            return np.linalg.norm(x, axis=-1)
+            return _euclidean_norm(x)
         if self.kind == "p_norm":
             if np.isinf(self.p):
                 return np.max(np.abs(x), axis=-1)

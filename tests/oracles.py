@@ -635,3 +635,44 @@ def integrate_epigraph_reference(fn, domain, spec, shift=0.0, decay=None):
 
     tail = power_tail_bound(tail_K, decay, R, n) if decay is not None else 0.0
     return total, tail
+
+
+def integrate_epigraph_estimate_reference(fn, domain, spec, shift=0.0, decay=None):
+    """The two-sweep refinement estimate of ``integrate_epigraph``: a run at
+    the given spacing and one at half spacing. Returns (value, error, tail)."""
+    coarse, tail_c = integrate_epigraph_reference(fn, domain, spec, shift, decay)
+    fine, tail_f = integrate_epigraph_reference(fn, domain, spec.refined(extend=False), shift, decay)
+    return fine, abs(fine - coarse) + tail_f, tail_f
+
+
+def integrate_boundary_reference(fn, dim, spec, decay=None):
+    """Graded trapezoid over R^dim, one integrand call per shell slab.
+    Returns (value, tail)."""
+    total = 0.0
+    tail_K = 0.0
+    for level, box in _shell_boxes(spec, dim):
+        dxk = spec.dx * 2.0 ** level
+        axes = [_axis_nodes(lo, hi, dxk) for lo, hi in box]
+        wlist = [_trap_weights(len(ax)) * (ax[1] - ax[0]) for ax in axes]
+        w = wlist[0]
+        for wd in wlist[1:]:
+            w = np.multiply.outer(w, wd)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        vals = np.asarray(fn(pts), dtype=float)
+        total += float(np.sum(w.ravel() * vals))
+        if decay is not None and level == spec.levels:
+            tail_K = max(tail_K, _fit_tail_K(pts, vals, decay))
+    tail = (
+        power_tail_bound(tail_K, decay, spec.outer_radius, dim)
+        if decay is not None
+        else 0.0
+    )
+    return total, tail
+
+
+def integrate_boundary_estimate_reference(fn, dim, spec, decay=None):
+    """The two-sweep refinement estimate of ``integrate_boundary``."""
+    coarse, tail_c = integrate_boundary_reference(fn, dim, spec, decay)
+    fine, tail_f = integrate_boundary_reference(fn, dim, spec.refined(extend=False), decay)
+    return fine, abs(fine - coarse) + tail_f, tail_f

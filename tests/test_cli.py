@@ -2,6 +2,9 @@
 
 import json
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -187,18 +190,115 @@ def test_rerun_bit_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+SHARING = dict(
+    BASE,
+    domain={"kind": "affine_max", "slopes": [[0.5], [-1.0]]},
+    params={"a": 2.0, "p": 4 / 3},
+    checks=["constants", "weighted_trace", "derived_gap", "admissibility"],
+    quadrature={"half_width": 5.0, "dx": 0.05, "levels": 5},
+)
+
+
 def test_thread_count_env_does_not_change_results(tmp_path, monkeypatch):
-    doc = dict(BASE, checks=["constants", "admissibility"])
-    path = write_config(tmp_path, doc)
+    # the checks share their constants; threads racing for them change no byte
+    path = write_config(tmp_path, SHARING)
     out1 = tmp_path / "serial.json"
-    out2 = tmp_path / "threaded.json"
     cli.run(path, str(out1))
-    monkeypatch.setenv("EPICONV_THREADS", "4")
-    cli.run(path, str(out2))
-    assert out1.read_bytes() == out2.read_bytes()
+    assert all(r["result"]["status"] == "pass" for r in json.loads(out1.read_text())["results"])
+    for threads in ("2", "4"):
+        out2 = tmp_path / f"threads{threads}.json"
+        monkeypatch.setenv("EPICONV_THREADS", threads)
+        cli.run(path, str(out2))
+        assert out1.read_bytes() == out2.read_bytes()
+
+
+def _count_calls(monkeypatch, module, name, counts, fail=None):
+    orig = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        if fail is not None:
+            raise ValueError(fail)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_checks_share_constants(tmp_path, monkeypatch, threads):
+    # per quadrature spec: the two moment integrals and the constants once;
+    # per config: the direct normalization check once, with the moment the
+    # constants use
+    monkeypatch.setenv("EPICONV_THREADS", threads)
+    counts = {}
+    for name in ("i_alpha", "_gns_constants", "_normalize_power_cost"):
+        _count_calls(monkeypatch, cli.sc, name, counts)
+    doc = dict(SHARING, checks=SHARING["checks"] + ["trace_gn"])
+    doc["domain"] = {"kind": "cone", "slope": 1.0}
+    doc["quadrature"] = dict(SHARING["quadrature"], refinements=1)
+    report = cli.run(write_config(tmp_path, doc))
+    assert [r["result"]["status"] for r in report.results] == ["pass"] * 5
+    # two specs: the config's and trace_gn's refined one
+    assert counts == {"i_alpha": 4, "_gns_constants": 2, "_normalize_power_cost": 1}
+
+
+def test_rejected_weighted_trace_computes_no_constants(tmp_path, monkeypatch):
+    counts = {}
+    for name in ("i_alpha", "_gns_constants"):
+        _count_calls(monkeypatch, cli.sc, name, counts)
+    cfg = next(c for c in cli.paper_suite_configs() if c.name == "paraboloid_rejection")
+    (res,) = cli.run_config(cfg)
+    assert res["result"]["status"] == "pass" and res["result"]["rejected"]
+    assert counts == {}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failed_shared_value_is_an_error_in_every_check(tmp_path, monkeypatch, threads):
+    # a moment integral that raises fails each check that needs it, with its
+    # message, and is attempted once
+    monkeypatch.setenv("EPICONV_THREADS", threads)
+    counts = {}
+    _count_calls(monkeypatch, cli.sc, "i_alpha", counts, fail="moment diverges")
+    doc = dict(SHARING, checks=SHARING["checks"] + ["hj_quotient"])
+    report = cli.run(write_config(tmp_path, doc))
+    results = {r["check"]: r["result"] for r in report.results}
+    assert results.pop("hj_quotient")["status"] == "pass"
+    assert {c: (r["status"], r["message"]) for c, r in results.items()} == {
+        c: ("error", "moment diverges") for c in SHARING["checks"]
+    }
+    assert counts == {"i_alpha": 1}
 
 
 def test_paper_suite_configs_parse():
     cfgs = cli.paper_suite_configs()
     assert len(cfgs) == 5
     assert all(c.checks for c in cfgs)
+
+
+def test_shared_value_computed_once_under_thread_contention():
+    shared = cli._Shared(cli.parse_config(BASE))
+    calls = []
+    got = {k: [] for k in range(20)}
+
+    def compute(k):
+        calls.append(k)
+        time.sleep(1e-3)  # widen the window in which another thread could race in
+        return object()
+
+    def worker():
+        for k in range(20):
+            got[k].append(shared._get(("key", k), lambda: compute(k)))
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(calls) == list(range(20))
+    assert all(len(v) == 8 and all(x is v[0] for x in v) for v in got.values())

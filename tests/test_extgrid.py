@@ -313,3 +313,27 @@ def test_domain_config_parsing():
     assert domain_from_config({"kind": "affine_max", "slopes": [[1.0]]}, 2).kind == "affine_max"
     with pytest.raises(ValueError, match="unknown domain"):
         domain_from_config({"kind": "torus"}, 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_euclidean_norm_bytes_match_numpy(d):
+    from epiconv.extgrid import _euclidean_norm
+
+    rng = np.random.default_rng(d)
+    special = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 1e-308, 5e-324, 1e-200, 1e200, -2.5]
+    )
+    arrays = [
+        rng.normal(size=(1000, d)) * 10.0 ** rng.integers(-300, 300, size=(1000, d)),
+        rng.choice(special, size=(1000, d)),
+        rng.choice(special, size=(3, 5, d)),
+        rng.normal(size=(d,)),
+        rng.normal(size=(200, 2 * d))[:, ::2],
+    ]
+    with np.errstate(over="ignore", under="ignore"):
+        for x in arrays:
+            for keepdims in (False, True):
+                want = np.linalg.norm(x, axis=-1, keepdims=keepdims)
+                got = _euclidean_norm(x, keepdims=keepdims)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()

@@ -129,3 +129,19 @@ def test_every_public_option_is_set_by_some_caller():
         )
     ]
     assert not unused, f"{len(unused)} defaulted parameters no call sets: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_process_global_caches_or_globals(path):
+    # memoized values live in objects a caller owns (the CLI keeps one per
+    # config), never in a module-level cache or a rebound module global
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        assert not isinstance(node, ast.Global), f"{path.name}:{node.lineno} uses global"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "attr", None) or getattr(target, "id", None)
+                assert name not in ("cache", "lru_cache"), (
+                    f"{path.name}:{dec.lineno} decorates {node.name} with {name}"
+                )

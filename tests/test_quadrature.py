@@ -7,16 +7,26 @@ import pytest
 
 from epiconv import ExtGridFn, QuadSpec, halfspace, integrate_boundary, integrate_epigraph, integrate_gridfn, norm_cone
 from epiconv import quadrature
-from epiconv.extgrid import paraboloid
+from epiconv.extgrid import affine_max, paraboloid
 from epiconv.quadrature import power_tail_bound, sphere_area
 from oracles import (
     halfplane_moment,
     halfspace3_moment,
+    integrate_boundary_estimate_reference,
+    integrate_boundary_reference,
+    integrate_epigraph_estimate_reference,
     integrate_epigraph_reference,
     polar_cone_moment,
 )
 
 E2 = np.array([0.0, 1.0])
+
+DOMAINS = {
+    "cone": lambda: norm_cone(2, 1.0),
+    "halfspace": lambda: halfspace(2),
+    "affine_max": lambda: affine_max([[0.5], [-1.0]]),
+    "paraboloid": lambda: paraboloid(2),
+}
 
 
 def moment_integrand(alpha, e):
@@ -133,7 +143,7 @@ def test_monotone_in_aperture(halfplane):
 def test_column_blocks_bit_identical(domain, block, monkeypatch):
     # the blocked columns reproduce the one-call-per-slab sums and tail fit
     # exactly, and no integrand call exceeds the block size
-    dom = {"cone": norm_cone(2, 1.0), "halfspace": halfspace(2), "paraboloid": paraboloid(2)}[domain]
+    dom = DOMAINS[domain]()
     if block is not None:
         monkeypatch.setattr(quadrature, "_BLOCK_NODES", block)
     spec = QuadSpec(half_width=5.0, dx=0.01, levels=3)
@@ -150,3 +160,101 @@ def test_column_blocks_bit_identical(domain, block, monkeypatch):
     if block is not None:
         # more calls than two per slab: the columns really were split
         assert len(sizes) > 2 * (1 + 4 * spec.levels)
+
+
+def _bytes(result):
+    return np.array(result, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_estimate_bit_identical_to_two_sweeps(domain, shift):
+    # one sweep that reuses the fine values gives the (value, error, tail)
+    # of a coarse run and a separate run at half spacing
+    dom = DOMAINS[domain]()
+    spec = QuadSpec(half_width=4.0, dx=0.05, levels=2)
+    f = moment_integrand(4.5, E2)
+    got = integrate_epigraph(f, dom, spec, shift=shift, decay=4.5, estimate=True)
+    want = integrate_epigraph_estimate_reference(f, dom, spec, shift=shift, decay=4.5)
+    assert _bytes(got) == _bytes(want)
+
+
+@pytest.mark.parametrize("case", ["3d", "non_nesting", "block_1000"])
+def test_estimate_bit_identical_edge_cases(case, monkeypatch):
+    dom, spec, e = norm_cone(2, 1.0), QuadSpec(half_width=4.0, dx=0.05, levels=2), E2
+    if case == "3d":
+        dom, spec, e = norm_cone(3, 0.7), QuadSpec(half_width=2.0, dx=0.1, levels=1), np.array([0.0, 0.0, 1.0])
+    elif case == "non_nesting":
+        # 10 / 0.3 rounds to 33 cells, 10 / 0.15 to 67: the grids share
+        # only some nodes, and the coarse sums evaluate the others
+        spec = QuadSpec(half_width=5.0, dx=0.3, levels=2)
+    else:
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", 1000)
+    f = moment_integrand(4.5, e)
+    sizes = []
+    for shift in (0.0, 1.0):
+        got = integrate_epigraph(
+            lambda p: sizes.append(len(p)) or f(p), dom, spec, shift=shift, decay=4.5, estimate=True
+        )
+        want = integrate_epigraph_estimate_reference(f, dom, spec, shift=shift, decay=4.5)
+        assert _bytes(got) == _bytes(want)
+    assert max(sizes) <= quadrature._BLOCK_NODES
+
+
+def _row_counts(calls):
+    counts = {}
+    for pts in calls:
+        for row in np.asarray(pts, dtype=float):
+            counts[row.tobytes()] = counts.get(row.tobytes(), 0) + 1
+    return counts
+
+
+def _once_per_sweep(estimate_calls, fine_calls, coarse_calls):
+    """Each node reaches fn in the estimate as often as in whichever single
+    sweep holds it. This holds whenever each coarse node that some fine node
+    matches is matched within its own shell box: on nested grids, and on a
+    lone box (levels=0), where the boxes cannot share faces."""
+    est, fine, coarse = map(_row_counts, (estimate_calls, fine_calls, coarse_calls))
+    assert est == {k: max(fine.get(k, 0), coarse.get(k, 0)) for k in fine.keys() | coarse.keys()}
+    return est, fine
+
+
+@pytest.mark.parametrize("spec", [(4.0, 0.05, 0), (5.0, 0.3, 0), (4.0, 0.05, 2)])
+@pytest.mark.parametrize("domain", ["cone", "paraboloid"])
+def test_estimate_evaluates_each_node_once(domain, spec):
+    dom = DOMAINS[domain]()
+    spec = QuadSpec(*spec)
+    f = moment_integrand(4.5, E2)
+    calls = {"est": [], "fine": [], "coarse": []}
+    for key, s, est in (("est", spec, True), ("fine", spec.refined(extend=False), False), ("coarse", spec, False)):
+        integrate_epigraph(
+            lambda p, c=calls[key]: c.append(p) or f(p), dom, s, shift=0.3, decay=4.5, estimate=est
+        )
+    est, fine = _once_per_sweep(calls["est"], calls["fine"], calls["coarse"])
+    if spec.levels == 0:
+        assert set(est.values()) == {1}
+    if spec.dx == 0.05:
+        # nested grids: beyond the fine run, fn sees only boundary points a
+        # coarse partial cell needs
+        assert sum(est.values()) - sum(fine.values()) < 0.01 * sum(fine.values())
+
+
+@pytest.mark.parametrize("spec", [(4.0, 0.02, 3), (5.0, 0.3, 0), (5.0, 0.3, 2)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_boundary_bit_identical_to_reference(dim, spec):
+    spec = QuadSpec(*spec)
+    if dim == 2 and spec.dx < 0.1:
+        spec = QuadSpec(spec.half_width, 0.1, spec.levels)
+    f = lambda p: (1.0 + np.sum(np.asarray(p) ** 2, axis=-1)) ** (-1.5)
+    calls = {"est": [], "fine": [], "coarse": []}
+    assert _bytes(integrate_boundary(f, dim, spec, decay=3.0)) == _bytes(
+        integrate_boundary_reference(f, dim, spec, decay=3.0)
+    )
+    got = integrate_boundary(lambda p: calls["est"].append(p) or f(p), dim, spec, decay=3.0, estimate=True)
+    want = integrate_boundary_estimate_reference(f, dim, spec, decay=3.0)
+    assert _bytes(got) == _bytes(want)
+    if spec.dx == 0.3 and spec.levels > 0:
+        return  # shifted grids with shared box faces: see _once_per_sweep
+    for key, s in (("fine", spec.refined(extend=False)), ("coarse", spec)):
+        integrate_boundary(lambda p, c=calls[key]: c.append(p) or f(p), dim, s, decay=3.0)
+    _once_per_sweep(calls["est"], calls["fine"], calls["coarse"])
