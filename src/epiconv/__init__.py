@@ -12,8 +12,6 @@ from .extgrid import (
     EpigraphDomain,
     ExtGridFn,
     affine_max,
-    bh_membership,
-    contains,
     domain_from_config,
     halfspace,
     is_cone,

@@ -33,6 +33,7 @@ from .fields import ScalarField
 from .hopflax import _richardson, hopflax_apply, hopflax_pointwise
 from .quadrature import (
     QuadSpec,
+    _fit_tail_K,
     integrate_boundary,
     integrate_epigraph,
     integrate_gridfn,
@@ -56,13 +57,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BBLParams:
-    """Exponent bundle: dimension n, integrability exponent a >= n, and the
-    conjugate pair (p, q) of the power cost; h = t/(1-t) when both are set."""
+    """Exponent bundle: dimension n, integrability exponent a >= n, the
+    exponent p of the power cost (its conjugate q = p/(p-1) is derived), and
+    h = t/(1-t) when both are set."""
 
     n: int
     a: float
     p: float | None = None
-    q: float | None = None
     h: float = 0.0
     t: float | None = None
 
@@ -71,13 +72,8 @@ class BBLParams:
             raise ValueError("n must be at least 2")
         if not self.a >= self.n:
             raise ValueError(f"requires a >= n > p > 1, got a={self.a} < n={self.n}")
-        if self.p is not None:
-            if not (1.0 < self.p < self.n):
-                raise ValueError(f"requires a >= n > p > 1, got p={self.p}, n={self.n}")
-            qq = self.p / (self.p - 1.0)
-            if self.q is not None and abs(self.q - qq) > 1e-12 * max(1.0, qq):
-                raise ValueError("q must equal p/(p-1)")
-            object.__setattr__(self, "q", qq)
+        if self.p is not None and not (1.0 < self.p < self.n):
+            raise ValueError(f"requires a >= n > p > 1, got p={self.p}, n={self.n}")
         if self.h < 0:
             raise ValueError("h must be nonnegative")
         if self.t is not None:
@@ -87,11 +83,15 @@ class BBLParams:
                 raise ValueError("h and t disagree: h must equal t/(1-t)")
 
     @property
+    def q(self) -> float | None:
+        return None if self.p is None else self.p / (self.p - 1.0)
+
+    @property
     def q_trace(self) -> float:
         return self.p * (self.a - 1.0) / (self.a - self.p)
 
     def with_h(self, h: float) -> "BBLParams":
-        return BBLParams(self.n, self.a, self.p, None, h, None)
+        return BBLParams(self.n, self.a, self.p, h)
 
 
 @dataclass
@@ -106,7 +106,6 @@ class GapReport:
     tail_bound: float = 0.0
     terms: dict | None = None
     params: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         out = {
@@ -120,8 +119,6 @@ class GapReport:
         }
         if self.terms is not None:
             out["terms"] = self.terms
-        if self.warnings:
-            out["warnings"] = list(self.warnings)
         return out
 
 
@@ -135,8 +132,13 @@ def _neg_power(vals: np.ndarray, expo: float) -> np.ndarray:
     return out
 
 
+def _power_integral(f: ExtGridFn, expo: float) -> float:
+    """Trapezoid integral of f^expo, expo < 0, +inf nodes contributing 0."""
+    return integrate_gridfn(f, lambda v: _neg_power(v, expo))
+
+
 def _normalize_grid(g: ExtGridFn, a: float) -> tuple[ExtGridFn, float]:
-    S = integrate_gridfn(g, lambda v: _neg_power(v, -a))
+    S = _power_integral(g, -a)
     if not np.isfinite(S) or S <= 0.0:
         raise ValueError(f"cannot normalize: integral of g^-a on the grid is {S}")
     return g.scaled(S ** (1.0 / a)), S
@@ -154,34 +156,28 @@ def _decimate(f: ExtGridFn) -> ExtGridFn:
 
 def _grid_tail_K(f_pow: np.ndarray, axes, alpha: float) -> float:
     """Fit sup |v|*r^alpha on the outer faces of a grid of values."""
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     best = 0.0
-    dim = len(axes)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    r = np.sqrt(sum(m * m for m in mesh))
-    for d in range(dim):
+    for d in range(len(axes)):
         for side in (0, -1):
-            sl = [slice(None)] * dim
-            sl[d] = side
-            vals = f_pow[tuple(sl)]
-            rr = r[tuple(sl)]
-            ok = np.isfinite(vals) & (rr > 0)
-            if ok.any():
-                best = max(best, float(np.max(np.abs(vals[ok]) * rr[ok] ** alpha)))
+            face = (slice(None),) * d + (side,)
+            best = max(best, _fit_tail_K(pts[face], f_pow[face], alpha))
     return best
+
+
+def _flow(gs: ExtGridFn, Ws: ExtGridFn, h: float) -> ExtGridFn:
+    """Q_h(g) of a normalized pair; g itself at h = 0."""
+    return gs if h == 0.0 else hopflax_apply(gs, Ws, h).values
 
 
 def _bbl_gap_once(g: ExtGridFn, W: ExtGridFn, params: BBLParams):
     a, n, h = params.a, params.n, params.h
     gs, _ = _normalize_grid(g, a)
     Ws, _ = _normalize_grid(W, a)
-    if h == 0.0:
-        Q = gs
-    else:
-        Q = hopflax_apply(gs, Ws, h).values
-    lhs = (1.0 + h) ** (a - n) * integrate_gridfn(Q, lambda v: _neg_power(v, 1.0 - a))
-    rhs_g = integrate_gridfn(gs, lambda v: _neg_power(v, 1.0 - a))
-    rhs_W = integrate_gridfn(Ws, lambda v: _neg_power(v, 1.0 - a))
-    return lhs, rhs_g + h * rhs_W, (gs, Ws, Q)
+    Q = _flow(gs, Ws, h)
+    lhs = (1.0 + h) ** (a - n) * _power_integral(Q, 1.0 - a)
+    rhs = _power_integral(gs, 1.0 - a) + h * _power_integral(Ws, 1.0 - a)
+    return lhs, rhs, (gs, Ws, Q)
 
 
 def bbl_gap(
@@ -241,13 +237,28 @@ def _boundary_integrand(
     return fn
 
 
+def _conjugate_integrand(g: ScalarField, W: ScalarField, a: float) -> Callable:
+    """x -> W*(grad g(x)) / g(x)^a, the conjugate term of the derivative."""
+    return lambda p: W.conjugate(g.gradient(p)) / g(p) ** a
+
+
+def _cost_integral(
+    W: ScalarField, expo: float, domain: EpigraphDomain, spec: QuadSpec, decay: float,
+    estimate: bool = False,
+):
+    """int_{Omega_1} W^expo: the cost's normalization at expo = -a and the
+    constant B at expo = 1 - a, as :func:`integrate_epigraph` returns it."""
+    return integrate_epigraph(
+        lambda p: W(p) ** expo, domain, spec, shift=1.0, decay=decay, estimate=estimate
+    )
+
+
 def derived_gap(
     g: ScalarField,
     W: ScalarField,
     params: BBLParams,
     domain: EpigraphDomain,
     spec: QuadSpec,
-    adm=None,
 ) -> GapReport:
     """Gap of the differentiated inequality
 
@@ -255,9 +266,8 @@ def derived_gap(
 
     with the boundary term weighted by P(x1) = 1 + phi - x1.grad phi (P = 1 on
     cones). W must carry an analytic conjugate (power costs do); g needs a
-    gradient. Tail bounds use the decay exponent q*(a-1), q = 2 when unset. An
-    admissibility violation attaches a warning, it does not stop the
-    computation.
+    gradient. Tail bounds use the decay exponent q*(a-1), q = 2 when unset.
+    Admissibility is not checked here; :func:`admissibility_report` is.
     """
     a, n = params.a, params.n
     if W.conjugate is None:
@@ -268,11 +278,7 @@ def derived_gap(
         lambda p: g(p) ** (1.0 - a), domain, spec, decay=alpha, estimate=True
     )
     T2, e2, _ = integrate_epigraph(
-        lambda p: W.conjugate(g.gradient(p)) / g(p) ** a,
-        domain,
-        spec,
-        decay=alpha,
-        estimate=True,
+        _conjugate_integrand(g, W, a), domain, spec, decay=alpha, estimate=True
     )
     T3, e3, _ = integrate_boundary(
         _boundary_integrand(g, domain, 1.0 - a, weighted=True),
@@ -281,19 +287,10 @@ def derived_gap(
         decay=alpha,
         estimate=True,
     )
-    B, eB, _ = integrate_epigraph(
-        lambda p: W(p) ** (1.0 - a), domain, spec, shift=1.0, decay=alpha, estimate=True
-    )
+    B, eB, _ = _cost_integral(W, 1.0 - a, domain, spec, alpha, estimate=True)
     lhs = (a - n) * T1 + (a - 1.0) * T2 - T3
     rhs = B
     err = abs(a - n) * e1 + (a - 1.0) * e2 + e3 + eB
-
-    warnings = []
-    if adm is not None:
-        rep = admissibility_report(g, W, adm, params, domain)
-        if not rep.admissible:
-            warnings.append(f"admissibility violated: {rep.failed_conditions()}")
-
     return GapReport(
         h=0.0,
         lhs=lhs,
@@ -302,12 +299,13 @@ def derived_gap(
         quadrature_error_estimate=err,
         terms={"bulk": T1, "conjugate": T2, "boundary": T3},
         params={"n": n, "a": a, "p": params.p},
-        warnings=warnings,
     )
 
 
-def _simpson_nodes(lo, hi, m):
-    """Odd-count Simpson nodes and weights on [lo, hi], vectorized over columns."""
+def _simpson_columns(x1, lo, hi, m):
+    """Odd-count Simpson rule on the vertical segments from (x1, lo) to
+    (x1, hi): the (columns * m, n) node points, column by column, and the
+    (columns, m) weights."""
     t = np.linspace(0.0, 1.0, m)
     w = np.ones(m)
     w[1:-1:2] = 4.0
@@ -315,7 +313,8 @@ def _simpson_nodes(lo, hi, m):
     length = hi - lo
     nodes = lo[..., None] + t * length[..., None]
     weights = w * length[..., None] / (3.0 * (m - 1))
-    return nodes, weights
+    pts = np.concatenate([np.repeat(x1, m, axis=0), nodes.reshape(-1, 1)], axis=1)
+    return pts, weights
 
 
 def appendix_limit_residual(
@@ -351,7 +350,7 @@ def appendix_limit_residual(
     # per-term limits, each on the quadrature geometry of its own term so the
     # residual measures the h-trend and not a grid mismatch
     limit_i = (a - 1.0) * integrate_epigraph(
-        lambda p: W.conjugate(g.gradient(p)) / g(p) ** a, domain, qspec, decay=alpha
+        _conjugate_integrand(g, W, a), domain, qspec, decay=alpha
     )[0]
     limit_ii, el2, _ = integrate_boundary(
         _boundary_integrand(g, domain, 1.0 - a, weighted=False), domain.n - 1, spec,
@@ -380,11 +379,8 @@ def appendix_limit_residual(
         def fn_ii(x1, _h=h):
             x1 = np.asarray(x1, dtype=float)
             lo = domain.phi(x1)
-            nodes, wts = _simpson_nodes(lo, lo + _h, 9)
-            pts = np.concatenate(
-                [np.repeat(x1, nodes.shape[-1], axis=0), nodes.reshape(-1, 1)], axis=1
-            )
-            vals = (g(pts) ** (1.0 - a)).reshape(nodes.shape)
+            pts, wts = _simpson_columns(x1, lo, lo + _h, 9)
+            vals = (g(pts) ** (1.0 - a)).reshape(wts.shape)
             return np.sum(wts * vals, axis=-1) / _h
 
         term_ii, eii, _ = integrate_boundary(fn_ii, domain.n - 1, spec, decay=alpha, estimate=True)
@@ -397,11 +393,8 @@ def appendix_limit_residual(
             thin = width <= 1e-13 * np.maximum(1.0, np.abs(hi))
             if thin.all():
                 return np.zeros(x1.shape[:-1])
-            nodes, wts = _simpson_nodes(lo, hi, 5)
-            pts = np.concatenate(
-                [np.repeat(x1, nodes.shape[-1], axis=0), nodes.reshape(-1, 1)], axis=1
-            )
-            qv = q_pointwise(pts, _h).reshape(nodes.shape)
+            pts, wts = _simpson_columns(x1, lo, hi, 5)
+            qv = q_pointwise(pts, _h).reshape(wts.shape)
             vals = np.where(np.isfinite(qv), qv, np.nan) ** (1.0 - a)
             vals = np.where(np.isfinite(vals), vals, 0.0)
             out = np.sum(wts * vals, axis=-1) / _h
@@ -596,13 +589,7 @@ def equivalence_scan(
     Ws, SW = _normalize_grid(W, float(n))
     cW = SW ** (1.0 / float(n))
 
-    phis = []
-    for h in hs:
-        if h == 0.0:
-            Q = gs
-        else:
-            Q = hopflax_apply(gs, Ws, h).values
-        phis.append(integrate_gridfn(Q, lambda v: _neg_power(v, -float(n))))
+    phis = [_power_integral(_flow(gs, Ws, h), -float(n)) for h in hs]
 
     pos = [h for h in hs if h > 0]
     if len(pos) >= 2:
@@ -629,8 +616,7 @@ def equivalence_scan(
     hmax = hs[-1]
     gs_c, _ = _normalize_grid(_decimate(g), float(n))
     Ws_c, _ = _normalize_grid(_decimate(W), float(n))
-    Qc = hopflax_apply(gs_c, Ws_c, hmax).values if hmax > 0 else gs_c
-    phi_c = integrate_gridfn(Qc, lambda v: _neg_power(v, -float(n)))
+    phi_c = _power_integral(_flow(gs_c, Ws_c, hmax), -float(n))
     err = 1.5 * abs(phis[-1] - phi_c)
     deriv_err = err / pos[0] if pos else err
 

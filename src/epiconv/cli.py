@@ -44,7 +44,7 @@ CHECK_NAMES = (
     "equivalence_scan",
 )
 
-_DEFAULT_TOLERANCES = {
+_TOLERANCES = {
     "trace_ratio": 0.02,
     "b_routes": 0.01,
     "identity": 1e-12,
@@ -71,7 +71,6 @@ class ExperimentConfig:
     grid_half_width: float
     grid_dx: float
     seed: int
-    tolerances: dict
     expect_rejection: bool = False
     raw: dict = field(default_factory=dict)
 
@@ -97,8 +96,6 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
         raise ConfigError(f"{name}: norm: {ex}") from ex
     params = doc.get("params", {})
     quad = doc.get("quadrature", {})
-    tol = dict(_DEFAULT_TOLERANCES)
-    tol.update(doc.get("tolerances", {}))
     return ExperimentConfig(
         name=name,
         n=n,
@@ -117,7 +114,6 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
         grid_half_width=float(quad.get("grid_half_width", 8.0)),
         grid_dx=float(quad.get("grid_dx", 0.1)),
         seed=int(doc.get("seed", 0)),
-        tolerances=tol,
         expect_rejection=bool(doc.get("expect_rejection", False)),
         raw=doc,
     )
@@ -197,13 +193,9 @@ class _Shared:
 
 
 def _power_pair(cfg: ExperimentConfig, shared: _Shared):
-    q = cfg.p / (cfg.p - 1.0)
-    C = shared.power_cost(q)
-    W = fl.power_cost_field(C, q, cfg.norm)
-    e = np.zeros(cfg.n)
-    e[-1] = 1.0
-    g = fl.shifted_field(W, e)
-    return g, W, q
+    q = _bbl_params(cfg).q
+    W = fl.power_cost_field(shared.power_cost(q), q, cfg.norm)
+    return fl.shifted_field(W, cfg.domain.e), W, q
 
 
 def _grid_pair(cfg: ExperimentConfig, shared: _Shared):
@@ -235,7 +227,7 @@ def _fixture_field(cfg: ExperimentConfig):
 def check_constants(cfg: ExperimentConfig, shared: _Shared):
     cst = shared.constants(cfg.quad)
     a = []
-    t = cfg.tolerances
+    t = _TOLERANCES
     _assert(a, "uv_conjugate", abs(1 / cst.u + 1 / cst.v - 1) <= t["identity"])
     _assert(
         a, "D_formula",
@@ -260,7 +252,7 @@ def _assert_trace_ratio(a: list, cfg: ExperimentConfig, rep: sc.TraceReport):
     if cfg.fixture.get("kind", "extremal") == "extremal":
         _assert(
             a, "extremal_ratio_one",
-            abs(rep.ratio - 1.0) <= cfg.tolerances["trace_ratio"],
+            abs(rep.ratio - 1.0) <= _TOLERANCES["trace_ratio"],
             f"ratio {rep.ratio:.5f}",
         )
     else:
@@ -375,13 +367,16 @@ def check_appendix_limit(cfg: ExperimentConfig, shared: _Shared):
     return _result(a, records=recs)
 
 
+def _cube_grid(f: fl.ScalarField, n: int, L: float, dx: float) -> eg.ExtGridFn:
+    """f sampled on the cube [-L, L]^n at spacing dx."""
+    xs = np.linspace(-L, L, int(round(2 * L / dx)) + 1)
+    mesh = np.stack(np.meshgrid(*([xs] * n), indexing="ij"), axis=-1)
+    return eg.ExtGridFn([(-L, L)] * n, f(mesh))
+
+
 def check_semigroup(cfg: ExperimentConfig, shared: _Shared):
-    quad = fl.quadratic_field(offset=1.0, curvature=1.0)
-    L, dx = 2.0, cfg.grid_dx / 2
-    m = int(round(2 * L / dx)) + 1
-    xs = np.linspace(-L, L, m)
-    mesh = np.stack(np.meshgrid(*([xs] * cfg.n), indexing="ij"), axis=-1)
-    g = eg.ExtGridFn([(-L, L)] * cfg.n, quad(mesh))
+    dx = cfg.grid_dx / 2
+    g = _cube_grid(fl.quadratic_field(offset=1.0, curvature=1.0), cfg.n, 2.0, dx)
     res = hl.semigroup_residual(g, g, 0.6, 0.2)
     a = []
     _assert(a, "semigroup_residual", res <= 5 * dx, f"residual {res:.5f} vs 5dx {5*dx:.3f}")
@@ -416,11 +411,7 @@ def check_admissibility(cfg: ExperimentConfig, shared: _Shared):
 
 def check_equivalence_scan(cfg: ExperimentConfig, shared: _Shared):
     quad = fl.quadratic_field(offset=1.0, curvature=0.5)
-    L, dx = 10.0, 0.125
-    m = int(round(2 * L / dx)) + 1
-    xs = np.linspace(-L, L, m)
-    mesh = np.stack(np.meshgrid(*([xs] * cfg.n), indexing="ij"), axis=-1)
-    g = eg.ExtGridFn([(-L, L)] * cfg.n, quad(mesh))
+    g = _cube_grid(quad, cfg.n, 10.0, 0.125)
     scan = bbl.equivalence_scan(
         g, g, cfg.n, [0.0, 0.05, 0.1, 0.25, 0.5], W_conjugate=quad.conjugate
     )
@@ -433,7 +424,7 @@ def check_equivalence_scan(cfg: ExperimentConfig, shared: _Shared):
     )
     dev = abs(scan.fd_derivative - scan.integral_derivative)
     tol = max(
-        cfg.tolerances["derivative_rel"] * abs(scan.integral_derivative),
+        _TOLERANCES["derivative_rel"] * abs(scan.integral_derivative),
         scan.derivative_error_estimate,
     )
     _assert(a, "derivative_match", dev <= tol, f"fd {scan.fd_derivative:.4f} int {scan.integral_derivative:.4f}")
@@ -515,50 +506,34 @@ def write_report(report: RunReport, path: str) -> None:
     os.replace(tmp, path)
 
 
+# (result key, file suffix, columns) of each curve a report can carry
+_CURVES = (
+    ("phi_curve", "phi", ("h", "phi", "error")),
+    ("gap_curve", "gap", ("h", "gap", "error")),
+    ("records", "terms", ("h", "term_i", "term_ii", "term_iii", "residual")),
+    ("refinement_curve", "refinement", ("dx", "abs_ratio_minus_one")),
+)
+
+
 def emit_curves(report_path: str, out_dir: str) -> list[str]:
     """One CSV per curve found in a report, deterministic column order."""
     with open(report_path) as fh:
         doc = json.load(fh)
     os.makedirs(out_dir, exist_ok=True)
     written = []
-
-    def write_csv(name, header, rows):
-        path = os.path.join(out_dir, name)
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        os.replace(tmp, path)
-        written.append(path)
-
     for entry in doc.get("results", []):
-        tag = f"{entry['experiment']}_{entry['check']}"
         res = entry["result"]
-        if "phi_curve" in res:
-            write_csv(
-                f"{tag}_phi.csv", ["h", "phi", "error"],
-                [(r["h"], r["phi"], r["error"]) for r in res["phi_curve"]],
-            )
-        if "gap_curve" in res:
-            write_csv(
-                f"{tag}_gap.csv", ["h", "gap", "error"],
-                [(r["h"], r["gap"], r["error"]) for r in res["gap_curve"]],
-            )
-        if "records" in res:
-            write_csv(
-                f"{tag}_terms.csv",
-                ["h", "term_i", "term_ii", "term_iii", "residual"],
-                [
-                    (r["h"], r["term_i"], r["term_ii"], r["term_iii"], r["residual"])
-                    for r in res["records"]
-                ],
-            )
-        if "refinement_curve" in res:
-            write_csv(
-                f"{tag}_refinement.csv", ["dx", "abs_ratio_minus_one"],
-                [(r["dx"], r["abs_ratio_minus_one"]) for r in res["refinement_curve"]],
-            )
+        for key, suffix, columns in _CURVES:
+            if key not in res:
+                continue
+            path = os.path.join(out_dir, f"{entry['experiment']}_{entry['check']}_{suffix}.csv")
+            tmp = f"{path}.tmp"
+            with open(tmp, "w") as fh:
+                fh.write(",".join(columns) + "\n")
+                for r in res[key]:
+                    fh.write(",".join(repr(float(r[c])) for c in columns) + "\n")
+            os.replace(tmp, path)
+            written.append(path)
     return written
 
 

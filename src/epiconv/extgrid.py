@@ -35,8 +35,6 @@ __all__ = [
     "paraboloid",
     "affine_max",
     "domain_from_config",
-    "contains",
-    "bh_membership",
     "is_cone",
     "weight_P",
     "sample_grid",
@@ -57,6 +55,25 @@ def _as_points(x, n: int) -> np.ndarray:
     if pts.ndim >= 1 and pts.shape[-1] == n:
         return pts
     raise ValueError(f"expected points of dimension {n}, got shape {pts.shape}")
+
+
+def _unit_e(n: int) -> np.ndarray:
+    """The last coordinate vector e of R^n, the direction of the shifts."""
+    e = np.zeros(n)
+    e[-1] = 1.0
+    return e
+
+
+def _central_gradient(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Central differences of fn over the last axis of x, step scaled with
+    the point: 1e-6 * (1 + ||x||)."""
+    out = np.zeros_like(x)
+    step = 1e-6 * (1.0 + np.linalg.norm(x, axis=-1))
+    for d in range(x.shape[-1]):
+        ed = np.zeros(x.shape[-1])
+        ed[d] = 1.0
+        out[..., d] = (fn(x + step[..., None] * ed) - fn(x - step[..., None] * ed)) / (2.0 * step)
+    return out
 
 
 def _euclidean_norm(x, keepdims: bool = False) -> np.ndarray:
@@ -241,9 +258,7 @@ class EpigraphDomain:
 
     @property
     def e(self) -> np.ndarray:
-        v = np.zeros(self.n)
-        v[-1] = 1.0
-        return v
+        return _unit_e(self.n)
 
     def phi(self, x1) -> np.ndarray:
         x1 = np.asarray(x1, dtype=float)
@@ -255,17 +270,7 @@ class EpigraphDomain:
         x1 = np.asarray(x1, dtype=float)
         if self._grad_phi is not None:
             return np.asarray(self._grad_phi(x1), dtype=float)
-        # central differences, step scaled with the point
-        out = np.zeros_like(x1)
-        for d in range(x1.shape[-1]):
-            step = 1e-6 * (1.0 + np.linalg.norm(x1, axis=-1))
-            ej = np.zeros(x1.shape[-1])
-            ej[d] = 1.0
-            out[..., d] = (
-                self.phi(x1 + step[..., None] * ej)
-                - self.phi(x1 - step[..., None] * ej)
-            ) / (2.0 * step)
-        return out
+        return _central_gradient(self.phi, x1)
 
     def smooth_at(self, x1) -> np.ndarray:
         x1 = np.asarray(x1, dtype=float)
@@ -274,15 +279,20 @@ class EpigraphDomain:
         return np.asarray(self._smooth_at(x1), dtype=bool)
 
     def contains(self, x, h: float = 0.0) -> np.ndarray:
+        """Membership in the shifted domain Omega_h = Omega + h*e (closed)."""
         pts = _as_points(x, self.n)
         return pts[..., -1] >= self.phi(pts[..., :-1]) + h
 
     def bh_contains(self, x, h: float) -> np.ndarray:
+        """Membership in B_h from the closed form x2 >= h + (1+h) phi(x1/(1+h)).
+
+        At h = 0 this reduces to plain Omega membership. For cones it
+        coincides with Omega_h membership at every h.
+        """
         if h < 0:
             raise ValueError("h must be nonnegative")
         pts = _as_points(x, self.n)
-        x1 = pts[..., :-1]
-        return pts[..., -1] >= h + (1.0 + h) * self.phi(x1 / (1.0 + h))
+        return pts[..., -1] >= self.bh_lower(pts[..., :-1], h)
 
     def bh_lower(self, x1, h: float) -> np.ndarray:
         """The B_h boundary height h + (1+h)*phi(x1/(1+h))."""
@@ -382,22 +392,6 @@ def domain_from_config(cfg: dict, n: int) -> EpigraphDomain:
     if kind == "affine_max":
         return affine_max(cfg["slopes"], n=n)
     raise ValueError(f"unknown domain kind {kind!r}")
-
-
-def contains(domain: EpigraphDomain, x, h: float = 0.0):
-    """Membership in the shifted domain Omega_h = Omega + h*e (closed)."""
-    res = domain.contains(x, h)
-    return bool(res.ravel()[0]) if np.asarray(x).ndim == 1 else res
-
-
-def bh_membership(domain: EpigraphDomain, x, h: float):
-    """Membership in B_h from the closed form x2 >= h + (1+h) phi(x1/(1+h)).
-
-    At h = 0 this reduces to plain Omega membership. For cones it coincides
-    with Omega_h membership at every h.
-    """
-    res = domain.bh_contains(x, h)
-    return bool(res.ravel()[0]) if np.asarray(x).ndim == 1 else res
 
 
 @dataclass

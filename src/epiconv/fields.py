@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .extgrid import _central_gradient
 from .transforms import NormSpec, power_cost_conjugate
 
 __all__ = [
@@ -42,15 +43,7 @@ class ScalarField:
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
-        out = np.zeros_like(x)
-        step = 1e-6 * (1.0 + np.linalg.norm(x, axis=-1))
-        for d in range(x.shape[-1]):
-            ed = np.zeros(x.shape[-1])
-            ed[d] = 1.0
-            out[..., d] = (
-                self(x + step[..., None] * ed) - self(x - step[..., None] * ed)
-            ) / (2.0 * step)
-        return out
+        return _central_gradient(self, x)
 
     def scaled(self, c: float) -> "ScalarField":
         if not c > 0:

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .extgrid import _SNAP, INF, EpigraphDomain, ExtGridFn
+from .extgrid import _SNAP, INF, EpigraphDomain, ExtGridFn, _unit_e
 
 __all__ = [
     "InfConvResult",
@@ -420,8 +420,7 @@ def hopflax_pointwise(
             np.meshgrid(*([np.linspace(-1.0, 1.0, m)] * n), indexing="ij"), axis=-1
         ).reshape(-1, n)
         ncand = unit.shape[0]
-    shift_e = np.zeros(n)
-    shift_e[-1] = 1.0
+    shift_e = _unit_e(n)
 
     out = np.empty(pts_all.shape[0])
     chunk = max(1, int(2_000_000 / max(ncand, 1)))

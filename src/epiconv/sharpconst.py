@@ -19,14 +19,14 @@ is D_npa^(1/q_trace), stored as trace_constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
-from .bblcheck import BBLParams, _boundary_growth, _boundary_integrand
-from .extgrid import EpigraphDomain, _euclidean_norm, sample_grid
-from .fields import ScalarField
+from .bblcheck import BBLParams, _boundary_growth, _boundary_integrand, _cost_integral
+from .extgrid import EpigraphDomain, _euclidean_norm, _unit_e, sample_grid
+from .fields import ScalarField, power_cost_field
 from .quadrature import QuadSpec, integrate_boundary, integrate_epigraph
 from .transforms import NormSpec, dual_norm
 
@@ -77,24 +77,7 @@ class SharpConstants:
     i_values: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "a": self.a,
-            "C": self.C,
-            "A": self.A,
-            "B": self.B,
-            "u": self.u,
-            "v": self.v,
-            "D": self.D,
-            "theta": self.theta,
-            "q_trace": self.q_trace,
-            "lambda_star": self.lambda_star,
-            "D_npa": self.D_npa,
-            "trace_constant": self.trace_constant,
-            "B_identity": self.B_identity,
-            "error_rel": self.error_rel,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "i_values"}
 
 
 @dataclass
@@ -107,9 +90,7 @@ class ExtremalSpec:
 
     @property
     def e(self) -> np.ndarray:
-        v = np.zeros(self.n)
-        v[-1] = 1.0
-        return v
+        return _unit_e(self.n)
 
     def field(self) -> ScalarField:
         gamma = self.exponent
@@ -162,8 +143,7 @@ def i_alpha(
     """
     if not alpha > domain.n:
         raise ValueError(f"i_alpha diverges for alpha={alpha} <= n={domain.n}")
-    e = np.zeros(domain.n)
-    e[-1] = 1.0
+    e = domain.e
 
     def fn(p):
         return norm(np.asarray(p, dtype=float) + e) ** (-alpha)
@@ -207,11 +187,8 @@ def _normalize_power_cost(domain, norm, q, a, spec, moment):
     if not (q > 1 and a > 0):
         raise ValueError("need q > 1 and a > 0")
     C = _power_cost_constant(moment(q * a)[0], q, a)
-
-    def Wpow(p):
-        return (C * norm(np.asarray(p, dtype=float)) ** q / q) ** (-a)
-
-    direct, _tail = integrate_epigraph(Wpow, domain, spec, shift=1.0, decay=q * a)
+    W = power_cost_field(C, q, norm)
+    direct, _tail = _cost_integral(W, -a, domain, spec, q * a)
     residual = abs(direct - 1.0)
     if residual > 0.02:
         raise ValueError(
@@ -250,13 +227,8 @@ def _gns_constants(params, domain, norm, spec, moment) -> SharpConstants:
     I_qa1, e_qa1 = moment(q * (a - 1.0))
     C = _power_cost_constant(I_qa, q, a)
     A = C ** (1.0 - p) * (a - 1.0) / p * (p / (a - p)) ** p
-
-    def Wpow(pts):
-        return (C * norm(np.asarray(pts, dtype=float)) ** q / q) ** (1.0 - a)
-
-    B, eB, _ = integrate_epigraph(
-        Wpow, domain, spec, shift=1.0, decay=q * (a - 1.0), estimate=True
-    )
+    W = power_cost_field(C, q, norm)
+    B, eB, _ = _cost_integral(W, 1.0 - a, domain, spec, q * (a - 1.0), estimate=True)
     B_identity = I_qa ** ((1.0 - a) / a) * I_qa1
 
     u = (a - 1.0) / (a - p)
@@ -272,14 +244,8 @@ def _gns_constants(params, domain, norm, spec, moment) -> SharpConstants:
         D_npa = (1.0 + s) * s ** (-s / (1.0 + s)) * D ** (1.0 / (1.0 + s)) * (a - n) ** (
             s / (1.0 + s)
         )
-        K1, _ = integrate_epigraph(
-            lambda x: dual_norm(norm, f.gradient(x)) ** p,
-            domain, spec, decay=(f.decay + 1.0) * p if f.decay else None,
-        )
-        K1 = K1**u
-        K2, _ = integrate_epigraph(
-            lambda x: f(x) ** q_trace, domain, spec, decay=f.decay * q_trace
-        )
+        K1 = _gradient_integral(f, norm, p, domain, spec)[0] ** u
+        K2, _ = _field_integral(f, q_trace, domain, spec)
         lambda_star = ((a - n) * K2 / (s * D * K1)) ** (1.0 / (s + 1.0))
     else:
         D_npa = D
@@ -340,6 +306,30 @@ def gradient_norm_claim_check(
     return worst
 
 
+def _gradient_integral(
+    f: ScalarField, norm: NormSpec, p: float, domain: EpigraphDomain, spec: QuadSpec,
+    estimate: bool = False,
+):
+    """int_Omega ||grad f||_*^p, tail decay (f.decay + 1) p, as
+    :func:`integrate_epigraph` returns it."""
+    return integrate_epigraph(
+        lambda x: dual_norm(norm, f.gradient(x)) ** p, domain, spec,
+        decay=((f.decay + 1.0) * p if f.decay else None), estimate=estimate,
+    )
+
+
+def _field_integral(
+    f: ScalarField, expo: float, domain: EpigraphDomain, spec: QuadSpec,
+    estimate: bool = False,
+):
+    """int_Omega f^expo, tail decay f.decay * expo, as
+    :func:`integrate_epigraph` returns it."""
+    return integrate_epigraph(
+        lambda x: f(x) ** expo, domain, spec,
+        decay=(f.decay * expo if f.decay else None), estimate=estimate,
+    )
+
+
 def _trace_integrals(
     f: ScalarField,
     params: BBLParams,
@@ -350,26 +340,13 @@ def _trace_integrals(
 ):
     a, p = params.a, params.p
     qt = params.q_trace
-    fdec = f.decay
-
     bdry, e_b, _ = integrate_boundary(
         _boundary_integrand(f, domain, qt, weighted), domain.n - 1, spec,
-        decay=(fdec * qt if fdec else None), estimate=True,
+        decay=(f.decay * qt if f.decay else None), estimate=True,
     )
-    grad_term, e_g, _ = integrate_epigraph(
-        lambda x: dual_norm(norm, f.gradient(x)) ** p,
-        domain, spec,
-        decay=((fdec + 1.0) * p if fdec else None), estimate=True,
-    )
-    fq_term, e_q, _ = integrate_epigraph(
-        lambda x: f(x) ** qt, domain, spec,
-        decay=(fdec * qt if fdec else None), estimate=True,
-    )
-    beta_pow = a * p / (a - p)
-    beta_int, e_beta, _ = integrate_epigraph(
-        lambda x: f(x) ** beta_pow, domain, spec,
-        decay=(fdec * beta_pow if fdec else None), estimate=True,
-    )
+    grad_term, e_g, _ = _gradient_integral(f, norm, p, domain, spec, estimate=True)
+    fq_term, e_q, _ = _field_integral(f, qt, domain, spec, estimate=True)
+    beta_int, e_beta, _ = _field_integral(f, a * p / (a - p), domain, spec, estimate=True)
     beta = beta_int ** ((a - p) / (a * p))
     rels = {
         "bdry": e_b / max(abs(bdry), 1e-300),
@@ -515,15 +492,8 @@ def young_equality_residual(
     if isinstance(f, ExtremalSpec):
         f = f.field()
     a, p, v = constants.a, constants.p, constants.v
-    grad_term, _ = integrate_epigraph(
-        lambda x: dual_norm(norm, f.gradient(x)) ** p,
-        domain, spec, decay=((f.decay + 1.0) * p if f.decay else None),
-    )
-    beta_pow = a * p / (a - p)
-    beta_int, _ = integrate_epigraph(
-        lambda x: f(x) ** beta_pow, domain, spec,
-        decay=(f.decay * beta_pow if f.decay else None),
-    )
+    grad_term, _ = _gradient_integral(f, norm, p, domain, spec)
+    beta_int, _ = _field_integral(f, a * p / (a - p), domain, spec)
     beta = beta_int ** ((a - p) / (a * p))
     lhs = constants.A / (constants.B * v) * grad_term
     rhs = beta ** (p * (p - 1.0) * (v - 1.0) / (a - p))
@@ -557,8 +527,7 @@ def approx_family(
     if not gamma > max(1.0, a / (n - 1.0)):
         raise ValueError("gamma must exceed max(1, a/(n-1))")
     power = a * p / (a - p)
-    e = np.zeros(n)
-    e[-1] = 1.0
+    e = domain.e
     tail_exp = gamma * (a - p) / p
 
     def tail_fn(x):

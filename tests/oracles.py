@@ -676,3 +676,77 @@ def integrate_boundary_estimate_reference(fn, dim, spec, decay=None):
     coarse, tail_c = integrate_boundary_reference(fn, dim, spec, decay)
     fine, tail_f = integrate_boundary_reference(fn, dim, spec.refined(extend=False), decay)
     return fine, abs(fine - coarse) + tail_f, tail_f
+
+
+def grid_tail_K_reference(f_pow: np.ndarray, axes, alpha: float) -> float:
+    """Fit sup |v|*r^alpha on the outer faces of a grid of values."""
+    best = 0.0
+    dim = len(axes)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    r = np.sqrt(sum(m * m for m in mesh))
+    for d in range(dim):
+        for side in (0, -1):
+            sl = [slice(None)] * dim
+            sl[d] = side
+            vals = f_pow[tuple(sl)]
+            rr = r[tuple(sl)]
+            ok = np.isfinite(vals) & (rr > 0)
+            if ok.any():
+                best = max(best, float(np.max(np.abs(vals[ok]) * rr[ok] ** alpha)))
+    return best
+
+
+def field_gradient_reference(field, x) -> np.ndarray:
+    """``ScalarField.gradient`` with its central-difference fallback."""
+    x = np.asarray(x, dtype=float)
+    if field.grad is not None:
+        return np.asarray(field.grad(x), dtype=float)
+    out = np.zeros_like(x)
+    step = 1e-6 * (1.0 + np.linalg.norm(x, axis=-1))
+    for d in range(x.shape[-1]):
+        ed = np.zeros(x.shape[-1])
+        ed[d] = 1.0
+        out[..., d] = (
+            field(x + step[..., None] * ed) - field(x - step[..., None] * ed)
+        ) / (2.0 * step)
+    return out
+
+
+def grad_phi_reference(domain, x1) -> np.ndarray:
+    """``EpigraphDomain.grad_phi`` with its central-difference fallback."""
+    x1 = np.asarray(x1, dtype=float)
+    if domain._grad_phi is not None:
+        return np.asarray(domain._grad_phi(x1), dtype=float)
+    # central differences, step scaled with the point
+    out = np.zeros_like(x1)
+    for d in range(x1.shape[-1]):
+        step = 1e-6 * (1.0 + np.linalg.norm(x1, axis=-1))
+        ej = np.zeros(x1.shape[-1])
+        ej[d] = 1.0
+        out[..., d] = (
+            domain.phi(x1 + step[..., None] * ej)
+            - domain.phi(x1 - step[..., None] * ej)
+        ) / (2.0 * step)
+    return out
+
+
+def sharp_constants_json_reference(self) -> dict:
+    """``SharpConstants.to_json`` with its fields listed by hand."""
+    return {
+        "n": self.n,
+        "p": self.p,
+        "a": self.a,
+        "C": self.C,
+        "A": self.A,
+        "B": self.B,
+        "u": self.u,
+        "v": self.v,
+        "D": self.D,
+        "theta": self.theta,
+        "q_trace": self.q_trace,
+        "lambda_star": self.lambda_star,
+        "D_npa": self.D_npa,
+        "trace_constant": self.trace_constant,
+        "B_identity": self.B_identity,
+        "error_rel": self.error_rel,
+    }

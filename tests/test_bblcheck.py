@@ -30,7 +30,8 @@ from epiconv import (
 )
 from epiconv.bblcheck import _normalize_grid
 from epiconv.quadrature import integrate_boundary, integrate_gridfn
-from epiconv.bblcheck import _boundary_integrand, _sample_fan
+from epiconv.bblcheck import _boundary_integrand, _grid_tail_K, _sample_fan
+from oracles import grid_tail_K_reference
 
 E2 = np.array([0.0, 1.0])
 
@@ -154,18 +155,6 @@ class TestDerivedGap:
         assert rep.lhs == pytest.approx(
             (2.0 - 1.0) * rep.terms["conjugate"] - rep.terms["boundary"], rel=1e-14
         )
-
-    def test_admissibility_warning_attached(self, halfplane):
-        # gamma = q = 3 fails (C0) when a = 3 needs gamma > 3
-        spec = QuadSpec(half_width=5.0, dx=0.05, levels=5)
-        C = normalize_power_cost(halfplane, NormSpec("euclidean"), 3.0, 3.0, spec)
-        W = power_cost_field(C, 3.0, NormSpec("euclidean"))
-        g = shifted_field(W, E2)
-        adm = AdmissibilityParams(gamma=3.0)
-        rep = derived_gap(
-            g, W, BBLParams(n=2, a=3.0, p=1.5), halfplane, spec, adm=adm
-        )
-        assert rep.warnings and "C0" in rep.warnings[0]
 
 
 class TestAppendixSplit:
@@ -328,3 +317,38 @@ def test_gap_report_curve_fields(equality_pair_grids):
     rep = bbl_gap(gg, WW, BBLParams(n=2, a=2.0, p=4 / 3, h=0.1))
     assert rep.h == 0.1
     assert rep.gap == rep.lhs - rep.rhs
+
+
+def _tail_fit_cases():
+    rng = np.random.default_rng(17)
+    xs, ys = np.linspace(-2.0, 2.0, 9), np.linspace(0.0, 4.0, 7)
+    vals = rng.uniform(0.1, 3.0, size=(9, 7))
+    vals[rng.uniform(size=vals.shape) < 0.3] = np.inf
+    yield "inf_nodes", vals, [xs, ys]
+    # the node (0, 0) sits on the face y = 0 at r = 0 and is skipped, though
+    # it carries the largest value
+    on_face = rng.uniform(0.1, 3.0, size=(9, 7))
+    on_face[4, 0] = 100.0
+    yield "origin_on_face", on_face, [xs, ys]
+    corner = rng.uniform(0.1, 3.0, size=(5, 6))
+    corner[0, 0] = 100.0
+    yield "origin_at_corner", corner, [np.linspace(0.0, 2.0, 5), np.linspace(0.0, 1.0, 6)]
+    one_face = rng.uniform(0.1, 3.0, size=(9, 7))
+    one_face[0, :] = np.inf
+    one_face[:, -1] = np.inf
+    yield "inf_faces", one_face, [xs, ys]
+    yield "all_inf", np.full((9, 7), np.inf), [xs, ys]
+    cube = rng.uniform(0.1, 3.0, size=(5, 4, 6))
+    cube[rng.uniform(size=cube.shape) < 0.2] = np.inf
+    yield "3d", cube, [np.linspace(-1.0, 1.0, 5), np.linspace(-1.5, 0.0, 4), np.linspace(0.0, 2.5, 6)]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.5, 7.0])
+@pytest.mark.parametrize("case", list(_tail_fit_cases()), ids=lambda c: c[0])
+def test_grid_tail_K_bit_identical_to_reference(case, alpha):
+    # the face-by-face fit delegates to the quadrature's tail fit; the radius
+    # of each node is the same sum of squares, so the constant keeps its bits
+    _, vals, axes = case
+    got = _grid_tail_K(vals, axes, alpha)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(grid_tail_K_reference(vals, axes, alpha)).tobytes()

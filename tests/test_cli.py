@@ -176,7 +176,8 @@ def test_trace_refinement_curve_emitted(tmp_path):
     names = [os.path.basename(w) for w in written]
     assert any(n.endswith("_refinement.csv") for n in names)
     csv = next(w for w in written if w.endswith("_refinement.csv"))
-    lines = open(csv).read().splitlines()
+    with open(csv) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "dx,abs_ratio_minus_one"
 
 

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from epiconv import (
     INF,
+    EpigraphDomain,
     ExtGridFn,
+    ScalarField,
     affine_max,
-    bh_membership,
-    contains,
     domain_from_config,
     halfspace,
     is_cone,
@@ -21,7 +21,12 @@ from epiconv import (
     weight_P,
     write_gridfn,
 )
-from oracles import bh_membership_bruteforce, interpolate_reference
+from oracles import (
+    bh_membership_bruteforce,
+    field_gradient_reference,
+    grad_phi_reference,
+    interpolate_reference,
+)
 
 
 def test_inf_absorbs_addition_and_min():
@@ -57,32 +62,32 @@ def test_domain_indices_consistent():
 
 class TestContains:
     def test_halfspace_inside(self, halfplane):
-        assert contains(halfplane, np.array([0.5, 0.2]), 0.0) is True
+        assert halfplane.contains(np.array([0.5, 0.2]), 0.0).tolist() == [True]
 
     def test_halfspace_shifted_out(self, halfplane):
-        assert contains(halfplane, np.array([0.5, 0.2]), 0.3) is False
+        assert halfplane.contains(np.array([0.5, 0.2]), 0.3).tolist() == [False]
 
     def test_paraboloid_shifted(self):
         par = paraboloid(2)
         # 1.5 >= 1^2 + 0.4
-        assert contains(par, np.array([1.0, 1.5]), 0.4) is True
+        assert par.contains(np.array([1.0, 1.5]), 0.4).tolist() == [True]
 
     def test_dimension_mismatch_rejected(self, halfplane):
         with pytest.raises(ValueError):
-            contains(halfplane, np.array([1.0, 2.0, 3.0]))
+            halfplane.contains(np.array([1.0, 2.0, 3.0]))
 
 
 class TestBhMembership:
     def test_h_zero_reduces_to_omega(self):
         par = paraboloid(2)
         pts = np.array([[0.3, 0.2], [1.0, 0.9], [1.0, 1.1], [-2.0, 4.5]])
-        assert np.array_equal(bh_membership(par, pts, 0.0), par.contains(pts, 0.0))
+        assert np.array_equal(par.bh_contains(pts, 0.0), par.contains(pts, 0.0))
 
     def test_paraboloid_closed_form_point(self):
         # 0.5 + 1.5 * (1.2/1.5)^2 = 1.46 > 0.9: not a member, and brute force
         # over a y-grid confirms the closed form
         par = paraboloid(2)
-        assert bh_membership(par, np.array([1.2, 0.9]), 0.5) is False
+        assert par.bh_contains(np.array([1.2, 0.9]), 0.5).tolist() == [False]
         assert not bh_membership_bruteforce(
             par, np.array([1.2, 0.9]), 0.5, [(-3, 3), (1, 4)], [121, 61]
         )
@@ -90,8 +95,8 @@ class TestBhMembership:
     def test_point_in_bh_but_not_omega_h(self):
         par = paraboloid(2)
         x = np.array([1.2, 1.7])
-        assert bh_membership(par, x, 0.5) is True
-        assert contains(par, x, 0.5) is False
+        assert par.bh_contains(x, 0.5).tolist() == [True]
+        assert par.contains(x, 0.5).tolist() == [False]
         assert bh_membership_bruteforce(par, x, 0.5, [(-3, 3), (1, 4)], [121, 61])
 
     def test_cone_bh_equals_omega_h(self, unit_cone):
@@ -99,7 +104,7 @@ class TestBhMembership:
         pts = rng.uniform(-3, 3, size=(200, 2))
         for h in (0.0, 0.3, 1.0):
             np.testing.assert_array_equal(
-                bh_membership(unit_cone, pts, h), unit_cone.contains(pts, h)
+                unit_cone.bh_contains(pts, h), unit_cone.contains(pts, h)
             )
 
     def test_omega_h_subset_bh(self):
@@ -109,7 +114,7 @@ class TestBhMembership:
         for dom in (halfspace(2), norm_cone(2, 0.7), paraboloid(2), affine_max([[0.5], [-1.0]])):
             for h in (0.2, 0.8):
                 inside = dom.contains(pts, h)
-                assert bh_membership(dom, pts[inside], h).all()
+                assert dom.bh_contains(pts[inside], h).all()
 
     def test_bruteforce_matches_closed_form_modulo_one_cell(self):
         par = paraboloid(2)
@@ -119,7 +124,7 @@ class TestBhMembership:
         rng = np.random.default_rng(3)
         pts = rng.uniform([-1.5, -0.5], [1.5, 3.0], size=(120, 2))
         for x in pts:
-            closed = bh_membership(par, x, h)
+            closed = bool(par.bh_contains(x, h)[0])
             brute = bh_membership_bruteforce(par, x, h, *ygrid)
             if closed != brute:
                 # disagreement only within one grid cell of the boundary
@@ -337,3 +342,37 @@ def test_euclidean_norm_bytes_match_numpy(d):
                 got = _euclidean_norm(x, keepdims=keepdims)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+class TestCentralDifferences:
+    """The central-difference fallback of ScalarField.gradient and
+    EpigraphDomain.grad_phi, one function for both since the step and the
+    formula are shared, gives the bytes of the two loops it replaced."""
+
+    POINTS = (
+        np.array([0.7, -1.3]),
+        np.random.default_rng(5).uniform(-3.0, 3.0, size=(40, 2)),
+        np.random.default_rng(6).uniform(-3.0, 3.0, size=(4, 5, 3)),
+        np.zeros((2, 2)),
+    )
+
+    @pytest.mark.parametrize("k", range(len(POINTS)))
+    def test_field_gradient_bytes(self, k):
+        x = self.POINTS[k]
+        f = ScalarField(lambda z: np.exp(0.3 * z[..., 0]) * (1.0 + np.sum(z**2, axis=-1)))
+        got = f.gradient(x)
+        assert got.tobytes() == field_gradient_reference(f, x).tobytes()
+        assert got.shape == x.shape
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_grad_phi_bytes(self, n):
+        par = paraboloid(n)
+        dom = EpigraphDomain(n, par.phi, kind="paraboloid_fd")
+        for x1 in (np.full(n - 1, 0.4), np.random.default_rng(n).uniform(-2.0, 2.0, (30, n - 1))):
+            assert dom.grad_phi(x1).tobytes() == grad_phi_reference(dom, x1).tobytes()
+
+    def test_grad_phi_fallback_on_paraboloid(self):
+        # without an analytic gradient the domain differentiates phi itself
+        dom = EpigraphDomain(2, paraboloid(2).phi)
+        x1 = np.linspace(-3.0, 3.0, 61)[:, None]
+        np.testing.assert_allclose(dom.grad_phi(x1), 2.0 * x1, rtol=0, atol=1e-6)

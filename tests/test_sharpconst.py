@@ -25,7 +25,12 @@ from epiconv import (
     weighted_trace_check,
     young_equality_residual,
 )
-from oracles import halfplane_moment, halfspace3_moment, polar_cone_moment
+from oracles import (
+    halfplane_moment,
+    halfspace3_moment,
+    polar_cone_moment,
+    sharp_constants_json_reference,
+)
 
 E2 = np.array([0.0, 1.0])
 
@@ -97,6 +102,14 @@ class TestConstants:
 
     def test_b_two_routes_agree(self, hp_constants):
         assert abs(hp_constants.B - hp_constants.B_identity) <= 0.01 * hp_constants.B
+
+    def test_to_json_matches_field_list(self, hp_constants):
+        # the bundle's JSON is derived from its dataclass fields; it carries
+        # the same keys and values as the hand-written list it replaced
+        got = hp_constants.to_json()
+        ref = sharp_constants_json_reference(hp_constants)
+        assert sorted(got) == sorted(ref)
+        assert all(got[k] == ref[k] and type(got[k]) is type(ref[k]) for k in ref)
 
     def test_arithmetic_bundle_n3(self, euclid):
         dom3 = halfspace(3)
