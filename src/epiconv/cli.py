@@ -188,7 +188,7 @@ class _Shared:
             lambda: sc._normalize_power_cost(
                 cfg.domain, cfg.norm, q, cfg.a, cfg.quad,
                 lambda alpha: self.moment(cfg.quad, alpha),
-            )[0],
+            ),
         )
 
 

@@ -203,36 +203,22 @@ class ExtGridFn:
 
 @dataclass(frozen=True)
 class AdmissibilityParams:
-    """Growth-envelope constants for an admissibility check.
-
-    gamma is the common growth exponent; A1..A4 bound the cost from below and
-    above and the test function and its gradient from below/above; growth_C
-    bounds the boundary slope,
-    |x1 . grad phi(x1)| <= growth_C * ||(x1, phi(x1))|| for ||x1|| > 1.
-    """
+    """The common growth exponent gamma of an admissibility check; the
+    envelope constants are fitted from samples, not supplied."""
 
     gamma: float
-    A1: float = 1.0
-    A2: float = 1.0
-    A3: float = 1.0
-    A4: float = 1.0
-    growth_C: float = 1.0
 
     def __post_init__(self):
         if not self.gamma > 1:
             raise ValueError("gamma must exceed 1")
-        for name in ("A1", "A2", "A3", "A4", "growth_C"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
 
 
 class EpigraphDomain:
     """The epigraph Omega = {x2 >= phi(x1)} of a convex phi with phi(0)=0.
 
-    phi and its gradient are callables over arrays of shape (..., n-1).
-    ``smooth_at`` reports points where phi is differentiable; ridge points of
-    the closed families (cone apex, affine-max ties) are flagged rather than
-    failing, and boundary quadrature skips them.
+    phi and its gradient are callables over arrays of shape (..., n-1). At
+    ridge points of the closed families (cone apex, affine-max ties) the
+    gradient is a one-sided subgradient.
     """
 
     def __init__(
@@ -240,7 +226,6 @@ class EpigraphDomain:
         n: int,
         phi: Callable[[np.ndarray], np.ndarray],
         grad_phi: Callable[[np.ndarray], np.ndarray] | None = None,
-        smooth_at: Callable[[np.ndarray], np.ndarray] | None = None,
         kind: str = "custom",
         params: dict | None = None,
     ):
@@ -249,7 +234,6 @@ class EpigraphDomain:
         self.n = n
         self._phi = phi
         self._grad_phi = grad_phi
-        self._smooth_at = smooth_at
         self.kind = kind
         self.params = dict(params or {})
         z = np.zeros((1, n - 1))
@@ -271,12 +255,6 @@ class EpigraphDomain:
         if self._grad_phi is not None:
             return np.asarray(self._grad_phi(x1), dtype=float)
         return _central_gradient(self.phi, x1)
-
-    def smooth_at(self, x1) -> np.ndarray:
-        x1 = np.asarray(x1, dtype=float)
-        if self._smooth_at is None:
-            return np.ones(x1.shape[:-1], dtype=bool)
-        return np.asarray(self._smooth_at(x1), dtype=bool)
 
     def contains(self, x, h: float = 0.0) -> np.ndarray:
         """Membership in the shifted domain Omega_h = Omega + h*e (closed)."""
@@ -329,10 +307,7 @@ def norm_cone(n: int = 2, slope: float = 1.0) -> EpigraphDomain:
         safe = np.where(r > 0, r, 1.0)
         return slope * x1 / safe
 
-    def smooth(x1):
-        return _euclidean_norm(x1) > 1e-12
-
-    return EpigraphDomain(n, phi, grad, smooth, kind="cone", params={"slope": slope})
+    return EpigraphDomain(n, phi, grad, kind="cone", params={"slope": slope})
 
 
 def paraboloid(n: int = 2) -> EpigraphDomain:
@@ -367,17 +342,7 @@ def affine_max(slopes: Sequence[Sequence[float]], n: int | None = None) -> Epigr
         j = np.argmax(vals, axis=-1)
         return A[j]
 
-    def smooth(x1):
-        x1 = np.asarray(x1, dtype=float)
-        vals = np.sort(x1 @ A.T, axis=-1)
-        if vals.shape[-1] == 1:
-            return np.ones(vals.shape[:-1], dtype=bool)
-        gap = vals[..., -1] - vals[..., -2]
-        return gap > 1e-12 * (1.0 + np.abs(vals[..., -1]))
-
-    return EpigraphDomain(
-        n, phi, grad, smooth, kind="affine_max", params={"slopes": A.tolist()}
-    )
+    return EpigraphDomain(n, phi, grad, kind="affine_max", params={"slopes": A.tolist()})
 
 
 def domain_from_config(cfg: dict, n: int) -> EpigraphDomain:
@@ -401,36 +366,36 @@ class ConeCheck:
     witness: tuple | None
 
 
-def is_cone(
-    domain: EpigraphDomain,
-    sample_count: int = 200,
-    tol: float = 1e-8,
-) -> ConeCheck:
+# samples per property, and the largest violation, of the cone test
+_CONE_SAMPLES = 200
+_CONE_TOL = 1e-7
+
+
+def is_cone(domain: EpigraphDomain) -> ConeCheck:
     """Sampled test for positive homogeneity of phi.
 
     Checks phi(t*x1) = t*phi(x1) on random (t, x1) and the shift inequality
-    phi((x1-y1)/h) >= (phi(x1)-phi(y1))/h on random (x1, y1, h), both drawn
-    from a generator seeded with 0; returns the worst violation and its
-    witness triple when the test fails.
+    phi((x1-y1)/h) >= (phi(x1)-phi(y1))/h on random (x1, y1, h),
+    ``_CONE_SAMPLES`` draws of each from a generator seeded with 0; the
+    domain is a cone when no violation exceeds ``_CONE_TOL``. Returns the
+    worst violation and its witness triple when the test fails.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
     rng = np.random.default_rng(0)
     nm1 = domain.n - 1
     worst = 0.0
     witness = None
 
-    x1 = rng.uniform(-2.0, 2.0, size=(sample_count, nm1))
-    t = rng.uniform(0.1, 3.0, size=sample_count)
+    x1 = rng.uniform(-2.0, 2.0, size=(_CONE_SAMPLES, nm1))
+    t = rng.uniform(0.1, 3.0, size=_CONE_SAMPLES)
     viol = np.abs(domain.phi(t[:, None] * x1) - t * domain.phi(x1))
     k = int(np.argmax(viol))
     if viol[k] > worst:
         worst = float(viol[k])
         witness = ("homogeneity", t[k], tuple(x1[k]))
 
-    xa = rng.uniform(-2.0, 2.0, size=(sample_count, nm1))
-    ya = rng.uniform(-2.0, 2.0, size=(sample_count, nm1))
-    h = rng.uniform(0.1, 2.0, size=sample_count)
+    xa = rng.uniform(-2.0, 2.0, size=(_CONE_SAMPLES, nm1))
+    ya = rng.uniform(-2.0, 2.0, size=(_CONE_SAMPLES, nm1))
+    h = rng.uniform(0.1, 2.0, size=_CONE_SAMPLES)
     lhs = domain.phi((xa - ya) / h[:, None])
     rhs = (domain.phi(xa) - domain.phi(ya)) / h
     viol = np.maximum(rhs - lhs, 0.0)
@@ -439,7 +404,7 @@ def is_cone(
         worst = float(viol[k])
         witness = ("shift_inequality", float(h[k]), tuple(xa[k]), tuple(ya[k]))
 
-    ok = worst <= tol
+    ok = worst <= _CONE_TOL
     return ConeCheck(ok, worst, None if ok else witness)
 
 
@@ -447,8 +412,7 @@ def weight_P(domain: EpigraphDomain, x1) -> float | np.ndarray:
     """Boundary weight P(x1) = 1 + phi(x1) - x1 . grad phi(x1).
 
     Identically 1 on cones (Euler's relation) and possibly negative elsewhere.
-    At ridge points the family's one-sided subgradient is used; callers can
-    consult domain.smooth_at to skip flagged samples.
+    At ridge points the family's one-sided subgradient is used.
     """
     x1a = np.atleast_2d(np.asarray(x1, dtype=float))
     val = 1.0 + domain.phi(x1a) - np.sum(x1a * domain.grad_phi(x1a), axis=-1)

@@ -45,19 +45,6 @@ class ScalarField:
             return np.asarray(self.grad(x), dtype=float)
         return _central_gradient(self, x)
 
-    def scaled(self, c: float) -> "ScalarField":
-        if not c > 0:
-            raise ValueError("scale must be positive")
-        fn = self.fn
-        gr = self.grad
-        new = replace(
-            self,
-            fn=lambda x: c * np.asarray(fn(x), dtype=float),
-            grad=(None if gr is None else (lambda x: c * np.asarray(gr(x), dtype=float))),
-            name=f"{c:g}*{self.name}",
-        )
-        return new
-
 
 def power_cost_field(C: float, q: float, norm: NormSpec) -> ScalarField:
     """W(x) = C ||x||^q / q with analytic gradient and conjugate."""
@@ -85,9 +72,9 @@ def power_cost_field(C: float, q: float, norm: NormSpec) -> ScalarField:
 
 def shifted_field(field: ScalarField, shift: np.ndarray) -> ScalarField:
     """x -> field(x + shift); the usual way to turn a cost on Omega_1 into a
-    test function on Omega."""
+    test function on Omega. Its conjugate is field*(p) - p . shift."""
     shift = np.asarray(shift, dtype=float)
-    base_fn, base_grad = field.fn, field.grad
+    base_fn, base_grad, base_conj = field.fn, field.grad, field.conjugate
     out = replace(
         field,
         fn=lambda x: np.asarray(base_fn(np.asarray(x, dtype=float) + shift), dtype=float),
@@ -95,6 +82,11 @@ def shifted_field(field: ScalarField, shift: np.ndarray) -> ScalarField:
             None
             if base_grad is None
             else (lambda x: np.asarray(base_grad(np.asarray(x, dtype=float) + shift), dtype=float))
+        ),
+        conjugate=(
+            None
+            if base_conj is None
+            else (lambda p: np.asarray(base_conj(p), dtype=float) - np.asarray(p, dtype=float) @ shift)
         ),
         name=f"{field.name}(.+e)",
     )
@@ -137,7 +129,8 @@ def bump_field(center, radius: float = 1.0, amplitude: float = 1.0) -> ScalarFie
 
 
 def multiply_bump(field: ScalarField, center, radius: float, amplitude: float) -> ScalarField:
-    """field * (1 + bump); keeps positivity for amplitude > -1."""
+    """field * (1 + bump); keeps positivity for amplitude > -1. The product
+    has no closed-form conjugate, so it carries none."""
     b = bump_field(center, radius, amplitude)
     base_fn, base_grad = field.fn, field.grad
 
@@ -149,4 +142,4 @@ def multiply_bump(field: ScalarField, center, radius: float, amplitude: float) -
         gf = field.gradient(x) if base_grad is None else np.asarray(base_grad(x), dtype=float)
         return gf * (1.0 + b(x))[..., None] + f[..., None] * b.gradient(x)
 
-    return replace(field, fn=fn, grad=grad, name=f"{field.name}*(1+bump)")
+    return replace(field, fn=fn, grad=grad, conjugate=None, name=f"{field.name}*(1+bump)")

@@ -521,7 +521,6 @@ def hj_difference_quotient(
     points: np.ndarray,
     y_box: Sequence[Sequence[float]],
     y_resolution: Sequence[int],
-    g_domain: EpigraphDomain | None = None,
 ):
     """Difference quotients (Q_h(g)(x) - g(x)) / h against -W*(grad g(x)).
 
@@ -535,17 +534,10 @@ def hj_difference_quotient(
     if np.any(np.diff(hs) >= 0) or np.any(hs <= 0):
         raise ValueError("h_list must be positive and strictly decreasing")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if g_domain is not None:
-        inside = g_domain.contains(pts, 0.0)
-        margin = pts[:, -1] - (g_domain.phi(pts[:, :-1]))
-        if not inside.all() or np.any(margin <= 1e-9):
-            raise ValueError("difference quotients need points interior to dom g")
     g0 = np.asarray(g_fn(pts), dtype=float)
     quot = np.empty((pts.shape[0], len(hs)))
     for k, h in enumerate(hs):
-        q = hopflax_pointwise(
-            g_fn, W_fn, h, pts, y_box, y_resolution, g_domain=g_domain
-        )
+        q = hopflax_pointwise(g_fn, W_fn, h, pts, y_box, y_resolution)
         quot[:, k] = (q - g0) / h
 
     # iterated first-order Richardson over the (not necessarily dyadic) h list

@@ -24,8 +24,14 @@ from typing import Callable
 
 import numpy as np
 
-from .bblcheck import BBLParams, _boundary_growth, _boundary_integrand, _cost_integral
-from .extgrid import EpigraphDomain, _euclidean_norm, _unit_e, sample_grid
+from .bblcheck import (
+    _GROWTH_BUDGET,
+    BBLParams,
+    _boundary_growth,
+    _boundary_integrand,
+    _cost_integral,
+)
+from .extgrid import EpigraphDomain, _euclidean_norm, _unit_e, is_cone
 from .fields import ScalarField, power_cost_field
 from .quadrature import QuadSpec, integrate_boundary, integrate_epigraph
 from .transforms import NormSpec, dual_norm
@@ -165,36 +171,30 @@ def normalize_power_cost(
     q: float,
     a: float,
     spec: QuadSpec,
-    return_check: bool = False,
-):
+) -> float:
     """C with int_{Omega_1} (C ||x||^q / q)^(-a) = 1, via C = q * I_{qa}^(1/a).
 
     The direct quadrature of the normalized cost over the shifted domain is
-    the independent route; its deviation from 1 is returned on request and
-    a gross disagreement (beyond 2%) raises.
+    the independent route; a gross disagreement (beyond 2%) raises.
     """
-    C, residual = _normalize_power_cost(
+    return _normalize_power_cost(
         domain, norm, q, a, spec, lambda alpha: i_alpha(domain, norm, alpha, spec)
     )
-    if return_check:
-        return C, residual
-    return C
 
 
-def _normalize_power_cost(domain, norm, q, a, spec, moment):
-    """(C, residual) of :func:`normalize_power_cost`; ``moment(alpha)`` gives
+def _normalize_power_cost(domain, norm, q, a, spec, moment) -> float:
+    """:func:`normalize_power_cost` with ``moment(alpha)`` giving
     (I_alpha, error) on ``spec``."""
     if not (q > 1 and a > 0):
         raise ValueError("need q > 1 and a > 0")
     C = _power_cost_constant(moment(q * a)[0], q, a)
     W = power_cost_field(C, q, norm)
     direct, _tail = _cost_integral(W, -a, domain, spec, q * a)
-    residual = abs(direct - 1.0)
-    if residual > 0.02:
+    if abs(direct - 1.0) > 0.02:
         raise ValueError(
             f"normalization cross-check failed: direct integral {direct:.4f} != 1"
         )
-    return C, residual
+    return C
 
 
 def gns_constants(
@@ -273,23 +273,19 @@ def extremal_f(params: BBLParams, norm: NormSpec) -> ExtremalSpec:
     return ExtremalSpec(exponent=-(a - p) / (p - 1.0), norm=norm, n=params.n)
 
 
-def gradient_norm_claim_check(
-    gamma: float,
-    norm: NormSpec,
-    sample_count: int = 200,
-) -> float:
+def gradient_norm_claim_check(gamma: float, norm: NormSpec) -> float:
     """Max residual of ||grad(||x||^gamma)||_* = |gamma| ||x||^(gamma-1).
 
     The gradient side is taken by central finite differences of the scalar
-    map (step 1e-6 * (1 + |x_d|)), its dual norm by the closed-form dual;
-    samples, drawn from a generator seeded with 0, that lie too close to a
-    non-differentiability of the norm are redrawn.
+    map (step 1e-6 * (1 + |x_d|)), its dual norm by the closed-form dual, at
+    200 samples in the plane; samples, drawn from a generator seeded with 0,
+    that lie too close to a non-differentiability of the norm are redrawn.
     """
     rng = np.random.default_rng(0)
     n = 2
     worst = 0.0
     count = 0
-    while count < sample_count:
+    while count < 200:
         x = rng.uniform(-2.0, 2.0, size=n)
         r = float(norm(x))
         if r < 0.3 or (norm.kind == "p_norm" and norm.p in (1.0, np.inf) and np.min(np.abs(x)) < 0.05):
@@ -384,9 +380,7 @@ def trace_gn_check(
     handles those. ``constants`` may be a zero-argument callable, called only
     for a domain that passes the gate.
     """
-    from .extgrid import is_cone as cone_check
-
-    chk = cone_check(domain, sample_count=200, tol=1e-7)
+    chk = is_cone(domain)
     if not chk.is_cone:
         raise DomainRejectionError(
             f"trace_gn_check needs a convex cone; witness {chk.witness}",
@@ -430,25 +424,23 @@ def weighted_trace_check(
     norm: NormSpec,
     spec: QuadSpec,
     constants: SharpConstants | Callable[[], SharpConstants] | None = None,
-    growth_C: float = 1.0,
 ) -> TraceReport:
     """Weighted trace inequality on a convex epigraph, power form:
 
         int f^q_trace(x, phi(x)) P(x) dx <= D * (int ||grad f||_*^p)^u + (a-n) int f^q_trace
 
     with P(x) = 1 + phi - x.grad phi allowed to go negative. The domain must
-    satisfy the boundary growth gate |x1.grad phi| <= growth_C ||(x1, phi)||
-    for ||x1|| > 1; every cone meets growth_C = 1 exactly, and domains
-    needing a larger constant (the paraboloid fits only C -> 2) are refused
-    with the fitted ratio as witness unless the caller raises the budget.
-    ``constants`` may be a zero-argument callable, called only for a domain
-    that passes the gate.
+    satisfy the boundary growth gate |x1.grad phi| <= C ||(x1, phi)|| for
+    ||x1|| > 1 at the cone budget C = 1, which every cone meets exactly;
+    domains needing a larger constant (the paraboloid fits only C -> 2) are
+    refused with the fitted ratio as witness. ``constants`` may be a
+    zero-argument callable, called only for a domain that passes the gate.
     """
-    fitted, witness = _boundary_growth(domain)
-    if fitted > growth_C * (1.0 + 1e-9):
+    ok, fitted, witness = _boundary_growth(domain)
+    if not ok:
         raise DomainRejectionError(
             f"growth condition failed: fitted ratio {fitted:.4f} exceeds budget "
-            f"{growth_C} at x1={witness}",
+            f"{_GROWTH_BUDGET} at x1={witness}",
             witness=witness,
             fitted=fitted,
         )
@@ -509,23 +501,18 @@ def approx_family(
     params: BBLParams,
     domain: EpigraphDomain,
     spec: QuadSpec,
-    gamma: float | None = None,
-    grid_box=None,
-    grid_resolution=None,
 ):
-    """f_eps = eps ||x+e||^(-gamma(a-p)/p) + C_eps f with unit q-power mass.
+    """f_eps = eps ||x+e||^(-gamma(a-p)/p) + C_eps f with unit q-power mass,
+    at the growth exponent gamma = max(1, a/(n-1)) + 1.
 
     C_eps solves int f_eps^(ap/(a-p)) = 1 by monotone bisection, stopped once
     a midpoint's mass is within 1e-6 of 1; it does not exist when eps is too
     large (the tail term alone already overshoots) and that case is rejected.
     As eps decreases to 0, C_eps increases strictly toward 1. Returns
-    (field, C_eps) or (field, C_eps, grid samples) when a grid box is supplied.
+    (field, C_eps).
     """
     a, p, n = params.a, params.p, params.n
-    if gamma is None:
-        gamma = max(1.0, a / (n - 1.0)) + 1.0
-    if not gamma > max(1.0, a / (n - 1.0)):
-        raise ValueError("gamma must exceed max(1, a/(n-1))")
+    gamma = max(1.0, a / (n - 1.0)) + 1.0
     power = a * p / (a - p)
     e = domain.e
     tail_exp = gamma * (a - p) / p
@@ -582,7 +569,4 @@ def approx_family(
         return eps * gt + C_eps * gf
 
     field_eps = ScalarField(fn_eps, grad_eps, decay=tail_exp, name=f"approx(eps={eps:g})")
-    if grid_box is not None and grid_resolution is not None:
-        grid = sample_grid(domain, grid_box, grid_resolution, field_eps)
-        return field_eps, C_eps, grid
     return field_eps, C_eps

@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from epiconv import NormSpec, QuadSpec, halfspace, norm_cone
+from epiconv import NormSpec, QuadSpec, halfspace
+from epiconv.extgrid import norm_cone
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +38,6 @@ def mid_quad():
 def grid_from_callable(box, resolution, fn):
     axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(box, resolution)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    from epiconv import ExtGridFn
+    from epiconv.extgrid import ExtGridFn
 
     return ExtGridFn(box, fn(mesh))

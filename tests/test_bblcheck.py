@@ -1,36 +1,30 @@
 """Borell-Brascamp-Lieb gap checks, admissibility, and the equivalence scan."""
 
-import math
-
 import numpy as np
 import pytest
 
-from epiconv import (
-    AdmissibilityParams,
-    BBLParams,
-    EpigraphDomain,
-    ExtGridFn,
-    QuadSpec,
+from epiconv import BBLParams, NormSpec, QuadSpec
+from epiconv.bblcheck import (
+    _boundary_integrand,
+    _grid_tail_K,
+    _normalize_grid,
+    _sample_fan,
     admissibility_report,
     appendix_limit_residual,
     bbl_gap,
-    bump_field,
     derived_gap,
     equivalence_scan,
-    halfspace,
+)
+from epiconv.extgrid import AdmissibilityParams, EpigraphDomain, ExtGridFn, paraboloid, sample_grid
+from epiconv.fields import (
+    bump_field,
     multiply_bump,
-    norm_cone,
-    normalize_power_cost,
-    paraboloid,
     power_cost_field,
     quadratic_field,
-    sample_grid,
     shifted_field,
-    NormSpec,
 )
-from epiconv.bblcheck import _normalize_grid
 from epiconv.quadrature import integrate_boundary, integrate_gridfn
-from epiconv.bblcheck import _boundary_integrand, _grid_tail_K, _sample_fan
+from epiconv.sharpconst import normalize_power_cost
 from oracles import grid_tail_K_reference
 
 E2 = np.array([0.0, 1.0])
@@ -49,11 +43,6 @@ class TestBBLParams:
             BBLParams(n=2, a=2.0, p=3.0)
         with pytest.raises(ValueError, match="a >= n > p > 1"):
             BBLParams(n=2, a=2.0, p=1.0)
-
-    def test_h_t_crosscheck(self):
-        BBLParams(n=2, a=2.0, h=1.0, t=0.5)
-        with pytest.raises(ValueError, match="t/\\(1-t\\)"):
-            BBLParams(n=2, a=2.0, h=1.0, t=0.3)
 
 
 def test_normalization_exponent_algebra():
@@ -109,7 +98,7 @@ class TestBBLGap:
         ggp = sample_grid(halfplane, [(-L, L), (0.0, L)], [m1, m2], gp)
         params = BBLParams(n=2, a=3.0, p=4 / 3, h=0.5)
         rep = bbl_gap(ggp, WW, params)
-        base = bbl_gap(gg, WW, params, estimate=False)
+        base = bbl_gap(gg, WW, params)
         assert rep.gap > 0
         assert rep.gap > base.gap + 0.02
 
@@ -226,29 +215,15 @@ class TestAdmissibility:
         g = shifted_field(W, E2)
         adm = AdmissibilityParams(gamma=3.0)
         rep = admissibility_report(g, W, adm, BBLParams(n=2, a=2.0, p=1.5), halfplane)
-        c1, c2 = rep.get("C1"), rep.get("C2")
         c3, c4 = rep.get("C3"), rep.get("C4")
         assert c3.passed and c3.fitted > 0
         assert c4.passed and np.isfinite(c4.fitted)
-        # re-verify with the fitted constants enforced
-        adm2 = AdmissibilityParams(
-            gamma=3.0,
-            A1=c1.fitted * 0.99,
-            A2=c2.fitted * 1.01,
-            A3=c3.fitted * 0.99,
-            A4=c4.fitted * 1.01,
-        )
-        rep2 = admissibility_report(
-            g, W, adm2, BBLParams(n=2, a=2.0, p=1.5), halfplane, fit_constants=False
-        )
-        assert rep2.get("C1").passed and rep2.get("C2").passed
-        assert rep2.get("C3").passed and rep2.get("C4").passed
 
     def test_growth_condition_dichotomy(self, halfplane, unit_cone):
         W = power_cost_field(1.6, 3.0, NormSpec("euclidean"))
         g = shifted_field(W, E2)
         params = BBLParams(n=2, a=2.0, p=1.5)
-        adm = AdmissibilityParams(gamma=3.0, growth_C=1.0)
+        adm = AdmissibilityParams(gamma=3.0)
         cone_rep = admissibility_report(g, W, adm, params, unit_cone)
         assert cone_rep.get("phi_growth").passed
         assert cone_rep.get("phi_growth").fitted <= 1.0 + 1e-9

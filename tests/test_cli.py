@@ -6,7 +6,6 @@ import sys
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from epiconv import cli

@@ -7,18 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiconv import (
-    INF,
-    ExtGridFn,
-    halfspace,
+from epiconv import halfspace
+from epiconv.extgrid import INF, ExtGridFn, norm_cone, sample_grid
+from epiconv.fields import quadratic_field
+from epiconv.hopflax import (
     hj_difference_quotient,
     hopflax_apply,
     hopflax_pointwise,
     infconv,
     is_grid_convex,
-    norm_cone,
-    quadratic_field,
-    sample_grid,
     semigroup_residual,
 )
 from epiconv import hopflax
@@ -641,16 +638,6 @@ class TestHJQuotient:
             hs, pts, y_box=[(-3, 3)] * 2, y_resolution=[25, 25],
         )
         assert limit[0] == pytest.approx(richardson_limit(hs, quot[0]), rel=1e-12)
-
-    def test_boundary_point_rejected(self):
-        dom = halfspace(2)
-        quad = quadratic_field(offset=1.0, curvature=1.0)
-        with pytest.raises(ValueError, match="interior"):
-            hj_difference_quotient(
-                quad.fn, quad.grad, quad.fn, quad.conjugate,
-                [0.2, 0.1], np.array([[0.3, 0.0]]),
-                y_box=[(-2, 2)] * 2, y_resolution=[15, 15], g_domain=dom,
-            )
 
 
 class TestPointwise:

@@ -1,5 +1,5 @@
 """Guards against leftovers: dangling exports, scipy imports, global state,
-options no caller sets."""
+unused imports, options no caller sets."""
 
 import ast
 import importlib
@@ -86,10 +86,10 @@ def _defaulted_parameters():
 
 def _calls():
     """(callee name, positional argument count, keyword names) of every call
-    in the package, the tests and the benchmark, import aliases resolved. A
-    starred positional argument counts as passing every later position."""
+    in the package and the benchmark, import aliases resolved. A starred
+    positional argument counts as passing every later position."""
     calls = []
-    for top in ("src", "tests", "perfbench"):
+    for top in ("src", "perfbench"):
         for path in sorted((REPO / top).rglob("*.py")):
             tree = ast.parse(path.read_text())
             alias = {
@@ -118,7 +118,8 @@ def _calls():
 def test_every_public_option_is_set_by_some_caller():
     # an option no call sets has a single value in use, so it belongs in the
     # code as a constant; the scope is the public API, the callers are the
-    # package, the tests and the benchmark
+    # package and the benchmark (a test setting an option does not make it
+    # used)
     calls = _calls()
     unused = [
         f"{owner}({param}=)"
@@ -145,3 +146,28 @@ def test_no_process_global_caches_or_globals(path):
                 assert name not in ("cache", "lru_cache"), (
                     f"{path.name}:{dec.lineno} decorates {node.name} with {name}"
                 )
+
+
+def _unused_imports(path):
+    """Names a file imports and never reads; ``__future__`` imports aside."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    + sorted((REPO / "tests").glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_no_unused_imports(path):
+    # the package __init__ imports only to re-export, so it is not scanned
+    unused = _unused_imports(path)
+    assert not unused, f"{path.name} imports {unused} and never uses them"

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from epiconv import ExtGridFn, QuadSpec, halfspace, integrate_boundary, integrate_epigraph, integrate_gridfn, norm_cone
+from epiconv import QuadSpec, halfspace
+from epiconv.extgrid import ExtGridFn, norm_cone
+from epiconv.quadrature import integrate_boundary, integrate_epigraph, integrate_gridfn
 from epiconv import quadrature
 from epiconv.extgrid import affine_max, paraboloid
 from epiconv.quadrature import power_tail_bound, sphere_area

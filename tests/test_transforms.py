@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epiconv.transforms
-from epiconv import (
-    INF,
-    ExtGridFn,
-    NormSpec,
+from epiconv import NormSpec
+from epiconv.extgrid import INF, ExtGridFn
+from epiconv.fields import bump_field, multiply_bump, power_cost_field, shifted_field
+from epiconv.transforms import (
     default_dual_box,
     dual_norm,
     dual_norm_sampled,
@@ -384,6 +384,32 @@ class TestPowerCostConjugate:
     def test_invalid_exponent_rejected(self, euclid):
         with pytest.raises(ValueError, match="q"):
             power_cost_conjugate(1.0, 1.0, euclid, np.array([1.0, 0.0]))
+
+
+class TestFieldConjugates:
+    P = np.array([0.3, -0.7])
+
+    @staticmethod
+    def grid_sup(field, p):
+        # sup_x p.x - field(x) over a 0.01 grid of [-3, 3]^2, which holds
+        # the maximizer (0.36, -1.84) of the shifted quartic at this p
+        xs = np.linspace(-3.0, 3.0, 601)
+        mesh = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
+        return float(np.max(mesh @ p - field(mesh)))
+
+    def test_shifted_field_conjugate_subtracts_the_shift(self, euclid):
+        W = power_cost_field(1.0, 4.0, euclid)
+        e = np.array([0.0, 1.0])
+        g = shifted_field(W, e)
+        got = float(g.conjugate(self.P))
+        assert got == pytest.approx(float(W.conjugate(self.P)) - self.P @ e, rel=1e-12)
+        assert got == pytest.approx(1.2216, abs=1e-4)
+        assert got == pytest.approx(self.grid_sup(g, self.P), abs=1e-3)
+
+    def test_bump_product_carries_no_conjugate(self, euclid):
+        g = shifted_field(power_cost_field(1.0, 4.0, euclid), np.array([0.0, 1.0]))
+        assert multiply_bump(g, [0.0, 1.0], 2.0, 1.0).conjugate is None
+        assert shifted_field(bump_field([0.0, 1.0]), np.array([0.0, 1.0])).conjugate is None
 
 
 def test_default_dual_box_covers_sampled_slopes():
