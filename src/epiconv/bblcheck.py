@@ -259,6 +259,16 @@ def derived_gap(
     gradient. Tail bounds use the decay exponent q*(a-1), q = 2 when unset.
     Admissibility is not checked here; :func:`admissibility_report` is.
     """
+    alpha = (params.q or 2.0) * (params.a - 1.0)
+    return _derived_gap(
+        g, W, params, domain, spec,
+        lambda: _cost_integral(W, 1.0 - params.a, domain, spec, alpha, estimate=True),
+    )
+
+
+def _derived_gap(g, W, params, domain, spec, cost_B) -> GapReport:
+    """:func:`derived_gap` with ``cost_B()`` giving its right-hand side B as
+    (value, error, tail)."""
     a, n = params.a, params.n
     if W.conjugate is None:
         raise ValueError("W must provide a conjugate callable")
@@ -277,7 +287,7 @@ def derived_gap(
         decay=alpha,
         estimate=True,
     )
-    B, eB, _ = _cost_integral(W, 1.0 - a, domain, spec, alpha, estimate=True)
+    B, eB, _ = cost_B()
     lhs = (a - n) * T1 + (a - 1.0) * T2 - T3
     rhs = B
     err = abs(a - n) * e1 + (a - 1.0) * e2 + e3 + eB

@@ -177,7 +177,17 @@ class _Shared:
             lambda: sc._gns_constants(
                 _bbl_params(cfg), cfg.domain, cfg.norm, spec,
                 lambda alpha: self.moment(spec, alpha),
+                lambda C: self.cost_B(spec, C, _bbl_params(cfg).q),
             ),
+        )
+
+    def cost_B(self, spec: QuadSpec, C: float, q: float):
+        """(B, error, tail) of the power cost with scale C on ``spec``: the
+        constants' B and the right-hand side of ``derived_gap``."""
+        cfg = self.cfg
+        return self._get(
+            ("cost_B", spec, C, q),
+            lambda: sc._power_cost_B(cfg.domain, cfg.norm, C, q, cfg.a, spec),
         )
 
     def power_cost(self, q: float) -> float:
@@ -333,7 +343,11 @@ def check_bbl_gap(cfg: ExperimentConfig, shared: _Shared):
 
 def check_derived_gap(cfg: ExperimentConfig, shared: _Shared):
     g, W, q = _power_pair(cfg, shared)
-    rep = bbl.derived_gap(g, W, _bbl_params(cfg), cfg.domain, cfg.quad)
+    C = shared.power_cost(q)
+    rep = bbl._derived_gap(
+        g, W, _bbl_params(cfg), cfg.domain, cfg.quad,
+        lambda: shared.cost_B(cfg.quad, C, q),
+    )
     a = []
     _assert(
         a, "derived_gap_nonnegative",

@@ -9,19 +9,49 @@ continuum one and inequality directions are preserved. h = 0 returns g
 
 The output grid shares g's spacing (any other is rejected), so the points
 x - h*y of one cost node y all sit at the same fractional offset from g's
-lattice. The candidate kernel interpolates g once per offset over g's own
-lattice, and then each y costs one slice of that lattice plus h*W(y), taken
-over the output nodes y can reach. The exact path runs the kernel over every
-finite y. Above _TWOSTAGE_MIN_CANDIDATES (output, cost) node pairs, a g and W
-that both pass the convexity certificate take the twostage path instead: the
-kernel over a strided subset of y, then a local refinement around each output
-node's strided argmin. The refinement runs over the output nodes in chunks of
+lattice: the tuple of per-axis fractions is y's offset class. The candidate
+kernel interpolates g once per class over g's own lattice, and then each y
+costs one slice of that lattice plus h*W(y), taken over the output nodes y can
+reach. The offsets are floats, so rounding splits what would be one rational
+fraction into several (at h = 0.1 on a dx = 0.1 grid, 49 x 44 classes where
+the rational structure has 10 x 10); every distinct tuple is its own class,
+interpolated once per apply. The kernel takes the classes in chunks of at most
+_LATTICE_CACHE lattices, scans a chunk's cost nodes in ascending flat order
+into chunk accumulators, a candidate replacing the incumbent only when
+strictly smaller, and merges each chunk into the result by (value, smallest
+flat index). Every candidate is one fixed float
+expression whatever its chunk, so the result is that of a single flat-order
+scan, ties going to the smallest flat index.
+
+The exact path prunes candidates that cannot win. The strided cost nodes
+(every _COARSE_STRIDE-th per axis), scanned over cell-max lattices, give an
+incumbent U at least the minimum at each output node: a cell's largest corner
+bounds every value interpolated in it. Along each axis the cost nodes group
+into blocks, runs of consecutive nodes that read one g cell at every output
+node, merged until a block holds at least _COARSE_STRIDE nodes. A candidate of
+block B at output x interpolates corners inside B's node window at x, so it is
+at least LB(x) = min of g over that window (+inf nodes counting as +inf) plus
+the least h*W of B. Each cost node then only reaches the bounding box of the
+outputs where its block has LB <= U + allowance. The allowance, (2^n + n + 6)
+ulps of the largest finite |g| plus the largest finite h*W, covers
+interpolated sums that round a few ulps outside the range of their corners
+(four equal corners round below it in about one draw of fractions in seven)
+and the rounding of U and LB.
+Pruning therefore only drops candidates strictly above the minimum: values and
+argmins are those of the full scan, bit for bit, for any g, with no convexity
+certificate involved.
+
+Above _TWOSTAGE_MIN_CANDIDATES (output, cost) node pairs, a g and W that both
+pass the convexity certificate take the twostage path instead: the kernel over
+the strided cost nodes, then a local refinement around each output node's
+strided argmin. The refinement runs over the output nodes in chunks of
 _CHUNK_CANDIDATES candidates, so its memory stays a few MB at any grid size.
 
 ``infconv`` is Q_1 with the cost on g's own lattice: the exact min-plus
 convolution of two grid functions with shared spacing. It runs the same kernel
-with every offset zero, so no interpolation is involved; each finite output
-node records an attaining argmin, the smallest flat index among ties.
+with every offset zero: one class, no interpolation and nothing to prune; each
+finite output node records an attaining argmin, the smallest flat index among
+ties.
 """
 
 from __future__ import annotations
@@ -47,13 +77,14 @@ __all__ = [
 # output x cost node pairs above which a certified-convex problem takes the
 # twostage path
 _TWOSTAGE_MIN_CANDIDATES = 4e8
-# stage-1 stride of the twostage path, in cost-grid nodes per axis
+# stride of the exact path's incumbent scan and of twostage stage 1, in
+# cost-grid nodes per axis; also the least cost nodes per pruning block
 _COARSE_STRIDE = 4
 # (output node, cost node) candidates per stage-2 chunk of the twostage path;
 # it bounds the chunk's arrays to a few MB
 _CHUNK_CANDIDATES = 2**17
-# most interpolated lattices of g the candidate kernel keeps at once (16 are
-# 1.7 MB for a 161 x 81 g)
+# most interpolated lattices of g the candidate kernel keeps at once, the
+# offset classes of one chunk (16 are 1.7 MB for a 161 x 81 g)
 _LATTICE_CACHE = 16
 
 
@@ -116,23 +147,25 @@ def infconv(f: ExtGridFn, g: ExtGridFn) -> InfConvResult:
         (flo + glo, fhi + ghi) for (flo, fhi), (glo, ghi) in zip(f.box, g.box)
     )
     # f's node j reaches output nodes j .. j + m_g - 1 with all of g, at no
-    # fractional offset
-    tables = [
-        [(slice(j, j + m), slice(0, m), 0.0) for j in range(mf)]
-        for mf, m in zip(f.resolution, g.resolution)
-    ]
+    # fractional offset: one offset class, and nothing to prune
+    tables = []
+    for mf, m in zip(f.resolution, g.resolution):
+        j = np.arange(mf)
+        tables.append((j, j + m, -j, np.zeros(mf)))
     shape = tuple(a + b - 1 for a, b in zip(f.resolution, g.resolution))
-    vals, arg = _scan_candidates(g, f.values.ravel(), tables, shape, f.domain_indices)
+    vals, arg = _scan_candidates(
+        _interpolator(g), tables, shape, f.values, np.isfinite(f.values)
+    )
     return InfConvResult(ExtGridFn(box, vals), arg)
 
 
 def _axis_tables(g: ExtGridFn, W: ExtGridFn, h: float, out_axes):
-    """Per axis d and cost index y_d: None when no output node x has x - h*y
-    inside g's box along d, else (output slice, lattice slice, fraction).
+    """Per axis d, arrays (lo, hi, base, frac) over the cost index y_d.
 
-    Output node k on axis d reads g at index lattice point base + k + frac,
-    for the k with 0 <= k + base (+ 1 when frac > 0) <= mg - 1. Offsets
-    within _SNAP of a gridline collapse to the single node, exactly as in
+    Output node k on axis d reads g at lattice point k + base + frac, and
+    lo <= k < hi are the k with 0 <= k + base (+ 1 when frac > 0) <= mg - 1;
+    lo >= hi when y_d reaches no output node. Offsets within _SNAP of a
+    gridline collapse to the single node, exactly as in
     :meth:`ExtGridFn.interpolate`.
     """
     tables = []
@@ -146,12 +179,9 @@ def _axis_tables(g: ExtGridFn, W: ExtGridFn, h: float, out_axes):
         base[high] += 1
         frac[low | high] = 0.0
         base = base.astype(np.int64)
-        k_lo = np.maximum(0, -base)
-        k_hi = np.minimum(len(out_axes[d]) - 1, g.resolution[d] - 1 - base - (frac > 0.0))
-        tables.append([
-            None if lo > hi else (slice(lo, hi + 1), slice(b + lo, b + hi + 1), fr)
-            for b, fr, lo, hi in zip(base.tolist(), frac.tolist(), k_lo.tolist(), k_hi.tolist())
-        ])
+        lo = np.maximum(0, -base)
+        hi = np.minimum(len(out_axes[d]), g.resolution[d] - base - (frac > 0.0))
+        tables.append((lo, hi, base, frac))
     return tables
 
 
@@ -159,10 +189,11 @@ def _interp_lattice(g0: np.ndarray, cell_inf: np.ndarray | None, fracs) -> np.nd
     """g interpolated at i + fracs for every index i whose cell lies in g.
 
     g0 is g with its non-finite nodes zeroed; cell_inf (from
-    :func:`_cell_inf`) marks the cells with a non-finite corner, which come
-    back +inf. Corners are summed in a fixed order, so every lattice value is
-    one fixed float expression. Each fraction lies in (_SNAP, 1 - _SNAP), so
-    every corner weight is positive and no corner is ever dropped.
+    :func:`_cell_corners`) marks the cells with a non-finite corner, which
+    come back +inf. Corners are summed in a fixed order, so every lattice
+    value is one fixed float expression. Each fraction lies in
+    (_SNAP, 1 - _SNAP), so every corner weight is positive and no corner is
+    ever dropped.
     """
     corners = [(0, 1) if fr > 0.0 else (0,) for fr in fracs]
     shape = tuple(m - len(c) + 1 for m, c in zip(g0.shape, corners))
@@ -178,71 +209,263 @@ def _interp_lattice(g0: np.ndarray, cell_inf: np.ndarray | None, fracs) -> np.nd
     return acc
 
 
-def _cell_inf(ginf: np.ndarray, tops) -> np.ndarray | None:
-    """Cells spanning tops[d] + 1 nodes per axis that have a marked corner,
-    or None when there is none."""
-    shape = tuple(m - t for m, t in zip(ginf.shape, tops))
-    out = np.zeros(shape, dtype=bool)
+def _cell_corners(reduce, a: np.ndarray, tops) -> np.ndarray:
+    """reduce (np.logical_or or np.maximum) over the corners of the cells
+    spanning tops[d] + 1 nodes per axis."""
+    shape = tuple(m - t for m, t in zip(a.shape, tops))
+    out = None
     for corner in itertools.product(*[range(t + 1) for t in tops]):
-        out |= ginf[tuple(slice(c, c + m) for c, m in zip(corner, shape))]
-    return out if out.any() else None
+        part = a[tuple(slice(c, c + m) for c, m in zip(corner, shape))]
+        out = part.copy() if out is None else reduce(out, part, out=out)
+    return out
 
 
-def _scan_candidates(g: ExtGridFn, weights: np.ndarray, tables, shape, y_idx: np.ndarray):
-    """min over the cost nodes y_idx of g at y's offset plus weights[y].
-
-    weights is the cost flattened (h*W for Hopf-Lax, f for infconv), and
-    tables[d][y_d] is None (y reaches no output node along axis d) or
-    (output slice, lattice slice, fraction), as :func:`_axis_tables` builds
-    them. For each y the candidates are one slice of the lattice of g
-    interpolated at y's fractional offset, plus weights[y], over the output
-    nodes its entries name (all others are +inf and never win). While the
-    leading indices of y stay fixed, the last _LATTICE_CACHE lattices built
-    are kept by fraction. y_idx must be in ascending flat order: a later y
-    replaces the incumbent only when strictly smaller, so ties go to the
-    smallest flat index. Returns (values, argmin) of the given shape, +inf
-    and -1 where no y has a finite candidate.
-    """
-    vals = np.full(shape, INF)
-    arg = np.full(shape, -1, dtype=np.int64)
-    if y_idx.shape[0] == 0:
-        return vals, arg
-    *lead_tables, last_table = tables
+def _interpolator(g: ExtGridFn):
+    """Offset fractions -> g's interpolated lattice at those fractions."""
     ginf = ~np.isfinite(g.values)
     g0 = np.where(ginf, 0.0, g.values)
     cell_inf = {}
-    flat = np.ravel_multi_index(tuple(y_idx.T), tuple(len(t) for t in tables))
-    leads = y_idx[:, :-1]
-    starts = np.flatnonzero(np.any(leads[1:] != leads[:-1], axis=1)) + 1
-    for start, stop in zip([0] + starts.tolist(), starts.tolist() + [len(y_idx)]):
-        lead = [table[i] for table, i in zip(lead_tables, leads[start].tolist())]
-        if None in lead:
-            continue
-        lead_region = tuple(e[0] for e in lead)
-        lead_src = tuple(e[1] for e in lead)
-        lead_fracs = tuple(e[2] for e in lead)
+
+    def lattice(fracs):
+        tops = tuple(int(f > 0.0) for f in fracs)
+        if tops not in cell_inf:
+            marked = _cell_corners(np.logical_or, ginf, tops)
+            cell_inf[tops] = marked if marked.any() else None
+        return _interp_lattice(g0, cell_inf[tops], fracs)
+
+    return lattice
+
+
+def _scan_candidates(lattice, tables, shape, weights, active, boxes=None):
+    """min over the active cost nodes y of a lattice read at y's offset plus
+    weights[y], with (values, argmin) of the given shape; +inf and -1 where
+    no y has a finite candidate.
+
+    tables[d] = (lo, hi, base, key) over the cost index y_d: y reaches the
+    output nodes lo <= k < hi along d and reads lattice point k + base there
+    (as :func:`_axis_tables` builds them, key being the fraction). The keys
+    of y form its offset class, and lattice(keys) gives the class's lattice.
+    With boxes = (blocks, box_lo, box_hi), y only reaches the outputs inside
+    its cost block's box (see :func:`_prune_boxes`).
+
+    The classes go in chunks of at most _LATTICE_CACHE: per axis, groups of
+    consecutive keys whose sizes multiply to at most _LATTICE_CACHE. A chunk
+    builds each of its lattices once, at first use, and drops them all when
+    it ends. It scans its cost nodes row by row (all leading indices fixed)
+    in ascending flat order into its own accumulators, where a candidate
+    replaces the incumbent only when strictly smaller, so ties go to the
+    smallest flat index; the chunk then merges into the result by (value,
+    smallest flat index). Every candidate is the same float expression
+    whatever the chunk, so the result is the scan of all nodes in flat order.
+    """
+    vals = np.full(shape, INF)
+    arg = np.full(shape, -1, dtype=np.int64)
+    class_ids, keys = [], []
+    for lo, hi, _base, key in tables:
+        reach = lo < hi
+        uniq, inv = np.unique(key[reach], return_inverse=True)
+        if not uniq.size:
+            return vals, arg
+        ids = np.full(key.shape, -1)
+        ids[reach] = inv
+        class_ids.append(ids)
+        keys.append(uniq.tolist())
+    sizes = []
+    room = _LATTICE_CACHE
+    for uniq in reversed(keys):
+        sizes.insert(0, max(1, min(len(uniq), room)))
+        room //= sizes[0]
+    counts = [-(-len(uniq) // s) for uniq, s in zip(keys, sizes)]
+    radix = np.cumprod([1] + [len(uniq) for uniq in keys[:0:-1]])[::-1].tolist()
+    strides = np.cumprod([1] + list(active.shape[:0:-1]))[::-1].tolist()
+    flat_w = np.ravel(weights)
+    single = int(np.prod(counts)) == 1
+    cvals, carg = (vals, arg) if single else (np.empty(shape), np.empty(shape, np.int64))
+
+    for chunk in itertools.product(*map(range, counts)):
+        members = [
+            np.flatnonzero((ids >= c * s) & (ids < (c + 1) * s))
+            for ids, c, s in zip(class_ids, chunk, sizes)
+        ]
+        *lead_members, last = members
+        if not single:
+            cvals.fill(INF)
+            carg.fill(-1)
         lattices = {}
-        for i, jflat in zip(y_idx[start:stop, -1].tolist(), flat[start:stop].tolist()):
-            entry = last_table[i]
-            if entry is None:
+        for lead in itertools.product(*(m.tolist() for m in lead_members)):
+            ys, outs, srcs = _row_slices(tables, boxes, lead, last[active[lead][last]])
+            if not ys.size:
                 continue
-            region, src, fr = entry
-            lattice = lattices.get(fr)
-            if lattice is None:
-                fracs = lead_fracs + (fr,)
-                tops = tuple(int(f > 0.0) for f in fracs)
-                if tops not in cell_inf:
-                    cell_inf[tops] = _cell_inf(ginf, tops)
-                if len(lattices) == _LATTICE_CACHE:
-                    del lattices[next(iter(lattices))]
-                lattice = lattices[fr] = _interp_lattice(g0, cell_inf[tops], fracs)
-            cand = lattice[lead_src + (src,)] + weights[jflat]
-            out = lead_region + (region,)
-            incumbent = vals[out]
-            better = cand < incumbent
-            np.copyto(incumbent, cand, where=better)
-            arg[out][better] = jflat
+            flat = sum(i * s for i, s in zip(lead, strides)) + ys
+            cls = sum(ids[i] * r for ids, i, r in zip(class_ids, lead + (ys,), radix))
+            rows = zip(flat.tolist(), flat_w[flat].tolist(), cls.tolist(), outs, srcs)
+            for j, w, c, out, src in rows:
+                lat = lattices.get(c)
+                if lat is None:
+                    fracs = tuple(k[(c // r) % len(k)] for k, r in zip(keys, radix))
+                    lat = lattices[c] = lattice(fracs)
+                cand = lat[src] + w
+                incumbent = cvals[out]
+                better = cand < incumbent
+                np.copyto(incumbent, cand, where=better)
+                np.copyto(carg[out], j, where=better)
+        del lattices
+        if not single:
+            take = cvals < vals
+            take |= (cvals == vals) & (carg < arg)
+            np.copyto(vals, cvals, where=take)
+            np.copyto(arg, carg, where=take)
     return vals, arg
+
+
+def _row_slices(tables, boxes, lead, ys):
+    """(ys, output slices, lattice slices) of the cost nodes lead + (y,), y
+    in ys; with boxes, each output range is cut to its block's box and the
+    nodes left with no output are dropped."""
+    rows = np.empty((3, len(tables), ys.size), dtype=np.int64)
+    for d, (table, i) in enumerate(zip(tables, lead + (ys,))):
+        for r in range(3):
+            rows[r, d] = table[r][i]
+    lo, hi, base = rows
+    if boxes is not None:
+        blocks, box_lo, box_hi = boxes
+        at = tuple(b[i] for b, i in zip(blocks, lead)) + (blocks[-1][ys],)
+        for d in range(len(tables)):
+            np.maximum(lo[d], box_lo[d][at], out=lo[d])
+            np.minimum(hi[d], box_hi[d][at], out=hi[d])
+        keep = np.all(lo < hi, axis=0)
+        ys, lo, hi, base = ys[keep], lo[:, keep], hi[:, keep], base[:, keep]
+
+    def slices(start, stop):
+        return zip(*map(map, itertools.repeat(slice), start.tolist(), stop.tolist()))
+
+    return ys, slices(lo, hi), slices(lo + base, hi + base)
+
+
+def _strided(active: np.ndarray) -> np.ndarray:
+    """active restricted to the nodes whose indices are all multiples of
+    _COARSE_STRIDE."""
+    keep = active.copy()
+    for d, m in enumerate(active.shape):
+        shape = [1] * active.ndim
+        shape[d] = m
+        keep &= (np.arange(m) % _COARSE_STRIDE == 0).reshape(shape)
+    return keep
+
+
+def _axis_blocks(lo, hi, base, frac):
+    """Cost blocks along one axis: runs of consecutive reaching indices with
+    one base (they read one g cell at every output node), merged until a
+    block holds at least _COARSE_STRIDE indices.
+
+    Returns the block id of each index (-1 where it reaches nothing), the
+    reaching indices and the block starts among them, and per block the
+    smallest base, the node window length (base span + 1, + 1 when any
+    fraction is nonzero) and the union [out_lo, out_hi) of its output ranges.
+    """
+    reach = np.flatnonzero(lo < hi)
+    b = base[reach]
+    gap = np.ones(reach.size, dtype=bool)
+    gap[1:] = np.diff(reach) != 1
+    fresh = gap.copy()
+    fresh[1:] |= np.diff(b) != 0
+    starts = []
+    size = 0
+    for pos, (cut, run) in enumerate(zip(gap.tolist(), fresh.tolist())):
+        if cut or (run and size >= _COARSE_STRIDE):
+            starts.append(pos)
+            size = 0
+        size += 1
+    block = np.full(lo.shape, -1)
+    is_start = np.zeros(reach.size, dtype=np.int64)
+    is_start[starts] = 1
+    block[reach] = np.cumsum(is_start) - 1
+    bmin = np.minimum.reduceat(b, starts)
+    span = np.maximum.reduceat(b, starts) - bmin
+    tops = np.maximum.reduceat((frac[reach] > 0.0).astype(np.int64), starts)
+    out_lo = np.minimum.reduceat(lo[reach], starts)
+    out_hi = np.maximum.reduceat(hi[reach], starts)
+    return block, reach, starts, bmin, span + tops + 1, out_lo, out_hi
+
+
+def _window_min(a: np.ndarray, lengths) -> np.ndarray:
+    """min of a over the windows of lengths[d] consecutive nodes per axis,
+    indexed by the window's first node."""
+    for d, n in enumerate(lengths):
+        m = a.shape[d] - n + 1
+        lead = (slice(None),) * d
+        out = a[lead + (slice(0, m),)].copy()
+        for s in range(1, n):
+            np.minimum(out, a[lead + (slice(s, s + m),)], out=out)
+        a = out
+    return a
+
+
+def _prune_boxes(g: ExtGridFn, tables, shape, weights, active):
+    """Per cost block, the bounding box of the output nodes where one of its
+    candidates can be the minimum, as (blocks, box_lo, box_hi) for
+    :func:`_scan_candidates`; None when no cost node reaches an output.
+
+    The incumbent U is the strided nodes' scan over cell-max lattices; a
+    block's bound LB at output x is the min of g over its node window at x
+    plus its least weight (the module docstring has why both hold). Outputs
+    where LB exceeds U by more than the allowance are dropped. The allowance,
+    (2^n + n + 6) ulps of the largest finite |g| plus the largest finite
+    weight, covers interpolated sums that round a few ulps outside the range
+    of their corners (below the window min of LB, above the cell max of U)
+    and the rounding of the additions.
+    """
+    ndim = len(tables)
+    if not all((lo < hi).any() for lo, hi, _base, _frac in tables):
+        return None
+    cell_max = {}
+
+    def upper(tops):
+        if tops not in cell_max:
+            cell_max[tops] = _cell_corners(np.maximum, g.values, tops)
+        return cell_max[tops]
+
+    top_tables = [(lo, hi, base, (frac > 0.0).astype(int)) for lo, hi, base, frac in tables]
+    incumbent = _scan_candidates(upper, top_tables, shape, weights, _strided(active))[0]
+    del cell_max  # not needed past the incumbent
+    scale = np.abs(g.values[np.isfinite(g.values)]).max(initial=0.0)
+    scale += np.abs(weights[active]).max(initial=0.0)
+    incumbent += (2**ndim + ndim + 6) * np.finfo(float).eps * scale
+
+    blocks, reach, starts, bmin, length, out_lo, out_hi = zip(
+        *(_axis_blocks(*table) for table in tables)
+    )
+    least = np.where(active, weights, INF)
+    for d in range(ndim):
+        least = np.minimum.reduceat(np.take(least, reach[d], axis=d), starts[d], axis=d)
+    pad = [int(n.max()) - 1 for n in length]
+    gpad = np.pad(g.values, [(p, p) for p in pad], constant_values=INF)
+    box_lo = [np.zeros(least.shape, dtype=np.int64) for _ in range(ndim)]
+    box_hi = [np.zeros(least.shape, dtype=np.int64) for _ in range(ndim)]
+    # blocks by window lengths, so one window-min array is alive at a time
+    found = np.nonzero(np.isfinite(least))
+    lengths = np.stack([n[b] for n, b in zip(length, found)], axis=1)
+    order = np.lexsort(lengths.T[::-1])
+    out_lo, out_hi = [a.tolist() for a in out_lo], [a.tolist() for a in out_hi]
+    shift = [(b + p).tolist() for b, p in zip(bmin, pad)]
+    window = None
+    for blk, lens in zip(zip(*(b[order].tolist() for b in found)), lengths[order].tolist()):
+        if window != lens:
+            window = lens
+            mins = _window_min(gpad, window)
+        out = tuple(slice(out_lo[d][b], out_hi[d][b]) for d, b in enumerate(blk))
+        win = tuple(
+            slice(o.start + shift[d][b], o.stop + shift[d][b])
+            for d, (o, b) in enumerate(zip(out, blk))
+        )
+        keep = mins[win] + least[blk] <= incumbent[out]
+        for d in range(ndim):
+            hit = np.flatnonzero(keep.any(axis=tuple(a for a in range(ndim) if a != d)))
+            if not hit.size:
+                break
+            box_lo[d][blk] = out[d].start + hit[0]
+            box_hi[d][blk] = out[d].start + hit[-1] + 1
+    return blocks, box_lo, box_hi
 
 
 def _default_out_grid(g: ExtGridFn, W: ExtGridFn, h: float):
@@ -271,11 +494,18 @@ def hopflax_apply(
     The output grid defaults to g's box plus h times W's box at g's spacing;
     out_box and out_resolution replace it together, one entry per axis, and
     for h > 0 at g's spacing on every axis of more than one node. Ties in the
-    minimum go to the smallest flat y index. The exact path scans every finite
-    y node. Above _TWOSTAGE_MIN_CANDIDATES (output, cost) node pairs with g
-    and W both grid-convex, the twostage path runs a strided scan followed by
-    a windowed local search over chunks of output nodes; it is exact for the
-    convex fixtures and asserted against the exact path in tests.
+    minimum go to the smallest flat y index.
+
+    The exact path evaluates every finite y node's candidates except those
+    its cost block's lower bound puts above the strided incumbent by more
+    than the rounding allowance; the result equals the scan of all
+    candidates bit for bit. It interpolates each offset class of g once,
+    with at most _LATTICE_CACHE lattices alive (the module docstring has the
+    class chunks, their merge rule and the bound). Above
+    _TWOSTAGE_MIN_CANDIDATES (output, cost) node pairs with g and W both
+    grid-convex, the twostage path runs a strided scan followed by a windowed
+    local search over chunks of output nodes; it is exact for the convex
+    fixtures and asserted against the exact path in tests.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
@@ -307,28 +537,29 @@ def hopflax_apply(
             raise ValueError(f"axis {d}: output spacing differs from g's {step}")
     shape = tuple(len(ax) for ax in axes)
 
-    y_idx = np.argwhere(np.isfinite(W.values))
-    big = int(np.prod(shape)) * y_idx.shape[0] > _TWOSTAGE_MIN_CANDIDATES
+    active = np.isfinite(W.values)
+    big = int(np.prod(shape)) * int(active.sum()) > _TWOSTAGE_MIN_CANDIDATES
     if big and is_grid_convex(g) and is_grid_convex(W):
         vals, arg = _hopflax_twostage(g, W, h, axes, shape)
     else:
-        vals, arg = _hopflax_exact(g, W, h, axes, shape, y_idx)
+        vals, arg = _hopflax_exact(g, W, h, axes, shape, active)
     return InfConvResult(ExtGridFn(box, vals), arg)
 
 
-def _hopflax_exact(g, W, h, axes, shape, y_idx):
+def _hopflax_exact(g, W, h, axes, shape, active):
     # its own entry point, so a trace tells the exact path from twostage,
     # whose stage 1 runs the same kernel
     tables = _axis_tables(g, W, h, axes)
-    return _scan_candidates(g, (h * W.values).ravel(), tables, shape, y_idx)
+    weights = h * W.values
+    boxes = _prune_boxes(g, tables, shape, weights, active)
+    return _scan_candidates(_interpolator(g), tables, shape, weights, active, boxes)
 
 
 def _hopflax_twostage(g, W, h, axes, shape):
     # stage 1: strided scan with the lattice-slice candidates
-    strided = np.argwhere(np.isfinite(W.values))
-    keep = np.all(strided % _COARSE_STRIDE == 0, axis=1)
     tables = _axis_tables(g, W, h, axes)
-    vals, arg = _scan_candidates(g, (h * W.values).ravel(), tables, shape, strided[keep])
+    strided = _strided(np.isfinite(W.values))
+    vals, arg = _scan_candidates(_interpolator(g), tables, shape, h * W.values, strided)
 
     # stage 2: two refinement rounds around the strided argmin, at steps
     # _COARSE_STRIDE // 2 and 1. The incumbent of a convex objective sampled

@@ -31,7 +31,7 @@ from .bblcheck import (
     _boundary_integrand,
     _cost_integral,
 )
-from .extgrid import EpigraphDomain, _euclidean_norm, _unit_e, is_cone
+from .extgrid import EpigraphDomain, _unit_e, is_cone
 from .fields import ScalarField, power_cost_field
 from .quadrature import QuadSpec, integrate_boundary, integrate_epigraph
 from .transforms import NormSpec, dual_norm
@@ -45,11 +45,8 @@ __all__ = [
     "normalize_power_cost",
     "gns_constants",
     "extremal_f",
-    "gradient_norm_claim_check",
     "trace_gn_check",
     "weighted_trace_check",
-    "young_equality_residual",
-    "approx_family",
 ]
 
 
@@ -212,13 +209,22 @@ def gns_constants(
     extremal function and is 1 in exact arithmetic.
     """
     return _gns_constants(
-        params, domain, norm, spec, lambda alpha: i_alpha(domain, norm, alpha, spec)
+        params, domain, norm, spec,
+        lambda alpha: i_alpha(domain, norm, alpha, spec),
+        lambda C: _power_cost_B(domain, norm, C, params.q, params.a, spec),
     )
 
 
-def _gns_constants(params, domain, norm, spec, moment) -> SharpConstants:
+def _power_cost_B(domain, norm, C, q, a, spec):
+    """(B, error, tail): int_{Omega_1} W^(1-a) for W = C ||x||^q / q on spec,
+    with its refinement estimate."""
+    W = power_cost_field(C, q, norm)
+    return _cost_integral(W, 1.0 - a, domain, spec, q * (a - 1.0), estimate=True)
+
+
+def _gns_constants(params, domain, norm, spec, moment, cost_B) -> SharpConstants:
     """:func:`gns_constants` with ``moment(alpha)`` giving (I_alpha, error)
-    on ``spec``."""
+    on ``spec`` and ``cost_B(C)`` giving :func:`_power_cost_B` there."""
     n, a, p = params.n, params.a, params.p
     if p is None:
         raise ValueError("constants need p")
@@ -227,8 +233,7 @@ def _gns_constants(params, domain, norm, spec, moment) -> SharpConstants:
     I_qa1, e_qa1 = moment(q * (a - 1.0))
     C = _power_cost_constant(I_qa, q, a)
     A = C ** (1.0 - p) * (a - 1.0) / p * (p / (a - p)) ** p
-    W = power_cost_field(C, q, norm)
-    B, eB, _ = _cost_integral(W, 1.0 - a, domain, spec, q * (a - 1.0), estimate=True)
+    B, eB, _ = cost_B(C)
     B_identity = I_qa ** ((1.0 - a) / a) * I_qa1
 
     u = (a - 1.0) / (a - p)
@@ -271,35 +276,6 @@ def extremal_f(params: BBLParams, norm: NormSpec) -> ExtremalSpec:
     if p is None or not a > p:
         raise ValueError("extremal needs a > p > 1")
     return ExtremalSpec(exponent=-(a - p) / (p - 1.0), norm=norm, n=params.n)
-
-
-def gradient_norm_claim_check(gamma: float, norm: NormSpec) -> float:
-    """Max residual of ||grad(||x||^gamma)||_* = |gamma| ||x||^(gamma-1).
-
-    The gradient side is taken by central finite differences of the scalar
-    map (step 1e-6 * (1 + |x_d|)), its dual norm by the closed-form dual, at
-    200 samples in the plane; samples, drawn from a generator seeded with 0,
-    that lie too close to a non-differentiability of the norm are redrawn.
-    """
-    rng = np.random.default_rng(0)
-    n = 2
-    worst = 0.0
-    count = 0
-    while count < 200:
-        x = rng.uniform(-2.0, 2.0, size=n)
-        r = float(norm(x))
-        if r < 0.3 or (norm.kind == "p_norm" and norm.p in (1.0, np.inf) and np.min(np.abs(x)) < 0.05):
-            continue
-        count += 1
-        grad = np.zeros(n)
-        for d in range(n):
-            ed = np.zeros(n)
-            ed[d] = 1e-6 * (1.0 + abs(x[d]))
-            grad[d] = (norm(x + ed) ** gamma - norm(x - ed) ** gamma) / (2.0 * ed[d])
-        lhs = dual_norm(norm, grad)
-        rhs = abs(gamma) * r ** (gamma - 1.0)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-12))
-    return worst
 
 
 def _gradient_integral(
@@ -465,108 +441,3 @@ def weighted_trace_check(
         quadrature_error=abs(ratio) * rel_err,
         details={"grad_term": grad_term, "fq_term": fq_term, "fitted_growth": fitted},
     )
-
-
-def young_equality_residual(
-    f: ScalarField | ExtremalSpec,
-    constants: SharpConstants,
-    domain: EpigraphDomain,
-    norm: NormSpec,
-    spec: QuadSpec,
-):
-    """Residual of the Young equality condition at the extremal:
-
-        A/(Bv) * int ||grad f||_*^p  =  (beta^(p(p-1)/(a-p)))^(v-1).
-
-    Returns (relative residual, lhs, rhs, identity_route) where the identity
-    route evaluates the right side as I_{ap/(p-1)}^((a-p)/a).
-    """
-    if isinstance(f, ExtremalSpec):
-        f = f.field()
-    a, p, v = constants.a, constants.p, constants.v
-    grad_term, _ = _gradient_integral(f, norm, p, domain, spec)
-    beta_int, _ = _field_integral(f, a * p / (a - p), domain, spec)
-    beta = beta_int ** ((a - p) / (a * p))
-    lhs = constants.A / (constants.B * v) * grad_term
-    rhs = beta ** (p * (p - 1.0) * (v - 1.0) / (a - p))
-    I_route = constants.i_values.get("qa")
-    identity_route = I_route ** ((a - p) / a) if I_route is not None else float("nan")
-    residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return residual, lhs, rhs, identity_route
-
-
-def approx_family(
-    f: ScalarField,
-    eps: float,
-    params: BBLParams,
-    domain: EpigraphDomain,
-    spec: QuadSpec,
-):
-    """f_eps = eps ||x+e||^(-gamma(a-p)/p) + C_eps f with unit q-power mass,
-    at the growth exponent gamma = max(1, a/(n-1)) + 1.
-
-    C_eps solves int f_eps^(ap/(a-p)) = 1 by monotone bisection, stopped once
-    a midpoint's mass is within 1e-6 of 1; it does not exist when eps is too
-    large (the tail term alone already overshoots) and that case is rejected.
-    As eps decreases to 0, C_eps increases strictly toward 1. Returns
-    (field, C_eps).
-    """
-    a, p, n = params.a, params.p, params.n
-    gamma = max(1.0, a / (n - 1.0)) + 1.0
-    power = a * p / (a - p)
-    e = domain.e
-    tail_exp = gamma * (a - p) / p
-
-    def tail_fn(x):
-        return _euclidean_norm(np.asarray(x, dtype=float) + e) ** (-tail_exp)
-
-    def mass(Ceps: float) -> float:
-        val, _ = integrate_epigraph(
-            lambda x: (eps * tail_fn(x) + Ceps * f(x)) ** power,
-            domain, spec, decay=tail_exp * power,
-        )
-        return val
-
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if eps == 0.0:
-        C_eps = 1.0
-    else:
-        m0 = mass(0.0)
-        if m0 >= 1.0:
-            raise ValueError(
-                f"eps={eps} too large for the normalizer to exist (tail mass {m0:.3f} >= 1)"
-            )
-        lo, hi = 0.0, 1.0
-        while mass(hi) < 1.0:
-            hi *= 2.0
-            if hi > 1e6:
-                raise ValueError("normalizer search diverged")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            m_mid = mass(mid)
-            if m_mid < 1.0:
-                lo = mid
-            else:
-                hi = mid
-            if abs(m_mid - 1.0) <= 1e-6:
-                break
-        C_eps = 0.5 * (lo + hi)
-
-    base_fn = f.fn
-
-    def fn_eps(x):
-        return eps * tail_fn(x) + C_eps * np.asarray(base_fn(x), dtype=float)
-
-    base_grad = f.grad
-
-    def grad_eps(x):
-        x = np.asarray(x, dtype=float)
-        z = x + e
-        r = _euclidean_norm(z)
-        gt = -tail_exp * r[..., None] ** (-tail_exp - 2.0) * z
-        gf = f.gradient(x) if base_grad is None else np.asarray(base_grad(x), dtype=float)
-        return eps * gt + C_eps * gf
-
-    field_eps = ScalarField(fn_eps, grad_eps, decay=tail_exp, name=f"approx(eps={eps:g})")
-    return field_eps, C_eps

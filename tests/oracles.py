@@ -16,21 +16,34 @@ import math
 
 import numpy as np
 
-from epiconv.extgrid import _SNAP, INF, ExtGridFn
+from epiconv.bblcheck import BBLParams
+from epiconv.extgrid import _SNAP, INF, EpigraphDomain, ExtGridFn, _euclidean_norm
+from epiconv.fields import ScalarField
 from epiconv.hopflax import (
     _COARSE_STRIDE,
     InfConvResult,
     _axis_tables,
+    _interpolator,
     _scan_candidates,
+    _strided,
     infconv,
 )
 from epiconv.quadrature import (
+    QuadSpec,
     _axis_nodes,
     _fit_tail_K,
     _shell_boxes,
     _trap_weights,
+    integrate_epigraph,
     power_tail_bound,
 )
+from epiconv.sharpconst import (
+    ExtremalSpec,
+    SharpConstants,
+    _field_integral,
+    _gradient_integral,
+)
+from epiconv.transforms import NormSpec, dual_norm
 
 
 def brute_conjugate_1d(xs, vals, slopes):
@@ -492,10 +505,10 @@ def twostage_reference(g, W, h, axes, shape):
     finite_w = np.isfinite(W.values)
 
     # stage 1: strided scan with the lattice-slice candidates
-    strided = np.argwhere(finite_w)
-    keep = np.all(strided % _COARSE_STRIDE == 0, axis=1)
     tables = _axis_tables(g, W, h, axes)
-    vals, arg = _scan_candidates(g, (h * W.values).ravel(), tables, shape, strided[keep])
+    vals, arg = _scan_candidates(
+        _interpolator(g), tables, shape, h * W.values, _strided(finite_w)
+    )
 
     # stage 2: halving refinement around the strided argmin. At each level the
     # incumbent of a convex objective sampled at stride s is within s of the
@@ -750,3 +763,137 @@ def sharp_constants_json_reference(self) -> dict:
         "B_identity": self.B_identity,
         "error_rel": self.error_rel,
     }
+
+
+def gradient_norm_claim_check(gamma: float, norm: NormSpec) -> float:
+    """Max residual of ||grad(||x||^gamma)||_* = |gamma| ||x||^(gamma-1).
+
+    The gradient side is taken by central finite differences of the scalar
+    map (step 1e-6 * (1 + |x_d|)), its dual norm by the closed-form dual, at
+    200 samples in the plane; samples, drawn from a generator seeded with 0,
+    that lie too close to a non-differentiability of the norm are redrawn.
+    """
+    rng = np.random.default_rng(0)
+    n = 2
+    worst = 0.0
+    count = 0
+    while count < 200:
+        x = rng.uniform(-2.0, 2.0, size=n)
+        r = float(norm(x))
+        if r < 0.3 or (norm.kind == "p_norm" and norm.p in (1.0, np.inf) and np.min(np.abs(x)) < 0.05):
+            continue
+        count += 1
+        grad = np.zeros(n)
+        for d in range(n):
+            ed = np.zeros(n)
+            ed[d] = 1e-6 * (1.0 + abs(x[d]))
+            grad[d] = (norm(x + ed) ** gamma - norm(x - ed) ** gamma) / (2.0 * ed[d])
+        lhs = dual_norm(norm, grad)
+        rhs = abs(gamma) * r ** (gamma - 1.0)
+        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-12))
+    return worst
+
+
+def young_equality_residual(
+    f: ScalarField | ExtremalSpec,
+    constants: SharpConstants,
+    domain: EpigraphDomain,
+    norm: NormSpec,
+    spec: QuadSpec,
+):
+    """Residual of the Young equality condition at the extremal:
+
+        A/(Bv) * int ||grad f||_*^p  =  (beta^(p(p-1)/(a-p)))^(v-1).
+
+    Returns (relative residual, lhs, rhs, identity_route) where the identity
+    route evaluates the right side as I_{ap/(p-1)}^((a-p)/a).
+    """
+    if isinstance(f, ExtremalSpec):
+        f = f.field()
+    a, p, v = constants.a, constants.p, constants.v
+    grad_term, _ = _gradient_integral(f, norm, p, domain, spec)
+    beta_int, _ = _field_integral(f, a * p / (a - p), domain, spec)
+    beta = beta_int ** ((a - p) / (a * p))
+    lhs = constants.A / (constants.B * v) * grad_term
+    rhs = beta ** (p * (p - 1.0) * (v - 1.0) / (a - p))
+    I_route = constants.i_values.get("qa")
+    identity_route = I_route ** ((a - p) / a) if I_route is not None else float("nan")
+    residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+    return residual, lhs, rhs, identity_route
+
+
+def approx_family(
+    f: ScalarField,
+    eps: float,
+    params: BBLParams,
+    domain: EpigraphDomain,
+    spec: QuadSpec,
+):
+    """f_eps = eps ||x+e||^(-gamma(a-p)/p) + C_eps f with unit q-power mass,
+    at the growth exponent gamma = max(1, a/(n-1)) + 1.
+
+    C_eps solves int f_eps^(ap/(a-p)) = 1 by monotone bisection, stopped once
+    a midpoint's mass is within 1e-6 of 1; it does not exist when eps is too
+    large (the tail term alone already overshoots) and that case is rejected.
+    As eps decreases to 0, C_eps increases strictly toward 1. Returns
+    (field, C_eps).
+    """
+    a, p, n = params.a, params.p, params.n
+    gamma = max(1.0, a / (n - 1.0)) + 1.0
+    power = a * p / (a - p)
+    e = domain.e
+    tail_exp = gamma * (a - p) / p
+
+    def tail_fn(x):
+        return _euclidean_norm(np.asarray(x, dtype=float) + e) ** (-tail_exp)
+
+    def mass(Ceps: float) -> float:
+        val, _ = integrate_epigraph(
+            lambda x: (eps * tail_fn(x) + Ceps * f(x)) ** power,
+            domain, spec, decay=tail_exp * power,
+        )
+        return val
+
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    if eps == 0.0:
+        C_eps = 1.0
+    else:
+        m0 = mass(0.0)
+        if m0 >= 1.0:
+            raise ValueError(
+                f"eps={eps} too large for the normalizer to exist (tail mass {m0:.3f} >= 1)"
+            )
+        lo, hi = 0.0, 1.0
+        while mass(hi) < 1.0:
+            hi *= 2.0
+            if hi > 1e6:
+                raise ValueError("normalizer search diverged")
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            m_mid = mass(mid)
+            if m_mid < 1.0:
+                lo = mid
+            else:
+                hi = mid
+            if abs(m_mid - 1.0) <= 1e-6:
+                break
+        C_eps = 0.5 * (lo + hi)
+
+    base_fn = f.fn
+
+    def fn_eps(x):
+        return eps * tail_fn(x) + C_eps * np.asarray(base_fn(x), dtype=float)
+
+    base_grad = f.grad
+
+    def grad_eps(x):
+        x = np.asarray(x, dtype=float)
+        z = x + e
+        r = _euclidean_norm(z)
+        gt = -tail_exp * r[..., None] ** (-tail_exp - 2.0) * z
+        gf = f.gradient(x) if base_grad is None else np.asarray(base_grad(x), dtype=float)
+        return eps * gt + C_eps * gf
+
+    field_eps = ScalarField(fn_eps, grad_eps, decay=tail_exp, name=f"approx(eps={eps:g})")
+    return field_eps, C_eps

@@ -242,6 +242,20 @@ def test_checks_share_constants(tmp_path, monkeypatch, threads):
     assert counts == {"i_alpha": 4, "_gns_constants": 2, "_normalize_power_cost": 1}
 
 
+def test_derived_gap_shares_B_with_constants(tmp_path, monkeypatch):
+    # int W^(1-a) on the config's spec is the constants' B and the right-hand
+    # side of derived_gap: one integration serves both, and derived_gap
+    # reports what a run of its own computes
+    counts = {}
+    _count_calls(monkeypatch, cli.sc, "_power_cost_B", counts)
+    report = cli.run(write_config(tmp_path, SHARING))
+    assert [r["result"]["status"] for r in report.results] == ["pass"] * 4
+    assert counts == {"_power_cost_B": 1}
+    alone = cli.run(write_config(tmp_path, dict(SHARING, checks=["derived_gap"])))
+    shared = next(r for r in report.results if r["check"] == "derived_gap")
+    assert alone.results[0]["result"] == shared["result"]
+
+
 def test_rejected_weighted_trace_computes_no_constants(tmp_path, monkeypatch):
     counts = {}
     for name in ("i_alpha", "_gns_constants"):

@@ -1,6 +1,7 @@
 """Min-plus convolution and Hopf-Lax operators."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -247,12 +248,65 @@ EXACT_FIXTURES = {
         quadratic_grid(2, 17),
         ([(-1.3, 2.1), (-2.45, 0.75)], [18, 17]),
     ),
+    "integer": lambda: _integer_pair(),
+    "inf_cells": lambda: _inf_cells_pair(),
+    "float_split": lambda: _float_split_pair(),
+    # every candidate ties at 0, where the rounding allowance is 0 too
+    "zeros": lambda: (
+        ExtGridFn([(-1, 1)] * 2, np.zeros((11, 11))),
+        ExtGridFn([(-1.2, 1.2)] * 2, np.zeros((9, 9))),
+        None,
+    ),
 }
 
 
-@pytest.mark.parametrize("h", [0.1, 0.25, 0.5, 1.0])
-@pytest.mark.parametrize("fixture", sorted(EXACT_FIXTURES))
-def test_exact_bit_identical_to_reference(fixture, h):
+def _integer_pair():
+    # integer values make ties common; W's spacing differs from g's, so the
+    # offsets fall into many classes at every h, h = 1 included
+    rng = np.random.default_rng(21)
+    g = ExtGridFn([(-1, 1), (-0.6, 0.6)], rng.integers(0, 3, (21, 13)).astype(float))
+    W = ExtGridFn([(-1.3, 1.3), (-0.65, 0.65)], rng.integers(0, 3, (21, 11)).astype(float))
+    return g, W, None
+
+
+def _inf_cells_pair():
+    # +inf nodes scattered inside g's box and among W's nodes
+    rng = np.random.default_rng(22)
+    g = _bump(quadratic_grid(2, 21, offset=0.5), [0.3, -0.2], 1.5)
+    gv = np.where(rng.random(g.resolution) < 0.1, INF, g.values)
+    W = quadratic_grid(2, 17)
+    Wv = np.where(rng.random(W.resolution) < 0.15, INF, W.values)
+    return ExtGridFn(g.box, gv), ExtGridFn(W.box, Wv), None
+
+
+def _float_split_pair():
+    # dx = 0.1 on both grids, as on the suite grids: at h = 0.1 the rational
+    # offsets k/10 round to many distinct floats, each its own class
+    xs = np.linspace(-2, 2, 41)
+    ys = np.linspace(0, 1.5, 16)
+    mesh = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+    g = ExtGridFn([(-2, 2), (0, 1.5)], np.sum(mesh**2, axis=-1) + np.sin(3 * mesh[..., 0]))
+    W = ExtGridFn([(-2, 2), (1, 2.5)], np.sum((mesh - [0, -1]) ** 2, axis=-1) ** 2 / 4)
+    return g, W, None
+
+
+def _offset_classes(g, W, h, axes):
+    """The distinct offset tuples of the finite cost nodes that reach an
+    output node."""
+    tables = hopflax._axis_tables(g, W, h, axes)
+    reach = np.ones(W.resolution, dtype=bool)
+    for d, (lo, hi, _base, _frac) in enumerate(tables):
+        shape = [1] * W.dim
+        shape[d] = -1
+        reach &= (lo < hi).reshape(shape)
+    fracs = [frac for _lo, _hi, _base, frac in tables]
+    return {
+        tuple(f[i] for f, i in zip(fracs, idx))
+        for idx in np.argwhere(reach & np.isfinite(W.values))
+    }
+
+
+def _assert_exact(fixture, h):
     # values and smallest-index argmins equal the per-y full-grid scan byte
     # for byte
     g, W, grid = EXACT_FIXTURES[fixture]()
@@ -263,6 +317,84 @@ def test_exact_bit_identical_to_reference(fixture, h):
     assert res.argmin.tobytes() == warg.tobytes()
     if grid is not None:
         assert res.values.box == tuple(grid[0]) and res.values.resolution == tuple(grid[1])
+
+
+@pytest.mark.parametrize("h", [0.1, 0.25, 0.5, 1.0])
+@pytest.mark.parametrize("fixture", sorted(EXACT_FIXTURES))
+def test_exact_bit_identical_to_reference(fixture, h):
+    _assert_exact(fixture, h)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.25, 0.5, 1.0])
+@pytest.mark.parametrize("fixture", sorted(EXACT_FIXTURES))
+def test_exact_one_class_per_chunk(fixture, h, monkeypatch):
+    # every tie across offset classes is settled by the chunk merge
+    monkeypatch.setattr(hopflax, "_LATTICE_CACHE", 1)
+    _assert_exact(fixture, h)
+
+
+def test_fixtures_split_into_chunks():
+    # the tie and float-split fixtures hold more offset classes than one chunk
+    for fixture, h in (("integer", 1.0), ("integer", 0.25), ("float_split", 0.1)):
+        g, W, _ = EXACT_FIXTURES[fixture]()
+        res = hopflax_apply(g, W, h)
+        assert len(_offset_classes(g, W, h, res.values.axes)) > hopflax._LATTICE_CACHE
+    # at h = 0.1 the rational offsets k/10 give at most 10 fractions per axis
+    g, W, _ = _float_split_pair()
+    tables = hopflax._axis_tables(g, W, 0.1, hopflax_apply(g, W, 0.1).values.axes)
+    assert max(len(np.unique(frac)) for *_rest, frac in tables) > 10
+
+
+@pytest.mark.parametrize("cache", [3, 16])
+@pytest.mark.parametrize("fixture, h", [("float_split", 0.1), ("integer", 0.5), ("3d", 0.25)])
+def test_each_offset_class_interpolated_once(fixture, h, cache, monkeypatch):
+    # one lattice per distinct offset tuple per apply, and never more than
+    # _LATTICE_CACHE of them alive at once
+    monkeypatch.setattr(hopflax, "_LATTICE_CACHE", cache)
+    built, alive, peak = [], [], [0]
+    orig = hopflax._interp_lattice
+
+    def spy(g0, cell_inf, fracs):
+        lattice = orig(g0, cell_inf, fracs)
+        built.append(tuple(fracs))
+        alive.append(weakref.ref(lattice))
+        peak[0] = max(peak[0], sum(ref() is not None for ref in alive))
+        return lattice
+
+    monkeypatch.setattr(hopflax, "_interp_lattice", spy)
+    g, W, _ = EXACT_FIXTURES[fixture]()
+    res = hopflax_apply(g, W, h)
+    assert len(built) == len(set(built))
+    assert set(built) == _offset_classes(g, W, h, res.values.axes)
+    assert 1 < peak[0] <= cache
+
+
+@pytest.mark.parametrize(
+    "c, g_res, w_res, w_step, h",
+    [
+        (5 / 7, [6, 6], [13, 8], 0.11, 0.25),
+        (2 / 3, [8, 7], [11, 9], 0.11, 0.25),
+        (1 / 3, [5], [11], 0.07, 0.5),
+    ],
+)
+def test_prune_allowance_keeps_rounded_ties(c, g_res, w_res, w_step, h):
+    # g is constant, so each candidate interpolates equal corners, and some of
+    # those sums round one ulp below c. h*W is 0 at the first cost node and
+    # half an ulp of c elsewhere: the block bound c + h*W of the later nodes
+    # then rounds one ulp above the incumbent c that the first node sets,
+    # while their candidates tie with it or beat it. Without the rounding
+    # allowance those nodes are pruned and values or smallest-index argmins
+    # change.
+    dim = len(g_res)
+    wv = np.full(w_res, np.spacing(c) / 2 / h)
+    wv[(0,) * dim] = 0.0
+    g = ExtGridFn([(0.0, (m - 1) * 0.1) for m in g_res], np.full(g_res, c))
+    W = ExtGridFn([(0.0, (m - 1) * w_step) for m in w_res], wv)
+    res = hopflax_apply(g, W, h)
+    want, warg = exact_hopflax_reference(g, W, h, res.values.axes)
+    assert (want < c).any()
+    assert res.values.values.tobytes() == want.tobytes()
+    assert res.argmin.tobytes() == warg.tobytes()
 
 
 @pytest.fixture

