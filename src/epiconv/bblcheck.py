@@ -435,10 +435,6 @@ class AdmissibilityReport:
     conditions: list[ConditionReport]
     gamma: float
 
-    @property
-    def admissible(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
     def get(self, name: str) -> ConditionReport:
         for c in self.conditions:
             if c.name == name:

@@ -142,16 +142,6 @@ class ExtGridFn:
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(self.values)
 
-    @property
-    def domain_indices(self) -> np.ndarray:
-        """Indices of the finite nodes, shape (k, dim)."""
-        return np.argwhere(self.finite_mask)
-
-    def nodes(self) -> np.ndarray:
-        """All grid nodes as an array of shape resolution + (dim,)."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
-
     def scaled(self, c: float) -> "ExtGridFn":
         """Pointwise scalar multiple c*f (c > 0 keeps +inf in place)."""
         if not c > 0:
@@ -260,17 +250,6 @@ class EpigraphDomain:
         """Membership in the shifted domain Omega_h = Omega + h*e (closed)."""
         pts = _as_points(x, self.n)
         return pts[..., -1] >= self.phi(pts[..., :-1]) + h
-
-    def bh_contains(self, x, h: float) -> np.ndarray:
-        """Membership in B_h from the closed form x2 >= h + (1+h) phi(x1/(1+h)).
-
-        At h = 0 this reduces to plain Omega membership. For cones it
-        coincides with Omega_h membership at every h.
-        """
-        if h < 0:
-            raise ValueError("h must be nonnegative")
-        pts = _as_points(x, self.n)
-        return pts[..., -1] >= self.bh_lower(pts[..., :-1], h)
 
     def bh_lower(self, x1, h: float) -> np.ndarray:
         """The B_h boundary height h + (1+h)*phi(x1/(1+h))."""

@@ -42,10 +42,17 @@ argmins are those of the full scan, bit for bit, for any g, with no convexity
 certificate involved.
 
 Above _TWOSTAGE_MIN_CANDIDATES (output, cost) node pairs, a g and W that both
-pass the convexity certificate take the twostage path instead: the kernel over
-the strided cost nodes, then a local refinement around each output node's
-strided argmin. The refinement runs over the output nodes in chunks of
-_CHUNK_CANDIDATES candidates, so its memory stays a few MB at any grid size.
+pass the convexity certificate take the twostage path instead. It runs the
+same kernel twice: over the strided cost nodes, then over every finite cost
+node y with y's outputs cut to the bounding box of those whose strided argmin
+lies within _COARSE_STRIDE of y on every axis. For a convex objective the
+strided argmin is within one stride of the minimizers, so the window holds
+them: wherever the strided scan finds a candidate, values and argmins are
+those of the exact path, bit for bit. Only rounding can break this, where it
+alone orders candidates more than a stride apart (a constant g whose
+interpolated sums round an ulp apart). Outputs with no finite strided
+candidate stay +inf; on certified-convex inputs they sit in a band along the
+boundary of the essential domain.
 
 ``infconv`` is Q_1 with the cost on g's own lattice: the exact min-plus
 convolution of two grid functions with shared spacing. It runs the same kernel
@@ -77,12 +84,10 @@ __all__ = [
 # output x cost node pairs above which a certified-convex problem takes the
 # twostage path
 _TWOSTAGE_MIN_CANDIDATES = 4e8
-# stride of the exact path's incumbent scan and of twostage stage 1, in
-# cost-grid nodes per axis; also the least cost nodes per pruning block
+# stride of the exact path's incumbent scan and of the twostage strided scan,
+# in cost-grid nodes per axis; also the twostage window radius around a
+# strided argmin and the least cost nodes per pruning block
 _COARSE_STRIDE = 4
-# (output node, cost node) candidates per stage-2 chunk of the twostage path;
-# it bounds the chunk's arrays to a few MB
-_CHUNK_CANDIDATES = 2**17
 # most interpolated lattices of g the candidate kernel keeps at once, the
 # offset classes of one chunk (16 are 1.7 MB for a 161 x 81 g)
 _LATTICE_CACHE = 16
@@ -246,7 +251,7 @@ def _scan_candidates(lattice, tables, shape, weights, active, boxes=None):
     (as :func:`_axis_tables` builds them, key being the fraction). The keys
     of y form its offset class, and lattice(keys) gives the class's lattice.
     With boxes = (blocks, box_lo, box_hi), y only reaches the outputs inside
-    its cost block's box (see :func:`_prune_boxes`).
+    its cost block's box (see :func:`_prune_boxes` and :func:`_window_boxes`).
 
     The classes go in chunks of at most _LATTICE_CACHE: per axis, groups of
     consecutive keys whose sizes multiply to at most _LATTICE_CACHE. A chunk
@@ -503,9 +508,11 @@ def hopflax_apply(
     with at most _LATTICE_CACHE lattices alive (the module docstring has the
     class chunks, their merge rule and the bound). Above
     _TWOSTAGE_MIN_CANDIDATES (output, cost) node pairs with g and W both
-    grid-convex, the twostage path runs a strided scan followed by a windowed
-    local search over chunks of output nodes; it is exact for the convex
-    fixtures and asserted against the exact path in tests.
+    grid-convex, the twostage path runs the same kernel over the strided cost
+    nodes, then over the cost nodes within _COARSE_STRIDE of each output's
+    strided argmin. Wherever it is finite, its values and argmins equal the
+    exact path's byte for byte, unless rounding alone orders candidates more
+    than a stride apart; outputs with no finite strided candidate stay +inf.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
@@ -548,7 +555,7 @@ def hopflax_apply(
 
 def _hopflax_exact(g, W, h, axes, shape, active):
     # its own entry point, so a trace tells the exact path from twostage,
-    # whose stage 1 runs the same kernel
+    # whose two scans run the same kernel
     tables = _axis_tables(g, W, h, axes)
     weights = h * W.values
     boxes = _prune_boxes(g, tables, shape, weights, active)
@@ -556,48 +563,43 @@ def _hopflax_exact(g, W, h, axes, shape, active):
 
 
 def _hopflax_twostage(g, W, h, axes, shape):
-    # stage 1: strided scan with the lattice-slice candidates
     tables = _axis_tables(g, W, h, axes)
-    strided = _strided(np.isfinite(W.values))
-    vals, arg = _scan_candidates(_interpolator(g), tables, shape, h * W.values, strided)
+    lattice = _interpolator(g)
+    weights = h * W.values
+    active = np.isfinite(W.values)
+    arg = _scan_candidates(lattice, tables, shape, weights, _strided(active))[1]
+    boxes = _window_boxes(arg, W.resolution, shape)
+    return _scan_candidates(lattice, tables, shape, weights, active, boxes)
 
-    # stage 2: two refinement rounds around the strided argmin, at steps
-    # _COARSE_STRIDE // 2 and 1. The incumbent of a convex objective sampled
-    # at stride s is within s of the optimum, so the 5^d candidates at step
-    # s/2 within +-2 steps cover it. The found output rows go in chunks of
-    # about _CHUNK_CANDIDATES candidates; rows are independent, so the chunks
-    # cannot change a value or an argmin.
-    y_step = np.array([ax[1] - ax[0] if len(ax) > 1 else 1.0 for ax in W.axes])
-    y_lo = np.array([ax[0] for ax in W.axes])
-    unit = np.array(list(itertools.product(range(-2, 3), repeat=g.dim)))
+
+def _window_boxes(arg, res, shape):
+    """Per cost node y, the bounding box of the output nodes whose strided
+    argmin s (arg, a flat index into the cost grid of resolution res) has
+    |s_d - y_d| <= _COARSE_STRIDE on every axis, as (blocks, box_lo, box_hi)
+    for :func:`_scan_candidates` with one block per node; empty boxes have
+    box_lo >= box_hi."""
+    stride = _COARSE_STRIDE
+    coarse = tuple((m - 1) // stride + 1 for m in res)
     found = np.flatnonzero(arg >= 0)
-    chunk = max(1, _CHUNK_CANDIDATES // len(unit))
-    for c0 in range(0, found.size, chunk):
-        rows = found[c0 : c0 + chunk]
-        pts = np.stack([ax[i] for ax, i in zip(axes, np.unravel_index(rows, shape))], -1)
-        best_v = vals.flat[rows]
-        best_a = arg.flat[rows]
-        for step in (_COARSE_STRIDE // 2, 1):
-            centers = np.stack(np.unravel_index(best_a, W.resolution), axis=-1)
-            ci = centers[:, None, :] + step * unit
-            ok = np.all((ci >= 0) & (ci < W.resolution), axis=2)
-            # out-of-range indices are clipped only to read W; ok drops them
-            wflat = np.ravel_multi_index(np.moveaxis(ci, -1, 0), W.resolution, mode="clip")
-            wv = W.values.ravel()[wflat]
-            gv = g.interpolate(pts[:, None, :] - h * (y_lo + ci * y_step))
-            cand = np.where(ok & np.isfinite(wv), gv + h * wv, INF)
-            k = np.argmin(cand, axis=1)[:, None]
-            cbest = np.take_along_axis(cand, k, axis=1)[:, 0]
-            better = cbest < best_v
-            best_v[better] = cbest[better]
-            best_a[better] = np.take_along_axis(wflat, k, axis=1)[better, 0]
-        vals.flat[rows] = best_v
-        arg.flat[rows] = best_a
-
-    # Nodes with no strided witness stay +inf; the gate restricts this path to
-    # convex-certified inputs where the only candidates lost this way sit in a
-    # one-window band along the essential-domain boundary.
-    return vals, arg
+    at = tuple(i // stride for i in np.unravel_index(arg.flat[found], res))
+    box_lo, box_hi = [], []
+    for d, k in enumerate(np.unravel_index(found, shape)):
+        box_lo.append(np.full(coarse, shape[d], dtype=np.int64))
+        box_hi.append(np.zeros(coarse, dtype=np.int64))
+        np.minimum.at(box_lo[d], at, k)
+        np.maximum.at(box_hi[d], at, k + 1)
+    # along axis e, the strided nodes within the stride of y are those of
+    # coarse index ceil(y / stride) - 1 .. y // stride + 1
+    for e, m in enumerate(res):
+        y = np.arange(m)
+        near = [
+            np.clip(k, 0, coarse[e] - 1)
+            for k in (-(-y // stride) - 1, y // stride, y // stride + 1)
+        ]
+        for boxes, reduce in ((box_lo, np.minimum), (box_hi, np.maximum)):
+            for d, b in enumerate(boxes):
+                boxes[d] = reduce.reduce([np.take(b, k, axis=e) for k in near])
+    return [np.arange(m) for m in res], box_lo, box_hi
 
 
 def hopflax_pointwise(

@@ -19,15 +19,7 @@ import numpy as np
 from epiconv.bblcheck import BBLParams
 from epiconv.extgrid import _SNAP, INF, EpigraphDomain, ExtGridFn, _euclidean_norm
 from epiconv.fields import ScalarField
-from epiconv.hopflax import (
-    _COARSE_STRIDE,
-    InfConvResult,
-    _axis_tables,
-    _interpolator,
-    _scan_candidates,
-    _strided,
-    infconv,
-)
+from epiconv.hopflax import InfConvResult, infconv
 from epiconv.quadrature import (
     QuadSpec,
     _axis_nodes,
@@ -172,6 +164,16 @@ def naive_infconv(fv, gv):
     return out, arg
 
 
+def domain_indices(f: ExtGridFn) -> np.ndarray:
+    """Indices of the finite nodes of f, shape (k, dim)."""
+    return np.argwhere(f.finite_mask)
+
+
+def grid_nodes(f: ExtGridFn) -> np.ndarray:
+    """All nodes of f as an array of shape resolution + (dim,)."""
+    return np.stack(np.meshgrid(*f.axes, indexing="ij"), axis=-1)
+
+
 def domain_sum_check(f: ExtGridFn, g: ExtGridFn, result: InfConvResult | None = None):
     """Does dom(f box g) equal dom f + dom g as index sets?
 
@@ -181,8 +183,8 @@ def domain_sum_check(f: ExtGridFn, g: ExtGridFn, result: InfConvResult | None = 
     """
     if result is None:
         result = infconv(f, g)
-    fi = f.domain_indices
-    gi = g.domain_indices
+    fi = domain_indices(f)
+    gi = domain_indices(g)
     out_shape = result.values.resolution
     expected = np.zeros(out_shape, dtype=bool)
     if fi.size and gi.size:
@@ -287,6 +289,16 @@ def naive_hopflax(g_axes, g_vals, w_axes, w_vals, h, out_axes):
                 best = c
         out[km] = best
     return out
+
+
+def bh_contains(domain: EpigraphDomain, x, h: float) -> np.ndarray:
+    """Membership in B_h from the closed form x2 >= h + (1+h) phi(x1/(1+h)).
+
+    At h = 0 this reduces to plain Omega membership. For cones it coincides
+    with Omega_h membership at every h.
+    """
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    return pts[..., -1] >= domain.bh_lower(pts[..., :-1], h)
 
 
 def bh_membership_bruteforce(domain, x, h, y_box, y_resolution):
@@ -493,78 +505,6 @@ def is_grid_convex_reference(f: ExtGridFn) -> bool:
                 if np.any(seg[:-2] - 2.0 * seg[1:-1] + seg[2:] < -1e-12 * scale):
                     return False
     return True
-
-
-def twostage_reference(g, W, h, axes, shape):
-    """The twostage Hopf-Lax path as it was, stage 2 in blocks of offsets
-    over every found output row at once, kept verbatim except that it
-    interpolates with :func:`interpolate_reference`. Returns (values,
-    argmin) on the grid of axes."""
-    w_axes = W.axes
-    wres = W.resolution
-    finite_w = np.isfinite(W.values)
-
-    # stage 1: strided scan with the lattice-slice candidates
-    tables = _axis_tables(g, W, h, axes)
-    vals, arg = _scan_candidates(
-        _interpolator(g), tables, shape, h * W.values, _strided(finite_w)
-    )
-
-    # stage 2: halving refinement around the strided argmin. At each level the
-    # incumbent of a convex objective sampled at stride s is within s of the
-    # optimum, so candidates at stride s/2 within +-2 units cover it.
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g.dim)
-    flat_vals = vals.ravel()
-    flat_arg = arg.ravel()
-    found = flat_arg >= 0
-    if found.any():
-        centers = np.stack(np.unravel_index(flat_arg[found], wres), axis=-1)
-        sub_pts = pts[found]
-        best_v = flat_vals[found].copy()
-        best_a = flat_arg[found].copy()
-        y_step = np.array([ax[1] - ax[0] if len(ax) > 1 else 1.0 for ax in w_axes])
-        y_lo = np.array([ax[0] for ax in w_axes])
-        wres_arr = np.array(wres)
-        w_flatvals = W.values.ravel()
-        npts = sub_pts.shape[0]
-        unit = np.stack(
-            np.meshgrid(*([np.arange(-2, 3)] * g.dim), indexing="ij"), axis=-1
-        ).reshape(-1, g.dim)
-        rows = np.arange(npts)
-        level = _COARSE_STRIDE
-        while level > 0:
-            step_idx = (level + 1) // 2 if level > 2 else 1
-            off = unit * step_idx  # (25, dim) in index units
-            block = max(1, int(1_500_000 / max(npts, 1)))
-            for b0 in range(0, off.shape[0], block):
-                ob = off[b0 : b0 + block]
-                ci = centers[:, None, :] + ob[None, :, :]
-                ok = np.all((ci >= 0) & (ci < wres_arr), axis=2)
-                ci_clip = np.clip(ci, 0, wres_arr - 1)
-                wflat = np.zeros(ci.shape[:2], dtype=np.int64)
-                stride_acc = 1
-                for d in range(g.dim - 1, -1, -1):
-                    wflat += ci_clip[..., d] * stride_acc
-                    stride_acc *= wres[d]
-                wv = w_flatvals[wflat]
-                feas = ok & np.isfinite(wv)
-                y = y_lo + ci_clip * y_step
-                q = sub_pts[:, None, :] - h * y
-                gv = interpolate_reference(g, q.reshape(-1, g.dim)).reshape(q.shape[:2])
-                cand = np.where(feas, gv + h * wv, INF)
-                k = np.argmin(cand, axis=1)
-                cbest = cand[rows, k]
-                better = cbest < best_v
-                best_v[better] = cbest[better]
-                best_a[better] = wflat[rows, k][better]
-            centers = np.stack(np.unravel_index(best_a, wres), axis=-1)
-            if step_idx == 1:
-                break
-            level = step_idx
-        flat_vals[found] = best_v
-        flat_arg[found] = best_a
-
-    return flat_vals.reshape(shape), flat_arg.reshape(shape)
 
 
 def integrate_epigraph_reference(fn, domain, spec, shift=0.0, decay=None):

@@ -1,5 +1,5 @@
 """Guards against leftovers: dangling exports, scipy imports, global state,
-unused imports, options no caller sets."""
+unused imports, options no caller sets, members no caller reads."""
 
 import ast
 import importlib
@@ -130,6 +130,39 @@ def test_every_public_option_is_set_by_some_caller():
         )
     ]
     assert not unused, f"{len(unused)} defaulted parameters no call sets: {unused}"
+
+
+def _public_members():
+    """(qualified name, member name) of every public method and property of a
+    class that a module's __all__ names."""
+    found = set()
+    for name in MODULES:
+        mod = importlib.import_module(name)
+        for attr in getattr(mod, "__all__", []):
+            obj = getattr(mod, attr)
+            if not inspect.isclass(obj):
+                continue
+            for member, value in vars(obj).items():
+                fn = getattr(value, "__func__", value)
+                if not member.startswith("_") and (
+                    isinstance(value, property) or inspect.isfunction(fn)
+                ):
+                    found.add((f"{obj.__module__}.{obj.__qualname__}.{member}", member))
+    return sorted(found)
+
+
+def test_every_public_member_is_read_by_some_caller():
+    # a method or property only tests read is a test helper, and belongs in
+    # tests/; the readers are the package and the benchmark
+    read = {
+        node.attr
+        for top in ("src", "perfbench")
+        for path in sorted((REPO / top).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    unread = [qualname for qualname, member in _public_members() if member not in read]
+    assert not unread, f"{len(unread)} public members no caller reads: {unread}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
