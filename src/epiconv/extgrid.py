@@ -17,9 +17,7 @@ can be evaluated at off-grid points without interpolation error.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -43,9 +41,6 @@ __all__ = [
 ]
 
 INF = np.inf
-
-# fractional grid offsets within _SNAP of a gridline snap onto it
-_SNAP = 1e-9
 
 
 def _as_points(x, n: int) -> np.ndarray:
@@ -147,48 +142,6 @@ class ExtGridFn:
         if not c > 0:
             raise ValueError("scaling factor must be positive")
         return ExtGridFn(self.box, c * self.values)
-
-    def interpolate(self, points) -> np.ndarray:
-        """Multilinear interpolation, conservative near the domain boundary.
-
-        A query inside a cell that has any +inf corner (with nonzero weight)
-        evaluates to +inf, so interpolated values never dip below the sampled
-        envelope of the essential domain. Queries outside the box are +inf.
-        Fractional offsets within ``_SNAP`` of a gridline drop the zero-weight
-        corners, so node-exact queries return node values.
-        """
-        pts = _as_points(points, self.dim)
-        flat = pts.reshape(-1, self.dim)
-        outside = np.zeros(flat.shape[0], dtype=bool)
-        # per axis, the (flat index offset, weight) pair of each cell corner
-        corners = []
-        for d, ((lo, _), m) in enumerate(zip(self.box, self.resolution)):
-            stride = math.prod(self.resolution[d + 1 :])
-            if m == 1:
-                outside |= np.abs(flat[:, d] - lo) > _SNAP * max(1.0, abs(lo))
-                corners.append(((0, 1.0),))
-                continue
-            t = (flat[:, d] - lo) / self.spacing[d]
-            outside |= (t < -_SNAP) | (t > m - 1 + _SNAP)
-            i = np.clip(np.floor(t).astype(np.int64), 0, m - 2)
-            f = np.clip(t - i, 0.0, 1.0)
-            f[f < _SNAP] = 0.0
-            f[f > 1.0 - _SNAP] = 1.0
-            corners.append(((i * stride, 1.0 - f), ((i + 1) * stride, f)))
-
-        # a zero-weight corner adds +-0 to a sum that starts at +0, and only
-        # a corner of positive weight can make the query +inf
-        flat_vals = self.values.ravel()
-        out = np.zeros(flat.shape[0])
-        hit_inf = outside
-        for corner in itertools.product(*corners):
-            w = math.prod(wd for _, wd in corner)
-            v = flat_vals[sum(k for k, _ in corner)]
-            finite = np.isfinite(v)
-            out += w * np.where(finite, v, 0.0)
-            hit_inf |= (w > 0.0) & ~finite
-        out[hit_inf] = INF
-        return out.reshape(pts.shape[:-1])
 
 
 @dataclass(frozen=True)

@@ -63,11 +63,8 @@ def power_cost_field(C: float, q: float, norm: NormSpec) -> ScalarField:
     def conj(y):
         return power_cost_conjugate(C, q, norm, y)
 
-    f = ScalarField(fn, grad, decay=None, name=f"powercost(C={C:g},q={q:g})", conjugate=conj)
-    f.C = C
-    f.q = q
-    f.norm = norm
-    return f
+    name = f"powercost(C={C:g},q={q:g})"
+    return ScalarField(fn, grad, decay=None, name=name, conjugate=conj)
 
 
 def shifted_field(field: ScalarField, shift: np.ndarray) -> ScalarField:

@@ -2,26 +2,28 @@
 
 ``hopflax_apply`` evaluates Q_h(g)(x) = min_y g(x - h*y) + h*W(y) with y
 running over the cost grid and g evaluated by multilinear interpolation at the
-off-grid points x - h*y. Interpolation is conservative: a cell with a +inf
-corner evaluates to +inf, so the discrete operator stays an upper bound of the
-continuum one and inequality directions are preserved. h = 0 returns g
-(interpolated onto a requested output grid) rather than dividing by h.
+off-grid points x - h*y. Interpolation is conservative: a point outside g's
+box or in a cell with a +inf corner evaluates to +inf, so the discrete
+operator stays an upper bound of the continuum one and inequality directions
+are preserved. This module holds the only copy of that rule.
 
-The output grid shares g's spacing (any other is rejected), so the points
-x - h*y of one cost node y all sit at the same fractional offset from g's
-lattice: the tuple of per-axis fractions is y's offset class. The candidate
-kernel interpolates g once per class over g's own lattice, and then each y
-costs one slice of that lattice plus h*W(y), taken over the output nodes y can
-reach. The offsets are floats, so rounding splits what would be one rational
-fraction into several (at h = 0.1 on a dx = 0.1 grid, 49 x 44 classes where
-the rational structure has 10 x 10); every distinct tuple is its own class,
-interpolated once per apply. The kernel takes the classes in chunks of at most
-_LATTICE_CACHE lattices, scans a chunk's cost nodes in ascending flat order
-into chunk accumulators, a candidate replacing the incumbent only when
-strictly smaller, and merges each chunk into the result by (value, smallest
-flat index). Every candidate is one fixed float
+At every h the output grid shares g's spacing (any other is rejected), so the
+points x - h*y of one cost node y all sit at the same fractional offset from
+g's lattice: the tuple of per-axis fractions is y's offset class. The
+candidate kernel interpolates g once per class over g's own lattice, and then
+each y costs one slice of that lattice plus h*W(y), taken over the output
+nodes y can reach. The offsets are floats, so rounding splits what would be
+one rational fraction into several (at h = 0.1 on a dx = 0.1 grid, 49 x 44
+classes where the rational structure has 10 x 10); every distinct tuple is
+its own class, interpolated once per apply. The kernel takes the classes in
+chunks of at most _LATTICE_CACHE lattices, scans a chunk's cost nodes in
+ascending flat order into chunk accumulators, a candidate replacing the
+incumbent only when strictly smaller, and merges each chunk into the result
+by (value, smallest flat index). Every candidate is one fixed float
 expression whatever its chunk, so the result is that of a single flat-order
-scan, ties going to the smallest flat index.
+scan, ties going to the smallest flat index. h = 0 returns g itself, or on a
+requested output grid one slice of g's lattice at the zero shift, with no
+argmin; W plays no part.
 
 The exact path prunes candidates that cannot win. The strided cost nodes
 (every _COARSE_STRIDE-th per axis), scanned over cell-max lattices, give an
@@ -69,7 +71,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .extgrid import _SNAP, INF, EpigraphDomain, ExtGridFn, _unit_e
+from .extgrid import INF, EpigraphDomain, ExtGridFn, _unit_e
 
 __all__ = [
     "InfConvResult",
@@ -91,6 +93,8 @@ _COARSE_STRIDE = 4
 # most interpolated lattices of g the candidate kernel keeps at once, the
 # offset classes of one chunk (16 are 1.7 MB for a 161 x 81 g)
 _LATTICE_CACHE = 16
+# fractional lattice offsets within _SNAP of a gridline snap onto it
+_SNAP = 1e-9
 
 
 @dataclass
@@ -164,19 +168,19 @@ def infconv(f: ExtGridFn, g: ExtGridFn) -> InfConvResult:
     return InfConvResult(ExtGridFn(box, vals), arg)
 
 
-def _axis_tables(g: ExtGridFn, W: ExtGridFn, h: float, out_axes):
-    """Per axis d, arrays (lo, hi, base, frac) over the cost index y_d.
+def _axis_tables(g: ExtGridFn, shifts, out_axes):
+    """Per axis d, arrays (lo, hi, base, frac) over the shifts[d] entries
+    (h * y_d for the cost index y_d).
 
     Output node k on axis d reads g at lattice point k + base + frac, and
     lo <= k < hi are the k with 0 <= k + base (+ 1 when frac > 0) <= mg - 1;
-    lo >= hi when y_d reaches no output node. Offsets within _SNAP of a
-    gridline collapse to the single node, exactly as in
-    :meth:`ExtGridFn.interpolate`.
+    lo >= hi when the shift reaches no output node. Offsets within _SNAP of
+    a gridline collapse to the single node.
     """
     tables = []
     for d in range(g.dim):
         step = g.spacing[d] if g.spacing[d] > 0 else 1.0
-        off = (out_axes[d][0] - h * W.axes[d] - g.box[d][0]) / step
+        off = (out_axes[d][0] - shifts[d] - g.box[d][0]) / step
         base = np.floor(off + _SNAP)
         frac = off - base
         low = frac < _SNAP
@@ -193,12 +197,11 @@ def _axis_tables(g: ExtGridFn, W: ExtGridFn, h: float, out_axes):
 def _interp_lattice(g0: np.ndarray, cell_inf: np.ndarray | None, fracs) -> np.ndarray:
     """g interpolated at i + fracs for every index i whose cell lies in g.
 
-    g0 is g with its non-finite nodes zeroed; cell_inf (from
-    :func:`_cell_corners`) marks the cells with a non-finite corner, which
-    come back +inf. Corners are summed in a fixed order, so every lattice
-    value is one fixed float expression. Each fraction lies in
-    (_SNAP, 1 - _SNAP), so every corner weight is positive and no corner is
-    ever dropped.
+    g0 is g with its non-finite nodes zeroed; cell_inf marks the cells with
+    a non-finite corner, which come back +inf. Corners are summed in a fixed
+    order, so every lattice value is one fixed float expression. Each
+    fraction is 0 or lies in (_SNAP, 1 - _SNAP), so every corner weight is
+    positive and no corner is ever dropped.
     """
     corners = [(0, 1) if fr > 0.0 else (0,) for fr in fracs]
     shape = tuple(m - len(c) + 1 for m, c in zip(g0.shape, corners))
@@ -214,17 +217,6 @@ def _interp_lattice(g0: np.ndarray, cell_inf: np.ndarray | None, fracs) -> np.nd
     return acc
 
 
-def _cell_corners(reduce, a: np.ndarray, tops) -> np.ndarray:
-    """reduce (np.logical_or or np.maximum) over the corners of the cells
-    spanning tops[d] + 1 nodes per axis."""
-    shape = tuple(m - t for m, t in zip(a.shape, tops))
-    out = None
-    for corner in itertools.product(*[range(t + 1) for t in tops]):
-        part = a[tuple(slice(c, c + m) for c, m in zip(corner, shape))]
-        out = part.copy() if out is None else reduce(out, part, out=out)
-    return out
-
-
 def _interpolator(g: ExtGridFn):
     """Offset fractions -> g's interpolated lattice at those fractions."""
     ginf = ~np.isfinite(g.values)
@@ -234,7 +226,7 @@ def _interpolator(g: ExtGridFn):
     def lattice(fracs):
         tops = tuple(int(f > 0.0) for f in fracs)
         if tops not in cell_inf:
-            marked = _cell_corners(np.logical_or, ginf, tops)
+            marked = _window_reduce(np.logical_or, ginf, [t + 1 for t in tops])
             cell_inf[tops] = marked if marked.any() else None
         return _interp_lattice(g0, cell_inf[tops], fracs)
 
@@ -393,15 +385,16 @@ def _axis_blocks(lo, hi, base, frac):
     return block, reach, starts, bmin, span + tops + 1, out_lo, out_hi
 
 
-def _window_min(a: np.ndarray, lengths) -> np.ndarray:
-    """min of a over the windows of lengths[d] consecutive nodes per axis,
-    indexed by the window's first node."""
+def _window_reduce(ufunc, a: np.ndarray, lengths) -> np.ndarray:
+    """ufunc (np.logical_or, np.maximum or np.minimum) reduced over the
+    windows of lengths[d] consecutive nodes of a per axis, indexed by the
+    window's first node; axis by axis, which is exact for these three."""
     for d, n in enumerate(lengths):
         m = a.shape[d] - n + 1
         lead = (slice(None),) * d
         out = a[lead + (slice(0, m),)].copy()
         for s in range(1, n):
-            np.minimum(out, a[lead + (slice(s, s + m),)], out=out)
+            ufunc(out, a[lead + (slice(s, s + m),)], out=out)
         a = out
     return a
 
@@ -427,7 +420,7 @@ def _prune_boxes(g: ExtGridFn, tables, shape, weights, active):
 
     def upper(tops):
         if tops not in cell_max:
-            cell_max[tops] = _cell_corners(np.maximum, g.values, tops)
+            cell_max[tops] = _window_reduce(np.maximum, g.values, [t + 1 for t in tops])
         return cell_max[tops]
 
     top_tables = [(lo, hi, base, (frac > 0.0).astype(int)) for lo, hi, base, frac in tables]
@@ -457,7 +450,7 @@ def _prune_boxes(g: ExtGridFn, tables, shape, weights, active):
     for blk, lens in zip(zip(*(b[order].tolist() for b in found)), lengths[order].tolist()):
         if window != lens:
             window = lens
-            mins = _window_min(gpad, window)
+            mins = _window_reduce(np.minimum, gpad, window)
         out = tuple(slice(out_lo[d][b], out_hi[d][b]) for d, b in enumerate(blk))
         win = tuple(
             slice(o.start + shift[d][b], o.stop + shift[d][b])
@@ -497,9 +490,12 @@ def hopflax_apply(
     """Q_h(g)(x) = min over cost-grid nodes y of g(x - h*y) + h*W(y).
 
     The output grid defaults to g's box plus h times W's box at g's spacing;
-    out_box and out_resolution replace it together, one entry per axis, and
-    for h > 0 at g's spacing on every axis of more than one node. Ties in the
-    minimum go to the smallest flat y index.
+    out_box and out_resolution replace it together, one entry per axis, at
+    g's spacing on every axis of more than one node, for every h. Ties in
+    the minimum go to the smallest flat y index. h = 0 returns g unchanged,
+    or on a requested grid g's interpolated lattice read at that grid (+inf
+    outside g's box and in cells with a +inf corner); its argmin is -1
+    everywhere.
 
     The exact path evaluates every finite y node's candidates except those
     its cost block's lower bound puts above the strided incumbent by more
@@ -518,31 +514,35 @@ def hopflax_apply(
         raise ValueError("h must be nonnegative")
     if (out_box is None) != (out_resolution is None):
         raise ValueError("out_box and out_resolution must be given together")
+    if h > 0.0 and g.dim != W.dim:
+        raise ValueError("g and W must share dimension")
     if out_box is not None:
         if len(out_box) != g.dim or len(out_resolution) != g.dim:
             raise ValueError(f"out_box and out_resolution need {g.dim} entries")
         box = tuple((float(lo), float(hi)) for lo, hi in out_box)
         axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(box, out_resolution)]
-    if h == 0.0:
-        # identity by convention, interpolated onto a requested grid; no y is
-        # involved, so no argmin is recorded
-        if out_box is None:
-            box, vals = g.box, g.values.copy()
-        else:
-            vals = g.interpolate(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
-        arg = np.full(vals.shape, -1, dtype=np.int64)
-        return InfConvResult(ExtGridFn(box, vals), arg)
-    if g.dim != W.dim:
-        raise ValueError("g and W must share dimension")
-
-    if out_box is None:
+    elif h == 0.0:
+        # identity by convention; no y is involved, so no argmin is recorded
+        arg = np.full(g.resolution, -1, dtype=np.int64)
+        return InfConvResult(ExtGridFn(g.box, g.values.copy()), arg)
+    else:
         box, axes = _default_out_grid(g, W, h)
-    # the candidate kernel places output node k at axes[d][0] + k * g's step
+    # the lattice reads place output node k at axes[d][0] + k * g's step
     for d, ax in enumerate(axes):
         step = g.spacing[d] if g.spacing[d] > 0 else 1.0
         if len(ax) > 1 and not _same_step(ax[1] - ax[0], step):
             raise ValueError(f"axis {d}: output spacing differs from g's {step}")
     shape = tuple(len(ax) for ax in axes)
+    if h == 0.0:
+        # one read of g's lattice at zero shift, W playing no part
+        vals = np.full(shape, INF)
+        tables = _axis_tables(g, [np.zeros(1)] * g.dim, axes)
+        lo, hi, base, frac = map(np.concatenate, zip(*tables))
+        if (lo < hi).all():
+            lattice = _interpolator(g)(tuple(frac.tolist()))
+            src = tuple(map(slice, lo + base, hi + base))
+            vals[tuple(map(slice, lo, hi))] = lattice[src]
+        return InfConvResult(ExtGridFn(box, vals), np.full(shape, -1, dtype=np.int64))
 
     active = np.isfinite(W.values)
     big = int(np.prod(shape)) * int(active.sum()) > _TWOSTAGE_MIN_CANDIDATES
@@ -556,14 +556,14 @@ def hopflax_apply(
 def _hopflax_exact(g, W, h, axes, shape, active):
     # its own entry point, so a trace tells the exact path from twostage,
     # whose two scans run the same kernel
-    tables = _axis_tables(g, W, h, axes)
+    tables = _axis_tables(g, [h * ax for ax in W.axes], axes)
     weights = h * W.values
     boxes = _prune_boxes(g, tables, shape, weights, active)
     return _scan_candidates(_interpolator(g), tables, shape, weights, active, boxes)
 
 
 def _hopflax_twostage(g, W, h, axes, shape):
-    tables = _axis_tables(g, W, h, axes)
+    tables = _axis_tables(g, [h * ax for ax in W.axes], axes)
     lattice = _interpolator(g)
     weights = h * W.values
     active = np.isfinite(W.values)

@@ -17,9 +17,9 @@ import math
 import numpy as np
 
 from epiconv.bblcheck import BBLParams
-from epiconv.extgrid import _SNAP, INF, EpigraphDomain, ExtGridFn, _euclidean_norm
+from epiconv.extgrid import INF, EpigraphDomain, ExtGridFn, _euclidean_norm
 from epiconv.fields import ScalarField
-from epiconv.hopflax import InfConvResult, infconv
+from epiconv.hopflax import _SNAP, InfConvResult, infconv
 from epiconv.quadrature import (
     QuadSpec,
     _axis_nodes,
@@ -430,9 +430,13 @@ def exact_hopflax_reference(g, W, h, out_axes):
 
 
 def interpolate_reference(f: ExtGridFn, points) -> np.ndarray:
-    """ExtGridFn.interpolate as it was, with a compress and scatter per
-    corner, kept verbatim except that self is the argument f, the local f is
-    fr, and the result is flat over the (..., dim) points."""
+    """Conservative multilinear interpolation of f at arbitrary points, as
+    the library's former ``ExtGridFn.interpolate`` first did it with a
+    compress and scatter per corner. Kept verbatim except that self is the
+    argument f, the local f is fr, the result is flat over the (..., dim)
+    points, and the flat index follows the grid's row-major order (strides
+    taken from the array's memory layout read wrong nodes of transposed or
+    reversed values)."""
     flat = np.asarray(points, dtype=float).reshape(-1, f.dim)
     npts = flat.shape[0]
     base = np.zeros((npts, f.dim), dtype=np.int64)
@@ -456,7 +460,7 @@ def interpolate_reference(f: ExtGridFn, points) -> np.ndarray:
 
     out = np.zeros(npts)
     hit_inf = outside.copy()
-    strides = np.array(f.values.strides) // f.values.itemsize
+    strides = np.array([math.prod(f.resolution[d + 1 :]) for d in range(f.dim)])
     flat_vals = f.values.ravel()
     base_flat = base @ strides
     for corner in np.ndindex(*(2,) * f.dim):

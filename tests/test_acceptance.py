@@ -5,6 +5,7 @@ own reported estimates where the criterion says so, never recalibrated to make
 a run green.
 """
 
+import hashlib
 import math
 import time
 
@@ -446,6 +447,11 @@ def test_c13_counterexample_fixture():
     )
 
 
+# sha256 of the `suite paper` report, the behaviour oracle: a change that
+# moves it on purpose updates this pin and records the new hash in CHANGES.md
+SUITE_PAPER_SHA256 = "2242b2f2e84783ad95d87655a183351ad103f5b1cbd18d0d954e9ef8a0bacc5d"
+
+
 def test_c14_suite_determinism(tmp_path):
     t0 = time.perf_counter()
     r1 = cli.run_suite(str(tmp_path / "suite1.json"))
@@ -455,9 +461,11 @@ def test_c14_suite_determinism(tmp_path):
     b2 = (tmp_path / "suite2.json").read_bytes()
     assert r1.passed and r2.passed
     assert b1 == b2
+    assert hashlib.sha256(b1).hexdigest() == SUITE_PAPER_SHA256
     assert first < 600.0
     report(
         "criterion 14 (determinism)",
         True,
-        f"suite bit-identical across two executions, {first:.0f} s per run (< 600 s)",
+        f"suite bit-identical across two executions and to the pinned sha256, "
+        f"{first:.0f} s per run (< 600 s)",
     )

@@ -19,7 +19,9 @@ from epiconv.extgrid import (
     weight_P,
 )
 from epiconv.fields import ScalarField
+from epiconv.hopflax import hopflax_apply
 from oracles import (
+    _shift_interp_candidates,
     bh_contains,
     bh_membership_bruteforce,
     domain_indices,
@@ -206,6 +208,16 @@ class TestSampleGrid:
             sample_grid(halfplane, [(0, 1), (0, 1)], [3, 3], lambda p: np.full(len(p), np.nan))
 
 
+def lattice_read(f, lo, resolution):
+    """f on the grid at f's spacing (1 on one-node axes) whose first node is
+    lo, as the h = 0 Hopf-Lax reads it: the package's one interpolation."""
+    steps = [s if s > 0 else 1.0 for s in f.spacing]
+    box = [(a, a + s * (m - 1)) for a, s, m in zip(lo, steps, resolution)]
+    res = hopflax_apply(f, f, 0.0, out_box=box, out_resolution=resolution)
+    assert (res.argmin == -1).all()
+    return res.values
+
+
 class TestInterpolation:
     def test_matches_scalar_reference(self):
         from oracles import bilinear_scalar
@@ -214,24 +226,31 @@ class TestInterpolation:
         vals = rng.uniform(0, 4, size=(7, 6))
         vals[rng.random((7, 6)) < 0.2] = INF
         f = ExtGridFn([(-1, 2), (0, 1.5)], vals)
-        pts = rng.uniform([-1.2, -0.2], [2.2, 1.7], size=(300, 2))
-        got = f.interpolate(pts)
-        want = np.array([bilinear_scalar(f.axes, vals, p) for p in pts])
+        got, want = [], []
+        for lo in rng.uniform([-1.7, -0.5], [-0.3, 0.5], size=(20, 2)):
+            read = lattice_read(f, lo, (8, 7))
+            got.append(read.values.ravel())
+            nodes = grid_nodes(read).reshape(-1, 2)
+            want.extend(bilinear_scalar(f.axes, vals, p) for p in nodes)
+        got = np.concatenate(got)
         np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert np.isfinite(got).any() and np.isinf(got).any()
 
     def test_node_exact(self):
         vals = np.array([[1.0, INF], [2.0, 3.0]])
         f = ExtGridFn([(0, 1), (0, 1)], vals)
-        assert f.interpolate(np.array([0.0, 0.0])) == 1.0
-        # the inf corner does not poison a node-exact query on the other corner
-        assert f.interpolate(np.array([1.0, 1.0])) == 3.0
-        assert np.isinf(f.interpolate(np.array([0.0, 1.0])))
+        # the inf corner does not poison a node-exact read of the other nodes
+        assert lattice_read(f, [0.0, 0.0], (2, 2)).values.tobytes() == vals.tobytes()
+        # offsets within _SNAP of a gridline read the node; outside the box
+        # is +inf
+        assert lattice_read(f, [1.0, 1e-12], (1, 2)).values.tolist() == [[2.0, 3.0]]
+        assert lattice_read(f, [0.0, -1.0], (1, 3)).values.tolist() == [[INF, 1.0, INF]]
 
     def test_conservative_near_boundary(self):
         vals = np.array([[1.0, INF], [1.0, INF]])
         f = ExtGridFn([(0, 1), (0, 1)], vals)
-        assert np.isinf(f.interpolate(np.array([0.5, 0.4])))
-        assert f.interpolate(np.array([0.5, 0.0])) == 1.0
+        assert np.isinf(lattice_read(f, [0.5, 0.4], (1, 1)).values).all()
+        assert lattice_read(f, [0.5, 0.0], (1, 2)).values.tolist() == [[1.0, INF]]
 
     @pytest.mark.parametrize(
         "shape", [(9,), (1,), (7, 6), (1, 6), (6, 1), (5, 1, 4), (4, 3, 5), (1, 1)]
@@ -246,32 +265,53 @@ class TestInterpolation:
         vals[rng.random(shape) < 0.25] = INF
         vals.flat[0] = -1.5
         f = ExtGridFn(box, vals)
-        nodes = grid_nodes(f).reshape(-1, len(shape))
-        span = np.array([hi - a for a, hi in box])
-        pts = np.concatenate([
-            nodes,
-            nodes + rng.choice([-1e-12, 1e-12], size=nodes.shape),
-            # node coordinates on some axes, random ones on the others
-            np.where(
-                rng.random((len(nodes), len(shape))) < 0.5,
-                nodes,
-                lo + span * rng.random((len(nodes), len(shape))),
+        steps = np.array([s if s > 0 else 1.0 for s in f.spacing])
+        nodes = rng.integers(-2, 3, size=(8, len(shape)))
+        starts = np.concatenate([
+            [lo],
+            lo + steps * nodes,
+            lo + steps * (nodes + rng.choice([-1e-12, 1e-12], size=nodes.shape)),
+            # whole-node offsets on some axes, fractional ones on the others
+            lo + steps * np.where(
+                rng.random(nodes.shape) < 0.5, nodes, rng.uniform(-2, 2, nodes.shape)
             ),
-            # inside the box and up to a tenth of its span outside
-            lo - 0.1 * span + 1.2 * span * rng.random((400, len(shape))),
+            lo + steps * rng.uniform(-2, 2, size=(16, len(shape))),
         ])
-        got = f.interpolate(pts)
-        assert got.tobytes() == interpolate_reference(f, pts).tobytes()
-        assert np.isfinite(got).any() and np.isinf(got).any()
+        seen = []
+        for start in starts:
+            resolution = tuple(int(m) for m in rng.integers(1, 4, len(shape)) + shape)
+            read = lattice_read(f, start, resolution)
+            want = _shift_interp_candidates(f, read.axes, np.zeros(len(shape)))
+            assert read.values.tobytes() == want.tobytes()
+            seen.append(read.values.ravel())
+        seen = np.concatenate(seen)
+        assert np.isfinite(seen).any() and np.isinf(seen).any()
 
     def test_non_contiguous_values(self):
-        # the flat index follows the grid's row-major order, not the memory
+        # the lattice follows the grid's row-major order, not the memory
         # layout of the array handed in
         vals = np.arange(12.0).reshape(3, 4)
         f = ExtGridFn([(0, 3), (0, 2)], vals.T)
-        np.testing.assert_array_equal(f.interpolate(grid_nodes(f)), vals.T)
+        np.testing.assert_array_equal(lattice_read(f, [0.0, 0.0], (4, 3)).values, vals.T)
+        np.testing.assert_array_equal(lattice_read(f, [1.0, 0.0], (3, 3)).values, vals.T[1:])
+        v = vals.T
+        mid = (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:]) / 4
+        np.testing.assert_array_equal(lattice_read(f, [0.5, 0.5], (3, 2)).values, mid)
         g = ExtGridFn([(0, 3)], np.arange(4.0)[::-1])
-        np.testing.assert_array_equal(g.interpolate(grid_nodes(g)), [3.0, 2.0, 1.0, 0.0])
+        np.testing.assert_array_equal(lattice_read(g, [0.0], (4,)).values, [3.0, 2.0, 1.0, 0.0])
+        np.testing.assert_array_equal(lattice_read(g, [0.5], (3,)).values, [2.5, 1.5, 0.5])
+
+    def test_reference_reads_non_contiguous_values(self):
+        from oracles import bilinear_scalar
+
+        rng = np.random.default_rng(5)
+        vals = rng.uniform(0, 4, size=(5, 4))
+        vals[rng.random((5, 4)) < 0.2] = INF
+        for v in (vals.T, vals[::-1, ::-1], np.ascontiguousarray(vals.T)):
+            f = ExtGridFn([(-1, 2), (0, 1.5)], v)
+            pts = rng.uniform([-1.2, -0.2], [2.2, 1.7], size=(300, 2))
+            want = [bilinear_scalar(f.axes, v, p) for p in pts]
+            np.testing.assert_allclose(interpolate_reference(f, pts), want, rtol=1e-12)
 
 
 def test_phi_zero_enforced():

@@ -26,8 +26,10 @@ from oracles import (
     counterexample_pair,
     counterexample_table,
     domain_sum_check,
+    _shift_interp_candidates,
     exact_hopflax_reference,
     grid_nodes,
+    interpolate_reference,
     is_grid_convex_reference,
     naive_hopflax,
     naive_infconv,
@@ -293,7 +295,7 @@ def _float_split_pair():
 def _offset_classes(g, W, h, axes):
     """The distinct offset tuples of the finite cost nodes that reach an
     output node."""
-    tables = hopflax._axis_tables(g, W, h, axes)
+    tables = hopflax._axis_tables(g, [h * ax for ax in W.axes], axes)
     reach = np.ones(W.resolution, dtype=bool)
     for d, (lo, hi, _base, _frac) in enumerate(tables):
         shape = [1] * W.dim
@@ -341,7 +343,8 @@ def test_fixtures_split_into_chunks():
         assert len(_offset_classes(g, W, h, res.values.axes)) > hopflax._LATTICE_CACHE
     # at h = 0.1 the rational offsets k/10 give at most 10 fractions per axis
     g, W, _ = _float_split_pair()
-    tables = hopflax._axis_tables(g, W, 0.1, hopflax_apply(g, W, 0.1).values.axes)
+    axes = hopflax_apply(g, W, 0.1).values.axes
+    tables = hopflax._axis_tables(g, [0.1 * ax for ax in W.axes], axes)
     assert max(len(np.unique(frac)) for *_rest, frac in tables) > 10
 
 
@@ -467,16 +470,9 @@ def test_twostage_bit_identical_to_reference(fixture, h, taken, monkeypatch):
     # the outputs left +inf are those no strided cost node reaches with a
     # finite candidate (on the half-space pair, a band along the boundary)
     monkeypatch.setattr(hopflax, "_TWOSTAGE_MIN_CANDIDATES", 0)
-    interpolated = []
-
-    def spy(self, points, _orig=ExtGridFn.interpolate):
-        interpolated.append(points)
-        return _orig(self, points)
-
-    monkeypatch.setattr(ExtGridFn, "interpolate", spy)
     g, W = TWOSTAGE_FIXTURES[fixture]()
     res = hopflax_apply(g, W, h)
-    assert taken == ["twostage"] and not interpolated
+    assert taken == ["twostage"]
     want, warg = exact_hopflax_reference(g, W, h, res.values.axes)
     fin = res.values.finite_mask
     assert res.values.values[fin].tobytes() == want[fin].tobytes()
@@ -541,12 +537,14 @@ class TestHopfLaxApply:
         assert (res.argmin == -1).all()
 
     def test_h_zero_on_requested_grid(self):
+        # g's spacing 0.5, shifted by a quarter cell on the second axis
         g = _cone_cut(quadratic_grid(1, 5))
-        box, shape = [(-3.0, 3.0), (-0.5, 1.0)], (13, 7)
+        box, shape = [(-3.0, 3.0), (-0.375, 1.125)], (13, 4)
         res = hopflax_apply(g, g, 0.0, out_box=box, out_resolution=shape)
         assert res.values.box == tuple(box) and res.values.resolution == shape
         nodes = grid_nodes(res.values)
-        np.testing.assert_array_equal(res.values.values, g.interpolate(nodes))
+        want = _shift_interp_candidates(g, res.values.axes, np.zeros(2))
+        assert res.values.values.tobytes() == want.tobytes()
         # outside g's box and in cells with a +inf corner the value is +inf
         assert np.isinf(res.values.values[np.abs(nodes[..., 0]) > 1]).all()
         assert res.values.finite_mask.any()
@@ -609,10 +607,7 @@ class TestHopfLaxApply:
         for _ in range(3):
             jm = tuple(rng.integers(0, 25, 2))
             y = np.array([W.axes[d][jm[d]] for d in range(2)])
-            cand = g.interpolate(
-                np.stack(np.meshgrid(*res.values.axes, indexing="ij"), -1).reshape(-1, 2)
-                - h * y
-            ).reshape(res.values.resolution) + h * W.values[jm]
+            cand = _shift_interp_candidates(g, res.values.axes, h * y) + h * W.values[jm]
             m = np.isfinite(cand)
             assert (res.values.values[m] <= cand[m] + 1e-12).all()
 
@@ -653,6 +648,20 @@ class TestHopfLaxApply:
         with pytest.raises(ValueError, match="spacing"):
             hopflax_apply(g, W, 0.5, out_box=[(-1, 1)], out_resolution=[11])
         assert taken == []
+
+    def test_h_zero_output_spacing_other_than_g_rejected(self):
+        # h = 0 reads g's lattice like every other h, so it refuses the same
+        # grids with the same error
+        xs = np.linspace(-1, 1, 21)
+        g, W = grid1d(-1, 1, xs**2 / 2 + 1), grid1d(-1, 1, xs**2 / 2)
+        messages = []
+        for h in (0.0, 0.5):
+            with pytest.raises(ValueError, match="spacing") as err:
+                hopflax_apply(g, W, h, out_box=[(-1, 1)], out_resolution=[11])
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        read = hopflax_apply(g, W, 0.0, out_box=[(-2, 2)], out_resolution=[41])
+        assert read.values.finite_mask.sum() == 21
 
     @pytest.mark.parametrize("h", [0.0, 0.5])
     def test_output_grid_of_other_dimension_rejected(self, h):
@@ -780,7 +789,7 @@ class TestPointwise:
         direct = hopflax_pointwise(
             quad.fn, quad.fn, 0.5, pts, y_box=[(-3, 3)] * 2, y_resolution=[31, 31]
         )
-        interp = res.values.interpolate(pts)
+        interp = interpolate_reference(res.values, pts)
         np.testing.assert_allclose(direct, interp, atol=5e-3)
 
     def test_closed_form_accuracy(self):
