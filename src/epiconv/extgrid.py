@@ -264,12 +264,13 @@ def affine_max(slopes: Sequence[Sequence[float]], n: int | None = None) -> Epigr
     if n - 1 != nm1:
         raise ValueError("slope vectors must live in R^{n-1}")
 
+    # matmul rounds by memory layout, so it reads C order whatever it is given
     def phi(x1):
-        x1 = np.asarray(x1, dtype=float)
+        x1 = np.ascontiguousarray(x1, dtype=float)
         return np.max(x1 @ A.T, axis=-1)
 
     def grad(x1):
-        x1 = np.asarray(x1, dtype=float)
+        x1 = np.ascontiguousarray(x1, dtype=float)
         vals = x1 @ A.T
         j = np.argmax(vals, axis=-1)
         return A[j]

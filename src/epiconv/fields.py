@@ -28,7 +28,13 @@ __all__ = [
 
 @dataclass
 class ScalarField:
-    """fn: (..., n) -> (...); grad falls back to central differences."""
+    """fn: (..., n) -> (...); grad falls back to central differences.
+
+    Quadrature and ``hopflax_pointwise`` pass fn and grad point batches as
+    (..., n) views with contiguous coordinate planes. fn, grad and conjugate
+    must not write to their input, must give the same bytes whatever its
+    memory layout, and copy it themselves if they need C order.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray] | None = None
@@ -83,7 +89,11 @@ def shifted_field(field: ScalarField, shift: np.ndarray) -> ScalarField:
         conjugate=(
             None
             if base_conj is None
-            else (lambda p: np.asarray(base_conj(p), dtype=float) - np.asarray(p, dtype=float) @ shift)
+            # matmul rounds by memory layout, so p . shift reads C order
+            else (
+                lambda p: np.asarray(base_conj(p), dtype=float)
+                - np.ascontiguousarray(p, dtype=float) @ shift
+            )
         ),
         name=f"{field.name}(.+e)",
     )

@@ -72,6 +72,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .extgrid import INF, EpigraphDomain, ExtGridFn, _unit_e
+from .quadrature import _mesh_points
 
 __all__ = [
     "InfConvResult",
@@ -625,6 +626,12 @@ def hopflax_pointwise(
     result is deterministic and accurate to roughly the squared final zoom
     width for smooth interior minima, which is what the small-h difference
     quotients need.
+
+    The candidates are stored coordinate-major, one contiguous plane per
+    coordinate, and g_fn, W_fn and the domains see them as (..., n) views of
+    that storage. A callable must not write to the points, must give the same
+    bytes whatever their memory layout, and copies them itself if it needs C
+    order.
     """
     pts_all = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts_all.shape[1]
@@ -634,81 +641,72 @@ def hopflax_pointwise(
             vals = np.where(g_domain.contains(pts_all, 0.0), vals, INF)
         return vals
 
-    local = np.stack(
-        np.meshgrid(*([np.array([-1.0, -0.5, 0.0, 0.5, 1.0])] * n), indexing="ij"),
-        axis=-1,
-    ).reshape(-1, n)
+    # candidate offsets as (n, k) coordinate planes, nodes in row-major order
+    local = _mesh_points([np.array([-1.0, -0.5, 0.0, 0.5, 1.0])] * n).T
     if y_box is not None:
         if y_resolution is None:
             raise ValueError("y_resolution is required with an explicit y_box")
-        axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(y_box, y_resolution)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        mesh = _mesh_points(
+            [np.linspace(lo, hi, m) for (lo, hi), m in zip(y_box, y_resolution)]
+        ).T
         width0 = np.array(
             [(hi - lo) / max(m - 1, 1) for (lo, hi), m in zip(y_box, y_resolution)]
         )
-        ncand = mesh.shape[0]
+        ncand = mesh.shape[1]
     else:
         m = 13
-        unit = np.stack(
-            np.meshgrid(*([np.linspace(-1.0, 1.0, m)] * n), indexing="ij"), axis=-1
-        ).reshape(-1, n)
-        ncand = unit.shape[0]
-    shift_e = _unit_e(n)
+        unit = _mesh_points([np.linspace(-1.0, 1.0, m)] * n).T
+        ncand = unit.shape[1]
 
     out = np.empty(pts_all.shape[0])
-    chunk = max(1, int(2_000_000 / max(ncand, 1)))
+    chunk = max(1, int(100_000 / max(ncand, 1)))
     for i0 in range(0, pts_all.shape[0], chunk):
         pts = pts_all[i0 : i0 + chunk]
+        x = np.ascontiguousarray(pts.T)  # (n, npts)
+        npts = x.shape[1]
 
-        def objective(y):  # y shape (npts, k, n)
-            q = pts[:, None, :] - h * y
-            gv = np.asarray(g_fn(q.reshape(-1, n)), dtype=float).reshape(q.shape[:2])
+        def objective(y):  # y: (n, npts or 1, k) coordinate planes
+            q = x[:, :, None] - h * y
+            qv, yv = np.moveaxis(q, 0, -1), np.moveaxis(y, 0, -1)
+            gv = np.asarray(g_fn(qv), dtype=float)
             if g_domain is not None:
-                gv = np.where(
-                    g_domain.contains(q.reshape(-1, n), 0.0).reshape(q.shape[:2]), gv, INF
-                )
-            wv = np.asarray(W_fn(y.reshape(-1, n)), dtype=float).reshape(y.shape[:2])
+                gv = np.where(g_domain.contains(qv, 0.0), gv, INF)
+            wv = np.asarray(W_fn(yv), dtype=float)
             if W_domain is not None:
-                wv = np.where(
-                    W_domain.contains(y.reshape(-1, n), 1.0).reshape(y.shape[:2]),
-                    wv,
-                    INF,
-                )
+                wv = np.where(W_domain.contains(yv, 1.0), wv, INF)
             return gv + h * wv
 
         if y_box is not None:
-            coarse = objective(np.broadcast_to(mesh, (pts.shape[0],) + mesh.shape))
-            centers = mesh[np.argmin(coarse, axis=1)]
-            width = np.broadcast_to(width0, pts.shape).copy()
+            # every point scans the same box, so W reads its nodes once
+            coarse = objective(mesh[:, None, :])
+            centers = mesh[:, np.argmin(coarse, axis=1)]
+            width = np.broadcast_to(width0[:, None], x.shape)
         else:
             radius = 4.0 * (1.0 + np.linalg.norm(pts, axis=-1))
-            cand = pts[:, None, :] + shift_e + unit[None, :, :] * radius[:, None, None]
+            xe = x + _unit_e(n)[:, None]
+            cand = np.empty((n, npts, ncand + (2 if W_domain is not None else 0)))
+            cand[:, :, :ncand] = xe[:, :, None] + unit[:, None, :] * radius[:, None]
             if W_domain is not None:
                 # guaranteed-feasible seeds for boundary points, where the
                 # feasible slice is too thin for a blind scan: the support-set
                 # witness y1 = x1/(1+h) at the shifted boundary height, and
                 # the scaling witness (x + e)/(1+h)
-                y1w = pts[:, :-1] / (1.0 + h)
-                anchor1 = np.concatenate(
-                    [y1w, (1.0 + W_domain.phi(y1w))[:, None]], axis=1
-                )
-                anchor2 = (pts + shift_e) / (1.0 + h)
-                cand = np.concatenate(
-                    [cand, anchor1[:, None, :], anchor2[:, None, :]], axis=1
-                )
+                y1w = x[:-1] / (1.0 + h)
+                cand[:-1, :, ncand] = y1w
+                cand[-1, :, ncand] = 1.0 + W_domain.phi(y1w.T)
+                cand[:, :, ncand + 1] = xe / (1.0 + h)
             coarse = objective(cand)
-            centers = cand[np.arange(pts.shape[0]), np.argmin(coarse, axis=1)]
-            step = 2.0 * radius / (m - 1)
-            width = np.repeat(step[:, None], n, axis=1)
+            centers = cand[:, np.arange(npts), np.argmin(coarse, axis=1)]
+            width = np.broadcast_to(2.0 * radius / (m - 1), x.shape)
         best = np.min(coarse, axis=1)
         for _ in range(zoom_iters):
-            cand = centers[:, None, :] + local[None, :, :] * width[:, None, :]
+            cand = centers[:, :, None] + local[:, None, :] * width[:, :, None]
             cv = objective(cand)
             k = np.argmin(cv, axis=1)
-            cbest = cv[np.arange(len(k)), k]
+            cbest = cv[np.arange(npts), k]
             improve = cbest < best
             best = np.where(improve, cbest, best)
-            centers = np.where(improve[:, None], cand[np.arange(len(k)), k], centers)
+            centers = np.where(improve, cand[:, np.arange(npts), k], centers)
             width = width * 0.45
         out[i0 : i0 + chunk] = best
     return out

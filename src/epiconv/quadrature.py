@@ -16,7 +16,10 @@ An integrand takes an (m, n) array of points and returns their m values, and
 a point's value must not depend on the other points of the call. Both the
 column blocks, which bound the points of one call, and the refinement
 estimate, whose coarse run reads the values the fine run computed at the
-nodes the two grids share, rely on that.
+nodes the two grids share, rely on that. The points are stored
+coordinate-major: the (m, n) array is a view with contiguous coordinate
+planes ``p[:, d]``. An integrand must not write to it, must give the same
+bytes whatever its memory layout, and copies it itself if it needs C order.
 """
 
 from __future__ import annotations
@@ -128,12 +131,13 @@ def _node_map(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
     return np.where(fine[k].view(np.uint64) == coarse.view(np.uint64), k, -1)
 
 
-def _mesh_points(axes) -> np.ndarray:
-    """The tensor nodes of ``axes`` in row-major order, one per row."""
+def _mesh_points(axes, sel=slice(None)) -> np.ndarray:
+    """The tensor nodes ``sel`` of ``axes`` in row-major order, one per row,
+    stored coordinate-major."""
     if not axes:
         return np.zeros((1, 0))
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return np.stack([m.ravel()[sel] for m in mesh]).T
 
 
 def _tensor_weights(axes) -> np.ndarray:
@@ -227,8 +231,8 @@ def _column_sums(fn, cols: _Columns, sel, known=None, decay=None):
         need &= ~kmask
         fb[kpart] = kfb[kpart]
         bneed = part & ~kpart
-    # the needed nodes in row-major order, one coordinate at a time
-    pts = np.empty((np.count_nonzero(need), x1b.shape[1] + 1))
+    # the needed nodes in row-major order, one coordinate plane at a time
+    pts = np.empty((x1b.shape[1] + 1, np.count_nonzero(need))).T
     for d in range(x1b.shape[1]):
         pts[:, d] = np.broadcast_to(x1b[:, d, None], need.shape)[need]
     pts[:, -1] = np.broadcast_to(x2, need.shape)[need]
@@ -245,7 +249,9 @@ def _column_sums(fn, cols: _Columns, sel, known=None, decay=None):
     # partial cell from the exact boundary up to the first gridline
     pb = np.flatnonzero(bneed)
     if pb.size:
-        bpts = np.concatenate([x1b[pb], cols.lo[sel][pb][:, None]], axis=1)
+        bpts = np.empty((x1b.shape[1] + 1, pb.size)).T
+        bpts[:, :-1] = x1b[pb]
+        bpts[:, -1] = cols.lo[sel][pb]
         fb[pb] = np.asarray(fn(bpts), dtype=float)
     pb = np.flatnonzero(part)
     if pb.size:
@@ -357,7 +363,7 @@ def integrate_boundary(
             np.ix_(*[np.maximum(m, 0) for m in maps])
         ].ravel()
         if not known.all():
-            cvals[~known] = fn(_mesh_points(caxes)[~known])
+            cvals[~known] = fn(_mesh_points(caxes, ~known))
         coarse_total += float(np.sum(_tensor_weights(caxes) * cvals))
     tail = (
         power_tail_bound(tail_K, decay, spec.outer_radius, dim)

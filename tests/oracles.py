@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from epiconv.bblcheck import BBLParams
-from epiconv.extgrid import INF, EpigraphDomain, ExtGridFn, _euclidean_norm
+from epiconv.extgrid import INF, EpigraphDomain, ExtGridFn, _euclidean_norm, _unit_e
 from epiconv.fields import ScalarField
 from epiconv.hopflax import _SNAP, InfConvResult, infconv
 from epiconv.quadrature import (
@@ -427,6 +427,98 @@ def exact_hopflax_reference(g, W, h, out_axes):
             vals = np.where(better, cand, vals)
             arg[better] = int(np.ravel_multi_index(multi, W.resolution))
     return vals, arg
+
+
+def hopflax_pointwise_reference(
+    g_fn, W_fn, h, points, y_box=None, y_resolution=None,
+    g_domain=None, W_domain=None, zoom_iters=14,
+):
+    """``hopflax_pointwise`` with its candidates stored point-major, an
+    (npts, k, n) C-order array flattened to (npts * k, n) rows for every
+    field and domain call: the same coarse scan, anchors, zoom stencil and
+    argmins, one float expression per candidate."""
+    pts_all = np.atleast_2d(np.asarray(points, dtype=float))
+    n = pts_all.shape[1]
+    if h == 0.0:
+        vals = np.asarray(g_fn(pts_all), dtype=float)
+        if g_domain is not None:
+            vals = np.where(g_domain.contains(pts_all, 0.0), vals, INF)
+        return vals
+
+    local = np.stack(
+        np.meshgrid(*([np.array([-1.0, -0.5, 0.0, 0.5, 1.0])] * n), indexing="ij"),
+        axis=-1,
+    ).reshape(-1, n)
+    if y_box is not None:
+        if y_resolution is None:
+            raise ValueError("y_resolution is required with an explicit y_box")
+        axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(y_box, y_resolution)]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        width0 = np.array(
+            [(hi - lo) / max(m - 1, 1) for (lo, hi), m in zip(y_box, y_resolution)]
+        )
+        ncand = mesh.shape[0]
+    else:
+        m = 13
+        unit = np.stack(
+            np.meshgrid(*([np.linspace(-1.0, 1.0, m)] * n), indexing="ij"), axis=-1
+        ).reshape(-1, n)
+        ncand = unit.shape[0]
+    shift_e = _unit_e(n)
+
+    out = np.empty(pts_all.shape[0])
+    chunk = max(1, int(2_000_000 / max(ncand, 1)))
+    for i0 in range(0, pts_all.shape[0], chunk):
+        pts = pts_all[i0 : i0 + chunk]
+
+        def objective(y):  # y shape (npts, k, n)
+            q = pts[:, None, :] - h * y
+            gv = np.asarray(g_fn(q.reshape(-1, n)), dtype=float).reshape(q.shape[:2])
+            if g_domain is not None:
+                gv = np.where(
+                    g_domain.contains(q.reshape(-1, n), 0.0).reshape(q.shape[:2]), gv, INF
+                )
+            wv = np.asarray(W_fn(y.reshape(-1, n)), dtype=float).reshape(y.shape[:2])
+            if W_domain is not None:
+                wv = np.where(
+                    W_domain.contains(y.reshape(-1, n), 1.0).reshape(y.shape[:2]),
+                    wv,
+                    INF,
+                )
+            return gv + h * wv
+
+        if y_box is not None:
+            coarse = objective(np.broadcast_to(mesh, (pts.shape[0],) + mesh.shape))
+            centers = mesh[np.argmin(coarse, axis=1)]
+            width = np.broadcast_to(width0, pts.shape).copy()
+        else:
+            radius = 4.0 * (1.0 + np.linalg.norm(pts, axis=-1))
+            cand = pts[:, None, :] + shift_e + unit[None, :, :] * radius[:, None, None]
+            if W_domain is not None:
+                y1w = pts[:, :-1] / (1.0 + h)
+                anchor1 = np.concatenate(
+                    [y1w, (1.0 + W_domain.phi(y1w))[:, None]], axis=1
+                )
+                anchor2 = (pts + shift_e) / (1.0 + h)
+                cand = np.concatenate(
+                    [cand, anchor1[:, None, :], anchor2[:, None, :]], axis=1
+                )
+            coarse = objective(cand)
+            centers = cand[np.arange(pts.shape[0]), np.argmin(coarse, axis=1)]
+            step = 2.0 * radius / (m - 1)
+            width = np.repeat(step[:, None], n, axis=1)
+        best = np.min(coarse, axis=1)
+        for _ in range(zoom_iters):
+            cand = centers[:, None, :] + local[None, :, :] * width[:, None, :]
+            cv = objective(cand)
+            k = np.argmin(cv, axis=1)
+            cbest = cv[np.arange(len(k)), k]
+            improve = cbest < best
+            best = np.where(improve, cbest, best)
+            centers = np.where(improve[:, None], cand[np.arange(len(k)), k], centers)
+            width = width * 0.45
+        out[i0 : i0 + chunk] = best
+    return out
 
 
 def interpolate_reference(f: ExtGridFn, points) -> np.ndarray:

@@ -29,6 +29,7 @@ from oracles import (
     _shift_interp_candidates,
     exact_hopflax_reference,
     grid_nodes,
+    hopflax_pointwise_reference,
     interpolate_reference,
     is_grid_convex_reference,
     naive_hopflax,
@@ -799,3 +800,60 @@ class TestPointwise:
         want = (1 + 0.5) * quad(pts / 1.5)
         np.testing.assert_allclose(got, want, atol=1e-8)
 
+
+def _pointwise_case(n, domain, npts, h, seed):
+    """(g, W, points, domain) for the pointwise evaluator: the power cost
+    W = 1.3 ||y||^2.5 / 2.5 and g = W(. + e); points near the origin, and
+    with a domain, half of them lifted into the shifted domain Omega_h and a
+    quarter put on its boundary, where the anchors seed the search."""
+    W = power_cost_field(1.3, 2.5, NormSpec("euclidean"))
+    g = shifted_field(W, np.eye(n)[-1])
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-2.0, 2.0, (npts, n))
+    dom = None
+    if domain is not None:
+        dom = halfspace(n) if domain == "halfspace" else norm_cone(n, 1.0)
+        floor = dom.phi(pts[:, :-1]) + h
+        k = npts // 2
+        pts[:k, -1] = floor[:k] + rng.uniform(0.0, 2.0, k)
+        pts[k : k + npts // 4, -1] = floor[k : k + npts // 4]
+    return g, W, pts, dom
+
+
+POINTWISE_BRANCHES = [
+    (1, "y_box", None), (1, "free", None),
+    (2, "y_box", None), (2, "free", None), (2, "both", "halfspace"), (2, "both", "cone"),
+    (2, "g_only", "cone"), (2, "W_only", "halfspace"),
+    (3, "y_box", None), (3, "free", None), (3, "both", "halfspace"), (3, "both", "cone"),
+]
+
+
+@pytest.mark.parametrize("h", [0.05, 0.3, 1.0])
+@pytest.mark.parametrize("n, branch, domain", POINTWISE_BRANCHES)
+def test_pointwise_bit_identical_to_reference(n, branch, domain, h):
+    # coordinate-major candidates give the bytes of the point-major evaluator
+    g, W, pts, dom = _pointwise_case(n, domain, 24, h, seed=10 * n + len(branch))
+    kw = {"zoom_iters": 10}
+    if branch == "y_box":
+        kw.update(y_box=[(-2.5, 2.5)] * (n - 1) + [(-1.0, 3.0)], y_resolution=[9] * n)
+    if branch in ("both", "g_only"):
+        kw["g_domain"] = dom
+    if branch in ("both", "W_only"):
+        kw["W_domain"] = dom
+    got = hopflax_pointwise(g.fn, W.fn, h, pts, **kw)
+    want = hopflax_pointwise_reference(g.fn, W.fn, h, pts, **kw)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("branch", ["y_box", "both"])
+def test_pointwise_bit_identical_across_chunks(branch):
+    # more points than one chunk holds (100_000 candidates: 584 points of
+    # 171 candidates, 104 points of a 31 x 31 box)
+    g, W, pts, dom = _pointwise_case(2, "cone", 1300 if branch == "both" else 250, 0.3, seed=7)
+    if branch == "y_box":
+        kw = {"y_box": [(-3.0, 3.0)] * 2, "y_resolution": [31, 31], "zoom_iters": 6}
+    else:
+        kw = {"g_domain": dom, "W_domain": dom, "zoom_iters": 6}
+    got = hopflax_pointwise(g.fn, W.fn, 0.3, pts, **kw)
+    want = hopflax_pointwise_reference(g.fn, W.fn, 0.3, pts, **kw)
+    assert got.tobytes() == want.tobytes()

@@ -260,3 +260,40 @@ def test_boundary_bit_identical_to_reference(dim, spec):
     for key, s in (("fine", spec.refined(extend=False)), ("coarse", spec)):
         integrate_boundary(lambda p, c=calls[key]: c.append(p) or f(p), dim, s, decay=3.0)
     _once_per_sweep(calls["est"], calls["fine"], calls["coarse"])
+
+
+def _plane_spy(f, seen):
+    """f, recording for each call whether every coordinate plane of the
+    points is contiguous."""
+    def spy(p):
+        seen.append(all(p[:, d].flags.c_contiguous for d in range(p.shape[1])))
+        return f(p)
+    return spy
+
+
+@pytest.mark.parametrize("estimate", [False, True])
+@pytest.mark.parametrize("case", ["cone", "paraboloid", "cone3d"])
+def test_epigraph_points_are_coordinate_major(case, estimate):
+    # non-nesting spacings, so the estimate also evaluates coarse-only
+    # columns, and curved boundaries, so partial cells evaluate boundary points
+    if case == "cone3d":
+        dom, e = norm_cone(3, 0.7), np.array([0.0, 0.0, 1.0])
+    else:
+        dom, e = DOMAINS[case](), E2
+    spec = QuadSpec(half_width=2.0, dx=0.3, levels=1)
+    seen = []
+    f = _plane_spy(moment_integrand(4.5, e), seen)
+    integrate_epigraph(f, dom, spec, shift=0.3, decay=4.5, estimate=estimate)
+    assert len(seen) > 1 and all(seen)
+
+
+@pytest.mark.parametrize("estimate", [False, True])
+def test_boundary_points_are_coordinate_major(estimate):
+    seen = []
+    f = lambda p: (1.0 + np.sum(np.asarray(p) ** 2, axis=-1)) ** (-1.5)
+    spec = QuadSpec(5.0, 0.3, 2)
+    integrate_boundary(_plane_spy(f, seen), 2, spec, decay=3.0, estimate=estimate)
+    # one call per shell slab, and with the estimate more for the coarse
+    # nodes the non-nesting fine grid lacks
+    slabs = 1 + 2 * 2 * spec.levels
+    assert (len(seen) > slabs if estimate else len(seen) == slabs) and all(seen)
