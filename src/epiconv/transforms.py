@@ -1,12 +1,15 @@
 """Discrete Legendre-Fenchel transforms, dual norms, and the power-cost conjugate.
 
-The 1D conjugate is computed by the convex-hull walk (LLT): only lower-hull
-vertices of the sample graph can attain the sup, and the attaining vertex is
-the one where the hull edge slopes cross the dual slope. Each slope finds that
-crossing by a binary search of the running maximum of the edge slopes, and a
-float scan of the five hull vertices around it takes the maximum, so the
-output agrees bit for bit with the exhaustive reference, smallest index
-winning ties.
+Conjugates of sampled lines are computed by the convex-hull walk (LLT,
+Lucet 1997): only lower-hull vertices of the sample graph can attain the sup,
+and the attaining vertex is the one where the hull edge slopes cross the dual
+slope. Every line of a sweep is one row of a 2-D array, and the monotone-chain
+hull advances over the sample index for all rows at once. Each slope finds its
+crossing by a search of the running maximum of the edge slopes, and a float
+scan of the five hull vertices around it takes the maximum, so the output
+agrees bit for bit with the exhaustive reference, smallest index winning ties.
+:func:`legendre_1d` is the one-line case of the sweep that :func:`legendre_nd`
+runs once per axis.
 
 Conjugates are taken on bounded boxes. Restricting the sup to a box is the
 same as adding the box's indicator to the function, which can only raise the
@@ -23,6 +26,10 @@ import numpy as np
 
 from .extgrid import INF, ExtGridFn, _euclidean_norm
 
+# rows x max(samples, slopes) elements per block of the hull scan in
+# _legendre_lines, which bounds the scan's temporary arrays to about 1 MB
+_SCAN_BLOCK = 1 << 13
+
 __all__ = [
     "NormSpec",
     "ConjugateResult",
@@ -30,7 +37,6 @@ __all__ = [
     "legendre_nd",
     "default_dual_box",
     "dual_norm",
-    "dual_norm_sampled",
     "power_cost_conjugate",
 ]
 
@@ -40,9 +46,9 @@ class NormSpec:
     """A norm on R^n with computable dual.
 
     kinds: ``euclidean``; ``p_norm`` with p in [1, inf]; ``weighted_p_norm``
-    with positive weights w_i, ||x|| = (sum w_i |x_i|^p)^(1/p). The dual of a
-    p-norm is the p'-norm with 1/p + 1/p' = 1; weighted norms fall back to
-    sampled sphere maximization in :func:`dual_norm_sampled`.
+    with p in [1, inf] and positive weights w_i, ||x|| = (sum w_i |x_i|^p)^(1/p).
+    At p = inf both p-norm kinds are the limit max_i |x_i|, where the weights
+    drop out. Both have closed duals in :func:`dual_norm`.
     """
 
     kind: str = "euclidean"
@@ -63,9 +69,9 @@ class NormSpec:
         x = np.asarray(x, dtype=float)
         if self.kind == "euclidean":
             return _euclidean_norm(x)
+        if np.isinf(self.p):
+            return np.max(np.abs(x), axis=-1)
         if self.kind == "p_norm":
-            if np.isinf(self.p):
-                return np.max(np.abs(x), axis=-1)
             return np.sum(np.abs(x) ** self.p, axis=-1) ** (1.0 / self.p)
         w = np.asarray(self.weights)
         return np.sum(w * np.abs(x) ** self.p, axis=-1) ** (1.0 / self.p)
@@ -79,7 +85,7 @@ class NormSpec:
             return x / safe
         if self.kind == "p_norm" and not np.isinf(self.p) and self.p > 1:
             return np.sign(x) * np.abs(x) ** (self.p - 1) / safe ** (self.p - 1)
-        if self.kind == "weighted_p_norm" and self.p > 1:
+        if self.kind == "weighted_p_norm" and 1 < self.p < np.inf:
             w = np.asarray(self.weights)
             return w * np.sign(x) * np.abs(x) ** (self.p - 1) / safe ** (self.p - 1)
         raise ValueError(f"no differentiable gradient for {self.kind} with p={self.p}")
@@ -105,19 +111,31 @@ def norm_from_config(cfg: dict) -> NormSpec:
 
 
 def dual_norm(norm: NormSpec, y) -> float | np.ndarray:
-    """The dual norm sup {x.y : ||x|| = 1}.
+    """The dual norm sup {x.y : ||x|| = 1}, in closed form.
 
-    Closed p'-norm for euclidean and p-norm kinds; sampled maximization with
-    a reported gap for anything else (see :func:`dual_norm_sampled`).
+    The p'-norm for euclidean and p-norm kinds, 1/p + 1/p' = 1. For weighted
+    norms (sum_i w_i^(1-p') |y_i|^p')^(1/p'), which is max_i |y_i| / w_i at
+    p = 1 and sum_i |y_i| at p = inf, summed axis by axis so that the bytes
+    do not depend on the memory layout of y.
     """
     y = np.asarray(y, dtype=float)
-    if norm.kind in ("euclidean", "p_norm"):
-        q = norm.dual_exponent()
+    q = norm.dual_exponent()
+    if norm.kind == "weighted_p_norm":
+        w = norm.weights
+        a = np.abs(y)
+        if np.isinf(q):
+            val = a[..., 0] / w[0]
+            for k in range(1, y.shape[-1]):
+                val = np.maximum(val, a[..., k] / w[k])
+        else:
+            s = w[0] ** (1.0 - q) * a[..., 0] ** q
+            for k in range(1, y.shape[-1]):
+                s = s + w[k] ** (1.0 - q) * a[..., k] ** q
+            val = s ** (1.0 / q)
+    else:
         dual = NormSpec("p_norm", p=q) if norm.kind == "p_norm" or q != 2.0 else NormSpec("euclidean")
         val = dual(y)
-        return float(val) if y.ndim == 1 else val
-    val, _gap = dual_norm_sampled(norm, y)
-    return val
+    return float(val) if y.ndim == 1 else val
 
 
 def _sphere_directions(n: int, count: int) -> np.ndarray:
@@ -136,83 +154,113 @@ def _sphere_directions(n: int, count: int) -> np.ndarray:
     raise ValueError("deterministic sphere directions support n in {2, 3}")
 
 
-def dual_norm_sampled(norm: NormSpec, y):
-    """Lower bound for the dual norm by sampling unit vectors, with a gap estimate.
+def _legendre_lines(xs: np.ndarray, V: np.ndarray, slopes: np.ndarray):
+    """Discrete conjugates max_i (x_i*y - V[r, i]) of every row r of V.
 
-    The 4096 directions are deterministic (uniform angles in 2D, a Fibonacci
-    sphere in 3D); the gap estimate combines the change from halving the
-    sample count with the angular mesh bound ||y||_2 * delta.
+    Returns (values, argmax indices), each of shape (rows, slopes). +inf
+    samples are excluded; a row with no finite sample gives -inf (argmax -1).
+    The lower hull of each row is the monotone chain over the sample index,
+    advanced for all rows at once: at sample i every row where it is finite
+    pops its top vertex while that vertex does not lie strictly below the
+    chord to i. A running maximum of the hull edge slopes then locates each
+    slope's crossing (the running maximum keeps this well defined when
+    rounding makes the edge slopes non-monotone), and a float scan of the five
+    hull vertices around it takes the first maximum, so ties go to the
+    smallest index. Rejects NaN and -inf samples and non-finite slopes.
     """
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    ys = y[None, :] if single else y.reshape(-1, y.shape[-1])
-    n = ys.shape[-1]
-    dirs = _sphere_directions(n, 4096)
-    delta = 2.0 * np.pi / 4096 if n == 2 else np.sqrt(4.0 * np.pi / 4096)
-    units = dirs / norm(dirs)[:, None]
-    vals = units @ ys.T
-    best = vals.max(axis=0)
-    half = vals[::2].max(axis=0)
-    gap = np.abs(best - half) + np.linalg.norm(ys, axis=-1) * delta
-    if single:
-        return float(best[0]), float(gap[0])
-    return best.reshape(y.shape[:-1]), gap.reshape(y.shape[:-1])
-
-
-def _lower_hull(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Indices of the lower convex hull of the finite sample graph."""
-    # Python floats do the same IEEE double arithmetic as numpy scalars, faster
-    xs, vals = xs.tolist(), vals.tolist()
-    hull: list[int] = []
-    for i in range(len(xs)):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
+    if not (V > -INF).all():
+        raise ValueError("samples must not contain NaN or -inf")
+    if not np.isfinite(slopes).all():
+        raise ValueError("slopes must be finite")
+    rows, m = V.shape
+    # sample-major, so each step of the walk reads contiguous columns; in a
+    # 2-D sweep V.T is already contiguous and this makes no copy
+    S = np.ascontiguousarray(V.T)
+    finite = np.isfinite(S)
+    sflat = S.ravel()
+    hull = np.zeros((m, rows), dtype=np.intp)  # hull[p, r]: vertex p of row r
+    hflat = hull.ravel()
+    top = np.zeros(rows, dtype=np.intp)
+    every = np.arange(rows)
+    for i in range(m):
+        live = every if finite[i].all() else np.flatnonzero(finite[i])
+        r = live[top[live] >= 2]
+        while r.size:
+            a = hflat[(top[r] - 2) * rows + r]
+            b = hflat[(top[r] - 1) * rows + r]
+            va = sflat[a * rows + r]
             # keep b only if it lies strictly below chord a-i
-            lhs = (vals[b] - vals[a]) * (xs[i] - xs[a])
-            rhs = (vals[i] - vals[a]) * (xs[b] - xs[a])
-            if lhs >= rhs:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return np.asarray(hull, dtype=np.int64)
+            pop = (sflat[b * rows + r] - va) * (xs[i] - xs[a]) >= (S[i, r] - va) * (xs[b] - xs[a])
+            r = r[pop]
+            top[r] -= 1
+            r = r[top[r] >= 2]
+        hflat[top[live] * rows + live] = i
+        top[live] += 1
+
+    values = np.empty((rows, len(slopes)))
+    argmax = np.empty((rows, len(slopes)), dtype=np.intp)
+    step = max(1, _SCAN_BLOCK // max(m, len(slopes), 1))
+    for lo in range(0, rows, step):
+        r = every[lo:lo + step]
+        values[r], argmax[r] = _scan_hulls(xs, S, slopes, hull[:, r], top[r], r)
+    return values, argmax
+
+
+def _scan_hulls(xs, S, slopes, hull, top, r):
+    """Values and argmaxes of the rows r of the sample-major lines S, whose
+    hulls are the columns of hull with top vertices each: the first maximum
+    of x_i*y - S[i, r] over the five hull vertices around the crossing of
+    each slope y (see :func:`_legendre_lines`)."""
+    m, rows = S.shape
+    sflat = S.ravel()
+    # edge slopes of each hull; the slots past a row's last edge read +inf
+    with np.errstate(invalid="ignore", divide="ignore"):
+        edge = np.diff(sflat[hull * rows + r], axis=0) / np.diff(xs[hull], axis=0)
+    edge[np.arange(m - 1)[:, None] >= top - 1] = INF
+    # j = the number of running-maximum edge slopes <= each slope: the count
+    # of edges whose running maximum sorts at or before it among the slopes
+    n, k = len(r), len(slopes)
+    order = np.argsort(slopes)
+    first = np.searchsorted(slopes[order], np.maximum.accumulate(edge, axis=0), side="left")
+    first += np.arange(0, n * (k + 1), k + 1)
+    counts = np.bincount(first.ravel(), minlength=n * (k + 1)).reshape(n, k + 1)
+    j = np.empty((n, k), dtype=np.intp)
+    j[:, order] = np.cumsum(counts, axis=1)[:, :k]
+    # hull positions j-2 .. j+2, clipped to the hull: a clipped slot repeats
+    # a vertex of the window, so the first maximum lands on the same vertex
+    last = np.maximum(top - 1, 0)[:, None]
+    hflat = hull.ravel()
+    col = np.arange(n)[:, None]
+    for offset in range(-2, 3):
+        w = hflat[np.clip(j + offset, 0, last) * n + col]
+        cand = xs[w] * slopes - sflat[w * rows + r[:, None]]
+        if offset == -2:
+            values, argmax = cand, w
+        else:
+            better = cand > values
+            np.copyto(values, cand, where=better)
+            np.copyto(argmax, w, where=better)
+    values[top == 0] = -INF
+    argmax[top == 0] = -1
+    return values, argmax
 
 
 def legendre_1d(xs: np.ndarray, vals: np.ndarray, slopes: np.ndarray):
     """Discrete conjugate g(y) = max_i (x_i*y - f_i) by the hull walk.
 
-    Returns (values, argmax indices). Matches the exhaustive scan exactly,
-    including the smallest-index tie break: a binary search of the running
-    maximum of the hull edge slopes finds the first edge steeper than each
-    slope (the running maximum keeps this well defined when rounding makes
-    the edge slopes non-monotone), and a float scan of the five hull vertices
-    around it takes the winning value.
+    Returns (values, argmax indices). The one-line case of the batched sweep
+    (:func:`_legendre_lines`), so it matches the exhaustive scan exactly,
+    including the smallest-index tie break.
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.asarray(vals, dtype=float)
     slopes = np.asarray(slopes, dtype=float)
     if np.any(np.diff(xs) <= 0):
         raise ValueError("sample abscissae must be strictly increasing")
-    if not (vals > -INF).all():
-        raise ValueError("samples must not contain NaN or -inf")
-    if not np.isfinite(slopes).all():
-        raise ValueError("slopes must be finite")
-    finite = np.isfinite(vals)
-    if not finite.any():
+    if not np.isfinite(vals).any():
         raise ValueError("conjugate of an improper function (all samples +inf)")
-    idx_map = np.flatnonzero(finite)
-    xf = xs[finite]
-    vf = vals[finite]
-    hull = _lower_hull(xf, vf)
-    edge = np.diff(vf[hull]) / np.diff(xf[hull])
-    j = np.searchsorted(np.maximum.accumulate(edge), slopes, side="right")
-    # hull positions j-2 .. j+2, clipped to the hull: a clipped slot repeats
-    # a vertex of the window, so the first maximum lands on the same vertex
-    window = hull[np.clip(j[:, None] + np.arange(-2, 3), 0, len(hull) - 1)]
-    cand = xf[window] * slopes[:, None] - vf[window]
-    rows = np.arange(len(slopes))
-    b = np.argmax(cand, axis=1)
-    return cand[rows, b], idx_map[window[rows, b]]
+    values, argmax = _legendre_lines(xs, vals[None, :], slopes)
+    return values[0], argmax[0]
 
 
 def default_dual_box(f: ExtGridFn):
@@ -250,11 +298,13 @@ def legendre_nd(
     dual_box: Sequence[Sequence[float]] | None = None,
     dual_resolution: Sequence[int] | None = None,
 ) -> ConjugateResult:
-    """Discrete conjugate over a tensor grid, one 1D sweep per axis.
+    """Discrete conjugate over a tensor grid, one batched sweep per axis.
 
-    The sup separates across coordinates, so sweeping axes with the 1D
-    transform reproduces the full double loop exactly. Intermediate lines that
-    are empty (all +inf) propagate as excluded values through negation.
+    The sup separates across coordinates, so sweeping axes with the line
+    transform reproduces the full double loop exactly. Each sweep transforms
+    every line along its axis in one batched hull walk (:func:`legendre_1d`
+    is its one-line case). Intermediate lines that are empty (all +inf) give
+    -inf and propagate as excluded values through negation.
     """
     if not f.finite_mask.any():
         raise ValueError("conjugate of an improper function (all samples +inf)")
@@ -267,23 +317,13 @@ def legendre_nd(
     dual_axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(dual_box, dual_resolution)]
 
     work = f.values
-    axes = f.axes
-    ndim = f.dim
-    for d in range(ndim):
-        xs = axes[d]
+    for d in range(f.dim):
         slopes = dual_axes[d]
         moved = np.moveaxis(work, d, -1)
-        lead = moved.shape[:-1]
-        flat = moved.reshape(-1, moved.shape[-1])
-        out = np.empty((flat.shape[0], len(slopes)))
-        for r in range(flat.shape[0]):
-            line = flat[r]
-            if not np.isfinite(line).any():
-                out[r] = -INF
-            else:
-                out[r], _ = legendre_1d(xs, line, slopes)
-        work = np.moveaxis(out.reshape(lead + (len(slopes),)), -1, d)
-        if d < ndim - 1:
+        lines = _legendre_lines(f.axes[d], moved.reshape(-1, moved.shape[-1]), slopes)[0]
+        work = np.moveaxis(lines.reshape(moved.shape[:-1] + (len(slopes),)), -1, d)
+        del lines  # the negation below then frees this sweep's output
+        if d < f.dim - 1:
             work = -work  # feed the next sweep; -(-inf) = +inf excludes empty lines
     grid = ExtGridFn(dual_box, work)
     return ConjugateResult(values=grid, dual_box=tuple(tuple(b) for b in dual_box))

@@ -35,7 +35,7 @@ from epiconv.sharpconst import (
     _field_integral,
     _gradient_integral,
 )
-from epiconv.transforms import NormSpec, dual_norm
+from epiconv.transforms import NormSpec, _sphere_directions, default_dual_box, dual_norm
 
 
 def brute_conjugate_1d(xs, vals, slopes):
@@ -115,6 +115,32 @@ def legendre_1d_reference(xs: np.ndarray, vals: np.ndarray, slopes: np.ndarray):
     return out, arg
 
 
+def legendre_nd_reference(f: ExtGridFn, dual_box=None, dual_resolution=None) -> np.ndarray:
+    """Values of the discrete conjugate over a tensor grid, one axis at a
+    time with :func:`legendre_1d_reference` on every line: an empty line (all
+    +inf) gives -inf, and every sweep but the last is negated to feed the
+    next one."""
+    if dual_box is None:
+        dual_box = default_dual_box(f)
+    if dual_resolution is None:
+        dual_resolution = f.resolution
+    work = f.values
+    for d, ((lo, hi), m) in enumerate(zip(dual_box, dual_resolution)):
+        slopes = np.linspace(lo, hi, m)
+        moved = np.moveaxis(work, d, -1)
+        out = np.empty(moved.shape[:-1] + (m,))
+        for idx in np.ndindex(*moved.shape[:-1]):
+            line = moved[idx]
+            if np.isfinite(line).any():
+                out[idx] = legendre_1d_reference(f.axes[d], line, slopes)[0]
+            else:
+                out[idx] = -np.inf
+        work = np.moveaxis(out, -1, d)
+        if d < f.dim - 1:
+            work = -work
+    return work
+
+
 def brute_conjugate_nd(axes, vals, dual_axes):
     """Double loop over dual and primal nodes.
 
@@ -138,6 +164,29 @@ def brute_conjugate_nd(axes, vals, dual_axes):
                 best = acc
         out[jm] = best
     return out
+
+
+def dual_norm_sampled(norm: NormSpec, y):
+    """Lower bound for the dual norm by sampling unit vectors, with a gap estimate.
+
+    The 4096 directions are deterministic (uniform angles in 2D, a Fibonacci
+    sphere in 3D); the gap estimate combines the change from halving the
+    sample count with the angular mesh bound ||y||_2 * delta.
+    """
+    y = np.asarray(y, dtype=float)
+    single = y.ndim == 1
+    ys = y[None, :] if single else y.reshape(-1, y.shape[-1])
+    n = ys.shape[-1]
+    dirs = _sphere_directions(n, 4096)
+    delta = 2.0 * np.pi / 4096 if n == 2 else np.sqrt(4.0 * np.pi / 4096)
+    units = dirs / norm(dirs)[:, None]
+    vals = units @ ys.T
+    best = vals.max(axis=0)
+    half = vals[::2].max(axis=0)
+    gap = np.abs(best - half) + np.linalg.norm(ys, axis=-1) * delta
+    if single:
+        return float(best[0]), float(gap[0])
+    return best.reshape(y.shape[:-1]), gap.reshape(y.shape[:-1])
 
 
 def naive_infconv(fv, gv):

@@ -5,19 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import epiconv.transforms
 from epiconv import NormSpec
 from epiconv.extgrid import INF, ExtGridFn
 from epiconv.fields import bump_field, multiply_bump, power_cost_field, shifted_field
 from epiconv.transforms import (
+    _legendre_lines,
     default_dual_box,
     dual_norm,
-    dual_norm_sampled,
     legendre_1d,
     legendre_nd,
     power_cost_conjugate,
 )
-from oracles import brute_conjugate_1d, brute_conjugate_nd, legendre_1d_reference
+from oracles import (
+    brute_conjugate_1d,
+    brute_conjugate_nd,
+    dual_norm_sampled,
+    legendre_1d_reference,
+    legendre_nd_reference,
+)
 
 
 def random_convex_1d(rng, m):
@@ -94,10 +99,14 @@ def assert_same_bits(got, want):
         assert g.tobytes() == w.tobytes()
 
 
-def _line_case(rng, kind):
-    """(xs, vals, slopes) for one line of the given kind."""
-    m = int(rng.integers(2, 60))
-    xs = np.linspace(-1.0, 1.0, m)
+LINE_KINDS = [
+    "inf_holes", "floored_ties", "nonconvex", "collinear", "rounded_linear", "zigzag", "single",
+]
+
+
+def _line_vals(rng, kind, xs):
+    """Samples of one line of the given kind at the abscissae xs."""
+    m = len(xs)
     if kind == "inf_holes":
         vals = np.where(rng.random(m) < 0.3, INF, xs**2 + rng.uniform(0, 0.1, m))
         vals[rng.integers(m)] = 0.5
@@ -110,9 +119,22 @@ def _line_case(rng, kind):
         vals = 0.3 * xs + 0.1
     elif kind == "rounded_linear":
         vals = np.round(0.7 * xs, 3)
+    elif kind == "zigzag":
+        # convex arcs, each followed by a deep drop: the sample after an arc
+        # pops several of its hull vertices at once
+        seg = np.cumsum(rng.random(m) < 0.2)
+        pos = np.arange(m) - np.searchsorted(seg, seg)
+        vals = 0.3 * pos**2 + rng.uniform(0, 0.05, m) - rng.uniform(1.0, 3.0) * seg
     else:  # single finite sample
         vals = np.full(m, INF)
         vals[rng.integers(m)] = rng.uniform(-1, 1)
+    return vals
+
+
+def _line_case(rng, kind):
+    """(xs, vals, slopes) for one line of the given kind."""
+    xs = np.linspace(-1.0, 1.0, int(rng.integers(2, 60)))
+    vals = _line_vals(rng, kind, xs)
     fin = np.isfinite(vals)
     quotients = np.diff(vals[fin]) / np.diff(xs[fin])
     slopes = np.concatenate([
@@ -126,13 +148,11 @@ def _line_case(rng, kind):
 
 
 class TestLegendreMatchesReferenceBits:
-    """Values and argmaxes are byte-identical to the per-slope hull walk it
-    replaced (``oracles.legendre_1d_reference``)."""
+    """Values and argmaxes are byte-identical to the per-line hull walk
+    (``oracles.legendre_1d_reference``), and nD values to sweeps of it
+    (``oracles.legendre_nd_reference``)."""
 
-    @pytest.mark.parametrize(
-        "kind",
-        ["inf_holes", "floored_ties", "nonconvex", "collinear", "rounded_linear", "single"],
-    )
+    @pytest.mark.parametrize("kind", LINE_KINDS)
     def test_lines(self, kind):
         rng = np.random.default_rng(sum(map(ord, kind)))
         for _ in range(60):
@@ -145,17 +165,39 @@ class TestLegendreMatchesReferenceBits:
         want = legendre_1d_reference(xs, xs**2, np.empty(0))
         assert_same_bits(legendre_1d(xs, xs**2, np.empty(0)), want)
 
+    @pytest.mark.parametrize("m", [1, 2, 9, 40])
+    def test_batched_rows(self, m):
+        # every kind of line in one batch, so that at one sample some rows
+        # pop several vertices, some none and some skip a +inf hole
+        rng = np.random.default_rng(m)
+        xs = np.linspace(-1.0, 1.0, m)
+        V = np.stack([_line_vals(rng, kind, xs) for kind in LINE_KINDS * 12])
+        V[::7] = INF  # rows with no finite sample
+        with np.errstate(invalid="ignore"):
+            quotients = (np.diff(V, axis=1) / np.diff(xs)).ravel()
+        quotients = rng.permutation(quotients[np.isfinite(quotients)])[:40]
+        slopes = np.concatenate([
+            quotients,  # slopes landing exactly on (rounded) edge slopes
+            rng.uniform(-6, 6, 30),
+            np.round(rng.uniform(-3, 3, 10), 1),
+        ])
+        values, argmax = _legendre_lines(xs, V, slopes)
+        for r, line in enumerate(V):
+            if np.isfinite(line).any():
+                want = legendre_1d_reference(xs, line, slopes)
+                assert_same_bits((values[r], argmax[r]), want)
+            else:
+                assert (values[r] == -INF).all() and (argmax[r] == -1).all()
+
     @staticmethod
-    def _assert_nd_same_bits(monkeypatch, f, **kw):
+    def _assert_nd_same_bits(f, **kw):
         got = legendre_nd(f, **kw).values
-        with monkeypatch.context() as m:
-            m.setattr(epiconv.transforms, "legendre_1d", legendre_1d_reference)
-            want = legendre_nd(f, **kw).values
-        assert_same_bits((got.values,), (want.values,))
+        want = legendre_nd_reference(f, **kw)
+        assert_same_bits((got.values,), (want,))
         return got
 
     @pytest.mark.parametrize("shape", [(9, 12), (6, 7, 5)])
-    def test_nd_with_empty_lines(self, monkeypatch, shape):
+    def test_nd_with_empty_lines(self, shape):
         rng = np.random.default_rng(len(shape))
         vals = np.floor(8 * rng.uniform(0, 1, shape)) / 8
         vals[rng.random(shape) < 0.2] = INF
@@ -165,9 +207,26 @@ class TestLegendreMatchesReferenceBits:
         f = ExtGridFn([(-1.0, 1.0)] * dim, vals)
         for half, m in ((3.0, 7), (40.0, 9)):  # the wide box puts slopes past every edge
             kw = {"dual_box": [(-half, half)] * dim, "dual_resolution": [m] * dim}
-            self._assert_nd_same_bits(monkeypatch, f, **kw)
+            self._assert_nd_same_bits(f, **kw)
 
-    def test_conjugates_fixture_201(self, monkeypatch):
+    def test_nd_3d_empty_and_single_sample_lines(self):
+        rng = np.random.default_rng(33)
+        xs = np.linspace(-1.0, 1.0, 7)
+        vals = np.stack([
+            np.stack([_line_vals(rng, LINE_KINDS[(j + k) % 6], xs) for k in range(8)], axis=-1)
+            for j in range(6)
+        ], axis=1)  # (7, 6, 8): axis-0 lines of every kind but a single sample
+        vals[:, :, 2] = INF  # empty lines in the first two sweeps
+        vals[:, :, 4] = INF
+        vals[:, 3, 4] = np.linspace(0.5, -0.5, 7)  # one finite sample per second-sweep line
+        vals[:, 1, 6] = INF
+        vals[5, 1, 6] = 0.25  # one finite sample on a first-sweep line
+        f = ExtGridFn([(-1.0, 1.0), (-0.5, 2.0), (0.0, 1.0)], vals)
+        for kw in ({}, {"dual_box": [(-4.0, 4.0), (-50.0, 50.0), (-2.0, 3.0)],
+                        "dual_resolution": [9, 5, 11]}):
+            self._assert_nd_same_bits(f, **kw)
+
+    def test_conjugates_fixture_201(self):
         # x'Ax/2 + c|x1| on 201^2 nodes of [-2, 2]^2, forward and back
         rng = np.random.default_rng(504)
         theta = rng.uniform(0.0, np.pi)
@@ -178,8 +237,8 @@ class TestLegendreMatchesReferenceBits:
         c = rng.uniform(0.4, 0.6)
         fv = 0.5 * np.einsum("...i,ij,...j->...", X, A, X) + c * np.abs(X[..., 0])
         f = ExtGridFn([(-2.0, 2.0)] * 2, fv)
-        conj = self._assert_nd_same_bits(monkeypatch, f)
-        self._assert_nd_same_bits(monkeypatch, conj, dual_box=f.box, dual_resolution=f.resolution)
+        conj = self._assert_nd_same_bits(f)
+        self._assert_nd_same_bits(conj, dual_box=f.box, dual_resolution=f.resolution)
 
 
 class TestLegendreNd:
@@ -306,6 +365,51 @@ class TestDualNorm:
         exact = np.sqrt(1.0 + 0.25)
         assert val <= exact + 1e-12
         assert exact - val <= gap
+        assert dual_norm(w, y) == pytest.approx(exact, rel=1e-15)
+
+    def test_weighted_inf_norm_is_the_max(self):
+        norm = NormSpec("weighted_p_norm", p=np.inf, weights=(2.0, 0.5))
+        assert norm(np.array([0.0, 0.0])) == 0.0
+        assert norm(np.array([3.0, -5.0])) == 5.0
+        with pytest.raises(ValueError, match="no differentiable gradient"):
+            norm.grad(np.array([3.0, -5.0]))
+
+    def test_weighted_dual_closed_form_endpoints(self):
+        w = (1.0, 4.0)
+        y = np.array([3.0, -4.0])
+        assert dual_norm(NormSpec("weighted_p_norm", p=1.0, weights=w), y) == 3.0  # max |y_i|/w_i
+        assert dual_norm(NormSpec("weighted_p_norm", p=np.inf, weights=w), y) == 7.0
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+    def test_weighted_dual_within_sampled_bracket(self, p):
+        # in the plane; the 4096-point Fibonacci sphere of n = 3 is too
+        # coarse near the vertices of the p = 1 ball for its gap estimate
+        rng = np.random.default_rng(2)
+        norm = NormSpec("weighted_p_norm", p=p, weights=tuple(rng.uniform(0.25, 4.0, 2)))
+        ys = rng.uniform(-2, 2, (20, 2))
+        closed = dual_norm(norm, ys)
+        sampled, gap = dual_norm_sampled(norm, ys)
+        assert (sampled <= closed * (1 + 1e-12)).all()
+        assert (closed - sampled <= gap).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+    def test_weighted_dual_attained(self, n, p):
+        # the closed form equals x.y / ||x|| at the explicit maximizer x; the
+        # pairing bound below shows no x does better
+        rng = np.random.default_rng(n)
+        w = rng.uniform(0.25, 4.0, n)
+        norm = NormSpec("weighted_p_norm", p=p, weights=tuple(w))
+        for y in rng.uniform(-2, 2, (20, n)):
+            if p == 1.0:
+                k = np.argmax(np.abs(y) / w)
+                x = np.zeros(n)
+                x[k] = np.sign(y[k])
+            elif np.isinf(p):
+                x = np.sign(y)
+            else:
+                x = np.sign(y) * (np.abs(y) / w) ** (1.0 / (p - 1.0))
+            assert dual_norm(norm, y) == pytest.approx(x @ y / norm(x), rel=1e-12)
 
     def test_dual_of_dual_identity(self):
         rng = np.random.default_rng(3)
@@ -325,8 +429,8 @@ class TestDualNorm:
     def test_pairing_bound(self, xv, yv, p):
         x = np.array(xv)
         y = np.array(yv)
-        norm = NormSpec("p_norm", p=p)
-        assert x @ y <= norm(x) * dual_norm(norm, y) + 1e-9
+        for norm in (NormSpec("p_norm", p=p), NormSpec("weighted_p_norm", p=p, weights=(0.5, 3.0))):
+            assert x @ y <= norm(x) * dual_norm(norm, y) + 1e-9
 
     @given(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), st.floats(-4, 4))
     @settings(max_examples=200, deadline=None)
