@@ -2,26 +2,27 @@
 
 ``hopflax_apply`` evaluates Q_h(g)(x) = min_y g(x - h*y) + h*W(y) with y
 running over the cost grid and g evaluated by multilinear interpolation at the
-off-grid points x - h*y. Interpolation is conservative: a point outside g's
-box or in a cell with a +inf corner evaluates to +inf, so the discrete
-operator stays an upper bound of the continuum one and inequality directions
-are preserved. This module holds the only copy of that rule.
+off-grid points x - h*y. Interpolation is conservative at the domain: a point
+outside g's box or in a cell with a +inf corner evaluates to +inf. This module
+holds the only copy of that rule. What the discrete value bounds is stated
+below, next to the bounds that prune it.
 
 At every h the output grid shares g's spacing (any other is rejected), so the
 points x - h*y of one cost node y all sit at the same fractional offset from
 g's lattice: the tuple of per-axis fractions is y's offset class. The
-candidate kernel interpolates g once per class over g's own lattice, and then
-each y costs one slice of that lattice plus h*W(y), taken over the output
-nodes y can reach. The offsets are floats, so rounding splits what would be
-one rational fraction into several (at h = 0.1 on a dx = 0.1 grid, 49 x 44
-classes where the rational structure has 10 x 10); every distinct tuple is
-its own class, interpolated once per apply. The kernel takes the classes in
-chunks of at most _LATTICE_CACHE lattices, scans a chunk's cost nodes in
-ascending flat order into chunk accumulators, a candidate replacing the
-incumbent only when strictly smaller, and merges each chunk into the result
-by (value, smallest flat index). Every candidate is one fixed float
-expression whatever its chunk, so the result is that of a single flat-order
-scan, ties going to the smallest flat index. h = 0 returns g itself, or on a
+candidate kernel interpolates g once per class, over the lattice points that
+the class's nodes read, and then each y costs one slice of that lattice plus
+h*W(y), taken over the output nodes y can reach. The offsets are floats, so
+rounding splits what would be one rational fraction into several (at h = 0.1
+on a dx = 0.1 grid, 49 x 44 classes where the rational structure has
+10 x 10); every distinct tuple is its own class, interpolated once per
+apply. The kernel takes the classes in chunks of at most _LATTICE_CACHE
+lattices, scans a chunk's cost nodes in ascending flat order into chunk
+accumulators, a candidate replacing the incumbent only when strictly
+smaller, and merges each chunk into the result by (value, smallest flat
+index). Every candidate is one fixed float expression whatever its chunk and
+its lattice's region, so the result is that of a single flat-order scan, ties
+going to the smallest flat index. h = 0 returns g itself, or on a
 requested output grid one slice of g's lattice at the zero shift, with no
 argmin; W plays no part.
 
@@ -34,14 +35,42 @@ node, merged until a block holds at least _COARSE_STRIDE nodes. A candidate of
 block B at output x interpolates corners inside B's node window at x, so it is
 at least LB(x) = min of g over that window (+inf nodes counting as +inf) plus
 the least h*W of B. Each cost node then only reaches the bounding box of the
-outputs where its block has LB <= U + allowance. The allowance, (2^n + n + 6)
-ulps of the largest finite |g| plus the largest finite h*W, covers
-interpolated sums that round a few ulps outside the range of their corners
-(four equal corners round below it in about one draw of fractions in seven)
-and the rounding of U and LB.
-Pruning therefore only drops candidates strictly above the minimum: values and
-argmins are those of the full scan, bit for bit, for any g, with no convexity
-certificate involved.
+outputs where its block passes both LB and the tilted bound below, each
+within the allowance of U.
+
+The tilted bound keeps the first-order terms that LB drops. In lattice
+coordinates output node k reads, for cost node y, g's multilinear interpolant
+I at k + u_y, where u_y = base + frac per axis (:func:`_axis_tables`). For any
+slope q, I(v) - q·v is multilinear on each cell and so at least its least
+corner value. Hence every candidate of B at output k is at least
+min over t of (g[k + bmin + t] - q·(bmin + t)) + kappa_B, with t over B's node
+window, bmin its least base and kappa_B = min over the active y of B of
+h*W(y) + q·u_y; q = 0 gives LB. Block B takes q_d = minus the mean slope of
+its least h*W per slice across axis d against u_d, so that h*W(y) + q·u_y is
+nearly flat over B and the bound is tight to first order near B's
+minimizers. Every term is an integer offset or a table entry, so _SNAP needs
+no slack. The window minimum is separable, and it is only evaluated inside the
+box that LB keeps.
+
+The allowance, (2^n + n + 6) ulps of the largest finite |g| plus the largest
+finite h*W plus the largest sum over the axes of |q_d|·(window length +
+largest |u_d|), covers interpolated sums that round a few ulps outside the
+range of their corners (four equal corners round below it in about one draw
+of fractions in seven) and the rounding of U, of the tilt terms and of both
+bounds. Pruning therefore only drops candidates strictly above the minimum:
+values and argmins are those of the full scan, bit for bit, for any g, with no
+convexity certificate involved.
+
+What the values bound. The scan minimizes over a subset of y, so its value is
+at least Q_h of the multilinear interpolant I of g: it is an upper bound of
+Q_h(I) for any g. It is an upper bound of the continuum Q_h(g) when g is
+convex along each axis, since I then lies above g on every cell. Otherwise it
+bounds only Q_h(I): on the bump-perturbed half-space of acceptance test c06
+(201 x 101 nodes, dx = 0.1, h = 0.1) the grid value at x = (0.2, 2.1) falls
+1.49e-4 (relative) below a dense pointwise search, where the bump makes g
+locally concave and I undercuts g. The candidate g(x - h*y*) + h*W(y*) at the
+grid argmin y*, evaluated on the analytic g and W, is an upper bound of
+Q_h(g) for any g.
 
 Above _TWOSTAGE_MIN_CANDIDATES (output, cost) node pairs, a g and W that both
 pass the convexity certificate take the twostage path instead. It runs the
@@ -219,17 +248,20 @@ def _interp_lattice(g0: np.ndarray, cell_inf: np.ndarray | None, fracs) -> np.nd
 
 
 def _interpolator(g: ExtGridFn):
-    """Offset fractions -> g's interpolated lattice at those fractions."""
+    """(offset fractions, region) -> g's interpolated lattice at those
+    fractions over the region, a tuple of slices of lattice points."""
     ginf = ~np.isfinite(g.values)
     g0 = np.where(ginf, 0.0, g.values)
     cell_inf = {}
 
-    def lattice(fracs):
+    def lattice(fracs, region):
         tops = tuple(int(f > 0.0) for f in fracs)
         if tops not in cell_inf:
             marked = _window_reduce(np.logical_or, ginf, [t + 1 for t in tops])
             cell_inf[tops] = marked if marked.any() else None
-        return _interp_lattice(g0, cell_inf[tops], fracs)
+        marked = cell_inf[tops]
+        corners = tuple(slice(r.start, r.stop + t) for r, t in zip(region, tops))
+        return _interp_lattice(g0[corners], None if marked is None else marked[region], fracs)
 
     return lattice
 
@@ -242,19 +274,22 @@ def _scan_candidates(lattice, tables, shape, weights, active, boxes=None):
     tables[d] = (lo, hi, base, key) over the cost index y_d: y reaches the
     output nodes lo <= k < hi along d and reads lattice point k + base there
     (as :func:`_axis_tables` builds them, key being the fraction). The keys
-    of y form its offset class, and lattice(keys) gives the class's lattice.
-    With boxes = (blocks, box_lo, box_hi), y only reaches the outputs inside
-    its cost block's box (see :func:`_prune_boxes` and :func:`_window_boxes`).
+    of y form its offset class, and lattice(keys, region) gives the class's
+    lattice over a region of lattice points. With boxes = (blocks, box_lo,
+    box_hi), y only reaches the outputs inside its cost block's box (see
+    :func:`_prune_boxes` and :func:`_window_boxes`).
 
     The classes go in chunks of at most _LATTICE_CACHE: per axis, groups of
     consecutive keys whose sizes multiply to at most _LATTICE_CACHE. A chunk
-    builds each of its lattices once, at first use, and drops them all when
-    it ends. It scans its cost nodes row by row (all leading indices fixed)
-    in ascending flat order into its own accumulators, where a candidate
-    replaces the incumbent only when strictly smaller, so ties go to the
-    smallest flat index; the chunk then merges into the result by (value,
-    smallest flat index). Every candidate is the same float expression
-    whatever the chunk, so the result is the scan of all nodes in flat order.
+    builds each of its lattices once, at first use, over the bounding box of
+    the lattice points that the chunk's nodes of that class read, and drops
+    them all when it ends. It scans its cost nodes row by row (all leading
+    indices fixed) in ascending flat order into its own accumulators, where a
+    candidate replaces the incumbent only when strictly smaller, so ties go
+    to the smallest flat index; the chunk then merges into the result by
+    (value, smallest flat index). Every candidate is the same float
+    expression whatever the chunk and region, so the result is the scan of
+    all nodes in flat order.
     """
     vals = np.full(shape, INF)
     arg = np.full(shape, -1, dtype=np.int64)
@@ -274,7 +309,8 @@ def _scan_candidates(lattice, tables, shape, weights, active, boxes=None):
         sizes.insert(0, max(1, min(len(uniq), room)))
         room //= sizes[0]
     counts = [-(-len(uniq) // s) for uniq, s in zip(keys, sizes)]
-    radix = np.cumprod([1] + [len(uniq) for uniq in keys[:0:-1]])[::-1].tolist()
+    local_radix = np.cumprod([1] + sizes[:0:-1])[::-1].tolist()
+    local_count = int(np.prod(sizes))
     strides = np.cumprod([1] + list(active.shape[:0:-1]))[::-1].tolist()
     flat_w = np.ravel(weights)
     single = int(np.prod(counts)) == 1
@@ -286,22 +322,42 @@ def _scan_candidates(lattice, tables, shape, weights, active, boxes=None):
             for ids, c, s in zip(class_ids, chunk, sizes)
         ]
         *lead_members, last = members
+        # per class of the chunk (by its index in the chunk), the bounding box
+        # of the lattice points its nodes read
+        reg_lo = np.full((len(tables), local_count), np.iinfo(np.int64).max)
+        reg_hi = np.zeros((len(tables), local_count), dtype=np.int64)
+        rows = []
+        for lead in itertools.product(*(m.tolist() for m in lead_members)):
+            ys, lo, hi, base = _row_reads(tables, boxes, lead, last[active[lead][last]])
+            if ys.size:
+                local = sum(
+                    (ids[i] - c * s) * r
+                    for ids, i, c, s, r in zip(class_ids, lead + (ys,), chunk, sizes, local_radix)
+                )
+                for d in range(len(tables)):
+                    np.minimum.at(reg_lo[d], local, lo[d] + base[d])
+                    np.maximum.at(reg_hi[d], local, hi[d] + base[d])
+                rows.append((lead, ys, local, lo, hi, base))
         if not single:
             cvals.fill(INF)
             carg.fill(-1)
         lattices = {}
-        for lead in itertools.product(*(m.tolist() for m in lead_members)):
-            ys, outs, srcs = _row_slices(tables, boxes, lead, last[active[lead][last]])
-            if not ys.size:
-                continue
+        for lead, ys, local, lo, hi, base in rows:
             flat = sum(i * s for i, s in zip(lead, strides)) + ys
-            cls = sum(ids[i] * r for ids, i, r in zip(class_ids, lead + (ys,), radix))
-            rows = zip(flat.tolist(), flat_w[flat].tolist(), cls.tolist(), outs, srcs)
-            for j, w, c, out, src in rows:
+            read = lo + base - reg_lo[:, local]
+            nodes = zip(
+                flat.tolist(), flat_w[flat].tolist(), local.tolist(),
+                _slices(lo, hi - lo), _slices(read, hi - lo),
+            )
+            for j, w, c, out, src in nodes:
                 lat = lattices.get(c)
                 if lat is None:
-                    fracs = tuple(k[(c // r) % len(k)] for k, r in zip(keys, radix))
-                    lat = lattices[c] = lattice(fracs)
+                    fracs = tuple(
+                        k[i * s + (c // r) % s]
+                        for k, i, s, r in zip(keys, chunk, sizes, local_radix)
+                    )
+                    region = tuple(map(slice, reg_lo[:, c].tolist(), reg_hi[:, c].tolist()))
+                    lat = lattices[c] = lattice(fracs, region)
                 cand = lat[src] + w
                 incumbent = cvals[out]
                 better = cand < incumbent
@@ -316,10 +372,11 @@ def _scan_candidates(lattice, tables, shape, weights, active, boxes=None):
     return vals, arg
 
 
-def _row_slices(tables, boxes, lead, ys):
-    """(ys, output slices, lattice slices) of the cost nodes lead + (y,), y
-    in ys; with boxes, each output range is cut to its block's box and the
-    nodes left with no output are dropped."""
+def _row_reads(tables, boxes, lead, ys):
+    """(ys, lo, hi, base) of the cost nodes lead + (y,), y in ys, the last
+    three as (ndim, len(ys)) arrays: the node reaches the outputs lo <= k < hi
+    and reads lattice point k + base. With boxes, each output range is cut
+    to its block's box and the nodes left with no output are dropped."""
     rows = np.empty((3, len(tables), ys.size), dtype=np.int64)
     for d, (table, i) in enumerate(zip(tables, lead + (ys,))):
         for r in range(3):
@@ -333,11 +390,14 @@ def _row_slices(tables, boxes, lead, ys):
             np.minimum(hi[d], box_hi[d][at], out=hi[d])
         keep = np.all(lo < hi, axis=0)
         ys, lo, hi, base = ys[keep], lo[:, keep], hi[:, keep], base[:, keep]
+    return ys, lo, hi, base
 
-    def slices(start, stop):
-        return zip(*map(map, itertools.repeat(slice), start.tolist(), stop.tolist()))
 
-    return ys, slices(lo, hi), slices(lo + base, hi + base)
+def _slices(start, size):
+    """Per column of the (ndim, count) arrays, the tuple of slices
+    start : start + size."""
+    stop = start + size
+    return zip(*map(map, itertools.repeat(slice), start.tolist(), stop.tolist()))
 
 
 def _strided(active: np.ndarray) -> np.ndarray:
@@ -400,43 +460,143 @@ def _window_reduce(ufunc, a: np.ndarray, lengths) -> np.ndarray:
     return a
 
 
+def _block_bounds(g: ExtGridFn, tables, weights, active):
+    """The cost blocks and what bounds their candidates, as (axes, least,
+    slope, kappa, allowance).
+
+    axes[d] is :func:`_axis_blocks` of tables[d]. Per block B (arrays indexed
+    by the block ids of every axis): least is the least active weight of B
+    (+inf when B has none); slope[d] is q_d, minus the mean slope, against
+    the lattice offset u_d = base + frac, of B's least weights on its slices
+    across axis d, taken over the neighbouring slices whose least weights are
+    both finite (0 when no two are); kappa is the least weight[y] + q·u_y
+    over the active y of B. The allowance (:func:`_allowance`) takes as its
+    tilt the largest sum over the axes of |q_d| times (window length +
+    largest |u_d|).
+    """
+    ndim = len(tables)
+    axes = [_axis_blocks(*table) for table in tables]
+    w = np.where(active, weights, INF)
+    offsets = []
+    for d, ((_lo, _hi, base, frac), (_b, reach, *_rest)) in enumerate(zip(tables, axes)):
+        w = np.take(w, reach, axis=d)
+        offsets.append((base + frac)[reach])
+
+    def along(a, d):
+        shape = [1] * ndim
+        shape[d] = -1
+        return a.reshape(shape)
+
+    slope = []
+    for d, (_b, reach, starts, *_rest) in enumerate(axes):
+        # per block, its least weight on each slice across axis d
+        profile = w
+        for e, (_b, _reach, other, *_rest) in enumerate(axes):
+            if e != d:
+                profile = np.minimum.reduceat(profile, other, axis=e)
+        profile = np.moveaxis(profile, d, -1)
+        finite = np.isfinite(profile)
+        # slices i and i + 1 lie in one block unless i + 1 starts one
+        inner = np.ones(reach.size, dtype=bool)
+        inner[starts] = False
+        pair = finite[..., :-1] & finite[..., 1:] & inner[1:]
+        rise = np.where(pair, np.diff(np.where(finite, profile, 0.0)), 0.0)
+        run = np.where(pair, np.diff(offsets[d]), 0.0)
+        pad = [(0, 0)] * (ndim - 1) + [(0, 1)]
+        rise, run = (np.add.reduceat(np.pad(a, pad), starts, axis=-1) for a in (rise, run))
+        slope.append(np.moveaxis(-rise / np.where(run != 0.0, run, 1.0), -1, d))
+
+    tilted = w.copy()
+    for d, q in enumerate(slope):
+        for e, (_b, _reach, starts, *_rest) in enumerate(axes):
+            q = np.repeat(q, np.diff(starts, append=offsets[e].size), axis=e)
+        tilted += q * along(offsets[d], d)
+    least, kappa = w, tilted
+    for d, (_b, _reach, starts, *_rest) in enumerate(axes):
+        least = np.minimum.reduceat(least, starts, axis=d)
+        kappa = np.minimum.reduceat(kappa, starts, axis=d)
+
+    tilt = sum(
+        np.abs(q) * along(length + np.abs(u).max(), d)
+        for d, (q, u, (*_rest, length, _lo, _hi)) in enumerate(zip(slope, offsets, axes))
+    )
+    allowance = _allowance(g, weights, active, np.max(tilt, initial=0.0))
+    return axes, least, slope, kappa, allowance
+
+
+def _allowance(g: ExtGridFn, weights, active, tilt: float) -> float:
+    """(2^n + n + 6) ulps of the largest finite |g| plus the largest active
+    |weight| plus tilt. A first-order count of the roundings in an
+    interpolated candidate, the incumbent and both bounds stays within it for
+    n <= 3."""
+    scale = np.abs(g.values[np.isfinite(g.values)]).max(initial=0.0)
+    scale += np.abs(weights[active]).max(initial=0.0) + tilt
+    return (2**g.dim + g.dim + 6) * np.finfo(float).eps * scale
+
+
+def _tilted_bound(gpad, pad, bmin, length, slope, kappa, out):
+    """The tilted lower bound of one cost block at the output nodes of the
+    box out (one slice per axis): min over the block's node window of
+    g[k + bmin + t] - q·(bmin + t), plus kappa. gpad is g padded with pad[d]
+    +inf nodes on both sides of axis d."""
+    region = gpad[tuple(
+        slice(o.start + b + p, o.stop + b + p + n - 1)
+        for o, b, p, n in zip(out, bmin, pad, length)
+    )]
+    for d, (b, n, q) in enumerate(zip(bmin, length, slope)):
+        m = region.shape[d] - n + 1
+        lead = (slice(None),) * d
+        least = region[lead + (slice(0, m),)] - q * b
+        for t in range(1, n):
+            np.minimum(least, region[lead + (slice(t, t + m),)] - q * (b + t), out=least)
+        region = least
+    return region + kappa
+
+
+def _hit_box(keep):
+    """Per axis, the first and one past the last index where keep holds;
+    None when it holds nowhere. Each axis after the first is searched only
+    within the range found on the axes before it."""
+    box = []
+    for d in range(keep.ndim):
+        others = tuple(a for a in range(keep.ndim) if a != d)
+        hit = np.logical_or.reduce(keep, axis=others).nonzero()[0]
+        if not hit.size:
+            return None
+        box.append((int(hit[0]), int(hit[-1]) + 1))
+        keep = keep[(slice(None),) * d + (slice(*box[-1]),)]
+    return box
+
+
 def _prune_boxes(g: ExtGridFn, tables, shape, weights, active):
     """Per cost block, the bounding box of the output nodes where one of its
     candidates can be the minimum, as (blocks, box_lo, box_hi) for
     :func:`_scan_candidates`; None when no cost node reaches an output.
 
-    The incumbent U is the strided nodes' scan over cell-max lattices; a
-    block's bound LB at output x is the min of g over its node window at x
-    plus its least weight (the module docstring has why both hold). Outputs
-    where LB exceeds U by more than the allowance are dropped. The allowance,
-    (2^n + n + 6) ulps of the largest finite |g| plus the largest finite
-    weight, covers interpolated sums that round a few ulps outside the range
-    of their corners (below the window min of LB, above the cell max of U)
-    and the rounding of the additions.
+    The incumbent U is the strided nodes' scan over cell-max lattices. A
+    block's untilted bound at output x is the min of g over its node window
+    at x plus its least weight; inside the box of the outputs where that
+    comes within the allowance of U, the tilted bound of
+    :func:`_tilted_bound` cuts the box again (the module docstring has why
+    both bounds and the allowance of :func:`_block_bounds` hold).
     """
     ndim = len(tables)
     if not all((lo < hi).any() for lo, hi, _base, _frac in tables):
         return None
     cell_max = {}
 
-    def upper(tops):
+    def upper(tops, region):
         if tops not in cell_max:
             cell_max[tops] = _window_reduce(np.maximum, g.values, [t + 1 for t in tops])
-        return cell_max[tops]
+        return cell_max[tops][region]
 
     top_tables = [(lo, hi, base, (frac > 0.0).astype(int)) for lo, hi, base, frac in tables]
     incumbent = _scan_candidates(upper, top_tables, shape, weights, _strided(active))[0]
     del cell_max  # not needed past the incumbent
-    scale = np.abs(g.values[np.isfinite(g.values)]).max(initial=0.0)
-    scale += np.abs(weights[active]).max(initial=0.0)
-    incumbent += (2**ndim + ndim + 6) * np.finfo(float).eps * scale
+    axes, least, slope, kappa, allowance = _block_bounds(g, tables, weights, active)
+    incumbent += allowance
 
-    blocks, reach, starts, bmin, length, out_lo, out_hi = zip(
-        *(_axis_blocks(*table) for table in tables)
-    )
-    least = np.where(active, weights, INF)
-    for d in range(ndim):
-        least = np.minimum.reduceat(np.take(least, reach[d], axis=d), starts[d], axis=d)
+    blocks, _reach, _starts, bmin, length, out_lo, out_hi = zip(*axes)
     pad = [int(n.max()) - 1 for n in length]
     gpad = np.pad(g.values, [(p, p) for p in pad], constant_values=INF)
     box_lo = [np.zeros(least.shape, dtype=np.int64) for _ in range(ndim)]
@@ -446,24 +606,30 @@ def _prune_boxes(g: ExtGridFn, tables, shape, weights, active):
     lengths = np.stack([n[b] for n, b in zip(length, found)], axis=1)
     order = np.lexsort(lengths.T[::-1])
     out_lo, out_hi = [a.tolist() for a in out_lo], [a.tolist() for a in out_hi]
-    shift = [(b + p).tolist() for b, p in zip(bmin, pad)]
+    bmin = [b.tolist() for b in bmin]
     window = None
     for blk, lens in zip(zip(*(b[order].tolist() for b in found)), lengths[order].tolist()):
         if window != lens:
             window = lens
             mins = _window_reduce(np.minimum, gpad, window)
-        out = tuple(slice(out_lo[d][b], out_hi[d][b]) for d, b in enumerate(blk))
-        win = tuple(
-            slice(o.start + shift[d][b], o.stop + shift[d][b])
-            for d, (o, b) in enumerate(zip(out, blk))
-        )
+        start = [out_lo[d][b] for d, b in enumerate(blk)]
+        out = tuple(slice(s, out_hi[d][b]) for d, (s, b) in enumerate(zip(start, blk)))
+        lows = [bmin[d][b] for d, b in enumerate(blk)]
+        win = tuple(slice(o.start + b + p, o.stop + b + p) for o, b, p in zip(out, lows, pad))
         keep = mins[win] + least[blk] <= incumbent[out]
-        for d in range(ndim):
-            hit = np.flatnonzero(keep.any(axis=tuple(a for a in range(ndim) if a != d)))
-            if not hit.size:
-                break
-            box_lo[d][blk] = out[d].start + hit[0]
-            box_hi[d][blk] = out[d].start + hit[-1] + 1
+        box = _hit_box(keep)
+        if box is None:
+            continue
+        keep = keep[tuple(slice(a, b) for a, b in box)]
+        out = tuple(slice(s + a, s + b) for s, (a, b) in zip(start, box))
+        q = [a[blk] for a in slope]
+        keep &= _tilted_bound(gpad, pad, lows, lens, q, kappa[blk], out) <= incumbent[out]
+        box = _hit_box(keep)
+        if box is None:
+            continue
+        for d, (o, (a, b)) in enumerate(zip(out, box)):
+            box_lo[d][blk] = o.start + a
+            box_hi[d][blk] = o.start + b
     return blocks, box_lo, box_hi
 
 
@@ -540,9 +706,8 @@ def hopflax_apply(
         tables = _axis_tables(g, [np.zeros(1)] * g.dim, axes)
         lo, hi, base, frac = map(np.concatenate, zip(*tables))
         if (lo < hi).all():
-            lattice = _interpolator(g)(tuple(frac.tolist()))
             src = tuple(map(slice, lo + base, hi + base))
-            vals[tuple(map(slice, lo, hi))] = lattice[src]
+            vals[tuple(map(slice, lo, hi))] = _interpolator(g)(tuple(frac.tolist()), src)
         return InfConvResult(ExtGridFn(box, vals), np.full(shape, -1, dtype=np.int64))
 
     active = np.isfinite(W.values)

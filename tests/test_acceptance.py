@@ -24,7 +24,13 @@ from epiconv import (
 from epiconv.bblcheck import appendix_limit_residual, bbl_gap
 from epiconv.extgrid import ExtGridFn, affine_max, is_cone, norm_cone, paraboloid, sample_grid
 from epiconv.fields import bump_field, power_cost_field, quadratic_field, shifted_field
-from epiconv.hopflax import hj_difference_quotient, hopflax_apply, infconv, semigroup_residual
+from epiconv.hopflax import (
+    hj_difference_quotient,
+    hopflax_apply,
+    hopflax_pointwise,
+    infconv,
+    semigroup_residual,
+)
 from epiconv.sharpconst import (
     DomainRejectionError,
     i_alpha,
@@ -259,6 +265,45 @@ def test_c06_bbl_gap(bbl_universe):
         ok,
         f"all fixtures/h nonneg within budget; equality |gap| {[f'{abs(x):.4f}' for x in gaps]} "
         f"<= shrinking budgets {[f'{x:.4f}' for x in errs]}",
+    )
+
+
+def test_c06_exact_candidate_ceiling_on_perturbed_halfspace(bbl_universe):
+    # the grid value bounds Q_h only of g's bilinear interpolant, which the
+    # bump undercuts where it makes g locally concave; the exact candidate
+    # g(x - h y*) + h W(y*) at the grid argmin y* is a continuum upper bound
+    # whatever g, so it is never below a dense pointwise search
+    dom, W, g = bbl_universe
+    gb = multiply_bump(g, [0.0, 1.0], 2.0, 1.0)
+    gg, WW = _bbl_grids(dom, W, gb, 10.0, 0.1)
+    h = 0.1
+    res = hopflax_apply(gg, WW, h)
+    X = np.stack(np.meshgrid(*res.values.axes, indexing="ij"), axis=-1)
+    window = (np.abs(X[..., 0]) <= 4 + 1e-9) & (X[..., 1] >= h - 1e-9) & (X[..., 1] <= 4 + 1e-9)
+    nodes = np.argwhere(window)
+    assert len(nodes) == 3240
+    worst = np.argwhere(window & np.all(np.abs(X - [0.2, 2.1]) < 1e-9, axis=-1))
+    rng = np.random.default_rng(6)
+    nodes = np.concatenate([worst, nodes[rng.choice(len(nodes), 300, replace=False)]])
+    at = tuple(nodes.T)
+    x = X[at]
+    y = np.stack(np.meshgrid(*WW.axes, indexing="ij"), axis=-1).reshape(-1, 2)[res.argmin[at]]
+    q = x - h * y
+    ceiling = np.where(dom.contains(q, 0.0), gb.fn(q), np.inf) + h * W.fn(y)
+    dense = hopflax_pointwise(
+        gb.fn, W.fn, h, x, y_box=WW.box, y_resolution=WW.resolution,
+        g_domain=dom, W_domain=dom, zoom_iters=14,
+    )
+    assert np.isfinite(dense).all()
+    assert (ceiling >= dense).all()
+    # the grid value itself falls below at x = (0.2, 2.1)
+    grid = res.values.values[at]
+    assert (grid[0] - dense[0]) / dense[0] < -1.4e-4
+    report(
+        "criterion 6 (exact-candidate ceiling)",
+        True,
+        f"{len(x)} window nodes; grid undercuts the dense search by "
+        f"{-(grid[0] - dense[0]) / dense[0]:.2e} at (0.2, 2.1), the ceiling never does",
     )
 
 

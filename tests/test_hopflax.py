@@ -401,6 +401,110 @@ def test_prune_allowance_keeps_rounded_ties(c, g_res, w_res, w_step, h):
     assert res.argmin.tobytes() == warg.tobytes()
 
 
+def _random_prune_case(rng):
+    """A 1-3-D g and W with +inf nodes, W's spacing other than g's, and an
+    h; g is smooth plus noise, W a convex quadratic."""
+    dim = int(rng.integers(1, 4))
+    gm = [int(m) for m in rng.integers(5, 14 if dim < 3 else 8, dim)]
+    wm = [int(m) for m in rng.integers(4, 12 if dim < 3 else 7, dim)]
+    g_box = [(float(lo), float(lo) + (m - 1) * 0.2) for lo, m in zip(rng.uniform(-1, 0, dim), gm)]
+    w_step = float(rng.choice([0.2, 0.13, 0.31]))
+    w_box = [(float(lo), float(lo) + (m - 1) * w_step) for lo, m in zip(rng.uniform(-1, 0, dim), wm)]
+    g = ExtGridFn(g_box, np.zeros(gm))
+    W = ExtGridFn(w_box, np.zeros(wm))
+    gx = np.stack(np.meshgrid(*g.axes, indexing="ij"), axis=-1)
+    wx = np.stack(np.meshgrid(*W.axes, indexing="ij"), axis=-1)
+    gv = np.sin(gx @ rng.uniform(-3, 3, dim)) + np.sum(gx**2, axis=-1)
+    gv = gv + 0.1 * rng.standard_normal(gm)
+    wv = np.sum(rng.uniform(0.5, 4.0, dim) * (wx - rng.uniform(-0.5, 0.5, dim)) ** 2, axis=-1)
+    gv[rng.random(gm) < 0.1] = INF
+    wv[rng.random(wm) < 0.1] = INF
+    return ExtGridFn(g_box, gv), ExtGridFn(w_box, wv), float(rng.choice([0.1, 0.25, 0.5, 1.0]))
+
+
+PRUNE_CASES = [f"random-{seed}" for seed in range(12)] + [
+    f"{name}-{h}" for name in sorted(EXACT_FIXTURES) for h in (0.1, 0.25, 0.5, 1.0)
+]
+
+
+def _prune_inputs(case):
+    """(g, W, h, output axes, tables, weights, active) of a PRUNE_CASES entry."""
+    name, param = case.rsplit("-", 1)
+    if name == "random":
+        g, W, h = _random_prune_case(np.random.default_rng(170 + int(param)))
+        grid = None
+    else:
+        (g, W, grid), h = EXACT_FIXTURES[name](), float(param)
+    if grid is None:
+        axes = hopflax_apply(g, W, h).values.axes
+    else:
+        axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(*grid)]
+    tables = hopflax._axis_tables(g, [h * ax for ax in W.axes], axes)
+    return g, W, h, axes, tables, h * W.values, np.isfinite(W.values)
+
+
+@pytest.mark.parametrize("case", PRUNE_CASES)
+def test_tilted_bound_holds_for_every_candidate(case):
+    # for every block, every output node it reaches and every node of the
+    # block: the tilted bound is at most the candidate plus the allowance
+    g, W, h, axes, tables, weights, active = _prune_inputs(case)
+    blocks_axes, least, slope, kappa, allowance = hopflax._block_bounds(g, tables, weights, active)
+    blocks, _reach, _starts, bmin, length, out_lo, out_hi = zip(*blocks_axes)
+    pad = [int(n.max()) - 1 for n in length]
+    gpad = np.pad(g.values, [(p, p) for p in pad], constant_values=INF)
+    shape = tuple(len(ax) for ax in axes)
+    bounds, checked = {}, 0
+    for y in map(tuple, np.argwhere(active)):
+        blk = tuple(b[i] for b, i in zip(blocks, y))
+        if min(blk) < 0:
+            continue
+        if blk not in bounds:
+            out = tuple(slice(lo[b], hi[b]) for lo, hi, b in zip(out_lo, out_hi, blk))
+            bound = np.full(shape, -INF)
+            bound[out] = hopflax._tilted_bound(
+                gpad, pad, [b[i] for b, i in zip(bmin, blk)], [n[i] for n, i in zip(length, blk)],
+                [q[blk] for q in slope], kappa[blk], out,
+            )
+            assert not np.isnan(bound).any()
+            bounds[blk] = bound
+        shift = np.array([h * ax[i] for ax, i in zip(W.axes, y)])
+        cand = _shift_interp_candidates(g, axes, shift) + weights[y]
+        assert (bounds[blk] <= cand + allowance).all(), (case, y)
+        checked += np.isfinite(cand).sum()
+    assert checked > 0
+
+
+def test_prune_cases_are_tilted():
+    # the bound above is checked with slopes other than 0 on every random case
+    for case in PRUNE_CASES:
+        if case.startswith("random"):
+            g, W, h, axes, tables, weights, active = _prune_inputs(case)
+            slope = hopflax._block_bounds(g, tables, weights, active)[2]
+            assert any(np.any(q != 0.0) for q in slope), case
+
+
+@pytest.mark.parametrize("case", PRUNE_CASES)
+def test_tilted_boxes_inside_untilted_boxes(case, monkeypatch):
+    # q = 0 with kappa = least weight and the allowance without tilt is the
+    # untilted bound alone; the tilted boxes never leave its boxes
+    g, W, h, axes, tables, weights, active = _prune_inputs(case)
+    shape = tuple(len(ax) for ax in axes)
+    blocks, lo, hi = hopflax._prune_boxes(g, tables, shape, weights, active)
+    orig = hopflax._block_bounds
+
+    def untilted(*args):
+        axes_b, least, slope, _kappa, _allowance = orig(*args)
+        zero = [np.zeros_like(q) for q in slope]
+        return axes_b, least, zero, least, hopflax._allowance(g, weights, active, 0.0)
+
+    monkeypatch.setattr(hopflax, "_block_bounds", untilted)
+    _, lo0, hi0 = hopflax._prune_boxes(g, tables, shape, weights, active)
+    kept = np.all([a < b for a, b in zip(lo, hi)], axis=0)
+    for d in range(g.dim):
+        assert (lo0[d][kept] <= lo[d][kept]).all() and (hi[d][kept] <= hi0[d][kept]).all()
+    assert np.all([a < b for a, b in zip(lo0, hi0)], axis=0)[kept].all()
+
+
 @pytest.fixture
 def taken(monkeypatch):
     """The Hopf-Lax paths hopflax_apply runs, in call order."""
