@@ -46,7 +46,6 @@ __all__ = [
     "BBLParams",
     "GapReport",
     "ConditionReport",
-    "AdmissibilityReport",
     "bbl_gap",
     "derived_gap",
     "appendix_limit_residual",
@@ -84,6 +83,11 @@ class BBLParams:
     @property
     def q_trace(self) -> float:
         return self.p * (self.a - 1.0) / (self.a - self.p)
+
+    @property
+    def _tail_decay(self) -> float:
+        """q*(a-1), the tail decay of g^(1-a) and W^(1-a); q = 2 when p is unset."""
+        return (self.q or 2.0) * (self.a - 1.0)
 
     def with_h(self, h: float) -> "BBLParams":
         return BBLParams(self.n, self.a, self.p, h)
@@ -193,7 +197,7 @@ def bbl_gap(g: ExtGridFn, W: ExtGridFn, params: BBLParams) -> GapReport:
         lhs_c, rhs_c, _ = _bbl_gap_once(_decimate(g), _decimate(W), params)
         err = 1.5 * abs((lhs - rhs) - (lhs_c - rhs_c))
         if params.q is not None:
-            alpha = params.q * (a - 1.0)
+            alpha = params._tail_decay
             for grid, fac in ((Q, (1.0 + h) ** (a - n)), (gs, 1.0), (Ws, h)):
                 K = _grid_tail_K(_neg_power(grid.values, 1.0 - a), grid.axes, alpha)
                 R = min(min(abs(lo), abs(hi)) for lo, hi in grid.box[:-1])
@@ -259,10 +263,11 @@ def derived_gap(
     gradient. Tail bounds use the decay exponent q*(a-1), q = 2 when unset.
     Admissibility is not checked here; :func:`admissibility_report` is.
     """
-    alpha = (params.q or 2.0) * (params.a - 1.0)
     return _derived_gap(
         g, W, params, domain, spec,
-        lambda: _cost_integral(W, 1.0 - params.a, domain, spec, alpha, estimate=True),
+        lambda: _cost_integral(
+            W, 1.0 - params.a, domain, spec, params._tail_decay, estimate=True
+        ),
     )
 
 
@@ -272,7 +277,7 @@ def _derived_gap(g, W, params, domain, spec, cost_B) -> GapReport:
     a, n = params.a, params.n
     if W.conjugate is None:
         raise ValueError("W must provide a conjugate callable")
-    alpha = (params.q or 2.0) * (a - 1.0)
+    alpha = params._tail_decay
 
     T1, e1, _ = integrate_epigraph(
         lambda p: g(p) ** (1.0 - a), domain, spec, decay=alpha, estimate=True
@@ -329,10 +334,14 @@ def appendix_limit_residual(
     """Three-way split of the difference quotient for each h.
 
     Returns one record per h with term_i, term_ii, term_iii, their sum, the
-    limit expression (a-1) int W*(grad g)/g^a - int g^(1-a) P, and the
-    residual. Q_h(g) is evaluated pointwise from the analytic pair so the
-    small-h quotients are not polluted by grid interpolation. Tail bounds use
-    the decay exponent q*(a-1), q = 2 when unset. Term (iii) is integrated
+    limit expression (a-1) int W*(grad g)/g^a - int g^(1-a) P, the residual
+    and an error_estimate. The estimate covers terms (i) and (iii) by their
+    power-tail bounds alone, with no refinement run, and term (ii) and limit
+    (ii) by their half-spacing refinement estimates (tails included); limits
+    (i) and (iii) add nothing. Q_h(g) is evaluated pointwise from the
+    analytic pair so the small-h quotients are not polluted by grid
+    interpolation. Tail bounds use the decay exponent q*(a-1), q = 2 when
+    unset. Term (iii) is integrated
     on every domain; on cones the strip B_h minus Omega_h is empty, so it
     comes out exactly zero.
 
@@ -341,8 +350,7 @@ def appendix_limit_residual(
     a coarser grid than the limit expression. Its quadrature bias is the same
     for every h, so the residual trend in h survives a coarse choice.
     """
-    a = params.a
-    alpha = (params.q or 2.0) * (a - 1.0)
+    a, alpha = params.a, params._tail_decay
     if W.conjugate is None:
         raise ValueError("W must provide a conjugate callable")
     qspec = quotient_spec if quotient_spec is not None else spec
@@ -374,7 +382,7 @@ def appendix_limit_residual(
     records = []
     for h in h_list:
         fn_i = lambda p, _h=h: (q_pointwise(p, _h) ** (1.0 - a) - g(p) ** (1.0 - a)) / _h
-        term_i, ei = integrate_epigraph(fn_i, domain, qspec, shift=h, decay=alpha)
+        term_i, tail_i = integrate_epigraph(fn_i, domain, qspec, shift=h, decay=alpha)
 
         def fn_ii(x1, _h=h):
             x1 = np.asarray(x1, dtype=float)
@@ -400,7 +408,7 @@ def appendix_limit_residual(
             out = np.sum(wts * vals, axis=-1) / _h
             return np.where(thin, 0.0, out)
 
-        term_iii, eiii = integrate_boundary(fn_iii, domain.n - 1, qspec, decay=alpha)
+        term_iii, tail_iii = integrate_boundary(fn_iii, domain.n - 1, qspec, decay=alpha)
 
         total = term_i - term_ii + term_iii
         residual = (term_i - limit_i) - (term_ii - limit_ii) + (term_iii - limit_iii)
@@ -416,7 +424,7 @@ def appendix_limit_residual(
                 "limit_ii": limit_ii,
                 "limit_iii": limit_iii,
                 "residual": residual,
-                "error_estimate": ei + eii + eiii + el2,
+                "error_estimate": tail_i + eii + tail_iii + el2,
             }
         )
     return records
@@ -428,18 +436,6 @@ class ConditionReport:
     passed: bool
     fitted: float
     worst_point: tuple | None
-
-
-@dataclass
-class AdmissibilityReport:
-    conditions: list[ConditionReport]
-    gamma: float
-
-    def get(self, name: str) -> ConditionReport:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 # points in each radial fan of the admissibility and boundary growth checks
@@ -487,8 +483,9 @@ def admissibility_report(
     adm,
     params: BBLParams,
     domain: EpigraphDomain,
-) -> AdmissibilityReport:
-    """Growth-envelope checks on deterministic radial fans up to radius 1e3.
+) -> list[ConditionReport]:
+    """Growth-envelope checks on deterministic radial fans up to radius 1e3,
+    in the order C0, C1, C2, C3, C4, phi_growth.
 
     The envelope constants are fitted from the samples, and a condition
     passes when a valid positive finite constant exists. The boundary growth
@@ -521,7 +518,7 @@ def admissibility_report(
 
     ok, fitted, witness = _boundary_growth(domain)
     conditions.append(ConditionReport("phi_growth", ok, fitted, witness))
-    return AdmissibilityReport(conditions, gamma)
+    return conditions
 
 
 @dataclass

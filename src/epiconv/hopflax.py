@@ -132,11 +132,6 @@ class InfConvResult:
     values: ExtGridFn
     argmin: np.ndarray  # flat index into the y-grid, -1 where the value is +inf
 
-    @property
-    def empty(self) -> bool:
-        """True when no output node is finite."""
-        return not self.values.finite_mask.any()
-
 
 def _same_step(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))

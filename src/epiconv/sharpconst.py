@@ -38,7 +38,6 @@ from .transforms import NormSpec, dual_norm
 
 __all__ = [
     "SharpConstants",
-    "ExtremalSpec",
     "TraceReport",
     "DomainRejectionError",
     "i_alpha",
@@ -81,34 +80,6 @@ class SharpConstants:
 
     def to_json(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "i_values"}
-
-
-@dataclass
-class ExtremalSpec:
-    """f(x) = ||x + e||^exponent with exponent = -(a-p)/(p-1) < 0."""
-
-    exponent: float
-    norm: NormSpec
-    n: int
-
-    @property
-    def e(self) -> np.ndarray:
-        return _unit_e(self.n)
-
-    def field(self) -> ScalarField:
-        gamma = self.exponent
-        norm = self.norm
-        e = self.e
-
-        def fn(x):
-            return norm(np.asarray(x, dtype=float) + e) ** gamma
-
-        def grad(x):
-            z = np.asarray(x, dtype=float) + e
-            r = norm(z)
-            return gamma * r[..., None] ** (gamma - 1.0) * norm.grad(z)
-
-        return ScalarField(fn, grad, decay=-gamma, name=f"extremal(gamma={gamma:g})")
 
 
 @dataclass
@@ -242,8 +213,7 @@ def _gns_constants(params, domain, norm, spec, moment, cost_B) -> SharpConstants
     theta = (a - p) / (p * (a - n - 1.0) + n)
     q_trace = params.q_trace
 
-    ext = extremal_f(params, norm)
-    f = ext.field()
+    f = extremal_f(params, norm)
     if a > n:
         s = (a - n) * (p - 1.0) / (a - p)
         D_npa = (1.0 + s) * s ** (-s / (1.0 + s)) * D ** (1.0 / (1.0 + s)) * (a - n) ** (
@@ -270,12 +240,23 @@ def _gns_constants(params, domain, norm, spec, moment, cost_B) -> SharpConstants
     )
 
 
-def extremal_f(params: BBLParams, norm: NormSpec) -> ExtremalSpec:
-    """The saturating profile ||x+e||^(-(a-p)/(p-1))."""
+def extremal_f(params: BBLParams, norm: NormSpec) -> ScalarField:
+    """The saturating profile f(x) = ||x+e||^gamma, gamma = -(a-p)/(p-1) < 0."""
     a, p = params.a, params.p
     if p is None or not a > p:
         raise ValueError("extremal needs a > p > 1")
-    return ExtremalSpec(exponent=-(a - p) / (p - 1.0), norm=norm, n=params.n)
+    gamma = -(a - p) / (p - 1.0)
+    e = _unit_e(params.n)
+
+    def fn(x):
+        return norm(np.asarray(x, dtype=float) + e) ** gamma
+
+    def grad(x):
+        z = np.asarray(x, dtype=float) + e
+        r = norm(z)
+        return gamma * r[..., None] ** (gamma - 1.0) * norm.grad(z)
+
+    return ScalarField(fn, grad, decay=-gamma, name=f"extremal(gamma={gamma:g})")
 
 
 def _gradient_integral(
@@ -340,7 +321,7 @@ def _resolve_constants(constants, params, domain, norm, spec) -> SharpConstants:
 
 
 def trace_gn_check(
-    f: ScalarField | ExtremalSpec,
+    f: ScalarField,
     params: BBLParams,
     domain: EpigraphDomain,
     norm: NormSpec,
@@ -362,8 +343,6 @@ def trace_gn_check(
             f"trace_gn_check needs a convex cone; witness {chk.witness}",
             witness=chk.witness,
         )
-    if isinstance(f, ExtremalSpec):
-        f = f.field()
     constants = _resolve_constants(constants, params, domain, norm, spec)
     theta, qt, p = constants.theta, constants.q_trace, params.p
 
@@ -394,7 +373,7 @@ def trace_gn_check(
 
 
 def weighted_trace_check(
-    f: ScalarField | ExtremalSpec,
+    f: ScalarField,
     params: BBLParams,
     domain: EpigraphDomain,
     norm: NormSpec,
@@ -420,8 +399,6 @@ def weighted_trace_check(
             witness=witness,
             fitted=fitted,
         )
-    if isinstance(f, ExtremalSpec):
-        f = f.field()
     constants = _resolve_constants(constants, params, domain, norm, spec)
     a, n, p = params.a, params.n, params.p
     u = constants.u

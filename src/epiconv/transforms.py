@@ -290,7 +290,10 @@ def default_dual_box(f: ExtGridFn):
 @dataclass
 class ConjugateResult:
     values: ExtGridFn
-    dual_box: tuple
+
+    @property
+    def dual_box(self) -> tuple:
+        return self.values.box
 
 
 def legendre_nd(
@@ -325,8 +328,7 @@ def legendre_nd(
         del lines  # the negation below then frees this sweep's output
         if d < f.dim - 1:
             work = -work  # feed the next sweep; -(-inf) = +inf excludes empty lines
-    grid = ExtGridFn(dual_box, work)
-    return ConjugateResult(values=grid, dual_box=tuple(tuple(b) for b in dual_box))
+    return ConjugateResult(ExtGridFn(dual_box, work))
 
 
 def power_cost_conjugate(C: float, q: float, norm: NormSpec, y) -> float | np.ndarray:

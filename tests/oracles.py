@@ -30,7 +30,6 @@ from epiconv.quadrature import (
     power_tail_bound,
 )
 from epiconv.sharpconst import (
-    ExtremalSpec,
     SharpConstants,
     _field_integral,
     _gradient_integral,
@@ -880,7 +879,7 @@ def gradient_norm_claim_check(gamma: float, norm: NormSpec) -> float:
 
 
 def young_equality_residual(
-    f: ScalarField | ExtremalSpec,
+    f: ScalarField,
     constants: SharpConstants,
     domain: EpigraphDomain,
     norm: NormSpec,
@@ -893,8 +892,6 @@ def young_equality_residual(
     Returns (relative residual, lhs, rhs, identity_route) where the identity
     route evaluates the right side as I_{ap/(p-1)}^((a-p)/a).
     """
-    if isinstance(f, ExtremalSpec):
-        f = f.field()
     a, p, v = constants.a, constants.p, constants.v
     grad_term, _ = _gradient_integral(f, norm, p, domain, spec)
     beta_int, _ = _field_integral(f, a * p / (a - p), domain, spec)

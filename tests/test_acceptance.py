@@ -115,7 +115,7 @@ def test_c02_biconjugacy():
             tol = sum(
                 (hi - lo) / (m - 1) / 2.0 * (bhi - blo)
                 for (lo, hi), m, (blo, bhi) in zip(
-                    conj.dual_box, conj.values.resolution, f.box
+                    conj.values.box, conj.values.resolution, f.box
                 )
             )
             assert err <= tol, f"trial {trial} scale {scale}: {err} > {tol}"

@@ -201,21 +201,27 @@ def test_sample_fan_1d_has_no_duplicates():
     assert (fan[: len(fan) // 2] > 0).all() and (fan[len(fan) // 2 :] < 0).all()
 
 
+def conditions_by_name(*args):
+    conds = admissibility_report(*args)
+    assert [c.name for c in conds] == ["C0", "C1", "C2", "C3", "C4", "phi_growth"]
+    return {c.name: c for c in conds}
+
+
 class TestAdmissibility:
     def test_power_cost_passes_c1_c2(self, halfplane):
         W = power_cost_field(1.6, 3.0, NormSpec("euclidean"))
         g = shifted_field(W, E2)
         adm = AdmissibilityParams(gamma=3.0)
-        rep = admissibility_report(g, W, adm, BBLParams(n=2, a=2.0, p=1.5), halfplane)
-        assert rep.get("C1").passed and rep.get("C2").passed
-        assert rep.get("C0").passed
+        rep = conditions_by_name(g, W, adm, BBLParams(n=2, a=2.0, p=1.5), halfplane)
+        assert rep["C1"].passed and rep["C2"].passed
+        assert rep["C0"].passed
 
     def test_shifted_power_passes_c3_c4_with_fitted_constants(self, halfplane):
         W = power_cost_field(1.6, 3.0, NormSpec("euclidean"))
         g = shifted_field(W, E2)
         adm = AdmissibilityParams(gamma=3.0)
-        rep = admissibility_report(g, W, adm, BBLParams(n=2, a=2.0, p=1.5), halfplane)
-        c3, c4 = rep.get("C3"), rep.get("C4")
+        rep = conditions_by_name(g, W, adm, BBLParams(n=2, a=2.0, p=1.5), halfplane)
+        c3, c4 = rep["C3"], rep["C4"]
         assert c3.passed and c3.fitted > 0
         assert c4.passed and np.isfinite(c4.fitted)
 
@@ -224,11 +230,10 @@ class TestAdmissibility:
         g = shifted_field(W, E2)
         params = BBLParams(n=2, a=2.0, p=1.5)
         adm = AdmissibilityParams(gamma=3.0)
-        cone_rep = admissibility_report(g, W, adm, params, unit_cone)
-        assert cone_rep.get("phi_growth").passed
-        assert cone_rep.get("phi_growth").fitted <= 1.0 + 1e-9
-        par_rep = admissibility_report(g, W, adm, params, paraboloid(2))
-        growth = par_rep.get("phi_growth")
+        cone_growth = conditions_by_name(g, W, adm, params, unit_cone)["phi_growth"]
+        assert cone_growth.passed
+        assert cone_growth.fitted <= 1.0 + 1e-9
+        growth = conditions_by_name(g, W, adm, params, paraboloid(2))["phi_growth"]
         assert not growth.passed
         assert growth.fitted == pytest.approx(2.0, abs=1e-2)
         assert np.isfinite(growth.fitted)
@@ -238,9 +243,9 @@ class TestAdmissibility:
         W = power_cost_field(1.6, 3.0, NormSpec("euclidean"))
         g = shifted_field(W, E2)
         adm = AdmissibilityParams(gamma=2.5)
-        rep = admissibility_report(g, W, adm, BBLParams(n=2, a=3.0, p=1.5), halfplane)
-        assert not rep.get("C0").passed
-        assert not all(c.passed for c in rep.conditions)
+        rep = conditions_by_name(g, W, adm, BBLParams(n=2, a=3.0, p=1.5), halfplane)
+        assert not rep["C0"].passed
+        assert not all(c.passed for c in rep.values())
 
 
 def quadratic_grid(L, m, offset=1.0, curvature=0.5):

@@ -316,3 +316,22 @@ def test_shared_value_computed_once_under_thread_contention():
     assert not any(t.is_alive() for t in threads)
     assert sorted(calls) == list(range(20))
     assert all(len(v) == 8 and all(x is v[0] for x in v) for v in got.values())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="appendix_limit_residual does not converge on cones: |residual| 0.133 "
+    "at h = 0.4 grows to 0.244 at h = 0.1",
+)
+def test_appendix_limit_residual_shrinks_on_cone():
+    doc = dict(
+        BASE,
+        domain={"kind": "cone", "slope": 1.0},
+        params={"a": 2.5, "p": 1.5, "h_list": [0.4, 0.1]},
+        checks=["appendix_limit"],
+        quadrature={"half_width": 5.0, "dx": 0.05, "levels": 6},
+    )
+    (res,) = cli.run_config(cli.parse_config(doc))
+    verdicts = {x["label"]: x["passed"] for x in res["result"]["assertions"]}
+    assert verdicts["residual_shrinks"], res["result"]["assertions"]

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from epiconv import fields
+from epiconv.bblcheck import BBLParams
 from epiconv.extgrid import EpigraphDomain, affine_max, halfspace, norm_cone, paraboloid
-from epiconv.sharpconst import ExtremalSpec
+from epiconv.sharpconst import extremal_f
 from epiconv.transforms import NormSpec, dual_norm
 
 
@@ -60,7 +61,8 @@ def field_callables(n: int):
         W = fields.power_cost_field(1.3, 2.5, norm)
         out[f"power_cost[{name}]"] = W
         out[f"shifted[{name}]"] = fields.shifted_field(W, shift)
-        out[f"extremal[{name}]"] = ExtremalSpec(-1.5, norm, n).field()
+        if n > 1:  # BBLParams needs n >= 2
+            out[f"extremal[{name}]"] = extremal_f(BBLParams(n, a=n + 1.0, p=1.5), norm)
     out["quadratic"] = fields.quadratic_field(1.0, 2.0)
     out["bump"] = fields.bump_field(np.full(n, 0.3), radius=2.0, amplitude=0.7)
     out["multiply_bump"] = fields.multiply_bump(out["quadratic"], np.zeros(n), 1.5, 0.4)

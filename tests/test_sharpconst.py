@@ -152,14 +152,13 @@ class TestConstants:
 
 class TestExtremal:
     def test_plugin_exponent(self, euclid):
-        spec = extremal_f(BBLParams(n=3, a=3.0, p=2.0), euclid)
-        assert spec.exponent == -1.0
-        f = spec.field()
+        f = extremal_f(BBLParams(n=3, a=3.0, p=2.0), euclid)
+        assert f.decay == 1.0  # the exponent -(a-p)/(p-1) = -1
         x = np.array([[1.0, 2.0, 1.0]])
         assert f(x)[0] == pytest.approx(1.0 / np.linalg.norm([1.0, 2.0, 2.0]))
 
     def test_gradient_against_finite_differences(self, euclid):
-        f = extremal_f(BBLParams(n=2, a=2.0, p=1.5), euclid).field()
+        f = extremal_f(BBLParams(n=2, a=2.0, p=1.5), euclid)
         rng = np.random.default_rng(0)
         pts = rng.uniform([-2, 0.1], [2, 3], size=(100, 2))
         grad = f.gradient(pts)
@@ -174,7 +173,7 @@ class TestExtremal:
     def test_gradient_integral_identity(self, halfplane, euclid, fine_quad):
         # int ||grad f||_*^p = ((a-p)/(p-1))^p I_{p(a-1)/(p-1)}
         params = BBLParams(n=2, a=2.0, p=1.5)
-        f = extremal_f(params, euclid).field()
+        f = extremal_f(params, euclid)
         from epiconv.transforms import dual_norm
 
         got, _ = integrate_epigraph(
@@ -359,12 +358,13 @@ class TestApproxFamily:
 
         geps = ScalarField(lambda x: feps(x) ** expo, name="g_eps")
         W = power_cost_field(1.6, 4.0, NormSpec("euclidean"))
-        rep = admissibility_report(
+        conds = admissibility_report(
             geps, W, AdmissibilityParams(gamma=gamma),
             params, halfplane,
         )
-        assert rep.get("C3").passed and rep.get("C3").fitted > 0
-        assert rep.get("C4").passed and np.isfinite(rep.get("C4").fitted)
+        c3, c4 = conds[3], conds[4]
+        assert c3.name == "C3" and c3.passed and c3.fitted > 0
+        assert c4.name == "C4" and c4.passed and np.isfinite(c4.fitted)
 
     def test_bisection_integrates_each_mass_once(
         self, normalized_bump, halfplane, mid_quad, monkeypatch

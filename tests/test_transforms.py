@@ -324,10 +324,9 @@ class TestBiconjugacy:
         back = legendre_nd(conj.values, dual_box=f.box, dual_resolution=f.resolution)
         diff = vals - back.values.values
         assert diff.min() >= -1e-10  # f** <= f at the nodes
-        dual_box = conj.dual_box
         tol = sum(
             (hi - lo) / (m - 1) / 2 * (bhi - blo)
-            for (lo, hi), m, (blo, bhi) in zip(dual_box, conj.values.resolution, f.box)
+            for (lo, hi), m, (blo, bhi) in zip(conj.values.box, conj.values.resolution, f.box)
         )
         assert diff.max() <= tol
 
