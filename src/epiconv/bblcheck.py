@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .extgrid import INF, EpigraphDomain, ExtGridFn, weight_P
+from .extgrid import INF, EpigraphDomain, ExtGridFn, _euclidean_norm, weight_P
 from .fields import ScalarField
 from .hopflax import _richardson, hopflax_apply, hopflax_pointwise
 from .quadrature import (
@@ -160,7 +160,7 @@ def _grid_tail_K(f_pow: np.ndarray, axes, alpha: float) -> float:
     for d in range(len(axes)):
         for side in (0, -1):
             face = (slice(None),) * d + (side,)
-            best = max(best, _fit_tail_K(pts[face], f_pow[face], alpha))
+            best = max(best, _fit_tail_K(_euclidean_norm(pts[face]), f_pow[face], alpha))
     return best
 
 
@@ -231,9 +231,10 @@ def _boundary_integrand(
     return fn
 
 
-def _conjugate_integrand(g: ScalarField, W: ScalarField, a: float) -> Callable:
-    """x -> W*(grad g(x)) / g(x)^a, the conjugate term of the derivative."""
-    return lambda p: W.conjugate(g.gradient(p)) / g(p) ** a
+def _conjugate_term(g: ScalarField, W: ScalarField, a: float, p, gp) -> np.ndarray:
+    """W*(grad g(p)) / g(p)^a, the conjugate term of the derivative, at the
+    points p, given gp = g(p)."""
+    return W.conjugate(g.gradient(p)) / gp**a
 
 
 def _cost_integral(
@@ -279,11 +280,12 @@ def _derived_gap(g, W, params, domain, spec, cost_B) -> GapReport:
         raise ValueError("W must provide a conjugate callable")
     alpha = params._tail_decay
 
-    T1, e1, _ = integrate_epigraph(
-        lambda p: g(p) ** (1.0 - a), domain, spec, decay=alpha, estimate=True
-    )
-    T2, e2, _ = integrate_epigraph(
-        _conjugate_integrand(g, W, a), domain, spec, decay=alpha, estimate=True
+    def bulk(p):
+        gp = g(p)
+        return np.stack([gp ** (1.0 - a), _conjugate_term(g, W, a, p, gp)])
+
+    (T1, e1, _), (T2, e2, _) = integrate_epigraph(
+        bulk, domain, spec, decay=[alpha, alpha], estimate=True
     )
     T3, e3, _ = integrate_boundary(
         _boundary_integrand(g, domain, 1.0 - a, weighted=True),
@@ -358,7 +360,7 @@ def appendix_limit_residual(
     # per-term limits, each on the quadrature geometry of its own term so the
     # residual measures the h-trend and not a grid mismatch
     limit_i = (a - 1.0) * integrate_epigraph(
-        _conjugate_integrand(g, W, a), domain, qspec, decay=alpha
+        lambda p: _conjugate_term(g, W, a, p, g(p)), domain, qspec, decay=alpha
     )[0]
     limit_ii, el2, _ = integrate_boundary(
         _boundary_integrand(g, domain, 1.0 - a, weighted=False), domain.n - 1, spec,

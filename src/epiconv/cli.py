@@ -149,12 +149,15 @@ class _Shared:
             raise value
         return value
 
-    def moment(self, spec: QuadSpec, alpha: float):
-        """(I_alpha, error) on ``spec``."""
+    def moments(self, spec: QuadSpec):
+        """The (I_alpha, error) of the constants' two moment exponents on
+        ``spec``, from one stacked sweep."""
         cfg = self.cfg
         return self._get(
-            ("moment", spec, alpha),
-            lambda: sc.i_alpha(cfg.domain, cfg.norm, alpha, spec),
+            ("moments", spec),
+            lambda: sc._moments(
+                cfg.domain, cfg.norm, sc._moment_exponents(_bbl_params(cfg)), spec
+            ),
         )
 
     def constants(self, spec: QuadSpec) -> sc.SharpConstants:
@@ -163,7 +166,7 @@ class _Shared:
             ("constants", spec),
             lambda: sc._gns_constants(
                 _bbl_params(cfg), cfg.domain, cfg.norm, spec,
-                lambda alpha: self.moment(spec, alpha),
+                lambda: self.moments(spec),
                 lambda C: self.cost_B(spec, C, _bbl_params(cfg).q),
             ),
         )
@@ -177,21 +180,21 @@ class _Shared:
             lambda: sc._power_cost_B(cfg.domain, cfg.norm, C, q, cfg.a, spec),
         )
 
-    def power_cost(self, q: float) -> float:
+    def power_cost(self) -> float:
         """C of the power cost, its direct normalization checked once."""
         cfg = self.cfg
         return self._get(
-            ("power_cost", q),
+            ("power_cost",),
             lambda: sc._normalize_power_cost(
-                cfg.domain, cfg.norm, q, cfg.a, cfg.quad,
-                lambda alpha: self.moment(cfg.quad, alpha),
+                cfg.domain, cfg.norm, _bbl_params(cfg).q, cfg.a, cfg.quad,
+                lambda: self.moments(cfg.quad)[0],
             ),
         )
 
 
 def _power_pair(cfg: ExperimentConfig, shared: _Shared):
     q = _bbl_params(cfg).q
-    W = fl.power_cost_field(shared.power_cost(q), q, cfg.norm)
+    W = fl.power_cost_field(shared.power_cost(), q, cfg.norm)
     return fl.shifted_field(W, cfg.domain.e), W, q
 
 
@@ -330,7 +333,7 @@ def check_bbl_gap(cfg: ExperimentConfig, shared: _Shared):
 
 def check_derived_gap(cfg: ExperimentConfig, shared: _Shared):
     g, W, q = _power_pair(cfg, shared)
-    C = shared.power_cost(q)
+    C = shared.power_cost()
     rep = bbl._derived_gap(
         g, W, _bbl_params(cfg), cfg.domain, cfg.quad,
         lambda: shared.cost_B(cfg.quad, C, q),

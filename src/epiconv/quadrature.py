@@ -20,13 +20,20 @@ nodes the two grids share, rely on that. The points are stored
 coordinate-major: the (m, n) array is a view with contiguous coordinate
 planes ``p[:, d]``. An integrand must not write to it, must give the same
 bytes whatever its memory layout, and copies it itself if it needs C order.
+
+``integrate_epigraph`` also takes stacked integrands: given a length-k
+sequence of decay exponents, the integrand returns a (k, m) array whose rows
+are k integrands over one domain, spec and shift. Every row sees the same
+coordinate-major point batch, so the columns, point batches, node maps and
+masks of the sweep are built once for all k, and each row's result equals
+the one-row sweep of that integrand byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -148,12 +155,22 @@ def _tensor_weights(axes) -> np.ndarray:
     return w.ravel()
 
 
-def _fit_tail_K(samples_x: np.ndarray, samples_f: np.ndarray, alpha: float) -> float:
-    r = _euclidean_norm(samples_x)
+def _fit_tail_K(r: np.ndarray, samples_f: np.ndarray, alpha: float) -> float:
+    """sup |f| * r^alpha over the samples at radii ``r`` > 0 with finite f."""
     ok = (r > 0) & np.isfinite(samples_f)
     if not ok.any():
         return 0.0
     return float(np.max(np.abs(samples_f[ok]) * r[ok] ** alpha))
+
+
+def _values(fn, pts: np.ndarray, k: int) -> np.ndarray:
+    """fn at the points ``pts`` as a (k, points) array, one row per integrand."""
+    if not len(pts):
+        return np.zeros((k, 0))
+    vals = np.asarray(fn(pts), dtype=float)
+    if vals.shape[-1:] != (len(pts),):
+        raise ValueError(f"integrand returned shape {vals.shape} for {len(pts)} points")
+    return vals.reshape(k, len(pts))
 
 
 class _Columns(NamedTuple):
@@ -203,15 +220,17 @@ def _column_map(coarse: _Columns, fine: _Columns) -> np.ndarray:
     return np.where(ok & (fine.idx[pos] == flat), pos, -1)
 
 
-def _column_sums(fn, cols: _Columns, sel, known=None, decay=None):
-    """Trapezoid sums of the columns ``sel`` from the exact lower limit up.
+def _column_sums(fn, k: int, cols: _Columns, sel, known=None, decay=None):
+    """Trapezoid sums of the columns ``sel`` from the exact lower limit up,
+    for the k integrands that are the rows of ``fn``'s values.
 
     Each column's sum is one full-row sum, so it does not depend on which
-    other columns share the call. ``known`` = (values, mask, boundary values,
-    boundary mask) supplies node values a finer sweep already has; ``fn``
-    evaluates the rest. Returns (sums, node values, boundary values, tail
-    constant), the last fitted to the evaluated grid nodes when ``decay`` is
-    given and 0 otherwise.
+    other columns or integrands share the call. ``known`` = (values, mask,
+    boundary values, boundary mask) supplies node values a finer sweep
+    already has; ``fn`` evaluates the rest. Returns (sums, node values,
+    boundary values, tail constants), each with one row per integrand; a
+    row's tail constant is fitted to the evaluated grid nodes when ``decay``,
+    a list of k exponents, gives it one and is 0 otherwise.
     """
     jb = cols.j0[sel]
     x1b = cols.x1[sel]
@@ -220,31 +239,38 @@ def _column_sums(fn, cols: _Columns, sel, known=None, decay=None):
     dx2 = x2[1] - x2[0]
     rows = np.arange(len(jb))
     need = np.arange(m2)[None, :] >= jb[:, None]
-    vals = np.zeros((len(jb), m2))
-    fb = np.zeros(len(jb))
+    vals = np.zeros((k, len(jb), m2))
+    fb = np.zeros((k, len(jb)))
     part = cols.part[sel]
     bneed = part
+    # masked copies go row by row: numpy's boolean indexing behind a leading
+    # slice is an order of magnitude slower
     if known is not None:
         kvals, kmask, kfb, kpart = known
         kmask = kmask & need
-        vals[kmask] = kvals[kmask]
+        for v, kv in zip(vals, kvals):
+            v[kmask] = kv[kmask]
         need &= ~kmask
-        fb[kpart] = kfb[kpart]
+        fb[:, kpart] = kfb[:, kpart]
         bneed = part & ~kpart
     # the needed nodes in row-major order, one coordinate plane at a time
     pts = np.empty((x1b.shape[1] + 1, np.count_nonzero(need))).T
     for d in range(x1b.shape[1]):
         pts[:, d] = np.broadcast_to(x1b[:, d, None], need.shape)[need]
     pts[:, -1] = np.broadcast_to(x2, need.shape)[need]
-    fv = np.asarray(fn(pts), dtype=float) if len(pts) else np.zeros(0)
-    vals[need] = fv
-    tail_K = _fit_tail_K(pts, fv, decay) if decay is not None else 0.0
+    fv = _values(fn, pts, k)
+    for v, f in zip(vals, fv):
+        v[need] = f
+    tail_K = [0.0] * k
+    if decay is not None:
+        r = _euclidean_norm(pts)
+        tail_K = [0.0 if a is None else _fit_tail_K(r, f, a) for f, a in zip(fv, decay)]
     # regular trapezoid over [x2[j0], d2]: weights dx2, halved at both ends
     # (the single node of a one-node column weighs 0), one full-row sum each
     wvals = vals * dx2
-    wvals[rows, jb] = (0.5 * dx2) * vals[rows, jb]
-    wvals[:, -1] = np.where(jb == m2 - 1, 0.0, 0.5 * dx2) * vals[:, -1]
-    sums = np.sum(wvals, axis=1)
+    wvals[:, rows, jb] = (0.5 * dx2) * vals[:, rows, jb]
+    wvals[:, :, -1] = np.where(jb == m2 - 1, 0.0, 0.5 * dx2) * vals[:, :, -1]
+    sums = np.sum(wvals, axis=2)
 
     # partial cell from the exact boundary up to the first gridline
     pb = np.flatnonzero(bneed)
@@ -252,10 +278,10 @@ def _column_sums(fn, cols: _Columns, sel, known=None, decay=None):
         bpts = np.empty((x1b.shape[1] + 1, pb.size)).T
         bpts[:, :-1] = x1b[pb]
         bpts[:, -1] = cols.lo[sel][pb]
-        fb[pb] = np.asarray(fn(bpts), dtype=float)
+        fb[:, pb] = _values(fn, bpts, k)
     pb = np.flatnonzero(part)
     if pb.size:
-        sums[pb] += 0.5 * cols.gap[sel][pb] * (fb[pb] + vals[pb, jb[pb]])
+        sums[:, pb] += 0.5 * cols.gap[sel][pb] * (fb[:, pb] + vals[:, pb, jb[pb]])
     return sums, vals, fb, tail_K
 
 
@@ -264,7 +290,7 @@ def integrate_epigraph(
     domain: EpigraphDomain,
     spec: QuadSpec,
     shift: float = 0.0,
-    decay: float | None = None,
+    decay: float | Sequence[float | None] | None = None,
     estimate: bool = False,
 ):
     """Integral of fn over the shifted epigraph {x2 >= phi(x1) + shift}.
@@ -275,59 +301,75 @@ def integrate_epigraph(
     tail bound. Both runs share one sweep: the coarse sums read the fine
     values at the nodes the two grids share, and ``fn`` sees only the coarse
     nodes that no fine node matches bit for bit.
+
+    Stacked form: with ``decay`` a length-k sequence (each entry an exponent
+    or None), fn returns a (k, m) array whose rows are k integrands, and the
+    result is the list of their k results. Every row sees the same
+    coordinate-major point batch, the sweep lays out its columns, node maps
+    and tail-fit radii once, and each row's result equals the one-row sweep
+    of that integrand byte for byte. A column block holds at most
+    ``_BLOCK_NODES // k`` nodes, so the values held stay those of one row.
     """
     n = domain.n
+    stacked = isinstance(decay, (list, tuple))
+    decays = list(decay) if stacked else [decay]
+    k = len(decays)
     fine = spec.refined(extend=False) if estimate else spec
-    total = coarse_total = tail_K = 0.0
+    total = np.zeros(k)
+    coarse_total = np.zeros(k)
+    tail_K = [0.0] * k
     for level, box in _shell_boxes(spec, n):
         F = _columns(domain, box, fine.dx * 2.0**level, shift)
         if estimate:
             C = _columns(domain, box, spec.dx * 2.0**level, shift)
             cpos = _column_map(C, F)
             xmap = _node_map(C.x2, F.x2)
-            csum = np.empty(len(C.idx))
+            csum = np.empty((k, len(C.idx)))
         else:
             cpos = np.zeros(0, dtype=np.intp)  # no coarse columns to serve
 
-        # columns in blocks of at most _BLOCK_NODES grid nodes, so memory
-        # stays bounded on fine shells; the shell total is one sum over all
-        # columns, whatever the blocking
-        per_block = max(1, _BLOCK_NODES // len(F.x2))
-        fsum = np.empty(len(F.idx))
-        fit = decay if level == spec.levels else None
+        # columns in blocks of at most _BLOCK_NODES // k grid nodes, so
+        # memory stays bounded on fine shells; the shell total is one sum
+        # over all columns, whatever the blocking
+        per_block = max(1, _BLOCK_NODES // k // len(F.x2))
+        fsum = np.empty((k, len(F.idx)))
+        fit = level == spec.levels and any(a is not None for a in decays)
         for c0 in range(0, len(F.idx), per_block):
             sel = slice(c0, c0 + per_block)
-            fsum[sel], vals, fb, K = _column_sums(fn, F, sel, decay=fit)
-            tail_K = max(tail_K, K)
+            fsum[:, sel], vals, fb, K = _column_sums(
+                fn, k, F, sel, decay=decays if fit else None
+            )
+            tail_K = [max(t, Ki) for t, Ki in zip(tail_K, K)]
             mine = np.flatnonzero((cpos >= c0) & (cpos < c0 + per_block))
             if mine.size:
                 # the coarse columns based on this block's, read off its values
                 fr = cpos[mine] - c0
-                csum[mine] = _column_sums(fn, C, mine, known=(
-                    vals[fr][:, np.maximum(xmap, 0)],
+                csum[:, mine] = _column_sums(fn, k, C, mine, known=(
+                    vals[:, fr][:, :, np.maximum(xmap, 0)],
                     xmap[None, :] >= F.j0[c0 + fr][:, None],
-                    fb[fr],
+                    fb[:, fr],
                     F.part[c0 + fr] & (F.lo[c0 + fr] == C.lo[mine]),
                 ))[0]
             # the next block's sweep need not hold this one's values
             del vals, fb
 
         if len(F.idx):
-            total += float(np.sum(F.w1 * fsum))
+            total += np.sum(F.w1 * fsum, axis=1)
         if not estimate or not len(C.idx):
             continue
         # coarse columns whose base point the fine grid lacks
         rest = np.flatnonzero(cpos < 0)
-        per_block = max(1, _BLOCK_NODES // len(C.x2))
+        per_block = max(1, _BLOCK_NODES // k // len(C.x2))
         for c0 in range(0, len(rest), per_block):
             sel = rest[c0 : c0 + per_block]
-            csum[sel] = _column_sums(fn, C, sel)[0]
-        coarse_total += float(np.sum(C.w1 * csum))
+            csum[:, sel] = _column_sums(fn, k, C, sel)[0]
+        coarse_total += np.sum(C.w1 * csum, axis=1)
 
-    tail = power_tail_bound(tail_K, decay, spec.outer_radius, n) if decay is not None else 0.0
-    if estimate:
-        return total, abs(total - coarse_total) + tail, tail
-    return total, tail
+    out = []
+    for t, c, K, a in zip(total.tolist(), coarse_total.tolist(), tail_K, decays):
+        tail = power_tail_bound(K, a, spec.outer_radius, n) if a is not None else 0.0
+        out.append((t, abs(t - c) + tail, tail) if estimate else (t, tail))
+    return out if stacked else out[0]
 
 
 def integrate_boundary(
@@ -350,7 +392,7 @@ def integrate_boundary(
         vals = np.asarray(fn(pts), dtype=float)
         total += float(np.sum(_tensor_weights(axes) * vals))
         if decay is not None and level == spec.levels:
-            tail_K = max(tail_K, _fit_tail_K(pts, vals, decay))
+            tail_K = max(tail_K, _fit_tail_K(_euclidean_norm(pts), vals, decay))
         if not estimate:
             continue
         caxes = [_axis_nodes(lo, hi, spec.dx * 2.0**level) for lo, hi in box]

@@ -115,15 +115,22 @@ def i_alpha(
     and is rejected. Returns (value, error_estimate); the estimate combines
     the half-spacing refinement difference with the tail bound.
     """
-    if not alpha > domain.n:
-        raise ValueError(f"i_alpha diverges for alpha={alpha} <= n={domain.n}")
+    return _moments(domain, norm, (alpha,), spec)[0]
+
+
+def _moments(domain, norm, alphas, spec):
+    """:func:`i_alpha` for each of ``alphas``, in one stacked sweep."""
+    for alpha in alphas:
+        if not alpha > domain.n:
+            raise ValueError(f"i_alpha diverges for alpha={alpha} <= n={domain.n}")
     e = domain.e
 
     def fn(p):
-        return norm(np.asarray(p, dtype=float) + e) ** (-alpha)
+        r = norm(np.asarray(p, dtype=float) + e)
+        return np.stack([r ** (-alpha) for alpha in alphas])
 
-    val, err, _tail = integrate_epigraph(fn, domain, spec, decay=alpha, estimate=True)
-    return val, err
+    rows = integrate_epigraph(fn, domain, spec, decay=list(alphas), estimate=True)
+    return [(val, err) for val, err, _tail in rows]
 
 
 def _power_cost_constant(I_qa: float, q: float, a: float) -> float:
@@ -146,16 +153,16 @@ def normalize_power_cost(
     the independent route; a gross disagreement (beyond 2%) raises.
     """
     return _normalize_power_cost(
-        domain, norm, q, a, spec, lambda alpha: i_alpha(domain, norm, alpha, spec)
+        domain, norm, q, a, spec, lambda: i_alpha(domain, norm, q * a, spec)
     )
 
 
-def _normalize_power_cost(domain, norm, q, a, spec, moment) -> float:
-    """:func:`normalize_power_cost` with ``moment(alpha)`` giving
-    (I_alpha, error) on ``spec``."""
+def _normalize_power_cost(domain, norm, q, a, spec, moment_qa) -> float:
+    """:func:`normalize_power_cost` with ``moment_qa()`` giving
+    (I_{qa}, error) on ``spec``."""
     if not (q > 1 and a > 0):
         raise ValueError("need q > 1 and a > 0")
-    C = _power_cost_constant(moment(q * a)[0], q, a)
+    C = _power_cost_constant(moment_qa()[0], q, a)
     W = power_cost_field(C, q, norm)
     direct, _tail = _cost_integral(W, -a, domain, spec, q * a)
     if abs(direct - 1.0) > 0.02:
@@ -181,9 +188,14 @@ def gns_constants(
     """
     return _gns_constants(
         params, domain, norm, spec,
-        lambda alpha: i_alpha(domain, norm, alpha, spec),
+        lambda: _moments(domain, norm, _moment_exponents(params), spec),
         lambda C: _power_cost_B(domain, norm, C, params.q, params.a, spec),
     )
+
+
+def _moment_exponents(params: BBLParams) -> tuple:
+    """(qa, q(a-1)), the exponents of the two moments the constants use."""
+    return params.q * params.a, params.q * (params.a - 1.0)
 
 
 def _power_cost_B(domain, norm, C, q, a, spec):
@@ -193,15 +205,15 @@ def _power_cost_B(domain, norm, C, q, a, spec):
     return _cost_integral(W, 1.0 - a, domain, spec, q * (a - 1.0), estimate=True)
 
 
-def _gns_constants(params, domain, norm, spec, moment, cost_B) -> SharpConstants:
-    """:func:`gns_constants` with ``moment(alpha)`` giving (I_alpha, error)
-    on ``spec`` and ``cost_B(C)`` giving :func:`_power_cost_B` there."""
+def _gns_constants(params, domain, norm, spec, moments, cost_B) -> SharpConstants:
+    """:func:`gns_constants` with ``moments()`` giving the (I_alpha, error)
+    of the :func:`_moment_exponents` on ``spec`` and ``cost_B(C)`` giving
+    :func:`_power_cost_B` there."""
     n, a, p = params.n, params.a, params.p
     if p is None:
         raise ValueError("constants need p")
     q = params.q
-    I_qa, e_qa = moment(q * a)
-    I_qa1, e_qa1 = moment(q * (a - 1.0))
+    (I_qa, e_qa), (I_qa1, e_qa1) = moments()
     C = _power_cost_constant(I_qa, q, a)
     A = C ** (1.0 - p) * (a - 1.0) / p * (p / (a - p)) ** p
     B, eB, _ = cost_B(C)
@@ -219,8 +231,8 @@ def _gns_constants(params, domain, norm, spec, moment, cost_B) -> SharpConstants
         D_npa = (1.0 + s) * s ** (-s / (1.0 + s)) * D ** (1.0 / (1.0 + s)) * (a - n) ** (
             s / (1.0 + s)
         )
-        K1 = _gradient_integral(f, norm, p, domain, spec)[0] ** u
-        K2, _ = _field_integral(f, q_trace, domain, spec)
+        (K1, _), (K2, _) = _field_integrals(f, norm, p, (q_trace,), domain, spec)
+        K1 = K1**u
         lambda_star = ((a - n) * K2 / (s * D * K1)) ** (1.0 / (s + 1.0))
     else:
         D_npa = D
@@ -259,28 +271,24 @@ def extremal_f(params: BBLParams, norm: NormSpec) -> ScalarField:
     return ScalarField(fn, grad, decay=-gamma, name=f"extremal(gamma={gamma:g})")
 
 
-def _gradient_integral(
-    f: ScalarField, norm: NormSpec, p: float, domain: EpigraphDomain, spec: QuadSpec,
-    estimate: bool = False,
+def _field_integrals(
+    f: ScalarField, norm: NormSpec, p: float, expos, domain: EpigraphDomain,
+    spec: QuadSpec, estimate: bool = False,
 ):
-    """int_Omega ||grad f||_*^p, tail decay (f.decay + 1) p, as
-    :func:`integrate_epigraph` returns it."""
-    return integrate_epigraph(
-        lambda x: dual_norm(norm, f.gradient(x)) ** p, domain, spec,
-        decay=((f.decay + 1.0) * p if f.decay else None), estimate=estimate,
-    )
+    """int_Omega ||grad f||_*^p, then int_Omega f^expo for each of ``expos``,
+    in one stacked sweep that evaluates f and its gradient once per point;
+    tail decays (f.decay + 1) p and f.decay * expo. Returns the list of
+    :func:`integrate_epigraph` results, one per integral."""
 
+    def fn(x):
+        fx = f(x)
+        return np.stack(
+            [dual_norm(norm, f.gradient(x)) ** p] + [fx**expo for expo in expos]
+        )
 
-def _field_integral(
-    f: ScalarField, expo: float, domain: EpigraphDomain, spec: QuadSpec,
-    estimate: bool = False,
-):
-    """int_Omega f^expo, tail decay f.decay * expo, as
-    :func:`integrate_epigraph` returns it."""
-    return integrate_epigraph(
-        lambda x: f(x) ** expo, domain, spec,
-        decay=(f.decay * expo if f.decay else None), estimate=estimate,
-    )
+    decays = [(f.decay + 1.0) * p if f.decay else None]
+    decays += [f.decay * expo if f.decay else None for expo in expos]
+    return integrate_epigraph(fn, domain, spec, decay=decays, estimate=estimate)
 
 
 def _trace_integrals(
@@ -297,9 +305,9 @@ def _trace_integrals(
         _boundary_integrand(f, domain, qt, weighted), domain.n - 1, spec,
         decay=(f.decay * qt if f.decay else None), estimate=True,
     )
-    grad_term, e_g, _ = _gradient_integral(f, norm, p, domain, spec, estimate=True)
-    fq_term, e_q, _ = _field_integral(f, qt, domain, spec, estimate=True)
-    beta_int, e_beta, _ = _field_integral(f, a * p / (a - p), domain, spec, estimate=True)
+    (grad_term, e_g, _), (fq_term, e_q, _), (beta_int, e_beta, _) = _field_integrals(
+        f, norm, p, (qt, a * p / (a - p)), domain, spec, estimate=True
+    )
     beta = beta_int ** ((a - p) / (a * p))
     rels = {
         "bdry": e_b / max(abs(bdry), 1e-300),

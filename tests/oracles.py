@@ -29,11 +29,7 @@ from epiconv.quadrature import (
     integrate_epigraph,
     power_tail_bound,
 )
-from epiconv.sharpconst import (
-    SharpConstants,
-    _field_integral,
-    _gradient_integral,
-)
+from epiconv.sharpconst import SharpConstants, _field_integrals
 from epiconv.transforms import NormSpec, _sphere_directions, default_dual_box, dual_norm
 
 
@@ -169,19 +165,25 @@ def dual_norm_sampled(norm: NormSpec, y):
     """Lower bound for the dual norm by sampling unit vectors, with a gap estimate.
 
     The 4096 directions are deterministic (uniform angles in 2D, a Fibonacci
-    sphere in 3D); the gap estimate combines the change from halving the
-    sample count with the angular mesh bound ||y||_2 * delta.
+    sphere in 3D), joined by the 2n signed coordinate directions, which
+    normalize to the vertices of a pointed unit ball such as the weighted
+    p = 1 ball, where the dual norm is attained. The gap estimate combines
+    the change from halving the sphere sample count with the angular mesh
+    bound ||y||_2 * delta.
     """
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     ys = y[None, :] if single else y.reshape(-1, y.shape[-1])
     n = ys.shape[-1]
-    dirs = _sphere_directions(n, 4096)
     delta = 2.0 * np.pi / 4096 if n == 2 else np.sqrt(4.0 * np.pi / 4096)
-    units = dirs / norm(dirs)[:, None]
-    vals = units @ ys.T
-    best = vals.max(axis=0)
-    half = vals[::2].max(axis=0)
+
+    def sampled(dirs):
+        return (dirs / norm(dirs)[:, None]) @ ys.T
+
+    sphere = sampled(_sphere_directions(n, 4096))
+    axes = sampled(np.concatenate([np.eye(n), -np.eye(n)])).max(axis=0)
+    best = np.maximum(sphere.max(axis=0), axes)
+    half = np.maximum(sphere[::2].max(axis=0), axes)
     gap = np.abs(best - half) + np.linalg.norm(ys, axis=-1) * delta
     if single:
         return float(best[0]), float(gap[0])
@@ -728,7 +730,7 @@ def integrate_epigraph_reference(fn, domain, spec, shift=0.0, decay=None):
 
         if decay is not None and level == spec.levels:
             samp = pts[need]
-            tail_K = max(tail_K, _fit_tail_K(samp, vals.ravel()[need], decay))
+            tail_K = max(tail_K, _fit_tail_K(_euclidean_norm(samp), vals.ravel()[need], decay))
 
     tail = power_tail_bound(tail_K, decay, R, n) if decay is not None else 0.0
     return total, tail
@@ -759,7 +761,7 @@ def integrate_boundary_reference(fn, dim, spec, decay=None):
         vals = np.asarray(fn(pts), dtype=float)
         total += float(np.sum(w.ravel() * vals))
         if decay is not None and level == spec.levels:
-            tail_K = max(tail_K, _fit_tail_K(pts, vals, decay))
+            tail_K = max(tail_K, _fit_tail_K(_euclidean_norm(pts), vals, decay))
     tail = (
         power_tail_bound(tail_K, decay, spec.outer_radius, dim)
         if decay is not None
@@ -893,8 +895,9 @@ def young_equality_residual(
     route evaluates the right side as I_{ap/(p-1)}^((a-p)/a).
     """
     a, p, v = constants.a, constants.p, constants.v
-    grad_term, _ = _gradient_integral(f, norm, p, domain, spec)
-    beta_int, _ = _field_integral(f, a * p / (a - p), domain, spec)
+    (grad_term, _), (beta_int, _) = _field_integrals(
+        f, norm, p, (a * p / (a - p),), domain, spec
+    )
     beta = beta_int ** ((a - p) / (a * p))
     lhs = constants.A / (constants.B * v) * grad_term
     rhs = beta ** (p * (p - 1.0) * (v - 1.0) / (a - p))

@@ -226,12 +226,12 @@ def _count_calls(monkeypatch, module, name, counts, fail=None):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_checks_share_constants(tmp_path, monkeypatch, threads):
-    # per quadrature spec: the two moment integrals and the constants once;
-    # per config: the direct normalization check once, with the moment the
-    # constants use
+    # per quadrature spec: the two moment integrals (one stacked sweep) and
+    # the constants once; per config: the direct normalization check once,
+    # with the moment the constants use
     monkeypatch.setenv("EPICONV_THREADS", threads)
     counts = {}
-    for name in ("i_alpha", "_gns_constants", "_normalize_power_cost"):
+    for name in ("_moments", "_gns_constants", "_normalize_power_cost"):
         _count_calls(monkeypatch, cli.sc, name, counts)
     doc = dict(SHARING, checks=SHARING["checks"] + ["trace_gn"])
     doc["domain"] = {"kind": "cone", "slope": 1.0}
@@ -239,7 +239,7 @@ def test_checks_share_constants(tmp_path, monkeypatch, threads):
     report = cli.run(write_config(tmp_path, doc))
     assert [r["result"]["status"] for r in report.results] == ["pass"] * 5
     # two specs: the config's and trace_gn's refined one
-    assert counts == {"i_alpha": 4, "_gns_constants": 2, "_normalize_power_cost": 1}
+    assert counts == {"_moments": 2, "_gns_constants": 2, "_normalize_power_cost": 1}
 
 
 def test_derived_gap_shares_B_with_constants(tmp_path, monkeypatch):
@@ -258,7 +258,7 @@ def test_derived_gap_shares_B_with_constants(tmp_path, monkeypatch):
 
 def test_rejected_weighted_trace_computes_no_constants(tmp_path, monkeypatch):
     counts = {}
-    for name in ("i_alpha", "_gns_constants"):
+    for name in ("_moments", "_gns_constants"):
         _count_calls(monkeypatch, cli.sc, name, counts)
     cfg = next(c for c in cli.paper_suite_configs() if c.name == "paraboloid_rejection")
     (res,) = cli.run_config(cfg)
@@ -272,7 +272,7 @@ def test_failed_shared_value_is_an_error_in_every_check(tmp_path, monkeypatch, t
     # message, and is attempted once
     monkeypatch.setenv("EPICONV_THREADS", threads)
     counts = {}
-    _count_calls(monkeypatch, cli.sc, "i_alpha", counts, fail="moment diverges")
+    _count_calls(monkeypatch, cli.sc, "_moments", counts, fail="moment diverges")
     doc = dict(SHARING, checks=SHARING["checks"] + ["hj_quotient"])
     report = cli.run(write_config(tmp_path, doc))
     results = {r["check"]: r["result"] for r in report.results}
@@ -280,7 +280,7 @@ def test_failed_shared_value_is_an_error_in_every_check(tmp_path, monkeypatch, t
     assert {c: (r["status"], r["message"]) for c, r in results.items()} == {
         c: ("error", "moment diverges") for c in SHARING["checks"]
     }
-    assert counts == {"i_alpha": 1}
+    assert counts == {"_moments": 1}
 
 
 def test_paper_suite_configs_parse():

@@ -203,6 +203,84 @@ def test_estimate_bit_identical_edge_cases(case, monkeypatch):
     assert max(sizes) <= quadrature._BLOCK_NODES
 
 
+def _stack(*fns):
+    """One stacked integrand whose rows are ``fns``."""
+    return lambda p: np.stack([f(p) for f in fns])
+
+
+def _stacked_case(e):
+    """Three integrands with their decays, one without a tail fit; the
+    last two share a norm, as stacked call sites do."""
+    def fns(p):
+        r = np.linalg.norm(np.asarray(p, dtype=float) + e, axis=-1)
+        return [r ** (-4.5), np.exp(-np.sum(np.asarray(p) ** 2, axis=-1)), r ** (-6.0)]
+
+    rows = [lambda p, i=i: fns(p)[i] for i in range(3)]
+    return (lambda p: np.stack(fns(p))), rows, [4.5, None, 6.0]
+
+
+@pytest.mark.parametrize("estimate", [False, True])
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_stacked_rows_bit_identical_to_one_row_sweeps(domain, shift, estimate):
+    # each row of one stacked sweep gives the (value, error, tail) of
+    # integrating that row alone
+    dom = DOMAINS[domain]()
+    spec = QuadSpec(half_width=4.0, dx=0.05, levels=2)
+    fn, rows, decays = _stacked_case(E2)
+    got = integrate_epigraph(fn, dom, spec, shift=shift, decay=decays, estimate=estimate)
+    assert len(got) == len(rows)
+    for res, row, decay in zip(got, rows, decays):
+        want = integrate_epigraph(row, dom, spec, shift=shift, decay=decay, estimate=estimate)
+        assert _bytes(res) == _bytes(want)
+
+
+@pytest.mark.parametrize("estimate", [False, True])
+@pytest.mark.parametrize("domain", ["cone", "halfspace", "paraboloid"])
+def test_stacked_blocks_bit_identical(domain, estimate, monkeypatch):
+    # split blocks hold _BLOCK_NODES // k nodes of each row, and the rows
+    # still equal their one-row sweeps at the default block size
+    dom = DOMAINS[domain]()
+    spec = QuadSpec(half_width=5.0, dx=0.05, levels=2)
+    fn, rows, decays = _stacked_case(E2)
+    want = [
+        integrate_epigraph(row, dom, spec, shift=0.3, decay=d, estimate=estimate)
+        for row, d in zip(rows, decays)
+    ]
+    monkeypatch.setattr(quadrature, "_BLOCK_NODES", 1000)
+    sizes = []
+    got = integrate_epigraph(
+        lambda p: sizes.append(len(p)) or fn(p), dom, spec, shift=0.3, decay=decays,
+        estimate=estimate,
+    )
+    assert [_bytes(r) for r in got] == [_bytes(r) for r in want]
+    assert max(sizes) <= 1000 // len(rows)
+    assert len(sizes) > 2 * (1 + 4 * spec.levels)
+
+
+@pytest.mark.parametrize("estimate", [False, True])
+def test_one_row_stack_equals_plain_integrand(estimate):
+    dom, spec = DOMAINS["paraboloid"](), QuadSpec(half_width=4.0, dx=0.05, levels=2)
+    f = moment_integrand(4.5, E2)
+    (got,) = integrate_epigraph(
+        lambda p: f(p)[None, :], dom, spec, shift=0.3, decay=[4.5], estimate=estimate
+    )
+    assert _bytes(got) == _bytes(
+        integrate_epigraph(f, dom, spec, shift=0.3, decay=4.5, estimate=estimate)
+    )
+
+
+def test_stacked_integrand_of_wrong_shape_rejected():
+    f = moment_integrand(4.5, E2)
+    with pytest.raises(ValueError):
+        integrate_epigraph(f, DOMAINS["cone"](), QuadSpec(4.0, 0.1, 1), decay=[4.5, 4.5])
+    with pytest.raises(ValueError, match="shape"):
+        integrate_epigraph(
+            lambda p: np.stack([f(p), f(p)], axis=-1), DOMAINS["cone"](), QuadSpec(4.0, 0.1, 1),
+            decay=[4.5, 4.5],
+        )
+
+
 def _row_counts(calls):
     counts = {}
     for pts in calls:
@@ -221,16 +299,13 @@ def _once_per_sweep(estimate_calls, fine_calls, coarse_calls):
     return est, fine
 
 
-@pytest.mark.parametrize("spec", [(4.0, 0.05, 0), (5.0, 0.3, 0), (4.0, 0.05, 2)])
-@pytest.mark.parametrize("domain", ["cone", "paraboloid"])
-def test_estimate_evaluates_each_node_once(domain, spec):
+def _check_each_node_once(domain, spec, f, decay):
     dom = DOMAINS[domain]()
     spec = QuadSpec(*spec)
-    f = moment_integrand(4.5, E2)
     calls = {"est": [], "fine": [], "coarse": []}
     for key, s, est in (("est", spec, True), ("fine", spec.refined(extend=False), False), ("coarse", spec, False)):
         integrate_epigraph(
-            lambda p, c=calls[key]: c.append(p) or f(p), dom, s, shift=0.3, decay=4.5, estimate=est
+            lambda p, c=calls[key]: c.append(p) or f(p), dom, s, shift=0.3, decay=decay, estimate=est
         )
     est, fine = _once_per_sweep(calls["est"], calls["fine"], calls["coarse"])
     if spec.levels == 0:
@@ -239,6 +314,23 @@ def test_estimate_evaluates_each_node_once(domain, spec):
         # nested grids: beyond the fine run, fn sees only boundary points a
         # coarse partial cell needs
         assert sum(est.values()) - sum(fine.values()) < 0.01 * sum(fine.values())
+
+
+NODE_SPECS = [(4.0, 0.05, 0), (5.0, 0.3, 0), (4.0, 0.05, 2)]
+
+
+@pytest.mark.parametrize("spec", NODE_SPECS)
+@pytest.mark.parametrize("domain", ["cone", "paraboloid"])
+def test_estimate_evaluates_each_node_once(domain, spec):
+    _check_each_node_once(domain, spec, moment_integrand(4.5, E2), 4.5)
+
+
+@pytest.mark.parametrize("spec", NODE_SPECS)
+@pytest.mark.parametrize("domain", ["cone", "paraboloid"])
+def test_stacked_estimate_evaluates_each_node_once(domain, spec):
+    # one call serves every row, so rows do not multiply the nodes
+    f = _stack(moment_integrand(4.5, E2), moment_integrand(6.0, E2), lambda p: np.ones(len(p)))
+    _check_each_node_once(domain, spec, f, [4.5, 6.0, None])
 
 
 @pytest.mark.parametrize("spec", [(4.0, 0.02, 3), (5.0, 0.3, 0), (5.0, 0.3, 2)])
@@ -271,9 +363,7 @@ def _plane_spy(f, seen):
     return spy
 
 
-@pytest.mark.parametrize("estimate", [False, True])
-@pytest.mark.parametrize("case", ["cone", "paraboloid", "cone3d"])
-def test_epigraph_points_are_coordinate_major(case, estimate):
+def _check_epigraph_points(case, estimate, stacked):
     # non-nesting spacings, so the estimate also evaluates coarse-only
     # columns, and curved boundaries, so partial cells evaluate boundary points
     if case == "cone3d":
@@ -282,9 +372,23 @@ def test_epigraph_points_are_coordinate_major(case, estimate):
         dom, e = DOMAINS[case](), E2
     spec = QuadSpec(half_width=2.0, dx=0.3, levels=1)
     seen = []
-    f = _plane_spy(moment_integrand(4.5, e), seen)
-    integrate_epigraph(f, dom, spec, shift=0.3, decay=4.5, estimate=estimate)
+    f, decay = moment_integrand(4.5, e), 4.5
+    if stacked:
+        f, decay = _stack(f, moment_integrand(6.0, e)), [4.5, 6.0]
+    integrate_epigraph(_plane_spy(f, seen), dom, spec, shift=0.3, decay=decay, estimate=estimate)
     assert len(seen) > 1 and all(seen)
+
+
+@pytest.mark.parametrize("estimate", [False, True])
+@pytest.mark.parametrize("case", ["cone", "paraboloid", "cone3d"])
+def test_epigraph_points_are_coordinate_major(case, estimate):
+    _check_epigraph_points(case, estimate, stacked=False)
+
+
+@pytest.mark.parametrize("estimate", [False, True])
+@pytest.mark.parametrize("case", ["cone", "paraboloid", "cone3d"])
+def test_stacked_epigraph_points_are_coordinate_major(case, estimate):
+    _check_epigraph_points(case, estimate, stacked=True)
 
 
 @pytest.mark.parametrize("estimate", [False, True])

@@ -379,17 +379,32 @@ class TestDualNorm:
         assert dual_norm(NormSpec("weighted_p_norm", p=1.0, weights=w), y) == 3.0  # max |y_i|/w_i
         assert dual_norm(NormSpec("weighted_p_norm", p=np.inf, weights=w), y) == 7.0
 
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
-    def test_weighted_dual_within_sampled_bracket(self, p):
-        # in the plane; the 4096-point Fibonacci sphere of n = 3 is too
-        # coarse near the vertices of the p = 1 ball for its gap estimate
+    @staticmethod
+    def _check_sampled_bracket(p, n):
         rng = np.random.default_rng(2)
-        norm = NormSpec("weighted_p_norm", p=p, weights=tuple(rng.uniform(0.25, 4.0, 2)))
-        ys = rng.uniform(-2, 2, (20, 2))
+        norm = NormSpec("weighted_p_norm", p=p, weights=tuple(rng.uniform(0.25, 4.0, n)))
+        ys = rng.uniform(-2, 2, (20, n))
         closed = dual_norm(norm, ys)
         sampled, gap = dual_norm_sampled(norm, ys)
         assert (sampled <= closed * (1 + 1e-12)).all()
         assert (closed - sampled <= gap).all()
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+    def test_weighted_dual_within_sampled_bracket(self, p):
+        self._check_sampled_bracket(p, 2)
+
+    @pytest.mark.parametrize("p", [
+        1.0, 1.5, 2.0, 3.0,
+        # the maximizers are the corners sign(y) / w of the weighted box,
+        # which neither the Fibonacci sphere nor the coordinate directions
+        # sample closely enough: 2 of the 20 draws lag the closed form by
+        # 3.4% against a gap estimate of 3.3%
+        pytest.param(np.inf, marks=pytest.mark.xfail(
+            strict=True, reason="sampled gap is no bound near weighted box corners",
+        )),
+    ])
+    def test_weighted_dual_within_sampled_bracket_3d(self, p):
+        self._check_sampled_bracket(p, 3)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
