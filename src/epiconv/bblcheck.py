@@ -19,6 +19,16 @@ All integrals are trapezoid sums with reported error estimates: the
 difference between full- and half-spacing runs plus analytic power-tail
 bounds. Inequality assertions in the tests use these reported budgets rather
 than free-standing tolerances.
+
+bbl_gap takes Q_h(g) from one of two sources. Given only grids, it applies
+the grid Hopf-Lax operator, and the budget's discretization part is a
+decimated rerun of the whole gap. Given also the analytic pair the grids
+sample (fields carrying their conjugates, and the domain), as the CLI's
+bbl_gap check does, the lhs integrates the Hopf floor of Q_h, one discrete
+Legendre transform of the conjugates per h, and the budget holds the lhs
+bracket between that floor and an exact-candidate ceiling, the spacing
+difference of the same node values, and the tails; no Hopf-Lax apply runs.
+equivalence_scan stays on the grid operator.
 """
 
 from __future__ import annotations
@@ -31,7 +41,13 @@ import numpy as np
 
 from .extgrid import INF, EpigraphDomain, ExtGridFn, _euclidean_norm, weight_P
 from .fields import ScalarField
-from .hopflax import _richardson, hopflax_apply, hopflax_pointwise
+from .hopflax import (
+    _default_out_grid,
+    _hopf_bracket,
+    _richardson,
+    hopflax_apply,
+    hopflax_pointwise,
+)
 from .quadrature import (
     QuadSpec,
     _fit_tail_K,
@@ -169,40 +185,84 @@ def _flow(gs: ExtGridFn, Ws: ExtGridFn, h: float) -> ExtGridFn:
     return gs if h == 0.0 else hopflax_apply(gs, Ws, h).values
 
 
-def _bbl_gap_once(g: ExtGridFn, W: ExtGridFn, params: BBLParams):
+def _sides(gs: ExtGridFn, Ws: ExtGridFn, Q: ExtGridFn, params: BBLParams):
+    """The trapezoid lhs and rhs of the inequality for a normalized pair and
+    its Q_h."""
     a, n, h = params.a, params.n, params.h
-    gs, _ = _normalize_grid(g, a)
-    Ws, _ = _normalize_grid(W, a)
-    Q = _flow(gs, Ws, h)
     lhs = (1.0 + h) ** (a - n) * _power_integral(Q, 1.0 - a)
     rhs = _power_integral(gs, 1.0 - a) + h * _power_integral(Ws, 1.0 - a)
-    return lhs, rhs, (gs, Ws, Q)
+    return lhs, rhs
 
 
-def bbl_gap(g: ExtGridFn, W: ExtGridFn, params: BBLParams) -> GapReport:
+def _bbl_gap_once(g: ExtGridFn, W: ExtGridFn, params: BBLParams):
+    gs, _ = _normalize_grid(g, params.a)
+    Ws, _ = _normalize_grid(W, params.a)
+    Q = _flow(gs, Ws, params.h)
+    return (*_sides(gs, Ws, Q, params), (gs, Ws, Q))
+
+
+def bbl_gap(
+    g: ExtGridFn,
+    W: ExtGridFn,
+    params: BBLParams,
+    analytic: tuple[ScalarField, ScalarField, EpigraphDomain] | None = None,
+) -> GapReport:
     """Gap of the dynamical inequality on the supplied grids.
 
-    The error estimate is 1.5 times the difference against a run on the
-    decimated (every other node) grids, plus power-tail bounds for the three
-    integrals using the decay exponent q*(a-1) when params.q is set. At h = 0
-    both sides are the same quadrature and the gap is exactly zero.
+    Without ``analytic``, Q_h(g) is the grid Hopf-Lax operator and the error
+    estimate is 1.5 times the difference against a run on the decimated
+    (every other node) grids.
+
+    ``analytic`` is the pair (g field, W field, domain) the grids sample, g
+    on the domain and W on the domain + e, both carrying their conjugate.
+    The lhs then integrates the Hopf floor of Q_h on the default output grid
+    of the grid operator, and the ceiling bounds it from the other side
+    (:func:`hopflax._hopf_bracket`); no Hopf-Lax apply and no decimated rerun
+    are made. The rhs, the normalizations and the tail fits stay on the
+    grids. The error estimate is the lhs bracket (floor lhs minus ceiling
+    lhs, which bounds how far the floor overstates the lhs), plus 1.5 times
+    the difference between the gap at the grid spacing and at twice it
+    over the same node values, plus the tails. The report's ``terms`` hold
+    the ceiling lhs.
+
+    Both forms add power-tail bounds for the three integrals using the decay
+    exponent q*(a-1) when params.q is set. At h = 0 both sides are the same
+    quadrature and the gap is exactly zero.
     """
     a, n, h = params.a, params.n, params.h
-    lhs, rhs, (gs, Ws, Q) = _bbl_gap_once(g, W, params)
+    terms = None
+    err = 0.0
+    if analytic is None or h == 0.0:
+        lhs, rhs, (gs, Ws, Q) = _bbl_gap_once(g, W, params)
+        if h > 0.0:
+            lhs_c, rhs_c, _ = _bbl_gap_once(_decimate(g), _decimate(W), params)
+            err = 1.5 * abs((lhs - rhs) - (lhs_c - rhs_c))
+    else:
+        g_field, W_field, domain = analytic
+        if g_field.conjugate is None or W_field.conjugate is None:
+            raise ValueError("the analytic g and W must provide a conjugate callable")
+        gs, Sg = _normalize_grid(g, a)
+        Ws, SW = _normalize_grid(W, a)
+        box, axes = _default_out_grid(gs, Ws, h)
+        floor, ceiling = _hopf_bracket(
+            g_field, W_field, Sg ** (1.0 / a), SW ** (1.0 / a), h, axes, domain
+        )
+        Q = ExtGridFn(box, floor)
+        lhs, rhs = _sides(gs, Ws, Q, params)
+        lhs_ceiling = (1.0 + h) ** (a - n) * _power_integral(ExtGridFn(box, ceiling), 1.0 - a)
+        lhs_c, rhs_c = _sides(_decimate(gs), _decimate(Ws), _decimate(Q), params)
+        err = (lhs - lhs_ceiling) + 1.5 * abs((lhs - rhs) - (lhs_c - rhs_c))
+        terms = {"lhs_ceiling": lhs_ceiling}
     gap = lhs - rhs
 
-    err = 0.0
     tail = 0.0
-    if h > 0.0:
-        lhs_c, rhs_c, _ = _bbl_gap_once(_decimate(g), _decimate(W), params)
-        err = 1.5 * abs((lhs - rhs) - (lhs_c - rhs_c))
-        if params.q is not None:
-            alpha = params._tail_decay
-            for grid, fac in ((Q, (1.0 + h) ** (a - n)), (gs, 1.0), (Ws, h)):
-                K = _grid_tail_K(_neg_power(grid.values, 1.0 - a), grid.axes, alpha)
-                R = min(min(abs(lo), abs(hi)) for lo, hi in grid.box[:-1])
-                tail += fac * power_tail_bound(K, alpha, max(R, 1e-6), n)
-        err += tail
+    if h > 0.0 and params.q is not None:
+        alpha = params._tail_decay
+        for grid, fac in ((Q, (1.0 + h) ** (a - n)), (gs, 1.0), (Ws, h)):
+            K = _grid_tail_K(_neg_power(grid.values, 1.0 - a), grid.axes, alpha)
+            R = min(min(abs(lo), abs(hi)) for lo, hi in grid.box[:-1])
+            tail += fac * power_tail_bound(K, alpha, max(R, 1e-6), n)
+    err += tail
 
     return GapReport(
         h=h,
@@ -211,6 +271,7 @@ def bbl_gap(g: ExtGridFn, W: ExtGridFn, params: BBLParams) -> GapReport:
         gap=gap,
         quadrature_error_estimate=err,
         tail_bound=tail,
+        terms=terms,
         params={"n": n, "a": a, "h": h},
     )
 

@@ -198,8 +198,7 @@ def _power_pair(cfg: ExperimentConfig, shared: _Shared):
     return fl.shifted_field(W, cfg.domain.e), W, q
 
 
-def _grid_pair(cfg: ExperimentConfig, shared: _Shared):
-    g, W, q = _power_pair(cfg, shared)
+def _grid_pair(cfg: ExperimentConfig, g: fl.ScalarField, W: fl.ScalarField):
     L, dx = cfg.grid_half_width, cfg.grid_dx
     m1 = int(round(2 * L / dx)) + 1
     m2 = int(round(L / dx)) + 1
@@ -317,11 +316,12 @@ def check_weighted_trace(cfg: ExperimentConfig, shared: _Shared):
 
 
 def check_bbl_gap(cfg: ExperimentConfig, shared: _Shared):
-    gg, WW = _grid_pair(cfg, shared)
+    g, W, _ = _power_pair(cfg, shared)
+    gg, WW = _grid_pair(cfg, g, W)
     a = []
     curve = []
     for h in cfg.h_list:
-        rep = bbl.bbl_gap(gg, WW, _bbl_params(cfg, h))
+        rep = bbl.bbl_gap(gg, WW, _bbl_params(cfg, h), (g, W, cfg.domain))
         curve.append({"h": h, "gap": rep.gap, "error": rep.quadrature_error_estimate})
         _assert(
             a, f"gap_nonnegative_h_{h:g}",

@@ -90,6 +90,11 @@ convolution of two grid functions with shared spacing. It runs the same kernel
 with every offset zero: one class, no interpolation and nothing to prune; each
 finite output node records an attaining argmin, the smallest flat index among
 ties.
+
+``_hopf_bracket`` needs no grid of g or W: from an analytic pair carrying
+its conjugates it brackets Q_h on an output grid between the Hopf floor, a
+discrete Legendre transform of g* + h*W* on a graded dual grid, and the
+least of two exact candidates; ``bblcheck.bbl_gap`` integrates it.
 """
 
 from __future__ import annotations
@@ -100,8 +105,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .extgrid import INF, EpigraphDomain, ExtGridFn, _unit_e
+from .extgrid import INF, EpigraphDomain, ExtGridFn, _central_gradient, _unit_e
 from .quadrature import _mesh_points
+from .transforms import _legendre_lines
 
 __all__ = [
     "InfConvResult",
@@ -125,6 +131,10 @@ _COARSE_STRIDE = 4
 _LATTICE_CACHE = 16
 # fractional lattice offsets within _SNAP of a gridline snap onto it
 _SNAP = 1e-9
+# ulps of the magnitude of its terms by which _hopf_bracket lowers its floor
+_HOPF_ULPS = 8
+# most dual-grid slopes _hopf_bracket samples F at in one conjugate call
+_HOPF_BLOCK = 2**13
 
 
 @dataclass
@@ -777,7 +787,8 @@ def hopflax_pointwise(
     """Q_h(g) at arbitrary points from analytic g and W, batched.
 
     A coarse scan over candidate y values seeds a zooming local grid search
-    (5 points per axis per iteration, the width shrinking by 0.45 each time)
+    (5 points per axis around the incumbent, 5^n - 1 candidates per
+    iteration, the width shrinking by 0.45 each time)
     with domain membership enforced by +inf: g_domain at height 0 and
     W_domain shifted up by e. With y_box given, the scan covers that fixed
     grid; by default each point scans a box centered at x + e whose half width
@@ -801,8 +812,10 @@ def hopflax_pointwise(
             vals = np.where(g_domain.contains(pts_all, 0.0), vals, INF)
         return vals
 
-    # candidate offsets as (n, k) coordinate planes, nodes in row-major order
+    # candidate offsets as (n, k) coordinate planes, nodes in row-major order;
+    # the centre is the incumbent itself, which the strict < never replaces
     local = _mesh_points([np.array([-1.0, -0.5, 0.0, 0.5, 1.0])] * n).T
+    local = np.delete(local, local.shape[1] // 2, axis=1)
     if y_box is not None:
         if y_resolution is None:
             raise ValueError("y_resolution is required with an explicit y_box")
@@ -870,6 +883,105 @@ def hopflax_pointwise(
             width = width * 0.45
         out[i0 : i0 + chunk] = best
     return out
+
+
+def _hopf_bracket(g, W, cg: float, cW: float, h: float, axes, domain: EpigraphDomain):
+    """(floor, ceiling) of Q_h of the pair (cg*g, cW*W), g on domain and W on
+    domain + e, at the nodes of the output axes; both are +inf outside B_h.
+
+    Floor. For every slope p, Fenchel-Young on both terms of the infimum gives
+    Q_h(x) >= p.x - F(p) with F(p) = cg*g*(p/cg) + h*cW*W*(p/cW), for any g
+    and W; the conjugates the fields carry, taken over all of R^n, bound
+    those of the restricted functions from above, so the bound holds with
+    them. For convex g and W the sup over p is Q_h itself (the Hopf formula).
+    The floor is the discrete Legendre transform of F on a tensor dual grid,
+    one :func:`_legendre_lines` sweep per axis. Axis d has twice the output
+    nodes, graded as r_d*sinh(9t)/sinh(9) for t uniform on [-1, 1], where r_d
+    is 1.2 times the largest |d/dx_d (cg*g)| at the witness points below; the
+    grading puts the slopes densely near 0, where the conjugates curve most.
+    The floor is then lowered by _HOPF_ULPS ulps of the sum of the magnitudes
+    of its terms at the maximizing slope p^, which covers the rounding of the
+    sweeps and of the conjugates.
+
+    Ceiling. The least exact candidate cg*g(x - h*y) + h*cW*W(y) over the
+    feasible y among the minimizer grad (cW*W)*(p^) of the convex case (by
+    central differences of W's conjugate) and the witness (x + e)/(1 + h).
+    Any feasible y gives an upper bound of Q_h, and the witness is feasible
+    throughout B_h = (1+h)*Omega + h*e on every convex domain.
+
+    Fields, conjugates and domains see at most about _HOPF_BLOCK points per
+    call: F is sampled, and the output nodes are visited, in blocks of
+    leading-axis rows.
+    """
+    n = len(axes)
+
+    def blocks(lead, size):
+        step = max(1, _HOPF_BLOCK * len(lead) // size)
+        return [slice(i, i + step) for i in range(0, len(lead), step)]
+
+    def mesh(lead, rest):
+        return np.stack(np.meshgrid(lead, *rest, indexing="ij"), axis=-1)
+
+    def F(P):
+        return (
+            cg * np.asarray(g.conjugate(P / cg), dtype=float),
+            h * cW * np.asarray(W.conjugate(P / cW), dtype=float),
+        )
+
+    shape = tuple(len(ax) for ax in axes)
+    rows = blocks(axes[0], int(np.prod(shape)))
+
+    def nodes(i):
+        """The output nodes of rows i, their B_h mask and their witnesses."""
+        X = mesh(axes[0][i], axes[1:])
+        inside = X[..., -1] >= domain.bh_lower(X[..., :-1], h)
+        return X, inside, (X + _unit_e(n)) / (1.0 + h)
+
+    reach = np.zeros(n)
+    for i in rows:
+        X, inside, witness = nodes(i)
+        if inside.any():
+            grad = cg * g.gradient(X[inside] - h * witness[inside])
+            reach = np.maximum(reach, np.max(np.abs(grad), axis=0))
+    duals = [
+        1.2 * r * np.sinh(9.0 * np.linspace(-1.0, 1.0, 2 * m)) / np.sinh(9.0)
+        for r, m in zip(reach, shape)
+    ]
+    work = np.empty(tuple(len(p) for p in duals))
+    for i in blocks(duals[0], work.size):
+        Fg, FW = F(mesh(duals[0][i], duals[1:]))
+        work[i] = Fg + FW
+    # sweep d maximizes over the slopes of axis d, for every output node of
+    # the axes before it, as legendre_nd sweeps; the argmaxes trace p^ back
+    # from the last sweep
+    args = []
+    for d in range(n):
+        moved = np.moveaxis(work, d, -1)
+        vals, arg = _legendre_lines(duals[d], moved.reshape(-1, moved.shape[-1]), axes[d])
+        out = moved.shape[:-1] + (shape[d],)
+        work = np.moveaxis(vals.reshape(out), -1, d)
+        args.append(np.moveaxis(arg.reshape(out), -1, d))
+        if d < n - 1:
+            work = -work
+
+    floor = np.full(shape, INF)
+    ceiling = np.full(shape, INF)
+    for i in rows:
+        X, inside, witness = nodes(i)
+        idx = np.indices(X.shape[:-1], sparse=True)
+        at = [args[-1][i]]
+        for d in range(n - 2, -1, -1):
+            at.insert(0, args[d][i][idx[: d + 1] + tuple(at)])
+        p_hat = np.stack([duals[d][k] for d, k in enumerate(at)], axis=-1)
+        Fg, FW = F(p_hat)
+        terms = np.sum(np.abs(p_hat * X), axis=-1) + np.abs(Fg) + np.abs(FW)
+        floor[i] = np.where(inside, work[i] - _HOPF_ULPS * np.finfo(float).eps * terms, INF)
+        for y in (_central_gradient(W.conjugate, p_hat / cW), witness):
+            z = X - h * y
+            ok = inside & domain.contains(z, 0.0) & domain.contains(y, 1.0)
+            cand = cg * np.asarray(g.fn(z), dtype=float) + h * cW * np.asarray(W.fn(y), dtype=float)
+            ceiling[i] = np.where(ok, np.minimum(ceiling[i], cand), ceiling[i])
+    return floor, ceiling
 
 
 def semigroup_residual(

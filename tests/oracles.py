@@ -165,11 +165,13 @@ def dual_norm_sampled(norm: NormSpec, y):
     """Lower bound for the dual norm by sampling unit vectors, with a gap estimate.
 
     The 4096 directions are deterministic (uniform angles in 2D, a Fibonacci
-    sphere in 3D), joined by the 2n signed coordinate directions, which
-    normalize to the vertices of a pointed unit ball such as the weighted
-    p = 1 ball, where the dual norm is attained. The gap estimate combines
-    the change from halving the sphere sample count with the angular mesh
-    bound ||y||_2 * delta.
+    sphere in 3D), joined by the 2n signed coordinate directions and the 2^n
+    sign patterns. These normalize to the vertices of the pointed unit balls
+    where the dual norm is attained: the signed coordinate directions for
+    the weighted p = 1 ball, the sign patterns for the max-norm ball of
+    p = inf (whose dual sum_i |y_i| is attained at sign(y), the weights
+    dropping out). The gap estimate combines the change from halving the
+    sphere sample count with the angular mesh bound ||y||_2 * delta.
     """
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
@@ -181,13 +183,29 @@ def dual_norm_sampled(norm: NormSpec, y):
         return (dirs / norm(dirs)[:, None]) @ ys.T
 
     sphere = sampled(_sphere_directions(n, 4096))
-    axes = sampled(np.concatenate([np.eye(n), -np.eye(n)])).max(axis=0)
-    best = np.maximum(sphere.max(axis=0), axes)
-    half = np.maximum(sphere[::2].max(axis=0), axes)
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    vertices = sampled(np.concatenate([np.eye(n), -np.eye(n), signs])).max(axis=0)
+    best = np.maximum(sphere.max(axis=0), vertices)
+    half = np.maximum(sphere[::2].max(axis=0), vertices)
     gap = np.abs(best - half) + np.linalg.norm(ys, axis=-1) * delta
     if single:
         return float(best[0]), float(gap[0])
     return best.reshape(y.shape[:-1]), gap.reshape(y.shape[:-1])
+
+
+def power_pair_hopflax(W: ScalarField, cg: float, cW: float, q: float, h: float, x):
+    """Q_h of the shifted power pair with separate scales over all of R^n:
+    inf_y cg*W(x + e - h*y) + h*cW*W(y) for W = C ||.||^q / q.
+
+    W is positively homogeneous of degree q and its gradient of degree q - 1,
+    so the first-order condition cg*grad W(x + e - h*y) = cW*grad W(y) holds
+    at y = t*(x + e) with x + e - h*y = kappa*y, kappa = (cW/cg)^(1/(q-1)) and
+    t = 1/(kappa + h); convexity makes this y the minimizer.
+    """
+    x = np.asarray(x, dtype=float)
+    z = x + _unit_e(x.shape[-1])
+    y = z / ((cW / cg) ** (1.0 / (q - 1.0)) + h)
+    return cg * W.fn(z - h * y) + h * cW * W.fn(y)
 
 
 def naive_infconv(fv, gv):

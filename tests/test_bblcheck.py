@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from epiconv import BBLParams, NormSpec, QuadSpec
+from epiconv import BBLParams, NormSpec, QuadSpec, cli
+from epiconv import bblcheck
 from epiconv.bblcheck import (
     _boundary_integrand,
     _grid_tail_K,
@@ -23,9 +24,10 @@ from epiconv.fields import (
     quadratic_field,
     shifted_field,
 )
+from epiconv.hopflax import _default_out_grid, _hopf_bracket
 from epiconv.quadrature import integrate_boundary, integrate_gridfn
 from epiconv.sharpconst import normalize_power_cost
-from oracles import grid_tail_K_reference
+from oracles import grid_tail_K_reference, power_pair_hopflax
 
 E2 = np.array([0.0, 1.0])
 
@@ -112,6 +114,83 @@ class TestBBLGap:
         rep = bbl_gap(gg, WW, BBLParams(n=2, a=2.0, p=4 / 3, h=0.25))
         doc = rep.to_json()
         assert set(doc) >= {"params", "lhs", "rhs", "gap", "error_estimate"}
+
+
+@pytest.fixture(scope="module")
+def suite_pair():
+    # the grids and analytic pair of the paper suite's bbl_gap check
+    cfg = next(c for c in cli.paper_suite_configs() if c.name == "dynamics_q4_a2")
+    g, W, q = cli._power_pair(cfg, cli._Shared(cfg))
+    gg, WW = cli._grid_pair(cfg, g, W)
+    return cfg, g, W, q, gg, WW
+
+
+@pytest.mark.parametrize("h", [0.1, 0.25, 0.5, 1.0])
+def test_hopf_bracket_encloses_closed_form(suite_pair, h):
+    cfg, g, W, q, gg, WW = suite_pair
+    a = cfg.a
+    gs, Sg = _normalize_grid(gg, a)
+    Ws, SW = _normalize_grid(WW, a)
+    cg, cW = Sg ** (1.0 / a), SW ** (1.0 / a)
+    box, axes = _default_out_grid(gs, Ws, h)
+    floor, ceiling = _hopf_bracket(g, W, cg, cW, h, axes, cfg.domain)
+    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    inside = X[..., -1] >= h  # B_h of the half-space
+    assert (np.isfinite(floor) == inside).all()
+    assert (np.isfinite(ceiling) == inside).all()
+    exact = power_pair_hopflax(W, cg, cW, q, h, X[inside])
+    # the allowance: the closed form and the ceiling's witness candidate are
+    # the same few float operations in another order, 16 ulps apart at most
+    slack = 16 * np.finfo(float).eps * exact
+    assert (floor[inside] > 0.0).all()
+    assert (floor[inside] <= exact + slack).all()
+    assert (exact <= ceiling[inside] + slack).all()
+    rep = bbl_gap(gg, WW, BBLParams(n=2, a=a, p=cfg.p, h=h), (g, W, cfg.domain))
+    assert rep.lhs == (1.0 + h) ** (a - 2) * integrate_gridfn(
+        ExtGridFn(box, floor), lambda v: np.where(np.isfinite(v), v ** (1.0 - a), 0.0)
+    )
+    assert 0.0 <= rep.lhs - rep.terms["lhs_ceiling"] <= 0.01 * rep.lhs
+    assert abs(rep.gap) <= rep.quadrature_error_estimate
+
+
+def test_analytic_pair_makes_no_hopflax_apply(suite_pair, monkeypatch):
+    cfg, g, W, _, gg, WW = suite_pair
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the analytic path applied the grid operator")
+
+    monkeypatch.setattr(bblcheck, "hopflax_apply", forbidden)
+    rep = bbl_gap(gg, WW, BBLParams(n=2, a=cfg.a, p=cfg.p, h=1.0), (g, W, cfg.domain))
+    assert rep.gap >= -rep.quadrature_error_estimate
+
+
+def test_analytic_pair_needs_conjugates(suite_pair):
+    cfg, g, W, _, gg, WW = suite_pair
+    bumped = multiply_bump(g, [0.0, 1.0], 1.0, 0.5)
+    with pytest.raises(ValueError, match="conjugate"):
+        bbl_gap(gg, WW, BBLParams(n=2, a=cfg.a, p=cfg.p, h=0.5), (bumped, W, cfg.domain))
+
+
+def test_grid_only_values_unchanged(halfplane):
+    # the grid path's values, recorded before the analytic path was added,
+    # bit for bit: a bump-perturbed power pair on 41 x 21 grids
+    spec = QuadSpec(half_width=5.0, dx=0.05, levels=6)
+    C = normalize_power_cost(halfplane, NormSpec("euclidean"), 4.0, 2.0, spec)
+    W = power_cost_field(C, 4.0, NormSpec("euclidean"))
+    g = multiply_bump(shifted_field(W, E2), [0.0, 1.0], 2.0, 1.0)
+    gg = sample_grid(halfplane, [(-4, 4), (0.0, 4)], [41, 21], g)
+    WW = sample_grid(halfplane, [(-4, 4), (1.0, 5.0)], [41, 21], W)
+    pinned = {
+        0.25: ["0x1.1e8b98533f58fp+1", "0x1.235202cfe76a8p+1", "-0x1.319a9f2a04640p-5",
+               "0x1.820521adbcb22p+0", "0x1.581bc02ee8836p+0"],
+        1.0: ["0x1.c2a0f90fd74fap+1", "0x1.c944b4640b237p+1", "-0x1.a8eed50cf4f40p-5",
+              "0x1.2a10bf6e19574p+1", "0x1.0121994bf2837p+1"],
+    }
+    for h, want in pinned.items():
+        r = bbl_gap(gg, WW, BBLParams(n=2, a=2.0, p=4 / 3, h=h))
+        got = [r.lhs, r.rhs, r.gap, r.quadrature_error_estimate, r.tail_bound]
+        assert [float(v).hex() for v in got] == want
+        assert r.terms is None
 
 
 @pytest.fixture(scope="module")

@@ -199,9 +199,8 @@ SHARING = dict(
 )
 
 
-def test_thread_count_env_does_not_change_results(tmp_path, monkeypatch):
-    # the checks share their constants; threads racing for them change no byte
-    path = write_config(tmp_path, SHARING)
+def _same_bytes_across_thread_counts(tmp_path, monkeypatch, doc):
+    path = write_config(tmp_path, doc)
     out1 = tmp_path / "serial.json"
     cli.run(path, str(out1))
     assert all(r["result"]["status"] == "pass" for r in json.loads(out1.read_text())["results"])
@@ -210,6 +209,18 @@ def test_thread_count_env_does_not_change_results(tmp_path, monkeypatch):
         monkeypatch.setenv("EPICONV_THREADS", threads)
         cli.run(path, str(out2))
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_thread_count_env_does_not_change_results(tmp_path, monkeypatch):
+    # the checks share their constants; threads racing for them change no byte
+    _same_bytes_across_thread_counts(tmp_path, monkeypatch, SHARING)
+
+
+def test_thread_count_env_does_not_change_bbl_gap(tmp_path, monkeypatch):
+    # bbl_gap on the analytic pair, by the Hopf bracket, beside a pointwise check
+    cfg = next(c for c in cli.paper_suite_configs() if c.name == "dynamics_q4_a2")
+    doc = dict(cfg.raw, checks=["bbl_gap", "hj_quotient"])
+    _same_bytes_across_thread_counts(tmp_path, monkeypatch, doc)
 
 
 def _count_calls(monkeypatch, module, name, counts, fail=None):

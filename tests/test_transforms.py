@@ -393,16 +393,7 @@ class TestDualNorm:
     def test_weighted_dual_within_sampled_bracket(self, p):
         self._check_sampled_bracket(p, 2)
 
-    @pytest.mark.parametrize("p", [
-        1.0, 1.5, 2.0, 3.0,
-        # the maximizers are the corners sign(y) / w of the weighted box,
-        # which neither the Fibonacci sphere nor the coordinate directions
-        # sample closely enough: 2 of the 20 draws lag the closed form by
-        # 3.4% against a gap estimate of 3.3%
-        pytest.param(np.inf, marks=pytest.mark.xfail(
-            strict=True, reason="sampled gap is no bound near weighted box corners",
-        )),
-    ])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
     def test_weighted_dual_within_sampled_bracket_3d(self, p):
         self._check_sampled_bracket(p, 3)
 
