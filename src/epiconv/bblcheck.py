@@ -44,9 +44,9 @@ from .fields import ScalarField
 from .hopflax import (
     _default_out_grid,
     _hopf_bracket,
+    _pointwise_bracket,
     _richardson,
     hopflax_apply,
-    hopflax_pointwise,
 )
 from .quadrature import (
     QuadSpec,
@@ -401,21 +401,23 @@ def appendix_limit_residual(
     and an error_estimate. The estimate covers terms (i) and (iii) by their
     power-tail bounds alone, with no refinement run, and term (ii) and limit
     (ii) by their half-spacing refinement estimates (tails included); limits
-    (i) and (iii) add nothing. Q_h(g) is evaluated pointwise from the
-    analytic pair so the small-h quotients are not polluted by grid
-    interpolation. Tail bounds use the decay exponent q*(a-1), q = 2 when
-    unset. Term (iii) is integrated
-    on every domain; on cones the strip B_h minus Omega_h is empty, so it
-    comes out exactly zero.
+    (i) and (iii) add nothing. Tail bounds use the decay exponent q*(a-1),
+    q = 2 when unset. Term (iii) is integrated on every domain; on cones the
+    strip B_h minus Omega_h is empty, so it comes out exactly zero.
 
-    Term (i) sweeps a zoom minimization over every quadrature node, which is
-    the expensive part; quotient_spec (default: spec) lets callers run it on
-    a coarser grid than the limit expression. Its quadrature bias is the same
-    for every h, so the residual trend in h survives a coarse choice.
+    g on domain and W on domain + e must carry their gradient and conjugate.
+    Terms (i) and (iii) take Q_h(g) at each quadrature node from the ceiling
+    of :func:`hopflax._pointwise_bracket`, the exact candidate at the scaling
+    witness (x + e)/(1 + h), feasible throughout B_h by construction and the
+    minimizer for g = W(. + e), the pairs the checks use; no search and no
+    grid interpolation is involved. quotient_spec (default: spec) is the
+    quadrature of term (i), limit (i) and the term (iii) strip; its
+    quadrature bias is the same for every h, so the residual trend in h
+    survives a coarse choice.
     """
     a, alpha = params.a, params._tail_decay
-    if W.conjugate is None:
-        raise ValueError("W must provide a conjugate callable")
+    if g.conjugate is None or W.conjugate is None:
+        raise ValueError("g and W must provide a conjugate callable")
     qspec = quotient_spec if quotient_spec is not None else spec
 
     # per-term limits, each on the quadrature geometry of its own term so the
@@ -437,14 +439,12 @@ def appendix_limit_residual(
     limit_iii = integrate_boundary(sliver_rate, domain.n - 1, qspec, decay=alpha)[0]
     limit = limit_i - limit_ii + limit_iii
 
-    def q_pointwise(pts, h):
-        return hopflax_pointwise(
-            g.fn, W.fn, h, pts, g_domain=domain, W_domain=domain, zoom_iters=10
-        )
+    def q_ceiling(pts, h):
+        return _pointwise_bracket(g, W, h, pts, domain)[1]
 
     records = []
     for h in h_list:
-        fn_i = lambda p, _h=h: (q_pointwise(p, _h) ** (1.0 - a) - g(p) ** (1.0 - a)) / _h
+        fn_i = lambda p, _h=h: (q_ceiling(p, _h) ** (1.0 - a) - g(p) ** (1.0 - a)) / _h
         term_i, tail_i = integrate_epigraph(fn_i, domain, qspec, shift=h, decay=alpha)
 
         def fn_ii(x1, _h=h):
@@ -465,9 +465,7 @@ def appendix_limit_residual(
             if thin.all():
                 return np.zeros(x1.shape[:-1])
             pts, wts = _simpson_columns(x1, lo, hi, 5)
-            qv = q_pointwise(pts, _h).reshape(wts.shape)
-            vals = np.where(np.isfinite(qv), qv, np.nan) ** (1.0 - a)
-            vals = np.where(np.isfinite(vals), vals, 0.0)
+            vals = q_ceiling(pts, _h).reshape(wts.shape) ** (1.0 - a)
             out = np.sum(wts * vals, axis=-1) / _h
             return np.where(thin, 0.0, out)
 

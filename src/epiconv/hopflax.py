@@ -885,6 +885,45 @@ def hopflax_pointwise(
     return out
 
 
+def _witness(x, h: float, domain: EpigraphDomain | None):
+    """The scaling witness y = (x + e)/(1 + h) at the points x, e = 0 without
+    a domain. At x = (1+h)*z + h*e in B_h, z in Omega, it gives
+    x - h*y = z in Omega and y = z + e in Omega + e, so its candidate is
+    feasible by construction on every convex domain, with no membership
+    test. By convexity of W, W(x - h*y + e) + h*W(y) >= (1+h)*W(witness),
+    so it is the exact minimizer for g = W(. + e).
+    """
+    e = 0.0 if domain is None else _unit_e(np.shape(x)[-1])
+    return (x + e) / (1.0 + h)
+
+
+def _pointwise_bracket(g, W, h: float, points, domain: EpigraphDomain | None = None):
+    """(floor, ceiling) of Q_h(g) at points of B_h (of R^n without a domain),
+    for fields g and W that carry a gradient and a conjugate, g on domain
+    and W on domain + e.
+
+    Ceiling: the exact candidate g(x - h*y) + h*W(y) at the scaling witness
+    y of :func:`_witness`. Floor: Fenchel-Young at p = grad g(x - h*y),
+    p.x - g*(p) - h*W*(p), lowered by _HOPF_ULPS ulps of the sum of the
+    magnitudes of its terms; it bounds Q_h from below for any g and W, the
+    conjugates over R^n bounding those of the restricted functions from
+    above (the floor of :func:`_hopf_bracket` at a single slope). Where the
+    witness is the minimizer the two agree to rounding; no iteration
+    refines it. Points are used in the layout they come in.
+    """
+    x = np.asarray(points, dtype=float)
+    y = _witness(x, h, domain)
+    z = x - h * y
+    ceiling = np.asarray(g.fn(z), dtype=float) + h * np.asarray(W.fn(y), dtype=float)
+    p = g.gradient(z)
+    Fg = np.asarray(g.conjugate(p), dtype=float)
+    FW = h * np.asarray(W.conjugate(p), dtype=float)
+    px = p * x
+    terms = np.sum(np.abs(px), axis=-1) + np.abs(Fg) + np.abs(FW)
+    floor = np.sum(px, axis=-1) - Fg - FW - _HOPF_ULPS * np.finfo(float).eps * terms
+    return floor, ceiling
+
+
 def _hopf_bracket(g, W, cg: float, cW: float, h: float, axes, domain: EpigraphDomain):
     """(floor, ceiling) of Q_h of the pair (cg*g, cW*W), g on domain and W on
     domain + e, at the nodes of the output axes; both are +inf outside B_h.
@@ -935,7 +974,7 @@ def _hopf_bracket(g, W, cg: float, cW: float, h: float, axes, domain: EpigraphDo
         """The output nodes of rows i, their B_h mask and their witnesses."""
         X = mesh(axes[0][i], axes[1:])
         inside = X[..., -1] >= domain.bh_lower(X[..., :-1], h)
-        return X, inside, (X + _unit_e(n)) / (1.0 + h)
+        return X, inside, _witness(X, h, domain)
 
     reach = np.zeros(n)
     for i in rows:
