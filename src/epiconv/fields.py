@@ -30,10 +30,15 @@ __all__ = [
 class ScalarField:
     """fn: (..., n) -> (...); grad falls back to central differences.
 
-    Quadrature and ``hopflax_pointwise`` pass fn and grad point batches as
-    (..., n) views with contiguous coordinate planes. fn, grad and conjugate
-    must not write to their input, must give the same bytes whatever its
-    memory layout, and copy it themselves if they need C order.
+    conjugate is the Legendre transform of fn over all of R^n. The Hopf-Lax
+    brackets of analytic pairs (``hopflax._pointwise_bracket`` and
+    ``hopflax._hopf_bracket``) need it and the gradient of both fields.
+
+    Quadrature passes fn point batches as (..., n) views with contiguous
+    coordinate planes, and the pointwise bracket passes them on to fn, grad
+    and conjugate. These must not write to their input, must give the same
+    bytes whatever its memory layout, and copy it themselves if they need C
+    order.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]

@@ -91,29 +91,33 @@ with every offset zero: one class, no interpolation and nothing to prune; each
 finite output node records an attaining argmin, the smallest flat index among
 ties.
 
-``_hopf_bracket`` needs no grid of g or W: from an analytic pair carrying
-its conjugates it brackets Q_h on an output grid between the Hopf floor, a
-discrete Legendre transform of g* + h*W* on a graded dual grid, and the
-least of two exact candidates; ``bblcheck.bbl_gap`` integrates it.
+Two brackets need no grid of g or W, only an analytic pair carrying its
+gradients and conjugates. ``_hopf_bracket`` brackets Q_h on an output grid
+between the Hopf floor, a discrete Legendre transform of g* + h*W* on a
+graded dual grid, and the least of two exact candidates;
+``bblcheck.bbl_gap`` integrates it. ``_pointwise_bracket`` brackets Q_h at
+arbitrary points in closed form: the exact candidate at the scaling witness
+(x + e)/(1 + h), feasible throughout B_h on every convex domain by
+construction, above, and the Fenchel-Young bound at the slope of g there
+below; ``bblcheck.appendix_limit_residual`` and ``hj_difference_quotient``
+read it. Both take the witness from ``_witness``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .extgrid import INF, EpigraphDomain, ExtGridFn, _central_gradient, _unit_e
-from .quadrature import _mesh_points
 from .transforms import _legendre_lines
 
 __all__ = [
     "InfConvResult",
     "infconv",
     "hopflax_apply",
-    "hopflax_pointwise",
     "semigroup_residual",
     "hj_difference_quotient",
     "is_grid_convex",
@@ -773,118 +777,6 @@ def _window_boxes(arg, res, shape):
     return [np.arange(m) for m in res], box_lo, box_hi
 
 
-def hopflax_pointwise(
-    g_fn: Callable[[np.ndarray], np.ndarray],
-    W_fn: Callable[[np.ndarray], np.ndarray],
-    h: float,
-    points: np.ndarray,
-    y_box: Sequence[Sequence[float]] | None = None,
-    y_resolution: Sequence[int] | None = None,
-    g_domain: EpigraphDomain | None = None,
-    W_domain: EpigraphDomain | None = None,
-    zoom_iters: int = 14,
-) -> np.ndarray:
-    """Q_h(g) at arbitrary points from analytic g and W, batched.
-
-    A coarse scan over candidate y values seeds a zooming local grid search
-    (5 points per axis around the incumbent, 5^n - 1 candidates per
-    iteration, the width shrinking by 0.45 each time)
-    with domain membership enforced by +inf: g_domain at height 0 and
-    W_domain shifted up by e. With y_box given, the scan covers that fixed
-    grid; by default each point scans a box centered at x + e whose half width
-    is 4 * (1 + ||x||), matching the growth-envelope localization of the
-    minimizer, so far-out quadrature nodes are not silently truncated. The
-    result is deterministic and accurate to roughly the squared final zoom
-    width for smooth interior minima, which is what the small-h difference
-    quotients need.
-
-    The candidates are stored coordinate-major, one contiguous plane per
-    coordinate, and g_fn, W_fn and the domains see them as (..., n) views of
-    that storage. A callable must not write to the points, must give the same
-    bytes whatever their memory layout, and copies them itself if it needs C
-    order.
-    """
-    pts_all = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts_all.shape[1]
-    if h == 0.0:
-        vals = np.asarray(g_fn(pts_all), dtype=float)
-        if g_domain is not None:
-            vals = np.where(g_domain.contains(pts_all, 0.0), vals, INF)
-        return vals
-
-    # candidate offsets as (n, k) coordinate planes, nodes in row-major order;
-    # the centre is the incumbent itself, which the strict < never replaces
-    local = _mesh_points([np.array([-1.0, -0.5, 0.0, 0.5, 1.0])] * n).T
-    local = np.delete(local, local.shape[1] // 2, axis=1)
-    if y_box is not None:
-        if y_resolution is None:
-            raise ValueError("y_resolution is required with an explicit y_box")
-        mesh = _mesh_points(
-            [np.linspace(lo, hi, m) for (lo, hi), m in zip(y_box, y_resolution)]
-        ).T
-        width0 = np.array(
-            [(hi - lo) / max(m - 1, 1) for (lo, hi), m in zip(y_box, y_resolution)]
-        )
-        ncand = mesh.shape[1]
-    else:
-        m = 13
-        unit = _mesh_points([np.linspace(-1.0, 1.0, m)] * n).T
-        ncand = unit.shape[1]
-
-    out = np.empty(pts_all.shape[0])
-    chunk = max(1, int(100_000 / max(ncand, 1)))
-    for i0 in range(0, pts_all.shape[0], chunk):
-        pts = pts_all[i0 : i0 + chunk]
-        x = np.ascontiguousarray(pts.T)  # (n, npts)
-        npts = x.shape[1]
-
-        def objective(y):  # y: (n, npts or 1, k) coordinate planes
-            q = x[:, :, None] - h * y
-            qv, yv = np.moveaxis(q, 0, -1), np.moveaxis(y, 0, -1)
-            gv = np.asarray(g_fn(qv), dtype=float)
-            if g_domain is not None:
-                gv = np.where(g_domain.contains(qv, 0.0), gv, INF)
-            wv = np.asarray(W_fn(yv), dtype=float)
-            if W_domain is not None:
-                wv = np.where(W_domain.contains(yv, 1.0), wv, INF)
-            return gv + h * wv
-
-        if y_box is not None:
-            # every point scans the same box, so W reads its nodes once
-            coarse = objective(mesh[:, None, :])
-            centers = mesh[:, np.argmin(coarse, axis=1)]
-            width = np.broadcast_to(width0[:, None], x.shape)
-        else:
-            radius = 4.0 * (1.0 + np.linalg.norm(pts, axis=-1))
-            xe = x + _unit_e(n)[:, None]
-            cand = np.empty((n, npts, ncand + (2 if W_domain is not None else 0)))
-            cand[:, :, :ncand] = xe[:, :, None] + unit[:, None, :] * radius[:, None]
-            if W_domain is not None:
-                # guaranteed-feasible seeds for boundary points, where the
-                # feasible slice is too thin for a blind scan: the support-set
-                # witness y1 = x1/(1+h) at the shifted boundary height, and
-                # the scaling witness (x + e)/(1+h)
-                y1w = x[:-1] / (1.0 + h)
-                cand[:-1, :, ncand] = y1w
-                cand[-1, :, ncand] = 1.0 + W_domain.phi(y1w.T)
-                cand[:, :, ncand + 1] = xe / (1.0 + h)
-            coarse = objective(cand)
-            centers = cand[:, np.arange(npts), np.argmin(coarse, axis=1)]
-            width = np.broadcast_to(2.0 * radius / (m - 1), x.shape)
-        best = np.min(coarse, axis=1)
-        for _ in range(zoom_iters):
-            cand = centers[:, :, None] + local[:, None, :] * width[:, :, None]
-            cv = objective(cand)
-            k = np.argmin(cv, axis=1)
-            cbest = cv[np.arange(npts), k]
-            improve = cbest < best
-            best = np.where(improve, cbest, best)
-            centers = np.where(improve, cand[:, np.arange(npts), k], centers)
-            width = width * 0.45
-        out[i0 : i0 + chunk] = best
-    return out
-
-
 def _witness(x, h: float, domain: EpigraphDomain | None):
     """The scaling witness y = (x + e)/(1 + h) at the points x, e = 0 without
     a domain. At x = (1+h)*z + h*e in B_h, z in Omega, it gives
@@ -1054,33 +946,27 @@ def _richardson(h_big, q_big, h_small, q_small):
     return (h_big * q_small - h_small * q_big) / (h_big - h_small)
 
 
-def hj_difference_quotient(
-    g_fn: Callable,
-    grad_g: Callable,
-    W_fn: Callable,
-    W_conjugate: Callable,
-    h_list: Sequence[float],
-    points: np.ndarray,
-    y_box: Sequence[Sequence[float]],
-    y_resolution: Sequence[int],
-):
-    """Difference quotients (Q_h(g)(x) - g(x)) / h against -W*(grad g(x)).
+def hj_difference_quotient(g, W, h_list: Sequence[float], points: np.ndarray):
+    """Difference quotients (Q_h(g)(x) - g(x)) / h against -W*(grad g(x)),
+    for fields g and W on R^n that carry a gradient and a conjugate.
 
     Returns (quotients, extrapolated limit, reference, deviation) with one row
     per point. h_list must be strictly decreasing; the limit is the iterated
     Richardson extrapolation of the first-order quotient along the list.
-    Points must be interior to dom g; the cost must grow superlinearly on its
-    sampled box, which callers are expected to have checked.
+    Q_h(g) is the floor of :func:`_pointwise_bracket`, a lower bound for any
+    g and W whose quotient tends to -W*(grad g(x)) as h -> 0 for every
+    differentiable convex g, since its slope grad g(x - h*y) tends to
+    grad g(x); it equals Q_h where the scaling witness x/(1 + h) is the
+    minimizer.
     """
     hs = np.asarray(h_list, dtype=float)
     if np.any(np.diff(hs) >= 0) or np.any(hs <= 0):
         raise ValueError("h_list must be positive and strictly decreasing")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    g0 = np.asarray(g_fn(pts), dtype=float)
+    g0 = g(pts)
     quot = np.empty((pts.shape[0], len(hs)))
     for k, h in enumerate(hs):
-        q = hopflax_pointwise(g_fn, W_fn, h, pts, y_box, y_resolution)
-        quot[:, k] = (q - g0) / h
+        quot[:, k] = (_pointwise_bracket(g, W, h, pts)[0] - g0) / h
 
     # iterated first-order Richardson over the (not necessarily dyadic) h list
     level = [quot[:, k] for k in range(len(hs))]
@@ -1092,6 +978,6 @@ def hj_difference_quotient(
         ]
         xs = xs[1:]
     limit = level[0]
-    ref = -np.asarray(W_conjugate(np.asarray(grad_g(pts), dtype=float)), dtype=float)
+    ref = -np.asarray(W.conjugate(g.gradient(pts)), dtype=float)
     deviation = np.abs(limit - ref)
     return quot, limit, ref, deviation

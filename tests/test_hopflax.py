@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from epiconv import halfspace
 from epiconv.extgrid import INF, ExtGridFn, norm_cone, sample_grid
-from epiconv.fields import quadratic_field
+from epiconv.fields import ScalarField, quadratic_field
 from epiconv.hopflax import (
     hj_difference_quotient,
     hopflax_apply,
-    hopflax_pointwise,
     infconv,
     is_grid_convex,
     semigroup_residual,
@@ -29,6 +28,7 @@ from oracles import (
     _shift_interp_candidates,
     exact_hopflax_reference,
     grid_nodes,
+    hopflax_pointwise,
     hopflax_pointwise_reference,
     interpolate_reference,
     is_grid_convex_reference,
@@ -843,11 +843,7 @@ class TestHJQuotient:
     def test_quadratic_limit(self):
         quad = quadratic_field(offset=1.0, curvature=1.0)
         pts = np.array([[0.3, 0.2], [-0.6, 0.5], [0.8, -0.7]])
-        quot, limit, ref, dev = hj_difference_quotient(
-            quad.fn, quad.grad, quad.fn, quad.conjugate,
-            [0.4, 0.2, 0.1, 0.05], pts,
-            y_box=[(-3, 3), (-3, 3)], y_resolution=[25, 25],
-        )
+        quot, limit, ref, dev = hj_difference_quotient(quad, quad, [0.4, 0.2, 0.1, 0.05], pts)
         # reference is -W*(grad g) = -(||x||^2/2 - 1)
         want = -(np.sum(pts**2, axis=1) / 2 - 1.0)
         np.testing.assert_allclose(ref, want, rtol=1e-12)
@@ -857,14 +853,15 @@ class TestHJQuotient:
         assert (np.diff(rates, axis=1) < 0).all()
 
     def test_constant_g_gives_minus_min_W(self):
-        const = quadratic_field(offset=2.0, curvature=0.0)
+        # g = 2 has gradient 0 and conjugate -2 at p = 0, +inf elsewhere
+        const = ScalarField(
+            fn=lambda x: np.full(np.shape(x)[:-1], 2.0),
+            grad=lambda x: np.zeros(np.shape(x)),
+            conjugate=lambda p: np.where(np.all(p == 0.0, axis=-1), -2.0, INF),
+        )
         Wq = quadratic_field(offset=0.0, curvature=1.0)
         pts = np.array([[0.1, 0.0]])
-        _, limit, ref, dev = hj_difference_quotient(
-            const.fn, lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            Wq.fn, Wq.conjugate,
-            [0.2, 0.1, 0.05], pts, y_box=[(-2, 2)] * 2, y_resolution=[21, 21],
-        )
+        _, limit, ref, dev = hj_difference_quotient(const, Wq, [0.2, 0.1, 0.05], pts)
         # W >= 0 with W(0) = 0, so W*(0) = 0 and the limit vanishes
         assert ref[0] == 0.0
         assert abs(limit[0]) <= 1e-6
@@ -873,10 +870,7 @@ class TestHJQuotient:
         quad = quadratic_field(offset=1.0, curvature=1.0)
         pts = np.array([[0.5, 0.5]])
         hs = [0.4, 0.2, 0.1, 0.05]
-        quot, limit, ref, _ = hj_difference_quotient(
-            quad.fn, quad.grad, quad.fn, quad.conjugate,
-            hs, pts, y_box=[(-3, 3)] * 2, y_resolution=[25, 25],
-        )
+        quot, limit, ref, _ = hj_difference_quotient(quad, quad, hs, pts)
         assert limit[0] == pytest.approx(richardson_limit(hs, quot[0]), rel=1e-12)
 
 

@@ -1,4 +1,4 @@
-"""The point-batch contract: quadrature and the pointwise Hopf-Lax evaluator
+"""The point-batch contract: quadrature and the pointwise Hopf-Lax bracket
 hand callables (..., n) views whose coordinate planes are contiguous, so every
 field, norm and domain callable must give the same bytes on a C-order batch
 and on its coordinate-major copy."""
