@@ -398,12 +398,15 @@ def appendix_limit_residual(
 
     Returns one record per h with term_i, term_ii, term_iii, their sum, the
     limit expression (a-1) int W*(grad g)/g^a - int g^(1-a) P, the residual
-    and an error_estimate. The estimate covers terms (i) and (iii) by their
-    power-tail bounds alone, with no refinement run, and term (ii) and limit
-    (ii) by their half-spacing refinement estimates (tails included); limits
-    (i) and (iii) add nothing. Tail bounds use the decay exponent q*(a-1),
-    q = 2 when unset. Term (iii) is integrated on every domain; on cones the
-    strip B_h minus Omega_h is empty, so it comes out exactly zero.
+    and an error_estimate. The estimate is the sum of: the half-spacing
+    refinement estimates (tails included) of terms (i) and (ii) and limits
+    (i) and (ii), whose values come from the refined runs; the power-tail
+    bound of term (iii); and the integrated width of the Q_h bracket in
+    terms (i) and (iii), int (floor^(1-a) - ceiling^(1-a))/h, the first with
+    its own refinement estimate. Limit (iii) and the refinement of term
+    (iii) add nothing. Tail bounds use the decay exponent q*(a-1), q = 2
+    when unset. Term (iii) is integrated on every domain; on cones the strip
+    B_h minus Omega_h is empty, so it comes out exactly zero.
 
     g on domain and W on domain + e must carry their gradient and conjugate.
     Terms (i) and (iii) take Q_h(g) at each quadrature node from the ceiling
@@ -422,9 +425,10 @@ def appendix_limit_residual(
 
     # per-term limits, each on the quadrature geometry of its own term so the
     # residual measures the h-trend and not a grid mismatch
-    limit_i = (a - 1.0) * integrate_epigraph(
-        lambda p: _conjugate_term(g, W, a, p, g(p)), domain, qspec, decay=alpha
-    )[0]
+    limit_i, el1, _ = integrate_epigraph(
+        lambda p: _conjugate_term(g, W, a, p, g(p)), domain, qspec, decay=alpha, estimate=True
+    )
+    limit_i, el1 = (a - 1.0) * limit_i, (a - 1.0) * el1
     limit_ii, el2, _ = integrate_boundary(
         _boundary_integrand(g, domain, 1.0 - a, weighted=False), domain.n - 1, spec,
         decay=alpha, estimate=True,
@@ -439,13 +443,23 @@ def appendix_limit_residual(
     limit_iii = integrate_boundary(sliver_rate, domain.n - 1, qspec, decay=alpha)[0]
     limit = limit_i - limit_ii + limit_iii
 
-    def q_ceiling(pts, h):
-        return _pointwise_bracket(g, W, h, pts, domain)[1]
+    def powers(pts, h):
+        """Q_h(g)^(1-a) at pts from the bracket's ceiling and floor; a
+        nonpositive floor gives +inf."""
+        floor, ceiling = _pointwise_bracket(g, W, h, pts, domain)
+        with np.errstate(divide="ignore"):
+            return ceiling ** (1.0 - a), np.maximum(floor, 0.0) ** (1.0 - a)
 
     records = []
     for h in h_list:
-        fn_i = lambda p, _h=h: (q_ceiling(p, _h) ** (1.0 - a) - g(p) ** (1.0 - a)) / _h
-        term_i, tail_i = integrate_epigraph(fn_i, domain, qspec, shift=h, decay=alpha)
+
+        def fn_i(p, _h=h):
+            top, low = powers(p, _h)
+            return np.stack([top - g(p) ** (1.0 - a), low - top]) / _h
+
+        (term_i, ei, _), (width_i, ewi, _) = integrate_epigraph(
+            fn_i, domain, qspec, shift=h, decay=[alpha, alpha], estimate=True
+        )
 
         def fn_ii(x1, _h=h):
             x1 = np.asarray(x1, dtype=float)
@@ -456,7 +470,8 @@ def appendix_limit_residual(
 
         term_ii, eii, _ = integrate_boundary(fn_ii, domain.n - 1, spec, decay=alpha, estimate=True)
 
-        def fn_iii(x1, _h=h):
+        def fn_iii(x1, _h=h, bound=0):
+            # bound 0 reads the ceiling, 1 the floor
             x1 = np.asarray(x1, dtype=float)
             lo = domain.bh_lower(x1, _h)
             hi = _h + domain.phi(x1)
@@ -465,11 +480,14 @@ def appendix_limit_residual(
             if thin.all():
                 return np.zeros(x1.shape[:-1])
             pts, wts = _simpson_columns(x1, lo, hi, 5)
-            vals = q_ceiling(pts, _h).reshape(wts.shape) ** (1.0 - a)
+            vals = powers(pts, _h)[bound].reshape(wts.shape)
             out = np.sum(wts * vals, axis=-1) / _h
             return np.where(thin, 0.0, out)
 
         term_iii, tail_iii = integrate_boundary(fn_iii, domain.n - 1, qspec, decay=alpha)
+        width_iii = integrate_boundary(
+            lambda x1: fn_iii(x1, bound=1), domain.n - 1, qspec
+        )[0] - term_iii
 
         total = term_i - term_ii + term_iii
         residual = (term_i - limit_i) - (term_ii - limit_ii) + (term_iii - limit_iii)
@@ -485,7 +503,9 @@ def appendix_limit_residual(
                 "limit_ii": limit_ii,
                 "limit_iii": limit_iii,
                 "residual": residual,
-                "error_estimate": tail_i + eii + tail_iii + el2,
+                "error_estimate": (
+                    ei + el1 + width_i + ewi + eii + el2 + tail_iii + width_iii
+                ),
             }
         )
     return records
