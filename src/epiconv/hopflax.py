@@ -837,8 +837,11 @@ def _hopf_bracket(g, W, cg: float, cW: float, h: float, axes, domain: EpigraphDo
     Ceiling. The least exact candidate cg*g(x - h*y) + h*cW*W(y) over the
     feasible y among the minimizer grad (cW*W)*(p^) of the convex case (by
     central differences of W's conjugate) and the witness (x + e)/(1 + h).
-    Any feasible y gives an upper bound of Q_h, and the witness is feasible
-    throughout B_h = (1+h)*Omega + h*e on every convex domain.
+    Any feasible y gives an upper bound of Q_h. The minimizer counts where
+    the domain's membership tests admit it; the witness counts at every node
+    of B_h with no test, being feasible there by construction
+    (:func:`_witness`), where a rounded test rejects it at some boundary
+    nodes of cones.
 
     Fields, conjugates and domains see at most about _HOPF_BLOCK points per
     call: F is sampled, and the output nodes are visited, in blocks of
@@ -907,9 +910,10 @@ def _hopf_bracket(g, W, cg: float, cW: float, h: float, axes, domain: EpigraphDo
         Fg, FW = F(p_hat)
         terms = np.sum(np.abs(p_hat * X), axis=-1) + np.abs(Fg) + np.abs(FW)
         floor[i] = np.where(inside, work[i] - _HOPF_ULPS * np.finfo(float).eps * terms, INF)
-        for y in (_central_gradient(W.conjugate, p_hat / cW), witness):
+        y = _central_gradient(W.conjugate, p_hat / cW)
+        feasible = inside & domain.contains(X - h * y, 0.0) & domain.contains(y, 1.0)
+        for y, ok in ((y, feasible), (witness, inside)):
             z = X - h * y
-            ok = inside & domain.contains(z, 0.0) & domain.contains(y, 1.0)
             cand = cg * np.asarray(g.fn(z), dtype=float) + h * cW * np.asarray(W.fn(y), dtype=float)
             ceiling[i] = np.where(ok, np.minimum(ceiling[i], cand), ceiling[i])
     return floor, ceiling

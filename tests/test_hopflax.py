@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epiconv import halfspace
-from epiconv.extgrid import INF, ExtGridFn, norm_cone, sample_grid
+from epiconv.extgrid import INF, ExtGridFn, affine_max, norm_cone, sample_grid
 from epiconv.fields import ScalarField, quadratic_field
 from epiconv.hopflax import (
     hj_difference_quotient,
@@ -950,3 +950,53 @@ def test_pointwise_bit_identical_across_chunks(branch):
     got = hopflax_pointwise(g.fn, W.fn, 0.3, pts, **kw)
     want = hopflax_pointwise_reference(g.fn, W.fn, 0.3, pts, **kw)
     assert got.tobytes() == want.tobytes()
+
+
+BRACKET_PAIRS = {
+    # (domain, q of g, q of W); equal exponents make g = W(. + e), the pair
+    # whose minimizer is the scaling witness
+    "halfspace": (lambda: halfspace(2), 2.5, 2.5),
+    "cone": (lambda: norm_cone(2, 1.0), 2.5, 2.5),
+    "affine_max": (lambda: affine_max([[0.5], [-1.0]]), 2.5, 2.5),
+    "halfspace_q3_q4": (lambda: halfspace(2), 3.0, 4.0),
+}
+
+
+@pytest.mark.parametrize("h", [0.05, 0.3, 1.0])
+@pytest.mark.parametrize("pair", sorted(BRACKET_PAIRS))
+def test_pointwise_bracket_against_dense_oracle(pair, h):
+    make_domain, qg, qW = BRACKET_PAIRS[pair]
+    dom = make_domain()
+    euclid = NormSpec("euclidean")
+    W = power_cost_field(1.3, qW, euclid)
+    g = shifted_field(power_cost_field(1.3, qg, euclid), np.array([0.0, 1.0]))
+    # half of the points on the boundary of B_h, half above it
+    rng = np.random.default_rng(3)
+    x1 = rng.uniform(-3.0, 3.0, (40, 1))
+    x2 = dom.bh_lower(x1, h).reshape(-1) + np.r_[np.zeros(20), rng.uniform(0.0, 2.0, 20)]
+    pts = np.concatenate([x1, x2[:, None]], axis=1)
+    floor, ceiling = hopflax._pointwise_bracket(g, W, h, pts, dom)
+    dense = hopflax_pointwise(g.fn, W.fn, h, pts, g_domain=dom, W_domain=dom, zoom_iters=10)
+    assert (floor <= dense).all()
+    assert (floor <= ceiling).all()
+    if qg == qW:
+        # the witness is the minimizer: the bracket closes to rounding and
+        # the ceiling is finite on all of B_h, where the dense search's
+        # rounded membership tests lose some boundary points
+        eps = np.finfo(float).eps
+        assert np.isfinite(ceiling).all()
+        assert (ceiling - floor <= 64 * eps * np.abs(ceiling)).all()
+        assert (ceiling <= dense + 4 * eps * np.abs(ceiling)).all()
+
+
+@pytest.mark.parametrize("pair", ["cone", "affine_max"])
+def test_hopf_bracket_ceiling_finite_throughout_B_h(pair):
+    # the witness candidate is feasible on B_h by construction; through the
+    # domain's rounded membership tests it was lost at boundary nodes
+    dom = BRACKET_PAIRS[pair][0]()
+    W = power_cost_field(1.0, 3.0, NormSpec("euclidean"))
+    g = shifted_field(W, np.array([0.0, 1.0]))
+    axes = [np.linspace(-8.0, 8.0, 161), np.linspace(0.0, 8.0, 81)]
+    floor, ceiling = hopflax._hopf_bracket(g, W, 1.0, 1.0, 0.1, axes, dom)
+    assert (np.isfinite(ceiling) == np.isfinite(floor)).all()
+    assert (floor <= ceiling).all()
