@@ -28,7 +28,7 @@ bbl_gap check does, the lhs integrates the Hopf floor of Q_h, one discrete
 Legendre transform of the conjugates per h, and the budget holds the lhs
 bracket between that floor and an exact-candidate ceiling, the spacing
 difference of the same node values, and the tails; no Hopf-Lax apply runs.
-equivalence_scan stays on the grid operator.
+equivalence_scan takes Q_h from the pointwise bracket given the analytic pair.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .hopflax import (
     _hopf_bracket,
     _pointwise_bracket,
     _richardson,
+    _scaled_conjugate,
     hopflax_apply,
 )
 from .quadrature import (
@@ -161,11 +162,7 @@ def _normalize_grid(g: ExtGridFn, a: float) -> tuple[ExtGridFn, float]:
 
 def _decimate(f: ExtGridFn) -> ExtGridFn:
     vals = f.values[tuple(slice(None, None, 2) for _ in range(f.dim))]
-    box = []
-    for d in range(f.dim):
-        lo, _hi = f.box[d]
-        m = vals.shape[d]
-        box.append((lo, lo + (m - 1) * 2 * f.spacing[d]))
+    box = [(lo, lo + (m - 1) * 2 * dx) for (lo, _), m, dx in zip(f.box, vals.shape, f.spacing)]
     return ExtGridFn(box, vals)
 
 
@@ -621,9 +618,20 @@ def _grid_gradient(f: ExtGridFn) -> np.ndarray:
     out = np.zeros(vals.shape + (f.dim,))
     for d in range(f.dim):
         step = f.spacing[d] if f.spacing[d] > 0 else 1.0
-        g = np.gradient(vals, step, axis=d)
-        out[..., d] = g
+        out[..., d] = np.gradient(vals, step, axis=d)
     return out
+
+
+def _box_flux(gs: ExtGridFn, Ws: ExtGridFn, n: int) -> float:
+    """d/dh at h = 0 of phi's box B_g + h*B_W: the sum over the faces of the
+    box of gs of sigma_{B_W}(nu) * int_face gs^(-n) dS, sigma_{B_W}(nu) being
+    W's box extent along the outward normal nu; a trapezoid per face."""
+    flux = 0.0
+    for d in range(gs.dim):
+        for side, speed in ((0, -Ws.box[d][0]), (-1, Ws.box[d][1])):
+            face = ExtGridFn(gs.box[:d] + gs.box[d + 1 :], np.take(gs.values, side, axis=d))
+            flux += speed * _power_integral(face, -float(n))
+    return flux
 
 
 def equivalence_scan(
@@ -632,22 +640,45 @@ def equivalence_scan(
     n: int,
     h_grid: Sequence[float],
     W_conjugate: Callable,
+    analytic: tuple[ScalarField, ScalarField] | None = None,
 ) -> EquivalenceScan:
-    """The curve h -> int Q_h(g)^(-n) under int g^(-n) = int W^(-n) = 1.
+    """The curve h -> int Q_h(g)^(-n) under int g^(-n) = int W^(-n) = 1,
+    over the output box B_g + h*B_W; phi(0) is 1 by construction.
 
-    phi(0) is 1 by construction (same quadrature as the normalization); the
-    forward derivative at 0 is Richardson-extrapolated from the two smallest
-    positive h values and compared with n * int W*(grad g)/g^(n+1), where
-    W_conjugate is the analytic conjugate of the unnormalized W.
+    Given only grids, Q_h(g) is the grid Hopf-Lax operator, and the error
+    estimate is 1.5 times the difference of phi at the largest h against a
+    run on the decimated (every other node) grids. ``analytic`` is the pair
+    (g field, W field) on R^n the grids sample, both carrying a gradient and
+    a conjugate; Q_h is then the ceiling of :func:`hopflax._pointwise_bracket`
+    of the normalized pair, no Hopf-Lax apply runs, and the estimate also
+    holds the largest bracket width, int floor^(-n) - int ceiling^(-n).
+
+    The forward derivative at 0, Richardson-extrapolated from the two
+    smallest positive h, is compared with the derivative of this phi:
+    n * int W*(grad g)/g^(n+1), W_conjugate being the conjugate of the
+    unnormalized W, plus the flux of the growing box (:func:`_box_flux`).
     """
+    if analytic is not None and any(f.conjugate is None for f in analytic):
+        raise ValueError("the analytic g and W must provide a conjugate callable")
     hs = sorted(float(h) for h in h_grid)
     if hs[0] != 0.0:
         hs = [0.0] + hs
-    gs, Sg = _normalize_grid(g, float(n))
-    Ws, SW = _normalize_grid(W, float(n))
-    cW = SW ** (1.0 / float(n))
 
-    phis = [_power_integral(_flow(gs, Ws, h), -float(n)) for h in hs]
+    def normalized(g, W):
+        return (*_normalize_grid(g, float(n)), *_normalize_grid(W, float(n)))
+
+    def phi(gs, Sg, Ws, SW, h):
+        """(phi(h), integrated bracket width) of a normalized pair."""
+        if analytic is None or h == 0.0:
+            return _power_integral(_flow(gs, Ws, h), -float(n)), 0.0
+        box, axes = _default_out_grid(gs, Ws, h)
+        X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        bracket = _pointwise_bracket(*analytic, h, X, None, Sg ** (1.0 / n), SW ** (1.0 / n))
+        floor, ceiling = (_power_integral(ExtGridFn(box, v), -float(n)) for v in bracket)
+        return ceiling, floor - ceiling
+
+    gs, Sg, Ws, SW = normalized(g, W)
+    phis, widths = map(list, zip(*(phi(gs, Sg, Ws, SW, h) for h in hs)))
 
     pos = [h for h in hs if h > 0]
     if len(pos) >= 2:
@@ -662,20 +693,16 @@ def equivalence_scan(
 
     grad = _grid_gradient(gs)
     finite = gs.finite_mask
-    # conjugate of the rescaled cost: (c W)*(y) = c W*(y / c)
-    conj_vals = cW * np.asarray(W_conjugate(grad[finite] / cW), dtype=float)
+    conj_vals = _scaled_conjugate(W_conjugate, SW ** (1.0 / float(n)), grad[finite])
     integrand = np.zeros(gs.resolution)
     integrand[finite] = conj_vals / gs.values[finite] ** (n + 1.0)
     carrier = ExtGridFn(gs.box, np.where(finite, integrand, INF))
-    integral = float(n) * integrate_gridfn(carrier)
+    integral = float(n) * integrate_gridfn(carrier) + _box_flux(gs, Ws, n)
 
-    # error budget: decimated rerun of the largest-h value; the forward
-    # derivative inherits it divided by the smallest step used
-    hmax = hs[-1]
-    gs_c, _ = _normalize_grid(_decimate(g), float(n))
-    Ws_c, _ = _normalize_grid(_decimate(W), float(n))
-    phi_c = _power_integral(_flow(gs_c, Ws_c, hmax), -float(n))
-    err = 1.5 * abs(phis[-1] - phi_c)
+    # error budget: decimated rerun at the largest h plus the widest bracket;
+    # the forward derivative inherits it divided by the smallest step used
+    phi_c = phi(*normalized(_decimate(g), _decimate(W)), hs[-1])[0]
+    err = 1.5 * abs(phis[-1] - phi_c) + max(widths)
     deriv_err = err / pos[0] if pos else err
 
     return EquivalenceScan(hs, phis, float(fd), integral, err, deriv_err)

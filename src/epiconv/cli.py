@@ -413,7 +413,8 @@ def check_equivalence_scan(cfg: ExperimentConfig, shared: _Shared):
     quad = fl.quadratic_field(offset=1.0, curvature=0.5)
     g = _cube_grid(quad, cfg.n, 10.0, 0.125)
     scan = bbl.equivalence_scan(
-        g, g, cfg.n, [0.0, 0.05, 0.1, 0.25, 0.5], W_conjugate=quad.conjugate
+        g, g, cfg.n, [0.0, 0.05, 0.1, 0.25, 0.5], W_conjugate=quad.conjugate,
+        analytic=(quad, quad),
     )
     a = []
     _assert(a, "phi_at_zero", abs(scan.phi_values[0] - 1.0) <= 1e-10)

@@ -99,8 +99,9 @@ graded dual grid, and the least of two exact candidates;
 arbitrary points in closed form: the exact candidate at the scaling witness
 (x + e)/(1 + h), feasible throughout B_h on every convex domain by
 construction, above, and the Fenchel-Young bound at the slope of g there
-below; ``bblcheck.appendix_limit_residual`` and ``hj_difference_quotient``
-read it. Both take the witness from ``_witness``.
+below; ``bblcheck.appendix_limit_residual``, ``bblcheck.equivalence_scan``
+(on a rescaled pair) and ``hj_difference_quotient`` read it. Both share
+``_witness``, ``_hopf_terms`` and ``_candidate``.
 """
 
 from __future__ import annotations
@@ -789,27 +790,43 @@ def _witness(x, h: float, domain: EpigraphDomain | None):
     return (x + e) / (1.0 + h)
 
 
-def _pointwise_bracket(g, W, h: float, points, domain: EpigraphDomain | None = None):
-    """(floor, ceiling) of Q_h(g) at points of B_h (of R^n without a domain),
-    for fields g and W that carry a gradient and a conjugate, g on domain
-    and W on domain + e.
+def _scaled_conjugate(conjugate, c: float, p, t: float = 1.0):
+    """t*(c*f)*(p) for f's conjugate, by the rule (c*f)*(p) = c*f*(p/c)."""
+    return t * c * np.asarray(conjugate(p / c), dtype=float)
 
-    Ceiling: the exact candidate g(x - h*y) + h*W(y) at the scaling witness
-    y of :func:`_witness`. Floor: Fenchel-Young at p = grad g(x - h*y),
-    p.x - g*(p) - h*W*(p), lowered by _HOPF_ULPS ulps of the sum of the
-    magnitudes of its terms; it bounds Q_h from below for any g and W, the
-    conjugates over R^n bounding those of the restricted functions from
-    above (the floor of :func:`_hopf_bracket` at a single slope). Where the
-    witness is the minimizer the two agree to rounding; no iteration
-    refines it. Points are used in the layout they come in.
+
+def _hopf_terms(g, W, cg: float, cW: float, h: float, p):
+    """(cg*g)*(p) and h*(cW*W)*(p), the two terms of F in p.x - F(p)."""
+    return _scaled_conjugate(g.conjugate, cg, p), _scaled_conjugate(W.conjugate, cW, p, h)
+
+
+def _candidate(g, W, cg: float, cW: float, h: float, x, y):
+    """The candidate (cg*g)(x - h*y) + h*(cW*W)(y) of Q_h of the pair."""
+    return cg * np.asarray(g.fn(x - h * y), dtype=float) + h * cW * np.asarray(W.fn(y), dtype=float)
+
+
+def _pointwise_bracket(
+    g, W, h: float, points, domain: EpigraphDomain | None = None, cg: float = 1.0, cW: float = 1.0
+):
+    """(floor, ceiling) of Q_h of the pair (cg*g, cW*W) at points of B_h (of
+    R^n without a domain), for fields g and W that carry a gradient and a
+    conjugate, g on domain and W on domain + e.
+
+    Ceiling: the exact candidate at the scaling witness y of
+    :func:`_witness`. Floor: Fenchel-Young at p = grad (cg*g)(x - h*y),
+    p.x - F(p) with F from :func:`_hopf_terms`, lowered by _HOPF_ULPS ulps
+    of the sum of the magnitudes of its terms; it bounds Q_h from below for
+    any g and W, the conjugates over R^n bounding those of the restricted
+    functions from above (:func:`_hopf_bracket`'s floor at one slope). Where
+    the witness is the minimizer the two agree to rounding; no iteration
+    refines it. Unit scales leave every product exact. Points are used in
+    the layout they come in.
     """
     x = np.asarray(points, dtype=float)
     y = _witness(x, h, domain)
-    z = x - h * y
-    ceiling = np.asarray(g.fn(z), dtype=float) + h * np.asarray(W.fn(y), dtype=float)
-    p = g.gradient(z)
-    Fg = np.asarray(g.conjugate(p), dtype=float)
-    FW = h * np.asarray(W.conjugate(p), dtype=float)
+    ceiling = _candidate(g, W, cg, cW, h, x, y)
+    p = cg * g.gradient(x - h * y)
+    Fg, FW = _hopf_terms(g, W, cg, cW, h, p)
     px = p * x
     terms = np.sum(np.abs(px), axis=-1) + np.abs(Fg) + np.abs(FW)
     floor = np.sum(px, axis=-1) - Fg - FW - _HOPF_ULPS * np.finfo(float).eps * terms
@@ -821,10 +838,11 @@ def _hopf_bracket(g, W, cg: float, cW: float, h: float, axes, domain: EpigraphDo
     domain + e, at the nodes of the output axes; both are +inf outside B_h.
 
     Floor. For every slope p, Fenchel-Young on both terms of the infimum gives
-    Q_h(x) >= p.x - F(p) with F(p) = cg*g*(p/cg) + h*cW*W*(p/cW), for any g
-    and W; the conjugates the fields carry, taken over all of R^n, bound
-    those of the restricted functions from above, so the bound holds with
-    them. For convex g and W the sup over p is Q_h itself (the Hopf formula).
+    Q_h(x) >= p.x - F(p) with F(p) = cg*g*(p/cg) + h*cW*W*(p/cW)
+    (:func:`_hopf_terms`), for any g and W; the conjugates the fields carry,
+    taken over all of R^n, bound those of the restricted functions from
+    above, so the bound holds with them. For convex g and W the sup over p
+    is Q_h itself (the Hopf formula).
     The floor is the discrete Legendre transform of F on a tensor dual grid,
     one :func:`_legendre_lines` sweep per axis. Axis d has twice the output
     nodes, graded as r_d*sinh(9t)/sinh(9) for t uniform on [-1, 1], where r_d
@@ -856,12 +874,6 @@ def _hopf_bracket(g, W, cg: float, cW: float, h: float, axes, domain: EpigraphDo
     def mesh(lead, rest):
         return np.stack(np.meshgrid(lead, *rest, indexing="ij"), axis=-1)
 
-    def F(P):
-        return (
-            cg * np.asarray(g.conjugate(P / cg), dtype=float),
-            h * cW * np.asarray(W.conjugate(P / cW), dtype=float),
-        )
-
     shape = tuple(len(ax) for ax in axes)
     rows = blocks(axes[0], int(np.prod(shape)))
 
@@ -883,7 +895,7 @@ def _hopf_bracket(g, W, cg: float, cW: float, h: float, axes, domain: EpigraphDo
     ]
     work = np.empty(tuple(len(p) for p in duals))
     for i in blocks(duals[0], work.size):
-        Fg, FW = F(mesh(duals[0][i], duals[1:]))
+        Fg, FW = _hopf_terms(g, W, cg, cW, h, mesh(duals[0][i], duals[1:]))
         work[i] = Fg + FW
     # sweep d maximizes over the slopes of axis d, for every output node of
     # the axes before it, as legendre_nd sweeps; the argmaxes trace p^ back
@@ -907,14 +919,13 @@ def _hopf_bracket(g, W, cg: float, cW: float, h: float, axes, domain: EpigraphDo
         for d in range(n - 2, -1, -1):
             at.insert(0, args[d][i][idx[: d + 1] + tuple(at)])
         p_hat = np.stack([duals[d][k] for d, k in enumerate(at)], axis=-1)
-        Fg, FW = F(p_hat)
+        Fg, FW = _hopf_terms(g, W, cg, cW, h, p_hat)
         terms = np.sum(np.abs(p_hat * X), axis=-1) + np.abs(Fg) + np.abs(FW)
         floor[i] = np.where(inside, work[i] - _HOPF_ULPS * np.finfo(float).eps * terms, INF)
         y = _central_gradient(W.conjugate, p_hat / cW)
         feasible = inside & domain.contains(X - h * y, 0.0) & domain.contains(y, 1.0)
         for y, ok in ((y, feasible), (witness, inside)):
-            z = X - h * y
-            cand = cg * np.asarray(g.fn(z), dtype=float) + h * cW * np.asarray(W.fn(y), dtype=float)
+            cand = _candidate(g, W, cg, cW, h, X, y)
             ceiling[i] = np.where(ok, np.minimum(ceiling[i], cand), ceiling[i])
     return floor, ceiling
 

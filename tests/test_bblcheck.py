@@ -333,35 +333,44 @@ def quadratic_grid(L, m, offset=1.0, curvature=0.5):
     return ExtGridFn([(-L, L)] * 2, offset + 0.5 * curvature * np.sum(mesh**2, axis=-1))
 
 
-@pytest.fixture(scope="module")
-def scans():
+def perturbed_pair():
+    # a bump-perturbed quadratic g against the quadratic W, on 81 x 81 grids;
+    # the product carries no conjugate, so the scan stays on the grid
     quad = quadratic_field(offset=1.0, curvature=0.5)
-    g = quadratic_grid(10.0, 161)
-    same = equivalence_scan(g, g, 2, [0.0, 0.05, 0.1, 0.25, 0.5], W_conjugate=quad.conjugate)
     xs = np.linspace(-8, 8, 81)
     mesh = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
     pert_vals = quad(mesh) * (1 + 0.3 * bump_field([1.0, 0.5], 2.0, 1.0)(mesh))
-    gp = ExtGridFn([(-8, 8)] * 2, pert_vals)
-    Wp = ExtGridFn([(-8, 8)] * 2, quad(mesh))
+    return ExtGridFn([(-8, 8)] * 2, pert_vals), ExtGridFn([(-8, 8)] * 2, quad(mesh))
+
+
+@pytest.fixture(scope="module")
+def scans():
+    # the grid and analytic scans of the 161 x 161 cube pair of the paper
+    # suite, and the grid scan of the perturbed pair
+    quad = quadratic_field(offset=1.0, curvature=0.5)
+    g = quadratic_grid(10.0, 161)
+    hs = [0.0, 0.05, 0.1, 0.25, 0.5]
+    same = equivalence_scan(g, g, 2, hs, W_conjugate=quad.conjugate)
+    gp, Wp = perturbed_pair()
     pert = equivalence_scan(gp, Wp, 2, [0.0, 0.05, 0.1], W_conjugate=quad.conjugate)
-    return same, pert
+    analytic = equivalence_scan(g, g, 2, hs, W_conjugate=quad.conjugate, analytic=(quad, quad))
+    return same, pert, analytic
 
 
 class TestEquivalenceScan:
 
     def test_phi_zero_is_one(self, scans):
-        same, pert = scans
-        assert same.phi_values[0] == pytest.approx(1.0, abs=1e-12)
-        assert pert.phi_values[0] == pytest.approx(1.0, abs=1e-12)
+        for scan in scans:
+            assert scan.phi_values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_curve_stays_above_one(self, scans):
-        same, pert = scans
         for scan in scans:
             assert all(p >= 1.0 - scan.error_estimate for p in scan.phi_values)
 
     def test_statement_b_quantity_nonnegative(self, scans):
-        same, _ = scans
-        assert same.integral_derivative >= -same.derivative_error_estimate
+        same, _, analytic = scans
+        for scan in (same, analytic):
+            assert scan.integral_derivative >= -scan.derivative_error_estimate
 
     def test_fd_matches_integral(self, scans):
         for scan in scans:
@@ -369,6 +378,88 @@ class TestEquivalenceScan:
             assert dev <= max(
                 0.05 * abs(scan.integral_derivative), scan.derivative_error_estimate
             )
+
+    def test_analytic_phi_within_grid_budget(self, scans):
+        # both routes scan the same box with the same normalization; the
+        # grid values bound Q_h from above, so they differ by less than the
+        # grid budget, and the bracket's budget is far smaller
+        same, _, analytic = scans
+        assert analytic.h_values == same.h_values
+        for p_grid, p_analytic in zip(same.phi_values, analytic.phi_values):
+            assert abs(p_analytic - p_grid) <= same.error_estimate
+        assert analytic.error_estimate <= 0.01 * same.error_estimate
+
+    def test_analytic_shares_the_grid_derivative(self, scans):
+        # the derivative reads the grids alone, so both routes agree on it
+        same, _, analytic = scans
+        assert analytic.integral_derivative == same.integral_derivative
+
+
+def test_equivalence_scan_analytic_makes_no_hopflax_apply(monkeypatch):
+    quad = quadratic_field(offset=1.0, curvature=0.5)
+    g = quadratic_grid(10.0, 81)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the analytic path applied the grid operator")
+
+    monkeypatch.setattr(bblcheck, "hopflax_apply", forbidden)
+    scan = equivalence_scan(
+        g, g, 2, [0.0, 0.05, 0.1], W_conjugate=quad.conjugate, analytic=(quad, quad)
+    )
+    assert all(p >= 1.0 - scan.error_estimate for p in scan.phi_values)
+
+
+def test_equivalence_scan_analytic_needs_conjugates():
+    quad = quadratic_field(offset=1.0, curvature=0.5)
+    bumped = multiply_bump(quad, [1.0, 0.5], 2.0, 0.3)
+    g = quadratic_grid(4.0, 33)
+    for pair in ((bumped, quad), (quad, bumped)):
+        with pytest.raises(ValueError, match="conjugate"):
+            equivalence_scan(g, g, 2, [0.0, 0.1], W_conjugate=quad.conjugate, analytic=pair)
+
+
+def test_equivalence_scan_grid_values_unchanged(monkeypatch):
+    # the grid path's values on the perturbed pair, recorded before the
+    # analytic route was added, bit for bit; the integral derivative gains
+    # the box flux, and without it reads its old bits
+    quad = quadratic_field(offset=1.0, curvature=0.5)
+    gp, Wp = perturbed_pair()
+    scan = equivalence_scan(gp, Wp, 2, [0.0, 0.05, 0.1], W_conjugate=quad.conjugate)
+    assert [float(p).hex() for p in scan.phi_values] == [
+        "0x1.0000000000000p+0", "0x1.ff097511c9a02p-1", "0x1.ff2876f2fad14p-1",
+    ]
+    assert float(scan.fd_derivative).hex() == "-0x1.e1a5ab64b2780p-5"
+    assert float(scan.error_estimate).hex() == "0x1.5ad97b30823c0p-7"
+    assert float(scan.derivative_error_estimate).hex() == "0x1.b18fd9fca2cb0p-3"
+    assert float(scan.integral_derivative).hex() == "0x1.e7a1129817558p-7"
+    monkeypatch.setattr(bblcheck, "_box_flux", lambda *args: 0.0)
+    bulk = equivalence_scan(gp, Wp, 2, [0.0, 0.05, 0.1], W_conjugate=quad.conjugate)
+    assert float(bulk.integral_derivative).hex() == "-0x1.6bbe6d525e4aap-4"
+
+
+def _suite_scan_verdicts():
+    # the verdicts of the paper suite's equivalence_scan check; c14 shows
+    # that every one of them passes unmutated
+    cfg = next(c for c in cli.paper_suite_configs() if "equivalence_scan" in c.checks)
+    res = cli.check_equivalence_scan(cfg, cli._Shared(cfg))
+    return {x["label"]: x["passed"] for x in res["assertions"]}
+
+
+def test_derivative_match_fails_without_box_flux(monkeypatch):
+    # negative control: the derivative of the phi computed needs the flux of
+    # its growing box; without it the bulk term alone misses fd by 0.063
+    monkeypatch.setattr(bblcheck, "_box_flux", lambda *args: 0.0)
+    assert _suite_scan_verdicts()["derivative_match"] is False
+
+
+def test_derivative_match_fails_with_bracket_at_half_h(monkeypatch):
+    # negative control: Q evaluated at h/2 on the box of h halves phi's
+    # interior change while the box still grows at rate 1
+    real = bblcheck._pointwise_bracket
+    monkeypatch.setattr(
+        bblcheck, "_pointwise_bracket", lambda g, W, h, *rest: real(g, W, h / 2, *rest)
+    )
+    assert _suite_scan_verdicts()["derivative_match"] is False
 
 
 def test_gap_report_curve_fields(equality_pair_grids):
