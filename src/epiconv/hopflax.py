@@ -72,19 +72,6 @@ locally concave and I undercuts g. The candidate g(x - h*y*) + h*W(y*) at the
 grid argmin y*, evaluated on the analytic g and W, is an upper bound of
 Q_h(g) for any g.
 
-Above _TWOSTAGE_MIN_CANDIDATES (output, cost) node pairs, a g and W that both
-pass the convexity certificate take the twostage path instead. It runs the
-same kernel twice: over the strided cost nodes, then over every finite cost
-node y with y's outputs cut to the bounding box of those whose strided argmin
-lies within _COARSE_STRIDE of y on every axis. For a convex objective the
-strided argmin is within one stride of the minimizers, so the window holds
-them: wherever the strided scan finds a candidate, values and argmins are
-those of the exact path, bit for bit. Only rounding can break this, where it
-alone orders candidates more than a stride apart (a constant g whose
-interpolated sums round an ulp apart). Outputs with no finite strided
-candidate stay +inf; on certified-convex inputs they sit in a band along the
-boundary of the essential domain.
-
 ``infconv`` is Q_1 with the cost on g's own lattice: the exact min-plus
 convolution of two grid functions with shared spacing. It runs the same kernel
 with every offset zero: one class, no interpolation and nothing to prune; each
@@ -121,15 +108,10 @@ __all__ = [
     "hopflax_apply",
     "semigroup_residual",
     "hj_difference_quotient",
-    "is_grid_convex",
 ]
 
-# output x cost node pairs above which a certified-convex problem takes the
-# twostage path
-_TWOSTAGE_MIN_CANDIDATES = 4e8
-# stride of the exact path's incumbent scan and of the twostage strided scan,
-# in cost-grid nodes per axis; also the twostage window radius around a
-# strided argmin and the least cost nodes per pruning block
+# stride of the incumbent scan, in cost-grid nodes per axis; also the least
+# cost nodes per pruning block
 _COARSE_STRIDE = 4
 # most interpolated lattices of g the candidate kernel keeps at once, the
 # offset classes of one chunk (16 are 1.7 MB for a 161 x 81 g)
@@ -158,31 +140,6 @@ def _check_same_spacing(f: ExtGridFn, g: ExtGridFn):
     for d, (a, b) in enumerate(zip(f.spacing, g.spacing)):
         if not _same_step(a, b):
             raise ValueError(f"axis {d}: grid spacings differ ({a} vs {b})")
-
-
-def is_grid_convex(f: ExtGridFn) -> bool:
-    """Certificate that gates the twostage Hopf-Lax path.
-
-    Along each axis the finite nodes of every line must be contiguous and the
-    second differences nonnegative (up to 1e-12 times the value scale).
-    """
-    finite = f.finite_mask
-    scale = 1.0
-    finite_vals = f.values[finite]
-    if finite_vals.size:
-        scale = max(1.0, float(np.abs(finite_vals).max()))
-    for d in range(f.dim):
-        fin = np.moveaxis(finite, d, -1)
-        v = np.where(fin, np.moveaxis(f.values, d, -1), 0.0)
-        # a +inf node with finite nodes on both sides breaks its line
-        before = np.logical_or.accumulate(fin, axis=-1)
-        after = np.logical_or.accumulate(fin[..., ::-1], axis=-1)[..., ::-1]
-        if np.any(~fin & before & after):
-            return False
-        triple = fin[..., :-2] & fin[..., 1:-1] & fin[..., 2:]
-        if np.any(triple & (v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:] < -1e-12 * scale)):
-            return False
-    return True
 
 
 def infconv(f: ExtGridFn, g: ExtGridFn) -> InfConvResult:
@@ -287,7 +244,7 @@ def _scan_candidates(lattice, tables, shape, weights, active, boxes=None):
     of y form its offset class, and lattice(keys, region) gives the class's
     lattice over a region of lattice points. With boxes = (blocks, box_lo,
     box_hi), y only reaches the outputs inside its cost block's box (see
-    :func:`_prune_boxes` and :func:`_window_boxes`).
+    :func:`_prune_boxes`).
 
     The classes go in chunks of at most _LATTICE_CACHE: per axis, groups of
     consecutive keys whose sizes multiply to at most _LATTICE_CACHE. A chunk
@@ -674,18 +631,13 @@ def hopflax_apply(
     outside g's box and in cells with a +inf corner); its argmin is -1
     everywhere.
 
-    The exact path evaluates every finite y node's candidates except those
-    its cost block's lower bound puts above the strided incumbent by more
-    than the rounding allowance; the result equals the scan of all
-    candidates bit for bit. It interpolates each offset class of g once,
-    with at most _LATTICE_CACHE lattices alive (the module docstring has the
-    class chunks, their merge rule and the bound). Above
-    _TWOSTAGE_MIN_CANDIDATES (output, cost) node pairs with g and W both
-    grid-convex, the twostage path runs the same kernel over the strided cost
-    nodes, then over the cost nodes within _COARSE_STRIDE of each output's
-    strided argmin. Wherever it is finite, its values and argmins equal the
-    exact path's byte for byte, unless rounding alone orders candidates more
-    than a stride apart; outputs with no finite strided candidate stay +inf.
+    One algorithm serves every grid: each finite y node's candidates are
+    evaluated except those its cost block's lower bound puts above the
+    strided incumbent by more than the rounding allowance, so the result
+    equals the scan of all candidates bit for bit, whatever the size or
+    shape of g and W. Each offset class of g is interpolated once, with at
+    most _LATTICE_CACHE lattices alive (the module docstring has the class
+    chunks, their merge rule and the bound).
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
@@ -720,62 +672,18 @@ def hopflax_apply(
             vals[tuple(map(slice, lo, hi))] = _interpolator(g)(tuple(frac.tolist()), src)
         return InfConvResult(ExtGridFn(box, vals), np.full(shape, -1, dtype=np.int64))
 
-    active = np.isfinite(W.values)
-    big = int(np.prod(shape)) * int(active.sum()) > _TWOSTAGE_MIN_CANDIDATES
-    if big and is_grid_convex(g) and is_grid_convex(W):
-        vals, arg = _hopflax_twostage(g, W, h, axes, shape)
-    else:
-        vals, arg = _hopflax_exact(g, W, h, axes, shape, active)
+    vals, arg = _hopflax_exact(g, W, h, axes, shape)
     return InfConvResult(ExtGridFn(box, vals), arg)
 
 
-def _hopflax_exact(g, W, h, axes, shape, active):
-    # its own entry point, so a trace tells the exact path from twostage,
-    # whose two scans run the same kernel
+def _hopflax_exact(g, W, h, axes, shape):
+    # the pruned scan of an apply at h > 0, its own entry point so that a
+    # trace times the kernel apart from the argument checks
+    active = np.isfinite(W.values)
     tables = _axis_tables(g, [h * ax for ax in W.axes], axes)
     weights = h * W.values
     boxes = _prune_boxes(g, tables, shape, weights, active)
     return _scan_candidates(_interpolator(g), tables, shape, weights, active, boxes)
-
-
-def _hopflax_twostage(g, W, h, axes, shape):
-    tables = _axis_tables(g, [h * ax for ax in W.axes], axes)
-    lattice = _interpolator(g)
-    weights = h * W.values
-    active = np.isfinite(W.values)
-    arg = _scan_candidates(lattice, tables, shape, weights, _strided(active))[1]
-    boxes = _window_boxes(arg, W.resolution, shape)
-    return _scan_candidates(lattice, tables, shape, weights, active, boxes)
-
-
-def _window_boxes(arg, res, shape):
-    """Per cost node y, the bounding box of the output nodes whose strided
-    argmin s (arg, a flat index into the cost grid of resolution res) has
-    |s_d - y_d| <= _COARSE_STRIDE on every axis, as (blocks, box_lo, box_hi)
-    for :func:`_scan_candidates` with one block per node; empty boxes have
-    box_lo >= box_hi."""
-    stride = _COARSE_STRIDE
-    coarse = tuple((m - 1) // stride + 1 for m in res)
-    found = np.flatnonzero(arg >= 0)
-    at = tuple(i // stride for i in np.unravel_index(arg.flat[found], res))
-    box_lo, box_hi = [], []
-    for d, k in enumerate(np.unravel_index(found, shape)):
-        box_lo.append(np.full(coarse, shape[d], dtype=np.int64))
-        box_hi.append(np.zeros(coarse, dtype=np.int64))
-        np.minimum.at(box_lo[d], at, k)
-        np.maximum.at(box_hi[d], at, k + 1)
-    # along axis e, the strided nodes within the stride of y are those of
-    # coarse index ceil(y / stride) - 1 .. y // stride + 1
-    for e, m in enumerate(res):
-        y = np.arange(m)
-        near = [
-            np.clip(k, 0, coarse[e] - 1)
-            for k in (-(-y // stride) - 1, y // stride, y // stride + 1)
-        ]
-        for boxes, reduce in ((box_lo, np.minimum), (box_hi, np.maximum)):
-            for d, b in enumerate(boxes):
-                boxes[d] = reduce.reduce([np.take(b, k, axis=e) for k in near])
-    return [np.arange(m) for m in res], box_lo, box_hi
 
 
 def _witness(x, h: float, domain: EpigraphDomain | None):

@@ -757,29 +757,6 @@ def interpolate_reference(f: ExtGridFn, points) -> np.ndarray:
     return out
 
 
-def is_grid_convex_reference(f: ExtGridFn) -> bool:
-    """The convexity certificate as it was, one Python loop per grid line,
-    kept verbatim."""
-    scale = 1.0
-    finite_vals = f.values[f.finite_mask]
-    if finite_vals.size:
-        scale = max(1.0, float(np.abs(finite_vals).max()))
-    for d in range(f.dim):
-        v = np.moveaxis(f.values, d, -1)
-        flat = v.reshape(-1, v.shape[-1])
-        for line in flat:
-            idx = np.flatnonzero(np.isfinite(line))
-            if idx.size == 0:
-                continue
-            if idx[-1] - idx[0] != idx.size - 1:
-                return False
-            if idx.size >= 3:
-                seg = line[idx[0] : idx[-1] + 1]
-                if np.any(seg[:-2] - 2.0 * seg[1:-1] + seg[2:] < -1e-12 * scale):
-                    return False
-    return True
-
-
 def integrate_epigraph_reference(fn, domain, spec, shift=0.0, decay=None):
     """Graded trapezoid over the shifted epigraph with every column's nodes
     evaluated in one integrand call per shell slab. Returns (value, tail)."""

@@ -15,7 +15,6 @@ from epiconv.hopflax import (
     hj_difference_quotient,
     hopflax_apply,
     infconv,
-    is_grid_convex,
     semigroup_residual,
 )
 from epiconv import hopflax
@@ -31,7 +30,6 @@ from oracles import (
     hopflax_pointwise,
     hopflax_pointwise_reference,
     interpolate_reference,
-    is_grid_convex_reference,
     naive_hopflax,
     naive_infconv,
     richardson_limit,
@@ -89,9 +87,7 @@ class TestInfconv:
             gv = np.concatenate([[0.0], np.cumsum(slopes)])
             bumped = gv.copy()
             bumped[ng // 2] += 2.0
-            g = grid1d(0, (ng - 1) * 0.1, gv)
-            assert is_grid_convex(g)
-            assert not is_grid_convex(grid1d(0, (ng - 1) * 0.1, bumped))
+            assert (np.diff(gv, 2) >= 0.0).all() and (np.diff(bumped, 2) < 0.0).any()
             for fa, ga in ((fv, gv), (fv, bumped), (np.floor(fv), np.floor(bumped))):
                 res = infconv(grid1d(0, (nf - 1) * 0.1, fa), grid1d(0, (ng - 1) * 0.1, ga))
                 want, warg = naive_infconv(fa, ga)
@@ -156,19 +152,14 @@ class TestInfconv:
         assert res.argmin.tobytes() == warg.tobytes()
         np.testing.assert_allclose(res.values.box, [(far + 1.0, far + 1.8), (0.0, 1.0)], atol=1e-6)
 
-    def test_never_takes_a_hopflax_path(self, taken, monkeypatch):
-        # grid-convex operands with the twostage threshold at 0: infconv still
-        # runs the exact min-plus scan, bit for bit
+    def test_never_takes_a_hopflax_path(self, taken):
+        # infconv runs the min-plus scan itself, with no prune, bit for bit
         f, g = quadratic_grid(2, 9, offset=0.5), quadratic_grid(1.5, 7)
-        assert is_grid_convex(f) and is_grid_convex(g)
-        before = infconv(f, g)
-        monkeypatch.setattr(hopflax, "_TWOSTAGE_MIN_CANDIDATES", 0)
         res = infconv(f, g)
         assert taken == []
         want, warg = naive_infconv(f.values, g.values)
-        for out in (before, res):
-            assert out.values.values.tobytes() == want.tobytes()
-            assert out.argmin.tobytes() == warg.tobytes()
+        assert res.values.values.tobytes() == want.tobytes()
+        assert res.argmin.tobytes() == warg.tobytes()
 
     def test_counterexample_table_exact(self):
         f, g = counterexample_pair(0.25)
@@ -263,6 +254,43 @@ EXACT_FIXTURES = {
 }
 
 
+def _halfspace_cut(g, level):
+    # +inf below the last coordinate's level
+    mesh = np.stack(np.meshgrid(*g.axes, indexing="ij"), axis=-1)
+    return ExtGridFn(g.box, np.where(mesh[..., -1] >= level, g.values, INF))
+
+
+def _halfspace_pair():
+    # the bbl_gap power-cost pair on boxes that reach below the half-space,
+    # so both grids carry +inf nodes
+    W = power_cost_field(1.6, 3.0, NormSpec("euclidean"))
+    g = shifted_field(W, np.array([0.0, 1.0]))
+    dom = halfspace(2)
+    gg = sample_grid(dom, [(-2, 2), (-0.5, 2)], [41, 26], g)
+    WW = sample_grid(dom, [(-2, 2), (0.5, 3)], [41, 26], W, h=1.0)
+    return gg, WW, None
+
+
+# larger grids, compared with the reference scan only: convex problems on
+# 61^2 and 13^3 nodes, and convex pairs whose +inf nodes cut a half-line or
+# a half-plane, so the outputs near the boundary of the finite set are kept
+REFERENCE_FIXTURES = {
+    "1d_convex": lambda: (
+        quadratic_grid(3, 61, offset=1.0, dim=1), quadratic_grid(2, 41, dim=1), None
+    ),
+    "1d_cut": lambda: (
+        _halfspace_cut(quadratic_grid(3, 61, offset=1.0, dim=1), -1.0),
+        quadratic_grid(2, 41, dim=1),
+        None,
+    ),
+    "2d_61": lambda: (quadratic_grid(3, 61, offset=1.0), quadratic_grid(3, 61), None),
+    "3d_13": lambda: (
+        quadratic_grid(1.5, 13, offset=0.5, dim=3), quadratic_grid(1.5, 13, dim=3), None
+    ),
+    "halfspace": _halfspace_pair,
+}
+
+
 def _integer_pair():
     # integer values make ties common; W's spacing differs from g's, so the
     # offsets fall into many classes at every h, h = 1 included
@@ -312,7 +340,7 @@ def _offset_classes(g, W, h, axes):
 def _assert_exact(fixture, h):
     # values and smallest-index argmins equal the per-y full-grid scan byte
     # for byte
-    g, W, grid = EXACT_FIXTURES[fixture]()
+    g, W, grid = {**EXACT_FIXTURES, **REFERENCE_FIXTURES}[fixture]()
     kw = {} if grid is None else {"out_box": grid[0], "out_resolution": grid[1]}
     res = hopflax_apply(g, W, h, **kw)
     want, warg = exact_hopflax_reference(g, W, h, res.values.axes)
@@ -323,7 +351,7 @@ def _assert_exact(fixture, h):
 
 
 @pytest.mark.parametrize("h", [0.1, 0.25, 0.5, 1.0])
-@pytest.mark.parametrize("fixture", sorted(EXACT_FIXTURES))
+@pytest.mark.parametrize("fixture", sorted(EXACT_FIXTURES) + sorted(REFERENCE_FIXTURES))
 def test_exact_bit_identical_to_reference(fixture, h):
     _assert_exact(fixture, h)
 
@@ -507,91 +535,21 @@ def test_tilted_boxes_inside_untilted_boxes(case, monkeypatch):
 
 @pytest.fixture
 def taken(monkeypatch):
-    """The Hopf-Lax paths hopflax_apply runs, in call order."""
+    """One entry per pruned scan hopflax_apply runs."""
     calls = []
-    for path in ("exact", "twostage"):
-        name = f"_hopflax_{path}"
+    orig = hopflax._hopflax_exact
 
-        def spy(*args, _orig=getattr(hopflax, name), _path=path):
-            calls.append(_path)
-            return _orig(*args)
+    def spy(*args):
+        calls.append("exact")
+        return orig(*args)
 
-        monkeypatch.setattr(hopflax, name, spy)
+    monkeypatch.setattr(hopflax, "_hopflax_exact", spy)
     return calls
 
 
-class TestPathGate:
-    def test_convex_problem_above_threshold_takes_twostage(self, taken, monkeypatch):
-        g, W = quadratic_grid(2, 21, offset=0.5), quadratic_grid(2, 17)
-        assert is_grid_convex(g) and is_grid_convex(W)
-        hopflax_apply(g, W, 0.5)
-        monkeypatch.setattr(hopflax, "_TWOSTAGE_MIN_CANDIDATES", 0)
-        hopflax_apply(g, W, 0.5)
-        assert taken == ["exact", "twostage"]
-
-    def test_bumped_problem_takes_exact(self, taken, monkeypatch):
-        g = _bump(quadratic_grid(2, 21, offset=0.5), [0.3, -0.2], 1.5)
-        assert not is_grid_convex(g)
-        monkeypatch.setattr(hopflax, "_TWOSTAGE_MIN_CANDIDATES", 0)
-        hopflax_apply(g, quadratic_grid(2, 17), 0.5)
-        assert taken == ["exact"]
-
-
-def _halfspace_cut(g, level):
-    # +inf below the last coordinate's level
-    mesh = np.stack(np.meshgrid(*g.axes, indexing="ij"), axis=-1)
-    return ExtGridFn(g.box, np.where(mesh[..., -1] >= level, g.values, INF))
-
-
-def _halfspace_pair():
-    # the bbl_gap power-cost pair on boxes that reach below the half-space,
-    # so both grids carry +inf nodes
-    W = power_cost_field(1.6, 3.0, NormSpec("euclidean"))
-    g = shifted_field(W, np.array([0.0, 1.0]))
-    dom = halfspace(2)
-    gg = sample_grid(dom, [(-2, 2), (-0.5, 2)], [41, 26], g)
-    WW = sample_grid(dom, [(-2, 2), (0.5, 3)], [41, 26], W, h=1.0)
-    return gg, WW
-
-
-TWOSTAGE_FIXTURES = {
-    "1d": lambda: (quadratic_grid(3, 61, offset=1.0, dim=1), quadratic_grid(2, 41, dim=1)),
-    "1d_cut": lambda: (
-        _halfspace_cut(quadratic_grid(3, 61, offset=1.0, dim=1), -1.0),
-        quadratic_grid(2, 41, dim=1),
-    ),
-    "2d": lambda: (quadratic_grid(3, 61, offset=1.0), quadratic_grid(3, 61)),
-    "3d": lambda: (quadratic_grid(1.5, 13, offset=0.5, dim=3), quadratic_grid(1.5, 13, dim=3)),
-    "cone": lambda: (_cone_cut(quadratic_grid(2, 41, offset=0.5)), quadratic_grid(2, 33)),
-    "halfspace": _halfspace_pair,
-}
-
-
-@pytest.mark.parametrize("h", [0.1, 0.25, 0.5, 1.0])
-@pytest.mark.parametrize("fixture", sorted(TWOSTAGE_FIXTURES))
-def test_twostage_bit_identical_to_reference(fixture, h, taken, monkeypatch):
-    # the window around the strided argmin holds every minimizer of a
-    # certified-convex problem, and both stages run the exact path's kernel;
-    # the outputs left +inf are those no strided cost node reaches with a
-    # finite candidate (on the half-space pair, a band along the boundary)
-    monkeypatch.setattr(hopflax, "_TWOSTAGE_MIN_CANDIDATES", 0)
-    g, W = TWOSTAGE_FIXTURES[fixture]()
-    res = hopflax_apply(g, W, h)
-    assert taken == ["twostage"]
-    want, warg = exact_hopflax_reference(g, W, h, res.values.axes)
-    fin = res.values.finite_mask
-    assert res.values.values[fin].tobytes() == want[fin].tobytes()
-    assert res.argmin[fin].tobytes() == warg[fin].tobytes()
-    lost = np.isfinite(want) & ~fin
-    assert lost.sum() == {("halfspace", 0.5): 61, ("halfspace", 1.0): 324}.get((fixture, h), 0)
-    on_stride = np.all(np.indices(W.resolution) % hopflax._COARSE_STRIDE == 0, axis=0)
-    strided = ExtGridFn(W.box, np.where(on_stride, W.values, INF))
-    assert np.isinf(exact_hopflax_reference(g, strided, h, res.values.axes)[0][lost]).all()
-
-
-def test_twostage_memory_is_bounded(taken, monkeypatch):
-    # both stages keep at most _LATTICE_CACHE lattices of g alive
-    monkeypatch.setattr(hopflax, "_TWOSTAGE_MIN_CANDIDATES", 0)
+def test_exact_memory_is_bounded(taken):
+    # the scan keeps at most _LATTICE_CACHE lattices of g alive, and the
+    # prune's bounds stay within the same budget
     g, W = quadratic_grid(4, 81, offset=1.0), quadratic_grid(4, 81)
     tracemalloc.start()
     try:
@@ -599,38 +557,8 @@ def test_twostage_memory_is_bounded(taken, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert taken == ["twostage"]
-    assert peak < 40e6, f"twostage peaked at {peak / 1e6:.1f} MB"
-
-
-def _certificate_grid(rng):
-    dim = int(rng.integers(1, 4))
-    shape = tuple(int(m) for m in rng.integers(1, 9, dim))
-    axes = [np.linspace(-1.0, 1.0, m) for m in shape]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = rng.uniform(-0.5, 0.5) + mesh @ rng.uniform(-0.2, 0.2, dim)
-    vals = vals + rng.choice([0.0, 0.1]) * np.sum(mesh**2, axis=-1)
-    # second differences of order -1e-13 to -1e-11 against the 1e-12 * scale
-    # tolerance
-    vals = vals + rng.choice([0.0, 1e-13, 1e-12, 1e-11]) * rng.standard_normal(shape)
-    cut = rng.integers(0, 4)
-    if cut == 1:  # a half-space: every line's finite nodes stay contiguous
-        vals = np.where(mesh[..., -1] >= rng.uniform(-1, 1), vals, INF)
-    elif cut == 2:  # scattered holes, interior gaps included
-        vals = np.where(rng.random(shape) < 0.15, INF, vals)
-    elif cut == 3:
-        vals = np.full(shape, INF)
-    return ExtGridFn([(-1.0, 1.0)] * dim, vals)
-
-
-def test_certificate_matches_reference():
-    rng = np.random.default_rng(11)
-    verdicts = []
-    for _ in range(400):
-        f = _certificate_grid(rng)
-        verdicts.append(is_grid_convex(f))
-        assert verdicts[-1] == is_grid_convex_reference(f), f.values
-    assert 50 < sum(verdicts) < 350
+    assert taken == ["exact"]
+    assert peak < 40e6, f"the exact path peaked at {peak / 1e6:.1f} MB"
 
 
 class TestHopfLaxApply:
@@ -680,15 +608,6 @@ class TestHopfLaxApply:
             window = np.all(np.abs(mesh) <= 2.5, axis=-1)
             err = np.max(np.abs(res.values.values[window] - closed[window]))
             assert err <= 5 * 0.1
-
-    def test_twostage_matches_exact_on_convex_fixture(self, taken, monkeypatch):
-        g = quadratic_grid(3, 61, offset=1.0)
-        a = hopflax_apply(g, g, 0.5)
-        monkeypatch.setattr(hopflax, "_TWOSTAGE_MIN_CANDIDATES", 0)
-        b = hopflax_apply(g, g, 0.5)
-        assert taken == ["exact", "twostage"]
-        assert a.values.values.tobytes() == b.values.values.tobytes()
-        assert a.argmin.tobytes() == b.argmin.tobytes()
 
     def test_monotone_in_g(self):
         rng = np.random.default_rng(8)
@@ -742,12 +661,9 @@ class TestHopfLaxApply:
         with pytest.raises(ValueError, match="together"):
             hopflax_apply(g, g, 0.5, **{half: given[half]})
 
-    @pytest.mark.parametrize("twostage", [False, True])
-    def test_output_spacing_other_than_g_rejected(self, twostage, taken, monkeypatch):
-        # both paths read g's lattice at the first output node's offset and
-        # step by g's spacing, so any other output spacing would be misread
-        if twostage:
-            monkeypatch.setattr(hopflax, "_TWOSTAGE_MIN_CANDIDATES", 0)
+    def test_output_spacing_other_than_g_rejected(self, taken):
+        # the scan reads g's lattice at the first output node's offset and
+        # steps by g's spacing, so any other output spacing would be misread
         xs = np.linspace(-1, 1, 21)
         g, W = grid1d(-1, 1, xs**2 / 2 + 1), grid1d(-1, 1, xs**2 / 2)
         with pytest.raises(ValueError, match="spacing"):
