@@ -20,15 +20,14 @@ difference between full- and half-spacing runs plus analytic power-tail
 bounds. Inequality assertions in the tests use these reported budgets rather
 than free-standing tolerances.
 
-bbl_gap takes Q_h(g) from one of two sources. Given only grids, it applies
-the grid Hopf-Lax operator, and the budget's discretization part is a
-decimated rerun of the whole gap. Given also the analytic pair the grids
-sample (fields carrying their conjugates, and the domain), as the CLI's
-bbl_gap check does, the lhs integrates the Hopf floor of Q_h, one discrete
-Legendre transform of the conjugates per h, and the budget holds the lhs
-bracket between that floor and an exact-candidate ceiling, the spacing
-difference of the same node values, and the tails; no Hopf-Lax apply runs.
-equivalence_scan takes Q_h from the pointwise bracket given the analytic pair.
+bbl_gap and equivalence_scan take Q_h(g) from one of two sources. Given only
+grids, they apply the grid Hopf-Lax operator, and the budget's
+discretization part is a decimated rerun. Given also the analytic pair the
+grids sample (fields carrying their conjugates), as the CLI's checks do,
+they read hopflax._pointwise_bracket at the nodes of the grid operator's
+output grid (:func:`_out_bracket`), and no Hopf-Lax apply runs: bbl_gap's
+lhs integrates the bracket's floor and its budget holds the lhs bracket
+between floor and ceiling, equivalence_scan integrates the ceiling.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .extgrid import INF, EpigraphDomain, ExtGridFn, _euclidean_norm, weight_P
 from .fields import ScalarField
 from .hopflax import (
     _default_out_grid,
-    _hopf_bracket,
     _pointwise_bracket,
     _richardson,
     _scaled_conjugate,
@@ -198,6 +196,24 @@ def _bbl_gap_once(g: ExtGridFn, W: ExtGridFn, params: BBLParams):
     return (*_sides(gs, Ws, Q, params), (gs, Ws, Q))
 
 
+def _out_bracket(
+    g, W, h: float, gs: ExtGridFn, Ws: ExtGridFn, cg: float, cW: float,
+    domain: EpigraphDomain | None = None,
+):
+    """The output box of Q_h of the normalized grids gs and Ws, as
+    hopflax_apply builds it, and (floor, ceiling) of
+    :func:`hopflax._pointwise_bracket` of the pair (cg*g, cW*W) at its nodes;
+    both are +inf outside B_h of the domain (nowhere without one)."""
+    box, axes = _default_out_grid(gs, Ws, h)
+    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    if domain is None:
+        return box, _pointwise_bracket(g, W, h, X, None, cg, cW)
+    inside = X[..., -1] >= domain.bh_lower(X[..., :-1], h)
+    floor, ceiling = np.full(inside.shape, INF), np.full(inside.shape, INF)
+    floor[inside], ceiling[inside] = _pointwise_bracket(g, W, h, X[inside], domain, cg, cW)
+    return box, (floor, ceiling)
+
+
 def bbl_gap(
     g: ExtGridFn,
     W: ExtGridFn,
@@ -211,11 +227,12 @@ def bbl_gap(
     (every other node) grids.
 
     ``analytic`` is the pair (g field, W field, domain) the grids sample, g
-    on the domain and W on the domain + e, both carrying their conjugate.
-    The lhs then integrates the Hopf floor of Q_h on the default output grid
-    of the grid operator, and the ceiling bounds it from the other side
-    (:func:`hopflax._hopf_bracket`); no Hopf-Lax apply and no decimated rerun
-    are made. The rhs, the normalizations and the tail fits stay on the
+    on the domain and W on the domain + e, both carrying a gradient and
+    their conjugate. The lhs then integrates the floor of
+    :func:`hopflax._pointwise_bracket` of the normalized pair at the nodes
+    of the grid operator's default output grid, +inf outside B_h, and the
+    bracket's ceiling bounds Q_h from the other side (:func:`_out_bracket`);
+    no Hopf-Lax apply and no decimated rerun are made. The rhs, the normalizations and the tail fits stay on the
     grids. The error estimate is the lhs bracket (floor lhs minus ceiling
     lhs, which bounds how far the floor overstates the lhs), plus 1.5 times
     the difference between the gap at the grid spacing and at twice it
@@ -240,9 +257,8 @@ def bbl_gap(
             raise ValueError("the analytic g and W must provide a conjugate callable")
         gs, Sg = _normalize_grid(g, a)
         Ws, SW = _normalize_grid(W, a)
-        box, axes = _default_out_grid(gs, Ws, h)
-        floor, ceiling = _hopf_bracket(
-            g_field, W_field, Sg ** (1.0 / a), SW ** (1.0 / a), h, axes, domain
+        box, (floor, ceiling) = _out_bracket(
+            g_field, W_field, h, gs, Ws, Sg ** (1.0 / a), SW ** (1.0 / a), domain
         )
         Q = ExtGridFn(box, floor)
         lhs, rhs = _sides(gs, Ws, Q, params)
@@ -671,9 +687,7 @@ def equivalence_scan(
         """(phi(h), integrated bracket width) of a normalized pair."""
         if analytic is None or h == 0.0:
             return _power_integral(_flow(gs, Ws, h), -float(n)), 0.0
-        box, axes = _default_out_grid(gs, Ws, h)
-        X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        bracket = _pointwise_bracket(*analytic, h, X, None, Sg ** (1.0 / n), SW ** (1.0 / n))
+        box, bracket = _out_bracket(*analytic, h, gs, Ws, Sg ** (1.0 / n), SW ** (1.0 / n))
         floor, ceiling = (_power_integral(ExtGridFn(box, v), -float(n)) for v in bracket)
         return ceiling, floor - ceiling
 

@@ -31,8 +31,8 @@ class ScalarField:
     """fn: (..., n) -> (...); grad falls back to central differences.
 
     conjugate is the Legendre transform of fn over all of R^n. The Hopf-Lax
-    brackets of analytic pairs (``hopflax._pointwise_bracket`` and
-    ``hopflax._hopf_bracket``) need it and the gradient of both fields.
+    bracket of analytic pairs (``hopflax._pointwise_bracket``) needs it and
+    the gradient of both fields.
 
     Quadrature passes fn point batches as (..., n) views with contiguous
     coordinate planes, and the pointwise bracket passes them on to fn, grad

@@ -78,17 +78,16 @@ with every offset zero: one class, no interpolation and nothing to prune; each
 finite output node records an attaining argmin, the smallest flat index among
 ties.
 
-Two brackets need no grid of g or W, only an analytic pair carrying its
-gradients and conjugates. ``_hopf_bracket`` brackets Q_h on an output grid
-between the Hopf floor, a discrete Legendre transform of g* + h*W* on a
-graded dual grid, and the least of two exact candidates;
-``bblcheck.bbl_gap`` integrates it. ``_pointwise_bracket`` brackets Q_h at
-arbitrary points in closed form: the exact candidate at the scaling witness
-(x + e)/(1 + h), feasible throughout B_h on every convex domain by
-construction, above, and the Fenchel-Young bound at the slope of g there
-below; ``bblcheck.appendix_limit_residual``, ``bblcheck.equivalence_scan``
-(on a rescaled pair) and ``hj_difference_quotient`` read it. Both share
-``_witness``, ``_hopf_terms`` and ``_candidate``.
+An analytic pair, g and W carrying their gradients and conjugates, needs no
+grid: ``_pointwise_bracket`` brackets its Q_h at arbitrary points in closed
+form. Above is the exact candidate at the scaling witness (x + e)/(1 + h),
+which is feasible throughout B_h on every convex domain by construction and
+the minimizer for g = W(. + e); below is the Hopf formula's Fenchel-Young
+bound at one slope, that of g at the witness's candidate point. It is the
+one evaluation of Q_h for analytic pairs: ``bblcheck.bbl_gap`` and
+``bblcheck.equivalence_scan`` (both on a rescaled pair, at the nodes of the
+grid operator's output grid), ``bblcheck.appendix_limit_residual`` and
+``hj_difference_quotient`` read it.
 """
 
 from __future__ import annotations
@@ -99,8 +98,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .extgrid import INF, EpigraphDomain, ExtGridFn, _central_gradient, _unit_e
-from .transforms import _legendre_lines
+from .extgrid import INF, EpigraphDomain, ExtGridFn, _unit_e
 
 __all__ = [
     "InfConvResult",
@@ -118,10 +116,10 @@ _COARSE_STRIDE = 4
 _LATTICE_CACHE = 16
 # fractional lattice offsets within _SNAP of a gridline snap onto it
 _SNAP = 1e-9
-# ulps of the magnitude of its terms by which _hopf_bracket lowers its floor
+# ulps of the sum of the magnitudes of its terms by which _pointwise_bracket
+# lowers its Fenchel-Young floor, covering the rounding of the conjugates and
+# of the sum
 _HOPF_ULPS = 8
-# most dual-grid slopes _hopf_bracket samples F at in one conjugate call
-_HOPF_BLOCK = 2**13
 
 
 @dataclass
@@ -686,31 +684,9 @@ def _hopflax_exact(g, W, h, axes, shape):
     return _scan_candidates(_interpolator(g), tables, shape, weights, active, boxes)
 
 
-def _witness(x, h: float, domain: EpigraphDomain | None):
-    """The scaling witness y = (x + e)/(1 + h) at the points x, e = 0 without
-    a domain. At x = (1+h)*z + h*e in B_h, z in Omega, it gives
-    x - h*y = z in Omega and y = z + e in Omega + e, so its candidate is
-    feasible by construction on every convex domain, with no membership
-    test. By convexity of W, W(x - h*y + e) + h*W(y) >= (1+h)*W(witness),
-    so it is the exact minimizer for g = W(. + e).
-    """
-    e = 0.0 if domain is None else _unit_e(np.shape(x)[-1])
-    return (x + e) / (1.0 + h)
-
-
 def _scaled_conjugate(conjugate, c: float, p, t: float = 1.0):
     """t*(c*f)*(p) for f's conjugate, by the rule (c*f)*(p) = c*f*(p/c)."""
     return t * c * np.asarray(conjugate(p / c), dtype=float)
-
-
-def _hopf_terms(g, W, cg: float, cW: float, h: float, p):
-    """(cg*g)*(p) and h*(cW*W)*(p), the two terms of F in p.x - F(p)."""
-    return _scaled_conjugate(g.conjugate, cg, p), _scaled_conjugate(W.conjugate, cW, p, h)
-
-
-def _candidate(g, W, cg: float, cW: float, h: float, x, y):
-    """The candidate (cg*g)(x - h*y) + h*(cW*W)(y) of Q_h of the pair."""
-    return cg * np.asarray(g.fn(x - h * y), dtype=float) + h * cW * np.asarray(W.fn(y), dtype=float)
 
 
 def _pointwise_bracket(
@@ -720,121 +696,34 @@ def _pointwise_bracket(
     R^n without a domain), for fields g and W that carry a gradient and a
     conjugate, g on domain and W on domain + e.
 
-    Ceiling: the exact candidate at the scaling witness y of
-    :func:`_witness`. Floor: Fenchel-Young at p = grad (cg*g)(x - h*y),
-    p.x - F(p) with F from :func:`_hopf_terms`, lowered by _HOPF_ULPS ulps
-    of the sum of the magnitudes of its terms; it bounds Q_h from below for
-    any g and W, the conjugates over R^n bounding those of the restricted
-    functions from above (:func:`_hopf_bracket`'s floor at one slope). Where
-    the witness is the minimizer the two agree to rounding; no iteration
-    refines it. Unit scales leave every product exact. Points are used in
-    the layout they come in.
+    Ceiling: the exact candidate (cg*g)(x - h*y) + h*(cW*W)(y) at the
+    scaling witness y = (x + e)/(1 + h), e = 0 without a domain. At
+    x = (1+h)*z + h*e in B_h, z in Omega, the witness gives x - h*y = z in
+    Omega and y = z + e in Omega + e, so its candidate is feasible by
+    construction on every convex domain, with no membership test. By
+    convexity of W, W(x - h*y + e) + h*W(y) >= (1+h)*W(witness), so the
+    witness is the exact minimizer for g = W(. + e).
+
+    Floor: Fenchel-Young at p = grad (cg*g)(x - h*y), p.x - F(p) with
+    F(p) = (cg*g)*(p) + h*(cW*W)*(p), lowered by _HOPF_ULPS ulps of the sum
+    of the magnitudes of its terms. It bounds Q_h from below for any g and
+    W, the conjugates over R^n bounding those of the restricted functions
+    from above, and for convex g and W the sup of p.x - F(p) over all p is
+    Q_h itself (the Hopf formula). Where the witness is the minimizer the
+    two agree to rounding; no iteration refines them. Unit scales leave
+    every product exact. Points are used in the layout they come in.
     """
     x = np.asarray(points, dtype=float)
-    y = _witness(x, h, domain)
-    ceiling = _candidate(g, W, cg, cW, h, x, y)
-    p = cg * g.gradient(x - h * y)
-    Fg, FW = _hopf_terms(g, W, cg, cW, h, p)
+    e = 0.0 if domain is None else _unit_e(x.shape[-1])
+    y = (x + e) / (1.0 + h)
+    z = x - h * y
+    ceiling = cg * np.asarray(g.fn(z), dtype=float) + h * cW * np.asarray(W.fn(y), dtype=float)
+    p = cg * g.gradient(z)
+    Fg = _scaled_conjugate(g.conjugate, cg, p)
+    FW = _scaled_conjugate(W.conjugate, cW, p, h)
     px = p * x
     terms = np.sum(np.abs(px), axis=-1) + np.abs(Fg) + np.abs(FW)
     floor = np.sum(px, axis=-1) - Fg - FW - _HOPF_ULPS * np.finfo(float).eps * terms
-    return floor, ceiling
-
-
-def _hopf_bracket(g, W, cg: float, cW: float, h: float, axes, domain: EpigraphDomain):
-    """(floor, ceiling) of Q_h of the pair (cg*g, cW*W), g on domain and W on
-    domain + e, at the nodes of the output axes; both are +inf outside B_h.
-
-    Floor. For every slope p, Fenchel-Young on both terms of the infimum gives
-    Q_h(x) >= p.x - F(p) with F(p) = cg*g*(p/cg) + h*cW*W*(p/cW)
-    (:func:`_hopf_terms`), for any g and W; the conjugates the fields carry,
-    taken over all of R^n, bound those of the restricted functions from
-    above, so the bound holds with them. For convex g and W the sup over p
-    is Q_h itself (the Hopf formula).
-    The floor is the discrete Legendre transform of F on a tensor dual grid,
-    one :func:`_legendre_lines` sweep per axis. Axis d has twice the output
-    nodes, graded as r_d*sinh(9t)/sinh(9) for t uniform on [-1, 1], where r_d
-    is 1.2 times the largest |d/dx_d (cg*g)| at the witness points below; the
-    grading puts the slopes densely near 0, where the conjugates curve most.
-    The floor is then lowered by _HOPF_ULPS ulps of the sum of the magnitudes
-    of its terms at the maximizing slope p^, which covers the rounding of the
-    sweeps and of the conjugates.
-
-    Ceiling. The least exact candidate cg*g(x - h*y) + h*cW*W(y) over the
-    feasible y among the minimizer grad (cW*W)*(p^) of the convex case (by
-    central differences of W's conjugate) and the witness (x + e)/(1 + h).
-    Any feasible y gives an upper bound of Q_h. The minimizer counts where
-    the domain's membership tests admit it; the witness counts at every node
-    of B_h with no test, being feasible there by construction
-    (:func:`_witness`), where a rounded test rejects it at some boundary
-    nodes of cones.
-
-    Fields, conjugates and domains see at most about _HOPF_BLOCK points per
-    call: F is sampled, and the output nodes are visited, in blocks of
-    leading-axis rows.
-    """
-    n = len(axes)
-
-    def blocks(lead, size):
-        step = max(1, _HOPF_BLOCK * len(lead) // size)
-        return [slice(i, i + step) for i in range(0, len(lead), step)]
-
-    def mesh(lead, rest):
-        return np.stack(np.meshgrid(lead, *rest, indexing="ij"), axis=-1)
-
-    shape = tuple(len(ax) for ax in axes)
-    rows = blocks(axes[0], int(np.prod(shape)))
-
-    def nodes(i):
-        """The output nodes of rows i, their B_h mask and their witnesses."""
-        X = mesh(axes[0][i], axes[1:])
-        inside = X[..., -1] >= domain.bh_lower(X[..., :-1], h)
-        return X, inside, _witness(X, h, domain)
-
-    reach = np.zeros(n)
-    for i in rows:
-        X, inside, witness = nodes(i)
-        if inside.any():
-            grad = cg * g.gradient(X[inside] - h * witness[inside])
-            reach = np.maximum(reach, np.max(np.abs(grad), axis=0))
-    duals = [
-        1.2 * r * np.sinh(9.0 * np.linspace(-1.0, 1.0, 2 * m)) / np.sinh(9.0)
-        for r, m in zip(reach, shape)
-    ]
-    work = np.empty(tuple(len(p) for p in duals))
-    for i in blocks(duals[0], work.size):
-        Fg, FW = _hopf_terms(g, W, cg, cW, h, mesh(duals[0][i], duals[1:]))
-        work[i] = Fg + FW
-    # sweep d maximizes over the slopes of axis d, for every output node of
-    # the axes before it, as legendre_nd sweeps; the argmaxes trace p^ back
-    # from the last sweep
-    args = []
-    for d in range(n):
-        moved = np.moveaxis(work, d, -1)
-        vals, arg = _legendre_lines(duals[d], moved.reshape(-1, moved.shape[-1]), axes[d])
-        out = moved.shape[:-1] + (shape[d],)
-        work = np.moveaxis(vals.reshape(out), -1, d)
-        args.append(np.moveaxis(arg.reshape(out), -1, d))
-        if d < n - 1:
-            work = -work
-
-    floor = np.full(shape, INF)
-    ceiling = np.full(shape, INF)
-    for i in rows:
-        X, inside, witness = nodes(i)
-        idx = np.indices(X.shape[:-1], sparse=True)
-        at = [args[-1][i]]
-        for d in range(n - 2, -1, -1):
-            at.insert(0, args[d][i][idx[: d + 1] + tuple(at)])
-        p_hat = np.stack([duals[d][k] for d, k in enumerate(at)], axis=-1)
-        Fg, FW = _hopf_terms(g, W, cg, cW, h, p_hat)
-        terms = np.sum(np.abs(p_hat * X), axis=-1) + np.abs(Fg) + np.abs(FW)
-        floor[i] = np.where(inside, work[i] - _HOPF_ULPS * np.finfo(float).eps * terms, INF)
-        y = _central_gradient(W.conjugate, p_hat / cW)
-        feasible = inside & domain.contains(X - h * y, 0.0) & domain.contains(y, 1.0)
-        for y, ok in ((y, feasible), (witness, inside)):
-            cand = _candidate(g, W, cg, cW, h, X, y)
-            ceiling[i] = np.where(ok, np.minimum(ceiling[i], cand), ceiling[i])
     return floor, ceiling
 
 

@@ -24,7 +24,7 @@ from epiconv.fields import (
     quadratic_field,
     shifted_field,
 )
-from epiconv.hopflax import _default_out_grid, _hopf_bracket
+from epiconv.hopflax import _default_out_grid
 from epiconv.quadrature import integrate_boundary, integrate_gridfn
 from epiconv.sharpconst import normalize_power_cost
 from oracles import grid_tail_K_reference, power_pair_hopflax
@@ -132,9 +132,8 @@ def test_hopf_bracket_encloses_closed_form(suite_pair, h):
     gs, Sg = _normalize_grid(gg, a)
     Ws, SW = _normalize_grid(WW, a)
     cg, cW = Sg ** (1.0 / a), SW ** (1.0 / a)
-    box, axes = _default_out_grid(gs, Ws, h)
-    floor, ceiling = _hopf_bracket(g, W, cg, cW, h, axes, cfg.domain)
-    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    box, (floor, ceiling) = bblcheck._out_bracket(g, W, h, gs, Ws, cg, cW, cfg.domain)
+    X = np.stack(np.meshgrid(*_default_out_grid(gs, Ws, h)[1], indexing="ij"), axis=-1)
     inside = X[..., -1] >= h  # B_h of the half-space
     assert (np.isfinite(floor) == inside).all()
     assert (np.isfinite(ceiling) == inside).all()

@@ -907,12 +907,15 @@ def test_pointwise_bracket_against_dense_oracle(pair, h):
 
 @pytest.mark.parametrize("pair", ["cone", "affine_max"])
 def test_hopf_bracket_ceiling_finite_throughout_B_h(pair):
-    # the witness candidate is feasible on B_h by construction; through the
-    # domain's rounded membership tests it was lost at boundary nodes
+    # the witness candidate is feasible on B_h by construction, so no
+    # rounded membership test can lose it at the boundary nodes of a cone
     dom = BRACKET_PAIRS[pair][0]()
     W = power_cost_field(1.0, 3.0, NormSpec("euclidean"))
     g = shifted_field(W, np.array([0.0, 1.0]))
     axes = [np.linspace(-8.0, 8.0, 161), np.linspace(0.0, 8.0, 81)]
-    floor, ceiling = hopflax._hopf_bracket(g, W, 1.0, 1.0, 0.1, axes, dom)
+    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    inside = X[..., -1] >= dom.bh_lower(X[..., :-1], 0.1)
+    floor, ceiling = np.full(inside.shape, INF), np.full(inside.shape, INF)
+    floor[inside], ceiling[inside] = hopflax._pointwise_bracket(g, W, 0.1, X[inside], dom)
     assert (np.isfinite(ceiling) == np.isfinite(floor)).all()
     assert (floor <= ceiling).all()
