@@ -421,14 +421,18 @@ def check_equivalence_scan(cfg: ExperimentConfig, shared: _Shared):
     _assert(
         a, "phi_above_one",
         all(p >= 1.0 - scan.error_estimate for p in scan.phi_values),
-        f"min phi {min(scan.phi_values):.5f} tol {scan.error_estimate:.5f}",
+        f"deficit {1.0 - min(scan.phi_values):.3g} tol {scan.error_estimate:.3g}",
     )
     dev = abs(scan.fd_derivative - scan.integral_derivative)
     tol = max(
         _TOLERANCES["derivative_rel"] * abs(scan.integral_derivative),
         scan.derivative_error_estimate,
     )
-    _assert(a, "derivative_match", dev <= tol, f"fd {scan.fd_derivative:.4f} int {scan.integral_derivative:.4f}")
+    _assert(
+        a, "derivative_match", dev <= tol,
+        f"fd {scan.fd_derivative:.3g} int {scan.integral_derivative:.3g} "
+        f"dev {dev:.3g} tol {tol:.3g}",
+    )
     return _result(
         a,
         phi_curve=[{"h": h, "phi": p, "error": scan.error_estimate} for h, p in scan.curve()],

@@ -501,7 +501,7 @@ def test_c13_counterexample_fixture():
 
 # sha256 of the `suite paper` report, the behaviour oracle: a change that
 # moves it on purpose updates this pin and records the new hash in CHANGES.md
-SUITE_PAPER_SHA256 = "2699b134856790b342bbaa2daa03a76b6c39ac1020637123bb3bd1e28fba0df4"
+SUITE_PAPER_SHA256 = "8f1c9b3092c7b4d1e187f620452d6594fecb7d4e11698ca76afe7aa226fdd6fd"
 
 
 def test_c14_suite_determinism(tmp_path):
