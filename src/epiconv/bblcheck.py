@@ -232,12 +232,12 @@ def bbl_gap(
     :func:`hopflax._pointwise_bracket` of the normalized pair at the nodes
     of the grid operator's default output grid, +inf outside B_h, and the
     bracket's ceiling bounds Q_h from the other side (:func:`_out_bracket`);
-    no Hopf-Lax apply and no decimated rerun are made. The rhs, the normalizations and the tail fits stay on the
-    grids. The error estimate is the lhs bracket (floor lhs minus ceiling
-    lhs, which bounds how far the floor overstates the lhs), plus 1.5 times
-    the difference between the gap at the grid spacing and at twice it
-    over the same node values, plus the tails. The report's ``terms`` hold
-    the ceiling lhs.
+    no Hopf-Lax apply and no decimated rerun are made. The rhs, the
+    normalizations and the tail fits stay on the grids. The error estimate
+    is the lhs bracket (floor lhs minus ceiling lhs, which bounds how far
+    the floor overstates the lhs), plus 1.5 times the difference between the
+    gap at the grid spacing and at twice it over the same node values, plus
+    the tails. The report's ``terms`` hold the ceiling lhs.
 
     Both forms add power-tail bounds for the three integrals using the decay
     exponent q*(a-1) when params.q is set. At h = 0 both sides are the same

@@ -26,7 +26,7 @@ going to the smallest flat index. h = 0 returns g itself, or on a
 requested output grid one slice of g's lattice at the zero shift, with no
 argmin; W plays no part.
 
-The exact path prunes candidates that cannot win. The strided cost nodes
+An apply at h > 0 prunes candidates that cannot win. The strided cost nodes
 (every _COARSE_STRIDE-th per axis), scanned over cell-max lattices, give an
 incumbent U at least the minimum at each output node: a cell's largest corner
 bounds every value interpolated in it. Along each axis the cost nodes group
@@ -58,8 +58,8 @@ largest |u_d|), covers interpolated sums that round a few ulps outside the
 range of their corners (four equal corners round below it in about one draw
 of fractions in seven) and the rounding of U, of the tilt terms and of both
 bounds. Pruning therefore only drops candidates strictly above the minimum:
-values and argmins are those of the full scan, bit for bit, for any g, with no
-convexity certificate involved.
+values and argmins are those of the full scan, bit for bit, for any g and W
+of any size.
 
 What the values bound. The scan minimizes over a subset of y, so its value is
 at least Q_h of the multilinear interpolant I of g: it is an upper bound of
