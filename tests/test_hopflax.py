@@ -272,8 +272,9 @@ def _halfspace_pair():
 
 
 # larger grids, compared with the reference scan only: convex problems on
-# 61^2 and 13^3 nodes, and convex pairs whose +inf nodes cut a half-line or
-# a half-plane, so the outputs near the boundary of the finite set are kept
+# 61^2 and 13^3 nodes, and convex pairs whose +inf nodes cut a half-line, a
+# cone or a half-plane, so the outputs near the boundary of the finite set
+# are kept
 REFERENCE_FIXTURES = {
     "1d_convex": lambda: (
         quadratic_grid(3, 61, offset=1.0, dim=1), quadratic_grid(2, 41, dim=1), None
@@ -287,6 +288,7 @@ REFERENCE_FIXTURES = {
     "3d_13": lambda: (
         quadratic_grid(1.5, 13, offset=0.5, dim=3), quadratic_grid(1.5, 13, dim=3), None
     ),
+    "cone_41": lambda: (_cone_cut(quadratic_grid(2, 41, offset=0.5)), quadratic_grid(2, 33), None),
     "halfspace": _halfspace_pair,
 }
 
