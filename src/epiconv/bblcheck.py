@@ -430,6 +430,10 @@ def appendix_limit_residual(
     quadrature of term (i), limit (i) and the term (iii) strip; its
     quadrature bias is the same for every h, so the residual trend in h
     survives a coarse choice.
+
+    Limit (ii) and every h's term (ii) are the rows of one stacked
+    :func:`integrate_boundary` sweep on spec; limit (iii) and every h's term
+    (iii), on the bracket's ceiling and floor, those of one on quotient_spec.
     """
     a, alpha = params.a, params._tail_decay
     if g.conjugate is None or W.conjugate is None:
@@ -442,19 +446,10 @@ def appendix_limit_residual(
         lambda p: _conjugate_term(g, W, a, p, g(p)), domain, qspec, decay=alpha, estimate=True
     )
     limit_i, el1 = (a - 1.0) * limit_i, (a - 1.0) * el1
-    limit_ii, el2, _ = integrate_boundary(
-        _boundary_integrand(g, domain, 1.0 - a, weighted=False), domain.n - 1, spec,
-        decay=alpha, estimate=True,
-    )
 
-    def sliver_rate(x1):
-        # the sliver between B_h and Omega_h opens at rate x1.grad phi - phi = 1 - P
-        x1 = np.asarray(x1, dtype=float)
-        pts = np.concatenate([x1, domain.phi(x1)[..., None]], axis=-1)
-        return g(pts) ** (1.0 - a) * (1.0 - weight_P(domain, x1))
-
-    limit_iii = integrate_boundary(sliver_rate, domain.n - 1, qspec, decay=alpha)[0]
-    limit = limit_i - limit_ii + limit_iii
+    # g^(1-a) on the boundary: limit (ii), and limit (iii) times the rate
+    # x1.grad phi - phi = 1 - P at which the sliver between B_h and Omega_h opens
+    trace = _boundary_integrand(g, domain, 1.0 - a, weighted=False)
 
     def powers(pts, h):
         """Q_h(g)^(1-a) at pts from the bracket's ceiling and floor; a
@@ -463,8 +458,44 @@ def appendix_limit_residual(
         with np.errstate(divide="ignore"):
             return ceiling ** (1.0 - a), np.maximum(floor, 0.0) ** (1.0 - a)
 
+    def strips(x1):
+        # limit (ii), then each h's term (ii): the mean of g^(1-a) over the
+        # lost boundary strip of height h
+        lo = domain.phi(x1)
+        rows = [trace(x1)]
+        for h in h_list:
+            pts, wts = _simpson_columns(x1, lo, lo + h, 9)
+            vals = (g(pts) ** (1.0 - a)).reshape(wts.shape)
+            rows.append(np.sum(wts * vals, axis=-1) / h)
+        return np.stack(rows)
+
+    def slivers(x1):
+        # limit (iii), then each h's term (iii) on the bracket's ceiling and
+        # floor: g^(1-a) over the gained sliver B_h minus Omega_h
+        rows = [trace(x1) * (1.0 - weight_P(domain, x1))]
+        for h in h_list:
+            lo = domain.bh_lower(x1, h)
+            hi = h + domain.phi(x1)
+            thin = hi - lo <= 1e-13 * np.maximum(1.0, np.abs(hi))
+            if thin.all():
+                rows += [np.zeros(len(x1))] * 2
+                continue
+            pts, wts = _simpson_columns(x1, lo, hi, 5)
+            for vals in powers(pts, h):
+                out = np.sum(wts * vals.reshape(wts.shape), axis=-1) / h
+                rows.append(np.where(thin, 0.0, out))
+        return np.stack(rows)
+
+    (limit_ii, el2, _), *terms_ii = integrate_boundary(
+        strips, domain.n - 1, spec, decay=[alpha] * (1 + len(h_list)), estimate=True
+    )
+    (limit_iii, _), *terms_iii = integrate_boundary(
+        slivers, domain.n - 1, qspec, decay=[alpha] + [alpha, None] * len(h_list)
+    )
+    limit = limit_i - limit_ii + limit_iii
+
     records = []
-    for h in h_list:
+    for j, h in enumerate(h_list):
 
         def fn_i(p, _h=h):
             top, low = powers(p, _h)
@@ -473,34 +504,9 @@ def appendix_limit_residual(
         (term_i, ei, _), (width_i, ewi, _) = integrate_epigraph(
             fn_i, domain, qspec, shift=h, decay=[alpha, alpha], estimate=True
         )
-
-        def fn_ii(x1, _h=h):
-            x1 = np.asarray(x1, dtype=float)
-            lo = domain.phi(x1)
-            pts, wts = _simpson_columns(x1, lo, lo + _h, 9)
-            vals = (g(pts) ** (1.0 - a)).reshape(wts.shape)
-            return np.sum(wts * vals, axis=-1) / _h
-
-        term_ii, eii, _ = integrate_boundary(fn_ii, domain.n - 1, spec, decay=alpha, estimate=True)
-
-        def fn_iii(x1, _h=h, bound=0):
-            # bound 0 reads the ceiling, 1 the floor
-            x1 = np.asarray(x1, dtype=float)
-            lo = domain.bh_lower(x1, _h)
-            hi = _h + domain.phi(x1)
-            width = hi - lo
-            thin = width <= 1e-13 * np.maximum(1.0, np.abs(hi))
-            if thin.all():
-                return np.zeros(x1.shape[:-1])
-            pts, wts = _simpson_columns(x1, lo, hi, 5)
-            vals = powers(pts, _h)[bound].reshape(wts.shape)
-            out = np.sum(wts * vals, axis=-1) / _h
-            return np.where(thin, 0.0, out)
-
-        term_iii, tail_iii = integrate_boundary(fn_iii, domain.n - 1, qspec, decay=alpha)
-        width_iii = integrate_boundary(
-            lambda x1: fn_iii(x1, bound=1), domain.n - 1, qspec
-        )[0] - term_iii
+        term_ii, eii, _ = terms_ii[j]
+        (term_iii, tail_iii), (floor_iii, _) = terms_iii[2 * j : 2 * j + 2]
+        width_iii = floor_iii - term_iii
 
         total = term_i - term_ii + term_iii
         residual = (term_i - limit_i) - (term_ii - limit_ii) + (term_iii - limit_iii)

@@ -1,10 +1,12 @@
 """Trapezoid quadrature over epigraph domains and grid functions.
 
-Volume integrals over unbounded epigraphs use a dyadic graded scheme: a core
-box around the origin plus doubling shells, each shell decomposed into axis
-slabs and integrated by tensor trapezoid at a spacing that grows with the
-shell. Columns along the last axis start exactly at the domain boundary
-phi(x1) + shift, so the boundary cut costs O(dx^2) rather than O(dx).
+Volume integrals over unbounded epigraphs and boundary integrals over R^dim
+share one dyadic graded sweep: a core box around the origin plus doubling
+shells, each shell decomposed into axis slabs and integrated by trapezoid at
+a spacing that grows with the shell, one column along the last axis at a
+time. On an epigraph the columns start exactly at the domain boundary
+phi(x1) + shift, so the boundary cut costs O(dx^2) rather than O(dx); a
+boundary integral has no cut, and each column starts at its first node.
 
 Beyond the outer box the integrand is bounded by K * ||x||^(-alpha) with K
 fitted on the outermost samples; the reported tail term is the resulting
@@ -12,21 +14,22 @@ closed-form bound over the complement of the inscribed ball. Integrals whose
 callers supply no decay exponent report a tail of 0 and are on their own for
 truncation.
 
-An integrand takes an (m, n) array of points and returns their m values, and
-a point's value must not depend on the other points of the call. Both the
-column blocks, which bound the points of one call, and the refinement
-estimate, whose coarse run reads the values the fine run computed at the
-nodes the two grids share, rely on that. The points are stored
-coordinate-major: the (m, n) array is a view with contiguous coordinate
-planes ``p[:, d]``. An integrand must not write to it, must give the same
-bytes whatever its memory layout, and copies it itself if it needs C order.
+An integrand takes an (m, n) array of points (n = dim on a boundary) and
+returns their m values, and a point's value must not depend on the other
+points of the call. Both the column blocks, which bound the points of one
+call, and the refinement estimate, whose coarse run reads the values the
+fine run computed at the nodes the two grids share, rely on that. The points
+are stored coordinate-major: the (m, n) array is a view with contiguous
+coordinate planes ``p[:, d]``. An integrand must not write to it, must give
+the same bytes whatever its memory layout, and copies it itself if it needs
+C order.
 
-``integrate_epigraph`` also takes stacked integrands: given a length-k
-sequence of decay exponents, the integrand returns a (k, m) array whose rows
-are k integrands over one domain, spec and shift. Every row sees the same
-coordinate-major point batch, so the columns, point batches, node maps and
-masks of the sweep are built once for all k, and each row's result equals
-the one-row sweep of that integrand byte for byte.
+Both integrators also take stacked integrands: given a length-k sequence of
+decay exponents, the integrand returns a (k, m) array whose rows are k
+integrands over one domain (or one dim), spec and shift. Every row sees the
+same coordinate-major point batch, so the columns, point batches, node maps
+and masks of the sweep are built once for all k, and each row's result
+equals the one-row sweep of that integrand byte for byte.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def power_tail_bound(K: float, alpha: float, R: float, n: int) -> float:
     return K * sphere_area(n) * R ** (n - alpha) / (alpha - n)
 
 
-# most grid nodes one integrand call of integrate_epigraph evaluates
+# most grid nodes one integrand call of the sweep evaluates
 _BLOCK_NODES = 2**17
 
 
@@ -138,13 +141,13 @@ def _node_map(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
     return np.where(fine[k].view(np.uint64) == coarse.view(np.uint64), k, -1)
 
 
-def _mesh_points(axes, sel=slice(None)) -> np.ndarray:
-    """The tensor nodes ``sel`` of ``axes`` in row-major order, one per row,
-    stored coordinate-major."""
+def _mesh_points(axes) -> np.ndarray:
+    """The tensor nodes of ``axes`` in row-major order, one per row, stored
+    coordinate-major."""
     if not axes:
         return np.zeros((1, 0))
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel()[sel] for m in mesh]).T
+    return np.stack([m.ravel() for m in mesh]).T
 
 
 def _tensor_weights(axes) -> np.ndarray:
@@ -182,20 +185,24 @@ class _Columns(NamedTuple):
     x1: np.ndarray  # (columns, n - 1) base points
     w1: np.ndarray  # trapezoid weight of each base point
     lo: np.ndarray  # exact lower limit of each column
-    j0: np.ndarray  # first node strictly above the lower limit
+    j0: np.ndarray  # first node of the column's trapezoid
     gap: np.ndarray  # distance from the lower limit to that node
     part: np.ndarray  # whether the partial cell below j0 counts
 
 
-def _columns(domain: EpigraphDomain, box, dxk: float, shift: float) -> _Columns:
+def _columns(domain: EpigraphDomain | None, box, dxk: float, shift: float) -> _Columns:
+    """The columns of ``box`` above the shifted epigraph of ``domain``, each
+    from the first node strictly above its lower limit plus the partial cell
+    below; with no domain, every column from its first node x2[0] = c2."""
     x1_axes = [_axis_nodes(lo, hi, dxk) for lo, hi in box[:-1]]
     c2, d2 = box[-1]
     x2 = _axis_nodes(c2, d2, dxk)
     x1_pts = _mesh_points(x1_axes)
-    lo_eff = np.maximum(domain.phi(x1_pts) + shift, c2)
+    cut = domain is not None
+    lo_eff = np.maximum(domain.phi(x1_pts) + shift, c2) if cut else np.full(len(x1_pts), c2)
     idx = np.flatnonzero(lo_eff < d2 - 1e-15 * max(1.0, abs(d2)))
     lo_a = lo_eff[idx]
-    j0 = np.minimum(np.searchsorted(x2, lo_a, side="right"), len(x2) - 1)
+    j0 = np.minimum(np.searchsorted(x2, lo_a, side="right" if cut else "left"), len(x2) - 1)
     gap = x2[j0] - lo_a
     part = gap > 1e-14 * max(1.0, abs(d2))
     w1 = _tensor_weights(x1_axes)[idx]
@@ -285,32 +292,9 @@ def _column_sums(fn, k: int, cols: _Columns, sel, known=None, decay=None):
     return sums, vals, fb, tail_K
 
 
-def integrate_epigraph(
-    fn: Callable[[np.ndarray], np.ndarray],
-    domain: EpigraphDomain,
-    spec: QuadSpec,
-    shift: float = 0.0,
-    decay: float | Sequence[float | None] | None = None,
-    estimate: bool = False,
-):
-    """Integral of fn over the shifted epigraph {x2 >= phi(x1) + shift}.
-
-    Returns (value, tail_bound); with estimate=True the value comes from a run
-    at half spacing and the returned triple is (value, error_estimate,
-    tail_bound), the error estimate being the coarse/fine difference plus the
-    tail bound. Both runs share one sweep: the coarse sums read the fine
-    values at the nodes the two grids share, and ``fn`` sees only the coarse
-    nodes that no fine node matches bit for bit.
-
-    Stacked form: with ``decay`` a length-k sequence (each entry an exponent
-    or None), fn returns a (k, m) array whose rows are k integrands, and the
-    result is the list of their k results. Every row sees the same
-    coordinate-major point batch, the sweep lays out its columns, node maps
-    and tail-fit radii once, and each row's result equals the one-row sweep
-    of that integrand byte for byte. A column block holds at most
-    ``_BLOCK_NODES // k`` nodes, so the values held stay those of one row.
-    """
-    n = domain.n
+def _sweep(fn, domain: EpigraphDomain | None, n: int, spec: QuadSpec, shift, decay, estimate):
+    """The graded sweep of both integrators over R^n, cut below by the
+    shifted epigraph of ``domain`` unless it is None."""
     stacked = isinstance(decay, (list, tuple))
     decays = list(decay) if stacked else [decay]
     k = len(decays)
@@ -372,49 +356,51 @@ def integrate_epigraph(
     return out if stacked else out[0]
 
 
+def integrate_epigraph(
+    fn: Callable[[np.ndarray], np.ndarray],
+    domain: EpigraphDomain,
+    spec: QuadSpec,
+    shift: float = 0.0,
+    decay: float | Sequence[float | None] | None = None,
+    estimate: bool = False,
+):
+    """Integral of fn over the shifted epigraph {x2 >= phi(x1) + shift}.
+
+    Returns (value, tail_bound); with estimate=True the value comes from a run
+    at half spacing and the returned triple is (value, error_estimate,
+    tail_bound), the error estimate being the coarse/fine difference plus the
+    tail bound. Both runs share one sweep: the coarse sums read the fine
+    values at the nodes the two grids share, and ``fn`` sees only the coarse
+    nodes that no fine node matches bit for bit.
+
+    Stacked form: with ``decay`` a length-k sequence (each entry an exponent
+    or None), fn returns a (k, m) array whose rows are k integrands, and the
+    result is the list of their k results. Every row sees the same
+    coordinate-major point batch, the sweep lays out its columns, node maps
+    and tail-fit radii once, and each row's result equals the one-row sweep
+    of that integrand byte for byte. A column block holds at most
+    ``_BLOCK_NODES // k`` nodes, or one column where that is longer, so the
+    values held stay those of one row.
+    """
+    return _sweep(fn, domain, domain.n, spec, shift, decay, estimate)
+
+
 def integrate_boundary(
     fn: Callable[[np.ndarray], np.ndarray],
     dim: int,
     spec: QuadSpec,
-    decay: float | None = None,
+    decay: float | Sequence[float | None] | None = None,
     estimate: bool = False,
 ):
-    """Integral of fn over R^dim by the same graded scheme, no domain cut.
+    """Integral of fn over R^dim by the same graded sweep, with no domain cut.
 
-    Used for boundary terms parameterized by x1; fn takes (..., dim) arrays.
-    The estimate shares one sweep as in :func:`integrate_epigraph`.
+    Used for boundary terms parameterized by x1: fn takes an (m, dim)
+    coordinate-major array of points and returns their m values. Every column
+    along the last axis starts at its first node, with no partial cell. The
+    results, the one-sweep estimate and the stacked form (a list ``decay``)
+    are those of :func:`integrate_epigraph`.
     """
-    fine = spec.refined(extend=False) if estimate else spec
-    total = coarse_total = tail_K = 0.0
-    for level, box in _shell_boxes(spec, dim):
-        axes = [_axis_nodes(lo, hi, fine.dx * 2.0**level) for lo, hi in box]
-        pts = _mesh_points(axes)
-        vals = np.asarray(fn(pts), dtype=float)
-        total += float(np.sum(_tensor_weights(axes) * vals))
-        if decay is not None and level == spec.levels:
-            tail_K = max(tail_K, _fit_tail_K(_euclidean_norm(pts), vals, decay))
-        if not estimate:
-            continue
-        caxes = [_axis_nodes(lo, hi, spec.dx * 2.0**level) for lo, hi in box]
-        maps = [_node_map(c, f) for c, f in zip(caxes, axes)]
-        known = np.ones(1, dtype=bool)
-        for m in maps:
-            known = np.logical_and.outer(known, m >= 0)
-        known = known.ravel()
-        cvals = vals.reshape([len(ax) for ax in axes])[
-            np.ix_(*[np.maximum(m, 0) for m in maps])
-        ].ravel()
-        if not known.all():
-            cvals[~known] = fn(_mesh_points(caxes, ~known))
-        coarse_total += float(np.sum(_tensor_weights(caxes) * cvals))
-    tail = (
-        power_tail_bound(tail_K, decay, spec.outer_radius, dim)
-        if decay is not None
-        else 0.0
-    )
-    if estimate:
-        return total, abs(total - coarse_total) + tail, tail
-    return total, tail
+    return _sweep(fn, None, dim, spec, 0.0, decay, estimate)
 
 
 def integrate_gridfn(f: ExtGridFn, transform: Callable | None = None) -> float:

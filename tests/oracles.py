@@ -6,7 +6,8 @@ library is evidence and not tautology. The discontinuous inf-convolution
 fixture and its closed form live here too, next to the domain-sum check. The
 ``*_reference`` functions are earlier, straightforward library implementations
 kept verbatim, so that the faster code that replaced them can be held to the
-same bits.
+same bits; the boundary quadrature reference is the epigraph one's column
+loop with no lower cut, the summation order of the library's one sweep.
 """
 
 from __future__ import annotations
@@ -760,7 +761,20 @@ def interpolate_reference(f: ExtGridFn, points) -> np.ndarray:
 def integrate_epigraph_reference(fn, domain, spec, shift=0.0, decay=None):
     """Graded trapezoid over the shifted epigraph with every column's nodes
     evaluated in one integrand call per shell slab. Returns (value, tail)."""
-    n = domain.n
+    return _graded_columns_reference(fn, domain.n, spec, lambda x1: domain.phi(x1) + shift, decay)
+
+
+def integrate_boundary_reference(fn, dim, spec, decay=None):
+    """Graded trapezoid over R^dim, the column loop of the epigraph reference
+    with no lower cut: each column starts at its first node, with no partial
+    cell. Returns (value, tail)."""
+    return _graded_columns_reference(fn, dim, spec, None, decay)
+
+
+def _graded_columns_reference(fn, n, spec, lower, decay):
+    """Column by column along the last axis, from the first node strictly
+    above ``lower(x1)`` plus the partial cell below it, or, with ``lower``
+    None, from each column's first node."""
     total = 0.0
     tail_K = 0.0
     R = spec.outer_radius
@@ -785,16 +799,19 @@ def integrate_epigraph_reference(fn, domain, spec, shift=0.0, decay=None):
         else:
             w1 = np.ones(1)
 
-        lower = domain.phi(x1_pts) + shift
-        lo_eff = np.maximum(lower, c2)
-        active = lo_eff < d2 - 1e-15 * max(1.0, abs(d2))
-        if not active.any():
-            continue
-        idx = np.flatnonzero(active)
-        lo_a = lo_eff[idx]
-
-        j0 = np.searchsorted(x2_nodes, lo_a, side="right")
-        j0 = np.minimum(j0, len(x2_nodes) - 1)
+        if lower is None:
+            idx = np.arange(len(x1_pts))
+            lo_a = np.full(len(idx), c2)
+            j0 = np.zeros(len(idx), dtype=int)
+        else:
+            lo_eff = np.maximum(lower(x1_pts), c2)
+            active = lo_eff < d2 - 1e-15 * max(1.0, abs(d2))
+            if not active.any():
+                continue
+            idx = np.flatnonzero(active)
+            lo_a = lo_eff[idx]
+            j0 = np.searchsorted(x2_nodes, lo_a, side="right")
+            j0 = np.minimum(j0, len(x2_nodes) - 1)
 
         m2 = len(x2_nodes)
         cols = len(idx)
@@ -846,32 +863,6 @@ def integrate_epigraph_estimate_reference(fn, domain, spec, shift=0.0, decay=Non
     coarse, tail_c = integrate_epigraph_reference(fn, domain, spec, shift, decay)
     fine, tail_f = integrate_epigraph_reference(fn, domain, spec.refined(extend=False), shift, decay)
     return fine, abs(fine - coarse) + tail_f, tail_f
-
-
-def integrate_boundary_reference(fn, dim, spec, decay=None):
-    """Graded trapezoid over R^dim, one integrand call per shell slab.
-    Returns (value, tail)."""
-    total = 0.0
-    tail_K = 0.0
-    for level, box in _shell_boxes(spec, dim):
-        dxk = spec.dx * 2.0 ** level
-        axes = [_axis_nodes(lo, hi, dxk) for lo, hi in box]
-        wlist = [_trap_weights(len(ax)) * (ax[1] - ax[0]) for ax in axes]
-        w = wlist[0]
-        for wd in wlist[1:]:
-            w = np.multiply.outer(w, wd)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        vals = np.asarray(fn(pts), dtype=float)
-        total += float(np.sum(w.ravel() * vals))
-        if decay is not None and level == spec.levels:
-            tail_K = max(tail_K, _fit_tail_K(_euclidean_norm(pts), vals, decay))
-    tail = (
-        power_tail_bound(tail_K, decay, spec.outer_radius, dim)
-        if decay is not None
-        else 0.0
-    )
-    return total, tail
 
 
 def integrate_boundary_estimate_reference(fn, dim, spec, decay=None):
