@@ -311,47 +311,21 @@ def _conjugate_term(g: ScalarField, W: ScalarField, a: float, p, gp) -> np.ndarr
     return W.conjugate(g.gradient(p)) / gp**a
 
 
-def _cost_integral(
-    W: ScalarField, expo: float, domain: EpigraphDomain, spec: QuadSpec, decay: float,
-    estimate: bool = False,
-):
-    """int_{Omega_1} W^expo: the cost's normalization at expo = -a and the
-    constant B at expo = 1 - a, as :func:`integrate_epigraph` returns it."""
-    return integrate_epigraph(
-        lambda p: W(p) ** expo, domain, spec, shift=1.0, decay=decay, estimate=estimate
-    )
-
-
-def derived_gap(
-    g: ScalarField,
-    W: ScalarField,
-    params: BBLParams,
-    domain: EpigraphDomain,
-    spec: QuadSpec,
-) -> GapReport:
+def derived_gap(g: ScalarField, cost, params: BBLParams, spec: QuadSpec) -> GapReport:
     """Gap of the differentiated inequality
 
         (a-n) int g^(1-a) + (a-1) int W*(grad g)/g^a - int g^(1-a) P  >=  int W^(1-a)
 
-    with the boundary term weighted by P(x1) = 1 + phi - x1.grad phi (P = 1 on
-    cones). W must carry an analytic conjugate (power costs do); g needs a
-    gradient. Tail bounds use the decay exponent q*(a-1), q = 2 when unset.
+    on ``cost.domain``, with the boundary term weighted by
+    P(x1) = 1 + phi - x1.grad phi (P = 1 on cones). ``cost`` is the
+    normalized power cost (a :class:`sharpconst.PowerCost` of params' q and
+    a): W is its field on ``spec`` and the right-hand side its B there. g
+    needs a gradient. Tail bounds use the decay exponent q*(a-1), q = 2
+    when params' p is unset.
     Admissibility is not checked here; :func:`admissibility_report` is.
     """
-    return _derived_gap(
-        g, W, params, domain, spec,
-        lambda: _cost_integral(
-            W, 1.0 - params.a, domain, spec, params._tail_decay, estimate=True
-        ),
-    )
-
-
-def _derived_gap(g, W, params, domain, spec, cost_B) -> GapReport:
-    """:func:`derived_gap` with ``cost_B()`` giving its right-hand side B as
-    (value, error, tail)."""
     a, n = params.a, params.n
-    if W.conjugate is None:
-        raise ValueError("W must provide a conjugate callable")
+    domain, W = cost.domain, cost.W(spec)
     alpha = params._tail_decay
 
     def bulk(p):
@@ -368,7 +342,7 @@ def _derived_gap(g, W, params, domain, spec, cost_B) -> GapReport:
         decay=alpha,
         estimate=True,
     )
-    B, eB, _ = cost_B()
+    B, eB, _ = cost.B(spec)
     lhs = (a - n) * T1 + (a - 1.0) * T2 - T3
     rhs = B
     err = abs(a - n) * e1 + (a - 1.0) * e2 + e3 + eB

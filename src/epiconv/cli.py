@@ -16,9 +16,9 @@ import argparse
 import json
 import os
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,38 +72,55 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
                 f"{name}: checks[{i}]: unknown check {c!r}; "
                 f"valid names: {', '.join(CHECK_NAMES)}"
             )
-    n = int(doc.get("n", 2))
-    try:
+    with _naming(name, "n"):
+        n = int(doc.get("n", 2))
+    with _naming(name, "domain"):
         domain = eg.domain_from_config(doc.get("domain", {"kind": "halfspace"}), n)
-    except (KeyError, ValueError) as ex:
-        raise ConfigError(f"{name}: domain: {ex}") from ex
-    try:
+    with _naming(name, "norm"):
         norm = norm_from_config(doc.get("norm", {"kind": "euclidean"}))
-    except (KeyError, ValueError) as ex:
-        raise ConfigError(f"{name}: norm: {ex}") from ex
     params = doc.get("params", {})
+    with _naming(name, "params"):
+        a = float(params.get("a", n))
+        p = float(params["p"]) if "p" in params else None
+        h_list = [float(h) for h in params.get("h_list", [0.25, 0.5])]
     quad = doc.get("quadrature", {})
+    with _naming(name, "quadrature"):
+        spec = QuadSpec(
+            half_width=float(quad.get("half_width", 5.0)),
+            dx=float(quad.get("dx", 0.05)),
+            levels=int(quad.get("levels", 6)),
+        )
+        grid_half_width = float(quad.get("grid_half_width", 8.0))
+        grid_dx = float(quad.get("grid_dx", 0.1))
+    with _naming(name, "seed"):
+        seed = int(doc.get("seed", 0))
     return ExperimentConfig(
         name=name,
         n=n,
         domain=domain,
         norm=norm,
-        a=float(params.get("a", n)),
-        p=(float(params["p"]) if "p" in params else None),
-        h_list=[float(h) for h in params.get("h_list", [0.25, 0.5])],
+        a=a,
+        p=p,
+        h_list=h_list,
         fixture=doc.get("fixture", {"kind": "extremal"}),
         checks=list(checks),
-        quad=QuadSpec(
-            half_width=float(quad.get("half_width", 5.0)),
-            dx=float(quad.get("dx", 0.05)),
-            levels=int(quad.get("levels", 6)),
-        ),
-        grid_half_width=float(quad.get("grid_half_width", 8.0)),
-        grid_dx=float(quad.get("grid_dx", 0.1)),
-        seed=int(doc.get("seed", 0)),
+        quad=spec,
+        grid_half_width=grid_half_width,
+        grid_dx=grid_dx,
+        seed=seed,
         expect_rejection=bool(doc.get("expect_rejection", False)),
         raw=doc,
     )
+
+
+@contextmanager
+def _naming(name: str, key: str):
+    """An AttributeError, KeyError, TypeError or ValueError raised in the
+    block becomes a ConfigError naming the config and the key being parsed."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as ex:
+        raise ConfigError(f"{name}: {key}: {ex}") from ex
 
 
 def _bbl_params(cfg: ExperimentConfig, h: float = 0.0) -> bbl.BBLParams:
@@ -121,80 +138,9 @@ def _assert(assertions: list, label: str, ok: bool, detail: str = ""):
     return ok
 
 
-class _Shared:
-    """The values the checks of one config share, each computed once.
-
-    ``run_config`` makes one per config. A check asking for a value another
-    check is computing on another thread waits for it. A value whose
-    computation raised ``ValueError`` raises it again in every check that
-    asks for it, so each of them reports the error.
-    """
-
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self._lock = threading.Lock()
-        self._entries = {}
-
-    def _get(self, key, compute):
-        with self._lock:
-            entry = self._entries.setdefault(key, [threading.Lock(), None])
-        with entry[0]:
-            if entry[1] is None:
-                try:
-                    entry[1] = (True, compute())
-                except ValueError as ex:
-                    entry[1] = (False, ex)
-        ok, value = entry[1]
-        if not ok:
-            raise value
-        return value
-
-    def moments(self, spec: QuadSpec):
-        """The (I_alpha, error) of the constants' two moment exponents on
-        ``spec``, from one stacked sweep."""
-        cfg = self.cfg
-        return self._get(
-            ("moments", spec),
-            lambda: sc._moments(
-                cfg.domain, cfg.norm, sc._moment_exponents(_bbl_params(cfg)), spec
-            ),
-        )
-
-    def constants(self, spec: QuadSpec) -> sc.SharpConstants:
-        cfg = self.cfg
-        return self._get(
-            ("constants", spec),
-            lambda: sc._gns_constants(
-                _bbl_params(cfg), cfg.domain, cfg.norm, spec,
-                lambda: self.moments(spec),
-                lambda C: self.cost_B(spec, C, _bbl_params(cfg).q),
-            ),
-        )
-
-    def cost_B(self, spec: QuadSpec, C: float, q: float):
-        """(B, error, tail) of the power cost with scale C on ``spec``: the
-        constants' B and the right-hand side of ``derived_gap``."""
-        cfg = self.cfg
-        return self._get(
-            ("cost_B", spec, C, q),
-            lambda: sc._power_cost_B(cfg.domain, cfg.norm, C, q, cfg.a, spec),
-        )
-
-    def power_cost(self) -> float:
-        """C of the power cost, its direct normalization checked once."""
-        cfg = self.cfg
-        return self._get(
-            ("power_cost",),
-            lambda: sc._normalize_power_cost(
-                cfg.domain, cfg.norm, _bbl_params(cfg).q, cfg.a, cfg.quad,
-                lambda: self.moments(cfg.quad)[0],
-            ),
-        )
-
-
-def _power_pair(cfg: ExperimentConfig, shared: _Shared):
+def _power_pair(cfg: ExperimentConfig, cost: sc.PowerCost):
     q = _bbl_params(cfg).q
-    W = fl.power_cost_field(shared.power_cost(), q, cfg.norm)
+    W = cost.W(cfg.quad)
     return fl.shifted_field(W, cfg.domain.e), W, q
 
 
@@ -223,8 +169,8 @@ def _fixture_field(cfg: ExperimentConfig):
     raise ConfigError(f"unknown fixture kind {kind!r}")
 
 
-def check_constants(cfg: ExperimentConfig, shared: _Shared):
-    cst = shared.constants(cfg.quad)
+def check_constants(cfg: ExperimentConfig, cost: sc.PowerCost):
+    cst = cost.constants(_bbl_params(cfg), cfg.quad)
     a = []
     t = _TOLERANCES
     _assert(a, "uv_conjugate", abs(1 / cst.u + 1 / cst.v - 1) <= t["identity"])
@@ -262,13 +208,13 @@ def _assert_trace_ratio(a: list, cfg: ExperimentConfig, rep: sc.TraceReport):
         )
 
 
-def check_trace_gn(cfg: ExperimentConfig, shared: _Shared):
+def check_trace_gn(cfg: ExperimentConfig, cost: sc.PowerCost):
     params = _bbl_params(cfg)
     a = []
     f = _fixture_field(cfg)
     rep = sc.trace_gn_check(
         f, params, cfg.domain, cfg.norm, cfg.quad,
-        constants=lambda: shared.constants(cfg.quad),
+        constants=lambda: cost.constants(params, cfg.quad),
     )
     _assert_trace_ratio(a, cfg, rep)
     refinement = []
@@ -277,7 +223,7 @@ def check_trace_gn(cfg: ExperimentConfig, shared: _Shared):
         spec = spec.refined()
         r = sc.trace_gn_check(
             f, params, cfg.domain, cfg.norm, spec,
-            constants=lambda: shared.constants(spec),
+            constants=lambda: cost.constants(params, spec),
         )
         refinement.append({"dx": spec.dx, "abs_ratio_minus_one": abs(r.ratio - 1.0)})
     out = _result(
@@ -292,13 +238,13 @@ def check_trace_gn(cfg: ExperimentConfig, shared: _Shared):
     return out
 
 
-def check_weighted_trace(cfg: ExperimentConfig, shared: _Shared):
+def check_weighted_trace(cfg: ExperimentConfig, cost: sc.PowerCost):
     params = _bbl_params(cfg)
     a = []
     try:
         rep = sc.weighted_trace_check(
             _fixture_field(cfg), params, cfg.domain, cfg.norm, cfg.quad,
-            constants=lambda: shared.constants(cfg.quad),
+            constants=lambda: cost.constants(params, cfg.quad),
         )
     except sc.DomainRejectionError as ex:
         ok = cfg.expect_rejection
@@ -315,8 +261,8 @@ def check_weighted_trace(cfg: ExperimentConfig, shared: _Shared):
     )
 
 
-def check_bbl_gap(cfg: ExperimentConfig, shared: _Shared):
-    g, W, _ = _power_pair(cfg, shared)
+def check_bbl_gap(cfg: ExperimentConfig, cost: sc.PowerCost):
+    g, W, _ = _power_pair(cfg, cost)
     gg, WW = _grid_pair(cfg, g, W)
     a = []
     curve = []
@@ -331,13 +277,9 @@ def check_bbl_gap(cfg: ExperimentConfig, shared: _Shared):
     return _result(a, gap_curve=curve)
 
 
-def check_derived_gap(cfg: ExperimentConfig, shared: _Shared):
-    g, W, q = _power_pair(cfg, shared)
-    C = shared.power_cost()
-    rep = bbl._derived_gap(
-        g, W, _bbl_params(cfg), cfg.domain, cfg.quad,
-        lambda: shared.cost_B(cfg.quad, C, q),
-    )
+def check_derived_gap(cfg: ExperimentConfig, cost: sc.PowerCost):
+    g, _, _ = _power_pair(cfg, cost)
+    rep = bbl.derived_gap(g, cost, _bbl_params(cfg), cfg.quad)
     a = []
     _assert(
         a, "derived_gap_nonnegative",
@@ -347,8 +289,8 @@ def check_derived_gap(cfg: ExperimentConfig, shared: _Shared):
     return _result(a, report=rep.to_json())
 
 
-def check_appendix_limit(cfg: ExperimentConfig, shared: _Shared):
-    g, W, q = _power_pair(cfg, shared)
+def check_appendix_limit(cfg: ExperimentConfig, cost: sc.PowerCost):
+    g, W, q = _power_pair(cfg, cost)
     qspec = QuadSpec(
         half_width=min(cfg.quad.half_width, 4.0), dx=max(cfg.quad.dx, 0.1),
         levels=min(cfg.quad.levels, 5),
@@ -378,7 +320,7 @@ def _cube_grid(f: fl.ScalarField, n: int, L: float, dx: float) -> eg.ExtGridFn:
     return eg.ExtGridFn([(-L, L)] * n, f(mesh))
 
 
-def check_semigroup(cfg: ExperimentConfig, shared: _Shared):
+def check_semigroup(cfg: ExperimentConfig, cost: sc.PowerCost):
     dx = cfg.grid_dx / 2
     g = _cube_grid(fl.quadratic_field(offset=1.0, curvature=1.0), cfg.n, 2.0, dx)
     res = hl.semigroup_residual(g, g, 0.6, 0.2)
@@ -387,7 +329,7 @@ def check_semigroup(cfg: ExperimentConfig, shared: _Shared):
     return _result(a, residual=res, dx=dx)
 
 
-def check_hj_quotient(cfg: ExperimentConfig, shared: _Shared):
+def check_hj_quotient(cfg: ExperimentConfig, cost: sc.PowerCost):
     quad = fl.quadratic_field(offset=1.0, curvature=1.0)
     rng = np.random.default_rng(cfg.seed)
     pts = rng.uniform(-0.9, 0.9, size=(8, cfg.n))
@@ -399,8 +341,8 @@ def check_hj_quotient(cfg: ExperimentConfig, shared: _Shared):
     return _result(a, worst_rel_dev=worst)
 
 
-def check_admissibility(cfg: ExperimentConfig, shared: _Shared):
-    g, W, q = _power_pair(cfg, shared)
+def check_admissibility(cfg: ExperimentConfig, cost: sc.PowerCost):
+    g, W, q = _power_pair(cfg, cost)
     adm = eg.AdmissibilityParams(gamma=q)
     conditions = bbl.admissibility_report(g, W, adm, _bbl_params(cfg), cfg.domain)
     a = []
@@ -409,7 +351,7 @@ def check_admissibility(cfg: ExperimentConfig, shared: _Shared):
     return _result(a, fitted={c.name: c.fitted for c in conditions})
 
 
-def check_equivalence_scan(cfg: ExperimentConfig, shared: _Shared):
+def check_equivalence_scan(cfg: ExperimentConfig, cost: sc.PowerCost):
     quad = fl.quadratic_field(offset=1.0, curvature=0.5)
     g = _cube_grid(quad, cfg.n, 10.0, 0.125)
     scan = bbl.equivalence_scan(
@@ -470,10 +412,10 @@ class RunReport:
         return {"seed": self.seed, "results": self.results}
 
 
-def _run_one(cfg: ExperimentConfig, check: str, shared: _Shared) -> dict:
+def _run_one(cfg: ExperimentConfig, check: str, cost: sc.PowerCost) -> dict:
     fn = _CHECK_FNS[check]
     try:
-        result = fn(cfg, shared)
+        result = fn(cfg, cost)
     except (ValueError, ConfigError) as ex:
         result = {"status": "error", "assertions": [], "message": str(ex)}
     return {"experiment": cfg.name, "check": check, "result": result}
@@ -481,9 +423,14 @@ def _run_one(cfg: ExperimentConfig, check: str, shared: _Shared) -> dict:
 
 def run_config(cfg: ExperimentConfig) -> list[dict]:
     """The results of the checks of ``cfg``, in declaration order; the
-    checks share the constants they have in common."""
-    shared = _Shared(cfg)
-    jobs = [(cfg, c, shared) for c in cfg.checks]
+    checks share one power cost, so each link of the constant chain is
+    computed once."""
+    try:
+        q = _bbl_params(cfg).q
+    except ValueError:
+        q = None  # each check reports invalid params before it reads the cost
+    cost = sc.PowerCost(cfg.domain, cfg.norm, q, cfg.a)
+    jobs = [(cfg, c, cost) for c in cfg.checks]
     workers = int(os.environ.get("EPICONV_THREADS", "1"))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

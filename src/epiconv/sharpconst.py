@@ -11,6 +11,8 @@ u = (a-1)/(a-p), v = (a-1)/(p-1), producing
 and, for a > n, a scaling optimization in lambda whose closed-form optimum
 assembles the final constant. The extremal f(x) = ||x+e||^(-(a-p)/(p-1))
 saturates every link of the chain, which is what the trace checks verify.
+:class:`PowerCost` owns the chain and computes each link once per spec;
+:func:`normalize_power_cost` and :func:`gns_constants` are calls on a fresh one.
 
 D_npa is stored for the q-power form of the inequality (so D_npa = D when
 a = n); the norm-form constant multiplying ||grad f||^theta ||f||^(1-theta)
@@ -19,6 +21,7 @@ is D_npa^(1/q_trace), stored as trace_constant.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -29,7 +32,6 @@ from .bblcheck import (
     BBLParams,
     _boundary_growth,
     _boundary_integrand,
-    _cost_integral,
 )
 from .extgrid import EpigraphDomain, _unit_e, is_cone
 from .fields import ScalarField, power_cost_field
@@ -41,6 +43,7 @@ __all__ = [
     "TraceReport",
     "DomainRejectionError",
     "i_alpha",
+    "PowerCost",
     "normalize_power_cost",
     "gns_constants",
     "extremal_f",
@@ -103,41 +106,160 @@ class TraceReport:
         return out
 
 
-def i_alpha(
-    domain: EpigraphDomain,
-    norm: NormSpec,
-    alpha: float,
-    spec: QuadSpec,
-):
+def i_alpha(domain: EpigraphDomain, norm: NormSpec, alpha, spec: QuadSpec):
     """Moment integral int_Omega ||x + e||^(-alpha) dx with its error budget.
 
     Graded trapezoid plus the analytic power-tail bound; alpha <= n diverges
     and is rejected. Returns (value, error_estimate); the estimate combines
-    the half-spacing refinement difference with the tail bound.
+    the half-spacing refinement difference with the tail bound. Stacked
+    form: with ``alpha`` a sequence, the result is the list of the moments'
+    (value, error_estimate), from one stacked sweep, each the bytes of its
+    one-exponent call.
     """
-    return _moments(domain, norm, (alpha,), spec)[0]
-
-
-def _moments(domain, norm, alphas, spec):
-    """:func:`i_alpha` for each of ``alphas``, in one stacked sweep."""
-    for alpha in alphas:
-        if not alpha > domain.n:
-            raise ValueError(f"i_alpha diverges for alpha={alpha} <= n={domain.n}")
+    stacked = isinstance(alpha, (list, tuple))
+    alphas = list(alpha) if stacked else [alpha]
+    for al in alphas:
+        if not al > domain.n:
+            raise ValueError(f"i_alpha diverges for alpha={al} <= n={domain.n}")
     e = domain.e
 
     def fn(p):
         r = norm(np.asarray(p, dtype=float) + e)
-        return np.stack([r ** (-alpha) for alpha in alphas])
+        return np.stack([r ** (-al) for al in alphas])
 
-    rows = integrate_epigraph(fn, domain, spec, decay=list(alphas), estimate=True)
-    return [(val, err) for val, err, _tail in rows]
+    rows = integrate_epigraph(fn, domain, spec, decay=alphas, estimate=True)
+    out = [(val, err) for val, err, _tail in rows]
+    return out if stacked else out[0]
 
 
-def _power_cost_constant(I_qa: float, q: float, a: float) -> float:
-    """C = q * I_{qa}^(1/a), the scale with int_{Omega_1} (C ||x||^q / q)^(-a) = 1."""
-    if not np.isfinite(I_qa) or I_qa <= 0:
-        raise ValueError(f"divergent or invalid moment integral: {I_qa}")
-    return q * I_qa ** (1.0 / a)
+class PowerCost:
+    """The normalized power cost W = C ||x||^q / q of a domain and a norm,
+    int_{Omega_1} W^(-a) = 1, owning the sharp-constant chain it feeds:
+    the moments, C, B and the constants, each computed once per quadrature
+    spec (and params). The moments need qa > n and q(a-1) > n, which
+    a >= n > p > 1 gives. A link asked for on several threads at once is
+    computed by one of them while the others wait; one whose computation
+    raised ``ValueError`` raises it again for every later caller.
+    """
+
+    def __init__(self, domain: EpigraphDomain, norm: NormSpec, q: float, a: float):
+        self.domain, self.norm, self.q, self.a = domain, norm, q, a
+        self._lock = threading.Lock()
+        self._entries = {}
+
+    def _get(self, key, compute):
+        with self._lock:
+            entry = self._entries.setdefault(key, [threading.Lock(), None])
+        with entry[0]:
+            if entry[1] is None:
+                try:
+                    entry[1] = (True, compute())
+                except ValueError as ex:
+                    entry[1] = (False, ex)
+        ok, value = entry[1]
+        if not ok:
+            raise value
+        return value
+
+    def moments(self, spec: QuadSpec):
+        """[(I_{qa}, error), (I_{q(a-1)}, error)] on ``spec``, one stacked sweep."""
+        q, a = self.q, self.a
+        return self._get(
+            ("moments", spec),
+            lambda: i_alpha(self.domain, self.norm, [q * a, q * (a - 1.0)], spec),
+        )
+
+    def _scale(self, spec: QuadSpec) -> float:
+        """C = q * I_{qa}^(1/a) on ``spec``, unchecked."""
+        I_qa = self.moments(spec)[0][0]
+        if not np.isfinite(I_qa) or I_qa <= 0:
+            raise ValueError(f"divergent or invalid moment integral: {I_qa}")
+        return self.q * I_qa ** (1.0 / self.a)
+
+    def _integral(self, C: float, expo: float, spec: QuadSpec, estimate: bool):
+        """int_{Omega_1} W^expo for the scale C, tail decay -q * expo, as
+        :func:`integrate_epigraph` returns it."""
+        W = power_cost_field(C, self.q, self.norm)
+        return integrate_epigraph(
+            lambda p: W(p) ** expo, self.domain, spec, shift=1.0, decay=-self.q * expo,
+            estimate=estimate,
+        )
+
+    def C(self, spec: QuadSpec) -> float:
+        """C on ``spec``, checked: the direct quadrature of W^(-a) is the
+        independent route, and a disagreement beyond 2% raises."""
+
+        def compute():
+            if not (self.q > 1 and self.a > 0):
+                raise ValueError("need q > 1 and a > 0")
+            C = self._scale(spec)
+            direct, _tail = self._integral(C, -self.a, spec, estimate=False)
+            if abs(direct - 1.0) > 0.02:
+                raise ValueError(
+                    f"normalization cross-check failed: direct integral {direct:.4f} != 1"
+                )
+            return C
+
+        return self._get(("C", spec), compute)
+
+    def W(self, spec: QuadSpec) -> ScalarField:
+        """The cost as a field, with the checked C on ``spec``."""
+        return power_cost_field(self.C(spec), self.q, self.norm)
+
+    def B(self, spec: QuadSpec):
+        """(B, error, tail): int_{Omega_1} W^(1-a) on ``spec`` with its
+        refinement estimate, from the unchecked C as the constants read it."""
+        return self._get(
+            ("B", spec), lambda: self._integral(self._scale(spec), 1.0 - self.a, spec, True)
+        )
+
+    def constants(self, params: BBLParams, spec: QuadSpec) -> SharpConstants:
+        """The constant bundle of ``params`` (whose q and a are the cost's)
+        on ``spec``; see :func:`gns_constants`."""
+        return self._get(("constants", params, spec), lambda: self._assemble(params, spec))
+
+    def _assemble(self, params: BBLParams, spec: QuadSpec) -> SharpConstants:
+        n, a, p = params.n, params.a, params.p
+        if p is None:
+            raise ValueError("constants need p")
+        domain, norm = self.domain, self.norm
+        (I_qa, e_qa), (I_qa1, e_qa1) = self.moments(spec)
+        C = self._scale(spec)
+        A = C ** (1.0 - p) * (a - 1.0) / p * (p / (a - p)) ** p
+        B, eB, _ = self.B(spec)
+        B_identity = I_qa ** ((1.0 - a) / a) * I_qa1
+
+        u = (a - 1.0) / (a - p)
+        v = (a - 1.0) / (p - 1.0)
+        D = A**u / ((B * v) ** (u - 1.0) * u)
+        theta = (a - p) / (p * (a - n - 1.0) + n)
+        q_trace = params.q_trace
+
+        f = extremal_f(params, norm)
+        if a > n:
+            s = (a - n) * (p - 1.0) / (a - p)
+            D_npa = (1.0 + s) * s ** (-s / (1.0 + s)) * D ** (1.0 / (1.0 + s)) * (a - n) ** (
+                s / (1.0 + s)
+            )
+            (K1, _), (K2, _) = _field_integrals(f, norm, p, (q_trace,), domain, spec)
+            K1 = K1**u
+            lambda_star = ((a - n) * K2 / (s * D * K1)) ** (1.0 / (s + 1.0))
+        else:
+            D_npa = D
+            lambda_star = 1.0
+        trace_constant = D_npa ** (1.0 / q_trace)
+
+        rel = (
+            e_qa / max(I_qa, 1e-300)
+            + e_qa1 / max(I_qa1, 1e-300)
+            + eB / max(abs(B), 1e-300)
+        )
+        return SharpConstants(
+            n=n, p=p, a=a, C=C, A=A, B=B, u=u, v=v, D=D, theta=theta, q_trace=q_trace,
+            lambda_star=lambda_star, D_npa=D_npa, trace_constant=trace_constant,
+            B_identity=B_identity, error_rel=rel,
+            i_values={"qa": I_qa, "q(a-1)": I_qa1},
+        )
 
 
 def normalize_power_cost(
@@ -147,29 +269,9 @@ def normalize_power_cost(
     a: float,
     spec: QuadSpec,
 ) -> float:
-    """C with int_{Omega_1} (C ||x||^q / q)^(-a) = 1, via C = q * I_{qa}^(1/a).
-
-    The direct quadrature of the normalized cost over the shifted domain is
-    the independent route; a gross disagreement (beyond 2%) raises.
-    """
-    return _normalize_power_cost(
-        domain, norm, q, a, spec, lambda: i_alpha(domain, norm, q * a, spec)
-    )
-
-
-def _normalize_power_cost(domain, norm, q, a, spec, moment_qa) -> float:
-    """:func:`normalize_power_cost` with ``moment_qa()`` giving
-    (I_{qa}, error) on ``spec``."""
-    if not (q > 1 and a > 0):
-        raise ValueError("need q > 1 and a > 0")
-    C = _power_cost_constant(moment_qa()[0], q, a)
-    W = power_cost_field(C, q, norm)
-    direct, _tail = _cost_integral(W, -a, domain, spec, q * a)
-    if abs(direct - 1.0) > 0.02:
-        raise ValueError(
-            f"normalization cross-check failed: direct integral {direct:.4f} != 1"
-        )
-    return C
+    """C with int_{Omega_1} (C ||x||^q / q)^(-a) = 1, via C = q * I_{qa}^(1/a):
+    :meth:`PowerCost.C`, whose 2% direct cross-check raises."""
+    return PowerCost(domain, norm, q, a).C(spec)
 
 
 def gns_constants(
@@ -186,70 +288,7 @@ def gns_constants(
     cross-checks. For a > n the scaling optimum lambda* is evaluated on the
     extremal function and is 1 in exact arithmetic.
     """
-    return _gns_constants(
-        params, domain, norm, spec,
-        lambda: _moments(domain, norm, _moment_exponents(params), spec),
-        lambda C: _power_cost_B(domain, norm, C, params.q, params.a, spec),
-    )
-
-
-def _moment_exponents(params: BBLParams) -> tuple:
-    """(qa, q(a-1)), the exponents of the two moments the constants use."""
-    return params.q * params.a, params.q * (params.a - 1.0)
-
-
-def _power_cost_B(domain, norm, C, q, a, spec):
-    """(B, error, tail): int_{Omega_1} W^(1-a) for W = C ||x||^q / q on spec,
-    with its refinement estimate."""
-    W = power_cost_field(C, q, norm)
-    return _cost_integral(W, 1.0 - a, domain, spec, q * (a - 1.0), estimate=True)
-
-
-def _gns_constants(params, domain, norm, spec, moments, cost_B) -> SharpConstants:
-    """:func:`gns_constants` with ``moments()`` giving the (I_alpha, error)
-    of the :func:`_moment_exponents` on ``spec`` and ``cost_B(C)`` giving
-    :func:`_power_cost_B` there."""
-    n, a, p = params.n, params.a, params.p
-    if p is None:
-        raise ValueError("constants need p")
-    q = params.q
-    (I_qa, e_qa), (I_qa1, e_qa1) = moments()
-    C = _power_cost_constant(I_qa, q, a)
-    A = C ** (1.0 - p) * (a - 1.0) / p * (p / (a - p)) ** p
-    B, eB, _ = cost_B(C)
-    B_identity = I_qa ** ((1.0 - a) / a) * I_qa1
-
-    u = (a - 1.0) / (a - p)
-    v = (a - 1.0) / (p - 1.0)
-    D = A**u / ((B * v) ** (u - 1.0) * u)
-    theta = (a - p) / (p * (a - n - 1.0) + n)
-    q_trace = params.q_trace
-
-    f = extremal_f(params, norm)
-    if a > n:
-        s = (a - n) * (p - 1.0) / (a - p)
-        D_npa = (1.0 + s) * s ** (-s / (1.0 + s)) * D ** (1.0 / (1.0 + s)) * (a - n) ** (
-            s / (1.0 + s)
-        )
-        (K1, _), (K2, _) = _field_integrals(f, norm, p, (q_trace,), domain, spec)
-        K1 = K1**u
-        lambda_star = ((a - n) * K2 / (s * D * K1)) ** (1.0 / (s + 1.0))
-    else:
-        D_npa = D
-        lambda_star = 1.0
-    trace_constant = D_npa ** (1.0 / q_trace)
-
-    rel = (
-        e_qa / max(I_qa, 1e-300)
-        + e_qa1 / max(I_qa1, 1e-300)
-        + eB / max(abs(B), 1e-300)
-    )
-    return SharpConstants(
-        n=n, p=p, a=a, C=C, A=A, B=B, u=u, v=v, D=D, theta=theta, q_trace=q_trace,
-        lambda_star=lambda_star, D_npa=D_npa, trace_constant=trace_constant,
-        B_identity=B_identity, error_rel=rel,
-        i_values={"qa": I_qa, "q(a-1)": I_qa1},
-    )
+    return PowerCost(domain, norm, params.q, params.a).constants(params, spec)
 
 
 def extremal_f(params: BBLParams, norm: NormSpec) -> ScalarField:

@@ -26,7 +26,7 @@ from epiconv.fields import (
 )
 from epiconv.hopflax import _default_out_grid
 from epiconv.quadrature import integrate_boundary, integrate_gridfn
-from epiconv.sharpconst import normalize_power_cost
+from epiconv.sharpconst import PowerCost, normalize_power_cost
 from oracles import grid_tail_K_reference, power_pair_hopflax
 
 E2 = np.array([0.0, 1.0])
@@ -120,7 +120,8 @@ class TestBBLGap:
 def suite_pair():
     # the grids and analytic pair of the paper suite's bbl_gap check
     cfg = next(c for c in cli.paper_suite_configs() if c.name == "dynamics_q4_a2")
-    g, W, q = cli._power_pair(cfg, cli._Shared(cfg))
+    cost = PowerCost(cfg.domain, cfg.norm, cli._bbl_params(cfg).q, cfg.a)
+    g, W, q = cli._power_pair(cfg, cost)
     gg, WW = cli._grid_pair(cfg, g, W)
     return cfg, g, W, q, gg, WW
 
@@ -195,29 +196,28 @@ def test_grid_only_values_unchanged(halfplane):
 @pytest.fixture(scope="module")
 def derived_fixture(halfplane):
     spec = QuadSpec(half_width=5.0, dx=0.05, levels=8)
-    C = normalize_power_cost(halfplane, NormSpec("euclidean"), 3.0, 2.0, spec)
-    W = power_cost_field(C, 3.0, NormSpec("euclidean"))
+    cost = PowerCost(halfplane, NormSpec("euclidean"), 3.0, 2.0)
+    W = cost.W(spec)
     g = shifted_field(W, E2)
-    return g, W, spec
+    return g, W, cost, spec
 
 
 class TestDerivedGap:
-    def test_equality_case(self, derived_fixture, halfplane):
-        g, W, spec = derived_fixture
-        rep = derived_gap(g, W, BBLParams(n=2, a=2.0, p=1.5), halfplane, spec)
+    def test_equality_case(self, derived_fixture):
+        g, _, cost, spec = derived_fixture
+        rep = derived_gap(g, cost, BBLParams(n=2, a=2.0, p=1.5), spec)
         assert abs(rep.gap) <= rep.quadrature_error_estimate
 
     def test_cone_admissible_pair(self, derived_fixture, unit_cone):
         spec = QuadSpec(half_width=5.0, dx=0.05, levels=6)
-        C = normalize_power_cost(unit_cone, NormSpec("euclidean"), 3.0, 2.5, spec)
-        W = power_cost_field(C, 3.0, NormSpec("euclidean"))
-        g = shifted_field(W, E2)
-        rep = derived_gap(g, W, BBLParams(n=2, a=2.5, p=1.5), unit_cone, spec)
+        cost = PowerCost(unit_cone, NormSpec("euclidean"), 3.0, 2.5)
+        g = shifted_field(cost.W(spec), E2)
+        rep = derived_gap(g, cost, BBLParams(n=2, a=2.5, p=1.5), spec)
         assert rep.gap >= -rep.quadrature_error_estimate
 
-    def test_a_equals_n_drops_bulk_term(self, derived_fixture, halfplane):
-        g, W, spec = derived_fixture
-        rep = derived_gap(g, W, BBLParams(n=2, a=2.0, p=1.5), halfplane, spec)
+    def test_a_equals_n_drops_bulk_term(self, derived_fixture):
+        g, _, cost, spec = derived_fixture
+        rep = derived_gap(g, cost, BBLParams(n=2, a=2.0, p=1.5), spec)
         # the (a - n) coefficient vanishes identically; lhs is the other terms
         assert rep.lhs == pytest.approx(
             (2.0 - 1.0) * rep.terms["conjugate"] - rep.terms["boundary"], rel=1e-14
@@ -226,7 +226,7 @@ class TestDerivedGap:
 
 class TestAppendixSplit:
     def test_halfspace_residual_trend_and_boundary_term(self, derived_fixture, halfplane):
-        g, W, spec = derived_fixture
+        g, W, _, spec = derived_fixture
         qspec = QuadSpec(half_width=4.0, dx=0.1, levels=5)
         recs = appendix_limit_residual(
             g, W, BBLParams(n=2, a=2.0, p=1.5), halfplane,
@@ -440,7 +440,7 @@ def _suite_scan_verdicts():
     # the verdicts of the paper suite's equivalence_scan check; c14 shows
     # that every one of them passes unmutated
     cfg = next(c for c in cli.paper_suite_configs() if "equivalence_scan" in c.checks)
-    res = cli.check_equivalence_scan(cfg, cli._Shared(cfg))
+    res = cli.check_equivalence_scan(cfg, None)
     return {x["label"]: x["passed"] for x in res["assertions"]}
 
 

@@ -1,14 +1,17 @@
 """Experiment runner: config validation, reports, curves, determinism."""
 
+import inspect
 import json
 import os
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
-from epiconv import cli
+from epiconv import bblcheck, cli
+from epiconv import sharpconst as sc
 
 
 def write_config(tmp_path, doc, name="exp.json"):
@@ -38,6 +41,21 @@ class TestConfigParsing:
         doc = dict(BASE, domain={"kind": "torus"})
         with pytest.raises(cli.ConfigError, match="domain"):
             cli.parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"quadrature": {"dx": -0.05}}, "quadrature"),
+            ({"n": "two"}, "n"),
+            ({"params": [2.0, 1.5]}, "params"),
+        ],
+    )
+    def test_invalid_value_is_config_error(self, tmp_path, change, key):
+        # a value its parser rejects names its key and exits 2, not 1
+        doc = dict(BASE, **change)
+        with pytest.raises(cli.ConfigError, match=rf"^config: {key}: "):
+            cli.parse_config(doc)
+        assert cli.main(["run", write_config(tmp_path, doc)]) == 2
 
     def test_defaults_fill_in(self):
         cfg = cli.parse_config({"checks": []})
@@ -223,58 +241,93 @@ def test_thread_count_env_does_not_change_bbl_gap(tmp_path, monkeypatch):
     _same_bytes_across_thread_counts(tmp_path, monkeypatch, doc)
 
 
-def _count_calls(monkeypatch, module, name, counts, fail=None):
-    orig = getattr(module, name)
+def _spy_sweeps(monkeypatch, fail=None):
+    """The list that gets the (domain, spec, shift, estimate) key of every
+    quadrature sweep the checks make, a boundary integral's domain being
+    R^dim; with ``fail``, each sweep raises ValueError(fail) instead."""
+    keys = []
+    for module in (bblcheck, sc):
+        for name in ("integrate_epigraph", "integrate_boundary"):
+            orig = getattr(module, name)
+            sig = inspect.signature(orig)
 
-    def spy(*args, **kwargs):
-        counts[name] = counts.get(name, 0) + 1
-        if fail is not None:
-            raise ValueError(fail)
-        return orig(*args, **kwargs)
+            def spy(*args, _orig=orig, _sig=sig, **kwargs):
+                arg = _sig.bind(*args, **kwargs)
+                arg.apply_defaults()
+                a = arg.arguments
+                where = a["domain"].kind if "domain" in a else f"R^{a['dim']}"
+                keys.append((where, a["spec"], a.get("shift", 0.0), a["estimate"]))
+                if fail is not None:
+                    raise ValueError(fail)
+                return _orig(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, spy)
+            monkeypatch.setattr(module, name, spy)
+    return keys
+
+
+def _spy_links(monkeypatch):
+    """The Counter of (link, spec) computations of every PowerCost."""
+    computed = Counter()
+    orig = sc.PowerCost._get
+
+    def spy(self, key, compute):
+        def counted():
+            computed[key[0], key[-1]] += 1
+            return compute()
+
+        return orig(self, key, counted)
+
+    monkeypatch.setattr(sc.PowerCost, "_get", spy)
+    return computed
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_checks_share_constants(tmp_path, monkeypatch, threads):
-    # per quadrature spec: the two moment integrals (one stacked sweep) and
-    # the constants once; per config: the direct normalization check once,
-    # with the moment the constants use
+    # per quadrature spec: the two moment integrals (one stacked sweep), B
+    # and the constants once; per config: C with its direct normalization
+    # check once, from the moments the constants use
     monkeypatch.setenv("EPICONV_THREADS", threads)
-    counts = {}
-    for name in ("_moments", "_gns_constants", "_normalize_power_cost"):
-        _count_calls(monkeypatch, cli.sc, name, counts)
+    sweeps, computed = _spy_sweeps(monkeypatch), _spy_links(monkeypatch)
     doc = dict(SHARING, checks=SHARING["checks"] + ["trace_gn"])
     doc["domain"] = {"kind": "cone", "slope": 1.0}
     doc["quadrature"] = dict(SHARING["quadrature"], refinements=1)
     report = cli.run(write_config(tmp_path, doc))
     assert [r["result"]["status"] for r in report.results] == ["pass"] * 5
     # two specs: the config's and trace_gn's refined one
-    assert counts == {"_moments": 2, "_gns_constants": 2, "_normalize_power_cost": 1}
+    spec = cli.parse_config(doc).quad
+    fine = spec.refined()
+    assert computed == Counter({
+        ("moments", spec): 1, ("C", spec): 1, ("B", spec): 1, ("constants", spec): 1,
+        ("moments", fine): 1, ("B", fine): 1, ("constants", fine): 1,
+    })
+    assert (len(sweeps), len(set(sweeps))) == (13, 7)
 
 
 def test_derived_gap_shares_B_with_constants(tmp_path, monkeypatch):
     # int W^(1-a) on the config's spec is the constants' B and the right-hand
     # side of derived_gap: one integration serves both, and derived_gap
     # reports what a run of its own computes
-    counts = {}
-    _count_calls(monkeypatch, cli.sc, "_power_cost_B", counts)
+    sweeps = _spy_sweeps(monkeypatch)
     report = cli.run(write_config(tmp_path, SHARING))
     assert [r["result"]["status"] for r in report.results] == ["pass"] * 4
-    assert counts == {"_power_cost_B": 1}
+    spec = cli.parse_config(SHARING).quad
+    assert Counter(sweeps) == Counter({
+        ("affine_max", spec, 0.0, True): 3,  # the moments, trace_gn's, derived_gap's bulk
+        ("affine_max", spec, 1.0, False): 1,  # C's direct normalization check
+        ("affine_max", spec, 1.0, True): 1,  # B
+        ("R^1", spec, 0.0, True): 2,  # the boundary terms of trace_gn and derived_gap
+    })
     alone = cli.run(write_config(tmp_path, dict(SHARING, checks=["derived_gap"])))
     shared = next(r for r in report.results if r["check"] == "derived_gap")
     assert alone.results[0]["result"] == shared["result"]
 
 
-def test_rejected_weighted_trace_computes_no_constants(tmp_path, monkeypatch):
-    counts = {}
-    for name in ("_moments", "_gns_constants"):
-        _count_calls(monkeypatch, cli.sc, name, counts)
+def test_rejected_weighted_trace_computes_no_constants(monkeypatch):
+    sweeps, computed = _spy_sweeps(monkeypatch), _spy_links(monkeypatch)
     cfg = next(c for c in cli.paper_suite_configs() if c.name == "paraboloid_rejection")
     (res,) = cli.run_config(cfg)
     assert res["result"]["status"] == "pass" and res["result"]["rejected"]
-    assert counts == {}
+    assert sweeps == [] and computed == Counter()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -282,8 +335,8 @@ def test_failed_shared_value_is_an_error_in_every_check(tmp_path, monkeypatch, t
     # a moment integral that raises fails each check that needs it, with its
     # message, and is attempted once
     monkeypatch.setenv("EPICONV_THREADS", threads)
-    counts = {}
-    _count_calls(monkeypatch, cli.sc, "_moments", counts, fail="moment diverges")
+    sweeps = _spy_sweeps(monkeypatch, fail="moment diverges")
+    computed = _spy_links(monkeypatch)
     doc = dict(SHARING, checks=SHARING["checks"] + ["hj_quotient"])
     report = cli.run(write_config(tmp_path, doc))
     results = {r["check"]: r["result"] for r in report.results}
@@ -291,7 +344,9 @@ def test_failed_shared_value_is_an_error_in_every_check(tmp_path, monkeypatch, t
     assert {c: (r["status"], r["message"]) for c, r in results.items()} == {
         c: ("error", "moment diverges") for c in SHARING["checks"]
     }
-    assert counts == {"_moments": 1}
+    spec = cli.parse_config(doc).quad
+    assert sweeps == [("affine_max", spec, 0.0, True)]
+    assert computed == Counter({("moments", spec): 1, ("C", spec): 1, ("constants", spec): 1})
 
 
 def test_paper_suite_configs_parse():
@@ -301,7 +356,8 @@ def test_paper_suite_configs_parse():
 
 
 def test_shared_value_computed_once_under_thread_contention():
-    shared = cli._Shared(cli.parse_config(BASE))
+    cfg = cli.parse_config(BASE)
+    shared = sc.PowerCost(cfg.domain, cfg.norm, 3.0, cfg.a)
     calls = []
     got = {k: [] for k in range(20)}
 

@@ -229,3 +229,18 @@ def test_no_unused_imports(path):
     # the package __init__ imports only to re-export, so it is not scanned
     unused = _unused_imports(path)
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_public_private_twins(path):
+    # a public x beside a private _x is one formula with two entry points,
+    # the private one typically taking a cached input as a callable; the
+    # cache belongs in an object both callers share
+    tree = ast.parse(path.read_text())
+    defined = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    twins = sorted(n for n in defined if f"_{n}" in defined)
+    assert not twins, f"{path.name} defines both x and _x for x in {twins}"
