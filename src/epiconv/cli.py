@@ -65,7 +65,8 @@ class ExperimentConfig:
 def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
     """Validate a config document; unknown check names are rejected with
     their position, so typos surface before any computation starts."""
-    checks = doc.get("checks", [])
+    with _naming(name, "checks"):
+        checks = list(doc.get("checks", []))
     for i, c in enumerate(checks):
         if c not in CHECK_NAMES:
             raise ConfigError(
@@ -103,7 +104,7 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
         p=p,
         h_list=h_list,
         fixture=doc.get("fixture", {"kind": "extremal"}),
-        checks=list(checks),
+        checks=checks,
         quad=spec,
         grid_half_width=grid_half_width,
         grid_dx=grid_dx,

@@ -48,6 +48,7 @@ class TestConfigParsing:
             ({"quadrature": {"dx": -0.05}}, "quadrature"),
             ({"n": "two"}, "n"),
             ({"params": [2.0, 1.5]}, "params"),
+            ({"checks": 5}, "checks"),
         ],
     )
     def test_invalid_value_is_config_error(self, tmp_path, change, key):
