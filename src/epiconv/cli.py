@@ -95,6 +95,9 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
         grid_dx = float(quad.get("grid_dx", 0.1))
     with _naming(name, "seed"):
         seed = int(doc.get("seed", 0))
+    fixture = doc.get("fixture", {"kind": "extremal"})
+    if not isinstance(fixture, dict):
+        raise ConfigError(f"{name}: fixture: expected an object, got {fixture!r}")
     return ExperimentConfig(
         name=name,
         n=n,
@@ -103,7 +106,7 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
         a=a,
         p=p,
         h_list=h_list,
-        fixture=doc.get("fixture", {"kind": "extremal"}),
+        fixture=fixture,
         checks=checks,
         quad=spec,
         grid_half_width=grid_half_width,

@@ -16,8 +16,8 @@ truncation.
 
 An integrand takes an (m, n) array of points (n = dim on a boundary) and
 returns their m values, and a point's value must not depend on the other
-points of the call. Both the column blocks, which bound the points of one
-call, and the refinement estimate, whose coarse run reads the values the
+points of the call. Both the integrand batches, which bound the points of
+one call, and the refinement estimate, whose coarse run reads the values the
 fine run computed at the nodes the two grids share, rely on that. The points
 are stored coordinate-major: the (m, n) array is a view with contiguous
 coordinate planes ``p[:, d]``. An integrand must not write to it, must give
@@ -30,6 +30,11 @@ integrands over one domain (or one dim), spec and shift. Every row sees the
 same coordinate-major point batch, so the columns, point batches, node maps
 and masks of the sweep are built once for all k, and each row's result
 equals the one-row sweep of that integrand byte for byte.
+
+A column block holds at most ``_BLOCK_NODES // k`` nodes per integrand and
+an integrand call at most ``_EVAL_NODES`` points, so the working set of a
+block stays small and alike from block to block: the allocator reuses what
+one block frees instead of handing it back and page-faulting it in again.
 """
 
 from __future__ import annotations
@@ -92,8 +97,9 @@ def power_tail_bound(K: float, alpha: float, R: float, n: int) -> float:
     return K * sphere_area(n) * R ** (n - alpha) / (alpha - n)
 
 
-# most grid nodes one integrand call of the sweep evaluates
+# most grid nodes of one column block, and most points of one integrand call
 _BLOCK_NODES = 2**17
+_EVAL_NODES = 2**13
 
 
 def _trap_weights(m: int) -> np.ndarray:
@@ -166,14 +172,23 @@ def _fit_tail_K(r: np.ndarray, samples_f: np.ndarray, alpha: float) -> float:
     return float(np.max(np.abs(samples_f[ok]) * r[ok] ** alpha))
 
 
-def _values(fn, pts: np.ndarray, k: int) -> np.ndarray:
-    """fn at the points ``pts`` as a (k, points) array, one row per integrand."""
-    if not len(pts):
-        return np.zeros((k, 0))
-    vals = np.asarray(fn(pts), dtype=float)
-    if vals.shape[-1:] != (len(pts),):
-        raise ValueError(f"integrand returned shape {vals.shape} for {len(pts)} points")
-    return vals.reshape(k, len(pts))
+def _values(fn, pts: np.ndarray, out: np.ndarray, decay=None, fit: int = 0):
+    """Write fn at the points ``pts`` into ``out``, a (k, points) array with
+    one row per integrand, from calls of at most _EVAL_NODES points each.
+    Returns each row's tail constant, fitted to the first ``fit`` points
+    when ``decay`` gives the row an exponent and 0 otherwise."""
+    tail_K = [0.0] * len(out)
+    for i in range(0, len(pts), _EVAL_NODES):
+        batch = pts[i : i + _EVAL_NODES]
+        v = np.asarray(fn(batch), dtype=float)
+        if v.shape[-1:] != (len(batch),):
+            raise ValueError(f"integrand returned shape {v.shape} for {len(batch)} points")
+        out[:, i : i + len(batch)] = v = v.reshape(len(out), len(batch))
+        if decay is not None and i < fit:
+            r = _euclidean_norm(batch[: fit - i])
+            K = [0.0 if a is None else _fit_tail_K(r, f[: fit - i], a) for f, a in zip(v, decay)]
+            tail_K = [max(t, Ki) for t, Ki in zip(tail_K, K)]
+    return tail_K
 
 
 class _Columns(NamedTuple):
@@ -227,17 +242,18 @@ def _column_map(coarse: _Columns, fine: _Columns) -> np.ndarray:
     return np.where(ok & (fine.idx[pos] == flat), pos, -1)
 
 
-def _column_sums(fn, k: int, cols: _Columns, sel, known=None, decay=None):
+def _column_sums(fn, k: int, cols: _Columns, sel, known=None, decay=None, share=None):
     """Trapezoid sums of the columns ``sel`` from the exact lower limit up,
     for the k integrands that are the rows of ``fn``'s values.
 
     Each column's sum is one full-row sum, so it does not depend on which
     other columns or integrands share the call. ``known`` = (values, mask,
     boundary values, boundary mask) supplies node values a finer sweep
-    already has; ``fn`` evaluates the rest. Returns (sums, node values,
-    boundary values, tail constants), each with one row per integrand; a
-    row's tail constant is fitted to the evaluated grid nodes when ``decay``,
-    a list of k exponents, gives it one and is 0 otherwise.
+    already has; ``fn`` evaluates the rest. ``share`` = (columns, nodes)
+    picks the node values a coarser sweep reads. Returns (sums, shared node
+    values, boundary values, tail constants), each with one row per
+    integrand; a row's tail constant is fitted to the evaluated grid nodes
+    when ``decay``, a list of k exponents, gives it one and is 0 otherwise.
     """
     jb = cols.j0[sel]
     x1b = cols.x1[sel]
@@ -260,36 +276,36 @@ def _column_sums(fn, k: int, cols: _Columns, sel, known=None, decay=None):
         need &= ~kmask
         fb[:, kpart] = kfb[:, kpart]
         bneed = part & ~kpart
-    # the needed nodes in row-major order, one coordinate plane at a time
-    pts = np.empty((x1b.shape[1] + 1, np.count_nonzero(need))).T
-    for d in range(x1b.shape[1]):
-        pts[:, d] = np.broadcast_to(x1b[:, d, None], need.shape)[need]
-    pts[:, -1] = np.broadcast_to(x2, need.shape)[need]
-    fv = _values(fn, pts, k)
+    # one buffer holds the needed nodes in row-major order, then the partial
+    # cells' lower limits that need a value, and below them all their values
+    pb = np.flatnonzero(bneed)
+    m, n = np.count_nonzero(need), x1b.shape[1] + 1
+    buf = np.empty((n + k, m + pb.size))
+    pts, fv = buf[:n].T, buf[n:]
+    for d in range(n - 1):
+        pts[:m, d] = np.broadcast_to(x1b[:, d, None], need.shape)[need]
+    pts[:m, -1] = np.broadcast_to(x2, need.shape)[need]
+    pts[m:, :-1] = x1b[pb]
+    pts[m:, -1] = cols.lo[sel][pb]
+    tail_K = _values(fn, pts, fv, decay, m)
     for v, f in zip(vals, fv):
-        v[need] = f
-    tail_K = [0.0] * k
-    if decay is not None:
-        r = _euclidean_norm(pts)
-        tail_K = [0.0 if a is None else _fit_tail_K(r, f, a) for f, a in zip(fv, decay)]
-    # regular trapezoid over [x2[j0], d2]: weights dx2, halved at both ends
-    # (the single node of a one-node column weighs 0), one full-row sum each
-    wvals = vals * dx2
-    wvals[:, rows, jb] = (0.5 * dx2) * vals[:, rows, jb]
-    wvals[:, :, -1] = np.where(jb == m2 - 1, 0.0, 0.5 * dx2) * vals[:, :, -1]
-    sums = np.sum(wvals, axis=2)
+        v[need] = f[:m]
+    fb[:, pb] = fv[:, m:]
+    del buf, pts, fv  # from here on the block holds its node values alone
+    shared = None if share is None else vals[:, share[0]][:, :, share[1]]
+    # regular trapezoid over [x2[j0], d2], weighted in place: weights dx2,
+    # halved at both ends (a one-node column weighs 0), one full-row sum each
+    first, last = vals[:, rows, jb], vals[:, :, -1].copy()
+    vals *= dx2
+    vals[:, rows, jb] = (0.5 * dx2) * first
+    vals[:, :, -1] = np.where(jb == m2 - 1, 0.0, 0.5 * dx2) * last
+    sums = np.sum(vals, axis=2)
 
     # partial cell from the exact boundary up to the first gridline
-    pb = np.flatnonzero(bneed)
-    if pb.size:
-        bpts = np.empty((x1b.shape[1] + 1, pb.size)).T
-        bpts[:, :-1] = x1b[pb]
-        bpts[:, -1] = cols.lo[sel][pb]
-        fb[:, pb] = _values(fn, bpts, k)
     pb = np.flatnonzero(part)
     if pb.size:
-        sums[:, pb] += 0.5 * cols.gap[sel][pb] * (fb[:, pb] + vals[:, pb, jb[pb]])
-    return sums, vals, fb, tail_K
+        sums[:, pb] += 0.5 * cols.gap[sel][pb] * (fb[:, pb] + first[:, pb])
+    return sums, shared, fb, tail_K
 
 
 def _sweep(fn, domain: EpigraphDomain | None, n: int, spec: QuadSpec, shift, decay, estimate):
@@ -312,30 +328,31 @@ def _sweep(fn, domain: EpigraphDomain | None, n: int, spec: QuadSpec, shift, dec
         else:
             cpos = np.zeros(0, dtype=np.intp)  # no coarse columns to serve
 
-        # columns in blocks of at most _BLOCK_NODES // k grid nodes, so
-        # memory stays bounded on fine shells; the shell total is one sum
-        # over all columns, whatever the blocking
+        # columns in blocks of at most _BLOCK_NODES // k grid nodes, so the
+        # working set stays bounded on fine shells; the shell total is one
+        # sum over all columns, whatever the blocking
         per_block = max(1, _BLOCK_NODES // k // len(F.x2))
         fsum = np.empty((k, len(F.idx)))
         fit = level == spec.levels and any(a is not None for a in decays)
         for c0 in range(0, len(F.idx), per_block):
             sel = slice(c0, c0 + per_block)
-            fsum[:, sel], vals, fb, K = _column_sums(
-                fn, k, F, sel, decay=decays if fit else None
+            # the coarse columns based on this block's, read off its values
+            mine = np.flatnonzero((cpos >= c0) & (cpos < c0 + per_block))
+            fr = cpos[mine] - c0
+            fsum[:, sel], kvals, fb, K = _column_sums(
+                fn, k, F, sel, decay=decays if fit else None,
+                share=(fr, np.maximum(xmap, 0)) if mine.size else None,
             )
             tail_K = [max(t, Ki) for t, Ki in zip(tail_K, K)]
-            mine = np.flatnonzero((cpos >= c0) & (cpos < c0 + per_block))
             if mine.size:
-                # the coarse columns based on this block's, read off its values
-                fr = cpos[mine] - c0
                 csum[:, mine] = _column_sums(fn, k, C, mine, known=(
-                    vals[:, fr][:, :, np.maximum(xmap, 0)],
+                    kvals,
                     xmap[None, :] >= F.j0[c0 + fr][:, None],
                     fb[:, fr],
                     F.part[c0 + fr] & (F.lo[c0 + fr] == C.lo[mine]),
                 ))[0]
             # the next block's sweep need not hold this one's values
-            del vals, fb
+            del kvals, fb
 
         if len(F.idx):
             total += np.sum(F.w1 * fsum, axis=1)
@@ -379,8 +396,8 @@ def integrate_epigraph(
     coordinate-major point batch, the sweep lays out its columns, node maps
     and tail-fit radii once, and each row's result equals the one-row sweep
     of that integrand byte for byte. A column block holds at most
-    ``_BLOCK_NODES // k`` nodes, or one column where that is longer, so the
-    values held stay those of one row.
+    ``_BLOCK_NODES // k`` nodes per row, or one column where that is longer,
+    and no call of fn sees more than ``_EVAL_NODES`` points (module docstring).
     """
     return _sweep(fn, domain, domain.n, spec, shift, decay, estimate)
 

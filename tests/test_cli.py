@@ -49,6 +49,7 @@ class TestConfigParsing:
             ({"n": "two"}, "n"),
             ({"params": [2.0, 1.5]}, "params"),
             ({"checks": 5}, "checks"),
+            ({"fixture": "x", "checks": ["trace_gn"]}, "fixture"),
         ],
     )
     def test_invalid_value_is_config_error(self, tmp_path, change, key):

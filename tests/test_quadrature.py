@@ -301,6 +301,102 @@ def test_stacked_integrand_of_wrong_shape_rejected():
         )
 
 
+# an odd integrand batch size, so that batches split columns and mix grid
+# nodes with the partial-cell boundary points appended after them
+SMALL_BATCH = 37
+
+
+def _batched(f, sizes):
+    """f, recording the number of points of each call."""
+    return lambda p: sizes.append(len(p)) or f(p)
+
+
+def _boundary_peak(p):
+    """A moment integrand times a factor that is 1 on the half-space boundary
+    x2 = 0.3 and below 1e-4 from 0.1 above it, so the partial-cell points
+    carry the largest |f| * r^alpha and the tail fit must leave them out."""
+    p = np.asarray(p, dtype=float)
+    return moment_integrand(4.5, E2)(p) * np.exp(-(p[:, -1] - 0.3) / 0.01)
+
+
+@pytest.mark.parametrize("domain", ["cone", "affine_max", "paraboloid", "halfspace_peak"])
+def test_small_batches_bit_identical(domain, monkeypatch):
+    monkeypatch.setattr(quadrature, "_EVAL_NODES", SMALL_BATCH)
+    spec, f = QuadSpec(4.0, 0.05, 2), moment_integrand(4.5, E2)
+    if domain == "halfspace_peak":
+        dom, f = DOMAINS["halfspace"](), _boundary_peak
+    else:
+        dom = DOMAINS[domain]()
+    sizes = []
+    got = integrate_epigraph(_batched(f, sizes), dom, spec, shift=0.3, decay=4.5)
+    assert _bytes(got) == _bytes(integrate_epigraph_reference(f, dom, spec, shift=0.3, decay=4.5))
+    assert max(sizes) <= SMALL_BATCH
+
+
+@pytest.mark.parametrize("estimate", [False, True])
+@pytest.mark.parametrize("domain", ["cone", "paraboloid"])
+def test_small_batches_stacked_bit_identical(domain, estimate, monkeypatch):
+    # every row of a three-row stack against the oracle of that row alone
+    monkeypatch.setattr(quadrature, "_EVAL_NODES", SMALL_BATCH)
+    dom, spec = DOMAINS[domain](), QuadSpec(4.0, 0.05, 2)
+    fn, rows, decays = _stacked_case(domain)
+    sizes = []
+    got = integrate_epigraph(
+        _batched(fn, sizes), dom, spec, shift=0.3, decay=decays, estimate=estimate
+    )
+    oracle = integrate_epigraph_estimate_reference if estimate else integrate_epigraph_reference
+    assert [_bytes(r) for r in got] == [
+        _bytes(oracle(row, dom, spec, shift=0.3, decay=d)) for row, d in zip(rows, decays)
+    ]
+    assert max(sizes) <= SMALL_BATCH
+
+
+@pytest.mark.parametrize(
+    "spec",
+    # nested grids, and non-nesting ones whose coarse sums evaluate the
+    # nodes the fine grid lacks
+    [QuadSpec(4.0, 0.05, 2), QuadSpec(5.0, 0.3, 2)],
+)
+@pytest.mark.parametrize("domain", ["cone", "paraboloid"])
+def test_small_batches_estimate_bit_identical(domain, spec, monkeypatch):
+    monkeypatch.setattr(quadrature, "_EVAL_NODES", SMALL_BATCH)
+    dom, f = DOMAINS[domain](), moment_integrand(4.5, E2)
+    sizes = []
+    for shift in (0.0, 1.0):
+        got = integrate_epigraph(
+            _batched(f, sizes), dom, spec, shift=shift, decay=4.5, estimate=True
+        )
+        want = integrate_epigraph_estimate_reference(f, dom, spec, shift=shift, decay=4.5)
+        assert _bytes(got) == _bytes(want)
+    assert max(sizes) <= SMALL_BATCH
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_small_batches_boundary_estimate_bit_identical(dim, monkeypatch):
+    monkeypatch.setattr(quadrature, "_EVAL_NODES", SMALL_BATCH)
+    spec = QuadSpec(4.0, 0.1, 2)
+    f = lambda p: (1.0 + np.sum(np.asarray(p) ** 2, axis=-1)) ** (-1.5)
+    sizes = []
+    got = integrate_boundary(_batched(f, sizes), dim, spec, decay=3.0, estimate=True)
+    assert _bytes(got) == _bytes(integrate_boundary_estimate_reference(f, dim, spec, decay=3.0))
+    assert max(sizes) <= SMALL_BATCH
+
+
+def test_batch_of_wrong_length_rejected(monkeypatch):
+    # the first batches are right, a later one returns a value too many
+    monkeypatch.setattr(quadrature, "_EVAL_NODES", SMALL_BATCH)
+    f, calls = moment_integrand(4.5, E2), []
+
+    def late_extra(p):
+        calls.append(len(p))
+        v = f(p)
+        return np.append(v, 1.0) if len(calls) == 3 else v
+
+    with pytest.raises(ValueError, match="integrand returned shape"):
+        integrate_epigraph(late_extra, DOMAINS["cone"](), QuadSpec(4.0, 0.1, 1), decay=4.5)
+    assert len(calls) == 3
+
+
 def _row_counts(calls):
     counts = {}
     for pts in calls:
