@@ -172,7 +172,7 @@ def _fit_tail_K(r: np.ndarray, samples_f: np.ndarray, alpha: float) -> float:
     return float(np.max(np.abs(samples_f[ok]) * r[ok] ** alpha))
 
 
-def _values(fn, pts: np.ndarray, out: np.ndarray, decay=None, fit: int = 0):
+def _values(fn, pts: np.ndarray, out: np.ndarray, decay, fit: int):
     """Write fn at the points ``pts`` into ``out``, a (k, points) array with
     one row per integrand, from calls of at most _EVAL_NODES points each.
     Returns each row's tail constant, fitted to the first ``fit`` points
