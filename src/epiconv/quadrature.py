@@ -31,10 +31,10 @@ same coordinate-major point batch, so the columns, point batches, node maps
 and masks of the sweep are built once for all k, and each row's result
 equals the one-row sweep of that integrand byte for byte.
 
-A column block holds at most ``_BLOCK_NODES // k`` nodes per integrand and
-an integrand call at most ``_EVAL_NODES`` points, so the working set of a
-block stays small and alike from block to block: the allocator reuses what
-one block frees instead of handing it back and page-faulting it in again.
+A column block holds at most ``_BLOCK_NODES // k`` nodes (``_BLOCK_NODES``
+values over its k rows) and an integrand call at most ``_EVAL_NODES`` points,
+so a block's working set stays small and alike from block to block: the
+allocator reuses what one block frees instead of page-faulting it in again.
 """
 
 from __future__ import annotations
@@ -396,8 +396,8 @@ def integrate_epigraph(
     coordinate-major point batch, the sweep lays out its columns, node maps
     and tail-fit radii once, and each row's result equals the one-row sweep
     of that integrand byte for byte. A column block holds at most
-    ``_BLOCK_NODES // k`` nodes per row, or one column where that is longer,
-    and no call of fn sees more than ``_EVAL_NODES`` points (module docstring).
+    ``_BLOCK_NODES // k`` nodes, or one column where that is longer, and no
+    call of fn sees more than ``_EVAL_NODES`` points (module docstring).
     """
     return _sweep(fn, domain, domain.n, spec, shift, decay, estimate)
 
