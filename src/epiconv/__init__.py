@@ -9,7 +9,7 @@ reported quadrature error budgets at desk scale.
 from .bblcheck import BBLParams
 from .extgrid import halfspace, read_gridfn, write_gridfn
 from .quadrature import QuadSpec
-from .sharpconst import extremal_f, gns_constants, trace_gn_check
+from .sharpconst import PowerCost, extremal_f, trace_gn_check
 from .transforms import NormSpec
 
 __version__ = "0.1.0"

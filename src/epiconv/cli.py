@@ -17,9 +17,8 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,11 +54,11 @@ class ExperimentConfig:
     fixture: dict
     checks: list[str]
     quad: QuadSpec
+    refinements: int
     grid_half_width: float
     grid_dx: float
     seed: int
     expect_rejection: bool = False
-    raw: dict = field(default_factory=dict)
 
 
 def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
@@ -91,6 +90,9 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
             dx=float(quad.get("dx", 0.05)),
             levels=int(quad.get("levels", 6)),
         )
+        refinements = int(quad.get("refinements", 0))
+        if refinements < 0:
+            raise ValueError(f"refinements must be >= 0, got {refinements}")
         grid_half_width = float(quad.get("grid_half_width", 8.0))
         grid_dx = float(quad.get("grid_dx", 0.1))
     with _naming(name, "seed"):
@@ -109,11 +111,11 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
         fixture=fixture,
         checks=checks,
         quad=spec,
+        refinements=refinements,
         grid_half_width=grid_half_width,
         grid_dx=grid_dx,
         seed=seed,
         expect_rejection=bool(doc.get("expect_rejection", False)),
-        raw=doc,
     )
 
 
@@ -161,16 +163,17 @@ def _grid_pair(cfg: ExperimentConfig, g: fl.ScalarField, W: fl.ScalarField):
 
 
 def _fixture_field(cfg: ExperimentConfig):
-    kind = cfg.fixture.get("kind", "extremal")
-    if kind == "extremal":
-        return sc.extremal_f(_bbl_params(cfg), cfg.norm)
-    if kind == "bump":
-        return fl.bump_field(
-            cfg.fixture.get("center", [0.0] * (cfg.n - 1) + [0.8]),
-            radius=float(cfg.fixture.get("radius", 1.0)),
-            amplitude=float(cfg.fixture.get("amplitude", 1.0)),
-        )
-    raise ConfigError(f"unknown fixture kind {kind!r}")
+    with _naming(cfg.name, "fixture"):
+        kind = cfg.fixture.get("kind", "extremal")
+        if kind == "extremal":
+            return sc.extremal_f(_bbl_params(cfg), cfg.norm)
+        if kind == "bump":
+            return fl.bump_field(
+                cfg.fixture.get("center", [0.0] * (cfg.n - 1) + [0.8]),
+                radius=float(cfg.fixture.get("radius", 1.0)),
+                amplitude=float(cfg.fixture.get("amplitude", 1.0)),
+            )
+        raise ValueError(f"unknown fixture kind {kind!r}")
 
 
 def check_constants(cfg: ExperimentConfig, cost: sc.PowerCost):
@@ -216,19 +219,13 @@ def check_trace_gn(cfg: ExperimentConfig, cost: sc.PowerCost):
     params = _bbl_params(cfg)
     a = []
     f = _fixture_field(cfg)
-    rep = sc.trace_gn_check(
-        f, params, cfg.domain, cfg.norm, cfg.quad,
-        constants=lambda: cost.constants(params, cfg.quad),
-    )
+    rep = sc.trace_gn_check(f, cost, params, cfg.quad)
     _assert_trace_ratio(a, cfg, rep)
     refinement = []
     spec = cfg.quad
-    for _ in range(int(cfg.raw.get("quadrature", {}).get("refinements", 0))):
+    for _ in range(cfg.refinements):
         spec = spec.refined()
-        r = sc.trace_gn_check(
-            f, params, cfg.domain, cfg.norm, spec,
-            constants=lambda: cost.constants(params, spec),
-        )
+        r = sc.trace_gn_check(f, cost, params, spec)
         refinement.append({"dx": spec.dx, "abs_ratio_minus_one": abs(r.ratio - 1.0)})
     out = _result(
         a, report=rep.to_json(),
@@ -246,10 +243,7 @@ def check_weighted_trace(cfg: ExperimentConfig, cost: sc.PowerCost):
     params = _bbl_params(cfg)
     a = []
     try:
-        rep = sc.weighted_trace_check(
-            _fixture_field(cfg), params, cfg.domain, cfg.norm, cfg.quad,
-            constants=lambda: cost.constants(params, cfg.quad),
-        )
+        rep = sc.weighted_trace_check(_fixture_field(cfg), cost, params, cfg.quad)
     except sc.DomainRejectionError as ex:
         ok = cfg.expect_rejection
         _assert(a, "growth_gate", ok, f"rejected: fitted {ex.fitted:.4f} at {ex.witness}")
@@ -426,20 +420,15 @@ def _run_one(cfg: ExperimentConfig, check: str, cost: sc.PowerCost) -> dict:
 
 
 def run_config(cfg: ExperimentConfig) -> list[dict]:
-    """The results of the checks of ``cfg``, in declaration order; the
-    checks share one power cost, so each link of the constant chain is
-    computed once."""
+    """The results of the checks of ``cfg``, run in declaration order on one
+    thread; the checks share one power cost, so each link of the constant
+    chain is computed once."""
     try:
         q = _bbl_params(cfg).q
     except ValueError:
         q = None  # each check reports invalid params before it reads the cost
     cost = sc.PowerCost(cfg.domain, cfg.norm, q, cfg.a)
-    jobs = [(cfg, c, cost) for c in cfg.checks]
-    workers = int(os.environ.get("EPICONV_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda jc: _run_one(*jc), jobs))
-    return [_run_one(*jc) for jc in jobs]
+    return [_run_one(cfg, check, cost) for check in cfg.checks]
 
 
 def run(config_path: str, report_path: str | None = None) -> RunReport:

@@ -11,8 +11,10 @@ u = (a-1)/(a-p), v = (a-1)/(p-1), producing
 and, for a > n, a scaling optimization in lambda whose closed-form optimum
 assembles the final constant. The extremal f(x) = ||x+e||^(-(a-p)/(p-1))
 saturates every link of the chain, which is what the trace checks verify.
-:class:`PowerCost` owns the chain and computes each link once per spec;
-:func:`normalize_power_cost` and :func:`gns_constants` are calls on a fresh one.
+:class:`PowerCost` owns the chain and computes each link once per spec. The
+trace checks, like :func:`bblcheck.derived_gap`, take a cost and read their
+domain, norm and constants from it; :func:`normalize_power_cost` is a call on
+a fresh one.
 
 D_npa is stored for the q-power form of the inequality (so D_npa = D when
 a = n); the norm-form constant multiplying ||grad f||^theta ||f||^(1-theta)
@@ -21,9 +23,7 @@ is D_npa^(1/q_trace), stored as trace_constant.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, fields
-from typing import Callable
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "i_alpha",
     "PowerCost",
     "normalize_power_cost",
-    "gns_constants",
     "extremal_f",
     "trace_gn_check",
     "weighted_trace_check",
@@ -137,26 +136,21 @@ class PowerCost:
     int_{Omega_1} W^(-a) = 1, owning the sharp-constant chain it feeds:
     the moments, C, B and the constants, each computed once per quadrature
     spec (and params). The moments need qa > n and q(a-1) > n, which
-    a >= n > p > 1 gives. A link asked for on several threads at once is
-    computed by one of them while the others wait; one whose computation
-    raised ``ValueError`` raises it again for every later caller.
+    a >= n > p > 1 gives. A link whose computation raised ``ValueError``
+    raises it again for every later caller.
     """
 
     def __init__(self, domain: EpigraphDomain, norm: NormSpec, q: float, a: float):
         self.domain, self.norm, self.q, self.a = domain, norm, q, a
-        self._lock = threading.Lock()
         self._entries = {}
 
     def _get(self, key, compute):
-        with self._lock:
-            entry = self._entries.setdefault(key, [threading.Lock(), None])
-        with entry[0]:
-            if entry[1] is None:
-                try:
-                    entry[1] = (True, compute())
-                except ValueError as ex:
-                    entry[1] = (False, ex)
-        ok, value = entry[1]
+        if key not in self._entries:
+            try:
+                self._entries[key] = (True, compute())
+            except ValueError as ex:
+                self._entries[key] = (False, ex)
+        ok, value = self._entries[key]
         if not ok:
             raise value
         return value
@@ -214,8 +208,15 @@ class PowerCost:
         )
 
     def constants(self, params: BBLParams, spec: QuadSpec) -> SharpConstants:
-        """The constant bundle of ``params`` (whose q and a are the cost's)
-        on ``spec``; see :func:`gns_constants`."""
+        """The full constant bundle of ``params`` (whose q and a are the
+        cost's) on ``spec``.
+
+        B is computed twice, by direct quadrature of W^(1-a) over the shifted
+        domain and by the moment identity I_{qa}^((1-a)/a) * I_{q(a-1)}; the
+        direct route feeds the constants, the identity route is kept for
+        cross-checks. For a > n the scaling optimum lambda* is evaluated on
+        the extremal function and is 1 in exact arithmetic.
+        """
         return self._get(("constants", params, spec), lambda: self._assemble(params, spec))
 
     def _assemble(self, params: BBLParams, spec: QuadSpec) -> SharpConstants:
@@ -274,23 +275,6 @@ def normalize_power_cost(
     return PowerCost(domain, norm, q, a).C(spec)
 
 
-def gns_constants(
-    params: BBLParams,
-    domain: EpigraphDomain,
-    norm: NormSpec,
-    spec: QuadSpec,
-) -> SharpConstants:
-    """Assemble the full constant bundle for (n, p, a) on the given domain.
-
-    B is computed twice, by direct quadrature of W^(1-a) over the shifted
-    domain and by the moment identity I_{qa}^((1-a)/a) * I_{q(a-1)}; the
-    direct route feeds the constants, the identity route is kept for
-    cross-checks. For a > n the scaling optimum lambda* is evaluated on the
-    extremal function and is 1 in exact arithmetic.
-    """
-    return PowerCost(domain, norm, params.q, params.a).constants(params, spec)
-
-
 def extremal_f(params: BBLParams, norm: NormSpec) -> ScalarField:
     """The saturating profile f(x) = ||x+e||^gamma, gamma = -(a-p)/(p-1) < 0."""
     a, p = params.a, params.p
@@ -331,21 +315,16 @@ def _field_integrals(
 
 
 def _trace_integrals(
-    f: ScalarField,
-    params: BBLParams,
-    domain: EpigraphDomain,
-    norm: NormSpec,
-    spec: QuadSpec,
-    weighted: bool,
+    f: ScalarField, cost: PowerCost, params: BBLParams, spec: QuadSpec, weighted: bool
 ):
-    a, p = params.a, params.p
+    domain, a, p = cost.domain, params.a, params.p
     qt = params.q_trace
     bdry, e_b, _ = integrate_boundary(
         _boundary_integrand(f, domain, qt, weighted), domain.n - 1, spec,
         decay=(f.decay * qt if f.decay else None), estimate=True,
     )
     (grad_term, e_g, _), (fq_term, e_q, _), (beta_int, e_beta, _) = _field_integrals(
-        f, norm, p, (qt, a * p / (a - p)), domain, spec, estimate=True
+        f, cost.norm, p, (qt, a * p / (a - p)), domain, spec, estimate=True
     )
     beta = beta_int ** ((a - p) / (a * p))
     rels = {
@@ -357,44 +336,30 @@ def _trace_integrals(
     return bdry, grad_term, fq_term, beta, rels
 
 
-def _resolve_constants(constants, params, domain, norm, spec) -> SharpConstants:
-    """The bundle a trace check was given, fetched from it when it is a
-    callable, computed when there is none."""
-    if constants is None:
-        return gns_constants(params, domain, norm, spec)
-    if callable(constants):
-        return constants()
-    return constants
-
-
 def trace_gn_check(
-    f: ScalarField,
-    params: BBLParams,
-    domain: EpigraphDomain,
-    norm: NormSpec,
-    spec: QuadSpec,
-    constants: SharpConstants | Callable[[], SharpConstants] | None = None,
+    f: ScalarField, cost: PowerCost, params: BBLParams, spec: QuadSpec
 ) -> TraceReport:
     """Trace inequality on a convex cone, in Theorem form:
 
         (int_bdry f^q_trace)^(1/q_trace) <= const * ||grad f||_p^theta * ||f||_q^(1-theta).
 
     ratio = lhs/rhs is 1 for the extremal up to the reported quadrature error
-    and below 1 otherwise. Non-cone domains are rejected; the weighted check
-    handles those. ``constants`` may be a zero-argument callable, called only
-    for a domain that passes the gate.
+    and below 1 otherwise, on ``cost.domain`` with ``cost.norm`` (``cost``
+    is the normalized power cost of params' q and a). Non-cone domains are
+    rejected, before any constant is computed; the weighted check handles
+    those.
     """
-    chk = is_cone(domain)
+    chk = is_cone(cost.domain)
     if not chk.is_cone:
         raise DomainRejectionError(
             f"trace_gn_check needs a convex cone; witness {chk.witness}",
             witness=chk.witness,
         )
-    constants = _resolve_constants(constants, params, domain, norm, spec)
+    constants = cost.constants(params, spec)
     theta, qt, p = constants.theta, constants.q_trace, params.p
 
     bdry, grad_term, fq_term, beta, rels = _trace_integrals(
-        f, params, domain, norm, spec, weighted=False
+        f, cost, params, spec, weighted=False
     )
     lhs = bdry ** (1.0 / qt)
     rhs = (
@@ -420,25 +385,21 @@ def trace_gn_check(
 
 
 def weighted_trace_check(
-    f: ScalarField,
-    params: BBLParams,
-    domain: EpigraphDomain,
-    norm: NormSpec,
-    spec: QuadSpec,
-    constants: SharpConstants | Callable[[], SharpConstants] | None = None,
+    f: ScalarField, cost: PowerCost, params: BBLParams, spec: QuadSpec
 ) -> TraceReport:
     """Weighted trace inequality on a convex epigraph, power form:
 
         int f^q_trace(x, phi(x)) P(x) dx <= D * (int ||grad f||_*^p)^u + (a-n) int f^q_trace
 
-    with P(x) = 1 + phi - x.grad phi allowed to go negative. The domain must
-    satisfy the boundary growth gate |x1.grad phi| <= C ||(x1, phi)|| for
-    ||x1|| > 1 at the cone budget C = 1, which every cone meets exactly;
-    domains needing a larger constant (the paraboloid fits only C -> 2) are
-    refused with the fitted ratio as witness. ``constants`` may be a
-    zero-argument callable, called only for a domain that passes the gate.
+    on ``cost.domain`` with ``cost.norm`` (``cost`` is the normalized power
+    cost of params' q and a), with P(x) = 1 + phi - x.grad phi allowed to go
+    negative. The domain must satisfy the boundary growth gate
+    |x1.grad phi| <= C ||(x1, phi)|| for ||x1|| > 1 at the cone budget C = 1,
+    which every cone meets exactly; domains needing a larger constant (the
+    paraboloid fits only C -> 2) are refused with the fitted ratio as
+    witness, before any constant is computed.
     """
-    ok, fitted, witness = _boundary_growth(domain)
+    ok, fitted, witness = _boundary_growth(cost.domain)
     if not ok:
         raise DomainRejectionError(
             f"growth condition failed: fitted ratio {fitted:.4f} exceeds budget "
@@ -446,12 +407,12 @@ def weighted_trace_check(
             witness=witness,
             fitted=fitted,
         )
-    constants = _resolve_constants(constants, params, domain, norm, spec)
-    a, n, p = params.a, params.n, params.p
+    constants = cost.constants(params, spec)
+    a, n = params.a, params.n
     u = constants.u
 
     bdry, grad_term, fq_term, beta, rels = _trace_integrals(
-        f, params, domain, norm, spec, weighted=True
+        f, cost, params, spec, weighted=True
     )
     lhs = bdry
     rhs = constants.D * grad_term**u + (a - n) * fq_term

@@ -15,9 +15,9 @@ import pytest
 from epiconv import (
     BBLParams,
     NormSpec,
+    PowerCost,
     QuadSpec,
     extremal_f,
-    gns_constants,
     halfspace,
     trace_gn_check,
 )
@@ -419,16 +419,16 @@ def test_c10_trace_equality():
     for name, dom, params in cases:
         deviations = []
         spec = QuadSpec(half_width=5.0, dx=0.1, levels=7)
+        cost = PowerCost(dom, EUCLID, params.q, params.a)
         for _ in range(3):
-            cst = gns_constants(params, dom, EUCLID, spec)
-            rep = trace_gn_check(extremal_f(params, EUCLID), params, dom, EUCLID, spec, constants=cst)
+            rep = trace_gn_check(extremal_f(params, EUCLID), cost, params, spec)
             deviations.append(abs(rep.ratio - 1.0))
             spec = spec.refined()
         assert deviations[0] <= 0.02, (name, deviations)
         assert deviations[-1] <= 0.02
         assert deviations[2] < deviations[0], (name, deviations)
         bump = bump_field([0.0, 0.9], radius=1.0, amplitude=1.0)
-        rb = trace_gn_check(bump, params, dom, EUCLID, QuadSpec(5.0, 0.05, 5))
+        rb = trace_gn_check(bump, cost, params, QuadSpec(5.0, 0.05, 5))
         assert rb.ratio < 1.0
         summary.append(f"{name}: |ratio-1| {deviations[0]:.4f}->{deviations[2]:.4f}, bump {rb.ratio:.3f}")
     report("criterion 10 (trace equality)", True, "; ".join(summary))
@@ -438,16 +438,16 @@ def test_c11_weighted_trace():
     dom = affine_max([[0.5], [-1.0]])
     params = BBLParams(n=2, a=2.0, p=4 / 3)
     spec = QuadSpec(half_width=5.0, dx=0.05, levels=5)
-    cst = gns_constants(params, dom, EUCLID, spec)
-    rep = weighted_trace_check(extremal_f(params, EUCLID), params, dom, EUCLID, spec, constants=cst)
+    cost = PowerCost(dom, EUCLID, params.q, params.a)
+    rep = weighted_trace_check(extremal_f(params, EUCLID), cost, params, spec)
     assert abs(rep.ratio - 1.0) <= 0.02
     bump = bump_field([0.0, 0.6], radius=0.9, amplitude=1.0)
-    rb = weighted_trace_check(bump, params, dom, EUCLID, spec, constants=cst)
+    rb = weighted_trace_check(bump, cost, params, spec)
     assert rb.ratio <= 1.0 + rb.quadrature_error
     with pytest.raises(DomainRejectionError) as err:
         weighted_trace_check(
-            extremal_f(params, EUCLID), params, paraboloid(2), EUCLID,
-            QuadSpec(4.0, 0.05, 4),
+            extremal_f(params, EUCLID), PowerCost(paraboloid(2), EUCLID, params.q, params.a),
+            params, QuadSpec(4.0, 0.05, 4),
         )
     assert err.value.fitted == pytest.approx(2.0, abs=0.01)
     report(
@@ -465,7 +465,7 @@ def test_c12_constant_identities():
         (halfspace(2), BBLParams(n=2, a=2.0, p=1.5)),
         (norm_cone(2, 1.0), BBLParams(n=2, a=2.5, p=1.5)),
     ):
-        cst = gns_constants(params, dom, EUCLID, spec)
+        cst = PowerCost(dom, EUCLID, params.q, params.a).constants(params, spec)
         assert abs(1 / cst.u + 1 / cst.v - 1.0) <= 1e-12
         assert abs(cst.D - cst.A**cst.u / ((cst.B * cst.v) ** (cst.u - 1) * cst.u)) <= 1e-12 * cst.D
         assert abs(cst.theta - (cst.a - cst.p) / (cst.p * (cst.a - cst.n - 1) + cst.n)) <= 1e-12

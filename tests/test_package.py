@@ -1,5 +1,6 @@
-"""Guards against leftovers: dangling exports, scipy imports, global state,
-unused imports, options no caller sets, members no caller reads."""
+"""Guards against leftovers: dangling exports, scipy imports, threads and
+environment reads, global state, unused imports, options no caller sets,
+members no caller reads."""
 
 import ast
 import importlib
@@ -36,21 +37,36 @@ def test_package_imports_resolve():
     assert not missing, f"epiconv does not resolve {missing}"
 
 
+def _import_roots(node):
+    """The top-level packages an import node imports; none for other nodes."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [(node.module or "").split(".")[0]]
+    return []
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_scipy_and_no_recursion_limit(path):
     tree = ast.parse(path.read_text())
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            roots = [alias.name.split(".")[0] for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            roots = [(node.module or "").split(".")[0]]
-        else:
-            roots = []
-        assert "scipy" not in roots, f"{path.name}:{node.lineno} imports scipy"
+        assert "scipy" not in _import_roots(node), f"{path.name}:{node.lineno} imports scipy"
         name = getattr(node, "attr", None) or getattr(node, "id", None)
         if isinstance(node, ast.alias):
             name = node.name
         assert name != "setrecursionlimit", f"{path.name} uses sys.setrecursionlimit"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_threads_and_no_environment_reads(path):
+    # checks run in order on one thread, and a run is set by its config and
+    # arguments alone
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        for root in ("threading", "concurrent"):
+            assert root not in _import_roots(node), f"{path.name}:{node.lineno} imports {root}"
+        name = getattr(node, "attr", None) or getattr(node, "name", None)
+        assert name not in ("environ", "getenv"), f"{path.name}:{node.lineno} reads os.{name}"
 
 
 def _defaulted_parameters():

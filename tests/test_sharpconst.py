@@ -8,9 +8,9 @@ import pytest
 from epiconv import (
     BBLParams,
     NormSpec,
+    PowerCost,
     QuadSpec,
     extremal_f,
-    gns_constants,
     halfspace,
     trace_gn_check,
 )
@@ -34,11 +34,21 @@ from oracles import (
 )
 
 E2 = np.array([0.0, 1.0])
+HP = BBLParams(n=2, a=2.0, p=1.5)
+
+
+def power_cost(params, domain, norm):
+    return PowerCost(domain, norm, params.q, params.a)
 
 
 @pytest.fixture(scope="module")
-def hp_constants(halfplane, euclid, fine_quad):
-    return gns_constants(BBLParams(n=2, a=2.0, p=1.5), halfplane, euclid, fine_quad)
+def hp_cost(halfplane, euclid):
+    return power_cost(HP, halfplane, euclid)
+
+
+@pytest.fixture(scope="module")
+def hp_constants(hp_cost, fine_quad):
+    return hp_cost.constants(HP, fine_quad)
 
 
 class TestIAlpha:
@@ -129,18 +139,21 @@ class TestConstants:
     def test_arithmetic_bundle_n3(self, euclid):
         dom3 = halfspace(3)
         spec3 = QuadSpec(half_width=3.0, dx=0.1, levels=3)
-        cst = gns_constants(BBLParams(n=3, a=4.0, p=2.0), dom3, euclid, spec3)
+        params = BBLParams(n=3, a=4.0, p=2.0)
+        cst = power_cost(params, dom3, euclid).constants(params, spec3)
         assert cst.theta == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert cst.q_trace == pytest.approx(3.0, abs=1e-12)
         assert cst.u == pytest.approx(1.5) and cst.v == pytest.approx(3.0)
         assert abs(cst.B - cst.B_identity) <= 0.015 * cst.B
 
     def test_hypotheses_rejected(self, halfplane, euclid, mid_quad):
+        params = BBLParams(n=2, a=2.0)
         with pytest.raises(ValueError, match="need p"):
-            gns_constants(BBLParams(n=2, a=2.0), halfplane, euclid, mid_quad)
+            power_cost(params, halfplane, euclid).constants(params, mid_quad)
 
     def test_lambda_star_is_one_for_extremal(self, unit_cone, euclid, mid_quad):
-        cst = gns_constants(BBLParams(n=2, a=2.5, p=1.5), unit_cone, euclid, mid_quad)
+        params = BBLParams(n=2, a=2.5, p=1.5)
+        cst = power_cost(params, unit_cone, euclid).constants(params, mid_quad)
         assert cst.lambda_star == pytest.approx(1.0, abs=0.02)
 
     def test_dnpa_reduces_to_D_at_a_eq_n(self, hp_constants):
@@ -197,29 +210,26 @@ class TestGradientNormClaim:
 
 
 class TestTraceGN:
-    def test_extremal_halfplane(self, halfplane, euclid, fine_quad, hp_constants):
-        rep = trace_gn_check(
-            extremal_f(BBLParams(n=2, a=2.0, p=1.5), euclid),
-            BBLParams(n=2, a=2.0, p=1.5), halfplane, euclid, fine_quad,
-            constants=hp_constants,
-        )
+    def test_extremal_halfplane(self, euclid, fine_quad, hp_cost):
+        rep = trace_gn_check(extremal_f(HP, euclid), hp_cost, HP, fine_quad)
         assert abs(rep.ratio - 1.0) <= 0.02
         assert abs(rep.ratio - 1.0) <= rep.quadrature_error + 0.01
 
     def test_extremal_cone(self, unit_cone, euclid, mid_quad):
         params = BBLParams(n=2, a=2.5, p=1.5)
-        rep = trace_gn_check(extremal_f(params, euclid), params, unit_cone, euclid, mid_quad)
+        cost = power_cost(params, unit_cone, euclid)
+        rep = trace_gn_check(extremal_f(params, euclid), cost, params, mid_quad)
         assert abs(rep.ratio - 1.0) <= 0.02
 
     def test_bump_below_one(self, unit_cone, euclid, mid_quad):
         params = BBLParams(n=2, a=2.5, p=1.5)
         bump = bump_field([0.0, 0.9], radius=1.0, amplitude=1.0)
-        rep = trace_gn_check(bump, params, unit_cone, euclid, mid_quad)
+        rep = trace_gn_check(bump, power_cost(params, unit_cone, euclid), params, mid_quad)
         assert rep.ratio < 1.0
 
     def test_scaling_invariance_on_cone(self, unit_cone, euclid, mid_quad):
         params = BBLParams(n=2, a=2.5, p=1.5)
-        cst = gns_constants(params, unit_cone, euclid, mid_quad)
+        cost = power_cost(params, unit_cone, euclid)
         base = bump_field([0.0, 1.0], radius=1.0, amplitude=1.0)
         ratios = []
         for lam in (0.5, 1.0, 2.0):
@@ -229,7 +239,7 @@ class TestTraceGN:
                 lambda x, l=lam: base(np.asarray(x, dtype=float) * l),
                 lambda x, l=lam: l * base.gradient(np.asarray(x, dtype=float) * l),
             )
-            rep = trace_gn_check(f_lam, params, unit_cone, euclid, mid_quad, constants=cst)
+            rep = trace_gn_check(f_lam, cost, params, mid_quad)
             ratios.append(rep.ratio)
         assert max(ratios) - min(ratios) <= 0.02
 
@@ -237,15 +247,12 @@ class TestTraceGN:
         params = BBLParams(n=2, a=2.0, p=1.5)
         with pytest.raises(DomainRejectionError, match="cone"):
             trace_gn_check(
-                extremal_f(params, euclid), params, paraboloid(2), euclid, mid_quad
+                extremal_f(params, euclid), power_cost(params, paraboloid(2), euclid),
+                params, mid_quad,
             )
 
-    def test_beta_recorded(self, halfplane, euclid, fine_quad, hp_constants):
-        params = BBLParams(n=2, a=2.0, p=1.5)
-        rep = trace_gn_check(
-            extremal_f(params, euclid), params, halfplane, euclid, fine_quad,
-            constants=hp_constants,
-        )
+    def test_beta_recorded(self, euclid, fine_quad, hp_cost):
+        rep = trace_gn_check(extremal_f(HP, euclid), hp_cost, HP, fine_quad)
         want = halfplane_moment(6.0) ** ((2.0 - 1.5) / (2.0 * 1.5))
         assert rep.beta == pytest.approx(want, rel=5e-3)
 
@@ -254,37 +261,37 @@ class TestWeightedTrace:
     def test_halfspace_reduces_to_unweighted(self, halfplane, euclid, fine_quad):
         params = BBLParams(n=2, a=2.0, p=1.5)
         rep = weighted_trace_check(
-            extremal_f(params, euclid), params, halfplane, euclid, fine_quad
+            extremal_f(params, euclid), power_cost(params, halfplane, euclid), params,
+            fine_quad,
         )
         assert abs(rep.ratio - 1.0) <= 0.02
 
     def test_affine_max_extremal_and_bump(self, euclid, mid_quad):
         dom = affine_max([[0.5], [-1.0]])
         params = BBLParams(n=2, a=2.0, p=4 / 3)
-        cst = gns_constants(params, dom, euclid, mid_quad)
-        rep = weighted_trace_check(
-            extremal_f(params, euclid), params, dom, euclid, mid_quad, constants=cst
-        )
+        cost = power_cost(params, dom, euclid)
+        rep = weighted_trace_check(extremal_f(params, euclid), cost, params, mid_quad)
         assert abs(rep.ratio - 1.0) <= 0.02
         bump = bump_field([0.0, 0.6], radius=0.9, amplitude=1.0)
-        rep2 = weighted_trace_check(bump, params, dom, euclid, mid_quad, constants=cst)
+        rep2 = weighted_trace_check(bump, cost, params, mid_quad)
         assert rep2.ratio <= 1.0 + rep2.quadrature_error
 
     def test_paraboloid_rejected_with_witness(self, euclid, mid_quad):
         params = BBLParams(n=2, a=2.0, p=4 / 3)
         with pytest.raises(DomainRejectionError) as err:
             weighted_trace_check(
-                extremal_f(params, euclid), params, paraboloid(2), euclid, mid_quad
+                extremal_f(params, euclid), power_cost(params, paraboloid(2), euclid),
+                params, mid_quad,
             )
         assert err.value.fitted == pytest.approx(2.0, abs=0.01)
         assert err.value.witness is not None
 
     def test_cone_matches_unweighted_at_a_eq_n(self, unit_cone, euclid, mid_quad):
         params = BBLParams(n=2, a=2.0, p=1.5)
-        cst = gns_constants(params, unit_cone, euclid, mid_quad)
+        cost = power_cost(params, unit_cone, euclid)
         ext = extremal_f(params, euclid)
-        w = weighted_trace_check(ext, params, unit_cone, euclid, mid_quad, constants=cst)
-        t = trace_gn_check(ext, params, unit_cone, euclid, mid_quad, constants=cst)
+        w = weighted_trace_check(ext, cost, params, mid_quad)
+        t = trace_gn_check(ext, cost, params, mid_quad)
         # P is 1 on the cone and the (a - n) term vanishes, so both forms
         # saturate; the power form is the q-th power of the norm form
         assert w.ratio == pytest.approx(1.0, abs=0.03)
@@ -302,7 +309,7 @@ class TestYoungEquality:
 
     def test_bump_residual_positive(self, halfplane, euclid, mid_quad):
         params = BBLParams(n=2, a=2.0, p=1.5)
-        cst = gns_constants(params, halfplane, euclid, mid_quad)
+        cst = power_cost(params, halfplane, euclid).constants(params, mid_quad)
         bump = bump_field([0.0, 0.8], radius=1.0, amplitude=1.0)
         res, _, _, _ = young_equality_residual(bump, cst, halfplane, euclid, mid_quad)
         assert res > 0.05
