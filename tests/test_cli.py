@@ -265,16 +265,18 @@ def _spy_links(monkeypatch):
     return computed
 
 
-def test_checks_share_constants(tmp_path, monkeypatch):
+@pytest.mark.parametrize("copies", [1, 2])
+def test_checks_share_constants(tmp_path, monkeypatch, copies):
     # per quadrature spec: the two moment integrals (one stacked sweep), B
     # and the constants once; per config: C with its direct normalization
-    # check once, from the moments the constants use
+    # check once, from the moments the constants use, however many times
+    # the checks are declared
     sweeps, computed = _spy_sweeps(monkeypatch), _spy_links(monkeypatch)
-    doc = dict(SHARING, checks=SHARING["checks"] + ["trace_gn"])
+    doc = dict(SHARING, checks=(SHARING["checks"] + ["trace_gn"]) * copies)
     doc["domain"] = {"kind": "cone", "slope": 1.0}
     doc["quadrature"] = dict(SHARING["quadrature"], refinements=1)
     report = cli.run(write_config(tmp_path, doc))
-    assert [r["result"]["status"] for r in report.results] == ["pass"] * 5
+    assert [r["result"]["status"] for r in report.results] == ["pass"] * 5 * copies
     # two specs: the config's and trace_gn's refined one
     spec = cli.parse_config(doc).quad
     fine = spec.refined()
@@ -282,7 +284,8 @@ def test_checks_share_constants(tmp_path, monkeypatch):
         ("moments", spec): 1, ("C", spec): 1, ("B", spec): 1, ("constants", spec): 1,
         ("moments", fine): 1, ("B", fine): 1, ("constants", fine): 1,
     })
-    assert (len(sweeps), len(set(sweeps))) == (13, 7)
+    # the five sweeps of those links, and eight of the checks' own per copy
+    assert (len(sweeps), len(set(sweeps))) == (5 + 8 * copies, 7)
 
 
 def test_derived_gap_shares_B_with_constants(tmp_path, monkeypatch):
@@ -317,18 +320,19 @@ def test_rejected_weighted_trace_computes_no_constants(monkeypatch):
     assert sweeps == [] and computed == Counter()
 
 
-def test_failed_shared_value_is_an_error_in_every_check(tmp_path, monkeypatch):
+@pytest.mark.parametrize("copies", [1, 2])
+def test_failed_shared_value_is_an_error_in_every_check(tmp_path, monkeypatch, copies):
     # a moment integral that raises fails each check that needs it, with its
-    # message, and is attempted once
+    # message, and is attempted once, however many times the checks are
+    # declared
     sweeps = _spy_sweeps(monkeypatch, fail="moment diverges")
     computed = _spy_links(monkeypatch)
-    doc = dict(SHARING, checks=SHARING["checks"] + ["hj_quotient"])
+    doc = dict(SHARING, checks=(SHARING["checks"] + ["hj_quotient"]) * copies)
     report = cli.run(write_config(tmp_path, doc))
-    results = {r["check"]: r["result"] for r in report.results}
-    assert results.pop("hj_quotient")["status"] == "pass"
-    assert {c: (r["status"], r["message"]) for c, r in results.items()} == {
-        c: ("error", "moment diverges") for c in SHARING["checks"]
-    }
+    got = [(r["check"], r["result"]["status"], r["result"].get("message")) for r in report.results]
+    want = [(c, "error", "moment diverges") for c in SHARING["checks"]]
+    assert [g[:2] for g in got if g[0] == "hj_quotient"] == [("hj_quotient", "pass")] * copies
+    assert [g for g in got if g[0] != "hj_quotient"] == want * copies
     spec = cli.parse_config(doc).quad
     assert sweeps == [("affine_max", spec, 0.0, True)]
     assert computed == Counter({("moments", spec): 1, ("C", spec): 1, ("constants", spec): 1})
