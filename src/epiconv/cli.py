@@ -168,8 +168,11 @@ def _fixture_field(cfg: ExperimentConfig):
         if kind == "extremal":
             return sc.extremal_f(_bbl_params(cfg), cfg.norm)
         if kind == "bump":
+            center = np.asarray(cfg.fixture.get("center", [0.0] * (cfg.n - 1) + [0.8]), float)
+            if center.shape != (cfg.n,):
+                raise ValueError(f"bump center must have {cfg.n} entries, got {center.tolist()}")
             return fl.bump_field(
-                cfg.fixture.get("center", [0.0] * (cfg.n - 1) + [0.8]),
+                center,
                 radius=float(cfg.fixture.get("radius", 1.0)),
                 amplitude=float(cfg.fixture.get("amplitude", 1.0)),
             )

@@ -8,6 +8,7 @@ callables directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -123,7 +124,10 @@ def quadratic_field(offset: float = 1.0, curvature: float = 1.0) -> ScalarField:
 
 
 def bump_field(center, radius: float = 1.0, amplitude: float = 1.0) -> ScalarField:
-    """Compactly supported C^2 bump amplitude * (1 - ||(x-c)/r||^2)^3 on its ball."""
+    """Compactly supported C^2 bump amplitude * (1 - ||(x-c)/r||^2)^3 on its
+    ball; the radius r must be finite and positive."""
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"bump radius must be finite and positive, got {radius!r}")
     c = np.asarray(center, dtype=float)
 
     def fn(x):

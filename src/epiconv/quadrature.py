@@ -7,6 +7,10 @@ a spacing that grows with the shell, one column along the last axis at a
 time. On an epigraph the columns start exactly at the domain boundary
 phi(x1) + shift, so the boundary cut costs O(dx^2) rather than O(dx); a
 boundary integral has no cut, and each column starts at its first node.
+The columns of a slab share one row of last-axis nodes, which starts at
+the lowest column start rather than at the slab's bottom edge (and keeps at
+least the top two nodes), so a slab high above the boundary holds no rows
+of unused nodes.
 
 Beyond the outer box the integrand is bounded by K * ||x||^(-alpha) with K
 fitted on the outermost samples; the reported tail term is the resulting
@@ -31,10 +35,12 @@ same coordinate-major point batch, so the columns, point batches, node maps
 and masks of the sweep are built once for all k, and each row's result
 equals the one-row sweep of that integrand byte for byte.
 
-A column block holds at most ``_BLOCK_NODES // k`` nodes (``_BLOCK_NODES``
-values over its k rows) and an integrand call at most ``_EVAL_NODES`` points,
-so a block's working set stays small and alike from block to block: the
-allocator reuses what one block frees instead of page-faulting it in again.
+A column block holds at most ``_BLOCK_NODES // k`` points, counting each
+column's row of nodes and its partial cell's lower limit (``_BLOCK_NODES``
+values over its k rows), and an integrand call at most ``_EVAL_NODES``
+points, so a block's working set stays small and alike from block to block:
+the allocator reuses what one block frees instead of page-faulting it in
+again.
 """
 
 from __future__ import annotations
@@ -97,8 +103,13 @@ def power_tail_bound(K: float, alpha: float, R: float, n: int) -> float:
     return K * sphere_area(n) * R ** (n - alpha) / (alpha - n)
 
 
-# most grid nodes of one column block, and most points of one integrand call
-_BLOCK_NODES = 2**17
+# most points of one column block, each column's row of nodes and its
+# partial cell's lower limit, and most points of one integrand call. The
+# rows start at the lowest column start, so most of a block's points are
+# evaluated and its point buffer is about as large as its values: at 2**17
+# the peak RSS of the trace_chain benchmark rose 7%, at 3 * 2**15 it does
+# not rise (BENCH_29_trimmed_rows.json)
+_BLOCK_NODES = 3 * 2**15
 _EVAL_NODES = 2**13
 
 
@@ -195,12 +206,12 @@ class _Columns(NamedTuple):
     """The columns of one shell box at one spacing that meet the domain."""
 
     axes: list  # x1 nodes per axis
-    x2: np.ndarray  # last-axis nodes
+    x2: np.ndarray  # last-axis nodes from the lowest column start up
     idx: np.ndarray  # flat x1-mesh index of each column
     x1: np.ndarray  # (columns, n - 1) base points
     w1: np.ndarray  # trapezoid weight of each base point
     lo: np.ndarray  # exact lower limit of each column
-    j0: np.ndarray  # first node of the column's trapezoid
+    j0: np.ndarray  # first node of the column's trapezoid, in x2
     gap: np.ndarray  # distance from the lower limit to that node
     part: np.ndarray  # whether the partial cell below j0 counts
 
@@ -208,7 +219,11 @@ class _Columns(NamedTuple):
 def _columns(domain: EpigraphDomain | None, box, dxk: float, shift: float) -> _Columns:
     """The columns of ``box`` above the shifted epigraph of ``domain``, each
     from the first node strictly above its lower limit plus the partial cell
-    below; with no domain, every column from its first node x2[0] = c2."""
+    below; with no domain, every column from its first node x2[0] = c2.
+
+    ``x2`` keeps the box's last-axis nodes from the lowest column start up,
+    and at least the top two, so ``j0`` is 0 for some column unless only two
+    nodes are left."""
     x1_axes = [_axis_nodes(lo, hi, dxk) for lo, hi in box[:-1]]
     c2, d2 = box[-1]
     x2 = _axis_nodes(c2, d2, dxk)
@@ -220,8 +235,9 @@ def _columns(domain: EpigraphDomain | None, box, dxk: float, shift: float) -> _C
     j0 = np.minimum(np.searchsorted(x2, lo_a, side="right" if cut else "left"), len(x2) - 1)
     gap = x2[j0] - lo_a
     part = gap > 1e-14 * max(1.0, abs(d2))
+    low = min(j0.min(initial=len(x2)), len(x2) - 2)
     w1 = _tensor_weights(x1_axes)[idx]
-    return _Columns(x1_axes, x2, idx, x1_pts[idx], w1, lo_a, j0, gap, part)
+    return _Columns(x1_axes, x2[low:], idx, x1_pts[idx], w1, lo_a, j0 - low, gap, part)
 
 
 def _column_map(coarse: _Columns, fine: _Columns) -> np.ndarray:
@@ -328,10 +344,11 @@ def _sweep(fn, domain: EpigraphDomain | None, n: int, spec: QuadSpec, shift, dec
         else:
             cpos = np.zeros(0, dtype=np.intp)  # no coarse columns to serve
 
-        # columns in blocks of at most _BLOCK_NODES // k grid nodes, so the
+        # columns in blocks of at most _BLOCK_NODES // k points, each column
+        # its row of grid nodes and its partial cell's lower limit, so the
         # working set stays bounded on fine shells; the shell total is one
         # sum over all columns, whatever the blocking
-        per_block = max(1, _BLOCK_NODES // k // len(F.x2))
+        per_block = max(1, _BLOCK_NODES // k // (len(F.x2) + 1))
         fsum = np.empty((k, len(F.idx)))
         fit = level == spec.levels and any(a is not None for a in decays)
         for c0 in range(0, len(F.idx), per_block):
@@ -360,7 +377,7 @@ def _sweep(fn, domain: EpigraphDomain | None, n: int, spec: QuadSpec, shift, dec
             continue
         # coarse columns whose base point the fine grid lacks
         rest = np.flatnonzero(cpos < 0)
-        per_block = max(1, _BLOCK_NODES // k // len(C.x2))
+        per_block = max(1, _BLOCK_NODES // k // (len(C.x2) + 1))
         for c0 in range(0, len(rest), per_block):
             sel = rest[c0 : c0 + per_block]
             csum[:, sel] = _column_sums(fn, k, C, sel)[0]
@@ -396,8 +413,10 @@ def integrate_epigraph(
     coordinate-major point batch, the sweep lays out its columns, node maps
     and tail-fit radii once, and each row's result equals the one-row sweep
     of that integrand byte for byte. A column block holds at most
-    ``_BLOCK_NODES // k`` nodes, or one column where that is longer, and no
-    call of fn sees more than ``_EVAL_NODES`` points (module docstring).
+    ``_BLOCK_NODES // k`` points, each column's nodes from the box's lowest
+    column start up and its partial cell's lower limit, or one column where
+    that is longer, and no call of fn sees more than ``_EVAL_NODES`` points
+    (module docstring).
     """
     return _sweep(fn, domain, domain.n, spec, shift, decay, estimate)
 

@@ -774,7 +774,9 @@ def integrate_boundary_reference(fn, dim, spec, decay=None):
 def _graded_columns_reference(fn, n, spec, lower, decay):
     """Column by column along the last axis, from the first node strictly
     above ``lower(x1)`` plus the partial cell below it, or, with ``lower``
-    None, from each column's first node."""
+    None, from each column's first node. A box's rows hold its last-axis
+    nodes from the lowest column start up, at least the top two, and the
+    spacing is read off the kept nodes."""
     total = 0.0
     tail_K = 0.0
     R = spec.outer_radius
@@ -783,7 +785,6 @@ def _graded_columns_reference(fn, n, spec, lower, decay):
         x1_axes = [_axis_nodes(lo, hi, dxk) for lo, hi in box[:-1]]
         c2, d2 = box[-1]
         x2_nodes = _axis_nodes(c2, d2, dxk)
-        dx2 = x2_nodes[1] - x2_nodes[0]
         mesh = np.meshgrid(*x1_axes, indexing="ij") if x1_axes else []
         x1_pts = (
             np.stack([m.ravel() for m in mesh], axis=-1)
@@ -812,6 +813,11 @@ def _graded_columns_reference(fn, n, spec, lower, decay):
             lo_a = lo_eff[idx]
             j0 = np.searchsorted(x2_nodes, lo_a, side="right")
             j0 = np.minimum(j0, len(x2_nodes) - 1)
+        # the rows start at the lowest column start, keeping two nodes
+        low = min(j0.min(), len(x2_nodes) - 2)
+        x2_nodes = x2_nodes[low:]
+        j0 = j0 - low
+        dx2 = x2_nodes[1] - x2_nodes[0]
 
         m2 = len(x2_nodes)
         cols = len(idx)

@@ -113,10 +113,14 @@ class TestRunAndReport:
     def test_unknown_fixture_is_check_error(self, tmp_path):
         # grid fixtures are not a kind: no check can use one, so the checks
         # that read the fixture report an error naming it and the run still
-        # finishes; so does a fixture field of the wrong type
+        # finishes; so does a fixture field of the wrong type, a bump center
+        # of the wrong length (numpy would broadcast a short one) and a bump
+        # radius that is not positive
         for fixture, message in (
             ({"kind": "grid_file"}, "unknown fixture kind 'grid_file'"),
             ({"kind": "bump", "radius": [1.0]}, "float()"),
+            ({"kind": "bump", "center": [0.9]}, "bump center must have 2 entries"),
+            ({"kind": "bump", "radius": 0.0}, "bump radius must be finite and positive"),
         ):
             doc = dict(BASE, checks=["trace_gn", "constants"], fixture=fixture)
             out = tmp_path / "r.json"

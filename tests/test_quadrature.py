@@ -177,6 +177,34 @@ def test_column_blocks_bit_identical(domain, block, monkeypatch):
         assert len(sizes) > 2 * (1 + 4 * spec.levels)
 
 
+@pytest.mark.parametrize("shift", [0.0, 0.3, 4.0])
+@pytest.mark.parametrize("where", sorted(DOMAINS) + sorted(BOUNDARY_DIMS))
+def test_rows_start_at_the_lowest_column_start(where, shift):
+    # each box's rows drop the nodes below every column's start, down to
+    # the top two nodes when every column starts at the last
+    dom = None if where in BOUNDARY_DIMS else DOMAINS[where]()
+    n = BOUNDARY_DIMS[where] if dom is None else dom.n
+    spec = QuadSpec(half_width=2.0, dx=0.1, levels=2)
+    seen = 0
+    for level, box in quadrature._shell_boxes(spec, n):
+        cols = quadrature._columns(dom, box, spec.dx * 2.0**level, shift)
+        if len(cols.idx):
+            seen += 1
+            assert cols.j0.min() == 0 or len(cols.x2) == 2
+            assert cols.x2[-1] == box[-1][1]
+    assert seen
+
+
+def test_columns_that_all_start_at_the_last_node():
+    # on x2 >= 0.8 every column of the box [-1, 1]^2 at spacing 0.5 starts
+    # at its last node, x2 = 1: the rows keep the two top nodes, and each
+    # column is its partial cell alone
+    got = integrate_epigraph(
+        lambda p: np.ones(len(p)), halfspace(2), QuadSpec(1.0, 0.5, 0), shift=0.8
+    )
+    assert got == (0.3999999999999999, 0.0)
+
+
 def _bytes(result):
     return np.array(result, dtype=float).tobytes()
 
@@ -257,7 +285,7 @@ def test_stacked_rows_bit_identical_to_one_row_sweeps(where, shift, estimate):
 @pytest.mark.parametrize("estimate", [False, True])
 @pytest.mark.parametrize("where", ["cone", "halfspace", "paraboloid", "R2"])
 def test_stacked_blocks_bit_identical(where, estimate, monkeypatch):
-    # split blocks hold _BLOCK_NODES // k nodes of each row, and the rows
+    # split blocks hold _BLOCK_NODES // k points of each row, and the rows
     # still equal their one-row sweeps at the default block size; a block
     # holds at least one column, so R2's fine columns of the whole core
     # height get a spacing at which they fit
