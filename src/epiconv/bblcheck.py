@@ -1,6 +1,6 @@
 """Dynamical Borell-Brascamp-Lieb gap checks and their differentiated forms.
 
-bbl_gap evaluates, on grids, the inequality
+bbl_gap and bbl_gap_fields evaluate the inequality
 
     (1+h)^(a-n) * int_{B_h} Q_h(g)^(1-a)  >=  int g^(1-a) + h * int W^(1-a)
 
@@ -20,14 +20,14 @@ difference between full- and half-spacing runs plus analytic power-tail
 bounds. Inequality assertions in the tests use these reported budgets rather
 than free-standing tolerances.
 
-bbl_gap and equivalence_scan take Q_h(g) from one of two sources. Given only
-grids, they apply the grid Hopf-Lax operator, and the budget's
-discretization part is a decimated rerun. Given also the analytic pair the
-grids sample (fields carrying their conjugates), as the CLI's checks do,
-they read hopflax._pointwise_bracket at the nodes of the grid operator's
-output grid (:func:`_out_bracket`), and no Hopf-Lax apply runs: bbl_gap's
-lhs integrates the bracket's floor and its budget holds the lhs bracket
-between floor and ceiling, equivalence_scan integrates the ceiling.
+Q_h(g) comes from one of two sources, by input kind. bbl_gap takes grids
+and applies the grid Hopf-Lax operator; its budget's discretization part is
+a decimated rerun. bbl_gap_fields and equivalence_scan take the analytic
+pair (fields carrying their conjugates), as the CLI's checks do, and read
+hopflax._pointwise_bracket at the nodes of graded quadrature sweeps over the
+domain (over R^n for equivalence_scan); no grid is built and no Hopf-Lax
+apply runs. They integrate the bracket's floor (bbl_gap_fields) or ceiling
+(equivalence_scan), and their budgets hold the integrated bracket width.
 """
 
 from __future__ import annotations
@@ -38,15 +38,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .extgrid import INF, EpigraphDomain, ExtGridFn, _euclidean_norm, weight_P
+from .extgrid import EpigraphDomain, ExtGridFn, _euclidean_norm, weight_P
 from .fields import ScalarField
-from .hopflax import (
-    _default_out_grid,
-    _pointwise_bracket,
-    _richardson,
-    _scaled_conjugate,
-    hopflax_apply,
-)
+from .hopflax import _pointwise_bracket, _richardson, _scaled_conjugate, hopflax_apply
 from .quadrature import (
     QuadSpec,
     _fit_tail_K,
@@ -62,6 +56,7 @@ __all__ = [
     "GapReport",
     "ConditionReport",
     "bbl_gap",
+    "bbl_gap_fields",
     "derived_gap",
     "appendix_limit_residual",
     "admissibility_report",
@@ -175,97 +170,33 @@ def _grid_tail_K(f_pow: np.ndarray, axes, alpha: float) -> float:
     return best
 
 
-def _flow(gs: ExtGridFn, Ws: ExtGridFn, h: float) -> ExtGridFn:
-    """Q_h(g) of a normalized pair; g itself at h = 0."""
-    return gs if h == 0.0 else hopflax_apply(gs, Ws, h).values
-
-
-def _sides(gs: ExtGridFn, Ws: ExtGridFn, Q: ExtGridFn, params: BBLParams):
-    """The trapezoid lhs and rhs of the inequality for a normalized pair and
-    its Q_h."""
+def _bbl_gap_once(g: ExtGridFn, W: ExtGridFn, params: BBLParams):
+    """The trapezoid lhs and rhs of the inequality for the normalized grids,
+    and the normalized pair with its Q_h (g itself at h = 0)."""
     a, n, h = params.a, params.n, params.h
+    gs, _ = _normalize_grid(g, a)
+    Ws, _ = _normalize_grid(W, a)
+    Q = gs if h == 0.0 else hopflax_apply(gs, Ws, h).values
     lhs = (1.0 + h) ** (a - n) * _power_integral(Q, 1.0 - a)
     rhs = _power_integral(gs, 1.0 - a) + h * _power_integral(Ws, 1.0 - a)
-    return lhs, rhs
+    return lhs, rhs, (gs, Ws, Q)
 
 
-def _bbl_gap_once(g: ExtGridFn, W: ExtGridFn, params: BBLParams):
-    gs, _ = _normalize_grid(g, params.a)
-    Ws, _ = _normalize_grid(W, params.a)
-    Q = _flow(gs, Ws, params.h)
-    return (*_sides(gs, Ws, Q, params), (gs, Ws, Q))
-
-
-def _out_bracket(
-    g, W, h: float, gs: ExtGridFn, Ws: ExtGridFn, cg: float, cW: float,
-    domain: EpigraphDomain | None = None,
-):
-    """The output box of Q_h of the normalized grids gs and Ws, as
-    hopflax_apply builds it, and (floor, ceiling) of
-    :func:`hopflax._pointwise_bracket` of the pair (cg*g, cW*W) at its nodes;
-    both are +inf outside B_h of the domain (nowhere without one)."""
-    box, axes = _default_out_grid(gs, Ws, h)
-    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    if domain is None:
-        return box, _pointwise_bracket(g, W, h, X, None, cg, cW)
-    inside = X[..., -1] >= domain.bh_lower(X[..., :-1], h)
-    floor, ceiling = np.full(inside.shape, INF), np.full(inside.shape, INF)
-    floor[inside], ceiling[inside] = _pointwise_bracket(g, W, h, X[inside], domain, cg, cW)
-    return box, (floor, ceiling)
-
-
-def bbl_gap(
-    g: ExtGridFn,
-    W: ExtGridFn,
-    params: BBLParams,
-    analytic: tuple[ScalarField, ScalarField, EpigraphDomain] | None = None,
-) -> GapReport:
-    """Gap of the dynamical inequality on the supplied grids.
-
-    Without ``analytic``, Q_h(g) is the grid Hopf-Lax operator and the error
-    estimate is 1.5 times the difference against a run on the decimated
-    (every other node) grids.
-
-    ``analytic`` is the pair (g field, W field, domain) the grids sample, g
-    on the domain and W on the domain + e, both carrying a gradient and
-    their conjugate. The lhs then integrates the floor of
-    :func:`hopflax._pointwise_bracket` of the normalized pair at the nodes
-    of the grid operator's default output grid, +inf outside B_h, and the
-    bracket's ceiling bounds Q_h from the other side (:func:`_out_bracket`);
-    no Hopf-Lax apply and no decimated rerun are made. The rhs, the
-    normalizations and the tail fits stay on the grids. The error estimate
-    is the lhs bracket (floor lhs minus ceiling lhs, which bounds how far
-    the floor overstates the lhs), plus 1.5 times the difference between the
-    gap at the grid spacing and at twice it over the same node values, plus
-    the tails. The report's ``terms`` hold the ceiling lhs.
-
-    Both forms add power-tail bounds for the three integrals using the decay
-    exponent q*(a-1) when params.q is set. At h = 0 both sides are the same
-    quadrature and the gap is exactly zero.
+def bbl_gap(g: ExtGridFn, W: ExtGridFn, params: BBLParams) -> GapReport:
+    """Gap of the dynamical inequality on the supplied grids, for grid-only
+    data: Q_h(g) is the grid Hopf-Lax operator, and the error estimate is
+    1.5 times the difference against a run on the decimated (every other
+    node) grids, plus power-tail bounds for the three integrals using the
+    decay exponent q*(a-1) when params.q is set. At h = 0 both sides are the
+    same quadrature and the gap is exactly zero. Analytic pairs go to
+    :func:`bbl_gap_fields`.
     """
     a, n, h = params.a, params.n, params.h
-    terms = None
+    lhs, rhs, (gs, Ws, Q) = _bbl_gap_once(g, W, params)
     err = 0.0
-    if analytic is None or h == 0.0:
-        lhs, rhs, (gs, Ws, Q) = _bbl_gap_once(g, W, params)
-        if h > 0.0:
-            lhs_c, rhs_c, _ = _bbl_gap_once(_decimate(g), _decimate(W), params)
-            err = 1.5 * abs((lhs - rhs) - (lhs_c - rhs_c))
-    else:
-        g_field, W_field, domain = analytic
-        if g_field.conjugate is None or W_field.conjugate is None:
-            raise ValueError("the analytic g and W must provide a conjugate callable")
-        gs, Sg = _normalize_grid(g, a)
-        Ws, SW = _normalize_grid(W, a)
-        box, (floor, ceiling) = _out_bracket(
-            g_field, W_field, h, gs, Ws, Sg ** (1.0 / a), SW ** (1.0 / a), domain
-        )
-        Q = ExtGridFn(box, floor)
-        lhs, rhs = _sides(gs, Ws, Q, params)
-        lhs_ceiling = (1.0 + h) ** (a - n) * _power_integral(ExtGridFn(box, ceiling), 1.0 - a)
-        lhs_c, rhs_c = _sides(_decimate(gs), _decimate(Ws), _decimate(Q), params)
-        err = (lhs - lhs_ceiling) + 1.5 * abs((lhs - rhs) - (lhs_c - rhs_c))
-        terms = {"lhs_ceiling": lhs_ceiling}
+    if h > 0.0:
+        lhs_c, rhs_c, _ = _bbl_gap_once(_decimate(g), _decimate(W), params)
+        err = 1.5 * abs((lhs - rhs) - (lhs_c - rhs_c))
     gap = lhs - rhs
 
     tail = 0.0
@@ -284,9 +215,104 @@ def bbl_gap(
         gap=gap,
         quadrature_error_estimate=err,
         tail_bound=tail,
-        terms=terms,
         params={"n": n, "a": a, "h": h},
     )
+
+
+def _needs_conjugates(g: ScalarField, W: ScalarField):
+    if g.conjugate is None or W.conjugate is None:
+        raise ValueError("g and W must provide a conjugate callable")
+
+
+def _normalizers(sums, a: float) -> list[float]:
+    """c = S^(1/a) for each integral S of a field's f^(-a), so that (c*f)^(-a)
+    integrates to one."""
+    for S in sums:
+        if not np.isfinite(S) or S <= 0.0:
+            raise ValueError(f"cannot normalize: integral of f^-a is {S}")
+    return [S ** (1.0 / a) for S in sums]
+
+
+def _bracket_powers(g, W, h: float, pts, domain, expo: float, cg: float = 1.0, cW: float = 1.0):
+    """(ceiling^expo, floor^expo) of :func:`hopflax._pointwise_bracket` of
+    the pair (cg*g, cW*W) at pts, for expo < 0; a nonpositive floor gives
+    +inf."""
+    floor, ceiling = _pointwise_bracket(g, W, h, pts, domain, cg, cW)
+    with np.errstate(divide="ignore"):
+        return ceiling**expo, np.maximum(floor, 0.0) ** expo
+
+
+def bbl_gap_fields(
+    g: ScalarField,
+    W: ScalarField,
+    params: BBLParams,
+    domain: EpigraphDomain,
+    h_list: Sequence[float],
+    spec: QuadSpec,
+) -> list[GapReport]:
+    """Gap of the dynamical inequality for the analytic pair, g on domain and
+    W on domain + e, both carrying a gradient and a conjugate, at each h of
+    h_list, on the graded quadrature of ``spec``; no grid is built.
+
+    The pair is normalized on the fine run of ``spec``: cg and cW come from
+    int_Omega g^(-a) and int_Omega W(. + e)^(-a), one two-row sweep at half
+    spacing, the resolution of every reported value. A normalization error
+    common to g and W scales lhs and rhs alike (Q_h(c*g, c*W) = c*Q_h(g, W)),
+    so it leaves the gap's sign; for g = W(. + e) the two rows are one
+    integrand and cg == cW.
+
+    Q_h of (cg*g, cW*W) is bracketed by :func:`hopflax._pointwise_bracket`.
+    The lhs over B_h = (1+h)*Omega + h*e is (1+h)^a * int_Omega
+    F((1+h)*z + h*e) dz, F being the bracket's floor to the power 1-a, and
+    the ceiling's integral bounds it from the other side. The floor and
+    ceiling rows of every h, int g^(1-a) and int W(. + e)^(1-a) are the rows
+    of one stacked :func:`integrate_epigraph` sweep with its refinement
+    estimate. The error estimate is the refinement estimates (tails
+    included, decay exponent q*(a-1), q = 2 when params' p is unset) of the
+    floor lhs and of both rhs integrals, plus the lhs bracket, floor lhs
+    minus ceiling lhs; the report's ``terms`` hold the ceiling lhs.
+    params' h is not read.
+    """
+    _needs_conjugates(g, W)
+    a, n, alpha, expo = params.a, params.n, params._tail_decay, 1.0 - params.a
+    e = domain.e
+    (Sg, _), (SW, _) = integrate_epigraph(
+        lambda z: np.stack([g(z) ** -a, W(z + e) ** -a]),
+        domain, spec.refined(extend=False), decay=[None, None],
+    )
+    cg, cW = _normalizers((Sg, SW), a)
+
+    def rows(z):
+        out = [g(z) ** expo, W(z + e) ** expo]
+        for h in h_list:
+            out += _bracket_powers(g, W, h, (1.0 + h) * z + h * e, domain, expo, cg, cW)
+        return np.stack(out)
+
+    (G, eG, tG), (V, eV, tV), *lhs_rows = integrate_epigraph(
+        rows, domain, spec, decay=[alpha, alpha] + [None, alpha] * len(h_list), estimate=True
+    )
+    wg, wW = cg**expo, cW**expo
+    reports = []
+    for j, h in enumerate(h_list):
+        (top, _, _), (low, e_low, t_low) = lhs_rows[2 * j : 2 * j + 2]
+        scale = (1.0 + h) ** a
+        lhs, lhs_ceiling = scale * low, scale * top
+        rhs = wg * G + h * wW * V
+        tail = scale * t_low + wg * tG + h * wW * tV
+        err = scale * e_low + (lhs - lhs_ceiling) + wg * eG + h * wW * eV
+        reports.append(
+            GapReport(
+                h=h,
+                lhs=lhs,
+                rhs=rhs,
+                gap=lhs - rhs,
+                quadrature_error_estimate=err,
+                tail_bound=tail,
+                terms={"lhs_ceiling": lhs_ceiling},
+                params={"n": n, "a": a, "h": h},
+            )
+        )
+    return reports
 
 
 def _boundary_integrand(
@@ -410,8 +436,7 @@ def appendix_limit_residual(
     (iii), on the bracket's ceiling and floor, those of one on quotient_spec.
     """
     a, alpha = params.a, params._tail_decay
-    if g.conjugate is None or W.conjugate is None:
-        raise ValueError("g and W must provide a conjugate callable")
+    _needs_conjugates(g, W)
     qspec = quotient_spec if quotient_spec is not None else spec
 
     # per-term limits, each on the quadrature geometry of its own term so the
@@ -424,13 +449,6 @@ def appendix_limit_residual(
     # g^(1-a) on the boundary: limit (ii), and limit (iii) times the rate
     # x1.grad phi - phi = 1 - P at which the sliver between B_h and Omega_h opens
     trace = _boundary_integrand(g, domain, 1.0 - a, weighted=False)
-
-    def powers(pts, h):
-        """Q_h(g)^(1-a) at pts from the bracket's ceiling and floor; a
-        nonpositive floor gives +inf."""
-        floor, ceiling = _pointwise_bracket(g, W, h, pts, domain)
-        with np.errstate(divide="ignore"):
-            return ceiling ** (1.0 - a), np.maximum(floor, 0.0) ** (1.0 - a)
 
     def strips(x1):
         # limit (ii), then each h's term (ii): the mean of g^(1-a) over the
@@ -455,7 +473,7 @@ def appendix_limit_residual(
                 rows += [np.zeros(len(x1))] * 2
                 continue
             pts, wts = _simpson_columns(x1, lo, hi, 5)
-            for vals in powers(pts, h):
+            for vals in _bracket_powers(g, W, h, pts, domain, 1.0 - a):
                 out = np.sum(wts * vals.reshape(wts.shape), axis=-1) / h
                 rows.append(np.where(thin, 0.0, out))
         return np.stack(rows)
@@ -472,7 +490,7 @@ def appendix_limit_residual(
     for j, h in enumerate(h_list):
 
         def fn_i(p, _h=h):
-            top, low = powers(p, _h)
+            top, low = _bracket_powers(g, W, _h, p, domain, 1.0 - a)
             return np.stack([top - g(p) ** (1.0 - a), low - top]) / _h
 
         (term_i, ei, _), (width_i, ewi, _) = integrate_epigraph(
@@ -599,80 +617,68 @@ def admissibility_report(
 class EquivalenceScan:
     h_values: list[float]
     phi_values: list[float]
+    error_estimates: list[float]
     fd_derivative: float
     integral_derivative: float
-    error_estimate: float
     derivative_error_estimate: float
 
-    def curve(self) -> list[tuple[float, float]]:
-        return list(zip(self.h_values, self.phi_values))
-
-
-def _grid_gradient(f: ExtGridFn) -> np.ndarray:
-    """Central differences inside, one-sided at boundary-adjacent nodes."""
-    vals = f.values
-    out = np.zeros(vals.shape + (f.dim,))
-    for d in range(f.dim):
-        step = f.spacing[d] if f.spacing[d] > 0 else 1.0
-        out[..., d] = np.gradient(vals, step, axis=d)
-    return out
-
-
-def _box_flux(gs: ExtGridFn, Ws: ExtGridFn, n: int) -> float:
-    """d/dh at h = 0 of phi's box B_g + h*B_W: the sum over the faces of the
-    box of gs of sigma_{B_W}(nu) * int_face gs^(-n) dS, sigma_{B_W}(nu) being
-    W's box extent along the outward normal nu; a trapezoid per face."""
-    flux = 0.0
-    for d in range(gs.dim):
-        for side, speed in ((0, -Ws.box[d][0]), (-1, Ws.box[d][1])):
-            face = ExtGridFn(gs.box[:d] + gs.box[d + 1 :], np.take(gs.values, side, axis=d))
-            flux += speed * _power_integral(face, -float(n))
-    return flux
+    def curve(self) -> list[tuple[float, float, float]]:
+        """(h, phi, error estimate) per h."""
+        return list(zip(self.h_values, self.phi_values, self.error_estimates))
 
 
 def equivalence_scan(
-    g: ExtGridFn,
-    W: ExtGridFn,
-    n: int,
-    h_grid: Sequence[float],
-    W_conjugate: Callable,
-    analytic: tuple[ScalarField, ScalarField] | None = None,
+    g: ScalarField, W: ScalarField, n: int, h_grid: Sequence[float], spec: QuadSpec
 ) -> EquivalenceScan:
-    """The curve h -> int Q_h(g)^(-n) under int g^(-n) = int W^(-n) = 1,
-    over the output box B_g + h*B_W; phi(0) is 1 by construction.
+    """The curve phi(h) = int_{R^n} Q_h(g)^(-n) under int g^(-n) =
+    int W^(-n) = 1, for fields g and W on R^n that carry a gradient and a
+    conjugate, on the graded quadrature of ``spec``; h = 0 is added to
+    h_grid when missing, and phi(0) is 1 by construction.
 
-    Given only grids, Q_h(g) is the grid Hopf-Lax operator, and the error
-    estimate is 1.5 times the difference of phi at the largest h against a
-    run on the decimated (every other node) grids. ``analytic`` is the pair
-    (g field, W field) on R^n the grids sample, both carrying a gradient and
-    a conjugate; Q_h is then the ceiling of :func:`hopflax._pointwise_bracket`
-    of the normalized pair, no Hopf-Lax apply runs, and the estimate also
-    holds the largest bracket width, int floor^(-n) - int ceiling^(-n).
+    One two-row :func:`integrate_boundary` sweep at half spacing, the
+    resolution of every reported value, gives the scales cg and cW of the
+    normalized pair (cg*g, cW*W). One stacked sweep with its refinement
+    estimate then holds, for each h, the ceiling and floor rows of
+    :func:`hopflax._pointwise_bracket` of that pair to the power -n, and the
+    derivative row n * W_c*(grad g_c) / g_c^(n+1) of g_c = cg*g and
+    W_c = cW*W. phi integrates the ceiling; its error estimate holds the
+    ceiling row's refinement estimate and the bracket width,
+    int floor^(-n) - int ceiling^(-n). Every row takes the tail decay of
+    g^(-n), -n * g.decay (no tail bound when g carries no decay).
 
     The forward derivative at 0, Richardson-extrapolated from the two
-    smallest positive h, is compared with the derivative of this phi:
-    n * int W*(grad g)/g^(n+1), W_conjugate being the conjugate of the
-    unnormalized W, plus the flux of the growing box (:func:`_box_flux`).
+    smallest positive h, is compared with phi'(0) = n * int W_c*(grad g_c) /
+    g_c^(n+1), the derivative row's integral: over R^n nothing moves with h,
+    so there is no flux term. Its error estimate is the largest phi estimate
+    over the smallest positive h plus the derivative row's estimate.
     """
-    if analytic is not None and any(f.conjugate is None for f in analytic):
-        raise ValueError("the analytic g and W must provide a conjugate callable")
+    _needs_conjugates(g, W)
     hs = sorted(float(h) for h in h_grid)
     if hs[0] != 0.0:
         hs = [0.0] + hs
+    expo = -float(n)
+    decay = None if g.decay is None else expo * g.decay
+    (Sg, _), (SW, _) = integrate_boundary(
+        lambda x: np.stack([g(x) ** expo, W(x) ** expo]),
+        n, spec.refined(extend=False), decay=[None, None],
+    )
+    cg, cW = _normalizers((Sg, SW), float(n))
 
-    def normalized(g, W):
-        return (*_normalize_grid(g, float(n)), *_normalize_grid(W, float(n)))
+    def rows(x):
+        out = []
+        for h in hs:
+            out += _bracket_powers(g, W, h, x, None, expo, cg, cW)
+        conj = _scaled_conjugate(W.conjugate, cW, cg * g.gradient(x))
+        out.append(n * conj * (cg * g(x)) ** (expo - 1.0))
+        return np.stack(out)
 
-    def phi(gs, Sg, Ws, SW, h):
-        """(phi(h), integrated bracket width) of a normalized pair."""
-        if analytic is None or h == 0.0:
-            return _power_integral(_flow(gs, Ws, h), -float(n)), 0.0
-        box, bracket = _out_bracket(*analytic, h, gs, Ws, Sg ** (1.0 / n), SW ** (1.0 / n))
-        floor, ceiling = (_power_integral(ExtGridFn(box, v), -float(n)) for v in bracket)
-        return ceiling, floor - ceiling
-
-    gs, Sg, Ws, SW = normalized(g, W)
-    phis, widths = map(list, zip(*(phi(gs, Sg, Ws, SW, h) for h in hs)))
+    *brackets, (integral, e_integral, _) = integrate_boundary(
+        rows, n, spec, decay=[decay, None] * len(hs) + [decay], estimate=True
+    )
+    phis, errs = [], []
+    for (top, e_top, _), (low, _, _) in zip(brackets[::2], brackets[1::2]):
+        phis.append(top)
+        errs.append(e_top + (low - top))
 
     pos = [h for h in hs if h > 0]
     if len(pos) >= 2:
@@ -684,19 +690,5 @@ def equivalence_scan(
         fd = (phis[hs.index(pos[0])] - phis[0]) / pos[0]
     else:
         fd = 0.0
-
-    grad = _grid_gradient(gs)
-    finite = gs.finite_mask
-    conj_vals = _scaled_conjugate(W_conjugate, SW ** (1.0 / float(n)), grad[finite])
-    integrand = np.zeros(gs.resolution)
-    integrand[finite] = conj_vals / gs.values[finite] ** (n + 1.0)
-    carrier = ExtGridFn(gs.box, np.where(finite, integrand, INF))
-    integral = float(n) * integrate_gridfn(carrier) + _box_flux(gs, Ws, n)
-
-    # error budget: decimated rerun at the largest h plus the widest bracket;
-    # the forward derivative inherits it divided by the smallest step used
-    phi_c = phi(*normalized(_decimate(g), _decimate(W)), hs[-1])[0]
-    err = 1.5 * abs(phis[-1] - phi_c) + max(widths)
-    deriv_err = err / pos[0] if pos else err
-
-    return EquivalenceScan(hs, phis, float(fd), integral, err, deriv_err)
+    deriv_err = (max(errs) / pos[0] if pos else max(errs)) + e_integral
+    return EquivalenceScan(hs, phis, errs, float(fd), integral, deriv_err)

@@ -55,7 +55,6 @@ class ExperimentConfig:
     checks: list[str]
     quad: QuadSpec
     refinements: int
-    grid_half_width: float
     grid_dx: float
     seed: int
     expect_rejection: bool = False
@@ -93,7 +92,6 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
         refinements = int(quad.get("refinements", 0))
         if refinements < 0:
             raise ValueError(f"refinements must be >= 0, got {refinements}")
-        grid_half_width = float(quad.get("grid_half_width", 8.0))
         grid_dx = float(quad.get("grid_dx", 0.1))
     with _naming(name, "seed"):
         seed = int(doc.get("seed", 0))
@@ -112,7 +110,6 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
         checks=checks,
         quad=spec,
         refinements=refinements,
-        grid_half_width=grid_half_width,
         grid_dx=grid_dx,
         seed=seed,
         expect_rejection=bool(doc.get("expect_rejection", False)),
@@ -129,8 +126,8 @@ def _naming(name: str, key: str):
         raise ConfigError(f"{name}: {key}: {ex}") from ex
 
 
-def _bbl_params(cfg: ExperimentConfig, h: float = 0.0) -> bbl.BBLParams:
-    return bbl.BBLParams(n=cfg.n, a=cfg.a, p=cfg.p, h=h)
+def _bbl_params(cfg: ExperimentConfig) -> bbl.BBLParams:
+    return bbl.BBLParams(n=cfg.n, a=cfg.a, p=cfg.p)
 
 
 def _result(assertions: list, **data):
@@ -150,16 +147,14 @@ def _power_pair(cfg: ExperimentConfig, cost: sc.PowerCost):
     return fl.shifted_field(W, cfg.domain.e), W, q
 
 
-def _grid_pair(cfg: ExperimentConfig, g: fl.ScalarField, W: fl.ScalarField):
-    L, dx = cfg.grid_half_width, cfg.grid_dx
-    m1 = int(round(2 * L / dx)) + 1
-    m2 = int(round(L / dx)) + 1
-    boxg = [(-L, L)] * (cfg.n - 1) + [(0.0, L)]
-    boxW = [(-L, L)] * (cfg.n - 1) + [(1.0, 1.0 + L)]
-    res = [m1] * (cfg.n - 1) + [m2]
-    gg = eg.sample_grid(cfg.domain, boxg, res, g, h=0.0)
-    WW = eg.sample_grid(cfg.domain, boxW, res, W, h=1.0)
-    return gg, WW
+def _coarse_spec(cfg: ExperimentConfig) -> QuadSpec:
+    """The config's quadrature capped at half width 4, dx 0.1 and 5 levels,
+    on which bbl_gap, equivalence_scan and appendix_limit's quotient terms
+    integrate."""
+    return QuadSpec(
+        half_width=min(cfg.quad.half_width, 4.0), dx=max(cfg.quad.dx, 0.1),
+        levels=min(cfg.quad.levels, 5),
+    )
 
 
 def _fixture_field(cfg: ExperimentConfig):
@@ -264,16 +259,15 @@ def check_weighted_trace(cfg: ExperimentConfig, cost: sc.PowerCost):
 
 def check_bbl_gap(cfg: ExperimentConfig, cost: sc.PowerCost):
     g, W, _ = _power_pair(cfg, cost)
-    gg, WW = _grid_pair(cfg, g, W)
+    reps = bbl.bbl_gap_fields(g, W, _bbl_params(cfg), cfg.domain, cfg.h_list, _coarse_spec(cfg))
     a = []
     curve = []
-    for h in cfg.h_list:
-        rep = bbl.bbl_gap(gg, WW, _bbl_params(cfg, h), (g, W, cfg.domain))
-        curve.append({"h": h, "gap": rep.gap, "error": rep.quadrature_error_estimate})
+    for rep in reps:
+        curve.append({"h": rep.h, "gap": rep.gap, "error": rep.quadrature_error_estimate})
         _assert(
-            a, f"gap_nonnegative_h_{h:g}",
+            a, f"gap_nonnegative_h_{rep.h:g}",
             rep.gap >= -rep.quadrature_error_estimate,
-            f"gap {rep.gap:.5f} err {rep.quadrature_error_estimate:.5f}",
+            f"gap {rep.gap:.3g} err {rep.quadrature_error_estimate:.3g}",
         )
     return _result(a, gap_curve=curve)
 
@@ -292,12 +286,9 @@ def check_derived_gap(cfg: ExperimentConfig, cost: sc.PowerCost):
 
 def check_appendix_limit(cfg: ExperimentConfig, cost: sc.PowerCost):
     g, W, q = _power_pair(cfg, cost)
-    qspec = QuadSpec(
-        half_width=min(cfg.quad.half_width, 4.0), dx=max(cfg.quad.dx, 0.1),
-        levels=min(cfg.quad.levels, 5),
-    )
     recs = bbl.appendix_limit_residual(
-        g, W, _bbl_params(cfg), cfg.domain, cfg.h_list, cfg.quad, quotient_spec=qspec
+        g, W, _bbl_params(cfg), cfg.domain, cfg.h_list, cfg.quad,
+        quotient_spec=_coarse_spec(cfg),
     )
     a = []
     res = [abs(r["residual"]) for r in recs]
@@ -354,17 +345,16 @@ def check_admissibility(cfg: ExperimentConfig, cost: sc.PowerCost):
 
 def check_equivalence_scan(cfg: ExperimentConfig, cost: sc.PowerCost):
     quad = fl.quadratic_field(offset=1.0, curvature=0.5)
-    g = _cube_grid(quad, cfg.n, 10.0, 0.125)
     scan = bbl.equivalence_scan(
-        g, g, cfg.n, [0.0, 0.05, 0.1, 0.25, 0.5], W_conjugate=quad.conjugate,
-        analytic=(quad, quad),
+        quad, quad, cfg.n, [0.0, 0.05, 0.1, 0.25, 0.5], _coarse_spec(cfg)
     )
     a = []
     _assert(a, "phi_at_zero", abs(scan.phi_values[0] - 1.0) <= 1e-10)
+    h, phi, err = min(scan.curve(), key=lambda c: c[1])
     _assert(
         a, "phi_above_one",
-        all(p >= 1.0 - scan.error_estimate for p in scan.phi_values),
-        f"deficit {1.0 - min(scan.phi_values):.3g} tol {scan.error_estimate:.3g}",
+        all(p >= 1.0 - e for _, p, e in scan.curve()),
+        f"deficit {1.0 - phi:.3g} tol {err:.3g} at h {h:g}",
     )
     dev = abs(scan.fd_derivative - scan.integral_derivative)
     tol = max(
@@ -378,7 +368,7 @@ def check_equivalence_scan(cfg: ExperimentConfig, cost: sc.PowerCost):
     )
     return _result(
         a,
-        phi_curve=[{"h": h, "phi": p, "error": scan.error_estimate} for h, p in scan.curve()],
+        phi_curve=[{"h": h, "phi": p, "error": e} for h, p, e in scan.curve()],
     )
 
 
@@ -545,10 +535,7 @@ def paper_suite_configs() -> list[ExperimentConfig]:
                 "domain": {"kind": "halfspace"},
                 "params": {"a": 2.0, "p": 4 / 3, "h_list": [0.1, 0.25, 0.5, 1.0]},
                 "checks": ["bbl_gap", "semigroup", "hj_quotient", "equivalence_scan"],
-                "quadrature": {
-                    "half_width": 5.0, "dx": 0.05, "levels": 6,
-                    "grid_half_width": 8.0, "grid_dx": 0.1,
-                },
+                "quadrature": {"half_width": 5.0, "dx": 0.05, "levels": 6, "grid_dx": 0.1},
             },
         ),
     ]

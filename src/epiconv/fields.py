@@ -107,7 +107,8 @@ def shifted_field(field: ScalarField, shift: np.ndarray) -> ScalarField:
 
 
 def quadratic_field(offset: float = 1.0, curvature: float = 1.0) -> ScalarField:
-    """offset + curvature * ||x||^2 / 2, everywhere finite and convex."""
+    """offset + curvature * ||x||^2 / 2, everywhere finite and convex; it
+    grows like ||x||^2, power-decay exponent -2."""
 
     def fn(x):
         x = np.asarray(x, dtype=float)
@@ -120,7 +121,7 @@ def quadratic_field(offset: float = 1.0, curvature: float = 1.0) -> ScalarField:
         y = np.asarray(y, dtype=float)
         return np.sum(y * y, axis=-1) / (2.0 * curvature) - offset
 
-    return ScalarField(fn, grad, name="quadratic", conjugate=conj)
+    return ScalarField(fn, grad, decay=-2.0, name="quadratic", conjugate=conj)
 
 
 def bump_field(center, radius: float = 1.0, amplitude: float = 1.0) -> ScalarField:

@@ -84,9 +84,9 @@ form. Above is the exact candidate at the scaling witness (x + e)/(1 + h),
 which is feasible throughout B_h on every convex domain by construction and
 the minimizer for g = W(. + e); below is the Hopf formula's Fenchel-Young
 bound at one slope, that of g at the witness's candidate point. It is the
-one evaluation of Q_h for analytic pairs: ``bblcheck.bbl_gap`` and
-``bblcheck.equivalence_scan`` (both on a rescaled pair, at the nodes of the
-grid operator's output grid), ``bblcheck.appendix_limit_residual`` and
+one evaluation of Q_h for analytic pairs: ``bblcheck.bbl_gap_fields`` and
+``bblcheck.equivalence_scan`` (both on a rescaled pair, at the nodes of
+graded quadrature sweeps), ``bblcheck.appendix_limit_residual`` and
 ``hj_difference_quotient`` read it.
 """
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epiconv import BBLParams, NormSpec, QuadSpec, cli
-from epiconv import bblcheck
+from epiconv import bblcheck, extgrid, hopflax
 from epiconv.bblcheck import (
     _boundary_integrand,
     _grid_tail_K,
@@ -13,18 +13,17 @@ from epiconv.bblcheck import (
     admissibility_report,
     appendix_limit_residual,
     bbl_gap,
+    bbl_gap_fields,
     derived_gap,
     equivalence_scan,
 )
 from epiconv.extgrid import AdmissibilityParams, EpigraphDomain, ExtGridFn, paraboloid, sample_grid
 from epiconv.fields import (
-    bump_field,
     multiply_bump,
     power_cost_field,
     quadratic_field,
     shifted_field,
 )
-from epiconv.hopflax import _default_out_grid
 from epiconv.quadrature import integrate_boundary, integrate_gridfn
 from epiconv.sharpconst import PowerCost, normalize_power_cost
 from oracles import grid_tail_K_reference, power_pair_hopflax
@@ -118,57 +117,77 @@ class TestBBLGap:
 
 @pytest.fixture(scope="module")
 def suite_pair():
-    # the grids and analytic pair of the paper suite's bbl_gap check
+    # the analytic pair, power cost and spec of the paper suite's bbl_gap
+    # check, and the reports it makes
     cfg = next(c for c in cli.paper_suite_configs() if c.name == "dynamics_q4_a2")
     cost = PowerCost(cfg.domain, cfg.norm, cli._bbl_params(cfg).q, cfg.a)
     g, W, q = cli._power_pair(cfg, cost)
-    gg, WW = cli._grid_pair(cfg, g, W)
-    return cfg, g, W, q, gg, WW
+    spec = cli._coarse_spec(cfg)
+    reports = bbl_gap_fields(g, W, cli._bbl_params(cfg), cfg.domain, cfg.h_list, spec)
+    return cfg, cost, g, W, q, spec, reports
 
 
 @pytest.mark.parametrize("h", [0.1, 0.25, 0.5, 1.0])
-def test_hopf_bracket_encloses_closed_form(suite_pair, h):
-    cfg, g, W, q, gg, WW = suite_pair
-    a = cfg.a
-    gs, Sg = _normalize_grid(gg, a)
-    Ws, SW = _normalize_grid(WW, a)
-    cg, cW = Sg ** (1.0 / a), SW ** (1.0 / a)
-    box, (floor, ceiling) = bblcheck._out_bracket(g, W, h, gs, Ws, cg, cW, cfg.domain)
-    X = np.stack(np.meshgrid(*_default_out_grid(gs, Ws, h)[1], indexing="ij"), axis=-1)
-    inside = X[..., -1] >= h  # B_h of the half-space
-    assert (np.isfinite(floor) == inside).all()
-    assert (np.isfinite(ceiling) == inside).all()
-    exact = power_pair_hopflax(W, cg, cW, q, h, X[inside])
-    # the allowance: the closed form and the ceiling's witness candidate are
-    # the same few float operations in another order, 16 ulps apart at most
-    slack = 16 * np.finfo(float).eps * exact
-    assert (floor[inside] > 0.0).all()
-    assert (floor[inside] <= exact + slack).all()
-    assert (exact <= ceiling[inside] + slack).all()
-    rep = bbl_gap(gg, WW, BBLParams(n=2, a=a, p=cfg.p, h=h), (g, W, cfg.domain))
-    assert rep.lhs == (1.0 + h) ** (a - 2) * integrate_gridfn(
-        ExtGridFn(box, floor), lambda v: np.where(np.isfinite(v), v ** (1.0 - a), 0.0)
+def test_hopf_bracket_encloses_closed_form(suite_pair, h, monkeypatch):
+    cfg, _, g, W, q, spec, reports = suite_pair
+    real, seen = bblcheck._pointwise_bracket, []
+
+    def spy(g, W, h, points, domain, cg, cW):
+        floor, ceiling = real(g, W, h, points, domain, cg, cW)
+        seen.append((np.array(points), cg, cW, floor, ceiling))
+        return floor, ceiling
+
+    monkeypatch.setattr(bblcheck, "_pointwise_bracket", spy)
+    (rep,) = bbl_gap_fields(g, W, BBLParams(n=2, a=cfg.a, p=cfg.p), cfg.domain, [h], spec)
+    # one h alone gives the bytes it has among the suite's h
+    assert rep.to_json() == reports[cfg.h_list.index(h)].to_json()
+    for X, cg, cW, floor, ceiling in seen:
+        assert (X[:, -1] >= h - 1e-12).all()  # B_h of the half-space
+        exact = power_pair_hopflax(W, cg, cW, q, h, X)
+        # the closed form and the ceiling's witness candidate are the same
+        # few float operations in another order, 16 ulps apart at most
+        slack = 16 * np.finfo(float).eps * exact
+        assert (floor > 0.0).all()
+        assert (floor <= exact + slack).all()
+        assert (exact <= ceiling + slack).all()
+    assert 0.0 <= rep.lhs - rep.terms["lhs_ceiling"] <= 1e-12 * rep.lhs
+    assert abs(rep.gap) <= rep.quadrature_error_estimate <= 0.01 * rep.lhs
+
+
+def test_bbl_gap_fails_with_bracket_at_half_h(suite_pair, monkeypatch):
+    # negative control: Q at h/2 over B_h undercuts the lhs by far more than
+    # the budget at every h
+    cfg, cost, *_ = suite_pair
+    real = bblcheck._pointwise_bracket
+    monkeypatch.setattr(
+        bblcheck, "_pointwise_bracket", lambda g, W, h, *rest: real(g, W, h / 2, *rest)
     )
-    assert 0.0 <= rep.lhs - rep.terms["lhs_ceiling"] <= 0.01 * rep.lhs
-    assert abs(rep.gap) <= rep.quadrature_error_estimate
+    res = cli.check_bbl_gap(cfg, cost)
+    assert [x["passed"] for x in res["assertions"]] == [False] * len(cfg.h_list)
+    assert all(p["gap"] < -10 * p["error"] for p in res["gap_curve"])
+
+
+def _forbid_grids(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an analytic check built a grid or applied the grid operator")
+
+    for module, name in (
+        (bblcheck, "hopflax_apply"), (hopflax, "hopflax_apply"), (extgrid, "sample_grid"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
 
 
 def test_analytic_pair_makes_no_hopflax_apply(suite_pair, monkeypatch):
-    cfg, g, W, _, gg, WW = suite_pair
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the analytic path applied the grid operator")
-
-    monkeypatch.setattr(bblcheck, "hopflax_apply", forbidden)
-    rep = bbl_gap(gg, WW, BBLParams(n=2, a=cfg.a, p=cfg.p, h=1.0), (g, W, cfg.domain))
-    assert rep.gap >= -rep.quadrature_error_estimate
+    cfg, cost, *_ = suite_pair
+    _forbid_grids(monkeypatch)
+    assert cli.check_bbl_gap(cfg, cost)["status"] == "pass"
 
 
 def test_analytic_pair_needs_conjugates(suite_pair):
-    cfg, g, W, _, gg, WW = suite_pair
+    cfg, _, g, W, _, spec, _ = suite_pair
     bumped = multiply_bump(g, [0.0, 1.0], 1.0, 0.5)
     with pytest.raises(ValueError, match="conjugate"):
-        bbl_gap(gg, WW, BBLParams(n=2, a=cfg.a, p=cfg.p, h=0.5), (bumped, W, cfg.domain))
+        bbl_gap_fields(bumped, W, BBLParams(n=2, a=cfg.a, p=cfg.p), cfg.domain, [0.5], spec)
 
 
 def test_grid_only_values_unchanged(halfplane):
@@ -326,114 +345,54 @@ class TestAdmissibility:
         assert not all(c.passed for c in rep.values())
 
 
-def quadratic_grid(L, m, offset=1.0, curvature=0.5):
-    xs = np.linspace(-L, L, m)
-    mesh = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
-    return ExtGridFn([(-L, L)] * 2, offset + 0.5 * curvature * np.sum(mesh**2, axis=-1))
-
-
-def perturbed_pair():
-    # a bump-perturbed quadratic g against the quadratic W, on 81 x 81 grids;
-    # the product carries no conjugate, so the scan stays on the grid
-    quad = quadratic_field(offset=1.0, curvature=0.5)
-    xs = np.linspace(-8, 8, 81)
-    mesh = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
-    pert_vals = quad(mesh) * (1 + 0.3 * bump_field([1.0, 0.5], 2.0, 1.0)(mesh))
-    return ExtGridFn([(-8, 8)] * 2, pert_vals), ExtGridFn([(-8, 8)] * 2, quad(mesh))
-
-
 @pytest.fixture(scope="module")
-def scans():
-    # the grid and analytic scans of the 161 x 161 cube pair of the paper
-    # suite, and the grid scan of the perturbed pair
+def scan():
+    # the paper suite's equivalence_scan: a quadratic pair over R^2, for
+    # which phi is 1 at every h and phi'(0) is 0
+    cfg = next(c for c in cli.paper_suite_configs() if "equivalence_scan" in c.checks)
     quad = quadratic_field(offset=1.0, curvature=0.5)
-    g = quadratic_grid(10.0, 161)
-    hs = [0.0, 0.05, 0.1, 0.25, 0.5]
-    same = equivalence_scan(g, g, 2, hs, W_conjugate=quad.conjugate)
-    gp, Wp = perturbed_pair()
-    pert = equivalence_scan(gp, Wp, 2, [0.0, 0.05, 0.1], W_conjugate=quad.conjugate)
-    analytic = equivalence_scan(g, g, 2, hs, W_conjugate=quad.conjugate, analytic=(quad, quad))
-    return same, pert, analytic
+    return equivalence_scan(quad, quad, 2, [0.0, 0.05, 0.1, 0.25, 0.5], cli._coarse_spec(cfg))
 
 
 class TestEquivalenceScan:
 
-    def test_phi_zero_is_one(self, scans):
-        for scan in scans:
-            assert scan.phi_values[0] == pytest.approx(1.0, abs=1e-12)
+    def test_phi_zero_is_one(self, scan):
+        assert scan.phi_values[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_curve_stays_above_one(self, scans):
-        for scan in scans:
-            assert all(p >= 1.0 - scan.error_estimate for p in scan.phi_values)
+    def test_curve_stays_above_one(self, scan):
+        assert all(p >= 1.0 - e for _, p, e in scan.curve())
 
-    def test_statement_b_quantity_nonnegative(self, scans):
-        same, _, analytic = scans
-        for scan in (same, analytic):
-            assert scan.integral_derivative >= -scan.derivative_error_estimate
+    def test_statement_b_quantity_nonnegative(self, scan):
+        assert scan.integral_derivative >= -scan.derivative_error_estimate
 
-    def test_fd_matches_integral(self, scans):
-        for scan in scans:
-            dev = abs(scan.fd_derivative - scan.integral_derivative)
-            assert dev <= max(
-                0.05 * abs(scan.integral_derivative), scan.derivative_error_estimate
-            )
+    def test_fd_matches_integral(self, scan):
+        dev = abs(scan.fd_derivative - scan.integral_derivative)
+        assert dev <= max(0.05 * abs(scan.integral_derivative), scan.derivative_error_estimate)
 
-    def test_analytic_phi_within_grid_budget(self, scans):
-        # both routes scan the same box with the same normalization; the
-        # grid values bound Q_h from above, so they differ by less than the
-        # grid budget, and the bracket's budget is far smaller
-        same, _, analytic = scans
-        assert analytic.h_values == same.h_values
-        for p_grid, p_analytic in zip(same.phi_values, analytic.phi_values):
-            assert abs(p_analytic - p_grid) <= same.error_estimate
-        assert analytic.error_estimate <= 0.01 * same.error_estimate
+    def test_phi_within_budget_of_one(self, scan):
+        # phi is exactly 1 over R^n for this pair; the budget covers the
+        # quadrature's deviation and stays below 1e-3
+        for _, p, e in scan.curve():
+            assert abs(p - 1.0) <= e <= 1e-3
 
-    def test_analytic_shares_the_grid_derivative(self, scans):
-        # the derivative reads the grids alone, so both routes agree on it
-        same, _, analytic = scans
-        assert analytic.integral_derivative == same.integral_derivative
+    def test_derivative_within_budget_of_zero(self, scan):
+        # phi'(0) = 2 int W*(grad g) / g^3 is exactly 0 for this pair
+        assert abs(scan.integral_derivative) <= scan.derivative_error_estimate
+        assert abs(scan.fd_derivative) <= scan.derivative_error_estimate
 
 
 def test_equivalence_scan_analytic_makes_no_hopflax_apply(monkeypatch):
-    quad = quadratic_field(offset=1.0, curvature=0.5)
-    g = quadratic_grid(10.0, 81)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the analytic path applied the grid operator")
-
-    monkeypatch.setattr(bblcheck, "hopflax_apply", forbidden)
-    scan = equivalence_scan(
-        g, g, 2, [0.0, 0.05, 0.1], W_conjugate=quad.conjugate, analytic=(quad, quad)
-    )
-    assert all(p >= 1.0 - scan.error_estimate for p in scan.phi_values)
+    cfg = next(c for c in cli.paper_suite_configs() if "equivalence_scan" in c.checks)
+    _forbid_grids(monkeypatch)
+    assert cli.check_equivalence_scan(cfg, None)["status"] == "pass"
 
 
 def test_equivalence_scan_analytic_needs_conjugates():
     quad = quadratic_field(offset=1.0, curvature=0.5)
     bumped = multiply_bump(quad, [1.0, 0.5], 2.0, 0.3)
-    g = quadratic_grid(4.0, 33)
     for pair in ((bumped, quad), (quad, bumped)):
         with pytest.raises(ValueError, match="conjugate"):
-            equivalence_scan(g, g, 2, [0.0, 0.1], W_conjugate=quad.conjugate, analytic=pair)
-
-
-def test_equivalence_scan_grid_values_unchanged(monkeypatch):
-    # the grid path's values on the perturbed pair, recorded before the
-    # analytic route was added, bit for bit; the integral derivative gains
-    # the box flux, and without it reads its old bits
-    quad = quadratic_field(offset=1.0, curvature=0.5)
-    gp, Wp = perturbed_pair()
-    scan = equivalence_scan(gp, Wp, 2, [0.0, 0.05, 0.1], W_conjugate=quad.conjugate)
-    assert [float(p).hex() for p in scan.phi_values] == [
-        "0x1.0000000000000p+0", "0x1.ff097511c9a02p-1", "0x1.ff2876f2fad14p-1",
-    ]
-    assert float(scan.fd_derivative).hex() == "-0x1.e1a5ab64b2780p-5"
-    assert float(scan.error_estimate).hex() == "0x1.5ad97b30823c0p-7"
-    assert float(scan.derivative_error_estimate).hex() == "0x1.b18fd9fca2cb0p-3"
-    assert float(scan.integral_derivative).hex() == "0x1.e7a1129817558p-7"
-    monkeypatch.setattr(bblcheck, "_box_flux", lambda *args: 0.0)
-    bulk = equivalence_scan(gp, Wp, 2, [0.0, 0.05, 0.1], W_conjugate=quad.conjugate)
-    assert float(bulk.integral_derivative).hex() == "-0x1.6bbe6d525e4aap-4"
+            equivalence_scan(*pair, 2, [0.0, 0.1], QuadSpec(half_width=4.0, dx=0.1, levels=5))
 
 
 def _suite_scan_verdicts():
@@ -444,21 +403,17 @@ def _suite_scan_verdicts():
     return {x["label"]: x["passed"] for x in res["assertions"]}
 
 
-def test_derivative_match_fails_without_box_flux(monkeypatch):
-    # negative control: the derivative of the phi computed needs the flux of
-    # its growing box; without it the bulk term alone misses fd by 0.063
-    monkeypatch.setattr(bblcheck, "_box_flux", lambda *args: 0.0)
-    assert _suite_scan_verdicts()["derivative_match"] is False
-
-
-def test_derivative_match_fails_with_bracket_at_half_h(monkeypatch):
-    # negative control: Q evaluated at h/2 on the box of h halves phi's
-    # interior change while the box still grows at rate 1
+def test_derivative_match_fails_with_bracket_scaled_by_one_plus_h(monkeypatch):
+    # negative control: a bracket 1 + h times too high makes phi (1 + h)^-2,
+    # so fd reads about -2 where the integral reads 0
     real = bblcheck._pointwise_bracket
     monkeypatch.setattr(
-        bblcheck, "_pointwise_bracket", lambda g, W, h, *rest: real(g, W, h / 2, *rest)
+        bblcheck, "_pointwise_bracket",
+        lambda g, W, h, *rest: tuple((1.0 + h) * v for v in real(g, W, h, *rest)),
     )
-    assert _suite_scan_verdicts()["derivative_match"] is False
+    verdicts = _suite_scan_verdicts()
+    assert verdicts["derivative_match"] is False
+    assert verdicts["phi_above_one"] is False
 
 
 def test_gap_report_curve_fields(equality_pair_grids):
