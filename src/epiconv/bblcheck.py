@@ -132,13 +132,11 @@ class GapReport:
 
 
 def _neg_power(vals: np.ndarray, expo: float) -> np.ndarray:
-    """v^expo for expo < 0 with +inf mapping to 0; zero values are rejected."""
-    finite = np.isfinite(vals)
-    if np.any(finite & (vals <= 0.0)):
+    """v^expo for expo < 0, where inf^expo is +0.0; nonpositive values are
+    rejected."""
+    if np.any(vals <= 0.0):
         raise ValueError("grid carries nonpositive finite values; cannot take negative powers")
-    out = np.zeros_like(vals)
-    out[finite] = vals[finite] ** expo
-    return out
+    return vals ** expo
 
 
 def _power_integral(f: ExtGridFn, expo: float) -> float:
@@ -405,7 +403,7 @@ def appendix_limit_residual(
     domain: EpigraphDomain,
     h_list: Sequence[float],
     spec: QuadSpec,
-    quotient_spec: QuadSpec | None = None,
+    quotient_spec: QuadSpec,
 ) -> list[dict]:
     """Three-way split of the difference quotient for each h.
 
@@ -426,10 +424,9 @@ def appendix_limit_residual(
     of :func:`hopflax._pointwise_bracket`, the exact candidate at the scaling
     witness (x + e)/(1 + h), feasible throughout B_h by construction and the
     minimizer for g = W(. + e), the pairs the checks use; no search and no
-    grid interpolation is involved. quotient_spec (default: spec) is the
-    quadrature of term (i), limit (i) and the term (iii) strip; its
-    quadrature bias is the same for every h, so the residual trend in h
-    survives a coarse choice.
+    grid interpolation is involved. quotient_spec is the quadrature of term
+    (i), limit (i) and the term (iii) strip; its quadrature bias is the same
+    for every h, so the residual trend in h survives a coarse choice.
 
     Limit (ii) and every h's term (ii) are the rows of one stacked
     :func:`integrate_boundary` sweep on spec; limit (iii) and every h's term
@@ -437,12 +434,12 @@ def appendix_limit_residual(
     """
     a, alpha = params.a, params._tail_decay
     _needs_conjugates(g, W)
-    qspec = quotient_spec if quotient_spec is not None else spec
 
     # per-term limits, each on the quadrature geometry of its own term so the
     # residual measures the h-trend and not a grid mismatch
     limit_i, el1, _ = integrate_epigraph(
-        lambda p: _conjugate_term(g, W, a, p, g(p)), domain, qspec, decay=alpha, estimate=True
+        lambda p: _conjugate_term(g, W, a, p, g(p)), domain, quotient_spec,
+        decay=alpha, estimate=True,
     )
     limit_i, el1 = (a - 1.0) * limit_i, (a - 1.0) * el1
 
@@ -482,7 +479,7 @@ def appendix_limit_residual(
         strips, domain.n - 1, spec, decay=[alpha] * (1 + len(h_list)), estimate=True
     )
     (limit_iii, _), *terms_iii = integrate_boundary(
-        slivers, domain.n - 1, qspec, decay=[alpha] + [alpha, None] * len(h_list)
+        slivers, domain.n - 1, quotient_spec, decay=[alpha] + [alpha, None] * len(h_list)
     )
     limit = limit_i - limit_ii + limit_iii
 
@@ -494,7 +491,7 @@ def appendix_limit_residual(
             return np.stack([top - g(p) ** (1.0 - a), low - top]) / _h
 
         (term_i, ei, _), (width_i, ewi, _) = integrate_epigraph(
-            fn_i, domain, qspec, shift=h, decay=[alpha, alpha], estimate=True
+            fn_i, domain, quotient_spec, shift=h, decay=[alpha, alpha], estimate=True
         )
         term_ii, eii, _ = terms_ii[j]
         (term_iii, tail_iii), (floor_iii, _) = terms_iii[2 * j : 2 * j + 2]

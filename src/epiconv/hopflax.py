@@ -3,9 +3,11 @@
 ``hopflax_apply`` evaluates Q_h(g)(x) = min_y g(x - h*y) + h*W(y) with y
 running over the cost grid and g evaluated by multilinear interpolation at the
 off-grid points x - h*y. Interpolation is conservative at the domain: a point
-outside g's box or in a cell with a +inf corner evaluates to +inf. This module
-holds the only copy of that rule. What the discrete value bounds is stated
-below, next to the bounds that prune it.
+outside g's box or in a cell with a +inf corner evaluates to +inf. The second
+half of that rule is plain arithmetic in ``_interp_lattice``: every corner
+weight is positive, so a +inf corner makes the weighted sum +inf, and since
+g holds no NaN or -inf the sum is never NaN. What the discrete value bounds
+is stated below, next to the bounds that prune it.
 
 At every h the output grid shares g's spacing (any other is rejected), so the
 points x - h*y of one cost node y all sit at the same fractional offset from
@@ -22,9 +24,9 @@ accumulators, a candidate replacing the incumbent only when strictly
 smaller, and merges each chunk into the result by (value, smallest flat
 index). Every candidate is one fixed float expression whatever its chunk and
 its lattice's region, so the result is that of a single flat-order scan, ties
-going to the smallest flat index. h = 0 returns g itself, or on a
-requested output grid one slice of g's lattice at the zero shift, with no
-argmin; W plays no part.
+going to the smallest flat index. h = 0 is one slice of g's lattice at the
+zero shift, on g's own grid or on a requested output grid, with no argmin;
+W plays no part.
 
 An apply at h > 0 prunes candidates that cannot win. The strided cost nodes
 (every _COARSE_STRIDE-th per axis), scanned over cell-max lattices, give an
@@ -189,44 +191,35 @@ def _axis_tables(g: ExtGridFn, shifts, out_axes):
     return tables
 
 
-def _interp_lattice(g0: np.ndarray, cell_inf: np.ndarray | None, fracs) -> np.ndarray:
-    """g interpolated at i + fracs for every index i whose cell lies in g.
+def _interp_lattice(vals: np.ndarray, fracs) -> np.ndarray:
+    """vals interpolated at i + fracs for every index i whose cell lies in
+    vals.
 
-    g0 is g with its non-finite nodes zeroed; cell_inf marks the cells with
-    a non-finite corner, which come back +inf. Corners are summed in a fixed
-    order, so every lattice value is one fixed float expression. Each
-    fraction is 0 or lies in (_SNAP, 1 - _SNAP), so every corner weight is
-    positive and no corner is ever dropped.
+    Corners are summed from +0.0 in a fixed order, so every lattice value is
+    one fixed float expression (and a -0.0 node at zero fractions reads as
+    +0.0). Each fraction is 0 or lies in (_SNAP, 1 - _SNAP), so every corner
+    weight is positive and no corner is ever dropped: a +inf corner makes its
+    cell's sum +inf, and as vals holds no NaN or -inf, never NaN.
     """
     corners = [(0, 1) if fr > 0.0 else (0,) for fr in fracs]
-    shape = tuple(m - len(c) + 1 for m, c in zip(g0.shape, corners))
+    shape = tuple(m - len(c) + 1 for m, c in zip(vals.shape, corners))
     acc = np.zeros(shape)
     for corner in itertools.product(*corners):
         w = 1.0
         for fr, c, options in zip(fracs, corner, corners):
             if len(options) == 2:
                 w *= fr if c else 1.0 - fr
-        acc += g0[tuple(slice(c, c + m) for c, m in zip(corner, shape))] * w
-    if cell_inf is not None:
-        acc[cell_inf] = INF
+        acc += vals[tuple(slice(c, c + m) for c, m in zip(corner, shape))] * w
     return acc
 
 
 def _interpolator(g: ExtGridFn):
     """(offset fractions, region) -> g's interpolated lattice at those
     fractions over the region, a tuple of slices of lattice points."""
-    ginf = ~np.isfinite(g.values)
-    g0 = np.where(ginf, 0.0, g.values)
-    cell_inf = {}
 
     def lattice(fracs, region):
-        tops = tuple(int(f > 0.0) for f in fracs)
-        if tops not in cell_inf:
-            marked = _window_reduce(np.logical_or, ginf, [t + 1 for t in tops])
-            cell_inf[tops] = marked if marked.any() else None
-        marked = cell_inf[tops]
-        corners = tuple(slice(r.start, r.stop + t) for r, t in zip(region, tops))
-        return _interp_lattice(g0[corners], None if marked is None else marked[region], fracs)
+        corners = tuple(slice(r.start, r.stop + (f > 0.0)) for r, f in zip(region, fracs))
+        return _interp_lattice(g.values[corners], fracs)
 
     return lattice
 
@@ -251,10 +244,10 @@ def _scan_candidates(lattice, tables, shape, weights, active, boxes=None):
     them all when it ends. It scans its cost nodes row by row (all leading
     indices fixed) in ascending flat order into its own accumulators, where a
     candidate replaces the incumbent only when strictly smaller, so ties go
-    to the smallest flat index; the chunk then merges into the result by
-    (value, smallest flat index). Every candidate is the same float
-    expression whatever the chunk and region, so the result is the scan of
-    all nodes in flat order.
+    to the smallest flat index; every chunk, a lone one included, then
+    merges into the result by (value, smallest flat index). Every candidate
+    is the same float expression whatever the chunk and region, so the
+    result is the scan of all nodes in flat order.
     """
     vals = np.full(shape, INF)
     arg = np.full(shape, -1, dtype=np.int64)
@@ -278,8 +271,7 @@ def _scan_candidates(lattice, tables, shape, weights, active, boxes=None):
     local_count = int(np.prod(sizes))
     strides = np.cumprod([1] + list(active.shape[:0:-1]))[::-1].tolist()
     flat_w = np.ravel(weights)
-    single = int(np.prod(counts)) == 1
-    cvals, carg = (vals, arg) if single else (np.empty(shape), np.empty(shape, np.int64))
+    cvals, carg = np.empty(shape), np.empty(shape, np.int64)
 
     for chunk in itertools.product(*map(range, counts)):
         members = [
@@ -303,9 +295,8 @@ def _scan_candidates(lattice, tables, shape, weights, active, boxes=None):
                     np.minimum.at(reg_lo[d], local, lo[d] + base[d])
                     np.maximum.at(reg_hi[d], local, hi[d] + base[d])
                 rows.append((lead, ys, local, lo, hi, base))
-        if not single:
-            cvals.fill(INF)
-            carg.fill(-1)
+        cvals.fill(INF)
+        carg.fill(-1)
         lattices = {}
         for lead, ys, local, lo, hi, base in rows:
             flat = sum(i * s for i, s in zip(lead, strides)) + ys
@@ -329,11 +320,10 @@ def _scan_candidates(lattice, tables, shape, weights, active, boxes=None):
                 np.copyto(incumbent, cand, where=better)
                 np.copyto(carg[out], j, where=better)
         del lattices
-        if not single:
-            take = cvals < vals
-            take |= (cvals == vals) & (carg < arg)
-            np.copyto(vals, cvals, where=take)
-            np.copyto(arg, carg, where=take)
+        take = cvals < vals
+        take |= (cvals == vals) & (carg < arg)
+        np.copyto(vals, cvals, where=take)
+        np.copyto(arg, carg, where=take)
     return vals, arg
 
 
@@ -412,9 +402,9 @@ def _axis_blocks(lo, hi, base, frac):
 
 
 def _window_reduce(ufunc, a: np.ndarray, lengths) -> np.ndarray:
-    """ufunc (np.logical_or, np.maximum or np.minimum) reduced over the
-    windows of lengths[d] consecutive nodes of a per axis, indexed by the
-    window's first node; axis by axis, which is exact for these three."""
+    """ufunc (np.maximum or np.minimum) reduced over the windows of
+    lengths[d] consecutive nodes of a per axis, indexed by the window's first
+    node; axis by axis, which is exact for both."""
     for d, n in enumerate(lengths):
         m = a.shape[d] - n + 1
         lead = (slice(None),) * d
@@ -624,10 +614,11 @@ def hopflax_apply(
     The output grid defaults to g's box plus h times W's box at g's spacing;
     out_box and out_resolution replace it together, one entry per axis, at
     g's spacing on every axis of more than one node, for every h. Ties in
-    the minimum go to the smallest flat y index. h = 0 returns g unchanged,
-    or on a requested grid g's interpolated lattice read at that grid (+inf
-    outside g's box and in cells with a +inf corner); its argmin is -1
-    everywhere.
+    the minimum go to the smallest flat y index. h = 0 reads g's
+    interpolated lattice at the zero shift, on g's own grid or on a
+    requested one (+inf outside g's box and in cells with a +inf corner);
+    on g's own grid that is g, except that a -0.0 node comes back as +0.0.
+    Its argmin is -1 everywhere, and W is not read.
 
     One algorithm serves every grid: each finite y node's candidates are
     evaluated except those its cost block's lower bound puts above the
@@ -649,9 +640,7 @@ def hopflax_apply(
         box = tuple((float(lo), float(hi)) for lo, hi in out_box)
         axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(box, out_resolution)]
     elif h == 0.0:
-        # identity by convention; no y is involved, so no argmin is recorded
-        arg = np.full(g.resolution, -1, dtype=np.int64)
-        return InfConvResult(ExtGridFn(g.box, g.values.copy()), arg)
+        box, axes = g.box, g.axes
     else:
         box, axes = _default_out_grid(g, W, h)
     # the lattice reads place output node k at axes[d][0] + k * g's step

@@ -319,8 +319,7 @@ def _column_sums(fn, k: int, cols: _Columns, sel, known=None, decay=None, share=
 
     # partial cell from the exact boundary up to the first gridline
     pb = np.flatnonzero(part)
-    if pb.size:
-        sums[:, pb] += 0.5 * cols.gap[sel][pb] * (fb[:, pb] + first[:, pb])
+    sums[:, pb] += 0.5 * cols.gap[sel][pb] * (fb[:, pb] + first[:, pb])
     return sums, shared, fb, tail_K
 
 
@@ -371,8 +370,7 @@ def _sweep(fn, domain: EpigraphDomain | None, n: int, spec: QuadSpec, shift, dec
             # the next block's sweep need not hold this one's values
             del kvals, fb
 
-        if len(F.idx):
-            total += np.sum(F.w1 * fsum, axis=1)
+        total += np.sum(F.w1 * fsum, axis=1)
         if not estimate or not len(C.idx):
             continue
         # coarse columns whose base point the fine grid lacks

@@ -8,8 +8,7 @@ hull advances over the sample index for all rows at once. Each slope finds its
 crossing by a search of the running maximum of the edge slopes, and a float
 scan of the five hull vertices around it takes the maximum, so the output
 agrees bit for bit with the exhaustive reference, smallest index winning ties.
-:func:`legendre_1d` is the one-line case of the sweep that :func:`legendre_nd`
-runs once per axis.
+:func:`legendre_nd` runs that sweep once per axis.
 
 Conjugates are taken on bounded boxes. Restricting the sup to a box is the
 same as adding the box's indicator to the function, which can only raise the
@@ -33,7 +32,6 @@ _SCAN_BLOCK = 1 << 13
 __all__ = [
     "NormSpec",
     "ConjugateResult",
-    "legendre_1d",
     "legendre_nd",
     "default_dual_box",
     "dual_norm",
@@ -181,9 +179,8 @@ def _legendre_lines(xs: np.ndarray, V: np.ndarray, slopes: np.ndarray):
     hull = np.zeros((m, rows), dtype=np.intp)  # hull[p, r]: vertex p of row r
     hflat = hull.ravel()
     top = np.zeros(rows, dtype=np.intp)
-    every = np.arange(rows)
     for i in range(m):
-        live = every if finite[i].all() else np.flatnonzero(finite[i])
+        live = np.flatnonzero(finite[i])
         r = live[top[live] >= 2]
         while r.size:
             a = hflat[(top[r] - 2) * rows + r]
@@ -201,7 +198,7 @@ def _legendre_lines(xs: np.ndarray, V: np.ndarray, slopes: np.ndarray):
     argmax = np.empty((rows, len(slopes)), dtype=np.intp)
     step = max(1, _SCAN_BLOCK // max(m, len(slopes), 1))
     for lo in range(0, rows, step):
-        r = every[lo:lo + step]
+        r = np.arange(lo, min(lo + step, rows))
         values[r], argmax[r] = _scan_hulls(xs, S, slopes, hull[:, r], top[r], r)
     return values, argmax
 
@@ -243,24 +240,6 @@ def _scan_hulls(xs, S, slopes, hull, top, r):
     values[top == 0] = -INF
     argmax[top == 0] = -1
     return values, argmax
-
-
-def legendre_1d(xs: np.ndarray, vals: np.ndarray, slopes: np.ndarray):
-    """Discrete conjugate g(y) = max_i (x_i*y - f_i) by the hull walk.
-
-    Returns (values, argmax indices). The one-line case of the batched sweep
-    (:func:`_legendre_lines`), so it matches the exhaustive scan exactly,
-    including the smallest-index tie break.
-    """
-    xs = np.asarray(xs, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    slopes = np.asarray(slopes, dtype=float)
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("sample abscissae must be strictly increasing")
-    if not np.isfinite(vals).any():
-        raise ValueError("conjugate of an improper function (all samples +inf)")
-    values, argmax = _legendre_lines(xs, vals[None, :], slopes)
-    return values[0], argmax[0]
 
 
 def default_dual_box(f: ExtGridFn):
@@ -305,9 +284,9 @@ def legendre_nd(
 
     The sup separates across coordinates, so sweeping axes with the line
     transform reproduces the full double loop exactly. Each sweep transforms
-    every line along its axis in one batched hull walk (:func:`legendre_1d`
-    is its one-line case). Intermediate lines that are empty (all +inf) give
-    -inf and propagate as excluded values through negation.
+    every line along its axis in one batched hull walk
+    (:func:`_legendre_lines`). Intermediate lines that are empty (all +inf)
+    give -inf and propagate as excluded values through negation.
     """
     if not f.finite_mask.any():
         raise ValueError("conjugate of an improper function (all samples +inf)")

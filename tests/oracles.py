@@ -8,6 +8,8 @@ fixture and its closed form live here too, next to the domain-sum check. The
 kept verbatim, so that the faster code that replaced them can be held to the
 same bits; the boundary quadrature reference is the epigraph one's column
 loop with no lower cut, the summation order of the library's one sweep.
+``legendre_1d``, the one-line entry to the library's batched conjugate sweep,
+lives here too: the package itself only sweeps whole grids.
 """
 
 from __future__ import annotations
@@ -32,7 +34,13 @@ from epiconv.quadrature import (
     power_tail_bound,
 )
 from epiconv.sharpconst import SharpConstants, _field_integrals
-from epiconv.transforms import NormSpec, _sphere_directions, default_dual_box, dual_norm
+from epiconv.transforms import (
+    NormSpec,
+    _legendre_lines,
+    _sphere_directions,
+    default_dual_box,
+    dual_norm,
+)
 
 
 def brute_conjugate_1d(xs, vals, slopes):
@@ -110,6 +118,25 @@ def legendre_1d_reference(xs: np.ndarray, vals: np.ndarray, slopes: np.ndarray):
         out[k] = cand[b]
         arg[k] = idx_map[window[b]]
     return out, arg
+
+
+def legendre_1d(xs: np.ndarray, vals: np.ndarray, slopes: np.ndarray):
+    """Discrete conjugate g(y) = max_i (x_i*y - f_i) of one line through the
+    library's batched hull walk (``transforms._legendre_lines``), with the
+    line checks of :func:`legendre_1d_reference`.
+
+    Returns (values, argmax indices); not an oracle itself, but the one-line
+    case that the tests hold to the oracles above.
+    """
+    xs = np.asarray(xs, dtype=float)
+    vals = np.asarray(vals, dtype=float)
+    slopes = np.asarray(slopes, dtype=float)
+    if np.any(np.diff(xs) <= 0):
+        raise ValueError("sample abscissae must be strictly increasing")
+    if not np.isfinite(vals).any():
+        raise ValueError("conjugate of an improper function (all samples +inf)")
+    values, argmax = _legendre_lines(xs, vals[None, :], slopes)
+    return values[0], argmax[0]
 
 
 def legendre_nd_reference(f: ExtGridFn, dual_box=None, dual_resolution=None) -> np.ndarray:
@@ -876,6 +903,17 @@ def integrate_boundary_estimate_reference(fn, dim, spec, decay=None):
     coarse, tail_c = integrate_boundary_reference(fn, dim, spec, decay)
     fine, tail_f = integrate_boundary_reference(fn, dim, spec.refined(extend=False), decay)
     return fine, abs(fine - coarse) + tail_f, tail_f
+
+
+def neg_power_reference(vals: np.ndarray, expo: float) -> np.ndarray:
+    """v^expo for expo < 0 with +inf mapping to 0, the +inf nodes masked out
+    before the power is taken; zero values are rejected."""
+    finite = np.isfinite(vals)
+    if np.any(finite & (vals <= 0.0)):
+        raise ValueError("grid carries nonpositive finite values; cannot take negative powers")
+    out = np.zeros_like(vals)
+    out[finite] = vals[finite] ** expo
+    return out
 
 
 def grid_tail_K_reference(f_pow: np.ndarray, axes, alpha: float) -> float:

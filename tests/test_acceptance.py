@@ -36,7 +36,7 @@ from epiconv.sharpconst import (
     normalize_power_cost,
     weighted_trace_check,
 )
-from epiconv.transforms import legendre_1d, legendre_nd
+from epiconv.transforms import legendre_nd
 from epiconv import cli
 from epiconv.fields import multiply_bump
 from epiconv.quadrature import integrate_boundary
@@ -47,6 +47,7 @@ from oracles import (
     counterexample_pair,
     counterexample_table,
     hopflax_pointwise,
+    legendre_1d,
     polar_cone_moment,
 )
 

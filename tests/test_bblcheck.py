@@ -7,8 +7,10 @@ from epiconv import BBLParams, NormSpec, QuadSpec, cli
 from epiconv import bblcheck, extgrid, hopflax
 from epiconv.bblcheck import (
     _boundary_integrand,
+    _decimate,
     _grid_tail_K,
     _normalize_grid,
+    _power_integral,
     _sample_fan,
     admissibility_report,
     appendix_limit_residual,
@@ -26,7 +28,7 @@ from epiconv.fields import (
 )
 from epiconv.quadrature import integrate_boundary, integrate_gridfn
 from epiconv.sharpconst import PowerCost, normalize_power_cost
-from oracles import grid_tail_K_reference, power_pair_hopflax
+from oracles import grid_tail_K_reference, neg_power_reference, power_pair_hopflax
 
 E2 = np.array([0.0, 1.0])
 
@@ -421,6 +423,23 @@ def test_gap_report_curve_fields(equality_pair_grids):
     rep = bbl_gap(gg, WW, BBLParams(n=2, a=2.0, p=4 / 3, h=0.1))
     assert rep.h == 0.1
     assert rep.gap == rep.lhs - rep.rhs
+
+
+def test_power_integral_takes_inf_nodes_through_pow():
+    # inf ** expo is +0.0 for expo < 0, so the plain power of a grid with
+    # +inf nodes gives the bits of the form that masks them out first, on
+    # the contiguous grid and on its strided decimation alike
+    mesh = np.stack(np.meshgrid(np.linspace(-2, 2, 41), np.linspace(0, 2, 21), indexing="ij"), -1)
+    vals = 0.5 + np.sum(mesh**2, axis=-1)
+    vals[mesh[..., 1] < np.abs(mesh[..., 0])] = np.inf
+    grid = ExtGridFn([(-2, 2), (0, 2)], vals)
+    for f in (grid, _decimate(grid)):
+        assert np.isinf(f.values).any()
+        for expo in (-3.0, -2.0, -1.5, -1.0, -0.5):
+            want = integrate_gridfn(f, lambda v: neg_power_reference(v, expo))
+            assert np.float64(_power_integral(f, expo)).tobytes() == np.float64(want).tobytes()
+    with pytest.raises(ValueError, match="nonpositive"):
+        _power_integral(ExtGridFn([(0, 1)], np.array([1.0, 0.0, np.inf])), -1.0)
 
 
 def _tail_fit_cases():

@@ -388,8 +388,8 @@ def test_each_offset_class_interpolated_once(fixture, h, cache, monkeypatch):
     built, alive, peak = [], [], [0]
     orig = hopflax._interp_lattice
 
-    def spy(g0, cell_inf, fracs):
-        lattice = orig(g0, cell_inf, fracs)
+    def spy(vals, fracs):
+        lattice = orig(vals, fracs)
         built.append(tuple(fracs))
         alive.append(weakref.ref(lattice))
         peak[0] = max(peak[0], sum(ref() is not None for ref in alive))
@@ -565,11 +565,16 @@ def test_exact_memory_is_bounded(taken):
 
 class TestHopfLaxApply:
     def test_h_zero_identity(self):
-        g = quadratic_grid(2, 21)
-        res = hopflax_apply(g, g, 0.0)
-        np.testing.assert_array_equal(res.values.values, g.values)
-        assert res.values.box == g.box
-        assert (res.argmin == -1).all()
+        # the zero-shift lattice read gives g's bytes back, +inf nodes
+        # included; W is not read, whatever its dimension
+        plain = quadratic_grid(2, 21)
+        cut = _cone_cut(quadratic_grid(2, 21, offset=0.5))
+        assert np.isinf(cut.values).any()
+        for g, W in ((plain, plain), (cut, quadratic_grid(2, 9, dim=1))):
+            res = hopflax_apply(g, W, 0.0)
+            assert res.values.values.tobytes() == g.values.tobytes()
+            assert res.values.box == g.box
+            assert (res.argmin == -1).all()
 
     def test_h_zero_on_requested_grid(self):
         # g's spacing 0.5, shifted by a quarter cell on the second axis

@@ -12,7 +12,6 @@ from epiconv.transforms import (
     _legendre_lines,
     default_dual_box,
     dual_norm,
-    legendre_1d,
     legendre_nd,
     power_cost_conjugate,
 )
@@ -20,6 +19,7 @@ from oracles import (
     brute_conjugate_1d,
     brute_conjugate_nd,
     dual_norm_sampled,
+    legendre_1d,
     legendre_1d_reference,
     legendre_nd_reference,
 )
