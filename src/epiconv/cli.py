@@ -300,7 +300,7 @@ def check_appendix_limit(cfg: ExperimentConfig, cost: sc.PowerCost):
         seq[-1] <= seq[0],
         f"|residual| {seq[0]:.4f} at h={hs[order[0]]:g} vs {seq[-1]:.4f} at h={hs[order[-1]]:g}",
     )
-    if cfg.domain.kind in ("halfspace", "cone", "affine_max"):
+    if eg.is_cone(cfg.domain).is_cone:
         _assert(a, "third_term_zero_on_cones", all(r["term_iii"] == 0.0 for r in recs))
     return _result(a, records=recs)
 

@@ -108,6 +108,8 @@ class ExtGridFn:
                 raise ValueError(f"axis {d}: box upper bound below lower bound")
             if vals.shape[d] < 1:
                 raise ValueError(f"axis {d}: empty resolution")
+            if hi == lo and vals.shape[d] > 1:
+                raise ValueError(f"axis {d}: {vals.shape[d]} nodes on a zero-width box")
         self.values = vals
         self.values.setflags(write=False)
 
@@ -125,6 +127,12 @@ class ExtGridFn:
             (hi - lo) / (m - 1) if m > 1 else 0.0
             for (lo, hi), m in zip(self.box, self.resolution)
         )
+
+    @property
+    def steps(self) -> tuple[float, ...]:
+        """The spacing, with 1.0 on one-node axes: the unit that lattice
+        offsets and cell volumes are measured in."""
+        return tuple(s if s > 0 else 1.0 for s in self.spacing)
 
     @property
     def axes(self) -> list[np.ndarray]:

@@ -9,7 +9,7 @@ weight is positive, so a +inf corner makes the weighted sum +inf, and since
 g holds no NaN or -inf the sum is never NaN. What the discrete value bounds
 is stated below, next to the bounds that prune it.
 
-At every h the output grid shares g's spacing (any other is rejected), so the
+The output grid is g's box plus h times W's box at g's spacing, so the
 points x - h*y of one cost node y all sit at the same fractional offset from
 g's lattice: the tuple of per-axis fractions is y's offset class. The
 candidate kernel interpolates g once per class, over the lattice points that
@@ -24,9 +24,8 @@ accumulators, a candidate replacing the incumbent only when strictly
 smaller, and merges each chunk into the result by (value, smallest flat
 index). Every candidate is one fixed float expression whatever its chunk and
 its lattice's region, so the result is that of a single flat-order scan, ties
-going to the smallest flat index. h = 0 is one slice of g's lattice at the
-zero shift, on g's own grid or on a requested output grid, with no argmin;
-W plays no part.
+going to the smallest flat index. h = 0 is g's lattice at the zero shift, on
+g's own grid, with no argmin; W plays no part.
 
 An apply at h > 0 prunes candidates that cannot win. The strided cost nodes
 (every _COARSE_STRIDE-th per axis), scanned over cell-max lattices, give an
@@ -130,15 +129,11 @@ class InfConvResult:
     argmin: np.ndarray  # flat index into the y-grid, -1 where the value is +inf
 
 
-def _same_step(a: float, b: float) -> bool:
-    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
-
-
 def _check_same_spacing(f: ExtGridFn, g: ExtGridFn):
     if f.dim != g.dim:
         raise ValueError("operands must share dimension")
     for d, (a, b) in enumerate(zip(f.spacing, g.spacing)):
-        if not _same_step(a, b):
+        if not abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b)):
             raise ValueError(f"axis {d}: grid spacings differ ({a} vs {b})")
 
 
@@ -175,8 +170,7 @@ def _axis_tables(g: ExtGridFn, shifts, out_axes):
     a gridline collapse to the single node.
     """
     tables = []
-    for d in range(g.dim):
-        step = g.spacing[d] if g.spacing[d] > 0 else 1.0
+    for d, step in enumerate(g.steps):
         off = (out_axes[d][0] - shifts[d] - g.box[d][0]) / step
         base = np.floor(off + _SNAP)
         frac = off - base
@@ -591,10 +585,9 @@ def _prune_boxes(g: ExtGridFn, tables, shape, weights, active):
 def _default_out_grid(g: ExtGridFn, W: ExtGridFn, h: float):
     axes = []
     box = []
-    for d in range(g.dim):
-        lo = g.box[d][0] + h * W.box[d][0]
-        hi = g.box[d][1] + h * W.box[d][1]
-        step = g.spacing[d] if g.spacing[d] > 0 else 1.0
+    for (glo, ghi), (wlo, whi), step in zip(g.box, W.box, g.steps):
+        lo = glo + h * wlo
+        hi = ghi + h * whi
         m = int(round((hi - lo) / step)) + 1
         hi = lo + (m - 1) * step
         box.append((lo, hi))
@@ -602,23 +595,13 @@ def _default_out_grid(g: ExtGridFn, W: ExtGridFn, h: float):
     return tuple(box), axes
 
 
-def hopflax_apply(
-    g: ExtGridFn,
-    W: ExtGridFn,
-    h: float,
-    out_box: Sequence[Sequence[float]] | None = None,
-    out_resolution: Sequence[int] | None = None,
-) -> InfConvResult:
+def hopflax_apply(g: ExtGridFn, W: ExtGridFn, h: float) -> InfConvResult:
     """Q_h(g)(x) = min over cost-grid nodes y of g(x - h*y) + h*W(y).
 
-    The output grid defaults to g's box plus h times W's box at g's spacing;
-    out_box and out_resolution replace it together, one entry per axis, at
-    g's spacing on every axis of more than one node, for every h. Ties in
-    the minimum go to the smallest flat y index. h = 0 reads g's
-    interpolated lattice at the zero shift, on g's own grid or on a
-    requested one (+inf outside g's box and in cells with a +inf corner);
-    on g's own grid that is g, except that a -0.0 node comes back as +0.0.
-    Its argmin is -1 everywhere, and W is not read.
+    The output grid is g's box plus h times W's box at g's steps. Ties in
+    the minimum go to the smallest flat y index. h = 0 reads g's lattice at
+    the zero shift on g's own grid: g, except that a -0.0 node comes back as
+    +0.0. Its argmin is -1 everywhere, and W is not read.
 
     One algorithm serves every grid: each finite y node's candidates are
     evaluated except those its cost block's lower bound puts above the
@@ -630,36 +613,13 @@ def hopflax_apply(
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
-    if (out_box is None) != (out_resolution is None):
-        raise ValueError("out_box and out_resolution must be given together")
-    if h > 0.0 and g.dim != W.dim:
-        raise ValueError("g and W must share dimension")
-    if out_box is not None:
-        if len(out_box) != g.dim or len(out_resolution) != g.dim:
-            raise ValueError(f"out_box and out_resolution need {g.dim} entries")
-        box = tuple((float(lo), float(hi)) for lo, hi in out_box)
-        axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(box, out_resolution)]
-    elif h == 0.0:
-        box, axes = g.box, g.axes
-    else:
-        box, axes = _default_out_grid(g, W, h)
-    # the lattice reads place output node k at axes[d][0] + k * g's step
-    for d, ax in enumerate(axes):
-        step = g.spacing[d] if g.spacing[d] > 0 else 1.0
-        if len(ax) > 1 and not _same_step(ax[1] - ax[0], step):
-            raise ValueError(f"axis {d}: output spacing differs from g's {step}")
-    shape = tuple(len(ax) for ax in axes)
     if h == 0.0:
-        # one read of g's lattice at zero shift, W playing no part
-        vals = np.full(shape, INF)
-        tables = _axis_tables(g, [np.zeros(1)] * g.dim, axes)
-        lo, hi, base, frac = map(np.concatenate, zip(*tables))
-        if (lo < hi).all():
-            src = tuple(map(slice, lo + base, hi + base))
-            vals[tuple(map(slice, lo, hi))] = _interpolator(g)(tuple(frac.tolist()), src)
-        return InfConvResult(ExtGridFn(box, vals), np.full(shape, -1, dtype=np.int64))
-
-    vals, arg = _hopflax_exact(g, W, h, axes, shape)
+        vals = _interp_lattice(g.values, (0.0,) * g.dim)
+        return InfConvResult(ExtGridFn(g.box, vals), np.full(g.resolution, -1, dtype=np.int64))
+    if g.dim != W.dim:
+        raise ValueError("g and W must share dimension")
+    box, axes = _default_out_grid(g, W, h)
+    vals, arg = _hopflax_exact(g, W, h, axes, tuple(len(ax) for ax in axes))
     return InfConvResult(ExtGridFn(box, vals), arg)
 
 
@@ -725,20 +685,22 @@ def semigroup_residual(
     """max over common finite nodes of |Q_h(g) - Q_{h-s}(Q_s(g))|.
 
     Collapses to exactly zero when s is 0 or h. The composed operator is
-    evaluated on the grid of Q_h(g) so the comparison is node for node.
+    evaluated on the grid of Q_h(g) so the comparison is node for node: its
+    own default grid rounds the node count twice and may differ by one.
     """
     if not 0.0 <= s <= h:
         raise ValueError("need 0 <= s <= h")
-    full = hopflax_apply(g, W, h)
-    inner = hopflax_apply(g, W, s)
-    outer = hopflax_apply(
-        inner.values, W, h - s,
-        out_box=full.values.box, out_resolution=full.values.resolution,
-    )
-    both = full.values.finite_mask & outer.values.finite_mask
+    full = hopflax_apply(g, W, h).values
+    inner = hopflax_apply(g, W, s).values
+    # at s = h the outer step is the identity; the kernel would form 0 * (+inf W)
+    if s == h:
+        outer = inner.values
+    else:
+        outer = _hopflax_exact(inner, W, h - s, full.axes, full.resolution)[0]
+    both = full.finite_mask & np.isfinite(outer)
     if not both.any():
         return 0.0
-    return float(np.max(np.abs(full.values.values[both] - outer.values.values[both])))
+    return float(np.max(np.abs(full.values[both] - outer[both])))
 
 
 def _richardson(h_big, q_big, h_small, q_small):

@@ -446,8 +446,7 @@ def integrate_gridfn(f: ExtGridFn, transform: Callable | None = None) -> float:
     vals = f.values if transform is None else transform(f.values)
     vals = np.where(np.isfinite(vals), vals, 0.0)
     w = np.ones(())
-    for d in range(f.dim):
-        step = f.spacing[d] if f.spacing[d] > 0 else 1.0
-        wd = _trap_weights(f.resolution[d]) * step
+    for d, (m, step) in enumerate(zip(f.resolution, f.steps)):
+        wd = _trap_weights(m) * step
         w = np.multiply.outer(w, wd) if d else wd
     return float(np.sum(w * vals))

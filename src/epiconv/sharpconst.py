@@ -101,7 +101,7 @@ class TraceReport:
             "ratio": self.ratio,
             "error": self.quadrature_error,
         }
-        out.update({k: v for k, v in self.details.items() if np.isscalar(v)})
+        out.update(self.details)
         return out
 
 
@@ -323,7 +323,7 @@ def _trace_integrals(
         _boundary_integrand(f, domain, qt, weighted), domain.n - 1, spec,
         decay=(f.decay * qt if f.decay else None), estimate=True,
     )
-    (grad_term, e_g, _), (fq_term, e_q, _), (beta_int, e_beta, _) = _field_integrals(
+    (grad_term, e_g, _), (fq_term, e_q, _), (beta_int, _, _) = _field_integrals(
         f, cost.norm, p, (qt, a * p / (a - p)), domain, spec, estimate=True
     )
     beta = beta_int ** ((a - p) / (a * p))
@@ -331,7 +331,6 @@ def _trace_integrals(
         "bdry": e_b / max(abs(bdry), 1e-300),
         "grad": e_g / max(grad_term, 1e-300),
         "fq": e_q / max(fq_term, 1e-300),
-        "beta": e_beta / max(beta_int, 1e-300),
     }
     return bdry, grad_term, fq_term, beta, rels
 
@@ -380,7 +379,7 @@ def trace_gn_check(
         beta=beta,
         ratio=ratio,
         quadrature_error=ratio * rel_err,
-        details={"grad_term": grad_term, "fq_term": fq_term, "rels": rels},
+        details={"grad_term": grad_term, "fq_term": fq_term},
     )
 
 

@@ -250,9 +250,8 @@ def default_dual_box(f: ExtGridFn):
     discrete sup, so this box loses nothing.
     """
     box = []
-    for d in range(f.dim):
+    for d, step in enumerate(f.steps):
         v = np.moveaxis(f.values, d, 0)
-        step = f.spacing[d] if f.spacing[d] > 0 else 1.0
         # two adjacent +inf samples differ by NaN, which the filter drops
         with np.errstate(invalid="ignore"):
             diffs = np.diff(v, axis=0) / step

@@ -19,7 +19,7 @@ from epiconv.extgrid import (
     weight_P,
 )
 from epiconv.fields import ScalarField
-from epiconv.hopflax import hopflax_apply
+from epiconv import hopflax
 from oracles import (
     _shift_interp_candidates,
     bh_contains,
@@ -48,6 +48,13 @@ def test_gridfn_rejects_negative_infinity():
     # non-finite node as +inf
     with pytest.raises(ValueError, match="-inf"):
         ExtGridFn([(0, 1)], np.array([-INF, 1.0, 2.0]))
+
+
+def test_gridfn_rejects_nodes_on_zero_width_axis():
+    # several nodes at one coordinate have no step to read a lattice with
+    with pytest.raises(ValueError, match="axis 0"):
+        ExtGridFn([(0, 0), (0, 1)], np.ones((3, 2)))
+    assert ExtGridFn([(0, 0), (0, 1)], np.ones((1, 2))).steps == (1.0, 1.0)
 
 
 def test_gridfn_values_are_frozen():
@@ -209,13 +216,18 @@ class TestSampleGrid:
 
 
 def lattice_read(f, lo, resolution):
-    """f on the grid at f's spacing (1 on one-node axes) whose first node is
-    lo, as the h = 0 Hopf-Lax reads it: the package's one interpolation."""
-    steps = [s if s > 0 else 1.0 for s in f.spacing]
-    box = [(a, a + s * (m - 1)) for a, s, m in zip(lo, steps, resolution)]
-    res = hopflax_apply(f, f, 0.0, out_box=box, out_resolution=resolution)
-    assert (res.argmin == -1).all()
-    return res.values
+    """f on the grid at f's steps whose first node is lo, as the Hopf-Lax
+    kernel reads g at the zero shift: the package's one interpolation, +inf
+    on the nodes whose cell leaves f's box."""
+    box = [(a, a + s * (m - 1)) for a, s, m in zip(lo, f.steps, resolution)]
+    axes = [np.linspace(a, b, m) for (a, b), m in zip(box, resolution)]
+    tables = hopflax._axis_tables(f, [np.zeros(1)] * f.dim, axes)
+    lo, hi, base, frac = map(np.concatenate, zip(*tables))
+    vals = np.full(tuple(resolution), INF)
+    if (lo < hi).all():
+        src = tuple(map(slice, lo + base, hi + base))
+        vals[tuple(map(slice, lo, hi))] = hopflax._interpolator(f)(tuple(frac.tolist()), src)
+    return ExtGridFn(box, vals)
 
 
 class TestInterpolation:
@@ -265,7 +277,7 @@ class TestInterpolation:
         vals[rng.random(shape) < 0.25] = INF
         vals.flat[0] = -1.5
         f = ExtGridFn(box, vals)
-        steps = np.array([s if s > 0 else 1.0 for s in f.spacing])
+        steps = np.array(f.steps)
         nodes = rng.integers(-2, 3, size=(8, len(shape)))
         starts = np.concatenate([
             [lo],
