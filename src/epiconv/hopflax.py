@@ -32,43 +32,35 @@ An apply at h > 0 prunes candidates that cannot win. The strided cost nodes
 incumbent U at least the minimum at each output node: a cell's largest corner
 bounds every value interpolated in it. Along each axis the cost nodes group
 into blocks, runs of consecutive nodes that read one g cell at every output
-node, merged until a block holds at least _COARSE_STRIDE nodes, and every
-block splits in two along each axis into half-blocks. A candidate of block B
-at output x interpolates corners inside B's node window at x, so it is at
-least LB(x) = min of g over that window (+inf nodes counting as +inf) plus
+node, merged until a block holds at least _COARSE_STRIDE nodes. A candidate of
+block B at output x interpolates corners inside B's node window at x, so it is
+at least LB(x) = min of g over that window (+inf nodes counting as +inf) plus
 the least h*W of B. Each cost node then only reaches the bounding box of the
-outputs where its block passes LB and its half-block passes the vertex bound
-below, each within the allowance of U.
+outputs where its block passes both LB and the tilted bound below, each
+within the allowance of U.
 
-The vertex bound keeps the first-order terms and the fractional offsets that
-LB drops. In lattice coordinates output node k reads, for cost node y, g's
-multilinear interpolant I at k + u_y, where u_y = base + frac per axis
-(:func:`_axis_tables`). The offsets fall as the cost index grows, so a
-half-block H reads, per axis, the offsets between those of its last and its
-first node. For any slope q, I(v) - q·v is multilinear on each cell, so on
-that box of offsets it is at least its least value at the box's vertices:
-per axis the two end offsets and the gridlines between them. Hence every
-candidate of H at output k is at least min over those vertices v of
-(I(k + v) - q·v) plus kappa_H = min over the active y of H of
-h*W(y) + q·u_y (LB is the same bound for the whole block, with q = 0 and the
-integer nodes of its window as vertices). The least is taken axis by axis, over the vertices of one axis before
-interpolating along the next, which can only lower it: an interpolation with
-nonnegative weights of a pointwise least is at most that of any one of the
-functions. +inf nodes of g read as _FAR there, so the interpolant stays
-multilinear on every cell and equals I on the all-finite cells, the only
-ones a finite candidate reads. Block B takes q_d = minus the mean slope of
+The tilted bound keeps the first-order terms that LB drops. In lattice
+coordinates output node k reads, for cost node y, g's multilinear interpolant
+I at k + u_y, where u_y = base + frac per axis (:func:`_axis_tables`). For any
+slope q, I(v) - q·v is multilinear on each cell and so at least its least
+corner value. Hence every candidate of B at output k is at least
+min over t of (g[k + bmin + t] - q·(bmin + t)) + kappa_B, with t over B's node
+window, bmin its least base and kappa_B = min over the active y of B of
+h*W(y) + q·u_y; q = 0 gives LB. Block B takes q_d = minus the mean slope of
 its least h*W per slice across axis d against u_d, so that h*W(y) + q·u_y is
 nearly flat over B and the bound is tight to first order near B's
-minimizers. The vertex bound is only evaluated inside the box that LB keeps.
+minimizers. Every term is an integer offset or a table entry, so _SNAP needs
+no slack. The window minimum is separable, and it is only evaluated inside the
+box that LB keeps.
 
-The allowance, (2^n + 5n + 5) ulps of the largest finite |g| plus the largest
-finite h*W plus the largest sum over the axes of |q_d|·(largest |u_d|),
-covers interpolated sums that round a few ulps outside the range of their
-corners (four equal corners round below it in about one draw of fractions in
-seven) and the rounding of U, of the vertex values, of the tilt terms and of
-kappa (:func:`_allowance` counts them). Pruning therefore only drops
-candidates strictly above the minimum: values and argmins are those of the
-full scan, bit for bit, for any g and W of any size.
+The allowance, (2^n + n + 6) ulps of the largest finite |g| plus the largest
+finite h*W plus the largest sum over the axes of |q_d|·(window length +
+largest |u_d|), covers interpolated sums that round a few ulps outside the
+range of their corners (four equal corners round below it in about one draw
+of fractions in seven) and the rounding of U, of the tilt terms and of both
+bounds. Pruning therefore only drops candidates strictly above the minimum:
+values and argmins are those of the full scan, bit for bit, for any g and W
+of any size.
 
 What the values bound. The scan minimizes over a subset of y, so its value is
 at least Q_h of the multilinear interpolant I of g: it is an upper bound of
@@ -103,7 +95,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -125,10 +117,6 @@ _COARSE_STRIDE = 4
 _LATTICE_CACHE = 16
 # fractional lattice offsets within _SNAP of a gridline snap onto it
 _SNAP = 1e-9
-# what a +inf node of g reads as in the vertex bound: finite, so that a zero
-# interpolation weight multiplies it to 0, and so large that every vertex
-# in a cell with a +inf corner lies far above any incumbent
-_FAR = 1e300
 # ulps of the sum of the magnitudes of its terms by which _pointwise_bracket
 # lowers its Fenchel-Young floor, covering the rounding of the conjugates and
 # of the sum
@@ -239,8 +227,8 @@ def _scan_candidates(lattice, tables, shape, weights, active, boxes=None):
     output nodes lo <= k < hi along d and reads lattice point k + base there
     (as :func:`_axis_tables` builds them, key being the fraction). The keys
     of y form its offset class, and lattice(keys, region) gives the class's
-    lattice over a region of lattice points. With boxes = (halves, box_lo,
-    box_hi), y only reaches the outputs inside its half-block's box (see
+    lattice over a region of lattice points. With boxes = (blocks, box_lo,
+    box_hi), y only reaches the outputs inside its cost block's box (see
     :func:`_prune_boxes`).
 
     The classes go in chunks of at most _LATTICE_CACHE: per axis, groups of
@@ -298,15 +286,20 @@ def _scan_candidates(lattice, tables, shape, weights, active, boxes=None):
             (ids[i] - c * s) * r
             for ids, i, c, s, r in zip(class_ids, idx, chunk, sizes, local_radix)
         )
+        flat = sum(i * s for i, s in zip(idx, strides))
+        del idx
+        # in place, since a chunk may hold every cost node: base becomes the
+        # first lattice point each node reads and hi its output count
+        read, size = base, hi
+        read += lo
+        size -= lo
         # per class of the chunk (by its index in the chunk), the bounding box
         # of the lattice points its nodes read
         reg_lo = np.full((ndim, local_count), np.iinfo(np.int64).max)
         reg_hi = np.zeros((ndim, local_count), dtype=np.int64)
-        np.minimum.at(reg_lo, (axis_rows, local), lo + base)
-        np.maximum.at(reg_hi, (axis_rows, local), hi + base)
-        flat = sum(i * s for i, s in zip(idx, strides))
-        size = hi - lo
-        read = lo + base - reg_lo[:, local]
+        np.minimum.at(reg_lo, (axis_rows, local), read)
+        np.maximum.at(reg_hi, (axis_rows, local), read + size)
+        read -= reg_lo[:, local]
         cvals.fill(INF)
         carg.fill(-1)
         lattices = {}
@@ -343,11 +336,11 @@ def _node_reads(tables, boxes, idx):
     (one per axis) of nodes that reach an output, the last three as
     (ndim, count) arrays: the node reaches the outputs lo <= k < hi and reads
     lattice point k + base. With boxes, each output range is cut to its
-    half-block's box and the nodes left with no output are dropped."""
+    block's box and the nodes left with no output are dropped."""
     lo, hi = (np.stack([t[r][i] for t, i in zip(tables, idx)]) for r in range(2))
     if boxes is not None:
-        halves, box_lo, box_hi = boxes
-        at = (slice(None),) + tuple(h[i] for h, i in zip(halves, idx))
+        blocks, box_lo, box_hi = boxes
+        at = (slice(None),) + tuple(b[i] for b, i in zip(blocks, idx))
         np.maximum(lo, box_lo[at], out=lo)
         np.minimum(hi, box_hi[at], out=hi)
         keep = np.all(lo < hi, axis=0)
@@ -374,32 +367,15 @@ def _strided(active: np.ndarray) -> np.ndarray:
     return keep
 
 
-class _AxisBlocks(NamedTuple):
-    """The cost blocks along one axis and their halves (:func:`_axis_blocks`);
-    the lists run over the blocks."""
-
-    half: np.ndarray  # half id of each cost index, -1 where it reaches nothing
-    reach: np.ndarray  # the reaching indices
-    starts: np.ndarray  # block starts among them
-    hstarts: np.ndarray  # half starts among them
-    bmin: list  # least base
-    length: list  # node window length: base span + 1, + 1 when a fraction is nonzero
-    out_lo: list  # the union [out_lo, out_hi) of the output ranges
-    out_hi: list
-    halves: list  # slice of the block's half ids
-    verts: list  # the vertex rows of the block's halves (:func:`_vertex_rows`)
-
-
-def _axis_blocks(lo, hi, base, frac) -> _AxisBlocks:
+def _axis_blocks(lo, hi, base, frac):
     """Cost blocks along one axis: runs of consecutive reaching indices with
     one base (they read one g cell at every output node), merged until a
-    block holds at least _COARSE_STRIDE indices. A block splits into two
-    halves after its first ceil(size / 2) indices; a one-index block is its
-    own half.
+    block holds at least _COARSE_STRIDE indices.
 
-    The offset u = base + frac falls as the index grows, so a half reads the
-    offsets from its last index's u up to its first's. Its vertices are
-    those two offsets and the gridlines between them.
+    Returns the block id of each index (-1 where it reaches nothing), the
+    reaching indices and the block starts among them, and per block the
+    smallest base, the node window length (base span + 1, + 1 when any
+    fraction is nonzero) and the union [out_lo, out_hi) of its output ranges.
     """
     reach = np.flatnonzero(lo < hi)
     b = base[reach]
@@ -414,56 +390,16 @@ def _axis_blocks(lo, hi, base, frac) -> _AxisBlocks:
             starts.append(pos)
             size = 0
         size += 1
-    starts = np.array(starts)
-    sizes = np.diff(starts, append=reach.size)
-    hstarts = np.sort(np.concatenate([starts, (starts + (sizes + 1) // 2)[sizes > 1]]))
-    half = np.full(lo.shape, -1)
+    block = np.full(lo.shape, -1)
     is_start = np.zeros(reach.size, dtype=np.int64)
-    is_start[hstarts] = 1
-    half[reach] = np.cumsum(is_start) - 1
+    is_start[starts] = 1
+    block[reach] = np.cumsum(is_start) - 1
     bmin = np.minimum.reduceat(b, starts)
     span = np.maximum.reduceat(b, starts) - bmin
-    fr = frac[reach]
-    tops = np.maximum.reduceat((fr > 0.0).astype(np.int64), starts)
-    length = (span + tops + 1).tolist()
-    first = np.searchsorted(hstarts, starts).tolist() + [hstarts.size]
-    halves = [slice(j0, j1) for j0, j1 in zip(first, first[1:])]
-    # (base, frac, u) at the first and at the last index of each half
-    last = np.append(hstarts[1:], reach.size) - 1
-    top, bottom = ([*zip(b[i].tolist(), fr[i].tolist(), (b + fr)[i].tolist())] for i in (hstarts, last))
-    verts = []
-    for h, least, n in zip(halves, bmin.tolist(), length):
-        groups = []
-        for (bt, ft, ut), (bb, fb, ub) in zip(top[h], bottom[h]):
-            group = [(bb - least, fb, ub)]
-            group += [(t - least, 0.0, float(t)) for t in range(bb + 1, bt + 1)]
-            if ft > 0.0 and (bt, ft) != (bb, fb):
-                group.append((bt - least, ft, ut))
-            groups.append(group)
-        verts.append(_vertex_rows(groups, n))
-    return _AxisBlocks(
-        half, reach, starts, hstarts, bmin.tolist(), length,
-        np.minimum.reduceat(lo[reach], starts).tolist(),
-        np.maximum.reduceat(hi[reach], starts).tolist(),
-        halves, verts,
-    )
-
-
-def _vertex_rows(groups, n):
-    """(weights, u, group) of groups of vertices (t, f, u), t + f nodes into
-    a window of n nodes at offset u: row r of weights interpolates the
-    window at the r-th vertex, u[r] is its offset and group[r] its group.
-    The rows hold the groups one after the other, each padded to the
-    largest by repeating its last vertex."""
-    k = max(map(len, groups))
-    rows = [v for vs in groups for v in vs + vs[-1:] * (k - len(vs))]
-    weights = np.zeros((len(rows), n))
-    for r, (t, f, _u) in enumerate(rows):
-        weights[r, t] = 1.0 - f
-        if f > 0.0:
-            weights[r, t + 1] = f
-    u = np.array([u for *_tf, u in rows])[:, None]
-    return weights, u, np.repeat(np.arange(len(groups)), k)
+    tops = np.maximum.reduceat((frac[reach] > 0.0).astype(np.int64), starts)
+    out_lo = np.minimum.reduceat(lo[reach], starts)
+    out_hi = np.maximum.reduceat(hi[reach], starts)
+    return block, reach, starts, bmin, span + tops + 1, out_lo, out_hi
 
 
 def _window_reduce(ufunc, a: np.ndarray, lengths) -> np.ndarray:
@@ -489,19 +425,18 @@ def _block_bounds(g: ExtGridFn, tables, weights, active):
     (+inf when B has none); slope[d] is q_d, minus the mean slope, against
     the lattice offset u_d = base + frac, of B's least weights on its slices
     across axis d, taken over the neighbouring slices whose least weights are
-    both finite (0 when no two are). Per half-block H (indexed by the half
-    ids of every axis), kappa is the least weight[y] + q·u_y over the active
-    y of H, q being the slope of H's block. The allowance
-    (:func:`_allowance`) takes as its tilt the largest sum over the axes of
-    |q_d| times the largest |u_d|.
+    both finite (0 when no two are); kappa is the least weight[y] + q·u_y
+    over the active y of B. The allowance (:func:`_allowance`) takes as its
+    tilt the largest sum over the axes of |q_d| times (window length +
+    largest |u_d|).
     """
     ndim = len(tables)
     axes = [_axis_blocks(*table) for table in tables]
     w = np.where(active, weights, INF)
     offsets = []
-    for d, ((_lo, _hi, base, frac), ax) in enumerate(zip(tables, axes)):
-        w = np.take(w, ax.reach, axis=d)
-        offsets.append((base + frac)[ax.reach])
+    for d, ((_lo, _hi, base, frac), (_b, reach, *_rest)) in enumerate(zip(tables, axes)):
+        w = np.take(w, reach, axis=d)
+        offsets.append((base + frac)[reach])
 
     def along(a, d):
         shape = [1] * ndim
@@ -509,107 +444,69 @@ def _block_bounds(g: ExtGridFn, tables, weights, active):
         return a.reshape(shape)
 
     slope = []
-    for d, ax in enumerate(axes):
+    for d, (_b, reach, starts, *_rest) in enumerate(axes):
         # per block, its least weight on each slice across axis d
         profile = w
-        for e, other in enumerate(axes):
+        for e, (_b, _reach, other, *_rest) in enumerate(axes):
             if e != d:
-                profile = np.minimum.reduceat(profile, other.starts, axis=e)
+                profile = np.minimum.reduceat(profile, other, axis=e)
         profile = np.moveaxis(profile, d, -1)
         finite = np.isfinite(profile)
         # slices i and i + 1 lie in one block unless i + 1 starts one
-        inner = np.ones(ax.reach.size, dtype=bool)
-        inner[ax.starts] = False
+        inner = np.ones(reach.size, dtype=bool)
+        inner[starts] = False
         pair = finite[..., :-1] & finite[..., 1:] & inner[1:]
         rise = np.where(pair, np.diff(np.where(finite, profile, 0.0)), 0.0)
         run = np.where(pair, np.diff(offsets[d]), 0.0)
         pad = [(0, 0)] * (ndim - 1) + [(0, 1)]
-        rise, run = (np.add.reduceat(np.pad(a, pad), ax.starts, axis=-1) for a in (rise, run))
+        rise, run = (np.add.reduceat(np.pad(a, pad), starts, axis=-1) for a in (rise, run))
         slope.append(np.moveaxis(-rise / np.where(run != 0.0, run, 1.0), -1, d))
 
     tilted = w.copy()
     for d, q in enumerate(slope):
-        for e, ax in enumerate(axes):
-            q = np.repeat(q, np.diff(ax.starts, append=ax.reach.size), axis=e)
+        for e, (_b, _reach, starts, *_rest) in enumerate(axes):
+            q = np.repeat(q, np.diff(starts, append=offsets[e].size), axis=e)
         tilted += q * along(offsets[d], d)
     least, kappa = w, tilted
-    for d, ax in enumerate(axes):
-        least = np.minimum.reduceat(least, ax.starts, axis=d)
-        kappa = np.minimum.reduceat(kappa, ax.hstarts, axis=d)
+    for d, (_b, _reach, starts, *_rest) in enumerate(axes):
+        least = np.minimum.reduceat(least, starts, axis=d)
+        kappa = np.minimum.reduceat(kappa, starts, axis=d)
 
-    tilt = sum(np.abs(q) * np.abs(u).max() for q, u in zip(slope, offsets))
+    tilt = sum(
+        np.abs(q) * along(length + np.abs(u).max(), d)
+        for d, (q, u, (*_rest, length, _lo, _hi)) in enumerate(zip(slope, offsets, axes))
+    )
     allowance = _allowance(g, weights, active, np.max(tilt, initial=0.0))
     return axes, least, slope, kappa, allowance
 
 
 def _allowance(g: ExtGridFn, weights, active, tilt: float) -> float:
-    """(2^n + 5n + 5) ulps of S, the largest finite |g| plus the largest
-    active |weight| plus tilt.
-
-    A first-order count, in units of u = ulp/2 and each term bounded by
-    S, of the roundings between a half-block's vertex bound and the
-    incumbent it is compared with:
-
-    - an interpolated candidate, (2^n + 2n)u: the weights 1 - f and their
-      products (2n - 1)u, the 2^n corner products and sums 2^n u, and the
-      sum with its weight u. It enters twice: the pruned node's and the
-      strided node's that sets U.
-    - U, the cell max plus its weight, u; U + allowance, u.
-    - the vertex values, interpolated axis by axis from at most two nodes
-      with the same weights, 3u per axis; q_d·u_d and the float offset
-      u_d, 2u in all; the n - 1 subtractions of q_d·u_d before axis 0, u
-      each; on axis 0, kappa - q_0·u_0 and its subtraction, 2u each, as
-      their terms reach 2S.
-    - kappa: q·u and the float offsets, 2u; its n sums, u each.
-
-    That is (2^(n+1) + 9n + 9)u, within 2(2^n + 5n + 5)u for every n.
-    """
+    """(2^n + n + 6) ulps of the largest finite |g| plus the largest active
+    |weight| plus tilt. A first-order count of the roundings in an
+    interpolated candidate, the incumbent and both bounds stays within it for
+    n <= 3."""
     scale = np.abs(g.values[np.isfinite(g.values)]).max(initial=0.0)
     scale += np.abs(weights[active]).max(initial=0.0) + tilt
-    return (2**g.dim + 5 * g.dim + 5) * np.finfo(float).eps * scale
+    return (2**g.dim + g.dim + 6) * np.finfo(float).eps * scale
 
 
-def _vertex_bound(gfar, pad, lows, lengths, verts, slope, kappa, out):
-    """The vertex bound of each half of one cost block at the output nodes
-    of the box out (one slice per axis), laid out (c_0, m_0, c_1, m_1, ...):
-    per axis d, the block's c_d halves and out's m_d nodes.
-
-    verts[d] is :func:`_vertex_rows` of the halves' vertices along d, and
-    kappa has one entry per half-block. Axis by axis (axis 0 last), the
-    window of lengths[d] nodes from the block's least base lows[d] is
-    interpolated at every vertex, q_d·u is subtracted (on axis 0, kappa is
-    added in the same step) and each half keeps the least of its vertices.
-    gfar is g with its +inf nodes read as _FAR, padded by pad[d] _FAR nodes
-    on both sides of axis d.
-    """
-    ndim = len(out)
-    order = list(range(1, ndim)) + [0]
-    vals = gfar[tuple(
+def _tilted_bound(gpad, pad, bmin, length, slope, kappa, out):
+    """The tilted lower bound of one cost block at the output nodes of the
+    box out (one slice per axis): min over the block's node window of
+    g[k + bmin + t] - q·(bmin + t), plus kappa. gpad is g padded with pad[d]
+    +inf nodes on both sides of axis d."""
+    region = gpad[tuple(
         slice(o.start + b + p, o.stop + b + p + n - 1)
-        for o, b, p, n in zip(out, lows, pad, lengths)
+        for o, b, p, n in zip(out, bmin, pad, length)
     )]
-    done = ()
-    vals = np.ascontiguousarray(vals.transpose(order))
-    for d in order:
-        weights, u, group = verts[d]
-        n, c, m = lengths[d], kappa.shape[d], out[d].stop - out[d].start
-        rest = vals.shape[1:]
-        size = vals.size // len(vals)
-        # column i * size + j of row t: node t of output i's window, at j
-        at = np.dot(weights, np.ndarray((n, m * size), buffer=vals, strides=(8 * size, 8)))
-        if d:
-            at -= slope[d] * u
-            least = np.minimum.reduce(at.reshape(c, -1, m * size), axis=1)
-            # axis d's halves and outputs go last, the next axis comes first
-            vals = np.ascontiguousarray(least.reshape(c * m, size).T).reshape(rest + (c * m,))
-            done += (c, m)
-        else:
-            # kappa of each row's half-block, tilted by the row's q_0·u
-            shift = slope[0] * u.reshape((-1,) + (1,) * (ndim - 1)) - kappa[group]
-            at = at.reshape((len(at), m) + done)
-            at -= shift[(slice(None), None) + (slice(None), None) * (ndim - 1)]
-            vals = np.minimum.reduce(at.reshape((c, -1, m) + done), axis=1)
-    return vals
+    for d, (b, n, q) in enumerate(zip(bmin, length, slope)):
+        m = region.shape[d] - n + 1
+        lead = (slice(None),) * d
+        least = region[lead + (slice(0, m),)] - q * b
+        for t in range(1, n):
+            np.minimum(least, region[lead + (slice(t, t + m),)] - q * (b + t), out=least)
+        region = least
+    return region + kappa
 
 
 def _hit_box(keep):
@@ -628,20 +525,16 @@ def _hit_box(keep):
 
 
 def _prune_boxes(g: ExtGridFn, tables, shape, weights, active):
-    """Per half-block, the bounding box of the output nodes where one of its
-    candidates can be the minimum, as (halves, box_lo, box_hi) for
-    :func:`_scan_candidates`: halves[d] maps each cost index to its half id
-    along d, and box_lo[d], box_hi[d] are indexed by the half ids of every
-    axis. None when no cost node reaches an output.
+    """Per cost block, the bounding box of the output nodes where one of its
+    candidates can be the minimum, as (blocks, box_lo, box_hi) for
+    :func:`_scan_candidates`; None when no cost node reaches an output.
 
     The incumbent U is the strided nodes' scan over cell-max lattices. A
     block's untilted bound at output x is the min of g over its node window
-    at x plus its least weight. Inside the box of the outputs where that
-    comes within the allowance of U, every half-block of the block keeps
-    the outputs where its vertex bound (:func:`_vertex_bound`) does too, all
-    of them in one evaluation, and its box bounds those; a half-block that
-    keeps none gets the empty box (0, 0). The module docstring has why both
-    bounds and the allowance of :func:`_block_bounds` hold.
+    at x plus its least weight; inside the box of the outputs where that
+    comes within the allowance of U, the tilted bound of
+    :func:`_tilted_bound` cuts the box again (the module docstring has why
+    both bounds and the allowance of :func:`_block_bounds` hold).
     """
     ndim = len(tables)
     if not all((lo < hi).any() for lo, hi, _base, _frac in tables):
@@ -659,55 +552,41 @@ def _prune_boxes(g: ExtGridFn, tables, shape, weights, active):
     axes, least, slope, kappa, allowance = _block_bounds(g, tables, weights, active)
     incumbent += allowance
 
-    pad = [max(ax.length) - 1 for ax in axes]
+    blocks, _reach, _starts, bmin, length, out_lo, out_hi = zip(*axes)
+    pad = [int(n.max()) - 1 for n in length]
     gpad = np.pad(g.values, [(p, p) for p in pad], constant_values=INF)
-    gfar = np.minimum(gpad, _FAR)
-    box_lo = np.zeros((ndim,) + kappa.shape, dtype=np.int64)
-    box_hi = np.zeros((ndim,) + kappa.shape, dtype=np.int64)
-    spread = (None, slice(None)) * ndim
-    # a bound laid out as _vertex_bound returns it, reduced over the output
-    # axes but d's, gives whether each half-block keeps an output node along
-    # d, laid out (c_0, c_1, ..., m_d) once its axes are permuted thus
-    others = [tuple(2 * e + 1 for e in range(ndim) if e != d) for d in range(ndim)]
-    to_last = [tuple(e for e in range(ndim + 1) if e != d + 1) + (d + 1,) for d in range(ndim)]
-
-    # blocks by window lengths, then by block row (block index along axis 0):
-    # one window-min array is alive at a time, and per axis d the half-blocks
-    # of one row mark their kept output nodes in one array over (half ids,
-    # output nodes along d), which then gives their boxes
+    box_lo = np.zeros((ndim,) + least.shape, dtype=np.int64)
+    box_hi = np.zeros((ndim,) + least.shape, dtype=np.int64)
+    # blocks by window lengths, so one window-min array is alive at a time
     found = np.nonzero(np.isfinite(least))
-    lengths = np.stack([np.asarray(ax.length)[b] for ax, b in zip(axes, found)], axis=1)
-    order = np.lexsort((found[0],) + tuple(lengths.T[::-1]))
-    blocks = zip(zip(*(b[order].tolist() for b in found)), lengths[order].tolist())
+    lengths = np.stack([n[b] for n, b in zip(length, found)], axis=1)
+    order = np.lexsort(lengths.T[::-1])
+    out_lo, out_hi = [a.tolist() for a in out_lo], [a.tolist() for a in out_hi]
+    bmin = [b.tolist() for b in bmin]
     window = None
-    for (lens, row), run in itertools.groupby(blocks, key=lambda item: (item[1], item[0][0])):
+    for blk, lens in zip(zip(*(b[order].tolist() for b in found)), lengths[order].tolist()):
         if window != lens:
             window = lens
             mins = _window_reduce(np.minimum, gpad, window)
-        first = axes[0].halves[row]
-        hits = [np.zeros((first.stop - first.start,) + kappa.shape[1:] + (m,), dtype=bool) for m in shape]
-        for blk, _lens in run:
-            out = tuple(slice(ax.out_lo[b], ax.out_hi[b]) for ax, b in zip(axes, blk))
-            lows = [ax.bmin[b] for ax, b in zip(axes, blk)]
-            win = tuple(slice(o.start + b + p, o.stop + b + p) for o, b, p in zip(out, lows, pad))
-            keep = mins[win] + least[blk] <= incumbent[out]
-            box = _hit_box(keep)
-            if box is None:
-                continue
-            out = tuple(slice(o.start + a, o.start + b) for o, (a, b) in zip(out, box))
-            halves = tuple(ax.halves[b] for ax, b in zip(axes, blk))
-            bound = _vertex_bound(
-                gfar, pad, lows, lens, [ax.verts[b] for ax, b in zip(axes, blk)],
-                [q[blk] for q in slope], kappa[halves], out,
-            )
-            keep = bound <= incumbent[out][spread]
-            for hit, o, axis, perm in zip(hits, out, others, to_last):
-                hit[(slice(None),) + halves[1:] + (o,)] = np.logical_or.reduce(keep, axis=axis).transpose(perm)
-        kept = hits[0].any(axis=-1)
-        for d, hit in enumerate(hits):
-            box_lo[d][first][kept] = hit.argmax(axis=-1)[kept]
-            box_hi[d][first][kept] = (hit.shape[-1] - hit[..., ::-1].argmax(axis=-1))[kept]
-    return tuple(ax.half for ax in axes), box_lo, box_hi
+        start = [out_lo[d][b] for d, b in enumerate(blk)]
+        out = tuple(slice(s, out_hi[d][b]) for d, (s, b) in enumerate(zip(start, blk)))
+        lows = [bmin[d][b] for d, b in enumerate(blk)]
+        win = tuple(slice(o.start + b + p, o.stop + b + p) for o, b, p in zip(out, lows, pad))
+        keep = mins[win] + least[blk] <= incumbent[out]
+        box = _hit_box(keep)
+        if box is None:
+            continue
+        keep = keep[tuple(slice(a, b) for a, b in box)]
+        out = tuple(slice(s + a, s + b) for s, (a, b) in zip(start, box))
+        q = [a[blk] for a in slope]
+        keep &= _tilted_bound(gpad, pad, lows, lens, q, kappa[blk], out) <= incumbent[out]
+        box = _hit_box(keep)
+        if box is None:
+            continue
+        for d, (o, (a, b)) in enumerate(zip(out, box)):
+            box_lo[d][blk] = o.start + a
+            box_hi[d][blk] = o.start + b
+    return blocks, box_lo, box_hi
 
 
 def _default_out_grid(g: ExtGridFn, W: ExtGridFn, h: float):
@@ -732,13 +611,12 @@ def hopflax_apply(g: ExtGridFn, W: ExtGridFn, h: float) -> InfConvResult:
     +0.0. Its argmin is -1 everywhere, and W is not read.
 
     One algorithm serves every grid: each finite y node's candidates are
-    evaluated except those that its cost block's or half-block's lower
-    bound puts above the strided incumbent by more than the rounding
-    allowance, so the result equals the scan of all candidates bit for bit,
-    whatever the size or shape of g and W. Each offset class of g that the
-    scan reads is interpolated once, with at most _LATTICE_CACHE lattices
-    alive (the module docstring has the class chunks, their merge rule and
-    the bounds).
+    evaluated except those its cost block's lower bound puts above the
+    strided incumbent by more than the rounding allowance, so the result
+    equals the scan of all candidates bit for bit, whatever the size or
+    shape of g and W. Each offset class of g is interpolated once, with at
+    most _LATTICE_CACHE lattices alive (the module docstring has the class
+    chunks, their merge rule and the bound).
     """
     if h < 0:
         raise ValueError("h must be nonnegative")

@@ -401,14 +401,14 @@ def test_each_offset_class_interpolated_once(fixture, h, cache, monkeypatch):
     g, W, _ = EXACT_FIXTURES[fixture]()
     res = hopflax_apply(g, W, h)
     assert len(built) == len(set(built))
-    assert set(built) == _scanned_classes(g, W, h, res.values.axes)
+    assert set(built) == _offset_classes(g, W, h, res.values.axes)
     assert 1 < peak[0] <= cache
 
 
-def _pruned_reads(g, W, h, axes):
-    """(tables, idx, lo, hi) of the pruned scan of Q_h(g) on the output axes:
-    the finite cost nodes idx that reach an output node inside their
-    half-block's box, and the output ranges lo <= k < hi they scan."""
+def evaluated_candidates(g, W, h, axes):
+    """The candidates the pruned scan of Q_h(g) evaluates on the output
+    axes: over the finite cost nodes, the sizes of their output ranges cut
+    to their cost block's box."""
     tables = hopflax._axis_tables(g, [h * ax for ax in W.axes], axes)
     weights, active = h * W.values, np.isfinite(W.values)
     boxes = hopflax._prune_boxes(g, tables, tuple(map(len, axes)), weights, active)
@@ -417,22 +417,17 @@ def _pruned_reads(g, W, h, axes):
         shape = [1] * W.dim
         shape[d] = -1
         reach &= (lo < hi).reshape(shape)
-    idx, lo, hi, _base = hopflax._node_reads(tables, boxes, np.nonzero(reach))
-    return tables, idx, lo, hi
-
-
-def _scanned_classes(g, W, h, axes):
-    """The distinct offset tuples of the cost nodes the pruned scan reads."""
-    tables, idx, _lo, _hi = _pruned_reads(g, W, h, axes)
-    return set(zip(*(frac[i].tolist() for (*_rest, frac), i in zip(tables, idx))))
+    _idx, lo, hi, _base = hopflax._node_reads(tables, boxes, np.nonzero(reach))
+    return int(np.prod(hi - lo, axis=0).sum())
 
 
 def test_pruned_scan_candidates_on_perturbed_halfspace():
     # the normalized grids that bbl_gap hands to hopflax_apply for the
     # bump-perturbed half-space on 161 x 81 nodes (dx = 0.1, q = 4, a = 2,
     # the bump of the benchmark's variant 1): over h in {0.1, 0.25, 0.5, 1}
-    # the pruned scans evaluate at most 1.6e7 candidates (2.95e7 with one
-    # bound per whole block), the same count on every run
+    # the pruned scans evaluate at most the 2.95e7 candidates that one
+    # tilted bound per cost block leaves (1.92e7 of them at h = 0.1), the
+    # same count on every run
     from epiconv.bblcheck import _normalize_grid
     from epiconv.fields import multiply_bump
     from epiconv.quadrature import QuadSpec
@@ -448,14 +443,15 @@ def test_pruned_scan_candidates_on_perturbed_halfspace():
     gs = _normalize_grid(sample_grid(dom, [(-8.0, 8.0), (0.0, 8.0)], [161, 81], g), 2.0)[0]
     Ws = _normalize_grid(sample_grid(dom, [(-8.0, 8.0), (1.0, 9.0)], [161, 81], W, h=1.0), 2.0)[0]
 
-    def evaluated(h):
-        axes = hopflax._default_out_grid(gs, Ws, h)[1]
-        _tables, _idx, lo, hi = _pruned_reads(gs, Ws, h, axes)
-        return int(np.prod(hi - lo, axis=0).sum())
+    def counts():
+        return [
+            evaluated_candidates(gs, Ws, h, hopflax._default_out_grid(gs, Ws, h)[1])
+            for h in (0.1, 0.25, 0.5, 1.0)
+        ]
 
-    counts = [evaluated(h) for h in (0.1, 0.25, 0.5, 1.0)]
-    assert sum(counts) <= 1.6e7, counts
-    assert counts == [evaluated(h) for h in (0.1, 0.25, 0.5, 1.0)]
+    first = counts()
+    assert sum(first) <= 29_516_113, first
+    assert first == counts()
 
 
 @pytest.mark.parametrize(
@@ -528,101 +524,66 @@ def _prune_inputs(case):
     return g, W, h, axes, tables, h * W.values, np.isfinite(W.values)
 
 
-def _vertex_bounds(g, tables, shape, weights, active):
-    """(bound, allowance): bound(half ids) is the vertex bound of that
-    half-block over the output grid of the given shape, -inf outside its
-    block's output ranges."""
-    axes_b, _least, slope, kappa, allowance = hopflax._block_bounds(g, tables, weights, active)
-    pad = [max(ax.length) - 1 for ax in axes_b]
-    gfar = np.minimum(np.pad(g.values, [(p, p) for p in pad], constant_values=INF), hopflax._FAR)
-    owner = [np.repeat(np.arange(len(ax.halves)), [h.stop - h.start for h in ax.halves]) for ax in axes_b]
-    blocks = {}
-
-    def bound(half):
-        blk = tuple(int(o[j]) for o, j in zip(owner, half))
-        if blk not in blocks:
-            out = tuple(slice(ax.out_lo[b], ax.out_hi[b]) for ax, b in zip(axes_b, blk))
-            halves = tuple(ax.halves[b] for ax, b in zip(axes_b, blk))
-            raw = hopflax._vertex_bound(
-                gfar, pad, [ax.bmin[b] for ax, b in zip(axes_b, blk)],
-                [ax.length[b] for ax, b in zip(axes_b, blk)],
-                [ax.verts[b] for ax, b in zip(axes_b, blk)],
-                [q[blk] for q in slope], kappa[halves], out,
-            )
-            assert not np.isnan(raw).any()
-            blocks[blk] = out, halves, raw
-        out, halves, raw = blocks[blk]
-        full = np.full(shape, -INF)
-        full[out] = raw[tuple(x for j, h in zip(half, halves) for x in (j - h.start, slice(None)))]
-        return full
-
-    return bound, allowance
-
-
 @pytest.mark.parametrize("case", PRUNE_CASES)
 def test_tilted_bound_holds_for_every_candidate(case):
-    # for every active cost node and every output node: the vertex bound of
-    # the node's half-block is at most the candidate plus the allowance
+    # for every block, every output node it reaches and every node of the
+    # block: the tilted bound is at most the candidate plus the allowance
     g, W, h, axes, tables, weights, active = _prune_inputs(case)
-    bound, allowance = _vertex_bounds(g, tables, tuple(map(len, axes)), weights, active)
-    half_of = [ax.half for ax in hopflax._block_bounds(g, tables, weights, active)[0]]
-    checked = 0
+    blocks_axes, least, slope, kappa, allowance = hopflax._block_bounds(g, tables, weights, active)
+    blocks, _reach, _starts, bmin, length, out_lo, out_hi = zip(*blocks_axes)
+    pad = [int(n.max()) - 1 for n in length]
+    gpad = np.pad(g.values, [(p, p) for p in pad], constant_values=INF)
+    shape = tuple(len(ax) for ax in axes)
+    bounds, checked = {}, 0
     for y in map(tuple, np.argwhere(active)):
-        half = tuple(int(hf[i]) for hf, i in zip(half_of, y))
-        if min(half) < 0:
+        blk = tuple(b[i] for b, i in zip(blocks, y))
+        if min(blk) < 0:
             continue
+        if blk not in bounds:
+            out = tuple(slice(lo[b], hi[b]) for lo, hi, b in zip(out_lo, out_hi, blk))
+            bound = np.full(shape, -INF)
+            bound[out] = hopflax._tilted_bound(
+                gpad, pad, [b[i] for b, i in zip(bmin, blk)], [n[i] for n, i in zip(length, blk)],
+                [q[blk] for q in slope], kappa[blk], out,
+            )
+            assert not np.isnan(bound).any()
+            bounds[blk] = bound
         shift = np.array([h * ax[i] for ax, i in zip(W.axes, y)])
         cand = _shift_interp_candidates(g, axes, shift) + weights[y]
-        assert (bound(half) <= cand + allowance).all(), (case, y)
+        assert (bounds[blk] <= cand + allowance).all(), (case, y)
         checked += np.isfinite(cand).sum()
     assert checked > 0
 
 
-def _half_offsets(case):
-    """Per axis and half: the offsets u = base + frac of its indices."""
-    g, W, h, axes, tables, weights, active = _prune_inputs(case)
-    axes_b = hopflax._block_bounds(g, tables, weights, active)[0]
-    out = []
-    for ax, (_lo, _hi, base, frac) in zip(axes_b, tables):
-        u = (base + frac)[ax.reach]
-        out += np.split(u, ax.hstarts[1:])
-    return out
-
-
 def test_prune_cases_are_tilted():
-    # the bound above is checked with slopes other than 0 on every random
-    # case, on halves whose offsets are all integers and on halves whose
-    # fractional offsets straddle a gridline
-    straddle = integer = 0
+    # the bound above is checked with slopes other than 0 on every random case
     for case in PRUNE_CASES:
         if case.startswith("random"):
             g, W, h, axes, tables, weights, active = _prune_inputs(case)
             slope = hopflax._block_bounds(g, tables, weights, active)[2]
             assert any(np.any(q != 0.0) for q in slope), case
-            for u in _half_offsets(case):
-                integer += bool(np.all(u == np.floor(u)))
-                straddle += bool(np.floor(u.min()) + 1 < u.max() and np.any(u != np.floor(u)))
-    assert straddle > 0 and integer > 0
 
 
 @pytest.mark.parametrize("case", PRUNE_CASES)
 def test_tilted_boxes_inside_untilted_boxes(case, monkeypatch):
-    # with a vertex bound of -inf every half-block keeps its block's
-    # untilted box; the half-block boxes never leave it
+    # q = 0 with kappa = least weight and the allowance without tilt is the
+    # untilted bound alone; the tilted boxes never leave its boxes
     g, W, h, axes, tables, weights, active = _prune_inputs(case)
     shape = tuple(len(ax) for ax in axes)
-    halves, lo, hi = hopflax._prune_boxes(g, tables, shape, weights, active)
+    blocks, lo, hi = hopflax._prune_boxes(g, tables, shape, weights, active)
+    orig = hopflax._block_bounds
 
-    def untilted(gfar, pad, lows, lengths, verts, slope, kappa, out):
-        sizes = [(c, o.stop - o.start) for c, o in zip(kappa.shape, out)]
-        return np.full([n for pair in sizes for n in pair], -INF)
+    def untilted(*args):
+        axes_b, least, slope, _kappa, _allowance = orig(*args)
+        zero = [np.zeros_like(q) for q in slope]
+        return axes_b, least, zero, least, hopflax._allowance(g, weights, active, 0.0)
 
-    monkeypatch.setattr(hopflax, "_vertex_bound", untilted)
-    halves0, lo0, hi0 = hopflax._prune_boxes(g, tables, shape, weights, active)
-    assert all(np.array_equal(a, b) for a, b in zip(halves, halves0))
-    kept = np.all(lo < hi, axis=0)
-    assert np.all(lo0 < hi0, axis=0)[kept].all()
-    assert (lo0[:, kept] <= lo[:, kept]).all() and (hi[:, kept] <= hi0[:, kept]).all()
+    monkeypatch.setattr(hopflax, "_block_bounds", untilted)
+    _, lo0, hi0 = hopflax._prune_boxes(g, tables, shape, weights, active)
+    kept = np.all([a < b for a, b in zip(lo, hi)], axis=0)
+    for d in range(g.dim):
+        assert (lo0[d][kept] <= lo[d][kept]).all() and (hi[d][kept] <= hi0[d][kept]).all()
+    assert np.all([a < b for a, b in zip(lo0, hi0)], axis=0)[kept].all()
 
 
 @pytest.fixture
